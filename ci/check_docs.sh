@@ -5,7 +5,8 @@
 #   * docs/FORMAT.md or docs/ARCHITECTURE.md is missing or unlinked
 #     from README.md;
 #   * any `flowzip ...` snippet in README.md or docs/*.md uses a
-#     --flag the CLI (src/bin/flowzip.rs) does not know;
+#     --flag the CLI (src/bin/flowzip.rs) does not know, or the CLI's
+#     USAGE string names a --flag the README never mentions;
 #   * docs/*.md references a repo path that does not exist;
 #   * docs/*.md references a backticked type/function name that
 #     appears nowhere in the workspace source.
@@ -41,6 +42,21 @@ flags=$({
 for flag in $flags; do
     grep -qF -- "$flag" src/bin/flowzip.rs ||
         err "docs reference CLI flag '$flag' unknown to src/bin/flowzip.rs"
+done
+#    ...and the other way round: the USAGE string is the parser's
+#    allow-list, so every flag it names must be documented in the
+#    README (flags table or a `flowzip ...` snippet) — a flag cannot be
+#    dropped from the docs while the binary keeps accepting it.
+readme_flags=$({
+    grep -hoE 'flowzip [^`]*' README.md
+    grep -hE '^\| `--' README.md
+} | grep -oE -- '--[a-z][a-z-]*' | sort -u || true)
+usage_flags=$(sed -n '/^const USAGE: &str = "/,/";$/p' src/bin/flowzip.rs |
+    grep -oE -- '--[a-z][a-z-]*' | sort -u || true)
+[ -n "$usage_flags" ] || err "could not find the USAGE string in src/bin/flowzip.rs"
+for flag in $usage_flags; do
+    grep -qxF -- "$flag" <<<"$readme_flags" ||
+        err "CLI flag '$flag' is in USAGE but missing from README.md"
 done
 
 # 4. Backticked repo paths in docs/*.md must exist.

@@ -33,7 +33,7 @@ use flowzip_core::{
     assemble_sections, assemble_shards, ArchiveFormat, CompressionReport, FlowAccumulator,
     FlowAssembler, FlowTelemetry, Params, ShardSection,
 };
-use flowzip_io::{BatchRead, InputSource, WorkerPool};
+use flowzip_io::{BatchRead, WorkerPool};
 use flowzip_trace::prelude::*;
 use flowzip_trace::TraceError;
 use std::sync::mpsc;
@@ -682,119 +682,6 @@ impl StreamingEngine {
         }
     }
 
-    /// Compresses a pluggable [`InputSource`] — a
-    /// [`FileSource`](flowzip_io::FileSource) (optionally prefetched) or
-    /// a [`MultiFileSource`](flowzip_io::MultiFileSource) over a
-    /// pre-split capture set — and fills the report's
-    /// read-wait vs. compute split from the source's
-    /// [`IoStats`](flowzip_io::IoStats).
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::source(..)) session API"
-    )]
-    pub fn compress_source<S: InputSource>(
-        &self,
-        source: S,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        S::Packets: Send,
-    {
-        let stats = source.stats();
-        let (compressed, mut report) = self.compress_stream(source.into_packets())?;
-        fill_read_wait(&mut report, &stats);
-        Ok((compressed, report))
-    }
-
-    /// [`StreamingEngine::compress_source`] straight to serialized
-    /// archive bytes in the configured [`ArchiveFormat`].
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::source(..)) session API"
-    )]
-    pub fn compress_source_to_bytes<S: InputSource>(
-        &self,
-        source: S,
-    ) -> Result<(Vec<u8>, EngineReport), TraceError>
-    where
-        S::Packets: Send,
-    {
-        let stats = source.stats();
-        let (bytes, mut report) = self.compress_stream_to_bytes(source.into_packets())?;
-        fill_read_wait(&mut report, &stats);
-        Ok((bytes, report))
-    }
-
-    /// Convenience: compresses an infallible packet sequence.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors [`StreamingEngine::compress_stream`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::packets(..)) session API"
-    )]
-    pub fn compress_packets<I>(
-        &self,
-        packets: I,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        I: IntoIterator<Item = PacketRecord>,
-        I::IntoIter: Send,
-    {
-        self.compress_stream(packets.into_iter().map(Ok))
-    }
-
-    /// Convenience: compresses an in-memory trace (the batch-compressor
-    /// interface, for comparisons and tests).
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors [`StreamingEngine::compress_stream`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::trace(..)) session API"
-    )]
-    pub fn compress_trace(
-        &self,
-        trace: &Trace,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError> {
-        self.compress_stream(trace.iter().cloned().map(Ok))
-    }
-
-    /// Convenience: compresses an in-memory trace straight to archive
-    /// bytes in the configured format.
-    ///
-    /// # Errors
-    ///
-    /// Never fails; the `Result` mirrors
-    /// [`StreamingEngine::compress_stream_to_bytes`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "use flowzip-pipeline's Pipeline::compress().input(Input::trace(..)) session API"
-    )]
-    pub fn compress_trace_to_bytes(
-        &self,
-        trace: &Trace,
-    ) -> Result<(Vec<u8>, EngineReport), TraceError> {
-        self.compress_stream_to_bytes(trace.iter().cloned().map(Ok))
-    }
-
     /// Folds per-shard outputs into one archive plus the aggregate
     /// report. The dataset assembly itself is `flowzip-core`'s
     /// [`assemble_shards`] — the same code the batch compressor runs —
@@ -841,7 +728,13 @@ impl StreamingEngine {
             Routing::Parallel if self.config.shards == 1 => 1,
             Routing::Parallel => self.config.routers.max(1),
         };
-        let mut engine_report = EngineReport {
+        let stage_busy_secs = agg.max_busy_ns as f64 / 1e9;
+        // One thread cannot be busy longer than the run took.
+        debug_assert!(
+            stage_busy_secs <= elapsed_secs * 1.05,
+            "stage timings disagree with wall-clock: busiest shard {stage_busy_secs:.6}s > elapsed {elapsed_secs:.6}s × 1.05"
+        );
+        EngineReport {
             shards: self.config.shards,
             routing: self.config.routing,
             routers,
@@ -849,29 +742,18 @@ impl StreamingEngine {
             packets_per_sec: agg.packets as f64 / elapsed,
             mb_per_sec: agg.tsh_bytes as f64 / elapsed / 1e6,
             evicted_flows: agg.evicted,
-            // Raw-iterator runs carry no IoStats handle; the
-            // compress_source entry points overwrite the split.
-            read_wait_secs: 0.0,
-            compute_secs: elapsed_secs,
             serialize_secs: 0.0,
-            stage_busy_secs: agg.max_busy_ns as f64 / 1e9,
-            unattributed_secs: 0.0,
+            stage_busy_secs,
+            unattributed_secs: if stage_busy_secs > 0.0 {
+                (elapsed_secs - stage_busy_secs).max(0.0)
+            } else {
+                0.0
+            },
             sections: 0,
             archive_bytes: 0,
             report,
-        };
-        engine_report.reconcile_time_split();
-        engine_report
+        }
     }
-}
-
-/// Fills a report's read-wait/compute split from a drained source's
-/// stats. The wait is clamped to elapsed (counters tick on reader
-/// threads and can race the last wall-clock read by microseconds).
-fn fill_read_wait(report: &mut EngineReport, stats: &flowzip_io::IoStats) {
-    report.read_wait_secs = stats.read_wait_secs().min(report.elapsed_secs);
-    report.compute_secs = (report.elapsed_secs - report.read_wait_secs).max(0.0);
-    report.reconcile_time_split();
 }
 
 /// Throughput/memory counters folded over per-shard outputs — computed
@@ -907,13 +789,13 @@ impl ShardAggregates {
 }
 
 #[cfg(test)]
-// The unit tests deliberately keep exercising the deprecated convenience
-// shims: they must stay behaviorally identical to the primitives until
-// they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use flowzip_core::Compressor;
+
+    fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + Send + '_ {
+        trace.iter().cloned().map(Ok)
+    }
 
     fn pkt(port: u16, us: u64, flags: TcpFlags) -> PacketRecord {
         PacketRecord::builder()
@@ -927,7 +809,7 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_archive() {
         let engine = StreamingEngine::builder().shards(2).build();
-        let (ct, report) = engine.compress_packets(Vec::new()).unwrap();
+        let (ct, report) = engine.compress_stream(Vec::new()).unwrap();
         assert_eq!(ct.flow_count(), 0);
         assert_eq!(report.report.packets, 0);
         assert_eq!(report.report.ratio_vs_tsh, 0.0);
@@ -1015,7 +897,7 @@ mod tests {
                 .shards(shards)
                 .batch_size(4)
                 .build();
-            let (ct, streamed) = engine.compress_trace(&trace).unwrap();
+            let (ct, streamed) = engine.compress_stream(stream(&trace)).unwrap();
             assert_eq!(streamed.report.packets, batch.packets);
             assert_eq!(streamed.report.flows, batch.flows);
             assert_eq!(streamed.report.short_flows, batch.short_flows);
@@ -1046,8 +928,8 @@ mod tests {
                 .batch_size(8)
                 .format(ArchiveFormat::V2)
                 .build();
-            let (v1_bytes, v1_report) = v1_engine.compress_trace_to_bytes(&trace).unwrap();
-            let (v2_bytes, v2_report) = v2_engine.compress_trace_to_bytes(&trace).unwrap();
+            let (v1_bytes, v1_report) = v1_engine.compress_stream_to_bytes(stream(&trace)).unwrap();
+            let (v2_bytes, v2_report) = v2_engine.compress_stream_to_bytes(stream(&trace)).unwrap();
 
             assert_eq!(ArchiveFormat::detect(&v1_bytes).unwrap(), ArchiveFormat::V1);
             assert_eq!(ArchiveFormat::detect(&v2_bytes).unwrap(), ArchiveFormat::V2);
@@ -1078,7 +960,7 @@ mod tests {
         }
         let (batch_archive, _) = Compressor::new(Params::paper()).compress(&trace);
         let engine = StreamingEngine::builder().shards(1).build();
-        let (bytes, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+        let (bytes, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
         assert_eq!(bytes, batch_archive.to_bytes_v2());
     }
 
@@ -1127,8 +1009,8 @@ mod tests {
                 .telemetry(true)
                 .metrics(metrics.clone())
                 .build();
-            let (off_bytes, _) = off.compress_trace_to_bytes(&trace).unwrap();
-            let (on_bytes, _) = on.compress_trace_to_bytes(&trace).unwrap();
+            let (off_bytes, _) = off.compress_stream_to_bytes(stream(&trace)).unwrap();
+            let (on_bytes, _) = on.compress_stream_to_bytes(stream(&trace)).unwrap();
 
             // The FZT1 block is a pure suffix: stripping it reproduces
             // the telemetry-off archive byte for byte.
@@ -1183,7 +1065,9 @@ mod tests {
             .batch_size(64)
             .idle_timeout(Some(Duration::from_secs(1)))
             .build();
-        let (_, with_eviction) = bounded.compress_packets(packets.clone()).unwrap();
+        let (_, with_eviction) = bounded
+            .compress_stream(packets.iter().cloned().map(Ok))
+            .unwrap();
         assert_eq!(
             with_eviction.report.flows, 2_000,
             "every flow still reported"
@@ -1197,7 +1081,9 @@ mod tests {
         assert!(with_eviction.evicted_flows > 1_000);
 
         let unbounded = StreamingEngine::builder().shards(2).batch_size(64).build();
-        let (_, without) = unbounded.compress_packets(packets).unwrap();
+        let (_, without) = unbounded
+            .compress_stream(packets.into_iter().map(Ok))
+            .unwrap();
         assert_eq!(
             without.peak_active_flows(),
             2_000,

@@ -1,21 +1,21 @@
 //! `flowzip-engine` — a sharded, bounded-memory **streaming** compression
 //! pipeline over the §3 algorithm.
 //!
-//! The core [`Compressor`](flowzip_core::Compressor) is batch-only: it
-//! wants the whole [`Trace`](flowzip_trace::Trace) in memory. This crate
-//! turns the same algorithm into an online pipeline that handles traces
-//! far larger than RAM:
+//! The core [`Compressor`](flowzip_core::Compressor) is the paper's
+//! reference implementation: it wants the whole
+//! [`Trace`](flowzip_trace::Trace) in memory. This crate turns the same
+//! algorithm into the online pipeline every production session runs,
+//! one that handles traces far larger than RAM:
 //!
 //! * **Incremental input** — packets arrive from any
 //!   `Iterator<Item = Result<PacketRecord, TraceError>>`, e.g. the
 //!   streaming [`TshReader`](flowzip_trace::TshReader) /
-//!   [`PcapReader`](flowzip_trace::PcapReader). Pluggable
-//!   [`InputSource`](flowzip_io::InputSource)s go through
-//!   [`StreamingEngine::compress_source`]: a prefetched
+//!   [`PcapReader`](flowzip_trace::PcapReader), or the packet stream of
+//!   a pluggable [`InputSource`](flowzip_io::InputSource): a prefetched
 //!   [`FileSource`](flowzip_io::FileSource) or a parallel-reader
 //!   [`MultiFileSource`](flowzip_io::MultiFileSource) overlaps disk and
-//!   decode with compute, and the [`EngineReport`] then splits
-//!   wall-clock into read-wait vs. compute.
+//!   decode with compute (the latter natively, batch by batch, through
+//!   [`StreamingEngine::compress_batches`]).
 //! * **Flow sharding** — each packet is routed by the hash of its
 //!   canonical flow key across N worker threads, so every packet of a
 //!   flow lands on the same shard and per-flow state never needs locks.
@@ -40,21 +40,21 @@
 //!   merged archive is a valid `CompressedTrace` indistinguishable in
 //!   structure from batch output.
 //!
-//! With one shard and no idle timeout the engine is *byte-identical* to
+//! With one shard and no idle timeout the engine runs inline on the
+//! calling thread — no channel, no worker — and is *byte-identical* to
 //! the batch compressor; with many shards the per-flow datasets stay
 //! exactly equal and only the greedy clustering may differ slightly (the
 //! equivalence property tests pin both).
 //!
 //! # Example
 //!
-//! The two primitive entry points are
-//! [`StreamingEngine::compress_stream`] (in-memory archive + report) and
-//! [`StreamingEngine::compress_stream_to_bytes`] (serialized container).
+//! The entry points are [`StreamingEngine::compress_stream`] (in-memory
+//! archive + report), [`StreamingEngine::compress_stream_to_bytes`]
+//! (serialized container) and their batch-granular
+//! [`compress_batches`](StreamingEngine::compress_batches) twins.
 //! Applications normally sit one level up, on `flowzip-pipeline`'s
-//! `Pipeline::compress()` session API, which routes between this engine
-//! and the batch compressor; the old per-input convenience wrappers
-//! (`compress_trace`, `compress_packets`, `compress_source`, …) remain as
-//! deprecated shims over the primitives.
+//! `Pipeline::compress()` session API, which opens the input, runs this
+//! engine and charges the source's read-wait to the report.
 //!
 //! ```
 //! use flowzip_engine::StreamingEngine;

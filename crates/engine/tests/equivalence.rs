@@ -15,14 +15,9 @@
 //!   ±max(4, 25%) of batch and total size to ±25%, and keep the
 //!   `matched = short − clusters` accounting identity exact.
 
-// The suite pins the deprecated `compress_trace`/`compress_trace_to_bytes`
-// shims: they must stay behaviorally identical to the primitives until
-// they are removed (the pipeline crate pins the session API itself).
-#![allow(deprecated)]
-
 use flowzip_core::{ArchiveFormat, CompressedTrace, Compressor, Decompressor, Params};
 use flowzip_engine::StreamingEngine;
-use flowzip_trace::{Duration, Trace};
+use flowzip_trace::{Duration, PacketRecord, Trace, TraceError};
 use flowzip_traffic::p2p::{P2pTrafficConfig, P2pTrafficGenerator};
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 use proptest::prelude::*;
@@ -51,6 +46,11 @@ fn p2p_trace(flows: usize, seed: u64) -> Trace {
     .generate()
 }
 
+/// An in-memory trace as the fallible packet stream the engine consumes.
+fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + Send + '_ {
+    trace.iter().cloned().map(Ok)
+}
+
 /// Exact-equality and tolerance checks between one engine run and batch.
 fn assert_equivalent(trace: &Trace, shards: usize) -> Result<(), TestCaseError> {
     let (_, batch) = Compressor::new(Params::paper()).compress(trace);
@@ -58,7 +58,7 @@ fn assert_equivalent(trace: &Trace, shards: usize) -> Result<(), TestCaseError> 
         .shards(shards)
         .batch_size(128)
         .build();
-    let (archive, streamed) = engine.compress_trace(trace).unwrap();
+    let (archive, streamed) = engine.compress_stream(stream(trace)).unwrap();
     let r = &streamed.report;
 
     prop_assert_eq!(r.packets, batch.packets);
@@ -114,10 +114,10 @@ fn assert_v2_packet_identical(
             .build()
     };
     let (v1_bytes, _) = build(ArchiveFormat::V1)
-        .compress_trace_to_bytes(trace)
+        .compress_stream_to_bytes(stream(trace))
         .unwrap();
     let (v2_bytes, v2_report) = build(ArchiveFormat::V2)
-        .compress_trace_to_bytes(trace)
+        .compress_stream_to_bytes(stream(trace))
         .unwrap();
     prop_assert_eq!(ArchiveFormat::detect(&v2_bytes).unwrap(), ArchiveFormat::V2);
     prop_assert_eq!(v2_report.sections, shards);
@@ -190,7 +190,7 @@ proptest! {
         let trace = web_trace(flows, seed);
         let (batch_archive, batch) = Compressor::new(Params::paper()).compress(&trace);
         let engine = StreamingEngine::builder().shards(1).batch_size(64).build();
-        let (archive, streamed) = engine.compress_trace(&trace).unwrap();
+        let (archive, streamed) = engine.compress_stream(stream(&trace)).unwrap();
         prop_assert_eq!(archive.to_bytes(), batch_archive.to_bytes());
         prop_assert_eq!(streamed.report.clusters, batch.clusters);
         prop_assert_eq!(streamed.report.matched_flows, batch.matched_flows);

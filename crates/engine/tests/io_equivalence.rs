@@ -13,13 +13,8 @@
 //! input subsystem sits entirely upstream of the routing determinism the
 //! engine equivalence suite already pins.
 
-// These tests pin the deprecated `compress_source_to_bytes` shim against
-// the primitive path: the shim must stay byte-identical until removed
-// (the pipeline crate carries the equivalent pins for the session API).
-#![allow(deprecated)]
-
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{FileSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
+use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_trace::tsh;
 use flowzip_trace::{Trace, TshReader};
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
@@ -95,7 +90,10 @@ fn check_multifile(
         },
     )
     .unwrap();
-    let (got, report) = engine.compress_source_to_bytes(source).unwrap();
+    let stats = source.stats();
+    let (got, report) = engine
+        .compress_stream_to_bytes(source.into_packets())
+        .unwrap();
     prop_assert_eq!(
         &got,
         &want,
@@ -105,9 +103,8 @@ fn check_multifile(
         readers
     );
     prop_assert_eq!(report.report.packets, trace.len() as u64);
-    // The source carried stats: compute + read-wait tile elapsed.
-    prop_assert!(report.read_wait_secs >= 0.0);
-    prop_assert!((report.read_wait_secs + report.compute_secs - report.elapsed_secs).abs() < 1e-9);
+    // The source's stats handle outlives the drain: every byte counted.
+    prop_assert_eq!(stats.bytes_read(), image.len() as u64);
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }
@@ -131,7 +128,9 @@ fn check_prefetch(trace: &Trace, shards: usize) -> Result<(), TestCaseError> {
         },
     )
     .unwrap();
-    let (got, _) = engine.compress_source_to_bytes(source).unwrap();
+    let (got, _) = engine
+        .compress_stream_to_bytes(source.into_packets())
+        .unwrap();
     prop_assert_eq!(&got, &want, "prefetched archive differs: shards {}", shards);
     std::fs::remove_dir_all(&dir).ok();
     Ok(())
@@ -159,13 +158,15 @@ fn plain_file_source_is_the_classic_path_with_wait_accounting() {
     std::fs::write(&path, &image).unwrap();
     let engine = StreamingEngine::builder().shards(2).batch_size(64).build();
     let want = reference_bytes(&engine, &image);
-    let (got, report) = engine
-        .compress_source_to_bytes(FileSource::open(&path).unwrap())
+    let source = FileSource::open(&path).unwrap();
+    let stats = source.stats();
+    let (got, _) = engine
+        .compress_stream_to_bytes(source.into_packets())
         .unwrap();
     assert_eq!(got, want);
     // Plain reads charge their syscall time as read-wait.
-    assert!(report.read_wait_secs >= 0.0);
-    assert!(report.compute_secs > 0.0);
+    assert_eq!(stats.bytes_read(), image.len() as u64);
+    assert!(stats.read_wait_secs() >= 0.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -319,8 +319,8 @@ proptest! {
             if serial { 1 } else { routers },
             "serial routing always reports one router"
         );
-        let json = report.to_json();
-        let needle = format!("\"routing\": \"{routing}\"");
-        prop_assert!(json.contains(&needle), "missing {} in {}", needle, json);
+        let text = report.to_string();
+        let needle = format!("({routing} routing × {})", report.routers);
+        prop_assert!(text.contains(&needle), "missing {} in {}", needle, text);
     }
 }

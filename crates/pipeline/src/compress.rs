@@ -1,22 +1,18 @@
 //! [`Pipeline::compress`]: one session from any [`Input`] through the
-//! batch compressor or the streaming engine into any [`Sink`].
+//! streaming engine into any [`Sink`].
 
 use crate::error::PipelineError;
 use crate::input::{Input, InputKind};
-use crate::report::{ArchiveSummary, Mode, Report, TelemetrySummary, Timing};
+use crate::report::{Report, TelemetrySummary};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::{ArchiveFormat, Compressor, Params};
-use flowzip_engine::{CancelFlag, Routing, StreamingEngine};
-use flowzip_io::{
-    glob, FileSource, InputSource, IoStats, MultiFileConfig, MultiFileSource, PrefetchConfig,
-};
+use flowzip_core::{ArchiveFormat, Params};
+use flowzip_engine::{Routing, StreamingEngine};
+use flowzip_io::{glob, FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink};
-use flowzip_trace::packet::HEADER_BYTES;
-use flowzip_trace::{Duration, Trace};
+use flowzip_trace::Duration;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a finished session hands back: the unified [`Report`], plus the
 /// serialized output when the sink was [`Sink::bytes`].
@@ -41,15 +37,14 @@ impl RunResult {
 }
 
 /// Builder for one compression session. Construct with
-/// [`Pipeline::compress`]; see the [crate docs](crate) for the routing
-/// rules.
+/// [`Pipeline::compress`]; see the [crate docs](crate) for the shard
+/// default.
 #[derive(Debug)]
 pub struct CompressBuilder<'a> {
     input: Option<Input<'a>>,
     sink: Option<Sink<'a>>,
     params: Params,
     format: ArchiveFormat,
-    streaming: Option<bool>,
     threads: Option<usize>,
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
@@ -57,7 +52,7 @@ pub struct CompressBuilder<'a> {
     prefetch_mb: Option<u64>,
     readers: Option<usize>,
     routing: Option<Routing>,
-    telemetry: Option<bool>,
+    telemetry: bool,
     metrics: Option<Metrics>,
     profiler: Option<Profiler>,
     stats_interval: Option<std::time::Duration>,
@@ -75,7 +70,6 @@ impl Pipeline {
             sink: None,
             params: Params::paper(),
             format: ArchiveFormat::V2,
-            streaming: None,
             threads: None,
             batch_size: None,
             channel_capacity: None,
@@ -83,7 +77,7 @@ impl Pipeline {
             prefetch_mb: None,
             readers: None,
             routing: None,
-            telemetry: None,
+            telemetry: false,
             metrics: None,
             profiler: None,
             stats_interval: None,
@@ -119,64 +113,55 @@ impl<'a> CompressBuilder<'a> {
         self
     }
 
-    /// Forces the streaming engine (`true`) or the batch compressor
-    /// (`false`). Unset, the session routes itself: engine/reader tuning,
-    /// multiple input files, or a non-collectible input select streaming;
-    /// a single file or an in-memory trace with no tuning runs batch.
-    pub fn streaming(mut self, streaming: bool) -> Self {
-        self.streaming = Some(streaming);
-        self
-    }
-
-    /// Worker shards for the streaming engine (implies streaming;
-    /// `0` is a configuration error).
+    /// Worker shards — the one knob that sets parallelism (`0` is a
+    /// configuration error). Unset, a single file or an in-memory trace
+    /// runs on one shard, inline on the calling thread and byte-identical
+    /// to [`Compressor`](flowzip_core::Compressor); multi-file,
+    /// packet-iterator and [`Input::source`] inputs get one shard per
+    /// core (at most 8).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
     }
 
-    /// Packets per cross-thread batch (implies streaming; `0` is a
-    /// configuration error).
+    /// Packets per cross-thread batch (`0` is a configuration error).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = Some(batch_size);
         self
     }
 
-    /// Bounded in-flight batches per shard channel (implies streaming;
-    /// `0` is a configuration error).
+    /// Bounded in-flight batches per shard channel (`0` is a
+    /// configuration error).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
         self.channel_capacity = Some(capacity);
         self
     }
 
-    /// Evict flows idle longer than this much *trace* time (implies
-    /// streaming).
+    /// Evict flows idle longer than this much *trace* time.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = Some(timeout);
         self
     }
 
     /// Prefetch file reads on a dedicated I/O thread, double-buffering
-    /// chunks of this many MiB (implies streaming; `0` is a
-    /// configuration error — prefetching nothing is a misconfiguration,
-    /// not a mode).
+    /// chunks of this many MiB (`0` is a configuration error —
+    /// prefetching nothing is a misconfiguration, not a mode).
     pub fn prefetch_mb(mut self, mb: u64) -> Self {
         self.prefetch_mb = Some(mb);
         self
     }
 
-    /// Parallel reader threads for multi-file input (implies streaming;
-    /// `0` is a configuration error).
+    /// Parallel reader threads for multi-file input (`0` is a
+    /// configuration error).
     pub fn readers(mut self, readers: usize) -> Self {
         self.readers = Some(readers);
         self
     }
 
-    /// Routing topology for the streaming engine (implies streaming;
-    /// default [`Routing::Parallel`]). Parallel routing hashes packets
-    /// on a pool of routing workers; [`Routing::Serial`] keeps the
-    /// original dedicated router thread. Output is byte-identical
-    /// either way.
+    /// Routing topology for multi-shard runs (default
+    /// [`Routing::Parallel`]). Parallel routing hashes packets on a pool
+    /// of routing workers; [`Routing::Serial`] keeps the original
+    /// dedicated router thread. Output is byte-identical either way.
     pub fn routing(mut self, routing: Routing) -> Self {
         self.routing = Some(routing);
         self
@@ -184,11 +169,11 @@ impl<'a> CompressBuilder<'a> {
 
     /// Derives per-flow TCP telemetry (RTT, retransmissions, idle and
     /// active time) inline during accumulation and appends the rev 2.2
-    /// `FZT1` side-section to the archive (implies streaming; requires
-    /// the v2 container). The non-telemetry bytes are unchanged: a
-    /// pre-2.2 reader decodes the same archive byte-identically.
+    /// `FZT1` side-section to the archive (requires the v2 container).
+    /// The non-telemetry bytes are unchanged: a pre-2.2 reader decodes
+    /// the same archive byte-identically.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 
@@ -240,8 +225,7 @@ impl<'a> CompressBuilder<'a> {
     /// Cooperative cancellation: when `flag` flips to `true` mid-run,
     /// the session stops pulling input at the next pull point and
     /// finalizes everything read so far into a **valid partial archive**
-    /// (both routes: the engine drains its shards, the batch compressor
-    /// compresses the collected prefix). This is what graceful SIGINT
+    /// (the engine drains its shards). This is what graceful SIGINT
     /// rides on — the delivered file is complete and decodable, just cut
     /// at the interruption point.
     pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
@@ -249,14 +233,14 @@ impl<'a> CompressBuilder<'a> {
         self
     }
 
-    /// Runs the session: resolve the input, route to the batch
-    /// compressor or the streaming engine, serialize in the configured
-    /// container format, deliver to the sink, and report.
+    /// Runs the session: resolve the input, stream it through the
+    /// engine, serialize in the configured container format, deliver to
+    /// the sink, and report.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Config`] for invalid configuration (zero knobs,
-    /// empty input set, glob matching nothing, conflicting routing);
+    /// empty input set, glob matching nothing);
     /// [`PipelineError::Read`] for input failures;
     /// [`PipelineError::Write`] for sink failures.
     pub fn run(self) -> Result<RunResult, PipelineError> {
@@ -265,7 +249,6 @@ impl<'a> CompressBuilder<'a> {
             sink,
             params,
             format,
-            streaming,
             threads,
             batch_size,
             channel_capacity,
@@ -313,7 +296,7 @@ impl<'a> CompressBuilder<'a> {
                  omit .prefetch_mb() to disable prefetching)",
             ));
         }
-        if telemetry == Some(true) && matches!(format, ArchiveFormat::V1) {
+        if telemetry && matches!(format, ArchiveFormat::V1) {
             return Err(PipelineError::config(
                 "telemetry rows ride the v2 container's FZT1 side-section — \
                  the v1 single-blob format has nowhere to carry them \
@@ -363,39 +346,6 @@ impl<'a> CompressBuilder<'a> {
             ));
         }
 
-        // Routing: explicit wins; otherwise any engine/reader knob, a
-        // multi-file set, or a stream-shaped input selects the engine —
-        // exactly the dispatch the CLI used to hand-roll.
-        let engine_knobs = threads.is_some()
-            || batch_size.is_some()
-            || channel_capacity.is_some()
-            || idle_timeout.is_some()
-            || prefetch_mb.is_some()
-            || readers.is_some()
-            || routing.is_some()
-            || telemetry.is_some();
-        let multi_file = matches!(&kind, InputKind::Files(p) if p.len() > 1);
-        let use_streaming = match streaming {
-            Some(s) => s,
-            None => {
-                engine_knobs
-                    || multi_file
-                    || matches!(kind, InputKind::Packets(_) | InputKind::Stream { .. })
-            }
-        };
-        if !use_streaming && multi_file {
-            return Err(PipelineError::config(
-                "multiple input files always stream as one ordered trace — \
-                 drop .streaming(false) or pass a single file",
-            ));
-        }
-        if !use_streaming && engine_knobs {
-            return Err(PipelineError::config(
-                "threads/batch_size/channel_capacity/idle_timeout/readers/prefetch_mb/routing/\
-                 telemetry tune the streaming engine — drop .streaming(false) to use them",
-            ));
-        }
-
         // A stats interval implies metrics: sampling a disabled registry
         // would emit nothing.
         let metrics = metrics.unwrap_or_else(|| {
@@ -419,27 +369,23 @@ impl<'a> CompressBuilder<'a> {
         });
 
         let context = format!("compress {}", inputs_desc.join(" "));
-        let (bytes, mut report) = if use_streaming {
-            run_streaming(
-                kind,
-                &context,
-                params,
-                format,
-                threads,
-                batch_size,
-                channel_capacity,
-                idle_timeout,
-                prefetch_mb,
-                readers,
-                routing,
-                telemetry.unwrap_or(false),
-                &metrics,
-                &profiler,
-                cancel,
-            )?
-        } else {
-            run_batch(kind, &context, params, format, &metrics, cancel)?
-        };
+        let (bytes, mut report) = run_engine(
+            kind,
+            &context,
+            params,
+            format,
+            threads,
+            batch_size,
+            channel_capacity,
+            idle_timeout,
+            prefetch_mb,
+            readers,
+            routing,
+            telemetry,
+            &metrics,
+            &profiler,
+            cancel,
+        )?;
         drop(sampler);
         if metrics.is_enabled() {
             report.metrics = Some(metrics.snapshot());
@@ -452,11 +398,11 @@ impl<'a> CompressBuilder<'a> {
     }
 }
 
-/// The streaming route: build the engine, wire the input as a packet
-/// stream (with its [`IoStats`] handle when it has one), and compress to
-/// archive bytes.
+/// Builds the engine, wires the input as a packet stream (with its
+/// [`IoStats`](flowzip_io::IoStats) handle when it has one), and
+/// compresses to archive bytes.
 #[allow(clippy::too_many_arguments)]
-fn run_streaming(
+fn run_engine(
     kind: InputKind<'_>,
     context: &str,
     params: Params,
@@ -483,7 +429,17 @@ fn run_streaming(
     if let Some(flag) = cancel {
         builder = builder.cancel_flag(flag);
     }
-    if let Some(t) = threads {
+    // `threads` alone sets the shard count. Unset, a single file or an
+    // in-memory trace runs on one shard — the engine's inline path, no
+    // router or shard thread, bytes ≡ `Compressor` — so default archive
+    // bytes never depend on the host's core count; the other inputs
+    // keep the engine's per-core default.
+    let single = match &kind {
+        InputKind::Files(paths) => paths.len() == 1,
+        InputKind::Trace(_) => true,
+        _ => false,
+    };
+    if let Some(t) = threads.or(single.then_some(1)) {
         builder = builder.shards(t);
     }
     let batch = batch_size.unwrap_or(1024);
@@ -562,7 +518,7 @@ fn run_streaming(
             (b, er, Some(stats))
         }
         InputKind::Patterns(_) | InputKind::Bytes(_) => {
-            unreachable!("patterns expanded and bytes rejected before routing")
+            unreachable!("patterns expanded and bytes rejected in run()")
         }
     };
 
@@ -578,121 +534,5 @@ fn run_streaming(
             a.telemetry = summary;
         }
     }
-    Ok((bytes, report))
-}
-
-/// The batch route: collect the input into one in-memory [`Trace`], run
-/// the classic [`Compressor`], and encode in the configured container.
-fn run_batch(
-    kind: InputKind<'_>,
-    context: &str,
-    params: Params,
-    format: ArchiveFormat,
-    metrics: &Metrics,
-    cancel: Option<Arc<AtomicBool>>,
-) -> Result<(Vec<u8>, Report), PipelineError> {
-    let started = Instant::now();
-    let read_err = |e| PipelineError::read(context.to_string(), e);
-    let cancel = cancel.map(CancelFlag::new).unwrap_or_default();
-    let mut stats = IoStats::new();
-    let owned: Trace;
-    let trace: &Trace = match kind {
-        InputKind::Trace(t) => t,
-        InputKind::Files(paths) => {
-            debug_assert_eq!(paths.len(), 1, "multi-file batch rejected in run()");
-            // A plain timed read: blocked read() time still lands in the
-            // report's read-wait split, like the streaming path.
-            let source = FileSource::open(&paths[0]).map_err(read_err)?;
-            stats = source.stats();
-            stats.attach_metrics(metrics);
-            let mut t = Trace::new();
-            for p in source.into_packets() {
-                // Cancellation cuts the collection; the compressor then
-                // runs over the prefix read so far — a valid partial
-                // archive, mirroring the streaming drain.
-                if cancel.is_cancelled() {
-                    break;
-                }
-                t.push(p.map_err(read_err)?);
-            }
-            owned = t;
-            &owned
-        }
-        InputKind::Packets(packets) => {
-            let mut t = Trace::new();
-            for p in packets {
-                t.push(p);
-            }
-            owned = t;
-            &owned
-        }
-        InputKind::Stream {
-            stats: source_stats,
-            packets,
-            ..
-        } => {
-            // The source's counters still feed the read-wait split even
-            // on the batch route.
-            stats = source_stats;
-            stats.attach_metrics(metrics);
-            let mut t = Trace::new();
-            for p in packets {
-                if cancel.is_cancelled() {
-                    break;
-                }
-                t.push(p.map_err(read_err)?);
-            }
-            owned = t;
-            &owned
-        }
-        InputKind::Patterns(_) | InputKind::Bytes(_) => {
-            unreachable!("patterns expanded and bytes rejected before routing")
-        }
-    };
-
-    let (archive, mut comp) = Compressor::new(params).compress(trace);
-    // The report's sizes/ratios must describe the container actually
-    // written, not the compressor's internal v1 encode.
-    let ser = Instant::now();
-    let bytes = match format {
-        ArchiveFormat::V1 => archive.to_bytes(),
-        ArchiveFormat::V2 => {
-            let (bytes, sizes) = archive.encode_v2();
-            comp.sizes = sizes;
-            if comp.tsh_bytes > 0 {
-                comp.ratio_vs_tsh = sizes.total() as f64 / comp.tsh_bytes as f64;
-            }
-            if comp.packets > 0 {
-                comp.ratio_vs_headers =
-                    sizes.total() as f64 / (comp.packets * HEADER_BYTES as u64) as f64;
-            }
-            bytes
-        }
-    };
-    let serialize_secs = ser.elapsed().as_secs_f64();
-
-    let mut report = Report::new(Mode::Compress);
-    report.packets = comp.packets;
-    report.flows = comp.flows;
-    report.archive = Some(ArchiveSummary {
-        format,
-        sections: 1,
-        file_bytes: bytes.len() as u64,
-        short_templates: comp.clusters,
-        long_templates: comp.long_flows,
-        addresses: comp.addresses,
-        sizes: Some(comp.sizes),
-        has_metadata: matches!(format, ArchiveFormat::V2),
-        telemetry: None,
-    });
-    let mut timing = Timing::new(
-        started.elapsed().as_secs_f64(),
-        stats.read_wait_secs(),
-        comp.packets,
-        comp.tsh_bytes,
-    );
-    timing.serialize_secs = serialize_secs;
-    report.timing = Some(timing);
-    report.compression = Some(comp);
     Ok((bytes, report))
 }

@@ -1,21 +1,21 @@
 //! **One `Pipeline` session API**: Source → Engine → Sink, for compress
 //! *and* decompress.
 //!
-//! The workspace grew its capability crates bottom-up — the batch
-//! [`Compressor`](flowzip_core::Compressor), the sharded
+//! The workspace grew its capability crates bottom-up — the paper's
+//! batch [`Compressor`](flowzip_core::Compressor), the sharded
 //! [`StreamingEngine`](flowzip_engine::StreamingEngine), the overlapped
-//! ingest sources in [`flowzip_io`] — and with them a thicket of
-//! overlapping entry points. This crate is the one front door: a
+//! ingest sources in [`flowzip_io`]. This crate is the one front door: a
 //! builder-style *session* that names the input once, the output once,
-//! the tuning once, and routes internally to exactly the code path the
-//! legacy entry points exposed (the equivalence property tests in
-//! `tests/equivalence.rs` pin the output **byte-identical** to each one).
+//! the tuning once, and runs the engine over it. There is one compress
+//! route; `Compressor` stays in `flowzip-core` as the reference oracle
+//! the equivalence property tests in `tests/equivalence.rs` pin the
+//! session's output **byte-identical** to.
 //!
 //! ```text
 //! Input ── file / files / glob / trace / packets / source ─┐
 //!                                                          ▼
-//!                                    Pipeline::compress()  ─ batch Compressor
-//!                                          tuning          ─ or StreamingEngine
+//!                                    Pipeline::compress()  ─ StreamingEngine
+//!                                          tuning
 //!                                                          ▼
 //! Sink ─── file / bytes / writer ◀─────────────────────────┘   + unified Report
 //! ```
@@ -47,24 +47,23 @@
 //! assert_eq!(restored.report.packets as usize, trace.len());
 //! ```
 //!
-//! # Routing
+//! # Shards
 //!
-//! Unset, the session picks its engine the way the CLI used to:
-//! engine/reader tuning (`threads`, `batch_size`, `idle_timeout`,
-//! `readers`, `prefetch_mb`, `channel_capacity`), more than one input
-//! file, or a stream-shaped input ([`Input::packets`], [`Input::source`])
-//! select the sharded streaming engine; a single file or an in-memory
-//! trace with no tuning runs the batch compressor.
-//! [`CompressBuilder::streaming`] forces either route — and conflicting
-//! combinations (multi-file batch, engine knobs with `streaming(false)`,
-//! any zero-valued knob, an empty file list, a glob matching nothing) are
+//! [`CompressBuilder::threads`] is the one knob that sets parallelism.
+//! Unset, a single file or an in-memory trace runs on **one shard** —
+//! inline on the calling thread, byte-identical to `Compressor`, the same
+//! bytes on every host — while multi-file, [`Input::packets`] and
+//! [`Input::source`] inputs get the engine's default of one shard per
+//! core (at most 8). No other knob changes the shard count. Nonsense
+//! configurations (any zero-valued knob, an empty file list, a glob
+//! matching nothing, file-ingest knobs on an in-memory input) are
 //! rejected up front with a descriptive [`PipelineError::Config`] instead
 //! of panicking, hanging, or silently compressing nothing.
 //!
 //! # The unified report
 //!
-//! Every session returns one [`Report`] merging the batch
-//! [`CompressionReport`](flowzip_core::CompressionReport), the streaming
+//! Every session returns one [`Report`] merging the §3/§5
+//! [`CompressionReport`](flowzip_core::CompressionReport), the
 //! [`EngineReport`](flowzip_engine::EngineReport) figures and the
 //! [`IoStats`](flowzip_io::IoStats) read-wait/compute split behind one
 //! stable [`Report::to_json`] schema — the same schema `flowzip compress

@@ -288,7 +288,7 @@ mod tests {
     use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 
     /// A multi-section v2.1 archive, built through the front door: a
-    /// streaming compress session with four shards.
+    /// compress session with four shards.
     fn sectioned_archive(flows: usize, seed: u64) -> Vec<u8> {
         let trace = WebTrafficGenerator::new(
             WebTrafficConfig {
@@ -301,7 +301,6 @@ mod tests {
         Pipeline::compress()
             .input(Input::trace(&trace))
             .sink(Sink::bytes())
-            .streaming(true)
             .threads(4)
             .run()
             .unwrap()

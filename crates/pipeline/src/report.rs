@@ -2,9 +2,10 @@
 //! schema — for compress, decompress and archive-inspection runs.
 //!
 //! Before the pipeline existed the CLI stitched three report shapes
-//! together by hand: `CompressionReport` for batch runs, `EngineReport`
-//! for streaming runs, and an ad-hoc JSON literal for `info`. This type
-//! merges them: every mode fills the subset of fields it knows
+//! together by hand: `CompressionReport` for the §3/§5 figures,
+//! `EngineReport` for throughput and shards, and an ad-hoc JSON literal
+//! for `info`. This type merges them: every mode fills the subset of
+//! fields it knows
 //! ([`Report::compression`], [`Report::engine`], [`Report::archive`],
 //! [`Report::timing`]), and [`Report::to_json`] emits the present fields
 //! in one fixed order, so `flowzip compress --json`,
@@ -202,7 +203,7 @@ impl ArchiveSummary {
     }
 }
 
-/// Streaming-engine facts only a sharded run can know.
+/// Engine facts every compress run carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSummary {
     /// Worker shards the run used.
@@ -222,7 +223,7 @@ pub struct Timing {
     pub compute_secs: f64,
     /// Seconds of serial serialization tail.
     pub serialize_secs: f64,
-    /// Busiest-shard measured stage time (instrumented streaming runs
+    /// Busiest-shard measured stage time (instrumented compress runs
     /// only; 0 otherwise).
     pub stage_busy_secs: f64,
     /// `elapsed − read_wait − stage_busy`, clamped at zero — wall-clock
@@ -271,9 +272,9 @@ pub struct Report {
     pub packets: u64,
     /// Flows processed.
     pub flows: u64,
-    /// The batch-compatible §3/§5 compression report (compress runs).
+    /// The §3/§5 compression report (compress runs).
     pub compression: Option<CompressionReport>,
-    /// Streaming-engine figures (sharded compress runs only).
+    /// Engine figures (compress runs).
     pub engine: Option<EngineSummary>,
     /// Archive container facts (every mode that touched an archive).
     pub archive: Option<ArchiveSummary>,
@@ -327,11 +328,11 @@ impl Report {
 
     /// Folds an [`EngineReport`] into the unified [`Report`], charging
     /// the drained source's [`IoStats`] (when the input had one) to the
-    /// read-wait/compute split — the same [`Timing`] clamp the batch and
-    /// decompress routes use, so the report pipelines cannot drift. This
-    /// is how compress sessions summarize streaming runs, and how
-    /// embedders that drive the engine directly (e.g. `flowzip serve`'s
-    /// per-window reports) produce the same stable schema.
+    /// read-wait/compute split — the same [`Timing`] clamp decompress
+    /// sessions use, so the report pipelines cannot drift. This is how
+    /// compress sessions summarize their run, and how embedders that
+    /// drive the engine directly (e.g. `flowzip serve`'s per-window
+    /// reports) produce the same stable schema.
     pub fn from_engine(er: EngineReport, format: ArchiveFormat, stats: Option<&IoStats>) -> Report {
         let mut report = Report::new(Mode::Compress);
         report.packets = er.report.packets;
@@ -351,9 +352,8 @@ impl Report {
             has_metadata: matches!(format, ArchiveFormat::V2),
             telemetry: None,
         });
-        // Raw-iterator runs carry no stats handle; their read-wait stays
-        // at the engine's zero.
-        let read_wait = stats.map_or(er.read_wait_secs, |s| s.read_wait_secs());
+        // Raw-iterator runs carry no stats handle: nothing was read.
+        let read_wait = stats.map_or(0.0, IoStats::read_wait_secs);
         let mut timing = Timing::new(
             er.elapsed_secs,
             read_wait,
@@ -363,9 +363,8 @@ impl Report {
         timing.serialize_secs = er.serialize_secs;
         timing.stage_busy_secs = er.stage_busy_secs;
         if er.stage_busy_secs > 0.0 {
-            // Recompute the residual against *this* read-wait figure —
-            // the source's IoStats may differ from the engine-side number
-            // the EngineReport reconciled against.
+            // The engine's own residual knows nothing of the source's
+            // read-wait; charge it here.
             timing.unattributed_secs =
                 (timing.elapsed_secs - timing.read_wait_secs - er.stage_busy_secs).max(0.0);
         }
@@ -510,35 +509,32 @@ impl fmt::Display for Report {
                 if let Some(c) = &self.compression {
                     write!(f, "{c}")?;
                 }
-                match (&self.engine, &self.timing) {
-                    (Some(e), Some(t)) => {
+                if let (Some(e), Some(t)) = (&self.engine, &self.timing) {
+                    write!(
+                        f,
+                        "; {} shards, {:.2}s, {:.0} packets/s ({:.2} MB/s), \
+                         peak {} active flows, {} evicted",
+                        e.shards,
+                        t.elapsed_secs,
+                        t.packets_per_sec,
+                        t.mb_per_sec,
+                        self.peak_active_flows(),
+                        e.evicted_flows
+                    )?;
+                    if t.read_wait_secs > 0.0 {
                         write!(
                             f,
-                            "; {} shards, {:.2}s, {:.0} packets/s ({:.2} MB/s), \
-                             peak {} active flows, {} evicted",
-                            e.shards,
-                            t.elapsed_secs,
-                            t.packets_per_sec,
-                            t.mb_per_sec,
-                            self.peak_active_flows(),
-                            e.evicted_flows
+                            "; read-wait {:.3}s / compute {:.3}s",
+                            t.read_wait_secs, t.compute_secs
                         )?;
-                        if t.read_wait_secs > 0.0 {
-                            write!(
-                                f,
-                                "; read-wait {:.3}s / compute {:.3}s",
-                                t.read_wait_secs, t.compute_secs
-                            )?;
-                        }
-                        if let Some(a) = &self.archive {
-                            write!(
-                                f,
-                                "; {} section archive, {} B, serial tail {:.4}s",
-                                a.sections, a.file_bytes, t.serialize_secs
-                            )?;
-                        }
                     }
-                    _ => write!(f, "; peak {} active flows", self.peak_active_flows())?,
+                    if let Some(a) = &self.archive {
+                        write!(
+                            f,
+                            "; {} section archive, {} B, serial tail {:.4}s",
+                            a.sections, a.file_bytes, t.serialize_secs
+                        )?;
+                    }
                 }
                 Ok(())
             }

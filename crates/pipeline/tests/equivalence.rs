@@ -1,13 +1,13 @@
 //! The tentpole acceptance pins: for every input/sink combination the
 //! `Pipeline` session API produces archive bytes **identical** to the
-//! legacy entry point it subsumes —
+//! lower-level code it drives —
 //!
-//! | session | legacy entry point |
+//! | session | pinned against |
 //! |---|---|
-//! | `Input::trace`, no tuning | `Compressor::compress` (batch) |
-//! | `Input::trace` + `threads` | `StreamingEngine::compress_trace_to_bytes` |
-//! | `Input::packets` | `StreamingEngine::compress_packets` |
-//! | `Input::file` | `StreamingEngine::compress_source_to_bytes(FileSource)` |
+//! | `Input::trace` / `Input::file`, no tuning | `Compressor::compress` (the paper-reference oracle) and `.threads(1)` |
+//! | `Input::trace` + `threads` | `StreamingEngine::compress_stream_to_bytes` over the trace |
+//! | `Input::packets` | … over the packet iterator |
+//! | `Input::file` | … over `FileSource::into_packets` |
 //! | `Input::file` + `prefetch_mb` | … with `FileSource::open_prefetched` |
 //! | `Input::files`/`Input::glob` + `readers` | … with `MultiFileSource` |
 //! | `Pipeline::decompress` | `Decompressor::decompress` + `tsh/pcap::to_bytes` |
@@ -16,15 +16,12 @@
 //! `Sink::file`, `Sink::bytes` and `Sink::writer` deliver one identical
 //! serialization.
 
-// The right-hand side of every pin *is* the deprecated legacy API.
-#![allow(deprecated)]
-
 use flowzip_core::{ArchiveFormat, Compressor, DecompressParams, Decompressor, Params};
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{FileSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
+use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_pipeline::{Input, Pipeline, Sink};
 use flowzip_trace::reader::CaptureFormat;
-use flowzip_trace::{pcap, tsh, Trace};
+use flowzip_trace::{pcap, tsh, PacketRecord, Trace, TraceError};
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -62,25 +59,110 @@ fn write_chunks(dir: &Path, image: &[u8], n: usize) -> Vec<PathBuf> {
 
 const FORMATS: [ArchiveFormat; 2] = [ArchiveFormat::V1, ArchiveFormat::V2];
 
+/// An in-memory trace as the fallible packet stream the engine consumes.
+fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + Send + '_ {
+    trace.iter().cloned().map(Ok)
+}
+
+/// The oracle pin for the default session: an untuned in-memory trace or
+/// single file runs one engine shard, byte-identical to the paper's
+/// `Compressor` and to an explicit `.threads(1)`.
 #[test]
 fn batch_session_matches_compressor() {
+    let dir = tmpdir("oracle");
     let trace = web_trace(120, 41);
+    let path = dir.join("whole.tsh");
+    std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
     let (archive, _) = Compressor::new(Params::paper()).compress(&trace);
     for format in FORMATS {
         let want = match format {
             ArchiveFormat::V1 => archive.to_bytes(),
             ArchiveFormat::V2 => archive.to_bytes_v2(),
         };
-        let result = Pipeline::compress()
-            .input(Input::trace(&trace))
+        for (what, input) in [
+            ("trace", Input::trace(&trace)),
+            ("file", Input::file(&path)),
+        ] {
+            let result = Pipeline::compress()
+                .input(input)
+                .sink(Sink::bytes())
+                .format(format)
+                .run()
+                .unwrap();
+            assert_eq!(result.report.engine.unwrap().shards, 1, "{what}");
+            assert!(result.report.peak_active_flows() > 0, "{what}");
+            assert_eq!(result.into_bytes().unwrap(), want, "{format}, {what}");
+        }
+        let one_shard = Pipeline::compress()
+            .input(Input::file(&path))
             .sink(Sink::bytes())
             .format(format)
+            .threads(1)
             .run()
             .unwrap();
-        // No tuning + in-memory trace → the batch route.
-        assert!(result.report.engine.is_none(), "batch run has no engine");
-        assert_eq!(result.into_bytes().unwrap(), want, "{format}");
+        assert_eq!(
+            one_shard.into_bytes().unwrap(),
+            want,
+            "{format}, threads(1)"
+        );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A default (no engine knob) file session whose cancel flag flips
+/// mid-read still returns `Ok` and delivers a decodable prefix of the
+/// capture. The inline one-shard run has no thread to hook, so a watcher
+/// trips the flag as soon as the live `engine.packets` counter shows the
+/// first batch went through — at least one batch is always in, and on
+/// any ordinary schedule the other ~50 never are.
+#[test]
+fn cancelled_default_session_delivers_a_valid_partial_archive() {
+    use flowzip_obs::names;
+    use flowzip_pipeline::Metrics;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let dir = tmpdir("cancel");
+    let trace = web_trace(3_000, 50);
+    let path = dir.join("whole.tsh");
+    std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
+
+    let cancel = Arc::new(AtomicBool::new(false));
+    let done = AtomicBool::new(false);
+    let metrics = Metrics::enabled();
+    let seen = metrics.counter(names::ENGINE_PACKETS);
+    let result = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                if seen.value() > 0 {
+                    cancel.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        });
+        let result = Pipeline::compress()
+            .input(Input::file(&path))
+            .sink(Sink::bytes())
+            .metrics(metrics.clone())
+            .cancel(cancel.clone())
+            .run();
+        done.store(true, Ordering::SeqCst);
+        result
+    })
+    .expect("a cancelled session still finishes Ok");
+
+    assert_eq!(result.report.engine.unwrap().shards, 1);
+    let packets = result.report.packets;
+    assert!(
+        0 < packets && packets <= trace.len() as u64,
+        "{packets} of {}",
+        trace.len()
+    );
+    let archive = flowzip_core::CompressedTrace::from_bytes(result.bytes().unwrap()).unwrap();
+    archive.validate().unwrap();
+    assert_eq!(archive.packet_count(), packets);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -93,7 +175,7 @@ fn streaming_session_matches_engine_trace_entry_point() {
                 .batch_size(128)
                 .format(format)
                 .build();
-            let (want, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+            let (want, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
             let result = Pipeline::compress()
                 .input(Input::trace(&trace))
                 .sink(Sink::bytes())
@@ -102,7 +184,7 @@ fn streaming_session_matches_engine_trace_entry_point() {
                 .batch_size(128)
                 .run()
                 .unwrap();
-            assert!(result.report.engine.is_some(), "threads → streaming");
+            assert_eq!(result.report.engine.unwrap().shards, shards);
             assert_eq!(
                 result.into_bytes().unwrap(),
                 want,
@@ -122,8 +204,7 @@ fn packets_session_matches_engine_packets_entry_point() {
             .batch_size(64)
             .format(format)
             .build();
-        let (_, report) = engine.compress_packets(packets.clone()).unwrap();
-        let (want, _) = engine
+        let (want, report) = engine
             .compress_stream_to_bytes(packets.iter().cloned().map(Ok))
             .unwrap();
         let result = Pipeline::compress()
@@ -155,7 +236,7 @@ fn file_session_matches_engine_file_source_entry_point() {
             .format(format)
             .build();
         let (want, _) = engine
-            .compress_source_to_bytes(FileSource::open(&path).unwrap())
+            .compress_stream_to_bytes(FileSource::open(&path).unwrap().into_packets())
             .unwrap();
         let result = Pipeline::compress()
             .input(Input::file(&path))
@@ -182,8 +263,10 @@ fn prefetched_session_matches_engine_prefetch_entry_point() {
             .format(format)
             .build();
         let (want, _) = engine
-            .compress_source_to_bytes(
-                FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1)).unwrap(),
+            .compress_stream_to_bytes(
+                FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1))
+                    .unwrap()
+                    .into_packets(),
             )
             .unwrap();
         let result = Pipeline::compress()
@@ -221,7 +304,9 @@ fn multi_file_session_matches_engine_multi_file_entry_point() {
                 },
             )
             .unwrap();
-            let (want, _) = engine.compress_source_to_bytes(source).unwrap();
+            let (want, _) = engine
+                .compress_stream_to_bytes(source.into_packets())
+                .unwrap();
             let result = Pipeline::compress()
                 .input(Input::files(&chunks))
                 .sink(Sink::bytes())
@@ -342,9 +427,9 @@ fn decompress_session_matches_decompressor() {
 }
 
 proptest! {
-    /// Random traces, shard counts and formats: the session API and the
-    /// legacy entry points serialize byte-identically, batch and
-    /// streaming.
+    /// Random traces, shard counts and formats: the default session
+    /// serializes byte-identically to the `Compressor` oracle, and a
+    /// sharded one to the engine primitive.
     #[test]
     fn session_matches_legacy_for_random_configs(
         flows in 10usize..60,
@@ -375,7 +460,7 @@ proptest! {
             .batch_size(128)
             .format(format)
             .build();
-        let (want_stream, _) = engine.compress_trace_to_bytes(&trace).unwrap();
+        let (want_stream, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
         let got_stream = Pipeline::compress()
             .input(Input::trace(&trace))
             .sink(Sink::bytes())

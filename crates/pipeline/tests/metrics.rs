@@ -1,7 +1,7 @@
 //! Pipeline-level observability pins: live JSON-lines snapshots obey
 //! the stats schema, the final report embeds the registry dump, the
-//! stats knobs validate, and the batch route still feeds reader
-//! metrics.
+//! stats knobs validate, and an untuned file session still feeds
+//! reader metrics.
 
 use flowzip_obs::json::is_valid_json;
 use flowzip_obs::names;

@@ -4,7 +4,6 @@
 
 use flowzip_pipeline::{Input, Pipeline, PipelineError, Sink};
 use flowzip_trace::prelude::*;
-use flowzip_trace::tsh;
 use std::path::PathBuf;
 
 fn tiny_trace() -> Trace {
@@ -121,37 +120,6 @@ fn glob_matching_nothing_is_an_error_not_an_empty_run() {
         "matched no files",
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn multi_file_batch_conflict_is_rejected() {
-    let dir = std::env::temp_dir().join(format!("flowzip-val-mf-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let a = dir.join("a.tsh");
-    let b = dir.join("b.tsh");
-    std::fs::write(&a, tsh::to_bytes(&tiny_trace())).unwrap();
-    std::fs::write(&b, tsh::to_bytes(&tiny_trace())).unwrap();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::files([&a, &b]))
-            .sink(Sink::bytes())
-            .streaming(false),
-        "always stream",
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn engine_knobs_with_batch_route_are_rejected() {
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .streaming(false)
-            .threads(4),
-        "streaming engine",
-    );
 }
 
 #[test]

@@ -41,15 +41,16 @@ fn main() {
         })
         .collect();
 
-    // 1. Input::trace — in-memory, no tuning → the batch compressor.
-    let batch = Pipeline::compress()
+    // 1. Input::trace — in-memory, no tuning → one engine shard, run
+    //    inline: the same bytes as the paper's `Compressor`, on any host.
+    let one_shard = Pipeline::compress()
         .input(Input::trace(&trace))
         .sink(Sink::bytes())
         .run()
         .unwrap();
-    println!("trace (batch)   : {}", batch.report);
+    println!("trace (1 shard) : {}", one_shard.report);
 
-    // 2. Input::trace + threads → the sharded streaming engine.
+    // 2. Input::trace + threads → the same engine, sharded.
     let streamed = Pipeline::compress()
         .input(Input::trace(&trace))
         .sink(Sink::bytes())

@@ -3,7 +3,7 @@
 //! Most applications should sit one level up, on the `Pipeline` session
 //! API (`cargo run --example pipeline`); this example deliberately uses
 //! the engine's primitive entry points — `compress_stream` /
-//! `compress_stream_to_bytes` — to show what the pipeline routes to.
+//! `compress_stream_to_bytes` — to show what every pipeline session runs.
 //!
 //! Generates a seeded Web trace, then compresses it three ways — batch,
 //! single-shard streaming (byte-identical to batch), and sharded

@@ -4,7 +4,7 @@
 //! flowzip generate   --flows 2000 --secs 60 --seed 42 -o web.tsh
 //! flowzip stats      web.tsh
 //! flowzip compress   web.tsh -o web.fzc
-//! flowzip compress   web.pcap -o web.fzc --streaming --threads 4 --idle-timeout 60
+//! flowzip compress   web.pcap -o web.fzc --threads 4 --idle-timeout 60
 //! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc --readers 3
 //! flowzip compress   'trace-*.tsh' -o web.fzc --readers 4 --prefetch-mb 4
 //! flowzip compress   web.tsh -o web.fzc --format v1
@@ -29,19 +29,20 @@
 //! `--format v1` keeps the original single-blob layout, and reading
 //! (`info` / `decompress` / `synth`) transparently accepts both.
 //!
-//! Routing (which the pipeline owns, not this file): any engine or
-//! reader flag — `--streaming`, `--threads`, `--idle-timeout`,
-//! `--batch-size`, `--readers`, `--prefetch-mb`, `--routing` — selects
-//! the sharded streaming engine, as do multiple input files (an explicit
-//! list or a quoted `*`/`?` glob streams as *one* logical trace in
-//! argument order through parallel reader threads, byte-identical to a
-//! single chained reader). A bare single-file `compress` runs the batch
-//! compressor. `--idle-timeout 0` and `--prefetch-mb 0` mean "off", but
-//! the flag's presence still selects the streaming route — both halves
-//! of the historical semantics. `--routing serial|parallel` picks the
-//! engine's routing topology (parallel hashes packets on the reader-side
-//! worker pool; serial keeps the single dedicated router thread; output
-//! is byte-identical either way).
+//! There is one compress route — the sharded streaming engine — and
+//! `--threads N` is the one flag that sets its shard count. Left unset, a
+//! single input file runs on one shard, inline and byte-identical on
+//! every host; multiple input files (an explicit list or a quoted `*`/`?`
+//! glob streams as *one* logical trace in argument order through parallel
+//! reader threads, byte-identical to a single chained reader) get one
+//! shard per core. `--idle-timeout 0` and `--prefetch-mb 0` mean "off".
+//! `--routing serial|parallel` picks the engine's routing topology
+//! (parallel hashes packets on the reader-side worker pool; serial keeps
+//! the single dedicated router thread; output is byte-identical either
+//! way).
+//!
+//! Flags are checked against the command's own section of [`USAGE`]: an
+//! unknown or misplaced `--flag` is an error, never silently ignored.
 
 use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::log::{self, Level};
@@ -73,13 +74,13 @@ const USAGE: &str = "usage:
   flowzip compress   IN...  -o OUT.fzc   (TSH or pcap, auto-detected; several
                      files or a quoted glob stream as one trace in order)
                      [--format v1|v2] (default v2: per-shard archive sections)
-                     [--streaming] [--threads N] [--idle-timeout SECS] [--batch-size N]
+                     [--threads N] (shards; default 1 for a single input file,
+                      one per core for several)
+                     [--idle-timeout SECS] [--batch-size N]
                      [--readers N] [--prefetch-mb N] [--routing serial|parallel] [--json]
-                     (any engine/reader flag implies --streaming;
-                      multiple inputs always stream)
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
-                      idle/active time — into a rev 2.2 FZT1 side-section; v2 only,
-                      implies --streaming; older readers ignore it byte-identically)
+                      idle/active time — into a rev 2.2 FZT1 side-section; v2 only;
+                      older readers ignore it byte-identically)
                      [--metrics] (embed the per-stage metrics dump in the report)
                      [--stats-interval SECS] [--stats-format json|human]
                      (live stats snapshots to stderr while compressing)
@@ -112,14 +113,26 @@ global: [-q|--quiet] [-v|--verbose] and the FLOWZIP_LOG env var
         (quiet|normal|verbose) set how much lands on stderr";
 
 /// Flags that take no value.
-const BOOL_FLAGS: &[&str] = &[
-    "streaming",
-    "json",
-    "metrics",
-    "telemetry",
-    "quiet",
-    "verbose",
-];
+const BOOL_FLAGS: &[&str] = &["json", "metrics", "telemetry", "quiet", "verbose"];
+
+/// The section of [`USAGE`] that documents `cmd` — also its flag
+/// allow-list: a command accepts exactly the `--flag`s (and `-o`) its
+/// own usage text names, plus the global ones.
+fn usage_of(cmd: &str) -> Option<&'static str> {
+    let head = format!("\n  flowzip {cmd} ");
+    let section = &USAGE[USAGE.find(&head)? + head.len()..];
+    let end = section
+        .find("\n  flowzip ")
+        .or_else(|| section.find("\n\n"));
+    Some(&section[..end.unwrap_or(section.len())])
+}
+
+/// Whether `usage` names `--key` as a whole word.
+fn names_flag(usage: &str, key: &str) -> bool {
+    usage
+        .split(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+        .any(|word| word.strip_prefix("--") == Some(key))
+}
 
 struct Opts {
     positional: Vec<String>,
@@ -127,12 +140,18 @@ struct Opts {
 }
 
 impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
+    /// Parses `cmd`'s arguments, rejecting any flag `usage` (the
+    /// command's [`usage_of`] section) does not name.
+    fn parse(cmd: &str, usage: &str, args: &[String]) -> Result<Opts, String> {
+        let global = &USAGE[USAGE.rfind("\nglobal:").unwrap_or(USAGE.len())..];
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < args.len() {
             if let Some(key) = args[i].strip_prefix("--") {
+                if !names_flag(usage, key) && !names_flag(global, key) {
+                    return Err(format!("unknown flag --{key} for {cmd}"));
+                }
                 if BOOL_FLAGS.contains(&key) {
                     flags.push((key.to_string(), "true".to_string()));
                     i += 1;
@@ -144,6 +163,9 @@ impl Opts {
                 flags.push((key.to_string(), value.clone()));
                 i += 2;
             } else if args[i] == "-o" {
+                if !usage.contains(" -o ") {
+                    return Err(format!("unknown flag -o for {cmd}"));
+                }
                 let value = args.get(i + 1).ok_or("missing value for -o")?;
                 flags.push(("out".to_string(), value.clone()));
                 i += 2;
@@ -206,7 +228,19 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("no command given".into());
     };
-    let opts = Opts::parse(&args[1..])?;
+    let handler: fn(&Opts) -> Result<(), String> = match cmd.as_str() {
+        "generate" => generate,
+        "stats" => stats,
+        "compress" => compress,
+        "serve" => serve,
+        "info" => info,
+        "decompress" => decompress,
+        "query" => query,
+        "synth" => synth,
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let usage = usage_of(cmd).expect("every command has a USAGE section");
+    let opts = Opts::parse(cmd, usage, &args[1..])?;
     // FLOWZIP_LOG sets the base level; an explicit flag overrides it.
     log::init_from_env();
     if opts.get_bool("quiet") && opts.get_bool("verbose") {
@@ -217,17 +251,7 @@ fn run(args: &[String]) -> Result<(), String> {
     } else if opts.get_bool("verbose") {
         log::set_level(Level::Verbose);
     }
-    match cmd.as_str() {
-        "generate" => generate(&opts),
-        "stats" => stats(&opts),
-        "compress" => compress(&opts),
-        "serve" => serve(&opts),
-        "info" => info(&opts),
-        "decompress" => decompress(&opts),
-        "query" => query(&opts),
-        "synth" => synth(&opts),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    handler(&opts)
 }
 
 /// After a graceful signal-driven finish, exit with the conventional
@@ -305,17 +329,14 @@ fn compress(opts: &Opts) -> Result<(), String> {
     let out = opts.out()?;
     let json = opts.get_bool("json");
 
-    // The whole flag surface maps 1:1 onto pipeline knobs; routing
-    // (batch vs. streaming, single vs. multi-file, prefetch) lives in
-    // the pipeline, not here.
+    // The whole flag surface maps 1:1 onto pipeline knobs; input
+    // wiring (single vs. multi-file, prefetch) and the shard default
+    // live in the pipeline, not here.
     let mut session = Pipeline::compress()
         .input(Input::globs(&opts.positional))
         .sink(Sink::file(&out));
     if let Some(name) = opts.get("format") {
         session = session.format(ArchiveFormat::parse(name)?);
-    }
-    if opts.get_bool("streaming") {
-        session = session.streaming(true);
     }
     if opts.get("threads").is_some() {
         session = session.threads(opts.get_u64("threads", 0)? as usize);
@@ -332,21 +353,14 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
     }
-    // 0 historically means "off" for these two — but the flag's
-    // *presence* still selects the streaming route, as it always did: a
-    // 50 GB capture compressed with `--idle-timeout 0` must not silently
-    // fall back to loading the whole file in memory.
+    // 0 means "off" for these two.
     let idle_secs = opts.get_u64("idle-timeout", 0)?;
     if idle_secs > 0 {
         session = session.idle_timeout(Duration::from_secs(idle_secs));
-    } else if opts.get("idle-timeout").is_some() {
-        session = session.streaming(true);
     }
     let prefetch_mb = opts.get_u64("prefetch-mb", 0)?;
     if prefetch_mb > 0 {
         session = session.prefetch_mb(prefetch_mb);
-    } else if opts.get("prefetch-mb").is_some() {
-        session = session.streaming(true);
     }
 
     // Observability: --metrics embeds the final registry dump in the

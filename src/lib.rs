@@ -30,8 +30,9 @@
 //! # Quickstart
 //!
 //! One [`Pipeline`](flowzip_pipeline::Pipeline) session covers every
-//! compression path — batch or streaming, one file or a pre-split set,
-//! in-memory or on disk — and its symmetric decompress twin:
+//! compression input — one file or a pre-split set, in-memory or on
+//! disk, all through the one streaming engine — and its symmetric
+//! decompress twin:
 //!
 //! ```
 //! use flowzip::prelude::*;
@@ -61,7 +62,8 @@
 //! # Low-level API
 //!
 //! The capability crates underneath remain public for callers that need
-//! direct control — the pipeline is sugar over exactly these:
+//! direct control — the pipeline runs the engine; `Compressor` is the
+//! paper-reference oracle a one-shard engine run is byte-identical to:
 //!
 //! ```
 //! use flowzip::prelude::*;
@@ -69,7 +71,7 @@
 //! let trace = WebTrafficGenerator::new(
 //!     WebTrafficConfig { flows: 200, ..Default::default() }, 42).generate();
 //!
-//! // The batch compressor wants the whole trace in memory…
+//! // The reference compressor wants the whole trace in memory…
 //! let (archive, report) = Compressor::new(Params::paper()).compress(&trace);
 //! assert!(report.ratio_vs_tsh < 0.10);
 //!

@@ -180,7 +180,7 @@ fn format_flag_selects_container_and_output_is_identical() {
         let out = bin()
             .arg("compress")
             .arg(&tsh)
-            .args(["--format", format, "--streaming", "--threads", "3", "-o"])
+            .args(["--format", format, "--threads", "3", "-o"])
             .arg(&fzc)
             .output()
             .unwrap();
@@ -275,7 +275,7 @@ fn multi_file_compress_matches_single_file_archive() {
     let out = bin()
         .arg("compress")
         .arg(&whole)
-        .args(["--streaming", "--threads", "2", "-o"])
+        .args(["--threads", "2", "-o"])
         .arg(&ref_fzc)
         .output()
         .unwrap();
@@ -392,7 +392,7 @@ fn json_output_modes() {
     let out = bin()
         .arg("compress")
         .arg(&tsh)
-        .args(["--streaming", "--threads", "2", "--json", "-o"])
+        .args(["--threads", "2", "--json", "-o"])
         .arg(&fzc)
         .output()
         .unwrap();
@@ -455,14 +455,14 @@ fn json_output_modes() {
     );
     assert!(std::fs::metadata(&restored).unwrap().len() > 0);
 
-    // --json on a bare single-file compress (the batch route) speaks the
-    // schema too — no streaming flag needed.
-    let batch_fzc = dir.join("batch.fzc");
+    // --json on a bare single-file compress speaks the same schema,
+    // engine fields included: one shard, nothing evicted.
+    let bare_fzc = dir.join("bare.fzc");
     let out = bin()
         .arg("compress")
         .arg(&tsh)
         .args(["--json", "-o"])
-        .arg(&batch_fzc)
+        .arg(&bare_fzc)
         .output()
         .unwrap();
     assert!(
@@ -476,50 +476,150 @@ fn json_output_modes() {
         "\"ratio_vs_tsh\": ",
         "\"read_wait_secs\": ",
         "\"clusters\": ",
+        "\"shards\": 1",
+        "\"evicted_flows\": 0",
     ] {
-        assert!(text.contains(needle), "batch compress --json: {text}");
+        assert!(text.contains(needle), "bare compress --json: {text}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `--idle-timeout 0` / `--prefetch-mb 0` disable the feature but still
-/// select the streaming route (their historical semantics) — a huge
-/// capture compressed with an explicit 0 must not silently fall back to
-/// whole-file batch loading.
+/// `--idle-timeout 0` means "no eviction": the archive is byte-identical
+/// to a run without the flag, where a real timeout does evict.
 #[test]
-fn zero_valued_engine_flags_still_stream() {
-    let dir = tmpdir("zeroflags");
-    let tsh = dir.join("web.tsh");
-    let out = bin()
-        .args([
-            "generate", "--flows", "60", "--secs", "10", "--seed", "3", "-o",
-        ])
-        .arg(&tsh)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
+fn idle_timeout_zero_means_no_eviction() {
+    use flowzip::prelude::*;
+    use flowzip::trace::tsh;
 
-    for flag in [["--idle-timeout", "0"], ["--prefetch-mb", "0"]] {
-        let fzc = dir.join("out.fzc");
-        let out = bin()
-            .arg("compress")
-            .arg(&tsh)
-            .args(flag)
-            .arg("-o")
-            .arg(&fzc)
-            .output()
-            .unwrap();
+    // Flows that never close, 10 ms apart: only a timeout retires them
+    // before end of input.
+    let mut trace = Trace::new();
+    for i in 0..3_000u64 {
+        trace.push(
+            PacketRecord::builder()
+                .src(Ipv4Addr::new(10, (i >> 8) as u8, i as u8, 1), 2_000)
+                .dst(Ipv4Addr::new(192, 0, 2, 1), 80)
+                .timestamp(Timestamp::from_micros(i * 10_000))
+                .flags(TcpFlags::SYN)
+                .build(),
+        );
+    }
+    let dir = tmpdir("zeroidle");
+    let tsh = dir.join("open.tsh");
+    std::fs::write(&tsh, tsh::to_bytes(&trace)).unwrap();
+
+    let run = |name: &str, idle: Option<&str>| {
+        let fzc = dir.join(name);
+        let mut cmd = bin();
+        cmd.arg("compress").arg(&tsh).arg("--json");
+        if let Some(secs) = idle {
+            cmd.args(["--idle-timeout", secs]);
+        }
+        let out = cmd.arg("-o").arg(&fzc).output().unwrap();
         assert!(
             out.status.success(),
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let text = String::from_utf8_lossy(&out.stdout);
+        (
+            std::fs::read(&fzc).unwrap(),
+            String::from_utf8_lossy(&out.stdout).to_string(),
+        )
+    };
+    let (plain, _) = run("plain.fzc", None);
+    let (zero, report) = run("zero.fzc", Some("0"));
+    assert_eq!(zero, plain, "--idle-timeout 0 changes nothing");
+    assert!(report.contains("\"evicted_flows\": 0"), "{report}");
+    let (_, report) = run("one.fzc", Some("1"));
+    assert!(!report.contains("\"evicted_flows\": 0"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Unknown or misplaced flags are errors that name the flag — never
+/// silently ignored, never allowed to swallow the next argument.
+#[test]
+fn unknown_flags_are_rejected() {
+    let dir = tmpdir("badflags");
+    let tsh = dir.join("a.tsh");
+    let fzc = dir.join("a.fzc");
+    let out = bin()
+        .args(["generate", "--flows", "20", "--secs", "5", "-o"])
+        .arg(&tsh)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let out = bin()
+        .arg("compress")
+        .arg(&tsh)
+        .arg("-o")
+        .arg(&fzc)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let expect_rejected = |args: &[&str], flag: &str, cmd: &str| {
+        let out = bin().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} should fail");
         assert!(
-            text.contains("shards"),
-            "{flag:?} should select the streaming engine: {text}"
+            err.contains(&format!("unknown flag {flag} for {cmd}")),
+            "{args:?}: {err}"
         );
-    }
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    };
+    let (tsh_s, fzc_s) = (tsh.to_str().unwrap(), fzc.to_str().unwrap());
+    let never = dir.join("never.fzc");
+    let never_s = never.to_str().unwrap();
+    // A typo is not a silently ignored option…
+    expect_rejected(
+        &["compress", tsh_s, "-o", never_s, "--thread", "4"],
+        "--thread",
+        "compress",
+    );
+    // …an unknown flag does not eat the next one…
+    expect_rejected(
+        &[
+            "compress",
+            tsh_s,
+            "-o",
+            never_s,
+            "--bogus",
+            "--threads",
+            "2",
+        ],
+        "--bogus",
+        "compress",
+    );
+    // …a retired flag is named, not mis-parsed…
+    expect_rejected(
+        &[
+            "compress",
+            tsh_s,
+            "-o",
+            never_s,
+            "--streaming",
+            "--threads",
+            "4",
+        ],
+        "--streaming",
+        "compress",
+    );
+    // …and one command's flag is not another's.
+    let restored = dir.join("a.restored");
+    expect_rejected(
+        &[
+            "decompress",
+            fzc_s,
+            "-o",
+            restored.to_str().unwrap(),
+            "--threads",
+            "9",
+        ],
+        "--threads",
+        "decompress",
+    );
+    expect_rejected(&["info", fzc_s, "-o", never_s], "-o", "info");
+    assert!(!never.exists() && !restored.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -530,12 +630,7 @@ fn zero_valued_engine_flags_still_stream() {
 fn cli_source_has_no_direct_engine_compress_calls() {
     let src = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin/flowzip.rs"))
         .unwrap();
-    for needle in [
-        "compress_stream",
-        "compress_source",
-        "compress_trace",
-        "compress_packets",
-    ] {
+    for needle in ["compress_stream", "compress_batches"] {
         assert!(
             !src.contains(needle),
             "src/bin/flowzip.rs still calls `{needle}` — route it through Pipeline instead"
@@ -714,7 +809,7 @@ fn pcap_input_is_auto_detected() {
             let mut cmd = bin();
             cmd.arg("compress").arg(input);
             if streaming {
-                cmd.args(["--streaming", "--threads", "2"]);
+                cmd.args(["--threads", "2"]);
             }
             let out = cmd.arg("-o").arg(&fzc).output().unwrap();
             assert!(
@@ -754,7 +849,7 @@ fn query_subcommand_prunes_and_matches_full_decode() {
     let out = bin()
         .arg("compress")
         .arg(&tsh)
-        .args(["--streaming", "--threads", "4", "-o"])
+        .args(["--threads", "4", "-o"])
         .arg(&fzc)
         .output()
         .unwrap();

@@ -11,7 +11,7 @@ use flowzip::traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 use proptest::prelude::*;
 
 /// A multi-section v2.1 archive built through the public pipeline, the
-/// same way `flowzip compress --streaming --threads N` builds one.
+/// same way `flowzip compress --threads N` builds one.
 fn sectioned_archive(flows: usize, seed: u64, shards: usize) -> Vec<u8> {
     let trace = WebTrafficGenerator::new(
         WebTrafficConfig {
@@ -24,7 +24,6 @@ fn sectioned_archive(flows: usize, seed: u64, shards: usize) -> Vec<u8> {
     Pipeline::compress()
         .input(Input::trace(&trace))
         .sink(Sink::bytes())
-        .streaming(true)
         .threads(shards)
         .run()
         .unwrap()
