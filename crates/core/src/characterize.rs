@@ -235,12 +235,13 @@ impl Weights {
     /// Decomposes an `M` value back into `(f₁, f₂, f₃)`. Exact only when
     /// the weights are non-degenerate (each weight exceeds the maximum
     /// contribution of lower-order terms), which holds for the paper's
-    /// 16/4/1.
+    /// 16/4/1; `None` for an `M` no parameter triple produces, and for
+    /// every `M` when a weight is zero.
     pub fn decompose(&self, m: u32) -> Option<(FlagClass, Dependence, u32)> {
-        let f1 = m / self.flags;
+        let f1 = m.checked_div(self.flags)?;
         let rem = m % self.flags;
-        let f2 = rem / self.dependence;
-        let f3 = (rem % self.dependence) / self.size;
+        let f2 = rem.checked_div(self.dependence)?;
+        let f3 = (rem % self.dependence).checked_div(self.size)?;
         let class = FlagClass::from_value(f1)?;
         let dep = match f2 {
             0 => Dependence::Dependent,

@@ -13,6 +13,32 @@
 //! first packet travels client→server and every dependent packet flips
 //! the direction (it answered the opposite node).
 //!
+//! # The merge
+//!
+//! §4 "merges flows by timestamp while writing the output file", and so
+//! does [`Decompressor::packets`]: it never holds more than the flows
+//! that are open *right now*. Each `time-seq` record becomes a small
+//! per-flow **cursor** (a template slice, a position, the flow's clock,
+//! direction and sequence counters); open cursors sit in a min-heap
+//! keyed `(timestamp of the cursor's next packet, time-seq index)`.
+//! Every step first opens each unopened record whose `first_ts` is not
+//! later than the heap's top — `time_seq` is validated sorted by
+//! `first_ts`, so nothing still unopened can precede the top — then
+//! emits the top cursor's packet and re-keys it in place.
+//!
+//! That order is exactly the order [`Decompressor::decompress`] — the
+//! test oracle, which expands flow by flow and then stable-sorts by
+//! timestamp — produces. A stable sort of the flow-by-flow expansion
+//! orders packets by `(timestamp, time-seq index, packet index)`. A
+//! flow's clock never runs backwards (it advances by saturating adds),
+//! so within one flow packet order *is* timestamp order and a cursor's
+//! next packet is always its earliest; across flows the heap key
+//! compares `(timestamp, time-seq index)`. The two orders coincide,
+//! packet for packet, ties included.
+//!
+//! Memory is O(archive + open flows), independent of the packet count:
+//! [`PacketStream::peak_open`] reports the heap's high-water mark.
+//!
 //! # Position-independent endpoint synthesis
 //!
 //! The synthesized client address and port are a **pure function of the
@@ -26,12 +52,15 @@
 //! filters index ([`meta`](crate::meta)): the same function runs at
 //! encode time to compute the flow keys a future query will look for.
 
-use crate::characterize::{size_class_representative, Dependence};
-use crate::datasets::{CompressedTrace, RTT_SHIFT};
+use crate::characterize::{size_class_representative, Dependence, FlagClass};
+use crate::datasets::{CompressedTrace, FlowRecord, RTT_SHIFT};
 use crate::Params;
 use flowzip_trace::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// Default RNG seed for synthesized client endpoints (`0x5EED`), shared
 /// by [`DecompressParams::default`], the CLI flags and the metadata
@@ -63,58 +92,91 @@ impl Default for DecompressParams {
     }
 }
 
+/// What one `M` value decodes to: the packet's flag byte and payload
+/// size, and whether it waited for the opposite node.
+#[derive(Debug, Clone, Copy)]
+struct DecodedM {
+    flags: TcpFlags,
+    payload_len: u16,
+    dependent: bool,
+}
+
 /// The §4 decompressor.
 #[derive(Debug)]
 pub struct Decompressor {
     config: DecompressParams,
+    /// `M` → [`DecodedM`] for every value the weights can decompose;
+    /// built once per session so the per-packet step is a table load
+    /// instead of [`Weights::decompose`](crate::Weights::decompose)'s
+    /// three runtime divisions.
+    decoded: Vec<DecodedM>,
+    /// What an `M` outside the table (or one the weights cannot
+    /// decompose) decodes to: a bare, non-dependent ACK.
+    unknown: DecodedM,
 }
 
 impl Decompressor {
     /// Creates a decompressor.
     pub fn new(config: DecompressParams) -> Decompressor {
-        Decompressor { config }
+        let weights = config.params.weights;
+        let edge = config.params.size_edge;
+        let decode = |class: FlagClass, dep, f3| DecodedM {
+            flags: class.to_flags(),
+            payload_len: size_class_representative(f3, edge),
+            dependent: dep == Dependence::Dependent,
+        };
+        let unknown = decode(FlagClass::Ack, Dependence::NotDependent, 0);
+        // `f₁ ≤ 5`, so no `M` at or past `6·w₁` decomposes; templates
+        // store `M` as `u16`, which bounds the table whatever the weights.
+        let len = (weights.flags as u64 * 6).min(1 << 16) as u32;
+        let decoded = (0..len)
+            .map(|m| {
+                weights
+                    .decompose(m)
+                    .map_or(unknown, |(class, dep, f3)| decode(class, dep, f3))
+            })
+            .collect();
+        Decompressor {
+            config,
+            decoded,
+            unknown,
+        }
     }
 
-    /// Expands an archive into a synthetic trace, time-sorted.
+    /// Expands an archive into a synthetic trace, time-sorted, the
+    /// direct way: every flow in turn into one vector, then a stable
+    /// sort. O(packets) memory — this is the **oracle** the streaming
+    /// merge ([`Decompressor::packets`]) is tested against; sessions
+    /// that write a capture drain the merge instead.
     pub fn decompress(&self, ct: &CompressedTrace) -> Trace {
         let mut packets = Vec::with_capacity(ct.packet_count() as usize);
         for record in &ct.time_seq {
-            let server = ct.addresses[record.addr_idx as usize];
-            let c2s = synth_tuple(
-                self.config.seed,
-                record.first_ts,
-                server,
-                record.rtt,
-                record.is_long,
-            );
-            let rtt = if record.rtt.is_zero() {
-                self.config.default_rtt
-            } else {
-                record.rtt
-            };
-
-            if record.is_long {
-                let template = &ct.long_templates[record.template_idx as usize];
-                self.expand_flow(
-                    template.entries.iter().map(|&(m, ipt)| (m, Some(ipt))),
-                    record.first_ts,
-                    rtt,
-                    c2s,
-                    &mut packets,
-                );
-            } else {
-                let template = &ct.short_templates[record.template_idx as usize];
-                self.expand_flow(
-                    template.iter().map(|&m| (m, None)),
-                    record.first_ts,
-                    rtt,
-                    c2s,
-                    &mut packets,
-                );
+            let mut cursor = self.open(ct, record);
+            while let Some(packet) = cursor.next_packet(self) {
+                packets.push(packet);
             }
         }
-        // §4 merges flows by timestamp while writing the output file.
         Trace::from_packets(packets)
+    }
+
+    /// The archive's packets in capture order, synthesized on demand:
+    /// the §4 merge (see the [module docs](self)). Packet for packet the
+    /// sequence [`Decompressor::decompress`] returns, in memory
+    /// proportional to the flows open at once rather than to the trace.
+    ///
+    /// `ct` must pass [`CompressedTrace::validate`] (every parsed
+    /// archive does): the merge relies on `time_seq` being sorted.
+    pub fn packets<'a>(&'a self, ct: &'a CompressedTrace) -> PacketStream<'a> {
+        PacketStream {
+            decompressor: self,
+            ct,
+            next_record: 0,
+            cursors: Vec::new(),
+            free: Vec::new(),
+            heap: BinaryHeap::new(),
+            peak_open: 0,
+            remaining: ct.packet_count(),
+        }
     }
 
     /// Parses serialized archive bytes — either container format, v1 or
@@ -131,62 +193,39 @@ impl Decompressor {
         Ok(self.decompress(&CompressedTrace::from_bytes(data)?))
     }
 
-    fn expand_flow(
-        &self,
-        entries: impl Iterator<Item = (u16, Option<Duration>)>,
-        first_ts: Timestamp,
-        rtt: Duration,
-        c2s: FiveTuple,
-        out: &mut Vec<PacketRecord>,
-    ) {
-        let weights = self.config.params.weights;
-        let edge = self.config.params.size_edge;
-        let mut now = first_ts;
-        let mut dir_client_to_server = true;
-        let mut client_seq: u32 = 1_000;
-        let mut server_seq: u32 = 5_000;
-        for (i, (m, stored_ipt)) in entries.enumerate() {
-            let (class, dep, f3) = weights.decompose(m as u32).unwrap_or((
-                crate::characterize::FlagClass::Ack,
-                Dependence::NotDependent,
-                0,
-            ));
-            if i > 0 {
-                // Timing: stored gap for long flows; synthesized for short.
-                now += stored_ipt.unwrap_or(match dep {
-                    Dependence::Dependent => rtt,
-                    Dependence::NotDependent => self.config.backtoback_gap,
-                });
-                // Direction: dependent packets answer the opposite node.
-                if dep == Dependence::Dependent {
-                    dir_client_to_server = !dir_client_to_server;
-                }
-            }
-            let tuple = if dir_client_to_server {
-                c2s
+    fn decode(&self, m: u16) -> DecodedM {
+        self.decoded
+            .get(m as usize)
+            .copied()
+            .unwrap_or(self.unknown)
+    }
+
+    /// Positions a cursor on `record`'s first packet.
+    fn open<'a>(&self, ct: &'a CompressedTrace, record: &FlowRecord) -> Cursor<'a> {
+        let server = ct.addresses[record.addr_idx as usize];
+        Cursor {
+            template: if record.is_long {
+                Template::Long(&ct.long_templates[record.template_idx as usize].entries)
             } else {
-                c2s.reversed()
-            };
-            let len = size_class_representative(f3, edge);
-            let (seq, ack) = if dir_client_to_server {
-                let s = client_seq;
-                client_seq = client_seq.wrapping_add(len as u32);
-                (s, server_seq)
+                Template::Short(&ct.short_templates[record.template_idx as usize])
+            },
+            pos: 0,
+            now: record.first_ts,
+            rtt: if record.rtt.is_zero() {
+                self.config.default_rtt
             } else {
-                let s = server_seq;
-                server_seq = server_seq.wrapping_add(len as u32);
-                (s, client_seq)
-            };
-            out.push(
-                PacketRecord::builder()
-                    .timestamp(now)
-                    .tuple(tuple)
-                    .flags(class.to_flags())
-                    .payload_len(len)
-                    .seq(seq)
-                    .ack(ack)
-                    .build(),
-            );
+                record.rtt
+            },
+            c2s: synth_tuple(
+                self.config.seed,
+                record.first_ts,
+                server,
+                record.rtt,
+                record.is_long,
+            ),
+            client_to_server: true,
+            client_seq: 1_000,
+            server_seq: 5_000,
         }
     }
 }
@@ -194,6 +233,196 @@ impl Decompressor {
 impl Default for Decompressor {
     fn default() -> Self {
         Decompressor::new(DecompressParams::default())
+    }
+}
+
+/// A flow's `M` sequence: a shared cluster center, or a long flow's
+/// verbatim `(M, gap)` pairs.
+#[derive(Debug, Clone, Copy)]
+enum Template<'a> {
+    Short(&'a [u16]),
+    Long(&'a [(u16, Duration)]),
+}
+
+impl Template<'_> {
+    /// Packet `i`'s `M` value and, for long flows, the stored gap
+    /// before it.
+    fn get(&self, i: usize) -> Option<(u16, Option<Duration>)> {
+        match self {
+            Template::Short(t) => t.get(i).map(|&m| (m, None)),
+            Template::Long(t) => t.get(i).map(|&(m, ipt)| (m, Some(ipt))),
+        }
+    }
+}
+
+/// One flow mid-expansion: everything the §4 per-packet step carries
+/// from a packet to the next.
+#[derive(Debug)]
+struct Cursor<'a> {
+    template: Template<'a>,
+    /// Index of the next packet to emit.
+    pos: usize,
+    /// Timestamp of the next packet to emit.
+    now: Timestamp,
+    rtt: Duration,
+    c2s: FiveTuple,
+    /// Direction of the next packet to emit.
+    client_to_server: bool,
+    client_seq: u32,
+    server_seq: u32,
+}
+
+impl Cursor<'_> {
+    fn is_done(&self) -> bool {
+        self.template.get(self.pos).is_none()
+    }
+
+    /// The §4 per-packet step: decodes the packet at `pos` (flags, size,
+    /// sequence numbers), then advances the flow's clock and direction
+    /// to the packet after it. `None` once the template is spent.
+    fn next_packet(&mut self, d: &Decompressor) -> Option<PacketRecord> {
+        let (m, _) = self.template.get(self.pos)?;
+        let decoded = d.decode(m);
+        let len = decoded.payload_len;
+        let (tuple, seq, ack) = if self.client_to_server {
+            let seq = self.client_seq;
+            self.client_seq = seq.wrapping_add(len as u32);
+            (self.c2s, seq, self.server_seq)
+        } else {
+            let seq = self.server_seq;
+            self.server_seq = seq.wrapping_add(len as u32);
+            (self.c2s.reversed(), seq, self.client_seq)
+        };
+        let packet = PacketRecord::builder()
+            .timestamp(self.now)
+            .tuple(tuple)
+            .flags(decoded.flags)
+            .payload_len(len)
+            .seq(seq)
+            .ack(ack)
+            .build();
+
+        self.pos += 1;
+        if let Some((next_m, stored_ipt)) = self.template.get(self.pos) {
+            let dependent = d.decode(next_m).dependent;
+            // Timing: stored gap for long flows; synthesized for short.
+            // Saturating — a crafted gap must not wrap the clock
+            // backwards (the merge relies on it never doing so).
+            self.now = self.now.saturating_add(stored_ipt.unwrap_or(if dependent {
+                self.rtt
+            } else {
+                d.config.backtoback_gap
+            }));
+            // Direction: dependent packets answer the opposite node.
+            if dependent {
+                self.client_to_server = !self.client_to_server;
+            }
+        }
+        Some(packet)
+    }
+}
+
+/// Heap key of an open cursor. Field order is comparison order:
+/// `(ts, record)` is the stable sort's `(timestamp, flow index)`;
+/// `slot` only locates the cursor (`record` is already unique).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct NextPacket {
+    ts: Timestamp,
+    record: usize,
+    slot: usize,
+}
+
+/// The archive's packets in capture order — the iterator
+/// [`Decompressor::packets`] returns. See the [module docs](self) for
+/// the merge and why its order equals the oracle's stable sort.
+#[derive(Debug)]
+pub struct PacketStream<'a> {
+    decompressor: &'a Decompressor,
+    ct: &'a CompressedTrace,
+    /// Index of the first `time_seq` record not opened yet.
+    next_record: usize,
+    /// Slab of cursors; `free` lists the vacant slots.
+    cursors: Vec<Cursor<'a>>,
+    free: Vec<usize>,
+    heap: BinaryHeap<Reverse<NextPacket>>,
+    peak_open: usize,
+    remaining: u64,
+}
+
+impl PacketStream<'_> {
+    /// Most flows open at once so far — the merge's working set, and
+    /// the decompress twin of the compressor's `peak_active_flows`.
+    pub fn peak_open(&self) -> usize {
+        self.peak_open
+    }
+
+    /// `time_seq` records opened so far.
+    pub fn records_opened(&self) -> usize {
+        self.next_record
+    }
+
+    /// Opens the next record; a flow with an empty template has no
+    /// packet to wait for and never enters the heap.
+    fn open_next(&mut self, record: &FlowRecord) {
+        let cursor = self.decompressor.open(self.ct, record);
+        let index = self.next_record;
+        self.next_record += 1;
+        if cursor.is_done() {
+            return;
+        }
+        let ts = cursor.now;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.cursors[slot] = cursor;
+                slot
+            }
+            None => {
+                self.cursors.push(cursor);
+                self.cursors.len() - 1
+            }
+        };
+        self.heap.push(Reverse(NextPacket {
+            ts,
+            record: index,
+            slot,
+        }));
+        self.peak_open = self.peak_open.max(self.heap.len());
+    }
+}
+
+impl Iterator for PacketStream<'_> {
+    type Item = PacketRecord;
+
+    fn next(&mut self) -> Option<PacketRecord> {
+        let ct = self.ct;
+        while let Some(record) = ct.time_seq.get(self.next_record) {
+            if self
+                .heap
+                .peek()
+                .is_some_and(|Reverse(top)| record.first_ts > top.ts)
+            {
+                break;
+            }
+            self.open_next(record);
+        }
+        let mut top = self.heap.peek_mut()?;
+        let cursor = &mut self.cursors[top.0.slot];
+        let packet = cursor
+            .next_packet(self.decompressor)
+            .expect("a cursor in the heap has a packet left");
+        if cursor.is_done() {
+            self.free.push(PeekMut::pop(top).0.slot);
+        } else {
+            // Re-keyed in place; dropping the guard sifts it down.
+            top.0.ts = cursor.now;
+        }
+        self.remaining -= 1;
+        Some(packet)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::try_from(self.remaining).ok();
+        (n.unwrap_or(usize::MAX), n)
     }
 }
 

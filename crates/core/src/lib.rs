@@ -70,9 +70,13 @@ pub use container::{
     read_v2, v2_metadata, v2_telemetry, ArchiveFormat, SectionMergeStats, ShardSection,
 };
 pub use datasets::{CompressedTrace, DatasetSizes, FlowRecord};
-pub use decompress::{synth_client, synth_tuple, DecompressParams, Decompressor, DEFAULT_SEED};
+pub use decompress::{
+    synth_client, synth_tuple, DecompressParams, Decompressor, PacketStream, DEFAULT_SEED,
+};
 pub use meta::{ArchiveMeta, FlowKeyBloom, SectionMeta};
-pub use query::{query_bytes, FlowQuery, QueryOutcome, QueryStats, SectionStream};
+pub use query::{
+    query_bytes, select_bytes, FlowQuery, QueryOutcome, QuerySelection, QueryStats, SectionStream,
+};
 pub use synth::{synthesize, ArchiveModel, SynthConfig, SynthGenerator};
 pub use telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
 

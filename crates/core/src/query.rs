@@ -28,6 +28,13 @@
 //! position-independent ([`synth_tuple`]), decompressing the filtered
 //! subset yields **byte-identical packets** to filtering a full
 //! decompression after the fact; the query tests pin this.
+//!
+//! Planning and synthesis are separate steps: [`select_bytes`] stops at
+//! the filtered archive (a caller that only counts reads
+//! [`QueryStats::packets`], summed from template lengths; one that
+//! writes a capture drains [`Decompressor::packets`] over it into its
+//! output), and [`query_bytes`] is `select_bytes` plus collecting that
+//! stream into a [`Trace`].
 
 use crate::container::{decode_section, merge_time_seq, parse_v2, ArchiveFormat, SectionEntry};
 use crate::datasets::{CodecError, CompressedTrace, FlowRecord, LongTemplate};
@@ -115,18 +122,34 @@ pub struct QueryOutcome {
     pub stats: QueryStats,
 }
 
-/// Plans and runs `query` against serialized archive bytes (v1 or v2;
-/// pruning needs v2 with the rev 2.1 metadata block — anything else
-/// degrades to scanning every section, never to a wrong answer).
+/// A query's answer before synthesis: the archive cut down to the
+/// matching flows, and the planner counters. Draining
+/// [`Decompressor::packets`] over [`QuerySelection::archive`] yields the
+/// matching packets in capture order; a caller that only wants the
+/// counts reads [`QueryStats::packets`] and synthesizes nothing.
+#[derive(Debug, Clone)]
+pub struct QuerySelection {
+    /// The surviving sections' datasets with `time_seq` filtered to the
+    /// records that match.
+    pub archive: CompressedTrace,
+    /// What the planner did; `packets` is the matching flows' template
+    /// lengths summed.
+    pub stats: QueryStats,
+}
+
+/// Plans `query` against serialized archive bytes (v1 or v2; pruning
+/// needs v2 with the rev 2.1 metadata block — anything else degrades to
+/// scanning every section, never to a wrong answer) and selects the
+/// matching flows, without synthesizing a packet.
 ///
 /// # Errors
 ///
 /// [`CodecError`] for malformed input.
-pub fn query_bytes(
+pub fn select_bytes(
     data: &[u8],
     query: &FlowQuery,
     dp: &DecompressParams,
-) -> Result<QueryOutcome, CodecError> {
+) -> Result<QuerySelection, CodecError> {
     match ArchiveFormat::detect(data)? {
         ArchiveFormat::V1 => {
             let ct = CompressedTrace::from_bytes(data)?;
@@ -141,6 +164,22 @@ pub fn query_bytes(
         }
         ArchiveFormat::V2 => query_v2(data, query, dp),
     }
+}
+
+/// [`select_bytes`], then the matching packets synthesized and
+/// collected into a [`Trace`].
+///
+/// # Errors
+///
+/// [`CodecError`] for malformed input.
+pub fn query_bytes(
+    data: &[u8],
+    query: &FlowQuery,
+    dp: &DecompressParams,
+) -> Result<QueryOutcome, CodecError> {
+    let QuerySelection { archive, stats } = select_bytes(data, query, dp)?;
+    let trace = Decompressor::new(dp.clone()).packets(&archive).collect();
+    Ok(QueryOutcome { trace, stats })
 }
 
 /// Should the planner decode section `i`? Updates the skip counters.
@@ -171,7 +210,7 @@ fn query_v2(
     data: &[u8],
     query: &FlowQuery,
     dp: &DecompressParams,
-) -> Result<QueryOutcome, CodecError> {
+) -> Result<QuerySelection, CodecError> {
     let parsed = parse_v2(data)?;
     let n_short = parsed.short_templates.len();
     let n_addr = parsed.addresses.len();
@@ -235,21 +274,23 @@ fn query_v2(
     Ok(finish(ct, query, dp, stats))
 }
 
-/// Record-level filtering + decompression — the tail both format paths
-/// share. `stats` arrives with the planner counters already set.
+/// Record-level filtering — the tail both format paths share. `stats`
+/// arrives with the planner counters already set.
 fn finish(
-    mut ct: CompressedTrace,
+    mut archive: CompressedTrace,
     query: &FlowQuery,
     dp: &DecompressParams,
     mut stats: QueryStats,
-) -> QueryOutcome {
-    let addresses = ct.addresses.clone();
-    ct.time_seq
-        .retain(|r| query.matches(dp.seed, &addresses, r));
-    stats.flows_matched = ct.time_seq.len() as u64;
-    let trace = Decompressor::new(dp.clone()).decompress(&ct);
-    stats.packets = trace.len() as u64;
-    QueryOutcome { trace, stats }
+) -> QuerySelection {
+    let CompressedTrace {
+        addresses,
+        time_seq,
+        ..
+    } = &mut archive;
+    time_seq.retain(|r| query.matches(dp.seed, addresses, r));
+    stats.flows_matched = archive.time_seq.len() as u64;
+    stats.packets = archive.packet_count();
+    QuerySelection { archive, stats }
 }
 
 /// One archive section decoded for streaming analysis: the section's

@@ -131,7 +131,12 @@ fn assert_v2_packet_identical(
     let dec = Decompressor::default();
     let restored_v1 = dec.decompress(&from_v1);
     let restored_v2 = dec.decompress(&from_v2);
-    prop_assert_eq!(restored_v1, restored_v2);
+    prop_assert_eq!(&restored_v1, &restored_v2);
+
+    // The streaming merge — what sessions actually write — is the
+    // expand-then-sort oracle packet for packet on engine archives too.
+    let merged: Vec<PacketRecord> = dec.packets(&from_v2).collect();
+    prop_assert_eq!(&merged[..], restored_v2.packets());
     Ok(())
 }
 

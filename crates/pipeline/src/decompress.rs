@@ -9,7 +9,7 @@ use crate::sink::Sink;
 use crate::Pipeline;
 use flowzip_core::{DecompressParams, Decompressor};
 use flowzip_trace::reader::CaptureFormat;
-use flowzip_trace::{pcap, tsh};
+use flowzip_trace::tsh;
 use std::time::Instant;
 
 /// Builder for one decompression session. Construct with
@@ -68,9 +68,11 @@ impl<'a> DecompressBuilder<'a> {
         self
     }
 
-    /// Runs the session: read the archive, decode it, synthesize the
-    /// trace per §4, serialize in the chosen capture format, deliver to
-    /// the sink, and report.
+    /// Runs the session: read the archive, decode it, and drain the §4
+    /// merge ([`Decompressor::packets`]) into the sink record by record
+    /// in the chosen capture format. Memory is O(archive + flows open at
+    /// once), whatever the packet count; the report's `peak_open_flows`
+    /// is that working set's high-water mark.
     ///
     /// # Errors
     ///
@@ -115,31 +117,32 @@ impl<'a> DecompressBuilder<'a> {
 
         let (archive, summary) = ArchiveSummary::inspect_lean(&bytes)
             .map_err(|e| PipelineError::decode(context.clone(), e))?;
-        let trace = Decompressor::new(params).decompress(&archive);
-
-        let ser = Instant::now();
-        let out_bytes = match output_format {
-            CaptureFormat::Tsh => tsh::to_bytes(&trace),
-            CaptureFormat::Pcap => pcap::to_bytes(&trace),
-        };
-        let serialize_secs = ser.elapsed().as_secs_f64();
+        // The parsed archive is all the merge reads from here on.
+        drop(bytes);
 
         let mut report = Report::new(Mode::Decompress);
         report.inputs = inputs_desc;
         report.output = sink.path();
-        report.packets = trace.len() as u64;
         report.flows = archive.flow_count() as u64;
         report.archive = Some(summary);
-        let mut timing = Timing::new(
+
+        // §4: merge the flows by timestamp *while writing the output* —
+        // each synthesized packet goes straight into the sink's buffer.
+        let decompressor = Decompressor::new(params);
+        let mut packets = decompressor.packets(&archive);
+        let delivered = sink.deliver_packets(output_format, &mut packets)?;
+        report.packets = delivered.packets;
+        report.peak_open_flows = packets.peak_open() as u64;
+        report.output_bytes = delivered.bytes_written;
+        report.timing = Some(Timing::new(
             started.elapsed().as_secs_f64(),
             read_wait,
-            trace.len() as u64,
-            trace.len() as u64 * tsh::RECORD_BYTES as u64,
-        );
-        timing.serialize_secs = serialize_secs;
-        report.timing = Some(timing);
-        report.output_bytes = out_bytes.len() as u64;
-        let bytes = sink.deliver(out_bytes)?;
-        Ok(RunResult { report, bytes })
+            delivered.packets,
+            delivered.packets * tsh::RECORD_BYTES as u64,
+        ));
+        Ok(RunResult {
+            report,
+            bytes: delivered.buffer,
+        })
     }
 }

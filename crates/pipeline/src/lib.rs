@@ -88,7 +88,7 @@ pub use query::{parse_flow_spec, QueryBuilder};
 pub use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink, StatsSnapshot};
 pub use input::Input;
 pub use report::{ArchiveSummary, EngineSummary, Mode, Report, TelemetrySummary, Timing};
-pub use sink::Sink;
+pub use sink::{PartFile, Sink, SINK_BUFFER_BYTES};
 
 /// The session entry point: [`Pipeline::compress`] and
 /// [`Pipeline::decompress`] start a builder each.

@@ -9,10 +9,10 @@ use crate::input::{Input, InputKind};
 use crate::report::{Mode, Report, Timing};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::{query_bytes, ArchiveFormat, DecompressParams, FlowQuery};
+use flowzip_core::{select_bytes, ArchiveFormat, DecompressParams, Decompressor, FlowQuery};
 use flowzip_obs::{names, Metrics};
 use flowzip_trace::reader::CaptureFormat;
-use flowzip_trace::{pcap, tsh, FiveTuple, Timestamp};
+use flowzip_trace::{tsh, FiveTuple, Timestamp};
 use std::time::Instant;
 
 /// Parses a CLI flow spec `SRC_IP:PORT->DST_IP:PORT` (e.g.
@@ -143,9 +143,10 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Runs the session: read the archive, prune sections against the
-    /// v2.1 metadata, decode + filter + synthesize the survivors, and
-    /// report pruning effectiveness (optionally delivering the matching
-    /// packets to the sink).
+    /// v2.1 metadata, decode + filter the survivors, and report pruning
+    /// effectiveness. With a sink the matching flows are synthesized and
+    /// merged straight into it, record by record; without one the packet
+    /// count comes from the template lengths and nothing is synthesized.
     ///
     /// # Errors
     ///
@@ -187,9 +188,9 @@ impl<'a> QueryBuilder<'a> {
         };
         let read_wait = started.elapsed().as_secs_f64();
 
-        let outcome = query_bytes(&bytes, &query, &params)
+        let selection = select_bytes(&bytes, &query, &params)
             .map_err(|e| PipelineError::decode(context.clone(), e))?;
-        let stats = outcome.stats;
+        let stats = selection.stats;
 
         if let Some(m) = &metrics {
             m.counter(names::QUERY_SECTIONS_TOTAL)
@@ -217,15 +218,20 @@ impl<'a> QueryBuilder<'a> {
         report.flows = stats.flows_matched;
         report.archive = Some(summary);
         report.query = Some(stats);
+        drop(bytes);
 
-        let out_bytes = match &sink {
-            None => Vec::new(),
-            Some(_) => match output_format {
-                CaptureFormat::Tsh => tsh::to_bytes(&outcome.trace),
-                CaptureFormat::Pcap => pcap::to_bytes(&outcome.trace),
-            },
-        };
-        report.output_bytes = out_bytes.len() as u64;
+        // With a sink, the matching flows merge straight into it; without
+        // one the template lengths already gave the packet count and
+        // nothing is synthesized.
+        let mut buffer = None;
+        if let Some(sink) = sink {
+            let decompressor = Decompressor::new(params);
+            let mut packets = decompressor.packets(&selection.archive);
+            let delivered = sink.deliver_packets(output_format, &mut packets)?;
+            report.peak_open_flows = packets.peak_open() as u64;
+            report.output_bytes = delivered.bytes_written;
+            buffer = delivered.buffer;
+        }
         report.timing = Some(Timing::new(
             started.elapsed().as_secs_f64(),
             read_wait,
@@ -237,11 +243,10 @@ impl<'a> QueryBuilder<'a> {
                 report.metrics = Some(m.snapshot());
             }
         }
-        let bytes = match sink {
-            Some(sink) => sink.deliver(out_bytes)?,
-            None => None,
-        };
-        Ok(RunResult { report, bytes })
+        Ok(RunResult {
+            report,
+            bytes: buffer,
+        })
     }
 }
 
@@ -370,6 +375,33 @@ mod tests {
         assert!(result.bytes.is_none());
         let q = result.report.query.unwrap();
         assert_eq!(q.flows_matched, 0);
+    }
+
+    #[test]
+    fn sinkless_query_counts_what_a_sink_would_receive() {
+        let bytes = sectioned_archive(200, 4);
+        let run = |sink: Option<Sink<'static>>| {
+            let mut session = Pipeline::query()
+                .input(Input::bytes(bytes.clone()))
+                .from_secs(0.0)
+                .to_secs(30.0);
+            if let Some(sink) = sink {
+                session = session.sink(sink);
+            }
+            session.run().unwrap()
+        };
+        let counted = run(None);
+        let written = run(Some(Sink::bytes()));
+        assert!(counted.report.packets > 0);
+        assert_eq!(counted.report.packets, written.report.packets);
+        assert_eq!(counted.report.query, written.report.query);
+        // Only the session with a sink ran the merge.
+        assert_eq!(counted.report.peak_open_flows, 0);
+        assert!(written.report.peak_open_flows > 0);
+        assert_eq!(
+            written.into_bytes().unwrap().len() as u64,
+            counted.report.packets * tsh::RECORD_BYTES as u64
+        );
     }
 
     #[test]

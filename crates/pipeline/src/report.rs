@@ -221,7 +221,9 @@ pub struct Timing {
     pub read_wait_secs: f64,
     /// `elapsed − read_wait`, clamped at zero.
     pub compute_secs: f64,
-    /// Seconds of serial serialization tail.
+    /// Seconds of serial serialization tail. Always 0 for decompress and
+    /// query runs: they encode each packet as the merge produces it, so
+    /// there is no tail to time apart from the run itself.
     pub serialize_secs: f64,
     /// Busiest-shard measured stage time (instrumented compress runs
     /// only; 0 otherwise).
@@ -280,6 +282,11 @@ pub struct Report {
     pub archive: Option<ArchiveSummary>,
     /// Query-planner effectiveness counters (query runs only).
     pub query: Option<flowzip_core::QueryStats>,
+    /// Most flows the §4 merge held open at once (decompress runs, and
+    /// query runs with a sink) — the decompress twin of
+    /// [`Report::peak_active_flows`], and what the run's memory scales
+    /// with instead of the packet count.
+    pub peak_open_flows: u64,
     /// Wall-clock accounting (compress and decompress runs).
     pub timing: Option<Timing>,
     /// Bytes delivered to the sink.
@@ -305,6 +312,7 @@ impl Report {
             engine: None,
             archive: None,
             query: None,
+            peak_open_flows: 0,
             timing: None,
             output_bytes: 0,
             metrics: None,
@@ -455,6 +463,9 @@ impl Report {
             j.num("flows_total", q.flows_total);
             j.num("flows_matched", q.flows_matched);
         }
+        if matches!(self.mode, Mode::Decompress | Mode::Query) {
+            j.num("peak_open_flows", self.peak_open_flows);
+        }
         if let Some(t) = &self.timing {
             j.f6("elapsed_secs", t.elapsed_secs);
             j.f6("read_wait_secs", t.read_wait_secs);
@@ -538,11 +549,17 @@ impl fmt::Display for Report {
                 }
                 Ok(())
             }
-            Mode::Decompress => write!(
-                f,
-                "decompressed {} packets from {} flows ({} B written)",
-                self.packets, self.flows, self.output_bytes
-            ),
+            Mode::Decompress => {
+                write!(
+                    f,
+                    "decompressed {} packets from {} flows ({} B written)",
+                    self.packets, self.flows, self.output_bytes
+                )?;
+                if self.peak_open_flows > 0 {
+                    write!(f, "; peak {} open flows", self.peak_open_flows)?;
+                }
+                Ok(())
+            }
             Mode::Info => {
                 let (format, bytes) = self
                     .archive
@@ -576,6 +593,9 @@ impl fmt::Display for Report {
                     if !q.has_metadata {
                         write!(f, "; no v2.1 metadata — full scan")?;
                     }
+                }
+                if self.peak_open_flows > 0 {
+                    write!(f, "; peak {} open flows", self.peak_open_flows)?;
                 }
                 Ok(())
             }

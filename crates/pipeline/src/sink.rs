@@ -1,9 +1,23 @@
 //! [`Sink`] — where a session's serialized output goes.
+//!
+//! Every sink is written as a **stream**: a session opens it once,
+//! pushes bytes through a fixed [`SINK_BUFFER_BYTES`] buffer, and
+//! commits at the end. A compress session pushes its finished archive in
+//! one write; decompress and query sessions push one capture record per
+//! synthesized packet, so their memory does not grow with the output.
 
 use crate::error::PipelineError;
+use flowzip_trace::reader::CaptureFormat;
+use flowzip_trace::{CaptureWriter, PacketRecord, TraceError};
 use std::fmt;
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
+
+/// Bytes buffered between a session and a file or caller-supplied
+/// writer — the largest single `write` a packet-streaming session
+/// issues.
+pub const SINK_BUFFER_BYTES: usize = 64 * 1024;
 
 /// One session output: a file, an in-memory byte buffer returned from
 /// [`run()`](crate::CompressBuilder::run), or any [`Write`]r you own.
@@ -35,7 +49,8 @@ impl<'a> Sink<'a> {
     }
 
     /// Stream the output into any writer (a socket, a compressor, a
-    /// test buffer).
+    /// test buffer), in writes of at most [`SINK_BUFFER_BYTES`] when the
+    /// session produces it packet by packet.
     pub fn writer(writer: impl Write + 'a) -> Sink<'a> {
         Sink {
             kind: SinkKind::Writer(Box::new(writer)),
@@ -61,32 +76,83 @@ impl<'a> Sink<'a> {
         path.with_file_name(name)
     }
 
-    /// Delivers `bytes` to the sink. Returns the buffer back for
-    /// [`SinkKind::Bytes`], `None` otherwise. File delivery is atomic:
-    /// bytes land in [`Sink::partial_path`] first and are renamed into
-    /// place only once fully written, so `path` either holds the old
-    /// content or the complete new archive — never a truncation.
-    pub(crate) fn deliver(self, bytes: Vec<u8>) -> Result<Option<Vec<u8>>, PipelineError> {
-        match self.kind {
+    /// Opens the sink for streaming. File output is atomic: bytes land
+    /// in [`Sink::partial_path`] and are renamed into place by
+    /// [`SinkWriter::finish`], so `path` either holds the old content or
+    /// the complete new output — never a truncation — and a stream that
+    /// is dropped unfinished removes its scratch file.
+    fn open(self) -> Result<SinkWriter<'a>, PipelineError> {
+        Ok(match self.kind {
             SinkKind::File(path) => {
-                let part = Sink::partial_path(&path);
-                std::fs::write(&part, &bytes)
-                    .map_err(|e| PipelineError::write(format!("write {}", part.display()), e))?;
-                std::fs::rename(&part, &path).map_err(|e| {
-                    std::fs::remove_file(&part).ok();
-                    PipelineError::write(format!("rename into {}", path.display()), e)
+                let part = PartFile::create(&path).map_err(|e| {
+                    PipelineError::write(
+                        format!("create {}", Sink::partial_path(&path).display()),
+                        e,
+                    )
                 })?;
-                Ok(None)
+                SinkWriter::File(BufWriter::with_capacity(SINK_BUFFER_BYTES, part))
             }
-            SinkKind::Bytes => Ok(Some(bytes)),
-            SinkKind::Writer(mut w) => {
-                w.write_all(&bytes)
-                    .and_then(|()| w.flush())
-                    .map_err(|e| PipelineError::write("write sink", e))?;
-                Ok(None)
+            SinkKind::Bytes => SinkWriter::Bytes(Vec::new()),
+            SinkKind::Writer(w) => {
+                SinkWriter::Writer(BufWriter::with_capacity(SINK_BUFFER_BYTES, w))
             }
-        }
+        })
     }
+
+    /// Delivers `bytes` to the sink. Returns the buffer back for
+    /// [`SinkKind::Bytes`], `None` otherwise.
+    pub(crate) fn deliver(self, bytes: Vec<u8>) -> Result<Option<Vec<u8>>, PipelineError> {
+        if let SinkKind::Bytes = self.kind {
+            return Ok(Some(bytes));
+        }
+        let mut w = self.open()?;
+        if let Err(e) = w.write_all(&bytes) {
+            return Err(PipelineError::write(w.context(), e));
+        }
+        w.finish()
+    }
+
+    /// Drains `packets` into the sink as a `format` capture, one record
+    /// at a time — nothing is held but the write buffer. A record the
+    /// format cannot represent fails the delivery like any other write
+    /// error: it is the output, not the archive, that cannot hold it.
+    pub(crate) fn deliver_packets(
+        self,
+        format: CaptureFormat,
+        packets: impl Iterator<Item = PacketRecord>,
+    ) -> Result<Delivered, PipelineError> {
+        let w = self.open()?;
+        let context = w.context();
+        let fail = |e: TraceError| {
+            let source = match e {
+                TraceError::Io(e) => e,
+                other => io::Error::new(io::ErrorKind::InvalidData, other),
+            };
+            PipelineError::write(context.as_str(), source)
+        };
+        let mut capture = CaptureWriter::new(w, format).map_err(&fail)?;
+        let mut count = 0u64;
+        for p in packets {
+            capture.write_packet(&p).map_err(&fail)?;
+            count += 1;
+        }
+        Ok(Delivered {
+            packets: count,
+            bytes_written: capture.bytes_written(),
+            buffer: capture.into_inner().finish()?,
+        })
+    }
+}
+
+/// What [`Sink::deliver_packets`] did.
+#[derive(Debug)]
+pub(crate) struct Delivered {
+    /// Packets written.
+    pub(crate) packets: u64,
+    /// Capture bytes written (file header included).
+    pub(crate) bytes_written: u64,
+    /// The capture itself, for [`Sink::bytes`].
+    pub(crate) buffer: Option<Vec<u8>>,
 }
 
 impl fmt::Debug for Sink<'_> {
@@ -96,5 +162,287 @@ impl fmt::Debug for Sink<'_> {
             SinkKind::Bytes => write!(f, "Sink::bytes"),
             SinkKind::Writer(_) => write!(f, "Sink::writer(..)"),
         }
+    }
+}
+
+/// An opened [`Sink`].
+enum SinkWriter<'a> {
+    File(BufWriter<PartFile>),
+    Bytes(Vec<u8>),
+    Writer(BufWriter<Box<dyn Write + 'a>>),
+}
+
+impl SinkWriter<'_> {
+    /// Where the bytes are going, for error messages.
+    fn context(&self) -> String {
+        match self {
+            SinkWriter::File(w) => format!("write {}", w.get_ref().part.display()),
+            SinkWriter::Bytes(_) | SinkWriter::Writer(_) => "write sink".to_string(),
+        }
+    }
+
+    /// Flushes and commits: a file is renamed into place, an in-memory
+    /// buffer handed back.
+    fn finish(mut self) -> Result<Option<Vec<u8>>, PipelineError> {
+        if let Err(e) = self.flush() {
+            return Err(PipelineError::write(self.context(), e));
+        }
+        match self {
+            SinkWriter::File(w) => {
+                let (part, _) = w.into_parts();
+                let path = part.path.clone();
+                part.commit().map_err(|e| {
+                    PipelineError::write(format!("rename into {}", path.display()), e)
+                })?;
+                Ok(None)
+            }
+            SinkWriter::Bytes(buf) => Ok(Some(buf)),
+            SinkWriter::Writer(_) => Ok(None),
+        }
+    }
+}
+
+impl Write for SinkWriter<'_> {
+    #[inline]
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        match self {
+            SinkWriter::File(w) => w.write(buf),
+            SinkWriter::Bytes(w) => w.write(buf),
+            SinkWriter::Writer(w) => w.write(buf),
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        match self {
+            SinkWriter::File(w) => w.flush(),
+            SinkWriter::Bytes(_) => Ok(()),
+            SinkWriter::Writer(w) => w.flush(),
+        }
+    }
+}
+
+/// A file being written under its [`Sink::partial_path`] name:
+/// [`PartFile::commit`] renames it into place, and dropping it
+/// uncommitted — an error return, a panic unwinding — unlinks the
+/// scratch file. This is the one implementation of the workspace's
+/// write-`.part`-then-rename discipline; [`Sink::file`] is built on it,
+/// and callers that stream several sessions into one output (`flowzip
+/// query <dir> -o`) hand each session `Sink::writer(&mut part_file)`.
+#[derive(Debug)]
+pub struct PartFile {
+    file: File,
+    part: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl PartFile {
+    /// Creates (or truncates) `<path>.part`; `path` itself is untouched
+    /// until [`PartFile::commit`].
+    ///
+    /// # Errors
+    ///
+    /// The scratch file could not be created.
+    pub fn create(path: impl AsRef<Path>) -> io::Result<PartFile> {
+        let path = path.as_ref().to_path_buf();
+        let part = Sink::partial_path(&path);
+        Ok(PartFile {
+            file: File::create(&part)?,
+            part,
+            path,
+            committed: false,
+        })
+    }
+
+    /// Renames the scratch file over `path`. Unbuffered, so everything
+    /// written is already in the file.
+    ///
+    /// # Errors
+    ///
+    /// The rename failed; the scratch file is removed.
+    pub fn commit(mut self) -> io::Result<()> {
+        std::fs::rename(&self.part, &self.path)?;
+        self.committed = true;
+        Ok(())
+    }
+}
+
+impl Write for PartFile {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.file.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.file.flush()
+    }
+}
+
+impl Drop for PartFile {
+    fn drop(&mut self) {
+        if !self.committed {
+            std::fs::remove_file(&self.part).ok();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::{Cell, RefCell};
+
+    fn packets(n: u64) -> impl Iterator<Item = PacketRecord> {
+        (0..n).map(|i| {
+            PacketRecord::builder()
+                .timestamp(flowzip_trace::Timestamp::from_micros(i))
+                .build()
+        })
+    }
+
+    /// Records the size of every `write` it receives.
+    struct Recording<'a> {
+        writes: &'a RefCell<Vec<usize>>,
+        on_write: &'a dyn Fn(),
+    }
+
+    impl Write for Recording<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            (self.on_write)();
+            self.writes.borrow_mut().push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_merge_reaches_a_writer_in_bounded_writes_while_still_opening_flows() {
+        use flowzip_core::{Compressor, Decompressor, Params};
+        use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
+        let trace = WebTrafficGenerator::new(
+            WebTrafficConfig {
+                flows: 600,
+                ..WebTrafficConfig::default()
+            },
+            5,
+        )
+        .generate();
+        let (archive, _) = Compressor::new(Params::paper()).compress(&trace);
+        let total = trace.len() as u64;
+        let decompressor = Decompressor::default();
+
+        let writes = RefCell::new(Vec::new());
+        let pulled = Cell::new(0usize);
+        let pulled_at_first_write = Cell::new(None);
+        let on_write = || {
+            if pulled_at_first_write.get().is_none() {
+                pulled_at_first_write.set(Some(pulled.get()));
+            }
+        };
+        let delivered = Sink::writer(Recording {
+            writes: &writes,
+            on_write: &on_write,
+        })
+        .deliver_packets(
+            CaptureFormat::Tsh,
+            decompressor
+                .packets(&archive)
+                .inspect(|_| pulled.set(pulled.get() + 1)),
+        )
+        .unwrap();
+        assert_eq!(delivered.packets, total);
+        assert_eq!(delivered.bytes_written, total * 44);
+        assert!(delivered.buffer.is_none());
+
+        let writes = writes.into_inner();
+        assert!(writes.len() > 1, "{} writes", writes.len());
+        assert!(writes.iter().all(|&n| n <= SINK_BUFFER_BYTES), "{writes:?}");
+        assert_eq!(writes.iter().sum::<usize>() as u64, total * 44);
+
+        // The first write left as soon as the buffer filled — when the
+        // merge had not yet opened most of the archive's records.
+        let first = pulled_at_first_write.get().unwrap();
+        assert!(first <= SINK_BUFFER_BYTES / 44 + 1, "{first}");
+        let mut replay = decompressor.packets(&archive);
+        assert_eq!(replay.by_ref().take(first).count(), first);
+        assert!(
+            replay.records_opened() < archive.time_seq.len() / 2,
+            "{} of {} records open at the first write",
+            replay.records_opened(),
+            archive.time_seq.len()
+        );
+    }
+
+    #[test]
+    fn file_sink_commits_on_success_and_leaves_nothing_on_failure() {
+        let dir = std::env::temp_dir().join(format!("flowzip-sink-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("out.tsh");
+        let part = Sink::partial_path(&out);
+
+        let delivered = Sink::file(&out)
+            .deliver_packets(CaptureFormat::Tsh, packets(3))
+            .unwrap();
+        assert_eq!(delivered.bytes_written, 3 * 44);
+        assert_eq!(std::fs::read(&out).unwrap().len(), 3 * 44);
+        assert!(!part.exists());
+
+        // A packet TSH cannot represent, after some it can: the error
+        // names the field, and neither the scratch file nor a new
+        // output survives — the old output is untouched.
+        let late = PacketRecord::builder()
+            .timestamp(flowzip_trace::Timestamp::from_secs(u32::MAX as u64 + 10))
+            .build();
+        let err = Sink::file(&out)
+            .deliver_packets(CaptureFormat::Tsh, packets(5).chain([late]))
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::Write { .. }), "{err}");
+        assert!(err.to_string().contains("timestamp_secs"), "{err}");
+        assert!(!part.exists());
+        assert_eq!(std::fs::read(&out).unwrap().len(), 3 * 44);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failing_writer_mid_stream_surfaces_the_io_error() {
+        struct FailAfter(usize);
+        impl Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(io::Error::other("disk full"));
+                }
+                self.0 -= 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let err = Sink::writer(FailAfter(2))
+            .deliver_packets(CaptureFormat::Pcap, packets(10_000))
+            .unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+    }
+
+    #[test]
+    fn part_file_unlinks_unless_committed() {
+        let dir = std::env::temp_dir().join(format!("flowzip-part-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("merged.tsh");
+        let part = Sink::partial_path(&out);
+
+        let mut f = PartFile::create(&out).unwrap();
+        f.write_all(b"half").unwrap();
+        assert!(part.exists());
+        drop(f);
+        assert!(!part.exists() && !out.exists());
+
+        let mut f = PartFile::create(&out).unwrap();
+        f.write_all(b"whole").unwrap();
+        f.commit().unwrap();
+        assert!(!part.exists());
+        assert_eq!(std::fs::read(&out).unwrap(), b"whole");
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

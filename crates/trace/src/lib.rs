@@ -18,6 +18,8 @@
 //! * [`reader`] — capture-format sniffing ([`reader::CaptureFormat`]) and
 //!   the format-agnostic [`reader::CaptureReader`] behind the shared
 //!   [`reader::PacketRead`] iterator interface.
+//! * [`writer`] — the mirror image: [`writer::CaptureWriter`] streams
+//!   packets into either format, one record at a time.
 //! * [`flow`] — grouping packets into bidirectional flows, flow statistics.
 //!
 //! # Example
@@ -47,17 +49,19 @@ pub mod time;
 pub mod trace;
 pub mod tsh;
 pub mod tuple;
+pub mod writer;
 
 pub use error::TraceError;
 pub use flags::TcpFlags;
 pub use flow::{Flow, FlowDirection, FlowKey, FlowStats, FlowTable};
 pub use packet::{PacketBuilder, PacketRecord};
-pub use pcap::PcapReader;
+pub use pcap::{PcapReader, PcapWriter};
 pub use reader::{CaptureFormat, CaptureReader, PacketRead};
 pub use time::{Duration, Timestamp};
 pub use trace::Trace;
-pub use tsh::TshReader;
+pub use tsh::{TshReader, TshWriter};
 pub use tuple::{FiveTuple, Protocol};
+pub use writer::CaptureWriter;
 
 /// Convenient glob-import surface for examples and downstream crates.
 pub mod prelude {

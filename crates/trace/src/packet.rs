@@ -1,5 +1,6 @@
 //! A single captured TCP/IP header record.
 
+use crate::error::TraceError;
 use crate::flags::TcpFlags;
 use crate::time::Timestamp;
 use crate::tuple::{FiveTuple, Protocol};
@@ -132,6 +133,74 @@ impl PacketRecord {
     pub const fn has_payload(&self) -> bool {
         self.payload_len > 0
     }
+
+    /// Writes the header bytes both capture codecs store per record:
+    /// the 20-byte IPv4 header (no options, checksum filled in so
+    /// verifying decoders accept it) and the first 16 bytes of the TCP
+    /// header (ports, seq, ack, offset/flags, window).
+    #[inline]
+    pub(crate) fn write_wire_headers(&self, out: &mut [u8; WIRE_HEADER_BYTES]) {
+        let total_len = self.ip_total_len().min(u16::MAX as u32) as u16;
+        let ttl_protocol = [self.ttl, self.tuple.protocol.number()];
+        let src = u32::from(self.tuple.src_ip);
+        let dst = u32::from(self.tuple.dst_ip);
+        // RFC 1071 over the header's 16-bit words, straight from the
+        // fields (the flags/fragment word is zero). Nine words cannot
+        // carry past bit 19, so two folds finish it.
+        let sum = 0x4500
+            + total_len as u32
+            + self.ip_id as u32
+            + u16::from_be_bytes(ttl_protocol) as u32
+            + (src >> 16)
+            + (src & 0xffff)
+            + (dst >> 16)
+            + (dst & 0xffff);
+        let sum = (sum & 0xffff) + (sum >> 16);
+        let sum = (sum & 0xffff) + (sum >> 16);
+
+        let checksum = !(sum as u16);
+
+        // Stored as five big-endian words rather than field by field:
+        // IPv4 bytes 0–7 (version/IHL 0x45, TOS 0, total length, id,
+        // flags/fragment 0), 8–15 (TTL, protocol, checksum, source),
+        // 16–19 + TCP 0–3 (destination, ports), TCP 4–11 (seq, ack),
+        // TCP 12–15 (data offset 5 words, flags, window).
+        let words = [
+            0x4500 << 48 | (total_len as u64) << 32 | (self.ip_id as u64) << 16,
+            (u16::from_be_bytes(ttl_protocol) as u64) << 48 | (checksum as u64) << 32 | src as u64,
+            (dst as u64) << 32 | (self.tuple.src_port as u64) << 16 | self.tuple.dst_port as u64,
+            (self.seq as u64) << 32 | self.ack as u64,
+        ];
+        for (chunk, word) in out.chunks_exact_mut(8).zip(words) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        let tail = 0x50 << 24 | (self.flags.bits() as u32) << 16 | self.window as u32;
+        out[32..36].copy_from_slice(&tail.to_be_bytes());
+    }
+}
+
+/// Bytes [`PacketRecord::write_wire_headers`] fills.
+pub(crate) const WIRE_HEADER_BYTES: usize = 36;
+
+/// First microsecond count past what the capture formats' 32-bit
+/// seconds field can carry.
+const TIMESTAMP_LIMIT_MICROS: u64 = (u32::MAX as u64 + 1) * 1_000_000;
+
+/// Splits a timestamp into the capture formats' `(seconds,
+/// microseconds)` pair.
+///
+/// # Errors
+///
+/// [`TraceError::FieldOutOfRange`] when the seconds overflow 32 bits.
+#[inline]
+pub(crate) fn wire_timestamp(ts: Timestamp) -> Result<(u32, u32), TraceError> {
+    if ts.as_micros() >= TIMESTAMP_LIMIT_MICROS {
+        return Err(TraceError::FieldOutOfRange {
+            field: "timestamp_secs",
+            value: ts.as_micros() / 1_000_000,
+        });
+    }
+    Ok(ts.to_secs_micros())
 }
 
 impl fmt::Display for PacketRecord {

@@ -11,7 +11,7 @@
 
 use crate::error::TraceError;
 use crate::flags::TcpFlags;
-use crate::packet::PacketRecord;
+use crate::packet::{wire_timestamp, PacketRecord, WIRE_HEADER_BYTES};
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
@@ -39,93 +39,106 @@ pub const SNAP_BYTES: u32 = 54;
 /// into a multi-gigabyte allocation.
 pub const MAX_CAPTURE_BYTES: usize = 1 << 18;
 
+/// Bytes of the pcap global header.
+const GLOBAL_HEADER_BYTES: usize = 24;
+/// Bytes one packet occupies on disk: the 16-byte record header plus the
+/// captured frame.
+const RECORD_BYTES: usize = 16 + SNAP_BYTES as usize;
+
+/// Streaming pcap writer: [`PcapWriter::new`] writes the global header
+/// once, then [`PcapWriter::write_packet`] encodes one record straight
+/// into any [`Write`], so a capture of any length is written without
+/// ever being held whole.
+#[derive(Debug)]
+pub struct PcapWriter<W> {
+    inner: W,
+    written: u64,
+}
+
+impl<W: Write> PcapWriter<W> {
+    /// Wraps a byte sink and writes the little-endian, microsecond
+    /// global header. Unbuffered — hand it a
+    /// [`BufWriter`](std::io::BufWriter) when `inner` is a file or socket.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures writing the header.
+    pub fn new(mut inner: W) -> Result<PcapWriter<W>, TraceError> {
+        let mut global = [0u8; GLOBAL_HEADER_BYTES];
+        global[0..4].copy_from_slice(&MAGIC_LE.to_le_bytes());
+        global[4..6].copy_from_slice(&2u16.to_le_bytes()); // version major
+        global[6..8].copy_from_slice(&4u16.to_le_bytes()); // version minor
+                                                           // (thiszone and sigfigs stay zero)
+        global[16..20].copy_from_slice(&SNAP_BYTES.to_le_bytes()); // snaplen
+        global[20..24].copy_from_slice(&LINKTYPE_ETHERNET.to_le_bytes());
+        inner.write_all(&global)?;
+        Ok(PcapWriter {
+            inner,
+            written: GLOBAL_HEADER_BYTES as u64,
+        })
+    }
+
+    /// Appends one record: the 16-byte record header and the 54-byte
+    /// Ethernet + IPv4 + TCP frame.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and [`TraceError::FieldOutOfRange`] for a timestamp
+    /// past the format's 32-bit seconds.
+    #[inline]
+    pub fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
+        let (secs, micros) = wire_timestamp(p.timestamp())?;
+        let mut rec = [0u8; RECORD_BYTES];
+        rec[0..4].copy_from_slice(&secs.to_le_bytes());
+        rec[4..8].copy_from_slice(&micros.to_le_bytes());
+        rec[8..12].copy_from_slice(&SNAP_BYTES.to_le_bytes()); // incl_len
+        rec[12..16].copy_from_slice(&(14 + p.ip_total_len()).to_le_bytes()); // orig_len
+        let frame = &mut rec[16..];
+        // Ethernet: synthetic locally-administered MACs, EtherType IPv4.
+        frame[0..6].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x02]);
+        frame[6..12].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x01]);
+        frame[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
+        // IPv4 header and the TCP header's first 16 bytes; its checksum
+        // and urgent pointer (the frame's last 4 bytes) stay zero.
+        let headers: &mut [u8; WIRE_HEADER_BYTES] = (&mut frame[14..14 + WIRE_HEADER_BYTES])
+            .try_into()
+            .expect("the slice is WIRE_HEADER_BYTES long");
+        p.write_wire_headers(headers);
+        self.inner.write_all(&rec)?;
+        self.written += RECORD_BYTES as u64;
+        Ok(())
+    }
+
+    /// Bytes written so far, global header included.
+    pub fn bytes_written(&self) -> u64 {
+        self.written
+    }
+
+    /// Unwraps the writer, returning the underlying sink (unflushed).
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
 /// Writes a trace as a pcap file. Returns bytes written.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures and timestamp-range errors (pcap stores
 /// 32-bit seconds).
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<u64, TraceError> {
-    let mut written = 0u64;
-    // Global header.
-    w.write_all(&MAGIC_LE.to_le_bytes())?;
-    w.write_all(&2u16.to_le_bytes())?; // version major
-    w.write_all(&4u16.to_le_bytes())?; // version minor
-    w.write_all(&0i32.to_le_bytes())?; // thiszone
-    w.write_all(&0u32.to_le_bytes())?; // sigfigs
-    w.write_all(&SNAP_BYTES.to_le_bytes())?; // snaplen
-    w.write_all(&LINKTYPE_ETHERNET.to_le_bytes())?;
-    written += 24;
-
+pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<u64, TraceError> {
+    let mut w = PcapWriter::new(w)?;
     for p in trace {
-        let (secs, micros) = p.timestamp().to_secs_micros();
-        if p.timestamp().as_micros() / 1_000_000 > u32::MAX as u64 {
-            return Err(TraceError::FieldOutOfRange {
-                field: "timestamp_secs",
-                value: p.timestamp().as_micros() / 1_000_000,
-            });
-        }
-        w.write_all(&secs.to_le_bytes())?;
-        w.write_all(&micros.to_le_bytes())?;
-        w.write_all(&SNAP_BYTES.to_le_bytes())?; // incl_len
-        let orig = 14 + p.ip_total_len();
-        w.write_all(&orig.to_le_bytes())?;
-        w.write_all(&frame(p))?;
-        written += 16 + SNAP_BYTES as u64;
+        w.write_packet(p)?;
     }
-    Ok(written)
+    Ok(w.bytes_written())
 }
 
 /// Serializes a trace to an in-memory pcap image.
 pub fn to_bytes(trace: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(24 + trace.len() * (16 + SNAP_BYTES as usize));
+    let mut out = Vec::with_capacity(GLOBAL_HEADER_BYTES + trace.len() * RECORD_BYTES);
     write_trace(&mut out, trace).expect("in-memory pcap write cannot fail");
     out
-}
-
-/// Builds the 54-byte Ethernet+IPv4+TCP frame for one record.
-fn frame(p: &PacketRecord) -> [u8; SNAP_BYTES as usize] {
-    let mut f = [0u8; SNAP_BYTES as usize];
-    // Ethernet: synthetic locally-administered MACs, EtherType IPv4.
-    f[0..6].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x02]);
-    f[6..12].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x01]);
-    f[12..14].copy_from_slice(&0x0800u16.to_be_bytes());
-    // IPv4 header.
-    let ip = &mut f[14..34];
-    ip[0] = 0x45;
-    let total = (p.ip_total_len()).min(u16::MAX as u32) as u16;
-    ip[2..4].copy_from_slice(&total.to_be_bytes());
-    ip[4..6].copy_from_slice(&p.ip_id().to_be_bytes());
-    ip[8] = p.ttl();
-    ip[9] = p.tuple().protocol.number();
-    ip[12..16].copy_from_slice(&p.src_ip().octets());
-    ip[16..20].copy_from_slice(&p.dst_ip().octets());
-    let csum = checksum(&f[14..34]);
-    f[24..26].copy_from_slice(&csum.to_be_bytes());
-    // TCP header.
-    let tcp = &mut f[34..54];
-    tcp[0..2].copy_from_slice(&p.tuple().src_port.to_be_bytes());
-    tcp[2..4].copy_from_slice(&p.tuple().dst_port.to_be_bytes());
-    tcp[4..8].copy_from_slice(&p.seq().to_be_bytes());
-    tcp[8..12].copy_from_slice(&p.ack().to_be_bytes());
-    tcp[12] = 5 << 4;
-    tcp[13] = p.flags().bits();
-    tcp[14..16].copy_from_slice(&p.window().to_be_bytes());
-    f
-}
-
-fn checksum(header: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    for (i, chunk) in header.chunks(2).enumerate() {
-        if i == 5 {
-            continue;
-        }
-        sum += ((chunk[0] as u32) << 8) | chunk.get(1).copied().unwrap_or(0) as u32;
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xffff) + (sum >> 16);
-    }
-    !(sum as u16)
 }
 
 /// Incremental pcap reader: an iterator of
@@ -323,6 +336,7 @@ fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], need: usize) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tsh::ipv4_checksum as checksum;
 
     fn sample_trace() -> Trace {
         let mut t = Trace::new();

@@ -18,7 +18,7 @@
 
 use crate::error::TraceError;
 use crate::flags::TcpFlags;
-use crate::packet::PacketRecord;
+use crate::packet::{wire_timestamp, PacketRecord, WIRE_HEADER_BYTES};
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
@@ -41,44 +41,29 @@ pub const MAX_SECONDS: u64 = u32::MAX as u64;
 /// Returns [`TraceError::FieldOutOfRange`] when the timestamp does not fit
 /// the 32-bit-seconds TSH encoding.
 pub fn encode_record(p: &PacketRecord, interface: u8) -> Result<[u8; RECORD_BYTES], TraceError> {
-    let (secs, micros) = p.timestamp().to_secs_micros();
-    if p.timestamp().as_micros() / 1_000_000 > MAX_SECONDS {
-        return Err(TraceError::FieldOutOfRange {
-            field: "timestamp_secs",
-            value: p.timestamp().as_micros() / 1_000_000,
-        });
-    }
     let mut rec = [0u8; RECORD_BYTES];
-    rec[0..4].copy_from_slice(&secs.to_be_bytes());
-    rec[4] = interface;
-    rec[5..8].copy_from_slice(&micros.to_be_bytes()[1..4]);
-
-    // IPv4 header (20 bytes at offset 8).
-    let ip = &mut rec[8..28];
-    ip[0] = 0x45; // version 4, IHL 5
-    ip[1] = 0; // TOS
-    let total_len = p.ip_total_len().min(u16::MAX as u32) as u16;
-    ip[2..4].copy_from_slice(&total_len.to_be_bytes());
-    ip[4..6].copy_from_slice(&p.ip_id().to_be_bytes());
-    ip[6..8].copy_from_slice(&0u16.to_be_bytes()); // flags/frag offset
-    ip[8] = p.ttl();
-    ip[9] = p.tuple().protocol.number();
-    // checksum (bytes 10..12) filled below
-    ip[12..16].copy_from_slice(&p.src_ip().octets());
-    ip[16..20].copy_from_slice(&p.dst_ip().octets());
-    let csum = ipv4_checksum(ip);
-    rec[18..20].copy_from_slice(&csum.to_be_bytes());
-
-    // TCP header prefix (16 bytes at offset 28).
-    let tcp = &mut rec[28..44];
-    tcp[0..2].copy_from_slice(&p.tuple().src_port.to_be_bytes());
-    tcp[2..4].copy_from_slice(&p.tuple().dst_port.to_be_bytes());
-    tcp[4..8].copy_from_slice(&p.seq().to_be_bytes());
-    tcp[8..12].copy_from_slice(&p.ack().to_be_bytes());
-    tcp[12] = 5 << 4; // data offset 5 words, no options
-    tcp[13] = p.flags().bits();
-    tcp[14..16].copy_from_slice(&p.window().to_be_bytes());
+    encode_into(p, interface, &mut rec)?;
     Ok(rec)
+}
+
+/// [`encode_record`] into a caller-provided buffer, every byte of which
+/// is overwritten.
+#[inline]
+fn encode_into(
+    p: &PacketRecord,
+    interface: u8,
+    rec: &mut [u8; RECORD_BYTES],
+) -> Result<(), TraceError> {
+    let (secs, micros) = wire_timestamp(p.timestamp())?;
+    // Seconds, then the interface byte on top of the 24-bit microseconds
+    // (`micros < 10⁶ < 2²⁴`, so its top byte is free).
+    rec[0..4].copy_from_slice(&secs.to_be_bytes());
+    rec[4..8].copy_from_slice(&((interface as u32) << 24 | micros).to_be_bytes());
+    let headers: &mut [u8; WIRE_HEADER_BYTES] = (&mut rec[8..])
+        .try_into()
+        .expect("a TSH record is 8 timestamp bytes plus the wire headers");
+    p.write_wire_headers(headers);
+    Ok(())
 }
 
 /// Decodes one 44-byte TSH record into a packet and its interface number.
@@ -133,6 +118,48 @@ pub fn decode_record(rec: &[u8]) -> Result<(PacketRecord, u8), TraceError> {
     Ok((pkt, interface))
 }
 
+/// Streaming TSH record writer: [`TshWriter::write_packet`] encodes one
+/// record straight into any [`Write`], so a capture of any length is
+/// written without ever being held whole. (TSH has no file header.)
+#[derive(Debug)]
+pub struct TshWriter<W> {
+    inner: W,
+    written: u64,
+}
+
+impl<W: Write> TshWriter<W> {
+    /// Wraps a byte sink. Unbuffered — hand it a
+    /// [`BufWriter`](std::io::BufWriter) when `inner` is a file or socket.
+    pub fn new(inner: W) -> TshWriter<W> {
+        TshWriter { inner, written: 0 }
+    }
+
+    /// Appends one record (interface 0).
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and [`TraceError::FieldOutOfRange`] for a timestamp
+    /// past the format's 32-bit seconds.
+    #[inline]
+    pub fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
+        let mut rec = [0u8; RECORD_BYTES];
+        encode_into(p, 0, &mut rec)?;
+        self.inner.write_all(&rec)?;
+        self.written += RECORD_BYTES as u64;
+        Ok(())
+    }
+
+    /// Bytes written so far.
+    pub fn bytes_written(&self) -> u64 {
+        self.written
+    }
+
+    /// Unwraps the writer, returning the underlying sink (unflushed).
+    pub fn into_inner(self) -> W {
+        self.inner
+    }
+}
+
 /// Writes a whole trace as consecutive TSH records. Returns bytes written
 /// (always `44 * trace.len()`).
 ///
@@ -141,14 +168,12 @@ pub fn decode_record(rec: &[u8]) -> Result<(PacketRecord, u8), TraceError> {
 /// # Errors
 ///
 /// Propagates I/O failures and per-record encoding errors.
-pub fn write_trace<W: Write>(mut w: W, trace: &Trace) -> Result<u64, TraceError> {
-    let mut written = 0u64;
+pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<u64, TraceError> {
+    let mut w = TshWriter::new(w);
     for p in trace {
-        let rec = encode_record(p, 0)?;
-        w.write_all(&rec)?;
-        written += RECORD_BYTES as u64;
+        w.write_packet(p)?;
     }
-    Ok(written)
+    Ok(w.bytes_written())
 }
 
 /// Incremental TSH record reader: an iterator of
@@ -272,9 +297,11 @@ pub fn split_record_chunks(bytes: &[u8], n: usize) -> Vec<&[u8]> {
         .collect()
 }
 
-/// RFC 1071 Internet checksum over an IPv4 header with its checksum field
-/// zeroed (bytes 10–11 ignored).
-fn ipv4_checksum(header: &[u8]) -> u16 {
+/// RFC 1071 Internet checksum over an IPv4 header's bytes with its
+/// checksum field zeroed (bytes 10–11 ignored) — the byte-wise reference
+/// the tests hold the encoder's field-wise sum against.
+#[cfg(test)]
+pub(crate) fn ipv4_checksum(header: &[u8]) -> u16 {
     let mut sum = 0u32;
     for (i, chunk) in header.chunks(2).enumerate() {
         if i == 5 {

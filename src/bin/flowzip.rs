@@ -47,7 +47,7 @@
 use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
-use flowzip::pipeline::{Input, Pipeline, Report, Routing, Sink};
+use flowzip::pipeline::{Input, PartFile, Pipeline, Report, Routing, Sink};
 use flowzip::prelude::*;
 use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeSource};
 use flowzip::trace::reader::CaptureFormat;
@@ -651,10 +651,11 @@ fn decompress(opts: &Opts) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let report = &result.report;
     let notice = format!(
-        "wrote {}: {} packets ({} bytes)",
+        "wrote {}: {} packets ({} bytes), peak {} open flows",
         out.display(),
         report.packets,
-        report.output_bytes
+        report.output_bytes,
+        report.peak_open_flows
     );
     if json {
         println!("{}", report.to_json());
@@ -743,7 +744,16 @@ fn query_rotation_dir(
     let entries = flowzip::serve::read_manifest(Path::new(dir)).map_err(|e| e.to_string())?;
     let mut windows = 0u64;
     let mut packets = 0u64;
-    let mut concat: Vec<u8> = Vec::new();
+    let mut written = 0u64;
+    // One scratch file for the whole run, renamed into place at the end
+    // (and unlinked if any window fails): each window's session streams
+    // its records straight into it.
+    let mut part = out
+        .map(|path| {
+            PartFile::create(path)
+                .map_err(|e| format!("create {}: {e}", Sink::partial_path(path).display()))
+        })
+        .transpose()?;
     for e in &entries {
         let Some(name) = &e.archive else { continue };
         let path = Path::new(dir).join(name);
@@ -760,29 +770,20 @@ fn query_rotation_dir(
         if let Some(secs) = opts.get_f64("to")? {
             session = session.to_secs(secs);
         }
-        if out.is_some() {
-            session = session.sink(Sink::bytes());
+        if let Some(part) = &mut part {
+            session = session.sink(Sink::writer(part));
         }
         let result = session
             .run()
             .map_err(|e| format!("{}: {e}", path.display()))?;
         windows += 1;
         packets += result.report.packets;
-        if out.is_some() {
-            concat.extend(result.into_bytes().unwrap_or_default());
-        }
+        written += result.report.output_bytes;
     }
-    let written = match out {
-        Some(path) => {
-            // Same atomic discipline as every other file delivery.
-            let part = Sink::partial_path(path);
-            std::fs::write(&part, &concat).map_err(|e| format!("write {}: {e}", part.display()))?;
-            std::fs::rename(&part, path)
-                .map_err(|e| format!("rename into {}: {e}", path.display()))?;
-            concat.len() as u64
-        }
-        None => 0,
-    };
+    if let (Some(part), Some(path)) = (part, out) {
+        part.commit()
+            .map_err(|e| format!("rename into {}: {e}", path.display()))?;
+    }
     if json {
         println!(
             "{{\"type\":\"flowzip.query_dir\",\"windows\":{windows},\"packets\":{packets},\"output_bytes\":{written}}}"

@@ -2,6 +2,8 @@
 //! full generate → compress → decompress → synth file workflow, and error
 //! handling.
 
+use flowzip::trace::{Duration, Timestamp};
+use std::net::Ipv4Addr;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -931,5 +933,316 @@ fn query_subcommand_prunes_and_matches_full_decode() {
         .output()
         .unwrap();
     assert!(!out.status.success());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A valid archive whose one short flow starts at `(u32::MAX + 10)` s —
+/// past what TSH and pcap, with their 32-bit seconds, can say. Checked
+/// in as `tests/fixtures/late_timestamp.fzc` (CI smokes the binary on
+/// it); re-bless with `FLOWZIP_BLESS=1 cargo test --test cli`.
+fn late_timestamp_archive() -> Vec<u8> {
+    use flowzip::core::{CompressedTrace, FlowRecord};
+    CompressedTrace {
+        short_templates: vec![vec![0, 16, 32]],
+        long_templates: vec![],
+        addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
+        time_seq: vec![FlowRecord {
+            first_ts: Timestamp::from_secs(u32::MAX as u64 + 10),
+            is_long: false,
+            template_idx: 0,
+            addr_idx: 0,
+            rtt: Duration::from_millis(40),
+        }],
+    }
+    .to_bytes_v2()
+}
+
+/// A valid archive whose long flow's second gap overflows the clock:
+/// `10 s + u64::MAX µs`.
+fn overflowing_gap_archive() -> Vec<u8> {
+    use flowzip::core::datasets::LongTemplate;
+    use flowzip::core::{CompressedTrace, FlowRecord};
+    CompressedTrace {
+        short_templates: vec![],
+        long_templates: vec![LongTemplate {
+            entries: vec![
+                (0, Duration::ZERO),
+                (16, Duration::from_micros(u64::MAX)),
+                (32, Duration::from_micros(5)),
+            ],
+        }],
+        addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
+        time_seq: vec![FlowRecord {
+            first_ts: Timestamp::from_secs(10),
+            is_long: true,
+            template_idx: 0,
+            addr_idx: 0,
+            rtt: Duration::ZERO,
+        }],
+    }
+    .to_bytes_v2()
+}
+
+/// Runs `args` expecting an ordinary error exit: status 1, `needle` on
+/// stderr, no panic, and neither `out` nor its `.part` left behind.
+fn assert_clean_failure(args: &[&std::ffi::OsStr], out: &std::path::Path, needle: &str) {
+    std::fs::remove_file(out).ok();
+    let run = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(!out.exists(), "{args:?} left {}", out.display());
+    let part = flowzip::pipeline::Sink::partial_path(out);
+    assert!(!part.exists(), "{args:?} left {}", part.display());
+}
+
+#[test]
+fn unrepresentable_timestamps_are_errors_not_panics() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/late_timestamp.fzc");
+    if std::env::var_os("FLOWZIP_BLESS").is_some() {
+        std::fs::write(&fixture, late_timestamp_archive()).unwrap();
+    }
+    assert_eq!(
+        std::fs::read(&fixture).unwrap(),
+        late_timestamp_archive(),
+        "tests/fixtures/late_timestamp.fzc is stale — see late_timestamp_archive()"
+    );
+
+    let dir = tmpdir("late");
+    let wrapped = dir.join("wrapped.fzc");
+    std::fs::write(&wrapped, overflowing_gap_archive()).unwrap();
+    let out = dir.join("out.cap");
+    for archive in [&fixture, &wrapped] {
+        // The archive itself is fine…
+        let info = bin().arg("info").arg(archive).output().unwrap();
+        assert!(info.status.success(), "{}", archive.display());
+        // …it is the capture formats that cannot hold its packets. (The
+        // overflowing gap used to wrap the clock backwards in release
+        // builds and write a time-travelling trace; saturated, it lands
+        // past the formats' range like the late start does.)
+        for format in ["tsh", "pcap"] {
+            assert_clean_failure(
+                &[
+                    "decompress".as_ref(),
+                    archive.as_os_str(),
+                    "-o".as_ref(),
+                    out.as_os_str(),
+                    "--out-format".as_ref(),
+                    format.as_ref(),
+                ],
+                &out,
+                "timestamp_secs",
+            );
+        }
+        assert_clean_failure(
+            &[
+                "query".as_ref(),
+                archive.as_os_str(),
+                "-o".as_ref(),
+                out.as_os_str(),
+            ],
+            &out,
+            "timestamp_secs",
+        );
+        // Without -o nothing is synthesized, so there is nothing to fail.
+        let count = bin().arg("query").arg(archive).output().unwrap();
+        assert!(count.status.success());
+        assert!(
+            String::from_utf8_lossy(&count.stdout).contains("(3 packets)"),
+            "{}",
+            String::from_utf8_lossy(&count.stdout)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rotation_directory_query_streams_every_window_into_one_output() {
+    let dir = tmpdir("rotdir");
+    let rot = dir.join("rot");
+    std::fs::create_dir_all(&rot).unwrap();
+    let mut manifest = String::new();
+    let mut expected = Vec::new();
+    let mut packets = 0usize;
+    for (window, seed) in ["21", "22"].iter().enumerate() {
+        let tsh = dir.join(format!("w{window}.tsh"));
+        let name = format!("w{window}.fzc");
+        let restored = dir.join(format!("w{window}.restored.tsh"));
+        for args in [
+            vec![
+                "generate",
+                "--flows",
+                "150",
+                "--secs",
+                "10",
+                "--seed",
+                seed,
+                "-o",
+                tsh.to_str().unwrap(),
+            ],
+            vec![
+                "compress",
+                tsh.to_str().unwrap(),
+                "-o",
+                rot.join(&name).to_str().unwrap(),
+            ],
+            vec![
+                "decompress",
+                rot.join(&name).to_str().unwrap(),
+                "-o",
+                restored.to_str().unwrap(),
+            ],
+        ] {
+            let run = bin().args(&args).output().unwrap();
+            assert!(
+                run.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&run.stderr)
+            );
+        }
+        let bytes = std::fs::read(&restored).unwrap();
+        packets += bytes.len() / 44;
+        expected.extend(bytes);
+        manifest.push_str(&format!(
+            "{{\"type\":\"flowzip.window\",\"window\":{window},\"archive\":\"{name}\",\
+             \"reason\":\"packets\",\"cut\":\"drain\",\"packets\":0,\"flows\":0,\"bytes\":0,\
+             \"dropped_packets\":0,\"opened_unix_ms\":0,\"closed_unix_ms\":0,\
+             \"first_ts_us\":null,\"last_ts_us\":null}}\n"
+        ));
+    }
+    std::fs::write(rot.join("manifest.jsonl"), &manifest).unwrap();
+
+    // Both windows, concatenated in manifest order, through one `.part`.
+    let out = dir.join("merged.tsh");
+    let run = bin()
+        .arg("query")
+        .arg(&rot)
+        .arg("--json")
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout).trim(),
+        format!(
+            "{{\"type\":\"flowzip.query_dir\",\"windows\":2,\"packets\":{packets},\"output_bytes\":{}}}",
+            expected.len()
+        )
+    );
+    assert_eq!(std::fs::read(&out).unwrap(), expected);
+    assert!(!flowzip::pipeline::Sink::partial_path(&out).exists());
+
+    // A window that fails mid-run takes the whole output with it: the
+    // windows already streamed are not left behind as a short file.
+    std::fs::write(rot.join("late.fzc"), late_timestamp_archive()).unwrap();
+    manifest.push_str(
+        &manifest
+            .lines()
+            .last()
+            .unwrap()
+            .replace("w1.fzc", "late.fzc"),
+    );
+    manifest.push('\n');
+    std::fs::write(rot.join("manifest.jsonl"), &manifest).unwrap();
+    assert_clean_failure(
+        &[
+            "query".as_ref(),
+            rot.as_os_str(),
+            "-o".as_ref(),
+            out.as_os_str(),
+        ],
+        &out,
+        "timestamp_secs",
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn decompress_and_query_report_their_open_flow_peak() {
+    let dir = tmpdir("peak");
+    let tsh = dir.join("web.tsh");
+    let fzc = dir.join("web.fzc");
+    let out = dir.join("out.tsh");
+    for args in [
+        vec![
+            "generate",
+            "--flows",
+            "200",
+            "--secs",
+            "5",
+            "--seed",
+            "3",
+            "-o",
+            tsh.to_str().unwrap(),
+        ],
+        vec![
+            "compress",
+            tsh.to_str().unwrap(),
+            "-o",
+            fzc.to_str().unwrap(),
+        ],
+    ] {
+        assert!(
+            bin().args(&args).output().unwrap().status.success(),
+            "{args:?}"
+        );
+    }
+    let peak_of = |stdout: &[u8]| -> u64 {
+        let text = String::from_utf8_lossy(stdout);
+        let rest = text
+            .split("\"peak_open_flows\": ")
+            .nth(1)
+            .unwrap_or_else(|| panic!("no peak_open_flows in {text}"));
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap()]
+            .parse()
+            .unwrap()
+    };
+    let d = bin()
+        .arg("decompress")
+        .arg(&fzc)
+        .arg("--json")
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(d.status.success());
+    let peak = peak_of(&d.stdout);
+    assert!((2..200).contains(&peak), "peak_open_flows {peak}");
+    assert!(
+        String::from_utf8_lossy(&d.stdout).contains("\"serialize_secs\": 0.000000"),
+        "no serial tail to time"
+    );
+    // The same merge behind `query -o`; without -o nothing is merged.
+    let q = bin()
+        .arg("query")
+        .arg(&fzc)
+        .arg("--json")
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert_eq!(peak_of(&q.stdout), peak);
+    let q = bin().arg("query").arg(&fzc).arg("--json").output().unwrap();
+    assert_eq!(peak_of(&q.stdout), 0);
+    // And the human line says it too.
+    let q = bin()
+        .arg("query")
+        .arg(&fzc)
+        .arg("-o")
+        .arg(&out)
+        .output()
+        .unwrap();
+    assert!(
+        String::from_utf8_lossy(&q.stdout).contains(&format!("peak {peak} open flows")),
+        "{}",
+        String::from_utf8_lossy(&q.stdout)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
