@@ -1,39 +1,36 @@
 //! The streaming engine: route → accumulate per shard → merge.
 //!
-//! Two routing topologies feed the shards (the
-//! [`Routing`] knob; output is byte-identical
-//! either way):
+//! One router feeds the shards: it runs on the calling thread, hashes
+//! every packet's canonical flow key, and hands `batch_size` blocks to
+//! the owning shard over a bounded channel:
 //!
 //! ```text
-//! routing=parallel (default) — hashing runs on R workers at once:
-//!             ┌─ router 0 ─ partition ─┐          ┌─▶ shard 0 ─┐
-//! BatchRead ──┼─ router 1 ─ partition ─┼─ ticket ─┼─▶ shard 1 ─┼─▶ merge
-//!  (shared)   └─ router R ─ partition ─┘  order   └─▶ shard N ─┘
-//!
-//! routing=serial — the original dedicated router thread:
 //!                    ┌── batch channel ──▶ shard 0: FlowAccumulator + TemplateStore ─┐
 //! reader ──▶ router ─┼── batch channel ──▶ shard 1: FlowAccumulator + TemplateStore ─┼─▶ merge
 //!  (any Iterator)    └── batch channel ──▶ shard N: FlowAccumulator + TemplateStore ─┘
 //! ```
 //!
-//! Routing hashes each packet's canonical flow key so both directions
-//! of a conversation land on the same shard; channels are bounded, so a
-//! fast reader is back-pressured instead of buffering the trace. Workers
-//! finalize flows online (FIN/RST, idle eviction, end of input) and
-//! cluster them immediately; the merge step folds the per-shard stores
-//! with [`TemplateStore::merge`](flowzip_core::TemplateStore::merge) and
+//! The router hashes each packet's canonical flow key so both
+//! directions of a conversation land on the same shard, and one router
+//! means each shard sees its packets in stream order; channels are
+//! bounded, so a fast reader is back-pressured instead of buffering the
+//! trace. With one shard there is no router, channel or worker thread at
+//! all: the shard runs inline. Workers finalize flows online (FIN/RST,
+//! idle eviction, end of input) and cluster them immediately; the merge
+//! step folds the per-shard stores with
+//! [`TemplateStore::merge`](flowzip_core::TemplateStore::merge) and
 //! re-sorts the flow records into one valid time-seq dataset.
 
 use crate::builder::{CancelFlag, EngineBuilder, EngineConfig};
-use crate::obs::{EngineObs, ShardObs};
+use crate::obs::{shard_obs, ShardObs};
 use crate::report::EngineReport;
-use crate::route::{shard_of, BatchPackets, IterBatches, Rechunker, RouteFabric, Routing};
 use flowzip_core::datasets::CompressedTrace;
 use flowzip_core::{
     assemble_sections, assemble_shards, ArchiveFormat, CompressionReport, FlowAccumulator,
     FlowAssembler, FlowTelemetry, Params, ShardSection,
 };
-use flowzip_io::{BatchRead, WorkerPool};
+use flowzip_io::WorkerPool;
+use flowzip_obs::Gauge;
 use flowzip_trace::prelude::*;
 use flowzip_trace::TraceError;
 use std::sync::mpsc;
@@ -69,12 +66,12 @@ struct ShardOutput {
 
 /// Input adapter for cooperative cancellation: once the run's
 /// [`CancelFlag`] flips, the wrapped input reports clean end-of-stream
-/// at the next pull point, so the normal drain finalizes everything
+/// at the next packet pull, so the normal drain finalizes everything
 /// routed so far into a valid partial archive. Packets already pulled
 /// are never lost; packets never pulled are simply not in the archive —
 /// exactly the cut semantics `flowzip serve`'s rotation relies on.
-struct Cancellable<T> {
-    inner: T,
+struct Cancellable<I> {
+    inner: I,
     cancel: CancelFlag,
 }
 
@@ -92,13 +89,28 @@ where
     }
 }
 
-impl<B: BatchRead> BatchRead for Cancellable<B> {
-    fn next_batch(&mut self) -> Option<Result<Vec<PacketRecord>, TraceError>> {
-        if self.cancel.is_cancelled() {
-            return None;
-        }
-        self.inner.next_batch()
+/// Which shard owns a packet: a cheap direction-free FNV-1a over the
+/// endpoint pair, so both directions of a conversation land together.
+/// The router runs this for every packet on one thread — it must cost
+/// far less than the per-packet work it fans out (SipHash here halves
+/// router throughput for no distributional benefit).
+fn shard_of(p: &PacketRecord, shards: usize) -> usize {
+    let t = p.tuple();
+    let a = (u32::from(t.src_ip), t.src_port);
+    let b = (u32::from(t.dst_ip), t.dst_port);
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in [
+        lo.0 as u64,
+        lo.1 as u64,
+        hi.0 as u64,
+        hi.1 as u64,
+        t.protocol.number() as u64,
+    ] {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    (h % shards as u64) as usize
 }
 
 /// One shard's state machine: accumulate → finalize online → cluster,
@@ -221,9 +233,8 @@ impl ShardWorker {
     }
 }
 
-/// One shard's worker loop under **serial** routing: every received
-/// batch is already an exact router-built block, so it processes as-is
-/// until the channel closes.
+/// One shard's worker loop: every received batch is an exact
+/// router-built block, processed as-is until the channel closes.
 fn run_shard(
     rx: mpsc::Receiver<Vec<PacketRecord>>,
     params: Params,
@@ -237,30 +248,6 @@ fn run_shard(
         worker.obs.queue_depth.dec();
         worker.process_batch(&batch);
     }
-    worker.finish(encode)
-}
-
-/// One shard's worker loop under **parallel** routing: arrivals are
-/// variable-size sub-batches (whatever each pulled batch happened to
-/// hash here), so a [`Rechunker`] re-blocks them into exact `batch_size`
-/// chunks first — eviction-scan timing keys off batch boundaries, and
-/// boundaries must match the serial router's for byte-identical output.
-fn run_shard_rechunked(
-    rx: mpsc::Receiver<Vec<PacketRecord>>,
-    params: Params,
-    idle_timeout: Option<Duration>,
-    telemetry: bool,
-    encode: bool,
-    batch_size: usize,
-    obs: ShardObs,
-) -> ShardOutput {
-    let mut worker = ShardWorker::new(params, idle_timeout, telemetry, obs);
-    let mut rechunk = Rechunker::new(batch_size);
-    while let Ok(arrival) = rx.recv() {
-        worker.obs.queue_depth.dec();
-        rechunk.push(arrival, |chunk| worker.process_batch(chunk));
-    }
-    rechunk.finish(|chunk| worker.process_batch(chunk));
     worker.finish(encode)
 }
 
@@ -307,62 +294,11 @@ impl StreamingEngine {
     ) -> Result<(CompressedTrace, EngineReport), TraceError>
     where
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
-        I::IntoIter: Send,
     {
         let started = Instant::now();
-        let outputs = self.run_routed_iter(input.into_iter(), false)?;
+        let outputs = self.run_pipeline(input, false)?;
         let (compressed, _, report) = self.merge(outputs, started.elapsed().as_secs_f64());
         Ok((compressed, report))
-    }
-
-    /// Compresses a batch-granular source ([`BatchRead`]) — the native
-    /// entry point for multi-file input, where reader threads already
-    /// build whole decoded batches and routing workers can take them
-    /// one channel-receive at a time. Batch *boundaries* carry no
-    /// meaning (the [`BatchRead`] contract), so output is identical to
-    /// compressing the concatenated packet stream.
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    pub fn compress_batches<B>(
-        &self,
-        source: B,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let started = Instant::now();
-        let outputs = self.run_routed_batches(source, false)?;
-        let (compressed, _, report) = self.merge(outputs, started.elapsed().as_secs_f64());
-        Ok((compressed, report))
-    }
-
-    /// [`StreamingEngine::compress_batches`] straight to serialized
-    /// archive bytes in the configured [`ArchiveFormat`].
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
-    pub fn compress_batches_to_bytes<B>(
-        &self,
-        source: B,
-    ) -> Result<(Vec<u8>, EngineReport), TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let started = Instant::now();
-        let encode = self.config.format == ArchiveFormat::V2;
-        let outputs = self.run_routed_batches(source, encode)?;
-        Ok(self.outputs_to_bytes(outputs, started))
     }
 
     /// Compresses a fallible packet stream straight to serialized archive
@@ -385,11 +321,10 @@ impl StreamingEngine {
     ) -> Result<(Vec<u8>, EngineReport), TraceError>
     where
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
-        I::IntoIter: Send,
     {
         let started = Instant::now();
         let encode = self.config.format == ArchiveFormat::V2;
-        let outputs = self.run_routed_iter(input.into_iter(), encode)?;
+        let outputs = self.run_pipeline(input, encode)?;
         Ok(self.outputs_to_bytes(outputs, started))
     }
 
@@ -467,119 +402,6 @@ impl StreamingEngine {
         }
     }
 
-    /// Dispatches an iterator input on the [`Routing`] knob: the serial
-    /// router consumes it per-packet; parallel routing chunks it into
-    /// `batch_size` batches ([`IterBatches`]) so routing workers can
-    /// share it at O(1) lock-held work per batch.
-    fn run_routed_iter<I>(&self, input: I, encode: bool) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        I: Iterator<Item = Result<PacketRecord, TraceError>> + Send,
-    {
-        let input = Cancellable {
-            inner: input,
-            cancel: self.config.cancel.clone(),
-        };
-        match self.config.routing {
-            Routing::Serial => self.run_pipeline(input, encode),
-            Routing::Parallel => {
-                self.run_pipeline_parallel(IterBatches::new(input, self.config.batch_size), encode)
-            }
-        }
-    }
-
-    /// Dispatches a batch-granular source on the [`Routing`] knob: the
-    /// serial router flattens it back to packets ([`BatchPackets`]);
-    /// parallel routing consumes it natively.
-    fn run_routed_batches<B>(&self, source: B, encode: bool) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let source = Cancellable {
-            inner: source,
-            cancel: self.config.cancel.clone(),
-        };
-        match self.config.routing {
-            Routing::Serial => self.run_pipeline(BatchPackets::new(source), encode),
-            Routing::Parallel => self.run_pipeline_parallel(source, encode),
-        }
-    }
-
-    /// The parallel-routing pipeline: `routers` routing workers share
-    /// the [`BatchRead`] source behind the [`RouteFabric`], hash their
-    /// own pulled batches concurrently, and deliver shard-sticky
-    /// sub-batches in sequence-ticket order; each shard re-chunks its
-    /// arrivals to exact `batch_size` blocks. Per-shard packet order
-    /// and batch boundaries both equal the serial router's, so output
-    /// is byte-identical (see [`crate::route`]).
-    fn run_pipeline_parallel<B>(
-        &self,
-        source: B,
-        encode: bool,
-    ) -> Result<Vec<ShardOutput>, TraceError>
-    where
-        B: BatchRead + Send,
-    {
-        let config = &self.config;
-        if config.shards == 1 {
-            // Routing cannot be the bottleneck of one shard: take the
-            // serial path's inline fast path (no channels, no threads),
-            // which rebuilds the same batch_size blocks from the
-            // flattened stream.
-            return self.run_pipeline(BatchPackets::new(source), encode);
-        }
-        let routers = config.routers.max(1);
-        let obs = EngineObs::new(&config.metrics, &config.profiler, config.shards);
-        let fabric = RouteFabric::new(source, config.shards, obs.route.clone());
-
-        // Boxed because the task list mixes shard loops (return
-        // Some(output)) with extra routing workers (return None, borrow
-        // the fabric); the scoped pool lets both borrow this frame.
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut tasks: Vec<Box<dyn FnOnce() -> Option<ShardOutput> + Send + '_>> =
-            Vec::with_capacity(config.shards + routers - 1);
-        for shard_obs in obs.shards.iter().cloned() {
-            let (tx, rx) = mpsc::sync_channel::<Vec<PacketRecord>>(config.channel_capacity);
-            let params = config.params.clone();
-            let idle_timeout = config.idle_timeout;
-            let telemetry = config.telemetry;
-            let batch_size = config.batch_size;
-            senders.push(tx);
-            tasks.push(Box::new(move || {
-                Some(run_shard_rechunked(
-                    rx,
-                    params,
-                    idle_timeout,
-                    telemetry,
-                    encode,
-                    batch_size,
-                    shard_obs,
-                ))
-            }));
-        }
-        for _ in 1..routers {
-            let fabric = &fabric;
-            let senders = senders.clone();
-            tasks.push(Box::new(move || {
-                fabric.run_router(senders);
-                None
-            }));
-        }
-
-        // Every task must run concurrently (shards block on recv, extra
-        // routers block on the sequencer), so the pool is sized to the
-        // task count; router 0 runs in the foreground on this thread and
-        // owns the original senders — the shard channels close when the
-        // last router drops its clones.
-        let pool = WorkerPool::new(config.shards + routers - 1);
-        let (outputs, ()) = pool.run_with(tasks, {
-            let fabric = &fabric;
-            move || fabric.run_router(senders)
-        });
-        let outputs: Vec<ShardOutput> = outputs.into_iter().flatten().collect();
-        fabric.into_result()?;
-        Ok(outputs)
-    }
-
     /// Runs the read → route → shard pipeline, returning per-shard
     /// outputs in shard order. `encode` makes each worker serialize its
     /// assembler into a v2 section before handing it back.
@@ -588,18 +410,20 @@ impl StreamingEngine {
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
     {
         let config = &self.config;
-        let obs = EngineObs::new(&config.metrics, &config.profiler, config.shards);
+        let input = Cancellable {
+            inner: input.into_iter(),
+            cancel: config.cancel.clone(),
+        };
+        let obs = shard_obs(&config.metrics, &config.profiler, config.shards);
         if config.shards == 1 {
             // Single shard: run everything inline. No channel, no second
-            // thread — this is the honest sequential baseline the
-            // `engine_throughput` bench scales against, and it makes the
-            // one-shard engine byte-identical to the batch compressor by
-            // construction.
+            // thread — the honest sequential baseline, and byte-identical
+            // to the batch compressor by construction.
             let mut worker = ShardWorker::new(
                 config.params.clone(),
                 config.idle_timeout,
                 config.telemetry,
-                obs.shards[0].clone(),
+                obs[0].clone(),
             );
             let mut buf: Vec<PacketRecord> = Vec::with_capacity(config.batch_size);
             for item in input {
@@ -616,29 +440,37 @@ impl StreamingEngine {
         }
         // One pool worker per shard: every shard loop must run
         // concurrently with the router (bounded channels would deadlock
-        // a queued shard), so the pool is sized to the task count —
-        // shards use the same shared `WorkerPool` abstraction as the
-        // multi-file readers and the v2 section decoder, not a bespoke
-        // spawn loop.
+        // a queued shard), so the pool is sized to the task count. The
+        // router itself is the pool's foreground closure on this thread.
+        let queue_depth: Vec<Gauge> = obs.iter().map(|o| o.queue_depth.clone()).collect();
         let mut senders = Vec::with_capacity(config.shards);
         let mut tasks = Vec::with_capacity(config.shards);
-        for shard_obs in obs.shards.iter().cloned() {
+        for obs in obs {
             let (tx, rx) = mpsc::sync_channel::<Vec<PacketRecord>>(config.channel_capacity);
             let params = config.params.clone();
             let idle_timeout = config.idle_timeout;
             let telemetry = config.telemetry;
             senders.push(tx);
-            tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, encode, shard_obs));
+            tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, encode, obs));
         }
 
-        let queue_depth = obs.route.queue_depth.clone();
         let pool = WorkerPool::new(config.shards);
         let (outputs, input_err) = pool.run_with(tasks, move || {
+            // Gauge up before the hand-off so the shard's decrement can
+            // never take a depth below zero; a failed send (the worker
+            // died — the pool's join re-raises its panic) takes it back.
+            let send = |s: usize, batch: Vec<PacketRecord>| -> bool {
+                queue_depth[s].inc();
+                let sent = senders[s].send(batch).is_ok();
+                if !sent {
+                    queue_depth[s].dec();
+                }
+                sent
+            };
             let mut buffers: Vec<Vec<PacketRecord>> = (0..config.shards)
                 .map(|_| Vec::with_capacity(config.batch_size))
                 .collect();
-            let mut input_err = None;
-            'route: for item in input {
+            for item in input {
                 match item {
                     Ok(p) => {
                         let s = shard_of(&p, config.shards);
@@ -648,33 +480,21 @@ impl StreamingEngine {
                                 &mut buffers[s],
                                 Vec::with_capacity(config.batch_size),
                             );
-                            if senders[s].send(batch).is_err() {
-                                // Worker gone: stop routing and surface
-                                // its panic from the pool's join.
-                                break 'route;
+                            if !send(s, batch) {
+                                return None;
                             }
-                            queue_depth[s].inc();
                         }
                     }
-                    Err(e) => {
-                        input_err = Some(e);
-                        break 'route;
-                    }
+                    Err(e) => return Some(e),
                 }
             }
-            if input_err.is_none() {
-                for (s, buf) in buffers.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        // A send can only fail if the worker died; the
-                        // pool's join re-raises its panic.
-                        if senders[s].send(buf).is_ok() {
-                            queue_depth[s].inc();
-                        }
-                    }
+            for (s, buf) in buffers.into_iter().enumerate() {
+                if !buf.is_empty() && !send(s, buf) {
+                    break;
                 }
             }
-            // Senders drop here, closing every shard channel.
-            input_err
+            // The senders drop here, closing every shard channel.
+            None
         });
         match input_err {
             Some(e) => Err(e),
@@ -721,13 +541,6 @@ impl StreamingEngine {
         report: CompressionReport,
     ) -> EngineReport {
         let elapsed = elapsed_secs.max(f64::EPSILON);
-        // Routers the run *actually* used: serial routing and the
-        // single-shard inline fast path both route on one thread.
-        let routers = match self.config.routing {
-            Routing::Serial => 1,
-            Routing::Parallel if self.config.shards == 1 => 1,
-            Routing::Parallel => self.config.routers.max(1),
-        };
         let stage_busy_secs = agg.max_busy_ns as f64 / 1e9;
         // One thread cannot be busy longer than the run took.
         debug_assert!(
@@ -736,8 +549,6 @@ impl StreamingEngine {
         );
         EngineReport {
             shards: self.config.shards,
-            routing: self.config.routing,
-            routers,
             elapsed_secs,
             packets_per_sec: agg.packets as f64 / elapsed,
             mb_per_sec: agg.tsh_bytes as f64 / elapsed / 1e6,
@@ -793,7 +604,7 @@ mod tests {
     use super::*;
     use flowzip_core::Compressor;
 
-    fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + Send + '_ {
+    fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + '_ {
         trace.iter().cloned().map(Ok)
     }
 
@@ -838,32 +649,29 @@ mod tests {
         // 200 single-packet flows; the flag flips after packet 50, so the
         // run must end early yet still produce a decodable archive whose
         // packet count covers at least everything pulled before the flip.
-        for routing in [Routing::Serial, Routing::Parallel] {
-            let flag = Arc::new(AtomicBool::new(false));
-            let engine = StreamingEngine::builder()
-                .shards(2)
-                .batch_size(8)
-                .routing(routing)
-                .cancel_flag(flag.clone())
-                .build();
-            let tripwire = flag.clone();
-            let mut yielded = 0u64;
-            let input = (0..200u64).map(move |i| {
-                yielded += 1;
-                if yielded == 50 {
-                    tripwire.store(true, Ordering::SeqCst);
-                }
-                Ok(pkt(4000 + (i % 500) as u16, i * 1_000, TcpFlags::SYN))
-            });
-            let (bytes, report) = engine.compress_stream_to_bytes(input).unwrap();
-            assert!(
-                report.report.packets >= 50 && report.report.packets < 200,
-                "routing={routing:?}: expected a partial run, got {} packets",
-                report.report.packets
-            );
-            let decoded = CompressedTrace::from_bytes(&bytes).unwrap();
-            assert!(decoded.validate().is_ok());
-        }
+        let flag = Arc::new(AtomicBool::new(false));
+        let engine = StreamingEngine::builder()
+            .shards(2)
+            .batch_size(8)
+            .cancel_flag(flag.clone())
+            .build();
+        let tripwire = flag.clone();
+        let mut yielded = 0u64;
+        let input = (0..200u64).map(move |i| {
+            yielded += 1;
+            if yielded == 50 {
+                tripwire.store(true, Ordering::SeqCst);
+            }
+            Ok(pkt(4000 + (i % 500) as u16, i * 1_000, TcpFlags::SYN))
+        });
+        let (bytes, report) = engine.compress_stream_to_bytes(input).unwrap();
+        assert!(
+            report.report.packets >= 50 && report.report.packets < 200,
+            "expected a partial run, got {} packets",
+            report.report.packets
+        );
+        let decoded = CompressedTrace::from_bytes(&bytes).unwrap();
+        assert!(decoded.validate().is_ok());
     }
 
     #[test]

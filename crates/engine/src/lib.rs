@@ -14,20 +14,13 @@
 //!   a pluggable [`InputSource`](flowzip_io::InputSource): a prefetched
 //!   [`FileSource`](flowzip_io::FileSource) or a parallel-reader
 //!   [`MultiFileSource`](flowzip_io::MultiFileSource) overlaps disk and
-//!   decode with compute (the latter natively, batch by batch, through
-//!   [`StreamingEngine::compress_batches`]).
-//! * **Flow sharding** — each packet is routed by the hash of its
-//!   canonical flow key across N worker threads, so every packet of a
-//!   flow lands on the same shard and per-flow state never needs locks.
-//!   Packets travel in batches over bounded channels to amortize send
-//!   overhead and to apply back-pressure to the reader.
-//! * **Parallel routing** — by default ([`Routing::Parallel`]) the
-//!   flow-key hashing itself runs on a pool of routing workers that
-//!   share a batch-granular source
-//!   ([`BatchRead`](flowzip_io::BatchRead)) and deliver in a stable
-//!   sequence-ticket order, removing the dedicated-router-thread
-//!   ceiling; `Routing::Serial` keeps the original topology, and both
-//!   produce **byte-identical** archives (see [`route`]).
+//!   decode with compute.
+//! * **Flow sharding** — one router on the calling thread hashes each
+//!   packet's canonical flow key and hands it to one of N worker
+//!   threads, so every packet of a flow lands on the same shard, in
+//!   stream order, and per-flow state never needs locks. Packets travel
+//!   in batches over bounded channels to amortize send overhead and to
+//!   apply back-pressure to the reader.
 //! * **Bounded memory** — each shard runs its own
 //!   [`FlowAccumulator`](flowzip_core::FlowAccumulator) with idle-flow
 //!   timeout eviction and drains finished flows into a shard-local
@@ -49,9 +42,8 @@
 //! # Example
 //!
 //! The entry points are [`StreamingEngine::compress_stream`] (in-memory
-//! archive + report), [`StreamingEngine::compress_stream_to_bytes`]
-//! (serialized container) and their batch-granular
-//! [`compress_batches`](StreamingEngine::compress_batches) twins.
+//! archive + report) and [`StreamingEngine::compress_stream_to_bytes`]
+//! (serialized container); both take any fallible packet iterator.
 //! Applications normally sit one level up, on `flowzip-pipeline`'s
 //! `Pipeline::compress()` session API, which opens the input, runs this
 //! engine and charges the source's read-wait to the report.
@@ -75,12 +67,10 @@ pub mod builder;
 pub mod engine;
 mod obs;
 pub mod report;
-pub mod route;
 
 pub use builder::{CancelFlag, ConfigError, EngineBuilder, EngineConfig};
 pub use engine::StreamingEngine;
 pub use report::EngineReport;
-pub use route::Routing;
 
 // Re-exported so engine embedders can enable observability without a
 // direct `flowzip-obs` dependency.

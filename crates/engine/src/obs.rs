@@ -1,6 +1,6 @@
-//! The engine's bundle of instrument handles: one [`EngineObs`] per
-//! run, built from the configured [`Metrics`] registry and [`Profiler`]
-//! so the hot loops never look instruments up by name.
+//! The engine's instrument handles: one [`ShardObs`] bundle per shard
+//! and run, built from the configured [`Metrics`] registry and
+//! [`Profiler`] so the hot loops never look instruments up by name.
 //!
 //! Everything here is enum-dispatch cheap when observability is off:
 //! handles are no-ops, [`Track::span`] records nothing, and the one
@@ -11,9 +11,10 @@
 use flowzip_obs::{names, Counter, Gauge, Histogram, Metrics, Profiler, Track};
 
 /// Per-shard instrument handles, moved into the shard's worker loop.
-/// The queue-depth gauge is cloned onto the sending side too (router
-/// increments on send, shard decrements on receive), so a clean run
-/// provably drains every channel back to zero.
+/// The queue-depth gauge is cloned onto the sending side too (the router
+/// increments before each send, the shard decrements on receive), so a
+/// live reading never goes negative and a clean run drains every
+/// channel back to zero.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardObs {
     /// `engine.shard.{i}.queue_depth` — batches in flight on this
@@ -44,66 +45,35 @@ pub(crate) struct ShardObs {
     pub(crate) track: Track,
 }
 
-/// The shared routing-side handles: the ticket-wait histogram plus the
-/// sending half of every shard's queue-depth gauge.
-#[derive(Debug, Clone)]
-pub(crate) struct RouteObs {
-    /// `engine.router.ticket_wait_ns` — time blocked on the delivery
-    /// sequencer (parallel routing only).
-    pub(crate) ticket_wait: Histogram,
-    /// Queue-depth gauges by shard index, incremented on send.
-    pub(crate) queue_depth: Vec<Gauge>,
-}
-
-/// One run's full handle bundle. (The container-tail instruments are
-/// resolved separately in `outputs_to_bytes` — serialization happens
-/// after the worker pool joined, outside any run bundle.)
-#[derive(Debug)]
-pub(crate) struct EngineObs {
-    pub(crate) shards: Vec<ShardObs>,
-    pub(crate) route: RouteObs,
-}
-
-impl EngineObs {
-    /// Registers (or re-resolves — registration is idempotent) every
-    /// engine instrument for a `shards`-wide run.
-    pub(crate) fn new(metrics: &Metrics, profiler: &Profiler, shards: usize) -> EngineObs {
-        let packets = metrics.counter(names::ENGINE_PACKETS);
-        let batches = metrics.counter(names::ENGINE_BATCHES);
-        let evicted = metrics.counter(names::ENGINE_EVICTED_FLOWS);
-        let telemetry_flows = metrics.counter(names::TELEMETRY_FLOWS);
-        let telemetry_retrans = metrics.counter(names::TELEMETRY_RETRANSMISSIONS);
-        let telemetry_rtt_samples = metrics.counter(names::TELEMETRY_RTT_SAMPLES);
-        let telemetry_rtt_us =
-            metrics.histogram(names::TELEMETRY_RTT_US, flowzip_obs::RTT_US_BOUNDS);
-        let shard_obs = (0..shards)
-            .map(|i| ShardObs {
-                queue_depth: metrics.gauge(&names::shard_queue_depth(i)),
-                active_flows: metrics.gauge(&names::shard_active_flows(i)),
-                accumulate_ns: metrics.histogram(
-                    &names::shard_accumulate_ns(i),
-                    flowzip_obs::DURATION_NS_BOUNDS,
-                ),
-                encode_ns: metrics.counter(&names::shard_encode_ns(i)),
-                packets: packets.clone(),
-                batches: batches.clone(),
-                evicted: evicted.clone(),
-                telemetry_flows: telemetry_flows.clone(),
-                telemetry_retrans: telemetry_retrans.clone(),
-                telemetry_rtt_samples: telemetry_rtt_samples.clone(),
-                telemetry_rtt_us: telemetry_rtt_us.clone(),
-                track: profiler.track(&format!("shard-{i}")),
-            })
-            .collect::<Vec<_>>();
-        EngineObs {
-            route: RouteObs {
-                ticket_wait: metrics.histogram(
-                    names::ROUTER_TICKET_WAIT_NS,
-                    flowzip_obs::DURATION_NS_BOUNDS,
-                ),
-                queue_depth: shard_obs.iter().map(|s| s.queue_depth.clone()).collect(),
-            },
-            shards: shard_obs,
-        }
-    }
+/// Registers (or re-resolves — registration is idempotent) every
+/// engine instrument for a `shards`-wide run, one handle bundle per
+/// shard. (The container-tail instruments are resolved separately in
+/// `outputs_to_bytes` — serialization happens after the shards joined.)
+pub(crate) fn shard_obs(metrics: &Metrics, profiler: &Profiler, shards: usize) -> Vec<ShardObs> {
+    let packets = metrics.counter(names::ENGINE_PACKETS);
+    let batches = metrics.counter(names::ENGINE_BATCHES);
+    let evicted = metrics.counter(names::ENGINE_EVICTED_FLOWS);
+    let telemetry_flows = metrics.counter(names::TELEMETRY_FLOWS);
+    let telemetry_retrans = metrics.counter(names::TELEMETRY_RETRANSMISSIONS);
+    let telemetry_rtt_samples = metrics.counter(names::TELEMETRY_RTT_SAMPLES);
+    let telemetry_rtt_us = metrics.histogram(names::TELEMETRY_RTT_US, flowzip_obs::RTT_US_BOUNDS);
+    (0..shards)
+        .map(|i| ShardObs {
+            queue_depth: metrics.gauge(&names::shard_queue_depth(i)),
+            active_flows: metrics.gauge(&names::shard_active_flows(i)),
+            accumulate_ns: metrics.histogram(
+                &names::shard_accumulate_ns(i),
+                flowzip_obs::DURATION_NS_BOUNDS,
+            ),
+            encode_ns: metrics.counter(&names::shard_encode_ns(i)),
+            packets: packets.clone(),
+            batches: batches.clone(),
+            evicted: evicted.clone(),
+            telemetry_flows: telemetry_flows.clone(),
+            telemetry_retrans: telemetry_retrans.clone(),
+            telemetry_rtt_samples: telemetry_rtt_samples.clone(),
+            telemetry_rtt_us: telemetry_rtt_us.clone(),
+            track: profiler.track(&format!("shard-{i}")),
+        })
+        .collect()
 }

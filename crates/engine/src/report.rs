@@ -1,7 +1,6 @@
 //! Aggregate engine report: the batch-compatible [`CompressionReport`]
 //! plus the throughput and memory figures only a streaming run can know.
 
-use crate::route::Routing;
 use flowzip_core::CompressionReport;
 use std::fmt;
 
@@ -14,11 +13,6 @@ pub struct EngineReport {
     pub report: CompressionReport,
     /// Worker shards the run used.
     pub shards: usize,
-    /// Routing topology the run used (serial router thread vs.
-    /// reader-side parallel routing — output is identical either way).
-    pub routing: Routing,
-    /// Routing workers the run used (1 under serial routing).
-    pub routers: usize,
     /// Wall-clock seconds from first packet to merged archive.
     pub elapsed_secs: f64,
     /// Packets consumed per wall-clock second.
@@ -64,11 +58,9 @@ impl fmt::Display for EngineReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}; {} shards ({} routing × {}), {:.2}s, {:.0} packets/s ({:.2} MB/s), peak {} active flows, {} evicted",
+            "{}; {} shards, {:.2}s, {:.0} packets/s ({:.2} MB/s), peak {} active flows, {} evicted",
             self.report,
             self.shards,
-            self.routing,
-            self.routers,
             self.elapsed_secs,
             self.packets_per_sec,
             self.mb_per_sec,
@@ -116,8 +108,6 @@ mod tests {
                 ratio_vs_headers: 0.04,
             },
             shards: 4,
-            routing: Routing::Parallel,
-            routers: 2,
             elapsed_secs: 0.5,
             packets_per_sec: 20.0,
             mb_per_sec: 0.00088,
@@ -129,7 +119,7 @@ mod tests {
             archive_bytes: 0,
         };
         let s = r.to_string();
-        assert!(s.contains("4 shards (parallel routing × 2)"));
+        assert!(s.contains("4 shards, 0.50s"));
         assert!(s.contains("packets/s"));
         assert!(s.contains("peak 2 active flows"));
         // In-memory runs don't claim an archive...

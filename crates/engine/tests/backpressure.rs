@@ -1,16 +1,18 @@
-//! Backpressure and starvation stress for the routing fabric: extreme
-//! topology × capacity corners must neither deadlock nor change output.
+//! Backpressure and starvation stress for the router: extreme shard ×
+//! batch × capacity corners must neither deadlock nor change output.
 //!
-//! The liveness argument (see `flowzip_engine::route`) says a full shard
-//! channel is back-pressure, never deadlock, because shard workers always
-//! drain and ticket waiters always progress. These tests drive the
-//! corners where that argument has to carry the load — one-slot channels,
-//! many routing workers funneling into few shards, few workers fanning
-//! out to many shards — and enforce a wall-clock bound so a deadlock
-//! fails the test instead of hanging CI.
+//! The liveness argument: a shard worker's only blocking operation is
+//! `recv`, so it always drains its channel, and the router blocked on a
+//! full channel is back-pressure, never deadlock. These tests drive the
+//! corners where that argument has to carry the load — one-slot
+//! channels, one-packet batches, one router fanning out to many shards
+//! or funneling into few — and enforce a wall-clock bound so a deadlock
+//! fails the test instead of hanging CI. Every corner must reproduce the
+//! bytes of a run at the default batching (1024-packet batches, 4-slot
+//! channels) with the same shard count.
 
 use flowzip_core::ArchiveFormat;
-use flowzip_engine::{Routing, StreamingEngine};
+use flowzip_engine::StreamingEngine;
 use flowzip_trace::Trace;
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 use std::sync::mpsc;
@@ -29,27 +31,20 @@ fn web_trace(flows: usize, seed: u64) -> Trace {
 }
 
 /// Runs one engine compression on a watchdog thread: panics if it does
-/// not complete within `limit` (a liveness failure), otherwise returns
-/// the archive bytes.
+/// not complete within 60 s (a liveness failure), otherwise returns the
+/// archive bytes.
 fn compress_bounded(
     trace: &Trace,
-    routing: Routing,
-    routers: usize,
     shards: usize,
     batch_size: usize,
     channel_capacity: usize,
-    limit: Duration,
 ) -> Vec<u8> {
+    let limit = Duration::from_secs(60);
     let packets: Vec<_> = trace.iter().cloned().collect();
     let (tx, rx) = mpsc::channel();
-    let label = format!(
-        "{routing} routing, {routers} routers → {shards} shards, \
-         batch {batch_size}, capacity {channel_capacity}"
-    );
+    let label = format!("{shards} shards, batch {batch_size}, capacity {channel_capacity}");
     std::thread::spawn(move || {
         let engine = StreamingEngine::builder()
-            .routing(routing)
-            .routers(routers)
             .shards(shards)
             .batch_size(batch_size)
             .channel_capacity(channel_capacity)
@@ -65,71 +60,60 @@ fn compress_bounded(
     }
 }
 
-/// Many routing workers funneling into few shards through one-slot
-/// channels: every worker spends most of its life blocked on a full
-/// channel or on the sequencer, and the run must still finish with
-/// serial-identical bytes.
-#[test]
-fn many_routers_few_shards_one_slot_channels() {
-    let trace = web_trace(150, 11);
-    let limit = Duration::from_secs(60);
-    let reference = compress_bounded(&trace, Routing::Serial, 1, 2, 16, 1, limit);
-    for routers in [4usize, 8] {
-        let bytes = compress_bounded(&trace, Routing::Parallel, routers, 2, 16, 1, limit);
-        assert_eq!(bytes, reference, "{routers} routers diverged");
-    }
+/// The default-batching reference for `shards`.
+fn reference(trace: &Trace, shards: usize) -> Vec<u8> {
+    compress_bounded(trace, shards, 1024, 4)
 }
 
-/// The reverse skew: few routing workers fanning out to many shards,
-/// again with one-slot channels, so a single slow shard can stall the
-/// ticket holder and every other worker behind it.
+/// The router funneling into few shards through one-slot channels: it
+/// spends most of its life blocked on a full channel, and the run must
+/// still finish with the reference bytes.
+#[test]
+fn few_shards_one_slot_channels() {
+    let trace = web_trace(150, 11);
+    let bytes = compress_bounded(&trace, 2, 16, 1);
+    assert_eq!(bytes, reference(&trace, 2));
+}
+
+/// The one router fanning out to many shards, again with one-slot
+/// channels, so a single slow shard stalls the router and every other
+/// shard behind it.
 #[test]
 fn few_routers_many_shards_one_slot_channels() {
     let trace = web_trace(150, 23);
-    let limit = Duration::from_secs(60);
-    let reference = compress_bounded(&trace, Routing::Serial, 1, 8, 16, 1, limit);
-    for routers in [1usize, 2] {
-        let bytes = compress_bounded(&trace, Routing::Parallel, routers, 8, 16, 1, limit);
-        assert_eq!(bytes, reference, "{routers} routers diverged");
+    for shards in [8usize, 16] {
+        let bytes = compress_bounded(&trace, shards, 16, 1);
+        assert_eq!(bytes, reference(&trace, shards), "{shards} shards");
     }
 }
 
-/// Tiny batches maximize hand-off count (one packet per pull at
-/// batch_size 1) — the highest-contention schedule the fabric can see:
-/// every packet takes the source lock, a sequencer turn and a channel
-/// slot of its own.
+/// Tiny batches maximize hand-off count (one packet per batch at
+/// batch_size 1): every packet takes a channel slot of its own.
 #[test]
 fn single_packet_batches_with_two_slot_channels() {
     let trace = web_trace(40, 31);
-    let limit = Duration::from_secs(60);
-    let reference = compress_bounded(&trace, Routing::Serial, 1, 3, 1, 2, limit);
-    let bytes = compress_bounded(&trace, Routing::Parallel, 6, 3, 1, 2, limit);
-    assert_eq!(bytes, reference);
+    let bytes = compress_bounded(&trace, 3, 1, 2);
+    assert_eq!(bytes, reference(&trace, 3));
 }
 
-/// More routing workers than the source ever has batches: the surplus
-/// workers must observe the exhausted source and exit instead of waiting
-/// on tickets that will never be assigned.
+/// More shards than the input has batches: most shards never receive a
+/// packet and must still close and hand back an empty section.
 #[test]
-fn more_routers_than_batches_terminates() {
+fn more_shards_than_batches_terminates() {
     let trace = web_trace(5, 47); // a handful of packets, one batch
-    let limit = Duration::from_secs(60);
-    let reference = compress_bounded(&trace, Routing::Serial, 1, 2, 4096, 4, limit);
-    let bytes = compress_bounded(&trace, Routing::Parallel, 8, 2, 4096, 4, limit);
-    assert_eq!(bytes, reference);
+    let bytes = compress_bounded(&trace, 8, 4096, 4);
+    assert_eq!(bytes, reference(&trace, 8));
 }
 
 /// Empty input across the stress topologies: channels open and close
-/// with no traffic, workers race straight to the exhausted source.
+/// with no traffic.
 #[test]
 fn empty_input_terminates_under_every_topology() {
     let trace = Trace::new();
-    let limit = Duration::from_secs(60);
-    for (routers, shards) in [(1usize, 2usize), (8, 2), (2, 8)] {
-        // v2 writes one section per shard, so the serial reference must
-        // share the shard count.
-        let reference = compress_bounded(&trace, Routing::Serial, 1, shards, 8, 1, limit);
-        let bytes = compress_bounded(&trace, Routing::Parallel, routers, shards, 8, 1, limit);
-        assert_eq!(bytes, reference, "{routers} routers × {shards} shards");
+    for shards in [1usize, 2, 8] {
+        // v2 writes one section per shard, so the reference must share
+        // the shard count.
+        let bytes = compress_bounded(&trace, shards, 8, 1);
+        assert_eq!(bytes, reference(&trace, shards), "{shards} shards");
     }
 }

@@ -2,7 +2,7 @@
 //! report honest numbers, leave no queue depth behind, and — above all
 //! — never change the bytes the engine produces.
 
-use flowzip_engine::{Metrics, Profiler, Routing, StreamingEngine};
+use flowzip_engine::{Metrics, Profiler, StreamingEngine};
 use flowzip_obs::names;
 use flowzip_trace::prelude::*;
 
@@ -26,12 +26,10 @@ fn packets(n: u64) -> Vec<PacketRecord> {
         .collect()
 }
 
-fn engine(shards: usize, routing: Routing, metrics: &Metrics) -> StreamingEngine {
+fn engine(shards: usize, metrics: &Metrics) -> StreamingEngine {
     StreamingEngine::builder()
         .shards(shards)
         .batch_size(64)
-        .routing(routing)
-        .routers(2)
         .metrics(metrics.clone())
         .build()
 }
@@ -39,53 +37,85 @@ fn engine(shards: usize, routing: Routing, metrics: &Metrics) -> StreamingEngine
 #[test]
 fn instrumented_run_is_byte_identical_to_uninstrumented() {
     let input = packets(3_000);
-    for routing in [Routing::Serial, Routing::Parallel] {
-        let plain = engine(3, routing, &Metrics::disabled());
-        let (baseline, _) = plain
-            .compress_stream_to_bytes(input.iter().cloned().map(Ok))
-            .unwrap();
-        let metrics = Metrics::enabled();
-        let profiler = Profiler::enabled();
-        let observed = StreamingEngine::builder()
-            .shards(3)
-            .batch_size(64)
-            .routing(routing)
-            .routers(2)
-            .metrics(metrics.clone())
-            .profiler(profiler.clone())
-            .build();
-        let (bytes, _) = observed
-            .compress_stream_to_bytes(input.iter().cloned().map(Ok))
-            .unwrap();
-        assert_eq!(bytes, baseline, "{routing} routing");
-        assert!(profiler.to_trace_json().contains("\"ph\":\"X\""));
-    }
+    let plain = engine(3, &Metrics::disabled());
+    let (baseline, _) = plain
+        .compress_stream_to_bytes(input.iter().cloned().map(Ok))
+        .unwrap();
+    let metrics = Metrics::enabled();
+    let profiler = Profiler::enabled();
+    let observed = StreamingEngine::builder()
+        .shards(3)
+        .batch_size(64)
+        .metrics(metrics.clone())
+        .profiler(profiler.clone())
+        .build();
+    let (bytes, _) = observed
+        .compress_stream_to_bytes(input.iter().cloned().map(Ok))
+        .unwrap();
+    assert_eq!(bytes, baseline);
+    assert!(profiler.to_trace_json().contains("\"ph\":\"X\""));
 }
 
 #[test]
 fn queue_depth_gauges_return_to_zero_after_a_clean_run() {
     let input = packets(5_000);
-    for routing in [Routing::Serial, Routing::Parallel] {
-        let metrics = Metrics::enabled();
-        let e = engine(4, routing, &metrics);
-        let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
-        assert_eq!(report.report.packets, 5_000);
-        let snap = metrics.snapshot();
-        let depths = snap.queue_depths();
-        assert_eq!(depths.len(), 4, "{routing}: one gauge per shard");
-        for (shard, depth) in depths.iter().enumerate() {
-            assert_eq!(
-                *depth, 0,
-                "{routing} routing: shard {shard} leaked queue depth"
-            );
-        }
-        // Active-flow gauges are reset to zero at shard finalization.
-        assert_eq!(
-            snap.active_flows(),
-            0,
-            "{routing}: active flows after finish"
-        );
+    let metrics = Metrics::enabled();
+    let e = engine(4, &metrics);
+    let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
+    assert_eq!(report.report.packets, 5_000);
+    let snap = metrics.snapshot();
+    let depths = snap.queue_depths();
+    assert_eq!(depths.len(), 4, "one gauge per shard");
+    for (shard, depth) in depths.iter().enumerate() {
+        assert_eq!(*depth, 0, "shard {shard} leaked queue depth");
     }
+    // Active-flow gauges are reset to zero at shard finalization.
+    assert_eq!(snap.active_flows(), 0, "active flows after finish");
+}
+
+/// A live reading of the queue-depth gauges never goes negative: the
+/// router counts a batch in before handing it over, so the shard's
+/// decrement on receive can never run ahead of the increment. One-slot
+/// channels and one-packet batches maximize hand-offs while a poller
+/// thread reads every gauge as fast as it can.
+#[test]
+fn live_queue_depth_never_reads_negative() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let input = packets(20_000);
+    let metrics = Metrics::enabled();
+    let e = StreamingEngine::builder()
+        .shards(3)
+        .batch_size(1)
+        .channel_capacity(1)
+        .metrics(metrics.clone())
+        .build();
+    let done = AtomicBool::new(false);
+    let (reads, negative) = std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            let (mut reads, mut negative) = (0u64, Vec::new());
+            while !done.load(Ordering::Relaxed) {
+                for d in metrics.snapshot().queue_depths() {
+                    reads += 1;
+                    if d < 0 {
+                        negative.push(d);
+                    }
+                }
+            }
+            (reads, negative)
+        });
+        let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
+        done.store(true, Ordering::Relaxed);
+        assert_eq!(report.report.packets, 20_000);
+        poller.join().unwrap()
+    });
+    assert!(reads > 0, "the poller never sampled a gauge");
+    assert!(
+        negative.is_empty(),
+        "{} of {reads} live reads were negative: {:?}",
+        negative.len(),
+        &negative[..negative.len().min(8)]
+    );
 }
 
 #[test]
@@ -126,7 +156,7 @@ fn counters_match_the_engine_report() {
 fn disabled_metrics_register_nothing_and_report_no_stage_time() {
     let input = packets(512);
     let metrics = Metrics::disabled();
-    let e = engine(2, Routing::Parallel, &metrics);
+    let e = engine(2, &metrics);
     let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
     assert!(metrics.snapshot().is_empty());
     assert_eq!(report.stage_busy_secs, 0.0);

@@ -1,11 +1,11 @@
-//! Error-path equivalence for the routing fabric: a truncated or corrupt
-//! capture must abort the run with the *same first error* under parallel
-//! routing as under the serial router — pulls are serialized and sources
-//! are fused, so the first pulled error is the stream's first error,
-//! whatever the worker count.
+//! Error-path equivalence for the router: a truncated or corrupt capture
+//! must abort the run with the *same first error* at every shard count.
+//! The router pulls the input on one thread and stops at the first
+//! error, so the error a multi-shard run reports is the one the inline
+//! single-shard (fully serial) run reports.
 
 use flowzip_core::ArchiveFormat;
-use flowzip_engine::{Routing, StreamingEngine};
+use flowzip_engine::StreamingEngine;
 use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::prelude::*;
 use flowzip_trace::{tsh, TraceError, TshReader};
@@ -32,10 +32,8 @@ fn sample_trace(packets: u64) -> Trace {
     t
 }
 
-fn engine(routing: Routing, routers: usize, shards: usize, batch_size: usize) -> StreamingEngine {
+fn engine(shards: usize, batch_size: usize) -> StreamingEngine {
     StreamingEngine::builder()
-        .routing(routing)
-        .routers(routers)
         .shards(shards)
         .batch_size(batch_size)
         .channel_capacity(2)
@@ -43,34 +41,30 @@ fn engine(routing: Routing, routers: usize, shards: usize, batch_size: usize) ->
         .build()
 }
 
-/// A TSH stream cut inside the 8th record: both routings surface the
-/// identical `TruncatedRecord` — the packets decoded before the cut are
-/// absorbed and discarded, the error aborts the run.
+/// A TSH stream cut inside the 8th record: every shard count surfaces
+/// the identical `TruncatedRecord` — the packets decoded before the cut
+/// are absorbed and discarded, the error aborts the run.
 #[test]
 fn truncated_tsh_mid_batch_propagates_the_same_error() {
     let bytes = tsh::to_bytes(&sample_trace(64));
     let cut = 7 * tsh::RECORD_BYTES + 13;
     // batch_size 4: the cut lands mid-way through the second batch, so
-    // parallel routing has already delivered a full batch downstream
-    // when the error is pulled.
-    for (routing, routers) in [
-        (Routing::Serial, 1usize),
-        (Routing::Parallel, 1),
-        (Routing::Parallel, 4),
-    ] {
-        let err = engine(routing, routers, 3, 4)
+    // a full batch is already downstream when the error is pulled.
+    for shards in [1usize, 2, 3] {
+        let err = engine(shards, 4)
             .compress_stream(TshReader::new(&bytes[..cut]))
             .unwrap_err();
         assert!(
             matches!(err, TraceError::TruncatedRecord { got: 13, need: 44 }),
-            "{routing} routing × {routers}: got {err:?}"
+            "{shards} shards: got {err:?}"
         );
     }
 }
 
-/// An error injected at every position of a small stream: serial and
-/// parallel report the identical error whatever batch boundary it lands
-/// on (first item of a batch, mid-batch, final partial batch).
+/// An error injected at every position of a small stream: every shard
+/// count reports the error the single-shard serial run reports, whatever
+/// batch boundary it lands on (first item of a batch, mid-batch, final
+/// partial batch).
 #[test]
 fn injected_error_at_every_position_matches_serial() {
     let trace = sample_trace(13);
@@ -88,32 +82,27 @@ fn injected_error_at_every_position_matches_serial() {
             );
             items
         };
-        let serial_err = engine(Routing::Serial, 1, 2, 4)
-            .compress_stream(make_input())
-            .unwrap_err();
-        for routers in [1usize, 3] {
-            let parallel_err = engine(Routing::Parallel, routers, 2, 4)
-                .compress_stream(make_input())
-                .unwrap_err();
+        let serial_err = engine(1, 4).compress_stream(make_input()).unwrap_err();
+        for shards in [1usize, 2, 3] {
+            let err = engine(shards, 4).compress_stream(make_input()).unwrap_err();
             assert_eq!(
-                parallel_err.to_string(),
+                err.to_string(),
                 serial_err.to_string(),
-                "position {position}, {routers} routers"
+                "position {position}, {shards} shards"
             );
             assert!(
                 matches!(
-                    parallel_err,
+                    err,
                     TraceError::TruncatedRecord { got, need: 44 } if got == position
                 ),
-                "position {position}: got {parallel_err:?}"
+                "position {position}: got {err:?}"
             );
         }
     }
 }
 
 /// The multi-file path: the second of three chunk files is truncated.
-/// Both routings, at several reader counts, surface the same first
-/// error through `compress_batches_to_bytes`.
+/// Every shard and reader count surfaces the same first error.
 #[test]
 fn truncated_multifile_chunk_propagates_the_same_error() {
     let trace = sample_trace(60);
@@ -135,51 +124,47 @@ fn truncated_multifile_chunk_propagates_the_same_error() {
         .collect();
 
     let mut seen = Vec::new();
-    for (routing, routers) in [
-        (Routing::Serial, 1usize),
-        (Routing::Parallel, 2),
-        (Routing::Parallel, 4),
-    ] {
-        let source = MultiFileSource::open(
-            &paths,
-            MultiFileConfig {
-                readers: routers.max(2),
-                batch_packets: 8,
-                queue_batches: 2,
-                prefetch: None,
-            },
-        )
-        .unwrap();
-        let err = engine(routing, routers, 3, 8)
-            .compress_batches_to_bytes(source.into_packets())
-            .unwrap_err();
-        assert!(
-            matches!(err, TraceError::TruncatedRecord { got: 7, need: 44 }),
-            "{routing} routing × {routers}: got {err:?}"
-        );
-        seen.push(err.to_string());
+    for shards in [1usize, 2, 3] {
+        for readers in [1usize, 2, 4] {
+            let source = MultiFileSource::open(
+                &paths,
+                MultiFileConfig {
+                    readers,
+                    batch_packets: 8,
+                    queue_batches: 2,
+                    prefetch: None,
+                },
+            )
+            .unwrap();
+            let err = engine(shards, 8)
+                .compress_stream_to_bytes(source.into_packets())
+                .unwrap_err();
+            assert!(
+                matches!(err, TraceError::TruncatedRecord { got: 7, need: 44 }),
+                "{shards} shards × {readers} readers: got {err:?}"
+            );
+            seen.push(err.to_string());
+        }
     }
     assert!(
         seen.windows(2).all(|w| w[0] == w[1]),
-        "error text diverged across routings: {seen:?}"
+        "error text diverged across shard/reader counts: {seen:?}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A leading error (very first pull fails) must not wedge the parallel
-/// fabric: shard channels open and close without a single delivery.
+/// A leading error (very first pull fails) must not wedge the shards:
+/// their channels open and close without a single delivery.
 #[test]
 fn leading_error_aborts_cleanly() {
-    for routers in [1usize, 4] {
+    for shards in [1usize, 4] {
         let input = vec![Err::<PacketRecord, _>(TraceError::InvalidTrace(
             "bad magic".into(),
         ))];
-        let err = engine(Routing::Parallel, routers, 4, 8)
-            .compress_stream(input)
-            .unwrap_err();
+        let err = engine(shards, 8).compress_stream(input).unwrap_err();
         assert!(
             matches!(&err, TraceError::InvalidTrace(m) if m == "bad magic"),
-            "{routers} routers: got {err:?}"
+            "{shards} shards: got {err:?}"
         );
     }
 }

@@ -19,10 +19,6 @@
 //! * [`InputSource`] + [`IoStats`] — the pluggable input interface the
 //!   engine consumes, with read-wait/byte counters that let a run report
 //!   how much wall-clock it lost waiting on input vs. computing.
-//! * [`BatchRead`] — batch-granular packet hand-off: whole decoded
-//!   `Vec<PacketRecord>` batches per pull, so routing work can be shared
-//!   by a pool of consumers at O(1) lock-held work per batch.
-//!   [`MultiFileIter`] implements it natively.
 //!
 //! ```
 //! use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
@@ -47,7 +43,6 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
-pub mod batch;
 pub mod glob;
 pub mod multifile;
 pub mod pool;
@@ -55,7 +50,6 @@ pub mod prefetch;
 pub mod source;
 pub mod stats;
 
-pub use batch::BatchRead;
 pub use multifile::{MultiFileConfig, MultiFileIter, MultiFileSource};
 pub use pool::{DetachedTasks, WorkerPool};
 pub use prefetch::{PrefetchConfig, PrefetchReader};

@@ -331,9 +331,8 @@ pub struct MultiFileIter {
 
 impl MultiFileIter {
     /// The next decoded batch, in delivery order — the zero-copy way to
-    /// drain the source when the consumer works in batches anyway (the
-    /// `io_throughput` bench, a batching router): one channel receive
-    /// hands over a whole `Vec` the reader thread built, with no
+    /// drain the source when the consumer works in batches anyway: one
+    /// channel receive hands over a whole `Vec` the reader thread built, with no
     /// per-packet iterator protocol in between. Interleaves correctly
     /// with per-packet iteration: any partially-consumed batch is
     /// returned (its unread remainder) first.

@@ -11,9 +11,6 @@ pub const ENGINE_PACKETS: &str = "engine.packets";
 pub const ENGINE_BATCHES: &str = "engine.batches";
 /// Flows force-closed by idle eviction, across shards (counter).
 pub const ENGINE_EVICTED_FLOWS: &str = "engine.evicted_flows";
-/// Nanoseconds routing workers spent blocked waiting for their
-/// delivery ticket (histogram; parallel routing only).
-pub const ROUTER_TICKET_WAIT_NS: &str = "engine.router.ticket_wait_ns";
 /// Nanoseconds of the serial container-serialization tail (counter).
 pub const CONTAINER_SERIALIZE_NS: &str = "container.serialize_ns";
 /// Archive sections written (counter).

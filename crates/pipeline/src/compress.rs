@@ -7,7 +7,7 @@ use crate::report::{Report, TelemetrySummary};
 use crate::sink::Sink;
 use crate::Pipeline;
 use flowzip_core::{ArchiveFormat, Params};
-use flowzip_engine::{Routing, StreamingEngine};
+use flowzip_engine::StreamingEngine;
 use flowzip_io::{glob, FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink};
 use flowzip_trace::Duration;
@@ -51,7 +51,6 @@ pub struct CompressBuilder<'a> {
     idle_timeout: Option<Duration>,
     prefetch_mb: Option<u64>,
     readers: Option<usize>,
-    routing: Option<Routing>,
     telemetry: bool,
     metrics: Option<Metrics>,
     profiler: Option<Profiler>,
@@ -76,7 +75,6 @@ impl Pipeline {
             idle_timeout: None,
             prefetch_mb: None,
             readers: None,
-            routing: None,
             telemetry: false,
             metrics: None,
             profiler: None,
@@ -155,15 +153,6 @@ impl<'a> CompressBuilder<'a> {
     /// configuration error).
     pub fn readers(mut self, readers: usize) -> Self {
         self.readers = Some(readers);
-        self
-    }
-
-    /// Routing topology for multi-shard runs (default
-    /// [`Routing::Parallel`]). Parallel routing hashes packets on a pool
-    /// of routing workers; [`Routing::Serial`] keeps the original
-    /// dedicated router thread. Output is byte-identical either way.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = Some(routing);
         self
     }
 
@@ -255,7 +244,6 @@ impl<'a> CompressBuilder<'a> {
             idle_timeout,
             prefetch_mb,
             readers,
-            routing,
             telemetry,
             metrics,
             profiler,
@@ -380,7 +368,6 @@ impl<'a> CompressBuilder<'a> {
             idle_timeout,
             prefetch_mb,
             readers,
-            routing,
             telemetry,
             &metrics,
             &profiler,
@@ -413,7 +400,6 @@ fn run_engine(
     idle_timeout: Option<Duration>,
     prefetch_mb: Option<u64>,
     readers: Option<usize>,
-    routing: Option<Routing>,
     telemetry: bool,
     metrics: &Metrics,
     profiler: &Profiler,
@@ -447,14 +433,6 @@ fn run_engine(
     if let Some(c) = channel_capacity {
         builder = builder.channel_capacity(c);
     }
-    if let Some(r) = routing {
-        builder = builder.routing(r);
-    }
-    if let Some(r) = readers {
-        // The reader threads decode the batches; they are the natural
-        // routing-worker count too.
-        builder = builder.routers(r);
-    }
     let engine = builder
         .try_build()
         .map_err(|e| PipelineError::config(e.to_string()))?;
@@ -481,12 +459,8 @@ fn run_engine(
                 // Teed before the read starts, so live snapshots see
                 // reader bytes/wait while the run is in flight.
                 stats.attach_metrics(metrics);
-                // Batch-native hand-off: the reader threads already
-                // built whole decoded batches, so routing workers
-                // take them one channel receive at a time instead of
-                // re-iterating packet by packet.
                 let br = engine
-                    .compress_batches_to_bytes(source.into_packets())
+                    .compress_stream_to_bytes(source.into_packets())
                     .map_err(read_err)?;
                 (stats, br)
             } else {

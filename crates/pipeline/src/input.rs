@@ -34,14 +34,13 @@ pub(crate) enum InputKind<'a> {
     Patterns(Vec<String>),
     /// A borrowed in-memory trace.
     Trace(&'a Trace),
-    /// An infallible packet iterator. `Send` because the engine's
-    /// parallel routing workers pull from the stream on pool threads.
-    Packets(Box<dyn Iterator<Item = PacketRecord> + Send + 'a>),
+    /// An infallible packet iterator, pulled on the calling thread.
+    Packets(Box<dyn Iterator<Item = PacketRecord> + 'a>),
     /// An already-opened [`InputSource`], type-erased: its stats handle
     /// plus its packet stream.
     Stream {
         stats: IoStats,
-        packets: Box<dyn Iterator<Item = Result<PacketRecord, TraceError>> + Send + 'a>,
+        packets: Box<dyn Iterator<Item = Result<PacketRecord, TraceError>> + 'a>,
         description: String,
     },
     /// In-memory archive bytes (decompression only).
@@ -103,7 +102,7 @@ impl<'a> Input<'a> {
     pub fn packets<I>(packets: I) -> Input<'a>
     where
         I: IntoIterator<Item = PacketRecord>,
-        I::IntoIter: Send + 'a,
+        I::IntoIter: 'a,
     {
         Input {
             kind: InputKind::Packets(Box::new(packets.into_iter())),
@@ -118,7 +117,7 @@ impl<'a> Input<'a> {
     pub fn source<S>(source: S) -> Input<'a>
     where
         S: InputSource,
-        S::Packets: Send + 'a,
+        S::Packets: 'a,
     {
         let stats = source.stats();
         // Name the source by its type (e.g. `MultiFileSource`) so

@@ -80,7 +80,7 @@ pub mod sink;
 pub use compress::{CompressBuilder, RunResult};
 pub use decompress::DecompressBuilder;
 pub use error::PipelineError;
-pub use flowzip_engine::{CancelFlag, Routing};
+pub use flowzip_engine::CancelFlag;
 pub use query::{parse_flow_spec, QueryBuilder};
 // Observability knobs a session takes (`.metrics()`, `.profiler()`,
 // `.stats_interval()`, …), re-exported so embedders need no direct

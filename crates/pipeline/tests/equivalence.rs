@@ -223,6 +223,38 @@ fn packets_session_matches_engine_packets_entry_point() {
     }
 }
 
+/// The router runs on the calling thread, so a multi-shard run never
+/// moves its input across threads: an iterator that is not `Send` (it
+/// holds an `Rc`) compresses through the engine and through a session
+/// at two shards, to the same bytes as a `Send` stream.
+#[test]
+fn non_send_input_compresses_on_two_shards() {
+    use std::rc::Rc;
+
+    let trace = web_trace(60, 45);
+    let packets: Rc<Vec<PacketRecord>> = Rc::new(trace.iter().cloned().collect());
+    let engine = StreamingEngine::builder().shards(2).batch_size(64).build();
+    let (want, _) = engine
+        .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+        .unwrap();
+
+    let shared = Rc::clone(&packets);
+    let (bytes, _) = engine
+        .compress_stream_to_bytes((0..shared.len()).map(move |i| Ok(shared[i])))
+        .unwrap();
+    assert_eq!(bytes, want, "StreamingEngine");
+
+    let shared = Rc::clone(&packets);
+    let result = Pipeline::compress()
+        .input(Input::packets((0..shared.len()).map(move |i| shared[i])))
+        .sink(Sink::bytes())
+        .threads(2)
+        .batch_size(64)
+        .run()
+        .unwrap();
+    assert_eq!(result.into_bytes().unwrap(), want, "Pipeline::compress");
+}
+
 #[test]
 fn file_session_matches_engine_file_source_entry_point() {
     let dir = tmpdir("file");

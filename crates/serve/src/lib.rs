@@ -18,14 +18,14 @@
 //! **Rotation is the engine's end-of-input drain.** When a window's
 //! packet budget ([`ServeBuilder::rotate_packets`]) or wall-clock
 //! deadline ([`ServeBuilder::rotate_every`]) arrives, the window's
-//! [`BatchRead`](flowzip_io::BatchRead) simply reports end-of-stream;
-//! the engine finalizes every open flow exactly as at end of file, and
-//! the archive comes out complete — v2.2 container, per-section
-//! metadata, telemetry side-section when enabled — and independently
-//! decodable. A flow straddling the cut is finalized into the closing
-//! window; its later packets open a fresh flow in the next. An
-//! append-only `manifest.jsonl` records every window (see
-//! [`manifest`]), so `flowzip query` can be pointed at the directory.
+//! packet iterator simply reports end-of-stream; the engine finalizes
+//! every open flow exactly as at end of file, and the archive comes out
+//! complete — v2.2 container, per-section metadata, telemetry
+//! side-section when enabled — and independently decodable. A flow
+//! straddling the cut is finalized into the closing window; its later
+//! packets open a fresh flow in the next. An append-only
+//! `manifest.jsonl` records every window (see [`manifest`]), so
+//! `flowzip query` can be pointed at the directory.
 //!
 //! **Overload drops, never grows.** The queue between ingest and engine
 //! is bounded; under sustained overload the default
@@ -69,7 +69,7 @@ pub(crate) type WindowCallback = Box<dyn FnMut(&WindowSummary) + Send>;
 use flowzip_core::Params;
 use flowzip_engine::StreamingEngine;
 use flowzip_obs::{names, Metrics, Sampler, SnapshotFormat, StatsSink};
-use flowzip_pipeline::{Pipeline, Report, Routing};
+use flowzip_pipeline::{Pipeline, Report};
 use flowzip_trace::Duration as TraceDuration;
 use session::{Driver, Shared};
 use std::path::{Path, PathBuf};
@@ -341,7 +341,6 @@ pub struct ServeBuilder {
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
     idle_timeout: Option<TraceDuration>,
-    routing: Option<Routing>,
     telemetry: bool,
     queue_batches: usize,
     overload: OverloadPolicy,
@@ -397,7 +396,6 @@ impl ServeBuilder {
             batch_size: None,
             channel_capacity: None,
             idle_timeout: None,
-            routing: None,
             telemetry: false,
             queue_batches: 64,
             overload: OverloadPolicy::default(),
@@ -466,12 +464,6 @@ impl ServeBuilder {
     /// that keeps per-window memory flat when flows never close.
     pub fn idle_timeout(mut self, timeout: TraceDuration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Engine routing topology (default [`Routing::Parallel`]).
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = Some(routing);
         self
     }
 
@@ -592,9 +584,6 @@ impl ServeBuilder {
         }
         if let Some(c) = self.channel_capacity {
             builder = builder.channel_capacity(c);
-        }
-        if let Some(r) = self.routing {
-            builder = builder.routing(r);
         }
         let engine = builder
             .try_build()

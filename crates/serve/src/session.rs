@@ -1,7 +1,7 @@
 //! Session internals: the ingest thread feeding a bounded batch queue,
 //! the [`WindowSource`] that presents exactly one rotation window of
-//! that queue to the engine as a [`BatchRead`], and the driver loop that
-//! runs one engine drain per window and appends to the manifest.
+//! that queue to the engine as a packet iterator, and the driver loop
+//! that runs one engine drain per window and appends to the manifest.
 //!
 //! ```text
 //!            ingest thread                 driver thread (one engine run per window)
@@ -26,7 +26,6 @@ use crate::source::{drain, ServeSource};
 use crate::{CloseReason, OverloadPolicy, ServeError, ServeReport, WindowSummary};
 use flowzip_core::ArchiveFormat;
 use flowzip_engine::StreamingEngine;
-use flowzip_io::BatchRead;
 use flowzip_obs::{names, Counter, Gauge, Metrics, Sampler};
 use flowzip_pipeline::{Report, Sink, TelemetrySummary};
 use flowzip_trace::{PacketRecord, TraceError};
@@ -136,10 +135,11 @@ pub(crate) fn run_ingest(
 }
 
 /// One rotation window of the shared batch queue, presented to the
-/// engine as a finite [`BatchRead`]: end-of-stream is whichever comes
+/// engine as a finite packet iterator: end-of-stream is whichever comes
 /// first of the packet budget, the wall-clock deadline, the stop flag,
-/// or the real end of input. Split-batch remainders persist in `carry`
-/// across windows.
+/// or the real end of input. The window takes packets a batch at a time
+/// (split exactly at the budget) and yields them one by one; split-batch
+/// remainders persist in `carry` across windows.
 pub(crate) struct WindowSource<'a> {
     rx: &'a mut Receiver<Vec<PacketRecord>>,
     carry: &'a mut Vec<PacketRecord>,
@@ -154,6 +154,8 @@ pub(crate) struct WindowSource<'a> {
     pub(crate) last_ts_us: Option<u64>,
     pub(crate) reason: CloseReason,
     closed: bool,
+    /// The batch being yielded — already charged to the window.
+    batch: std::vec::IntoIter<PacketRecord>,
 }
 
 impl<'a> WindowSource<'a> {
@@ -181,6 +183,7 @@ impl<'a> WindowSource<'a> {
             last_ts_us: None,
             reason: CloseReason::Eof,
             closed: false,
+            batch: Vec::new().into_iter(),
         }
     }
 
@@ -212,10 +215,9 @@ impl<'a> WindowSource<'a> {
         }
         out
     }
-}
 
-impl BatchRead for WindowSource<'_> {
-    fn next_batch(&mut self) -> Option<Result<Vec<PacketRecord>, TraceError>> {
+    /// The window's next batch, `None` once the window closed.
+    fn next_batch(&mut self) -> Option<Vec<PacketRecord>> {
         if self.closed {
             return None;
         }
@@ -226,7 +228,7 @@ impl BatchRead for WindowSource<'_> {
                 return None;
             }
             if !self.carry.is_empty() {
-                return Some(Ok(self.take_carry()));
+                return Some(self.take_carry());
             }
             let now = Instant::now();
             self.age_gauge
@@ -291,6 +293,19 @@ impl BatchRead for WindowSource<'_> {
     }
 }
 
+impl Iterator for WindowSource<'_> {
+    type Item = Result<PacketRecord, TraceError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(p) = self.batch.next() {
+                return Some(Ok(p));
+            }
+            self.batch = self.next_batch()?.into_iter();
+        }
+    }
+}
+
 /// Everything the driver loop needs, resolved by
 /// [`ServeBuilder::start`](crate::ServeBuilder::start).
 pub(crate) struct Driver {
@@ -338,7 +353,7 @@ impl Driver {
                 &age_gauge,
                 &queue_gauge,
             );
-            let run = self.engine.compress_batches_to_bytes(&mut wsrc);
+            let run = self.engine.compress_stream_to_bytes(&mut wsrc);
             let (reason, first_ts_us, last_ts_us) =
                 (wsrc.reason, wsrc.first_ts_us, wsrc.last_ts_us);
             // The WindowSource never yields Err, so the engine cannot

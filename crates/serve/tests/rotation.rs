@@ -4,15 +4,15 @@
 //!   container — telemetry side-section included when enabled.
 //! * A flow straddling a rotation boundary is drained into the closing
 //!   window and reopened in the next; both windows carry it honestly.
-//! * With eviction-neutral settings (serial routing, one shard, no idle
-//!   timeout, lossless overload) and windows aligned on whole flows,
+//! * With eviction-neutral settings (one shard, no idle timeout,
+//!   lossless overload) and windows aligned on whole flows,
 //!   concatenating the per-window decodes reproduces a one-shot run
 //!   exactly.
 //! * A wall-clock window that saw no packets is explicitly manifested
 //!   (`archive: null`), not silently skipped.
 
 use flowzip_core::{v2_telemetry, CompressedTrace, DecompressParams, Decompressor, Params};
-use flowzip_engine::{Routing, StreamingEngine};
+use flowzip_engine::StreamingEngine;
 use flowzip_pipeline::Pipeline;
 use flowzip_serve::{read_manifest, CloseReason, OverloadPolicy, PipelineServe, ServeSource};
 use flowzip_trace::prelude::*;
@@ -62,7 +62,6 @@ fn concatenated_window_decodes_equal_a_one_shot_run() {
         .source(ServeSource::packets(input.clone().into_iter().map(Ok)))
         .out_dir(&dir)
         .rotate_packets(100)
-        .routing(Routing::Serial)
         .threads(1)
         .batch_size(64)
         .overload(OverloadPolicy::Block)
@@ -95,7 +94,6 @@ fn concatenated_window_decodes_equal_a_one_shot_run() {
     // One-shot run at the identical eviction-neutral settings.
     let engine = StreamingEngine::builder()
         .params(Params::paper())
-        .routing(Routing::Serial)
         .shards(1)
         .batch_size(64)
         .build();
@@ -152,7 +150,6 @@ fn straddling_flow_appears_in_both_windows_with_telemetry() {
         .source(ServeSource::packets(input.into_iter().map(Ok)))
         .out_dir(&dir)
         .rotate_packets(30)
-        .routing(Routing::Serial)
         .threads(1)
         .batch_size(16)
         .telemetry(true)
@@ -218,7 +215,6 @@ fn empty_time_window_is_manifested_not_skipped() {
         .source(source)
         .out_dir(&dir)
         .rotate_every(Duration::from_millis(150))
-        .routing(Routing::Serial)
         .threads(1)
         .overload(OverloadPolicy::Block)
         .start()
@@ -274,7 +270,6 @@ fn shutdown_flushes_a_final_valid_archive() {
         .source(ServeSource::packets(endless))
         .out_dir(&dir)
         .rotate_packets(1_000_000) // far away: the stop is the only cut
-        .routing(Routing::Serial)
         .threads(1)
         .batch_size(32)
         .start()

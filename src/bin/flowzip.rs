@@ -36,10 +36,6 @@
 //! glob streams as *one* logical trace in argument order through parallel
 //! reader threads, byte-identical to a single chained reader) get one
 //! shard per core. `--idle-timeout 0` and `--prefetch-mb 0` mean "off".
-//! `--routing serial|parallel` picks the engine's routing topology
-//! (parallel hashes packets on the reader-side worker pool; serial keeps
-//! the single dedicated router thread; output is byte-identical either
-//! way).
 //!
 //! Flags are checked against the command's own section of [`USAGE`]: an
 //! unknown or misplaced `--flag` is an error, never silently ignored.
@@ -47,7 +43,7 @@
 use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
-use flowzip::pipeline::{Input, PartFile, Pipeline, Report, Routing, Sink};
+use flowzip::pipeline::{Input, PartFile, Pipeline, Report, Sink};
 use flowzip::prelude::*;
 use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeSource};
 use flowzip::trace::reader::CaptureFormat;
@@ -77,7 +73,7 @@ const USAGE: &str = "usage:
                      [--threads N] (shards; default 1 for a single input file,
                       one per core for several)
                      [--idle-timeout SECS] [--batch-size N]
-                     [--readers N] [--prefetch-mb N] [--routing serial|parallel] [--json]
+                     [--readers N] [--prefetch-mb N] [--json]
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
                       idle/active time — into a rev 2.2 FZT1 side-section; v2 only;
                       older readers ignore it byte-identically)
@@ -94,7 +90,7 @@ const USAGE: &str = "usage:
                      [--queue-batches N] [--overload drop|block] (bounded ingest
                       queue; drop sheds load and counts serve.dropped_packets)
                      [--threads N] [--batch-size N] [--idle-timeout SECS]
-                     [--routing serial|parallel] [--telemetry] [--json]
+                     [--telemetry] [--json]
                      [--stats-interval SECS] [--stats-format json|human]
                      (SIGINT/SIGTERM: finish the window, flush a final valid
                       archive, exit 128+signo; a second signal exits at once)
@@ -347,9 +343,6 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if opts.get("readers").is_some() {
         session = session.readers(opts.get_u64("readers", 0)? as usize);
     }
-    if let Some(name) = opts.get("routing") {
-        session = session.routing(Routing::parse(name)?);
-    }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
     }
@@ -487,9 +480,6 @@ fn serve(opts: &Opts) -> Result<(), String> {
     }
     if let Some(name) = opts.get("overload") {
         session = session.overload(OverloadPolicy::parse(name)?);
-    }
-    if let Some(name) = opts.get("routing") {
-        session = session.routing(Routing::parse(name)?);
     }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
