@@ -1,6 +1,6 @@
 //! Criterion: template-store search — linear scan vs the sum-pruned
-//! index (the DESIGN.md ablation of the §3 "search for identical or
-//! similar KM vectors" step).
+//! index (an ablation of the §3 "search for identical or similar KM
+//! vectors" step; `SearchIndex` in `crates/core/src/cluster.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use flowzip_core::{Params, SearchIndex, TemplateStore};

@@ -1,7 +1,9 @@
 //! Shared scaffolding for the figure/table regenerator binaries.
 //!
 //! Every binary in `src/bin/` reproduces one artifact of the paper's
-//! evaluation (see `DESIGN.md`'s experiment index):
+//! evaluation (the README's "Reproducing the paper's evaluation" shows
+//! how to run them; `ROADMAP.md` item 2 lists every regenerator and the
+//! figures each prints):
 //!
 //! | binary | artifact |
 //! |---|---|

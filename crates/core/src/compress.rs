@@ -106,7 +106,7 @@ impl Compressor {
         for flow in &flows {
             asm.consume(flow);
         }
-        let (compressed, report, _) = assemble_shards(
+        let (compressed, report) = assemble_shards(
             &self.params,
             vec![asm],
             flowzip_trace::tsh::file_size(trace),
@@ -136,9 +136,10 @@ struct PendingFlow {
 /// come out.
 ///
 /// This is the single implementation of §3's short/long branch, shared
-/// by the batch [`Compressor`] (one assembler) and the sharded streaming
-/// engine (one assembler per shard, folded by [`assemble_shards`]) — so
-/// the two pipelines cannot drift apart.
+/// by the batch [`Compressor`] (one assembler, folded by
+/// [`assemble_shards`]) and the sharded streaming engine (one assembler
+/// per shard, each encoded by [`FlowAssembler::into_section`] and folded
+/// by [`assemble_sections`]) — so the two pipelines cannot drift apart.
 #[derive(Debug)]
 pub struct FlowAssembler {
     short_max: usize,
@@ -210,12 +211,6 @@ impl FlowAssembler {
                 telemetry: flow.telemetry,
             });
         }
-    }
-
-    /// Packets consumed so far (callers sizing the §5 ratios need this
-    /// before [`assemble_shards`] runs).
-    pub fn packets(&self) -> u64 {
-        self.packets
     }
 
     /// Encodes this assembler's state into a self-contained container-v2
@@ -349,11 +344,8 @@ pub fn assemble_sections(
 /// report. Shard stores merge via [`TemplateStore::merge`] (re-clustering
 /// under the same Eq. 4 rule), addresses dedupe globally, and the
 /// time-seq dataset is re-sorted. `tsh_bytes` / `header_bytes` are the
-/// original-size baselines the ratios divide by.
-///
-/// The encoded v1 bytes come back too: computing the report's dataset
-/// sizes requires a full encode anyway, so callers that want the
-/// serialized archive reuse it instead of encoding a second time.
+/// original-size baselines the ratios divide by; the report's dataset
+/// sizes are those of the v1 encoding.
 ///
 /// With a single assembler this reproduces [`Compressor::compress`]
 /// byte-for-byte (re-offering cluster centers in insertion order is a
@@ -363,7 +355,7 @@ pub fn assemble_shards(
     shards: Vec<FlowAssembler>,
     tsh_bytes: u64,
     header_bytes: u64,
-) -> (CompressedTrace, CompressionReport, Vec<u8>) {
+) -> (CompressedTrace, CompressionReport) {
     let mut store = TemplateStore::new(params.clone());
     let mut long_templates: Vec<LongTemplate> = Vec::new();
     let mut addresses: Vec<Ipv4Addr> = Vec::new();
@@ -418,7 +410,7 @@ pub fn assemble_shards(
     };
     debug_assert!(compressed.validate().is_ok());
 
-    let (encoded, sizes) = compressed.encode();
+    let sizes = compressed.encode().1;
     let report = CompressionReport {
         packets,
         flows: short_flows + long_flows,
@@ -441,7 +433,7 @@ pub fn assemble_shards(
             sizes.total() as f64 / header_bytes as f64
         },
     };
-    (compressed, report, encoded)
+    (compressed, report)
 }
 
 #[cfg(test)]
@@ -579,7 +571,7 @@ mod tests {
         let tsh = flowzip_trace::tsh::file_size(&trace);
         let hdr = trace.header_bytes();
 
-        let (ct_v1, report_v1, _) = assemble_shards(&params, build(), tsh, hdr);
+        let (ct_v1, report_v1) = assemble_shards(&params, build(), tsh, hdr);
         let sections = build()
             .into_iter()
             .map(FlowAssembler::into_section)

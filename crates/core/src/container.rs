@@ -50,8 +50,8 @@
 
 use crate::cluster::TemplateStore;
 use crate::datasets::{
-    get_varint, put_varint, CodecError, CompressedTrace, DatasetSizes, FlowRecord, LongTemplate,
-    MAGIC, RTT_SHIFT,
+    clamped_capacity, get_varint, put_varint, CodecError, CompressedTrace, DatasetSizes,
+    FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, VERSION,
 };
 use crate::decompress::DEFAULT_SEED;
 use crate::meta::{ArchiveMeta, SectionMeta};
@@ -66,7 +66,9 @@ pub const MAGIC_V2: [u8; 4] = *b"FZC2";
 /// Container v2 version byte.
 pub const VERSION_V2: u8 = 2;
 
-/// Which container layout an archive uses (or should use).
+/// Which container layout an archive uses. Every reader accepts both;
+/// the only writer of v1 is [`CompressedTrace::to_bytes`], the reference
+/// oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArchiveFormat {
     /// The original single-blob layout (magic `FZC1`).
@@ -89,21 +91,6 @@ impl ArchiveFormat {
             Ok(ArchiveFormat::V1)
         } else {
             Err(CodecError::BadHeader)
-        }
-    }
-
-    /// Parses a CLI-style name (`"v1"` / `"v2"`; `"v2.1"` is the same
-    /// container — rev 2.1 only adds the optional trailing metadata
-    /// block, which v2 writes carry by default).
-    ///
-    /// # Errors
-    ///
-    /// Returns the unrecognized name.
-    pub fn parse(name: &str) -> Result<ArchiveFormat, String> {
-        match name {
-            "v1" | "1" => Ok(ArchiveFormat::V1),
-            "v2" | "2" | "v2.1" | "2.1" => Ok(ArchiveFormat::V2),
-            other => Err(format!("unknown archive format `{other}` (want v1 or v2)")),
         }
     }
 }
@@ -346,15 +333,6 @@ pub fn write_sections(
         addresses: addresses.len() as u64,
     };
     (out, sizes, stats)
-}
-
-/// Caps an element count read from untrusted input before it reaches
-/// `Vec::with_capacity`: every decoded element consumes at least one
-/// input byte, so a count exceeding the bytes still unread is certainly
-/// malformed — reserve no more than that and let the per-element bounds
-/// checks reject the file, instead of aborting on a huge allocation.
-fn clamped_capacity(count: usize, remaining: usize) -> usize {
-    count.min(remaining)
 }
 
 /// Decodes one section payload into globally-indexed datasets.
@@ -657,6 +635,24 @@ pub(crate) fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
         }
     }
     out
+}
+
+/// Reads only the v1 header: `(short templates, long templates,
+/// addresses)` — the v1 twin of [`v2_counts`], for summaries that must
+/// not decode the archive.
+///
+/// # Errors
+///
+/// [`CodecError::BadHeader`] when `data` is not a v1 archive.
+pub fn v1_counts(data: &[u8]) -> Result<(u64, u64, u64), CodecError> {
+    if data.len() < 5 || data[0..4] != MAGIC || data[4] != VERSION {
+        return Err(CodecError::BadHeader);
+    }
+    let mut pos = 5usize;
+    let n_short = get_varint(data, &mut pos)?;
+    let n_long = get_varint(data, &mut pos)?;
+    let n_addr = get_varint(data, &mut pos)?;
+    Ok((n_short, n_long, n_addr))
 }
 
 /// Reads only the v2 preamble: `(short templates, long templates,
@@ -981,9 +977,6 @@ mod tests {
             Ok(ArchiveFormat::V2)
         );
         assert_eq!(ArchiveFormat::detect(b"junk"), Err(CodecError::BadHeader));
-        assert_eq!(ArchiveFormat::parse("v1"), Ok(ArchiveFormat::V1));
-        assert_eq!(ArchiveFormat::parse("v2"), Ok(ArchiveFormat::V2));
-        assert!(ArchiveFormat::parse("v3").is_err());
         assert_eq!(ArchiveFormat::V2.to_string(), "v2");
         assert_eq!(ArchiveFormat::default(), ArchiveFormat::V2);
     }
@@ -1006,6 +999,16 @@ mod tests {
         assert_eq!(a, ct.addresses.len() as u64);
         assert_eq!(sections, 1);
         assert!(v2_counts(&ct.to_bytes()).is_err(), "v1 bytes are not v2");
+    }
+
+    #[test]
+    fn v1_counts_match_header() {
+        let ct = web_archive(120, 3);
+        let (s, l, a) = v1_counts(&ct.to_bytes()).unwrap();
+        assert_eq!(s, ct.short_templates.len() as u64);
+        assert_eq!(l, ct.long_templates.len() as u64);
+        assert_eq!(a, ct.addresses.len() as u64);
+        assert!(v1_counts(&ct.to_bytes_v2()).is_err(), "v2 bytes are not v1");
     }
 
     #[test]

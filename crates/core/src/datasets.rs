@@ -297,20 +297,20 @@ impl CompressedTrace {
         let n_addr = get_varint(data, &mut pos)? as usize;
         let n_flows = get_varint(data, &mut pos)? as usize;
 
-        let mut short_templates = Vec::with_capacity(n_short);
+        let mut short_templates = Vec::with_capacity(clamped_capacity(n_short, data.len() - pos));
         for _ in 0..n_short {
             let n = get_varint(data, &mut pos)? as usize;
-            let mut v = Vec::with_capacity(n);
+            let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
             for _ in 0..n {
                 v.push(get_varint(data, &mut pos)? as u16);
             }
             short_templates.push(v);
         }
 
-        let mut long_templates = Vec::with_capacity(n_long);
+        let mut long_templates = Vec::with_capacity(clamped_capacity(n_long, data.len() - pos));
         for _ in 0..n_long {
             let n = get_varint(data, &mut pos)? as usize;
-            let mut entries = Vec::with_capacity(n);
+            let mut entries = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
             for _ in 0..n {
                 let m = get_varint(data, &mut pos)? as u16;
                 let ipt = Duration::from_micros(get_varint(data, &mut pos)?);
@@ -319,7 +319,7 @@ impl CompressedTrace {
             long_templates.push(LongTemplate { entries });
         }
 
-        let mut addresses = Vec::with_capacity(n_addr);
+        let mut addresses = Vec::with_capacity(clamped_capacity(n_addr, data.len() - pos));
         for _ in 0..n_addr {
             if pos + 4 > data.len() {
                 return Err(CodecError::Truncated);
@@ -333,7 +333,7 @@ impl CompressedTrace {
             pos += 4;
         }
 
-        let mut time_seq = Vec::with_capacity(n_flows);
+        let mut time_seq = Vec::with_capacity(clamped_capacity(n_flows, data.len() - pos));
         let mut last_ts = 0u64;
         for _ in 0..n_flows {
             let key = get_varint(data, &mut pos)?;
@@ -364,6 +364,15 @@ impl CompressedTrace {
         ct.validate()?;
         Ok(ct)
     }
+}
+
+/// Caps an element count read from untrusted input before it reaches
+/// `Vec::with_capacity`: every decoded element consumes at least one
+/// input byte, so a count exceeding the bytes still unread is certainly
+/// malformed — reserve no more than that and let the per-element bounds
+/// checks reject the file, instead of aborting on a huge allocation.
+pub(crate) fn clamped_capacity(count: usize, remaining: usize) -> usize {
+    count.min(remaining)
 }
 
 pub(crate) fn put_varint(mut v: u64, out: &mut Vec<u8>) {

@@ -112,7 +112,7 @@ proptest! {
         };
         let tsh = flowzip_trace::tsh::file_size(&trace);
         let hdr = trace.header_bytes();
-        let (ct_v1, _, _) = assemble_shards(&params, build(), tsh, hdr);
+        let (ct_v1, _) = assemble_shards(&params, build(), tsh, hdr);
         let sections = build().into_iter().map(FlowAssembler::into_section).collect();
         let (bytes_v2, _) = assemble_sections(&params, sections, tsh, hdr);
         let from_v1 = CompressedTrace::from_bytes(&ct_v1.to_bytes()).unwrap();

@@ -2,7 +2,7 @@
 //! idle-flow eviction policy.
 
 use crate::engine::StreamingEngine;
-use flowzip_core::{ArchiveFormat, Params};
+use flowzip_core::Params;
 use flowzip_obs::{Metrics, Profiler};
 use flowzip_trace::Duration;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -63,11 +63,6 @@ impl std::fmt::Debug for CancelFlag {
 pub struct EngineConfig {
     /// Compression parameters shared by every shard.
     pub params: Params,
-    /// Container format [`StreamingEngine::compress_stream_to_bytes`]
-    /// writes. v2 (the default) lets every shard serialize its own
-    /// archive section in parallel; v1 keeps the original single-blob
-    /// layout with its serial O(trace) serialization tail.
-    pub format: ArchiveFormat,
     /// Worker threads; flows are partitioned across them by flow-key
     /// hash. One shard reproduces batch output byte-for-byte.
     pub shards: usize,
@@ -83,10 +78,9 @@ pub struct EngineConfig {
     /// open by the trace, exactly like the batch compressor.
     pub idle_timeout: Option<Duration>,
     /// Derive per-flow TCP telemetry (RTT, retransmissions, idle/active
-    /// time) inline during accumulation and, with the v2 container,
-    /// append the rev 2.2 `FZT1` side-section. Off by default; turning
-    /// it on never changes the archive's non-telemetry bytes (the block
-    /// is a pure suffix).
+    /// time) inline during accumulation and append the rev 2.2 `FZT1`
+    /// side-section. Off by default; turning it on never changes the
+    /// archive's non-telemetry bytes (the block is a pure suffix).
     pub telemetry: bool,
     /// Metrics registry every run reports into
     /// ([`Metrics::disabled`] by default — instrument handles are then
@@ -182,7 +176,6 @@ impl EngineBuilder {
         EngineBuilder {
             config: EngineConfig {
                 params: Params::paper(),
-                format: ArchiveFormat::V2,
                 shards: cpus.min(8),
                 batch_size: 1024,
                 channel_capacity: 4,
@@ -193,12 +186,6 @@ impl EngineBuilder {
                 cancel: CancelFlag::none(),
             },
         }
-    }
-
-    /// Container format for serialized output (default: v2).
-    pub fn format(mut self, format: ArchiveFormat) -> EngineBuilder {
-        self.config.format = format;
-        self
     }
 
     /// Compression parameters (default: [`Params::paper`]).
@@ -231,11 +218,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Per-flow TCP telemetry derivation (default: off). With the v2
-    /// container the per-section rows persist as the rev 2.2 `FZT1`
-    /// side-section (and feed the `telemetry.*` counters); the v1
-    /// single-blob format has nowhere to carry the rows, so the knob is
-    /// only meaningful together with [`ArchiveFormat::V2`].
+    /// Per-flow TCP telemetry derivation (default: off). The
+    /// per-section rows persist as the rev 2.2 `FZT1` side-section and
+    /// feed the `telemetry.*` counters.
     pub fn telemetry(mut self, telemetry: bool) -> EngineBuilder {
         self.config.telemetry = telemetry;
         self
@@ -306,7 +291,6 @@ mod tests {
         assert!(c.channel_capacity >= 1);
         assert_eq!(c.idle_timeout, None);
         assert_eq!(c.params, Params::paper());
-        assert_eq!(c.format, ArchiveFormat::V2);
         assert!(!c.telemetry);
     }
 
@@ -366,10 +350,8 @@ mod tests {
             .batch_size(77)
             .channel_capacity(2)
             .idle_timeout(Some(Duration::from_secs(30)))
-            .format(ArchiveFormat::V1)
             .telemetry(true)
             .build();
-        assert_eq!(e.config().format, ArchiveFormat::V1);
         assert!(e.config().telemetry);
         assert_eq!(e.config().shards, 3);
         assert_eq!(e.config().batch_size, 77);

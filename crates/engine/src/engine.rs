@@ -16,18 +16,18 @@
 //! bounded, so a fast reader is back-pressured instead of buffering the
 //! trace. With one shard there is no router, channel or worker thread at
 //! all: the shard runs inline. Workers finalize flows online (FIN/RST,
-//! idle eviction, end of input) and cluster them immediately; the merge
-//! step folds the per-shard stores with
-//! [`TemplateStore::merge`](flowzip_core::TemplateStore::merge) and
-//! re-sorts the flow records into one valid time-seq dataset.
+//! idle eviction, end of input), cluster them immediately, and at end of
+//! input encode their own container-v2 section on their own thread; the
+//! serial tail ([`assemble_sections`]) only folds the per-shard stores
+//! with [`TemplateStore::merge`](flowzip_core::TemplateStore::merge),
+//! dedupes addresses and writes the section index.
 
 use crate::builder::{CancelFlag, EngineBuilder, EngineConfig};
 use crate::obs::{shard_obs, ShardObs};
 use crate::report::EngineReport;
-use flowzip_core::datasets::CompressedTrace;
 use flowzip_core::{
-    assemble_sections, assemble_shards, ArchiveFormat, CompressionReport, FlowAccumulator,
-    FlowAssembler, FlowTelemetry, Params, ShardSection,
+    assemble_sections, CompressionReport, FlowAccumulator, FlowAssembler, FlowTelemetry, Params,
+    ShardSection,
 };
 use flowzip_io::WorkerPool;
 use flowzip_obs::Gauge;
@@ -36,26 +36,11 @@ use flowzip_trace::TraceError;
 use std::sync::mpsc;
 use std::time::Instant;
 
-/// What a shard's assembler became when its channel closed: the raw
-/// state (in-memory merge path) or an already-encoded container-v2
-/// section (the shard did its own O(trace) serialization in parallel).
-enum ShardResult {
-    State(FlowAssembler),
-    Section(ShardSection),
-}
-
-impl ShardResult {
-    fn packets(&self) -> u64 {
-        match self {
-            ShardResult::State(asm) => asm.packets(),
-            ShardResult::Section(s) => s.packets,
-        }
-    }
-}
-
-/// Everything a shard hands back when its channel closes.
+/// Everything a shard hands back when its channel closes: its
+/// container-v2 section, encoded on the shard's own thread, plus
+/// counters for the report.
 struct ShardOutput {
-    result: ShardResult,
+    section: ShardSection,
     peak_active: u64,
     evicted: u64,
     /// Nanoseconds this shard's thread actually spent accumulating and
@@ -187,10 +172,10 @@ impl ShardWorker {
         }
     }
 
-    /// Finalizes the shard. With `encode` set the assembler serializes
-    /// itself into a container-v2 section *here, on the shard's thread*
-    /// — the work that used to be the writer's serial tail.
-    fn finish(mut self, encode: bool) -> ShardOutput {
+    /// Finalizes the shard: the assembler serializes itself into a
+    /// container-v2 section *here, on the shard's thread*, so the
+    /// O(trace) encode never lands on the writer's serial tail.
+    fn finish(mut self) -> ShardOutput {
         let span = self.obs.track.span("encode");
         let t0 = self.obs.encode_ns.is_enabled().then(Instant::now);
         let peak_active = self.acc.peak_active_flows() as u64;
@@ -198,24 +183,19 @@ impl ShardWorker {
         for flow in self.acc.finish() {
             self.asm.consume(&flow);
         }
-        let result = if encode {
-            let section = self.asm.into_section();
-            if let Some(rows) = section.telemetry.as_deref() {
-                self.obs.telemetry_flows.add(rows.len() as u64);
-                self.obs
-                    .telemetry_retrans
-                    .add(rows.iter().map(FlowTelemetry::retransmissions).sum());
-                self.obs
-                    .telemetry_rtt_samples
-                    .add(rows.iter().map(|t| t.rtt_samples).sum());
-                for t in rows.iter().filter(|t| t.rtt_samples > 0) {
-                    self.obs.telemetry_rtt_us.record(t.rtt_us);
-                }
+        let section = self.asm.into_section();
+        if let Some(rows) = section.telemetry.as_deref() {
+            self.obs.telemetry_flows.add(rows.len() as u64);
+            self.obs
+                .telemetry_retrans
+                .add(rows.iter().map(FlowTelemetry::retransmissions).sum());
+            self.obs
+                .telemetry_rtt_samples
+                .add(rows.iter().map(|t| t.rtt_samples).sum());
+            for t in rows.iter().filter(|t| t.rtt_samples > 0) {
+                self.obs.telemetry_rtt_us.record(t.rtt_us);
             }
-            ShardResult::Section(section)
-        } else {
-            ShardResult::State(self.asm)
-        };
+        }
         drop(span);
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
@@ -225,7 +205,7 @@ impl ShardWorker {
             self.obs.active_flows.set(0);
         }
         ShardOutput {
-            result,
+            section,
             peak_active,
             evicted,
             busy_ns: self.busy_ns,
@@ -240,7 +220,6 @@ fn run_shard(
     params: Params,
     idle_timeout: Option<Duration>,
     telemetry: bool,
-    encode: bool,
     obs: ShardObs,
 ) -> ShardOutput {
     let mut worker = ShardWorker::new(params, idle_timeout, telemetry, obs);
@@ -248,7 +227,7 @@ fn run_shard(
         worker.obs.queue_depth.dec();
         worker.process_batch(&batch);
     }
-    worker.finish(encode)
+    worker.finish()
 }
 
 /// The sharded streaming compressor. Construct via
@@ -275,9 +254,15 @@ impl StreamingEngine {
         &self.config
     }
 
-    /// Compresses a fallible packet stream — the general entry point that
+    /// Compresses a fallible packet stream straight to serialized
+    /// container-v2 archive bytes — the general entry point that
     /// [`TshReader`](flowzip_trace::TshReader) and
     /// [`PcapReader`](flowzip_trace::PcapReader) plug into directly.
+    /// Every shard encodes its own archive section on its own thread, so
+    /// the serial tail collapses to index assembly — O(shards), not
+    /// O(trace). Decode the bytes with
+    /// [`CompressedTrace::from_bytes`](flowzip_core::CompressedTrace::from_bytes)
+    /// for the in-memory archive.
     ///
     /// # Errors
     ///
@@ -288,33 +273,6 @@ impl StreamingEngine {
     ///
     /// Re-raises panics from worker threads (a bug in the pipeline, never
     /// an input condition).
-    pub fn compress_stream<I>(
-        &self,
-        input: I,
-    ) -> Result<(CompressedTrace, EngineReport), TraceError>
-    where
-        I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
-    {
-        let started = Instant::now();
-        let outputs = self.run_pipeline(input, false)?;
-        let (compressed, _, report) = self.merge(outputs, started.elapsed().as_secs_f64());
-        Ok((compressed, report))
-    }
-
-    /// Compresses a fallible packet stream straight to serialized archive
-    /// bytes in the configured [`ArchiveFormat`]. With v2 (the default)
-    /// every shard encodes its own archive section on its own thread and
-    /// the serial tail collapses to index assembly — O(shards), not
-    /// O(trace); with v1 this is the legacy single-threaded
-    /// serialization, kept for byte-compatible output.
-    ///
-    /// # Errors
-    ///
-    /// The first reader error aborts the run and is returned.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises panics from worker threads.
     pub fn compress_stream_to_bytes<I>(
         &self,
         input: I,
@@ -323,70 +281,33 @@ impl StreamingEngine {
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
     {
         let started = Instant::now();
-        let encode = self.config.format == ArchiveFormat::V2;
-        let outputs = self.run_pipeline(input, encode)?;
-        Ok(self.outputs_to_bytes(outputs, started))
-    }
-
-    /// Serializes finished shard outputs in the configured format. With
-    /// v2 the shards already encoded their own sections (`encode` was
-    /// set), so the serial tail collapses to index assembly; with v1
-    /// this is the legacy single-threaded serialization.
-    fn outputs_to_bytes(
-        &self,
-        outputs: Vec<ShardOutput>,
-        started: Instant,
-    ) -> (Vec<u8>, EngineReport) {
+        let outputs = self.run_pipeline(input)?;
         let elapsed = started.elapsed().as_secs_f64();
+        let agg = ShardAggregates::fold(&outputs);
+        let sections: Vec<ShardSection> = outputs.into_iter().map(|o| o.section).collect();
+        let n_sections = sections.len();
+
+        // The entire serial serialization tail: template-store merge +
+        // address dedupe + index + payload concat.
         let track = self.config.profiler.track("container");
-        match self.config.format {
-            ArchiveFormat::V1 => {
-                // merge() already encodes the archive (the report's
-                // dataset sizes need it), so the serial tail — shard
-                // merge, time-seq sort, encode — runs exactly once.
-                let span = track.span("serialize");
-                let ser = Instant::now();
-                let (_, bytes, mut report) = self.merge(outputs, elapsed);
-                drop(span);
-                report.serialize_secs = ser.elapsed().as_secs_f64();
-                report.sections = 1;
-                report.archive_bytes = bytes.len() as u64;
-                self.record_serialize(report.serialize_secs, 1);
-                (bytes, report)
-            }
-            ArchiveFormat::V2 => {
-                let agg = ShardAggregates::fold(&outputs);
-                let sections: Vec<ShardSection> = outputs
-                    .into_iter()
-                    .map(|o| match o.result {
-                        ShardResult::Section(s) => s,
-                        ShardResult::State(_) => unreachable!("v2 pipeline encodes in-worker"),
-                    })
-                    .collect();
-                let n_sections = sections.len();
+        let span = track.span("serialize");
+        let ser = Instant::now();
+        let (bytes, mut report) = assemble_sections(
+            &self.config.params,
+            sections,
+            agg.tsh_bytes,
+            agg.header_bytes,
+        );
+        drop(span);
+        let serialize_secs = ser.elapsed().as_secs_f64();
+        report.peak_active_flows = agg.peak_active;
 
-                // The entire serial serialization tail: template-store
-                // merge + address dedupe + index + payload concat.
-                let span = track.span("serialize");
-                let ser = Instant::now();
-                let (bytes, mut report) = assemble_sections(
-                    &self.config.params,
-                    sections,
-                    agg.tsh_bytes,
-                    agg.header_bytes,
-                );
-                drop(span);
-                let serialize_secs = ser.elapsed().as_secs_f64();
-                report.peak_active_flows = agg.peak_active;
-
-                let mut engine_report = self.engine_report(&agg, elapsed, report);
-                engine_report.serialize_secs = serialize_secs;
-                engine_report.sections = n_sections;
-                engine_report.archive_bytes = bytes.len() as u64;
-                self.record_serialize(serialize_secs, n_sections as u64);
-                (bytes, engine_report)
-            }
-        }
+        let mut engine_report = self.engine_report(&agg, elapsed, report);
+        engine_report.serialize_secs = serialize_secs;
+        engine_report.sections = n_sections;
+        engine_report.archive_bytes = bytes.len() as u64;
+        self.record_serialize(serialize_secs, n_sections as u64);
+        Ok((bytes, engine_report))
     }
 
     /// Mirrors the serial-tail figures into the metrics registry.
@@ -403,9 +324,8 @@ impl StreamingEngine {
     }
 
     /// Runs the read → route → shard pipeline, returning per-shard
-    /// outputs in shard order. `encode` makes each worker serialize its
-    /// assembler into a v2 section before handing it back.
-    fn run_pipeline<I>(&self, input: I, encode: bool) -> Result<Vec<ShardOutput>, TraceError>
+    /// outputs (each an encoded v2 section) in shard order.
+    fn run_pipeline<I>(&self, input: I) -> Result<Vec<ShardOutput>, TraceError>
     where
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
     {
@@ -436,7 +356,7 @@ impl StreamingEngine {
             if !buf.is_empty() {
                 worker.process_batch(&buf);
             }
-            return Ok(vec![worker.finish(encode)]);
+            return Ok(vec![worker.finish()]);
         }
         // One pool worker per shard: every shard loop must run
         // concurrently with the router (bounded channels would deadlock
@@ -451,7 +371,7 @@ impl StreamingEngine {
             let idle_timeout = config.idle_timeout;
             let telemetry = config.telemetry;
             senders.push(tx);
-            tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, encode, obs));
+            tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, obs));
         }
 
         let pool = WorkerPool::new(config.shards);
@@ -502,38 +422,9 @@ impl StreamingEngine {
         }
     }
 
-    /// Folds per-shard outputs into one archive plus the aggregate
-    /// report. The dataset assembly itself is `flowzip-core`'s
-    /// [`assemble_shards`] — the same code the batch compressor runs —
-    /// so only the throughput/memory bookkeeping lives here.
-    fn merge(
-        &self,
-        outputs: Vec<ShardOutput>,
-        elapsed_secs: f64,
-    ) -> (CompressedTrace, Vec<u8>, EngineReport) {
-        let agg = ShardAggregates::fold(&outputs);
-        let (compressed, mut report, encoded) = assemble_shards(
-            &self.config.params,
-            outputs
-                .into_iter()
-                .map(|o| match o.result {
-                    ShardResult::State(asm) => asm,
-                    ShardResult::Section(_) => {
-                        unreachable!("in-memory merge never requests encoded sections")
-                    }
-                })
-                .collect(),
-            agg.tsh_bytes,
-            agg.header_bytes,
-        );
-        report.peak_active_flows = agg.peak_active;
-        let engine_report = self.engine_report(&agg, elapsed_secs, report);
-        (compressed, encoded, engine_report)
-    }
-
     /// Builds the aggregate [`EngineReport`] from folded shard counters.
     /// Serialization fields (`serialize_secs`, `sections`,
-    /// `archive_bytes`) start zeroed; the to-bytes paths fill them in.
+    /// `archive_bytes`) start zeroed; the caller fills them in.
     fn engine_report(
         &self,
         agg: &ShardAggregates,
@@ -567,9 +458,7 @@ impl StreamingEngine {
     }
 }
 
-/// Throughput/memory counters folded over per-shard outputs — computed
-/// once and shared by the v1 merge and v2 section-assembly paths so the
-/// two report pipelines cannot drift.
+/// Throughput/memory counters folded over per-shard outputs.
 struct ShardAggregates {
     packets: u64,
     peak_active: u64,
@@ -587,7 +476,7 @@ struct ShardAggregates {
 
 impl ShardAggregates {
     fn fold(outputs: &[ShardOutput]) -> ShardAggregates {
-        let packets: u64 = outputs.iter().map(|o| o.result.packets()).sum();
+        let packets: u64 = outputs.iter().map(|o| o.section.packets).sum();
         ShardAggregates {
             packets,
             peak_active: outputs.iter().map(|o| o.peak_active).sum(),
@@ -602,7 +491,7 @@ impl ShardAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowzip_core::Compressor;
+    use flowzip_core::{ArchiveFormat, CompressedTrace, Compressor};
 
     fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + '_ {
         trace.iter().cloned().map(Ok)
@@ -620,7 +509,8 @@ mod tests {
     #[test]
     fn empty_input_produces_empty_archive() {
         let engine = StreamingEngine::builder().shards(2).build();
-        let (ct, report) = engine.compress_stream(Vec::new()).unwrap();
+        let (bytes, report) = engine.compress_stream_to_bytes(Vec::new()).unwrap();
+        let ct = CompressedTrace::from_bytes(&bytes).unwrap();
         assert_eq!(ct.flow_count(), 0);
         assert_eq!(report.report.packets, 0);
         assert_eq!(report.report.ratio_vs_tsh, 0.0);
@@ -634,7 +524,7 @@ mod tests {
             Err(TraceError::TruncatedRecord { got: 3, need: 44 }),
             Ok(pkt(4001, 10, TcpFlags::SYN)),
         ];
-        let err = engine.compress_stream(input).unwrap_err();
+        let err = engine.compress_stream_to_bytes(input).unwrap_err();
         assert!(matches!(
             err,
             TraceError::TruncatedRecord { got: 3, need: 44 }
@@ -705,7 +595,9 @@ mod tests {
                 .shards(shards)
                 .batch_size(4)
                 .build();
-            let (ct, streamed) = engine.compress_stream(stream(&trace)).unwrap();
+            let (bytes, streamed) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
+            let ct = CompressedTrace::from_bytes(&bytes).unwrap();
+            assert_eq!(ct.packet_count(), batch.packets);
             assert_eq!(streamed.report.packets, batch.packets);
             assert_eq!(streamed.report.flows, batch.flows);
             assert_eq!(streamed.report.short_flows, batch.short_flows);
@@ -718,6 +610,10 @@ mod tests {
 
     #[test]
     fn v2_bytes_decode_to_the_same_archive_as_v1() {
+        // 40 three-packet flows with one shape and one server: every
+        // shard count clusters them into the same single template, so
+        // the engine's sectioned archive must decode to exactly the
+        // archive the `Compressor` oracle writes as v1.
         let mut trace = Trace::new();
         for (i, port) in (4000u16..4040).enumerate() {
             let base = i as u64 * 1_000;
@@ -725,34 +621,24 @@ mod tests {
             trace.push(pkt(port, base + 10, TcpFlags::ACK));
             trace.push(pkt(port, base + 20, TcpFlags::FIN));
         }
+        let (oracle, oracle_report) = Compressor::new(Params::paper()).compress(&trace);
+        let v1_bytes = oracle.to_bytes();
+        assert_eq!(ArchiveFormat::detect(&v1_bytes).unwrap(), ArchiveFormat::V1);
+        let from_v1 = CompressedTrace::from_bytes(&v1_bytes).unwrap();
         for shards in [1usize, 2, 5] {
-            let v1_engine = StreamingEngine::builder()
+            let engine = StreamingEngine::builder()
                 .shards(shards)
                 .batch_size(8)
-                .format(ArchiveFormat::V1)
                 .build();
-            let v2_engine = StreamingEngine::builder()
-                .shards(shards)
-                .batch_size(8)
-                .format(ArchiveFormat::V2)
-                .build();
-            let (v1_bytes, v1_report) = v1_engine.compress_stream_to_bytes(stream(&trace)).unwrap();
-            let (v2_bytes, v2_report) = v2_engine.compress_stream_to_bytes(stream(&trace)).unwrap();
-
-            assert_eq!(ArchiveFormat::detect(&v1_bytes).unwrap(), ArchiveFormat::V1);
+            let (v2_bytes, v2_report) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
             assert_eq!(ArchiveFormat::detect(&v2_bytes).unwrap(), ArchiveFormat::V2);
-            // Same shard states → the decoded global archives are equal,
-            // whichever container carried them.
-            let from_v1 = CompressedTrace::from_bytes(&v1_bytes).unwrap();
             let from_v2 = CompressedTrace::from_bytes(&v2_bytes).unwrap();
             assert_eq!(from_v1, from_v2, "{shards} shards");
 
-            assert_eq!(v1_report.sections, 1);
             assert_eq!(v2_report.sections, shards);
-            assert_eq!(v1_report.archive_bytes, v1_bytes.len() as u64);
             assert_eq!(v2_report.archive_bytes, v2_bytes.len() as u64);
-            assert_eq!(v2_report.report.packets, v1_report.report.packets);
-            assert_eq!(v2_report.report.clusters, v1_report.report.clusters);
+            assert_eq!(v2_report.report.packets, oracle_report.packets);
+            assert_eq!(v2_report.report.clusters, oracle_report.clusters);
             // v2 report sizes describe the actual v2 file.
             assert_eq!(v2_report.report.sizes.total(), v2_bytes.len() as u64);
         }
@@ -807,13 +693,11 @@ mod tests {
             let off = StreamingEngine::builder()
                 .shards(shards)
                 .batch_size(8)
-                .format(ArchiveFormat::V2)
                 .build();
             let metrics = flowzip_obs::Metrics::enabled();
             let on = StreamingEngine::builder()
                 .shards(shards)
                 .batch_size(8)
-                .format(ArchiveFormat::V2)
                 .telemetry(true)
                 .metrics(metrics.clone())
                 .build();
@@ -873,9 +757,12 @@ mod tests {
             .batch_size(64)
             .idle_timeout(Some(Duration::from_secs(1)))
             .build();
-        let (_, with_eviction) = bounded
-            .compress_stream(packets.iter().cloned().map(Ok))
+        let (bytes, with_eviction) = bounded
+            .compress_stream_to_bytes(packets.iter().cloned().map(Ok))
             .unwrap();
+        let ct = CompressedTrace::from_bytes(&bytes).unwrap();
+        assert_eq!(ct.flow_count(), 2_000);
+        assert_eq!(ct.packet_count(), 2_000);
         assert_eq!(
             with_eviction.report.flows, 2_000,
             "every flow still reported"
@@ -890,7 +777,7 @@ mod tests {
 
         let unbounded = StreamingEngine::builder().shards(2).batch_size(64).build();
         let (_, without) = unbounded
-            .compress_stream(packets.into_iter().map(Ok))
+            .compress_stream_to_bytes(packets.into_iter().map(Ok))
             .unwrap();
         assert_eq!(
             without.peak_active_flows(),

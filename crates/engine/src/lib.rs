@@ -27,11 +27,13 @@
 //!   [`TemplateStore`](flowzip_core::TemplateStore) as they close, so
 //!   resident state is proportional to flow *concurrency*, not trace
 //!   length.
-//! * **Exact merge** — per-shard stores fold into one dataset via
+//! * **Per-shard sections** — at end of input every shard encodes its own
+//!   container-v2 section on its own thread; the serial tail only folds
+//!   the per-shard stores via
 //!   [`TemplateStore::merge`](flowzip_core::TemplateStore::merge), which
-//!   re-clusters foreign centers under the same Eq. 4 `d_sim` rule, so the
-//!   merged archive is a valid `CompressedTrace` indistinguishable in
-//!   structure from batch output.
+//!   re-clusters foreign centers under the same Eq. 4 `d_sim` rule, and
+//!   writes the section index. The archive decodes to a valid
+//!   `CompressedTrace` indistinguishable in structure from batch output.
 //!
 //! With one shard and no idle timeout the engine runs inline on the
 //! calling thread — no channel, no worker — and is *byte-identical* to
@@ -41,14 +43,15 @@
 //!
 //! # Example
 //!
-//! The entry points are [`StreamingEngine::compress_stream`] (in-memory
-//! archive + report) and [`StreamingEngine::compress_stream_to_bytes`]
-//! (serialized container); both take any fallible packet iterator.
-//! Applications normally sit one level up, on `flowzip-pipeline`'s
-//! `Pipeline::compress()` session API, which opens the input, runs this
-//! engine and charges the source's read-wait to the report.
+//! The entry point is [`StreamingEngine::compress_stream_to_bytes`]: any
+//! fallible packet iterator in, serialized container-v2 archive and
+//! report out. Applications normally sit one level up, on
+//! `flowzip-pipeline`'s `Pipeline::compress()` session API, which opens
+//! the input, runs this engine and charges the source's read-wait to the
+//! report.
 //!
 //! ```
+//! use flowzip_core::CompressedTrace;
 //! use flowzip_engine::StreamingEngine;
 //! use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 //!
@@ -56,11 +59,13 @@
 //!     WebTrafficConfig { flows: 200, ..Default::default() }, 42).generate();
 //!
 //! let engine = StreamingEngine::builder().shards(2).build();
-//! let (archive, report) = engine
-//!     .compress_stream(trace.iter().cloned().map(Ok))
+//! let (bytes, report) = engine
+//!     .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
 //!     .unwrap();
 //! assert_eq!(report.report.packets, trace.len() as u64);
-//! assert!(archive.validate().is_ok());
+//! assert_eq!(report.sections, 2);
+//! let archive = CompressedTrace::from_bytes(&bytes).unwrap();
+//! assert_eq!(archive.packet_count(), trace.len() as u64);
 //! ```
 
 pub mod builder;

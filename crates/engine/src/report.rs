@@ -13,7 +13,7 @@ pub struct EngineReport {
     pub report: CompressionReport,
     /// Worker shards the run used.
     pub shards: usize,
-    /// Wall-clock seconds from first packet to merged archive.
+    /// Wall-clock seconds from first packet to the last shard's section.
     pub elapsed_secs: f64,
     /// Packets consumed per wall-clock second.
     pub packets_per_sec: f64,
@@ -21,12 +21,9 @@ pub struct EngineReport {
     pub mb_per_sec: f64,
     /// Flows force-closed by idle-timeout eviction.
     pub evicted_flows: u64,
-    /// Wall-clock seconds of the *serial* tail: the whole
-    /// single-threaded shard merge + time-seq sort + encode for v1
-    /// output, but only store merge + index assembly + payload
-    /// concatenation for v2 (per-shard payload encoding happens on the
-    /// worker threads and overlaps compute). Zero for in-memory runs
-    /// that never serialized.
+    /// Wall-clock seconds of the *serial* tail: store merge + index
+    /// assembly + payload concatenation (per-shard payload encoding
+    /// happens on the worker threads and overlaps compute).
     pub serialize_secs: f64,
     /// The busiest single shard thread's measured accumulate+encode
     /// seconds — a *directly measured* stage timing. Zero when metrics
@@ -38,9 +35,9 @@ pub struct EngineReport {
     /// sees the input's [`IoStats`](flowzip_io::IoStats);
     /// `flowzip-pipeline`'s `Timing` subtracts read-wait from this.
     pub unattributed_secs: f64,
-    /// Archive sections written (v2: one per shard; v1: 1; in-memory: 0).
+    /// Archive sections written: one per shard.
     pub sections: usize,
-    /// Serialized archive size in bytes (0 for in-memory runs).
+    /// Serialized archive size in bytes.
     pub archive_bytes: u64,
 }
 

@@ -11,7 +11,6 @@
 //! bytes of a run at the default batching (1024-packet batches, 4-slot
 //! channels) with the same shard count.
 
-use flowzip_core::ArchiveFormat;
 use flowzip_engine::StreamingEngine;
 use flowzip_trace::Trace;
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
@@ -48,7 +47,6 @@ fn compress_bounded(
             .shards(shards)
             .batch_size(batch_size)
             .channel_capacity(channel_capacity)
-            .format(ArchiveFormat::V2)
             .build();
         let result = engine.compress_stream_to_bytes(packets.into_iter().map(Ok));
         // The receiver may have already timed out and gone — ignore.

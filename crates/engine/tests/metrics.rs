@@ -61,7 +61,9 @@ fn queue_depth_gauges_return_to_zero_after_a_clean_run() {
     let input = packets(5_000);
     let metrics = Metrics::enabled();
     let e = engine(4, &metrics);
-    let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
+    let (_, report) = e
+        .compress_stream_to_bytes(input.iter().cloned().map(Ok))
+        .unwrap();
     assert_eq!(report.report.packets, 5_000);
     let snap = metrics.snapshot();
     let depths = snap.queue_depths();
@@ -104,7 +106,9 @@ fn live_queue_depth_never_reads_negative() {
             }
             (reads, negative)
         });
-        let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
+        let (_, report) = e
+            .compress_stream_to_bytes(input.iter().cloned().map(Ok))
+            .unwrap();
         done.store(true, Ordering::Relaxed);
         assert_eq!(report.report.packets, 20_000);
         poller.join().unwrap()
@@ -157,7 +161,9 @@ fn disabled_metrics_register_nothing_and_report_no_stage_time() {
     let input = packets(512);
     let metrics = Metrics::disabled();
     let e = engine(2, &metrics);
-    let (_, report) = e.compress_stream(input.iter().cloned().map(Ok)).unwrap();
+    let (_, report) = e
+        .compress_stream_to_bytes(input.iter().cloned().map(Ok))
+        .unwrap();
     assert!(metrics.snapshot().is_empty());
     assert_eq!(report.stage_busy_secs, 0.0);
     assert_eq!(report.unattributed_secs, 0.0);

@@ -10,8 +10,7 @@
 //!
 //! Guarantees pinned here:
 //!
-//! * At shards {2, 3, 8} × container v1/v2 over the web and p2p
-//!   generators, archive bytes do not depend on `batch_size` ×
+//! * At shards {2, 3, 8} over the web and p2p generators, archive bytes do not depend on `batch_size` ×
 //!   `channel_capacity` — whatever the OS schedule of the shard threads,
 //!   which every proptest case re-rolls with a fresh pool.
 //! * The multi-file reader path (a [`MultiFileSource`] drained as a
@@ -21,7 +20,7 @@
 //! * With one shard and no eviction the engine is byte-identical to the
 //!   batch `Compressor`.
 
-use flowzip_core::{ArchiveFormat, Compressor, Params};
+use flowzip_core::{Compressor, Params};
 use flowzip_engine::StreamingEngine;
 use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::{tsh, Trace};
@@ -60,13 +59,11 @@ fn compress_with(
     shards: usize,
     batch_size: usize,
     channel_capacity: usize,
-    format: ArchiveFormat,
 ) -> Vec<u8> {
     let engine = StreamingEngine::builder()
         .shards(shards)
         .batch_size(batch_size)
         .channel_capacity(channel_capacity)
-        .format(format)
         .build();
     let (bytes, report) = engine
         .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
@@ -83,18 +80,16 @@ fn assert_batching_invisible(
     shards: usize,
     batch_size: usize,
     channel_capacity: usize,
-    format: ArchiveFormat,
 ) -> Result<(), TestCaseError> {
-    let reference = compress_with(trace, shards, 1024, 4, format);
-    let cell = compress_with(trace, shards, batch_size, channel_capacity, format);
+    let reference = compress_with(trace, shards, 1024, 4);
+    let cell = compress_with(trace, shards, batch_size, channel_capacity);
     prop_assert_eq!(
         &reference,
         &cell,
-        "shards {} batch {} cap {} {:?}: {} vs {} bytes differ",
+        "shards {} batch {} cap {}: {} vs {} bytes differ",
         shards,
         batch_size,
         channel_capacity,
-        format,
         reference.len(),
         cell.len()
     );
@@ -102,22 +97,17 @@ fn assert_batching_invisible(
 }
 
 /// The pinned matrix: shards {2, 3, 8} × batch {1, 7, 128} × capacity
-/// {1, 4} × container v1/v2, on a fixed trace.
+/// {1, 4}, on a fixed trace.
 #[test]
 fn batching_is_invisible_for_pinned_matrix() {
     let trace = web_trace(300, 2005);
     for shards in [2usize, 3, 8] {
         for batch_size in [1usize, 7, 128] {
             for channel_capacity in [1usize, 4] {
-                for format in [ArchiveFormat::V1, ArchiveFormat::V2] {
-                    assert_batching_invisible(&trace, shards, batch_size, channel_capacity, format)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "shards {shards}, batch {batch_size}, cap {channel_capacity}, \
-                                 {format:?}: {e}"
-                            )
-                        });
-                }
+                assert_batching_invisible(&trace, shards, batch_size, channel_capacity)
+                    .unwrap_or_else(|e| {
+                        panic!("shards {shards}, batch {batch_size}, cap {channel_capacity}: {e}")
+                    });
             }
         }
     }
@@ -130,17 +120,15 @@ fn single_shard_is_byte_identical_to_batch() {
     let trace = web_trace(200, 77);
     let (batch_archive, _) = Compressor::new(Params::paper()).compress(&trace);
     for batch_size in [1usize, 64, 4096] {
-        let v1 = compress_with(&trace, 1, batch_size, 4, ArchiveFormat::V1);
-        assert_eq!(v1, batch_archive.to_bytes(), "batch {batch_size}, v1");
-        let v2 = compress_with(&trace, 1, batch_size, 4, ArchiveFormat::V2);
-        assert_eq!(v2, batch_archive.to_bytes_v2(), "batch {batch_size}, v2");
+        let bytes = compress_with(&trace, 1, batch_size, 4);
+        assert_eq!(bytes, batch_archive.to_bytes_v2(), "batch {batch_size}");
     }
 }
 
 /// The multi-file reader path: a capture pre-split into ragged chunks,
 /// drained through the multi-file source, agrees byte-for-byte with the
 /// flat stream of the same packets — across routings (2, 3 and 8
-/// shards), reader counts and containers, with reader batches that never
+/// shards) and reader counts, with reader batches that never
 /// line up with engine batches.
 #[test]
 fn multifile_batches_match_single_stream_across_routings() {
@@ -163,33 +151,30 @@ fn multifile_batches_match_single_stream_across_routings() {
     }
 
     for shards in [2usize, 3, 8] {
-        for format in [ArchiveFormat::V1, ArchiveFormat::V2] {
-            let reference = compress_with(&trace, shards, 96, 4, format);
-            for readers in [1usize, 2, 3] {
-                let engine = StreamingEngine::builder()
-                    .shards(shards)
-                    .batch_size(96)
-                    .channel_capacity(4)
-                    .format(format)
-                    .build();
-                let source = MultiFileSource::open(
-                    &paths,
-                    MultiFileConfig {
-                        readers,
-                        batch_packets: 37,
-                        queue_batches: 2,
-                        prefetch: None,
-                    },
-                )
+        let reference = compress_with(&trace, shards, 96, 4);
+        for readers in [1usize, 2, 3] {
+            let engine = StreamingEngine::builder()
+                .shards(shards)
+                .batch_size(96)
+                .channel_capacity(4)
+                .build();
+            let source = MultiFileSource::open(
+                &paths,
+                MultiFileConfig {
+                    readers,
+                    batch_packets: 37,
+                    queue_batches: 2,
+                    prefetch: None,
+                },
+            )
+            .unwrap();
+            let (bytes, _) = engine
+                .compress_stream_to_bytes(source.into_packets())
                 .unwrap();
-                let (bytes, _) = engine
-                    .compress_stream_to_bytes(source.into_packets())
-                    .unwrap();
-                assert_eq!(
-                    bytes, reference,
-                    "{shards} shards, {format:?}, {readers} readers diverged from the flat stream"
-                );
-            }
+            assert_eq!(
+                bytes, reference,
+                "{shards} shards, {readers} readers diverged from the flat stream"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -207,15 +192,8 @@ proptest! {
         shards in prop::sample::select(vec![2usize, 3, 8]),
         batch_size in 1usize..200,
         channel_capacity in 1usize..5,
-        v2 in any::<bool>(),
     ) {
-        assert_batching_invisible(
-            &web_trace(flows, seed),
-            shards,
-            batch_size,
-            channel_capacity,
-            if v2 { ArchiveFormat::V2 } else { ArchiveFormat::V1 },
-        )?;
+        assert_batching_invisible(&web_trace(flows, seed), shards, batch_size, channel_capacity)?;
     }
 
     /// P2P traffic skews the flow-key distribution (many peers, few
@@ -228,15 +206,8 @@ proptest! {
         shards in prop::sample::select(vec![2usize, 3, 8]),
         batch_size in 1usize..200,
         channel_capacity in 1usize..5,
-        v2 in any::<bool>(),
     ) {
-        assert_batching_invisible(
-            &p2p_trace(flows, seed),
-            shards,
-            batch_size,
-            channel_capacity,
-            if v2 { ArchiveFormat::V2 } else { ArchiveFormat::V1 },
-        )?;
+        assert_batching_invisible(&p2p_trace(flows, seed), shards, batch_size, channel_capacity)?;
     }
 
     /// The report describes the topology the run used: its shard count,

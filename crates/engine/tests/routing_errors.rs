@@ -4,7 +4,6 @@
 //! error, so the error a multi-shard run reports is the one the inline
 //! single-shard (fully serial) run reports.
 
-use flowzip_core::ArchiveFormat;
 use flowzip_engine::StreamingEngine;
 use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::prelude::*;
@@ -37,7 +36,6 @@ fn engine(shards: usize, batch_size: usize) -> StreamingEngine {
         .shards(shards)
         .batch_size(batch_size)
         .channel_capacity(2)
-        .format(ArchiveFormat::V2)
         .build()
 }
 
@@ -52,7 +50,7 @@ fn truncated_tsh_mid_batch_propagates_the_same_error() {
     // a full batch is already downstream when the error is pulled.
     for shards in [1usize, 2, 3] {
         let err = engine(shards, 4)
-            .compress_stream(TshReader::new(&bytes[..cut]))
+            .compress_stream_to_bytes(TshReader::new(&bytes[..cut]))
             .unwrap_err();
         assert!(
             matches!(err, TraceError::TruncatedRecord { got: 13, need: 44 }),
@@ -82,9 +80,13 @@ fn injected_error_at_every_position_matches_serial() {
             );
             items
         };
-        let serial_err = engine(1, 4).compress_stream(make_input()).unwrap_err();
+        let serial_err = engine(1, 4)
+            .compress_stream_to_bytes(make_input())
+            .unwrap_err();
         for shards in [1usize, 2, 3] {
-            let err = engine(shards, 4).compress_stream(make_input()).unwrap_err();
+            let err = engine(shards, 4)
+                .compress_stream_to_bytes(make_input())
+                .unwrap_err();
             assert_eq!(
                 err.to_string(),
                 serial_err.to_string(),
@@ -161,7 +163,9 @@ fn leading_error_aborts_cleanly() {
         let input = vec![Err::<PacketRecord, _>(TraceError::InvalidTrace(
             "bad magic".into(),
         ))];
-        let err = engine(shards, 8).compress_stream(input).unwrap_err();
+        let err = engine(shards, 8)
+            .compress_stream_to_bytes(input)
+            .unwrap_err();
         assert!(
             matches!(&err, TraceError::InvalidTrace(m) if m == "bad magic"),
             "{shards} shards: got {err:?}"

@@ -6,7 +6,7 @@ use crate::input::{Input, InputKind};
 use crate::report::{Report, TelemetrySummary};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::{ArchiveFormat, Params};
+use flowzip_core::Params;
 use flowzip_engine::StreamingEngine;
 use flowzip_io::{glob, FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink};
@@ -44,7 +44,6 @@ pub struct CompressBuilder<'a> {
     input: Option<Input<'a>>,
     sink: Option<Sink<'a>>,
     params: Params,
-    format: ArchiveFormat,
     threads: Option<usize>,
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
@@ -68,7 +67,6 @@ impl Pipeline {
             input: None,
             sink: None,
             params: Params::paper(),
-            format: ArchiveFormat::V2,
             threads: None,
             batch_size: None,
             channel_capacity: None,
@@ -102,12 +100,6 @@ impl<'a> CompressBuilder<'a> {
     /// Compression parameters (default: [`Params::paper`]).
     pub fn params(mut self, params: Params) -> Self {
         self.params = params;
-        self
-    }
-
-    /// Container format to write (default: [`ArchiveFormat::V2`]).
-    pub fn format(mut self, format: ArchiveFormat) -> Self {
-        self.format = format;
         self
     }
 
@@ -158,9 +150,9 @@ impl<'a> CompressBuilder<'a> {
 
     /// Derives per-flow TCP telemetry (RTT, retransmissions, idle and
     /// active time) inline during accumulation and appends the rev 2.2
-    /// `FZT1` side-section to the archive (requires the v2 container).
-    /// The non-telemetry bytes are unchanged: a pre-2.2 reader decodes
-    /// the same archive byte-identically.
+    /// `FZT1` side-section to the archive. The non-telemetry bytes are
+    /// unchanged: a pre-2.2 reader decodes the same archive
+    /// byte-identically.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
         self.telemetry = telemetry;
         self
@@ -223,8 +215,8 @@ impl<'a> CompressBuilder<'a> {
     }
 
     /// Runs the session: resolve the input, stream it through the
-    /// engine, serialize in the configured container format, deliver to
-    /// the sink, and report.
+    /// engine into a container-v2 archive, deliver it to the sink, and
+    /// report.
     ///
     /// # Errors
     ///
@@ -237,7 +229,6 @@ impl<'a> CompressBuilder<'a> {
             input,
             sink,
             params,
-            format,
             threads,
             batch_size,
             channel_capacity,
@@ -282,13 +273,6 @@ impl<'a> CompressBuilder<'a> {
             return Err(PipelineError::config(
                 "prefetch_mb must be ≥ 1 when prefetch is enabled (got 0; \
                  omit .prefetch_mb() to disable prefetching)",
-            ));
-        }
-        if telemetry && matches!(format, ArchiveFormat::V1) {
-            return Err(PipelineError::config(
-                "telemetry rows ride the v2 container's FZT1 side-section — \
-                 the v1 single-blob format has nowhere to carry them \
-                 (drop --format v1 or --telemetry)",
             ));
         }
         if stats_interval == Some(std::time::Duration::ZERO) {
@@ -361,7 +345,6 @@ impl<'a> CompressBuilder<'a> {
             kind,
             &context,
             params,
-            format,
             threads,
             batch_size,
             channel_capacity,
@@ -393,7 +376,6 @@ fn run_engine(
     kind: InputKind<'_>,
     context: &str,
     params: Params,
-    format: ArchiveFormat,
     threads: Option<usize>,
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
@@ -407,7 +389,6 @@ fn run_engine(
 ) -> Result<(Vec<u8>, Report), PipelineError> {
     let mut builder = StreamingEngine::builder()
         .params(params)
-        .format(format)
         .idle_timeout(idle_timeout)
         .telemetry(telemetry)
         .metrics(metrics.clone())
@@ -496,7 +477,7 @@ fn run_engine(
         }
     };
 
-    let mut report = Report::from_engine(engine_report, format, stats.as_ref());
+    let mut report = Report::from_engine(engine_report, stats.as_ref());
     if telemetry {
         // Summarize the FZT1 rows straight off the archive just written
         // — the same decode path `info` uses, so the two cannot drift.

@@ -260,7 +260,10 @@ impl crate::report::ArchiveSummary {
     ) -> Result<crate::report::ArchiveSummary, flowzip_core::datasets::CodecError> {
         let format = ArchiveFormat::detect(bytes)?;
         let (short_templates, long_templates, addresses, sections) = match format {
-            ArchiveFormat::V1 => (0, 0, 0, 1),
+            ArchiveFormat::V1 => {
+                let (short, long, addresses) = flowzip_core::container::v1_counts(bytes)?;
+                (short, long, addresses, 1)
+            }
             ArchiveFormat::V2 => flowzip_core::container::v2_counts(bytes)?,
         };
         // FZT1 rows decode from the trailing side-section alone — still

@@ -341,7 +341,7 @@ impl Report {
     /// compress sessions summarize their run, and how embedders that
     /// drive the engine directly (e.g. `flowzip serve`'s per-window
     /// reports) produce the same stable schema.
-    pub fn from_engine(er: EngineReport, format: ArchiveFormat, stats: Option<&IoStats>) -> Report {
+    pub fn from_engine(er: EngineReport, stats: Option<&IoStats>) -> Report {
         let mut report = Report::new(Mode::Compress);
         report.packets = er.report.packets;
         report.flows = er.report.flows;
@@ -350,14 +350,14 @@ impl Report {
             evicted_flows: er.evicted_flows,
         });
         report.archive = Some(ArchiveSummary {
-            format,
+            format: ArchiveFormat::V2,
             sections: er.sections as u64,
             file_bytes: er.archive_bytes,
             short_templates: er.report.clusters,
             long_templates: er.report.long_flows,
             addresses: er.report.addresses,
             sizes: Some(er.report.sizes),
-            has_metadata: matches!(format, ArchiveFormat::V2),
+            has_metadata: true,
             telemetry: None,
         });
         // Raw-iterator runs carry no stats handle: nothing was read.

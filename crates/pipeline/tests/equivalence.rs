@@ -12,11 +12,11 @@
 //! | `Input::files`/`Input::glob` + `readers` | … with `MultiFileSource` |
 //! | `Pipeline::decompress` | `Decompressor::decompress` + `tsh/pcap::to_bytes` |
 //!
-//! each × container v1 and v2. The sink never changes the bytes:
+//! The sink never changes the bytes:
 //! `Sink::file`, `Sink::bytes` and `Sink::writer` deliver one identical
 //! serialization.
 
-use flowzip_core::{ArchiveFormat, Compressor, DecompressParams, Decompressor, Params};
+use flowzip_core::{CompressedTrace, Compressor, DecompressParams, Decompressor, Params};
 use flowzip_engine::StreamingEngine;
 use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_pipeline::{Input, Pipeline, Sink};
@@ -57,16 +57,15 @@ fn write_chunks(dir: &Path, image: &[u8], n: usize) -> Vec<PathBuf> {
         .collect()
 }
 
-const FORMATS: [ArchiveFormat; 2] = [ArchiveFormat::V1, ArchiveFormat::V2];
-
 /// An in-memory trace as the fallible packet stream the engine consumes.
-fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + Send + '_ {
+fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + '_ {
     trace.iter().cloned().map(Ok)
 }
 
 /// The oracle pin for the default session: an untuned in-memory trace or
 /// single file runs one engine shard, byte-identical to the paper's
-/// `Compressor` and to an explicit `.threads(1)`.
+/// `Compressor` (its v2 serialization; the decode equals its v1 one) and
+/// to an explicit `.threads(1)`.
 #[test]
 fn batch_session_matches_compressor() {
     let dir = tmpdir("oracle");
@@ -74,38 +73,34 @@ fn batch_session_matches_compressor() {
     let path = dir.join("whole.tsh");
     std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
     let (archive, _) = Compressor::new(Params::paper()).compress(&trace);
-    for format in FORMATS {
-        let want = match format {
-            ArchiveFormat::V1 => archive.to_bytes(),
-            ArchiveFormat::V2 => archive.to_bytes_v2(),
-        };
-        for (what, input) in [
-            ("trace", Input::trace(&trace)),
-            ("file", Input::file(&path)),
-        ] {
-            let result = Pipeline::compress()
-                .input(input)
-                .sink(Sink::bytes())
-                .format(format)
-                .run()
-                .unwrap();
-            assert_eq!(result.report.engine.unwrap().shards, 1, "{what}");
-            assert!(result.report.peak_active_flows() > 0, "{what}");
-            assert_eq!(result.into_bytes().unwrap(), want, "{format}, {what}");
-        }
-        let one_shard = Pipeline::compress()
-            .input(Input::file(&path))
+    let want = archive.to_bytes_v2();
+    let via_v1 = CompressedTrace::from_bytes(&archive.to_bytes()).unwrap();
+    for (what, input) in [
+        ("trace", Input::trace(&trace)),
+        ("file", Input::file(&path)),
+    ] {
+        let result = Pipeline::compress()
+            .input(input)
             .sink(Sink::bytes())
-            .format(format)
-            .threads(1)
             .run()
             .unwrap();
+        assert_eq!(result.report.engine.unwrap().shards, 1, "{what}");
+        assert!(result.report.peak_active_flows() > 0, "{what}");
+        let bytes = result.into_bytes().unwrap();
         assert_eq!(
-            one_shard.into_bytes().unwrap(),
-            want,
-            "{format}, threads(1)"
+            CompressedTrace::from_bytes(&bytes).unwrap(),
+            via_v1,
+            "{what}"
         );
+        assert_eq!(bytes, want, "{what}");
     }
+    let one_shard = Pipeline::compress()
+        .input(Input::file(&path))
+        .sink(Sink::bytes())
+        .threads(1)
+        .run()
+        .unwrap();
+    assert_eq!(one_shard.into_bytes().unwrap(), want, "threads(1)");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -159,7 +154,7 @@ fn cancelled_default_session_delivers_a_valid_partial_archive() {
         "{packets} of {}",
         trace.len()
     );
-    let archive = flowzip_core::CompressedTrace::from_bytes(result.bytes().unwrap()).unwrap();
+    let archive = CompressedTrace::from_bytes(result.bytes().unwrap()).unwrap();
     archive.validate().unwrap();
     assert_eq!(archive.packet_count(), packets);
     std::fs::remove_dir_all(&dir).ok();
@@ -168,29 +163,21 @@ fn cancelled_default_session_delivers_a_valid_partial_archive() {
 #[test]
 fn streaming_session_matches_engine_trace_entry_point() {
     let trace = web_trace(150, 42);
-    for format in FORMATS {
-        for shards in [1usize, 2, 5] {
-            let engine = StreamingEngine::builder()
-                .shards(shards)
-                .batch_size(128)
-                .format(format)
-                .build();
-            let (want, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
-            let result = Pipeline::compress()
-                .input(Input::trace(&trace))
-                .sink(Sink::bytes())
-                .format(format)
-                .threads(shards)
-                .batch_size(128)
-                .run()
-                .unwrap();
-            assert_eq!(result.report.engine.unwrap().shards, shards);
-            assert_eq!(
-                result.into_bytes().unwrap(),
-                want,
-                "{format}, {shards} shards"
-            );
-        }
+    for shards in [1usize, 2, 5] {
+        let engine = StreamingEngine::builder()
+            .shards(shards)
+            .batch_size(128)
+            .build();
+        let (want, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
+        let result = Pipeline::compress()
+            .input(Input::trace(&trace))
+            .sink(Sink::bytes())
+            .threads(shards)
+            .batch_size(128)
+            .run()
+            .unwrap();
+        assert_eq!(result.report.engine.unwrap().shards, shards);
+        assert_eq!(result.into_bytes().unwrap(), want, "{shards} shards");
     }
 }
 
@@ -198,29 +185,22 @@ fn streaming_session_matches_engine_trace_entry_point() {
 fn packets_session_matches_engine_packets_entry_point() {
     let trace = web_trace(90, 43);
     let packets: Vec<_> = trace.iter().cloned().collect();
-    for format in FORMATS {
-        let engine = StreamingEngine::builder()
-            .shards(2)
-            .batch_size(64)
-            .format(format)
-            .build();
-        let (want, report) = engine
-            .compress_stream_to_bytes(packets.iter().cloned().map(Ok))
-            .unwrap();
-        let result = Pipeline::compress()
-            .input(Input::packets(packets.iter().cloned()))
-            .sink(Sink::bytes())
-            .format(format)
-            .threads(2)
-            .batch_size(64)
-            .run()
-            .unwrap();
-        assert_eq!(
-            result.report.compression.as_ref().unwrap().flows,
-            report.report.flows
-        );
-        assert_eq!(result.into_bytes().unwrap(), want, "{format}");
-    }
+    let engine = StreamingEngine::builder().shards(2).batch_size(64).build();
+    let (want, report) = engine
+        .compress_stream_to_bytes(packets.iter().cloned().map(Ok))
+        .unwrap();
+    let result = Pipeline::compress()
+        .input(Input::packets(packets.iter().cloned()))
+        .sink(Sink::bytes())
+        .threads(2)
+        .batch_size(64)
+        .run()
+        .unwrap();
+    assert_eq!(
+        result.report.compression.as_ref().unwrap().flows,
+        report.report.flows
+    );
+    assert_eq!(result.into_bytes().unwrap(), want);
 }
 
 /// The router runs on the calling thread, so a multi-shard run never
@@ -261,24 +241,20 @@ fn file_session_matches_engine_file_source_entry_point() {
     let trace = web_trace(140, 44);
     let path = dir.join("whole.tsh");
     std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
-    for format in FORMATS {
-        let engine = StreamingEngine::builder()
-            .shards(2)
-            .batch_size(1024)
-            .format(format)
-            .build();
-        let (want, _) = engine
-            .compress_stream_to_bytes(FileSource::open(&path).unwrap().into_packets())
-            .unwrap();
-        let result = Pipeline::compress()
-            .input(Input::file(&path))
-            .sink(Sink::bytes())
-            .format(format)
-            .threads(2)
-            .run()
-            .unwrap();
-        assert_eq!(result.into_bytes().unwrap(), want, "{format}");
-    }
+    let engine = StreamingEngine::builder()
+        .shards(2)
+        .batch_size(1024)
+        .build();
+    let (want, _) = engine
+        .compress_stream_to_bytes(FileSource::open(&path).unwrap().into_packets())
+        .unwrap();
+    let result = Pipeline::compress()
+        .input(Input::file(&path))
+        .sink(Sink::bytes())
+        .threads(2)
+        .run()
+        .unwrap();
+    assert_eq!(result.into_bytes().unwrap(), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -288,29 +264,25 @@ fn prefetched_session_matches_engine_prefetch_entry_point() {
     let trace = web_trace(160, 45);
     let path = dir.join("whole.tsh");
     std::fs::write(&path, tsh::to_bytes(&trace)).unwrap();
-    for format in FORMATS {
-        let engine = StreamingEngine::builder()
-            .shards(2)
-            .batch_size(1024)
-            .format(format)
-            .build();
-        let (want, _) = engine
-            .compress_stream_to_bytes(
-                FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1))
-                    .unwrap()
-                    .into_packets(),
-            )
-            .unwrap();
-        let result = Pipeline::compress()
-            .input(Input::file(&path))
-            .sink(Sink::bytes())
-            .format(format)
-            .threads(2)
-            .prefetch_mb(1)
-            .run()
-            .unwrap();
-        assert_eq!(result.into_bytes().unwrap(), want, "{format}");
-    }
+    let engine = StreamingEngine::builder()
+        .shards(2)
+        .batch_size(1024)
+        .build();
+    let (want, _) = engine
+        .compress_stream_to_bytes(
+            FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1))
+                .unwrap()
+                .into_packets(),
+        )
+        .unwrap();
+    let result = Pipeline::compress()
+        .input(Input::file(&path))
+        .sink(Sink::bytes())
+        .threads(2)
+        .prefetch_mb(1)
+        .run()
+        .unwrap();
+    assert_eq!(result.into_bytes().unwrap(), want);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -319,40 +291,32 @@ fn multi_file_session_matches_engine_multi_file_entry_point() {
     let dir = tmpdir("multi");
     let trace = web_trace(180, 46);
     let chunks = write_chunks(&dir, &tsh::to_bytes(&trace), 3);
-    for format in FORMATS {
-        for readers in [1usize, 3] {
-            let engine = StreamingEngine::builder()
-                .shards(2)
-                .batch_size(1024)
-                .format(format)
-                .build();
-            let source = MultiFileSource::open(
-                &chunks,
-                MultiFileConfig {
-                    readers,
-                    batch_packets: 1024,
-                    queue_batches: 4,
-                    prefetch: None,
-                },
-            )
+    for readers in [1usize, 3] {
+        let engine = StreamingEngine::builder()
+            .shards(2)
+            .batch_size(1024)
+            .build();
+        let source = MultiFileSource::open(
+            &chunks,
+            MultiFileConfig {
+                readers,
+                batch_packets: 1024,
+                queue_batches: 4,
+                prefetch: None,
+            },
+        )
+        .unwrap();
+        let (want, _) = engine
+            .compress_stream_to_bytes(source.into_packets())
             .unwrap();
-            let (want, _) = engine
-                .compress_stream_to_bytes(source.into_packets())
-                .unwrap();
-            let result = Pipeline::compress()
-                .input(Input::files(&chunks))
-                .sink(Sink::bytes())
-                .format(format)
-                .threads(2)
-                .readers(readers)
-                .run()
-                .unwrap();
-            assert_eq!(
-                result.into_bytes().unwrap(),
-                want,
-                "{format}, {readers} readers"
-            );
-        }
+        let result = Pipeline::compress()
+            .input(Input::files(&chunks))
+            .sink(Sink::bytes())
+            .threads(2)
+            .readers(readers)
+            .run()
+            .unwrap();
+        assert_eq!(result.into_bytes().unwrap(), want, "{readers} readers");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -425,7 +389,7 @@ fn decompress_session_matches_decompressor() {
     let archive_bytes = archive.to_bytes_v2();
     // The legacy CLI decompressed what it read from disk, so the pin is
     // against the round-tripped archive (serialization quantizes RTTs).
-    let archive = flowzip_core::CompressedTrace::from_bytes(&archive_bytes).unwrap();
+    let archive = CompressedTrace::from_bytes(&archive_bytes).unwrap();
     for seed in [1u64, 0x5EED] {
         let legacy = Decompressor::new(DecompressParams {
             seed,
@@ -459,44 +423,39 @@ fn decompress_session_matches_decompressor() {
 }
 
 proptest! {
-    /// Random traces, shard counts and formats: the default session
-    /// serializes byte-identically to the `Compressor` oracle, and a
-    /// sharded one to the engine primitive.
+    /// Random traces and shard counts: the default session serializes
+    /// byte-identically to the `Compressor` oracle (and decodes to its
+    /// v1 archive), and a sharded one to the engine primitive.
     #[test]
     fn session_matches_legacy_for_random_configs(
         flows in 10usize..60,
         seed in 0u64..500,
         shards in 1usize..5,
-        v1 in any::<bool>(),
     ) {
-        let format = if v1 { ArchiveFormat::V1 } else { ArchiveFormat::V2 };
         let trace = web_trace(flows, seed);
 
         let (archive, _) = Compressor::new(Params::paper()).compress(&trace);
-        let want_batch = match format {
-            ArchiveFormat::V1 => archive.to_bytes(),
-            ArchiveFormat::V2 => archive.to_bytes_v2(),
-        };
         let got_batch = Pipeline::compress()
             .input(Input::trace(&trace))
             .sink(Sink::bytes())
-            .format(format)
             .run()
             .unwrap()
             .into_bytes()
             .unwrap();
-        prop_assert_eq!(got_batch, want_batch);
+        prop_assert_eq!(
+            CompressedTrace::from_bytes(&got_batch).unwrap(),
+            CompressedTrace::from_bytes(&archive.to_bytes()).unwrap()
+        );
+        prop_assert_eq!(got_batch, archive.to_bytes_v2());
 
         let engine = StreamingEngine::builder()
             .shards(shards)
             .batch_size(128)
-            .format(format)
             .build();
         let (want_stream, _) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
         let got_stream = Pipeline::compress()
             .input(Input::trace(&trace))
             .sink(Sink::bytes())
-            .format(format)
             .threads(shards)
             .batch_size(128)
             .run()

@@ -24,7 +24,6 @@
 use crate::manifest::{archive_name, ManifestWriter};
 use crate::source::{drain, ServeSource};
 use crate::{CloseReason, OverloadPolicy, ServeError, ServeReport, WindowSummary};
-use flowzip_core::ArchiveFormat;
 use flowzip_engine::StreamingEngine;
 use flowzip_obs::{names, Counter, Gauge, Metrics, Sampler};
 use flowzip_pipeline::{Report, Sink, TelemetrySummary};
@@ -371,7 +370,7 @@ impl Driver {
             let (archive, report) = if packets > 0 {
                 let path = self.out_dir.join(archive_name(opened_unix_ms, index));
                 write_archive(&path, &bytes)?;
-                let mut report = Report::from_engine(er, ArchiveFormat::V2, None);
+                let mut report = Report::from_engine(er, None);
                 if self.telemetry {
                     if let Ok(Some(t)) = flowzip_core::container::v2_telemetry(&bytes) {
                         if let Some(a) = report.archive.as_mut() {

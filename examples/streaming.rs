@@ -2,8 +2,9 @@
 //!
 //! Most applications should sit one level up, on the `Pipeline` session
 //! API (`cargo run --example pipeline`); this example deliberately uses
-//! the engine's primitive entry points — `compress_stream` /
-//! `compress_stream_to_bytes` — to show what every pipeline session runs.
+//! the engine's primitive entry point — `compress_stream_to_bytes`, any
+//! fallible packet iterator in, container-v2 archive bytes out — to show
+//! what every pipeline session runs.
 //!
 //! Generates a seeded Web trace, then compresses it three ways — batch,
 //! single-shard streaming (byte-identical to batch), and sharded
@@ -13,7 +14,7 @@
 //! cargo run --release --example streaming
 //! ```
 
-use flowzip::core::{Compressor, Params};
+use flowzip::core::{CompressedTrace, Compressor, Params};
 use flowzip::engine::StreamingEngine;
 use flowzip::prelude::*;
 use flowzip::trace::tsh::TshReader;
@@ -35,12 +36,12 @@ fn main() {
     println!("batch     : {batch}");
 
     // One shard, no eviction: same algorithm run streaming. The archive
-    // is byte-for-byte the batch archive.
+    // is byte-for-byte the batch archive's v2 serialization.
     let sequential = StreamingEngine::builder().shards(1).build();
-    let (seq_archive, seq) = sequential
-        .compress_stream(trace.iter().cloned().map(Ok))
+    let (seq_bytes, seq) = sequential
+        .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
         .unwrap();
-    assert_eq!(seq_archive.to_bytes(), batch_archive.to_bytes());
+    assert_eq!(seq_bytes, batch_archive.to_bytes_v2());
     println!("1 shard   : {seq}");
 
     // The full builder surface: four shards, bounded channels, 60 s
@@ -52,9 +53,10 @@ fn main() {
         .channel_capacity(8)
         .idle_timeout(Some(Duration::from_secs(60)))
         .build();
-    let (archive, sharded) = engine
-        .compress_stream(trace.iter().cloned().map(Ok))
+    let (bytes, sharded) = engine
+        .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
         .unwrap();
+    let archive = CompressedTrace::from_bytes(&bytes).unwrap();
     println!("4 shards  : {sharded}");
     assert_eq!(sharded.report.flows, batch.flows);
     assert_eq!(sharded.report.packets, batch.packets);
@@ -64,7 +66,7 @@ fn main() {
     // how a file larger than RAM would flow in.
     let tsh_image = flowzip::trace::tsh::to_bytes(&trace);
     let (_, from_reader) = engine
-        .compress_stream(TshReader::new(&tsh_image[..]))
+        .compress_stream_to_bytes(TshReader::new(&tsh_image[..]))
         .unwrap();
     println!("from TSH  : {from_reader}");
 
@@ -72,7 +74,7 @@ fn main() {
         "\narchive: {} flows / {} packets -> {} B ({:.2}% of TSH)",
         archive.flow_count(),
         archive.packet_count(),
-        sharded.report.sizes.total(),
+        bytes.len(),
         100.0 * sharded.report.ratio_vs_tsh
     );
 }

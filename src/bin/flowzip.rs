@@ -7,7 +7,6 @@
 //! flowzip compress   web.pcap -o web.fzc --threads 4 --idle-timeout 60
 //! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc --readers 3
 //! flowzip compress   'trace-*.tsh' -o web.fzc --readers 4 --prefetch-mb 4
-//! flowzip compress   web.tsh -o web.fzc --format v1
 //! flowzip compress   web.tsh -o web.fzc --threads 4 --stats-interval 1 --metrics --json
 //! flowzip compress   web.tsh -o web.fzc --threads 4 --profile trace.json
 //! flowzip info       web.fzc [--json]
@@ -24,10 +23,10 @@
 //!
 //! Compression input is TSH (the NLANR 44-byte-record format) or pcap,
 //! auto-detected from the file magic; pcap streams through `PcapReader`
-//! without loading the capture whole. `.fzc` archives are written in
-//! container v2 by default (magic `FZC2`, per-shard sections) —
-//! `--format v1` keeps the original single-blob layout, and reading
-//! (`info` / `decompress` / `synth`) transparently accepts both.
+//! without loading the capture whole. `.fzc` archives are always written
+//! in container v2 (magic `FZC2`, per-shard sections); reading (`info` /
+//! `decompress` / `query` / `synth`) transparently accepts the original
+//! single-blob v1 layout too.
 //!
 //! There is one compress route — the sharded streaming engine — and
 //! `--threads N` is the one flag that sets its shard count. Left unset, a
@@ -68,14 +67,14 @@ const USAGE: &str = "usage:
   flowzip generate   [--flows N] [--secs S] [--seed K] -o OUT.tsh
   flowzip stats      IN.tsh
   flowzip compress   IN...  -o OUT.fzc   (TSH or pcap, auto-detected; several
-                     files or a quoted glob stream as one trace in order)
-                     [--format v1|v2] (default v2: per-shard archive sections)
+                     files or a quoted glob stream as one trace in order;
+                      written as container v2, one section per shard)
                      [--threads N] (shards; default 1 for a single input file,
                       one per core for several)
                      [--idle-timeout SECS] [--batch-size N]
                      [--readers N] [--prefetch-mb N] [--json]
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
-                      idle/active time — into a rev 2.2 FZT1 side-section; v2 only;
+                      idle/active time — into a rev 2.2 FZT1 side-section;
                       older readers ignore it byte-identically)
                      [--metrics] (embed the per-stage metrics dump in the report)
                      [--stats-interval SECS] [--stats-format json|human]
@@ -331,9 +330,6 @@ fn compress(opts: &Opts) -> Result<(), String> {
     let mut session = Pipeline::compress()
         .input(Input::globs(&opts.positional))
         .sink(Sink::file(&out));
-    if let Some(name) = opts.get("format") {
-        session = session.format(ArchiveFormat::parse(name)?);
-    }
     if opts.get("threads").is_some() {
         session = session.threads(opts.get_u64("threads", 0)? as usize);
     }

@@ -75,11 +75,13 @@
 //! let (archive, report) = Compressor::new(Params::paper()).compress(&trace);
 //! assert!(report.ratio_vs_tsh < 0.10);
 //!
-//! // …the streaming engine consumes any fallible packet iterator.
+//! // …the streaming engine consumes any fallible packet iterator and
+//! // writes a container-v2 archive, one section per shard.
 //! let engine = StreamingEngine::builder().shards(2).build();
-//! let (streamed, _) = engine
-//!     .compress_stream(trace.iter().cloned().map(Ok))
+//! let (bytes, _) = engine
+//!     .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
 //!     .unwrap();
+//! let streamed = CompressedTrace::from_bytes(&bytes).unwrap();
 //! assert_eq!(streamed.packet_count(), archive.packet_count());
 //!
 //! let restored = Decompressor::default().decompress(&archive);

@@ -161,84 +161,95 @@ fn missing_file_is_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("open"));
 }
 
-/// `--format` selects the container; both formats decompress to the
-/// identical TSH output, and `info` reports the layout.
+fn fixture(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
+/// No writer emits v1 any more, but every reader still accepts it: the
+/// checked-in v1 and v2 golden fixtures hold the same archive, so `info`
+/// names the layout, and `decompress` and `query -o` write byte-identical
+/// TSH from both. `--format` itself is gone.
 #[test]
-fn format_flag_selects_container_and_output_is_identical() {
-    let dir = tmpdir("format");
-    let tsh = dir.join("web.tsh");
-    let out = bin()
-        .args([
-            "generate", "--flows", "150", "--secs", "15", "--seed", "9", "-o",
-        ])
-        .arg(&tsh)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
+fn checked_in_v1_and_v2_fixtures_read_identically() {
+    let dir = tmpdir("fixtures");
     let mut restored = Vec::new();
-    for format in ["v1", "v2"] {
-        let fzc = dir.join(format!("web-{format}.fzc"));
-        let out = bin()
-            .arg("compress")
-            .arg(&tsh)
-            .args(["--format", format, "--threads", "3", "-o"])
-            .arg(&fzc)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains(&format!("{format} container")),
-            "compress should announce the container"
-        );
-
+    for (name, layout) in [
+        ("web120_seed20050320.fzc", "format           : v1\n"),
+        ("web120_seed20050320.fzc2", "format           : v2"),
+    ] {
+        let fzc = fixture(name);
         let out = bin().arg("info").arg(&fzc).output().unwrap();
-        assert!(out.status.success());
+        assert!(out.status.success(), "{name}");
         let text = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(
-            text.contains(&format!("format           : {format}")),
-            "info: {text}"
-        );
-        if format == "v2" {
+        assert!(text.contains(layout), "{name}: {text}");
+        assert!(text.contains("flows            : 120"), "{name}: {text}");
+
+        let back = dir.join(format!("{name}.tsh"));
+        let queried = dir.join(format!("{name}.query.tsh"));
+        for (args, path) in [(["decompress", "-o"], &back), (["query", "-o"], &queried)] {
+            let out = bin()
+                .arg(args[0])
+                .arg(&fzc)
+                .arg(args[1])
+                .arg(path)
+                .output()
+                .unwrap();
             assert!(
-                text.contains("3 sections"),
-                "v2 info shows sections: {text}"
+                out.status.success(),
+                "{name} {}: {}",
+                args[0],
+                String::from_utf8_lossy(&out.stderr)
             );
         }
-
-        let back = dir.join(format!("restored-{format}.tsh"));
-        let out = bin()
-            .arg("decompress")
-            .arg(&fzc)
-            .arg("-o")
-            .arg(&back)
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
+        let tsh = std::fs::read(&back).unwrap();
+        assert_eq!(tsh.len(), 1857 * 44, "{name}: every packet restored");
+        assert_eq!(
+            std::fs::read(&queried).unwrap(),
+            tsh,
+            "{name}: an unfiltered query is the full decode"
         );
-        restored.push(std::fs::read(&back).unwrap());
+        restored.push(tsh);
     }
     assert_eq!(
         restored[0], restored[1],
         "v1 and v2 decompress packet-identically"
     );
 
+    // Re-compressing writes v2, one section per shard, and says so.
+    let tsh = dir.join("web120_seed20050320.fzc.tsh");
+    let again = dir.join("again.fzc");
     let out = bin()
         .arg("compress")
         .arg(&tsh)
-        .args(["--format", "v9", "-o"])
-        .arg(dir.join("bad.fzc"))
+        .args(["--threads", "3", "-o"])
+        .arg(&again)
         .output()
         .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown archive format"));
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(v2 container, "));
+    let out = bin().arg("info").arg(&again).output().unwrap();
+    let text = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        text.contains("format           : v2.1 (3 sections"),
+        "{text}"
+    );
+
+    let out = bin()
+        .arg("compress")
+        .arg(&tsh)
+        .args(["--format", "v1", "-o"])
+        .arg(dir.join("v1.fzc"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --format for compress"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("v1.fzc").exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -993,6 +1004,35 @@ fn assert_clean_failure(args: &[&std::ffi::OsStr], out: &std::path::Path, needle
     assert!(!out.exists(), "{args:?} left {}", out.display());
     let part = flowzip::pipeline::Sink::partial_path(out);
     assert!(!part.exists(), "{args:?} left {}", part.display());
+}
+
+/// Two crafted v1 headers whose element counts no file could hold: a
+/// 2^62-entry short-template dataset (`Vec::with_capacity` overflowed)
+/// and a 2^42-record time-seq (a 128 TiB allocation aborted the
+/// process). The reader clamps every pre-allocation to the bytes left,
+/// so each command fails cleanly on the truncated body instead.
+#[test]
+fn crafted_v1_counts_are_errors_not_panics() {
+    let dir = tmpdir("crafted-v1");
+    let out = dir.join("out.tsh");
+    for name in ["v1_capacity_overflow.fzc", "v1_huge_flow_count.fzc"] {
+        let archive = fixture(name);
+        let archive = archive.as_os_str();
+        let o = out.as_os_str();
+        for args in [
+            vec!["info".as_ref(), archive],
+            vec!["decompress".as_ref(), archive, "-o".as_ref(), o],
+            vec!["query".as_ref(), archive],
+            vec!["query".as_ref(), archive, "-o".as_ref(), o],
+        ] {
+            assert_clean_failure(&args, &out, "compressed trace truncated");
+            assert!(
+                bin().args(&args).output().unwrap().stdout.is_empty(),
+                "{args:?} printed output"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

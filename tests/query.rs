@@ -149,3 +149,37 @@ proptest! {
         );
     }
 }
+
+/// A v1 archive has no section index, but its header still counts the
+/// datasets: `query` reports the same template and address counts `info`
+/// does, without decoding anything.
+#[test]
+fn query_on_a_v1_archive_reports_its_header_counts() {
+    use flowzip::core::ArchiveFormat;
+    use flowzip::pipeline::Report;
+
+    let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/web120_seed20050320.fzc");
+    let info = Report::inspect(&std::fs::read(&path).unwrap()).unwrap();
+    let info = info.archive.unwrap();
+    let query = Pipeline::query().input(Input::file(&path)).run().unwrap();
+    let summary = query.report.archive.unwrap();
+    assert_eq!(summary.format, ArchiveFormat::V1);
+    assert_eq!(summary.sections, 1);
+    assert_eq!(
+        (
+            summary.short_templates,
+            summary.long_templates,
+            summary.addresses
+        ),
+        (31, 2, 51)
+    );
+    assert_eq!(
+        (
+            summary.short_templates,
+            summary.long_templates,
+            summary.addresses
+        ),
+        (info.short_templates, info.long_templates, info.addresses)
+    );
+}
