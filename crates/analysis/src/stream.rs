@@ -3,7 +3,7 @@
 //! time, without ever reconstructing the full `time-seq` dataset (let
 //! alone decompressing packets).
 //!
-//! The input is [`flowzip_core::SectionStream`] — global context
+//! The input is a [`flowzip_core::ArchiveReader`] — global context
 //! (short-flow templates, addresses, the v2.1 metadata block) parses
 //! once, then each section's flow records decode and fold into the
 //! accumulators before the next section is touched. Peak memory is
@@ -14,7 +14,7 @@
 use crate::complexity::TraceComplexity;
 use crate::{BucketedHistogram, Cdf};
 use flowzip_core::datasets::CodecError;
-use flowzip_core::SectionStream;
+use flowzip_core::ArchiveReader;
 
 /// One archive section reduced to series points — the per-section
 /// rollup the time-series pass plots.
@@ -74,28 +74,28 @@ impl ArchivePasses {
     }
 }
 
-/// Runs the streaming passes over `stream` to exhaustion.
+/// Runs the streaming passes over every section of `reader`.
 ///
 /// # Errors
 ///
 /// [`CodecError`] when a section payload is malformed; sections decoded
 /// before the error are discarded.
-pub fn analyze_sections(mut stream: SectionStream<'_>) -> Result<ArchivePasses, CodecError> {
+pub fn analyze_sections(reader: &ArchiveReader<'_>) -> Result<ArchivePasses, CodecError> {
     let mut sizes: Vec<f64> = Vec::new();
     let mut sizes_u: Vec<u64> = Vec::new();
     let mut starts_us: Vec<u64> = Vec::new();
     let mut rtts: Vec<f64> = Vec::new();
     let mut measured_rtts: Vec<f64> = Vec::new();
     let mut retrans: Vec<f64> = Vec::new();
-    let has_telemetry = stream.telemetry().is_some();
+    let has_telemetry = reader.telemetry().is_some();
     let mut histogram = BucketedHistogram::figure3();
-    let mut sections = Vec::with_capacity(stream.sections());
+    let mut sections = Vec::with_capacity(reader.counts().3 as usize);
     let mut packets_total = 0u64;
 
     // Short-template expansion sizes are global and reused per record.
-    let short_len: Vec<usize> = stream.short_templates().iter().map(Vec::len).collect();
+    let short_len: Vec<usize> = reader.short_templates().iter().map(Vec::len).collect();
 
-    while let Some(section) = stream.next_section() {
+    for section in reader.sections() {
         let section = section?;
         let mut packets = 0u64;
         for r in &section.records {
@@ -154,7 +154,7 @@ pub fn analyze_sections(mut stream: SectionStream<'_>) -> Result<ArchivePasses, 
 ///
 /// [`CodecError`] when `data` is not a well-formed v2 archive.
 pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
-    analyze_sections(SectionStream::open(data)?)
+    analyze_sections(&ArchiveReader::open(data)?)
 }
 
 #[cfg(test)]

@@ -38,6 +38,12 @@
 //! validated, not blindly skipped — a corrupt or truncated block is a
 //! [`CodecError`], never a panic or a silently wrong query index.
 //!
+//! **One reader.** [`ArchiveReader`] parses the header, index and
+//! trailing blocks once; every v2 consumer — [`read_v2`], the query
+//! planner, `flowzip info`'s size and telemetry summary, the analysis
+//! passes — reads through it, and payloads decode serially on the
+//! caller's thread.
+//!
 //! **Equivalence guarantee.** Reading a v2 archive reconstructs the
 //! *identical* [`CompressedTrace`] the v1 path would have produced from
 //! the same shards: template stores merge in shard order under the same
@@ -50,7 +56,7 @@
 
 use crate::cluster::TemplateStore;
 use crate::datasets::{
-    clamped_capacity, get_varint, put_varint, CodecError, CompressedTrace, DatasetSizes,
+    clamped_capacity, get_varint, narrow, put_varint, CodecError, CompressedTrace, DatasetSizes,
     FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, VERSION,
 };
 use crate::decompress::DEFAULT_SEED;
@@ -167,19 +173,17 @@ pub(crate) fn put_time_seq_record(r: &FlowRecord, last_ts: &mut u64, out: &mut V
     }
 }
 
-/// One parsed section-index entry (shared with the query planner in
-/// [`crate::query`], which decodes only the sections that survive
-/// pruning).
-pub(crate) struct SectionEntry {
-    pub(crate) payload_len: usize,
-    pub(crate) flow_count: usize,
-    pub(crate) long_count: usize,
+/// One parsed section-index entry and its (still encoded) payload.
+struct SectionEntry<'a> {
+    payload: &'a [u8],
+    flow_count: usize,
+    long_count: usize,
     /// Local short-template index → global index.
-    pub(crate) short_remap: Vec<u32>,
+    short_remap: Vec<u32>,
     /// Local address index → global index.
-    pub(crate) addr_remap: Vec<u32>,
+    addr_remap: Vec<u32>,
     /// Global index of this section's first long template.
-    pub(crate) long_base: u32,
+    long_base: u32,
 }
 
 /// What the index-assembly merge learned — the clustering figures that
@@ -335,282 +339,430 @@ pub fn write_sections(
     (out, sizes, stats)
 }
 
-/// Decodes one section payload into globally-indexed datasets.
-pub(crate) fn decode_section(
-    payload: &[u8],
-    entry: &SectionEntry,
-    n_short: usize,
-    n_addr: usize,
-) -> Result<(Vec<LongTemplate>, Vec<FlowRecord>), CodecError> {
-    let mut pos = 0usize;
-    let mut long_templates = Vec::with_capacity(clamped_capacity(entry.long_count, payload.len()));
-    for _ in 0..entry.long_count {
-        let n = get_varint(payload, &mut pos)? as usize;
-        let mut entries = Vec::with_capacity(clamped_capacity(n, payload.len() - pos));
-        for _ in 0..n {
-            let m = get_varint(payload, &mut pos)? as u16;
-            let ipt = Duration::from_micros(get_varint(payload, &mut pos)?);
-            entries.push((m, ipt));
-        }
-        long_templates.push(LongTemplate { entries });
-    }
-
-    let mut time_seq = Vec::with_capacity(clamped_capacity(entry.flow_count, payload.len() - pos));
-    let mut last_ts = 0u64;
-    for _ in 0..entry.flow_count {
-        let key = get_varint(payload, &mut pos)?;
-        let is_long = key & 1 == 1;
-        let local_idx = (key >> 1) as usize;
-        let template_idx = if is_long {
-            if local_idx >= entry.long_count {
-                return Err(CodecError::IndexOutOfRange(
-                    "long template",
-                    local_idx as u64,
-                ));
-            }
-            entry.long_base + local_idx as u32
-        } else {
-            let global = *entry
-                .short_remap
-                .get(local_idx)
-                .ok_or(CodecError::IndexOutOfRange(
-                    "short template",
-                    local_idx as u64,
-                ))?;
-            if global as usize >= n_short {
-                return Err(CodecError::IndexOutOfRange("short template", global as u64));
-            }
-            global
-        };
-        let local_addr = get_varint(payload, &mut pos)? as usize;
-        let addr_idx = *entry
-            .addr_remap
-            .get(local_addr)
-            .ok_or(CodecError::IndexOutOfRange("address", local_addr as u64))?;
-        if addr_idx as usize >= n_addr {
-            return Err(CodecError::IndexOutOfRange("address", addr_idx as u64));
-        }
-        last_ts += get_varint(payload, &mut pos)?;
-        let rtt = if is_long {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(get_varint(payload, &mut pos)? << RTT_SHIFT)
-        };
-        time_seq.push(FlowRecord {
-            first_ts: Timestamp::from_micros(last_ts),
-            is_long,
-            template_idx,
-            addr_idx,
-            rtt,
-        });
-    }
-    if pos != payload.len() {
-        return Err(CodecError::Truncated);
-    }
-    Ok((long_templates, time_seq))
+/// A v2 archive parsed once, with its payloads still encoded.
+///
+/// [`ArchiveReader::open`] walks the preamble, the global datasets, the
+/// section index, the payload extents and the optional `FZM1`/`FZT1`
+/// blocks in one pass, recording each dataset's byte footprint as it
+/// goes. Everything a header-only consumer wants — [`counts`],
+/// [`sizes`], [`metadata`], [`telemetry`] — is then a method, and
+/// payloads decode only on demand: one section at a time through
+/// [`sections`] (the analysis passes), or a chosen subset through
+/// [`select`] ([`read_v2`] keeps every section, the query planner the
+/// ones its time/Bloom test cannot rule out). Sections decode serially
+/// on the caller's thread.
+///
+/// [`counts`]: ArchiveReader::counts
+/// [`sizes`]: ArchiveReader::sizes
+/// [`metadata`]: ArchiveReader::metadata
+/// [`telemetry`]: ArchiveReader::telemetry
+/// [`sections`]: ArchiveReader::sections
+/// [`select`]: ArchiveReader::select
+pub struct ArchiveReader<'a> {
+    n_long: usize,
+    short_templates: Vec<Vec<u16>>,
+    addresses: Vec<Ipv4Addr>,
+    entries: Vec<SectionEntry<'a>>,
+    meta: Option<ArchiveMeta>,
+    telemetry: Option<ArchiveTelemetry>,
+    /// Byte footprint with every payload byte counted as `time_seq`;
+    /// [`ArchiveReader::sizes`] moves the long-template slices across.
+    footprint: DatasetSizes,
 }
 
-/// A v2 archive parsed down to its global datasets, section index and
-/// payload slices — everything *except* the per-section payload decode,
-/// which [`read_v2`] runs for every section and the query planner
-/// ([`crate::query`]) runs only for sections that survive pruning.
-pub(crate) struct ParsedV2<'a> {
-    pub(crate) n_long: usize,
-    pub(crate) short_templates: Vec<Vec<u16>>,
-    pub(crate) addresses: Vec<Ipv4Addr>,
-    pub(crate) entries: Vec<SectionEntry>,
-    pub(crate) payloads: Vec<&'a [u8]>,
-    /// The validated v2.1 metadata block, `None` for plain v2 files.
-    pub(crate) meta: Option<ArchiveMeta>,
-    /// The validated v2.2 telemetry block, `None` below rev 2.2.
-    pub(crate) telemetry: Option<ArchiveTelemetry>,
-}
-
-/// Parses a v2 archive's preamble, global datasets, section index,
-/// payload extents and (when present) the trailing v2.1 metadata block.
-pub(crate) fn parse_v2(data: &[u8]) -> Result<ParsedV2<'_>, CodecError> {
-    if data.len() < 5 || data[0..4] != MAGIC_V2 || data[4] != VERSION_V2 {
-        return Err(CodecError::BadHeader);
-    }
-    let mut pos = 5usize;
-    let n_short = get_varint(data, &mut pos)? as usize;
-    let n_long = get_varint(data, &mut pos)? as usize;
-    let n_addr = get_varint(data, &mut pos)? as usize;
-    let n_sections = get_varint(data, &mut pos)? as usize;
-
-    let mut short_templates = Vec::with_capacity(clamped_capacity(n_short, data.len() - pos));
-    for _ in 0..n_short {
-        let n = get_varint(data, &mut pos)? as usize;
-        let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
-        for _ in 0..n {
-            v.push(get_varint(data, &mut pos)? as u16);
+impl<'a> ArchiveReader<'a> {
+    /// Parses a v2 archive's header, index and trailing blocks, without
+    /// decoding any payload.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when `data` is not a well-formed v2 archive (v1
+    /// has no section index; [`CompressedTrace::from_bytes`] reads it).
+    pub fn open(data: &'a [u8]) -> Result<ArchiveReader<'a>, CodecError> {
+        if data.len() < 5 || data[0..4] != MAGIC_V2 || data[4] != VERSION_V2 {
+            return Err(CodecError::BadHeader);
         }
-        short_templates.push(v);
-    }
+        let mut pos = 5usize;
+        let n_short = get_varint(data, &mut pos)? as usize;
+        let n_long = get_varint(data, &mut pos)? as usize;
+        let n_addr = get_varint(data, &mut pos)? as usize;
+        let n_sections = get_varint(data, &mut pos)? as usize;
+        let preamble = pos;
 
-    let mut addresses = Vec::with_capacity(clamped_capacity(n_addr, data.len() - pos));
-    for _ in 0..n_addr {
-        if pos + 4 > data.len() {
-            return Err(CodecError::Truncated);
-        }
-        addresses.push(Ipv4Addr::new(
-            data[pos],
-            data[pos + 1],
-            data[pos + 2],
-            data[pos + 3],
-        ));
-        pos += 4;
-    }
-
-    let mut entries = Vec::with_capacity(clamped_capacity(n_sections, data.len() - pos));
-    let mut long_base = 0u64;
-    for _ in 0..n_sections {
-        let payload_len = get_varint(data, &mut pos)? as usize;
-        let flow_count = get_varint(data, &mut pos)? as usize;
-        let long_count = get_varint(data, &mut pos)? as usize;
-        let n_short_local = get_varint(data, &mut pos)? as usize;
-        let mut short_remap = Vec::with_capacity(clamped_capacity(n_short_local, data.len() - pos));
-        for _ in 0..n_short_local {
-            short_remap.push(get_varint(data, &mut pos)? as u32);
-        }
-        let n_addr_local = get_varint(data, &mut pos)? as usize;
-        let mut addr_remap = Vec::with_capacity(clamped_capacity(n_addr_local, data.len() - pos));
-        for _ in 0..n_addr_local {
-            addr_remap.push(get_varint(data, &mut pos)? as u32);
-        }
-        entries.push(SectionEntry {
-            payload_len,
-            flow_count,
-            long_count,
-            short_remap,
-            addr_remap,
-            long_base: u32::try_from(long_base).map_err(|_| CodecError::Truncated)?,
-        });
-        long_base += long_count as u64;
-    }
-    if long_base != n_long as u64 {
-        return Err(CodecError::SectionLength(n_sections));
-    }
-
-    // Slice out each payload; the index byte-lengths must tile the rest
-    // of the file exactly, up to the optional trailing metadata block.
-    let mut payloads = Vec::with_capacity(entries.len());
-    for entry in &entries {
-        let end = pos
-            .checked_add(entry.payload_len)
-            .filter(|&e| e <= data.len())
-            .ok_or(CodecError::Truncated)?;
-        payloads.push(&data[pos..end]);
-        pos = end;
-    }
-    let meta = if pos == data.len() {
-        None // plain v2: no metadata block
-    } else {
-        let block = ArchiveMeta::decode(data, &mut pos, n_sections)?;
-        // The block must agree with the index it summarizes.
-        for (m, entry) in block.sections.iter().zip(&entries) {
-            if m.flows != entry.flow_count as u64 {
-                return Err(CodecError::Metadata("flow count disagrees with index"));
+        let mut short_templates = Vec::with_capacity(clamped_capacity(n_short, data.len() - pos));
+        for _ in 0..n_short {
+            let n = get_varint(data, &mut pos)? as usize;
+            let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
+            for _ in 0..n {
+                v.push(narrow(get_varint(data, &mut pos)?, "template entry")?);
             }
-            if m.long_template_bytes + m.time_seq_bytes != entry.payload_len as u64 {
-                return Err(CodecError::Metadata("byte split disagrees with index"));
-            }
+            short_templates.push(v);
         }
-        Some(block)
-    };
-    // Rev 2.2: where a v2.1 reader would report trailing garbage, this
-    // one parses the optional telemetry block — which, like FZM1, must
-    // then end the file exactly and agree with the section index.
-    let telemetry = if pos == data.len() {
-        None
-    } else {
-        let block = ArchiveTelemetry::decode(data, &mut pos, n_sections)?;
-        if pos != data.len() {
+        let short_bytes = pos - preamble;
+
+        let mut addresses = Vec::with_capacity(clamped_capacity(n_addr, data.len() - pos));
+        for _ in 0..n_addr {
+            if pos + 4 > data.len() {
+                return Err(CodecError::Truncated);
+            }
+            addresses.push(Ipv4Addr::new(
+                data[pos],
+                data[pos + 1],
+                data[pos + 2],
+                data[pos + 3],
+            ));
+            pos += 4;
+        }
+
+        let index_start = pos;
+        let mut index = Vec::with_capacity(clamped_capacity(n_sections, data.len() - pos));
+        let mut long_base = 0u64;
+        for _ in 0..n_sections {
+            let payload_len = get_varint(data, &mut pos)? as usize;
+            let flow_count = get_varint(data, &mut pos)? as usize;
+            let long_count = get_varint(data, &mut pos)? as usize;
+            let n_short_local = get_varint(data, &mut pos)? as usize;
+            let mut short_remap =
+                Vec::with_capacity(clamped_capacity(n_short_local, data.len() - pos));
+            for _ in 0..n_short_local {
+                short_remap.push(narrow(get_varint(data, &mut pos)?, "short template")?);
+            }
+            let n_addr_local = get_varint(data, &mut pos)? as usize;
+            let mut addr_remap =
+                Vec::with_capacity(clamped_capacity(n_addr_local, data.len() - pos));
+            for _ in 0..n_addr_local {
+                addr_remap.push(narrow(get_varint(data, &mut pos)?, "address")?);
+            }
+            let long_base_u32 = u32::try_from(long_base).map_err(|_| CodecError::Truncated)?;
+            index.push((
+                payload_len,
+                SectionEntry {
+                    payload: &[],
+                    flow_count,
+                    long_count,
+                    short_remap,
+                    addr_remap,
+                    long_base: long_base_u32,
+                },
+            ));
+            long_base += long_count as u64;
+        }
+        if long_base != n_long as u64 {
             return Err(CodecError::SectionLength(n_sections));
         }
-        for (t, entry) in block.sections.iter().zip(&entries) {
-            if t.flows.len() != entry.flow_count {
-                return Err(CodecError::Telemetry("flow count disagrees with index"));
+        let index_bytes = pos - index_start;
+
+        // Slice out each payload; the index byte-lengths must tile the rest
+        // of the file exactly, up to the optional trailing blocks.
+        let payload_start = pos;
+        let mut entries = Vec::with_capacity(index.len());
+        for (payload_len, mut entry) in index {
+            let end = pos
+                .checked_add(payload_len)
+                .filter(|&e| e <= data.len())
+                .ok_or(CodecError::Truncated)?;
+            entry.payload = &data[pos..end];
+            entries.push(entry);
+            pos = end;
+        }
+        let payload_bytes = pos - payload_start;
+
+        let meta_start = pos;
+        let meta = if pos == data.len() {
+            None // plain v2: no metadata block
+        } else {
+            let block = ArchiveMeta::decode(data, &mut pos, n_sections)?;
+            // The block must agree with the index it summarizes.
+            for (m, entry) in block.sections.iter().zip(&entries) {
+                if m.flows != entry.flow_count as u64 {
+                    return Err(CodecError::Metadata("flow count disagrees with index"));
+                }
+                if m.long_template_bytes + m.time_seq_bytes != entry.payload.len() as u64 {
+                    return Err(CodecError::Metadata("byte split disagrees with index"));
+                }
+            }
+            Some(block)
+        };
+        let meta_bytes = pos - meta_start;
+        // Rev 2.2: where a v2.1 reader would report trailing garbage, this
+        // one parses the optional telemetry block — which, like FZM1, must
+        // then end the file exactly and agree with the section index.
+        let telemetry_start = pos;
+        let telemetry = if pos == data.len() {
+            None
+        } else {
+            let block = ArchiveTelemetry::decode(data, &mut pos, n_sections)?;
+            if pos != data.len() {
+                return Err(CodecError::SectionLength(n_sections));
+            }
+            for (t, entry) in block.sections.iter().zip(&entries) {
+                if t.flows.len() != entry.flow_count {
+                    return Err(CodecError::Telemetry("flow count disagrees with index"));
+                }
+            }
+            Some(block)
+        };
+
+        Ok(ArchiveReader {
+            n_long,
+            short_templates,
+            addresses,
+            entries,
+            meta,
+            telemetry,
+            footprint: DatasetSizes {
+                header: (preamble + index_bytes) as u64,
+                short_templates: short_bytes as u64,
+                long_templates: 0,
+                addresses: (n_addr * 4) as u64,
+                time_seq: payload_bytes as u64,
+                metadata: meta_bytes as u64,
+                telemetry: (pos - telemetry_start) as u64,
+            },
+        })
+    }
+
+    /// `(short templates, long templates, addresses, sections)` as the
+    /// preamble declares them — and as the index and datasets agree.
+    pub fn counts(&self) -> (u64, u64, u64, u64) {
+        (
+            self.short_templates.len() as u64,
+            self.n_long as u64,
+            self.addresses.len() as u64,
+            self.entries.len() as u64,
+        )
+    }
+
+    /// Flow records across all sections, as the index declares them.
+    pub(crate) fn flows(&self) -> u64 {
+        self.entries.iter().map(|e| e.flow_count as u64).sum()
+    }
+
+    /// The per-dataset byte footprint of the file as laid out (the
+    /// preamble and index count as `header`; each payload splits at its
+    /// long-template/time-seq boundary). This is what `flowzip info`
+    /// reports — unlike a re-encode, it agrees with the file on disk even
+    /// for multi-section archives, whose index and per-section delta
+    /// restarts a single-section re-encode can't see.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when a payload's long-template slice is malformed:
+    /// finding the boundary walks it.
+    pub fn sizes(&self) -> Result<DatasetSizes, CodecError> {
+        let mut long = 0u64;
+        for entry in &self.entries {
+            let mut p = 0usize;
+            for _ in 0..entry.long_count {
+                let n = get_varint(entry.payload, &mut p)?;
+                for _ in 0..n {
+                    get_varint(entry.payload, &mut p)?;
+                    get_varint(entry.payload, &mut p)?;
+                }
+            }
+            long += p as u64;
+        }
+        Ok(DatasetSizes {
+            long_templates: long,
+            time_seq: self.footprint.time_seq - long,
+            ..self.footprint
+        })
+    }
+
+    /// The global short-flows-template dataset (cluster centers).
+    pub fn short_templates(&self) -> &[Vec<u16>] {
+        &self.short_templates
+    }
+
+    /// The global address dataset.
+    pub fn addresses(&self) -> &[Ipv4Addr] {
+        &self.addresses
+    }
+
+    /// The validated v2.1 metadata block, `None` for plain v2 files.
+    pub fn metadata(&self) -> Option<&ArchiveMeta> {
+        self.meta.as_ref()
+    }
+
+    /// The validated v2.2 telemetry block, `None` below rev 2.2.
+    pub fn telemetry(&self) -> Option<&ArchiveTelemetry> {
+        self.telemetry.as_ref()
+    }
+
+    /// Decodes the sections one at a time, in archive order — what the
+    /// analysis passes fold without materializing the whole time-seq
+    /// dataset.
+    pub fn sections(&self) -> impl Iterator<Item = Result<DecodedSection, CodecError>> + '_ {
+        self.entries.iter().enumerate().map(|(i, entry)| {
+            let (long_templates, records) = self.decode(entry, entry.long_base)?;
+            Ok(DecodedSection {
+                index: i,
+                meta: self.meta.as_ref().map(|m| m.sections[i].clone()),
+                long_templates,
+                long_base: entry.long_base,
+                records,
+                telemetry: self.telemetry.as_ref().map(|t| t.sections[i].flows.clone()),
+            })
+        })
+    }
+
+    /// Decodes the sections `keep` accepts (by index, in archive order)
+    /// into one [`CompressedTrace`]: the kept sections' long templates
+    /// are compacted and their records' long indices rebased onto the
+    /// compacted table (with every section kept, the rebase is the
+    /// identity), then the time-sorted slices k-way merge stably by
+    /// `(first_ts, section index)`. `select(|_| true)` is the whole
+    /// archive, exactly what the v1 path would have produced.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] for a malformed payload; the result additionally
+    /// passes [`CompressedTrace::validate`].
+    pub fn select(
+        self,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> Result<CompressedTrace, CodecError> {
+        let payload_bytes = self.footprint.time_seq as usize;
+        let mut long_templates = Vec::with_capacity(clamped_capacity(self.n_long, payload_bytes));
+        let mut slices = Vec::with_capacity(self.entries.len());
+        for (i, entry) in self.entries.iter().enumerate() {
+            if keep(i) {
+                let (longs, seq) = self.decode(entry, long_templates.len() as u32)?;
+                long_templates.extend(longs);
+                slices.push(seq);
             }
         }
-        Some(block)
-    };
+        let ct = CompressedTrace {
+            short_templates: self.short_templates,
+            long_templates,
+            addresses: self.addresses,
+            time_seq: merge_time_seq(slices),
+        };
+        ct.validate()?;
+        Ok(ct)
+    }
 
-    Ok(ParsedV2 {
-        n_long,
-        short_templates,
-        addresses,
-        entries,
-        payloads,
-        meta,
-        telemetry,
-    })
+    /// Decodes one section payload into globally-indexed datasets, its
+    /// long templates numbered from `long_base`.
+    fn decode(
+        &self,
+        entry: &SectionEntry<'_>,
+        long_base: u32,
+    ) -> Result<(Vec<LongTemplate>, Vec<FlowRecord>), CodecError> {
+        let payload = entry.payload;
+        let mut pos = 0usize;
+        let mut long_templates =
+            Vec::with_capacity(clamped_capacity(entry.long_count, payload.len()));
+        for _ in 0..entry.long_count {
+            let n = get_varint(payload, &mut pos)? as usize;
+            let mut entries = Vec::with_capacity(clamped_capacity(n, payload.len() - pos));
+            for _ in 0..n {
+                let m = narrow(get_varint(payload, &mut pos)?, "template entry")?;
+                let ipt = Duration::from_micros(get_varint(payload, &mut pos)?);
+                entries.push((m, ipt));
+            }
+            long_templates.push(LongTemplate { entries });
+        }
+
+        let mut time_seq =
+            Vec::with_capacity(clamped_capacity(entry.flow_count, payload.len() - pos));
+        let mut last_ts = 0u64;
+        for _ in 0..entry.flow_count {
+            let key = get_varint(payload, &mut pos)?;
+            let is_long = key & 1 == 1;
+            let local_idx = (key >> 1) as usize;
+            let template_idx = if is_long {
+                if local_idx >= entry.long_count {
+                    return Err(CodecError::IndexOutOfRange(
+                        "long template",
+                        local_idx as u64,
+                    ));
+                }
+                long_base + local_idx as u32
+            } else {
+                let global =
+                    *entry
+                        .short_remap
+                        .get(local_idx)
+                        .ok_or(CodecError::IndexOutOfRange(
+                            "short template",
+                            local_idx as u64,
+                        ))?;
+                if global as usize >= self.short_templates.len() {
+                    return Err(CodecError::IndexOutOfRange("short template", global as u64));
+                }
+                global
+            };
+            let local_addr = get_varint(payload, &mut pos)? as usize;
+            let addr_idx = *entry
+                .addr_remap
+                .get(local_addr)
+                .ok_or(CodecError::IndexOutOfRange("address", local_addr as u64))?;
+            if addr_idx as usize >= self.addresses.len() {
+                return Err(CodecError::IndexOutOfRange("address", addr_idx as u64));
+            }
+            last_ts = last_ts
+                .checked_add(get_varint(payload, &mut pos)?)
+                .ok_or(CodecError::UnsortedTimeSeq)?;
+            let rtt = if is_long {
+                Duration::ZERO
+            } else {
+                Duration::from_micros(get_varint(payload, &mut pos)? << RTT_SHIFT)
+            };
+            time_seq.push(FlowRecord {
+                first_ts: Timestamp::from_micros(last_ts),
+                is_long,
+                template_idx,
+                addr_idx,
+                rtt,
+            });
+        }
+        if pos != payload.len() {
+            return Err(CodecError::Truncated);
+        }
+        Ok((long_templates, time_seq))
+    }
+}
+
+/// One archive section decoded by [`ArchiveReader::sections`]: the
+/// section's flow records (globally indexed) plus its slice of the
+/// long-template table.
+#[derive(Debug, Clone)]
+pub struct DecodedSection {
+    /// Position in the archive's section order.
+    pub index: usize,
+    /// The section's v2.1 metadata record, when the archive carries one.
+    pub meta: Option<SectionMeta>,
+    /// The section's long templates; a record with `is_long` indexes
+    /// this table at `template_idx - long_base`.
+    pub long_templates: Vec<LongTemplate>,
+    /// Global index of `long_templates[0]`.
+    pub long_base: u32,
+    /// The section's flow records, time-sorted, with global short
+    /// template and address indices.
+    pub records: Vec<FlowRecord>,
+    /// The section's v2.2 telemetry rows (index-joined to `records`),
+    /// when the archive carries an `FZT1` block.
+    pub telemetry: Option<Vec<FlowTelemetry>>,
 }
 
 /// Parses a v2 archive into the same global [`CompressedTrace`] the v1
-/// path would produce. Sections decode in parallel (chunked across at
-/// most `available_parallelism` threads); the time-seq slices then
-/// k-way merge stably by `(first_ts, section index)`. A v2.1 trailing
-/// metadata block, when present, is validated and then ignored — it
-/// never influences the reconstructed archive.
+/// path would produce: [`ArchiveReader::select`] with every section
+/// kept. A v2.1 trailing metadata block, when present, is validated and
+/// then ignored — it never influences the reconstructed archive.
 ///
 /// # Errors
 ///
 /// [`CodecError`] for malformed input; the result additionally passes
 /// [`CompressedTrace::validate`].
 pub fn read_v2(data: &[u8]) -> Result<CompressedTrace, CodecError> {
-    let ParsedV2 {
-        n_long,
-        short_templates,
-        addresses,
-        entries,
-        payloads,
-        meta: _,
-        telemetry: _,
-    } = parse_v2(data)?;
-    let n_short = short_templates.len();
-    let n_addr = addresses.len();
-
-    // Section-parallel decode: each payload is self-contained, so this
-    // is embarrassingly parallel; results come back in section order, so
-    // the merge stays deterministic. The shared `WorkerPool` caps live
-    // threads at the host's parallelism — the section count comes from
-    // the (untrusted) archive, so one thread per section would let a
-    // crafted file with millions of empty sections exhaust the OS thread
-    // limit.
-    let pairs: Vec<(&SectionEntry, &[u8])> = entries.iter().zip(payloads).collect();
-    let decoded: Vec<(Vec<LongTemplate>, Vec<FlowRecord>)> =
-        flowzip_io::WorkerPool::with_available_parallelism()
-            .run(
-                pairs
-                    .iter()
-                    .map(|(entry, payload)| move || decode_section(payload, entry, n_short, n_addr))
-                    .collect(),
-            )
-            .into_iter()
-            .collect::<Result<Vec<_>, CodecError>>()?;
-
-    let mut long_templates = Vec::with_capacity(clamped_capacity(n_long, data.len()));
-    let mut slices = Vec::with_capacity(entries.len());
-    for (longs, seq) in decoded {
-        long_templates.extend(longs);
-        slices.push(seq);
-    }
-
-    let ct = CompressedTrace {
-        short_templates,
-        long_templates,
-        addresses,
-        time_seq: merge_time_seq(slices),
-    };
-    ct.validate()?;
-    Ok(ct)
+    ArchiveReader::open(data)?.select(|_| true)
 }
 
 /// Stable k-way merge of per-section time-sorted slices: equal
 /// timestamps resolve to the lower section index, which reproduces v1's
 /// stable sort over the shard-order concatenation exactly.
-pub(crate) fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
+fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
@@ -638,8 +790,8 @@ pub(crate) fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
 }
 
 /// Reads only the v1 header: `(short templates, long templates,
-/// addresses)` — the v1 twin of [`v2_counts`], for summaries that must
-/// not decode the archive.
+/// addresses)` — the v1 twin of [`ArchiveReader::counts`], for
+/// summaries that must not decode the archive.
 ///
 /// # Errors
 ///
@@ -655,154 +807,15 @@ pub fn v1_counts(data: &[u8]) -> Result<(u64, u64, u64), CodecError> {
     Ok((n_short, n_long, n_addr))
 }
 
-/// Reads only the v2 preamble: `(short templates, long templates,
-/// addresses, sections)` — what `flowzip info` shows without decoding
-/// payloads.
-///
-/// # Errors
-///
-/// [`CodecError::BadHeader`] when `data` is not a v2 archive.
-pub fn v2_counts(data: &[u8]) -> Result<(u64, u64, u64, u64), CodecError> {
-    if data.len() < 5 || data[0..4] != MAGIC_V2 || data[4] != VERSION_V2 {
-        return Err(CodecError::BadHeader);
-    }
-    let mut pos = 5usize;
-    let n_short = get_varint(data, &mut pos)?;
-    let n_long = get_varint(data, &mut pos)?;
-    let n_addr = get_varint(data, &mut pos)?;
-    let n_sections = get_varint(data, &mut pos)?;
-    Ok((n_short, n_long, n_addr, n_sections))
-}
-
-/// Measures the per-dataset byte footprint of an existing v2 archive by
-/// walking its real layout (preamble + index count as `header`; each
-/// section payload splits at the long-template/time-seq boundary). This
-/// is what `flowzip info` reports — unlike a re-encode, it agrees with
-/// the file on disk even for multi-section archives, whose index and
-/// per-section delta restarts a single-section re-encode can't see.
-///
-/// # Errors
-///
-/// [`CodecError`] when `data` is not a well-formed v2 archive.
-pub fn v2_sizes(data: &[u8]) -> Result<DatasetSizes, CodecError> {
-    if data.len() < 5 || data[0..4] != MAGIC_V2 || data[4] != VERSION_V2 {
-        return Err(CodecError::BadHeader);
-    }
-    let mut pos = 5usize;
-    let n_short = get_varint(data, &mut pos)? as usize;
-    let _n_long = get_varint(data, &mut pos)?;
-    let n_addr = get_varint(data, &mut pos)? as usize;
-    let n_sections = get_varint(data, &mut pos)? as usize;
-    let preamble = pos as u64;
-
-    let mark = pos;
-    for _ in 0..n_short {
-        let n = get_varint(data, &mut pos)? as usize;
-        for _ in 0..n {
-            get_varint(data, &mut pos)?;
-        }
-    }
-    let short_templates = (pos - mark) as u64;
-
-    let addr_bytes = n_addr
-        .checked_mul(4)
-        .filter(|&b| b <= data.len() - pos)
-        .ok_or(CodecError::Truncated)?;
-    pos += addr_bytes;
-    let addr_bytes = addr_bytes as u64;
-
-    let mark = pos;
-    let mut section_meta = Vec::with_capacity(clamped_capacity(n_sections, data.len() - pos));
-    for _ in 0..n_sections {
-        let payload_len = get_varint(data, &mut pos)? as usize;
-        let _flow_count = get_varint(data, &mut pos)?;
-        let long_count = get_varint(data, &mut pos)? as usize;
-        let n_short_local = get_varint(data, &mut pos)? as usize;
-        for _ in 0..n_short_local {
-            get_varint(data, &mut pos)?;
-        }
-        let n_addr_local = get_varint(data, &mut pos)? as usize;
-        for _ in 0..n_addr_local {
-            get_varint(data, &mut pos)?;
-        }
-        section_meta.push((payload_len, long_count));
-    }
-    let index_bytes = (pos - mark) as u64;
-
-    let mut long_template_bytes = 0u64;
-    let mut time_seq_bytes = 0u64;
-    for (payload_len, long_count) in section_meta {
-        let end = pos
-            .checked_add(payload_len)
-            .filter(|&e| e <= data.len())
-            .ok_or(CodecError::Truncated)?;
-        let payload = &data[pos..end];
-        // Walk the long-template slice to find where time-seq starts.
-        let mut p = 0usize;
-        for _ in 0..long_count {
-            let n = get_varint(payload, &mut p)? as usize;
-            for _ in 0..n {
-                get_varint(payload, &mut p)?;
-                get_varint(payload, &mut p)?;
-            }
-        }
-        long_template_bytes += p as u64;
-        time_seq_bytes += (payload_len - p) as u64;
-        pos = end;
-    }
-    let metadata = if pos == data.len() {
-        0
-    } else {
-        let mark = pos;
-        ArchiveMeta::decode(data, &mut pos, n_sections)?;
-        (pos - mark) as u64
-    };
-    let telemetry = if pos == data.len() {
-        0
-    } else {
-        let mark = pos;
-        ArchiveTelemetry::decode(data, &mut pos, n_sections)?;
-        if pos != data.len() {
-            return Err(CodecError::SectionLength(n_sections));
-        }
-        (pos - mark) as u64
-    };
-
-    Ok(DatasetSizes {
-        header: preamble + index_bytes,
-        short_templates,
-        long_templates: long_template_bytes,
-        addresses: addr_bytes,
-        time_seq: time_seq_bytes,
-        metadata,
-        telemetry,
-    })
-}
-
-/// Reads the v2.1 trailing metadata block of a v2 archive, if present:
-/// `Ok(None)` for a plain v2 file, the parsed and validated block for a
-/// rev 2.1 file. This walks only the header and section index — payload
-/// bytes are skipped, which is what makes query planning O(sections)
-/// rather than O(trace).
+/// The v2.1 trailing metadata block of a v2 archive, if present:
+/// [`ArchiveReader::metadata`], owned. Payloads are never decoded.
 ///
 /// # Errors
 ///
 /// [`CodecError`] when `data` is not a well-formed v2 archive or the
 /// block is corrupt.
 pub fn v2_metadata(data: &[u8]) -> Result<Option<ArchiveMeta>, CodecError> {
-    Ok(parse_v2(data)?.meta)
-}
-
-/// Reads the v2.2 trailing telemetry block of a v2 archive, if present:
-/// `Ok(None)` below rev 2.2, the parsed and validated block for a
-/// rev 2.2 file. Payload bytes are never decoded.
-///
-/// # Errors
-///
-/// [`CodecError`] when `data` is not a well-formed v2 archive or the
-/// block is corrupt.
-pub fn v2_telemetry(data: &[u8]) -> Result<Option<ArchiveTelemetry>, CodecError> {
-    Ok(parse_v2(data)?.telemetry)
+    Ok(ArchiveReader::open(data)?.meta)
 }
 
 impl CompressedTrace {
@@ -993,12 +1006,17 @@ mod tests {
     fn v2_counts_match_preamble() {
         let ct = web_archive(120, 3);
         let bytes = ct.to_bytes_v2();
-        let (s, l, a, sections) = v2_counts(&bytes).unwrap();
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        let (s, l, a, sections) = reader.counts();
         assert_eq!(s, ct.short_templates.len() as u64);
         assert_eq!(l, ct.long_templates.len() as u64);
         assert_eq!(a, ct.addresses.len() as u64);
         assert_eq!(sections, 1);
-        assert!(v2_counts(&ct.to_bytes()).is_err(), "v1 bytes are not v2");
+        assert_eq!(reader.flows(), ct.time_seq.len() as u64);
+        assert!(
+            ArchiveReader::open(&ct.to_bytes()).is_err(),
+            "v1 bytes are not v2"
+        );
     }
 
     #[test]
@@ -1018,8 +1036,11 @@ mod tests {
         assert_eq!(sizes.total(), bytes.len() as u64);
         assert!(sizes.header > 0 && sizes.time_seq > 0);
         // Measuring the written file recovers the writer's breakdown.
-        assert_eq!(v2_sizes(&bytes).unwrap(), sizes);
-        assert!(v2_sizes(&ct.to_bytes()).is_err(), "v1 bytes are not v2");
+        assert_eq!(ArchiveReader::open(&bytes).unwrap().sizes().unwrap(), sizes);
+        assert!(
+            ArchiveReader::open(&ct.to_bytes()).is_err(),
+            "v1 bytes are not v2"
+        );
     }
 
     #[test]
@@ -1157,7 +1178,7 @@ mod tests {
         let (full, sizes) = ct.encode_v2_with_telemetry(&telem);
         assert_eq!(sizes.total(), full.len() as u64);
         assert!(sizes.telemetry > 0);
-        assert_eq!(v2_sizes(&full).unwrap(), sizes);
+        assert_eq!(ArchiveReader::open(&full).unwrap().sizes().unwrap(), sizes);
 
         // The block is a pure suffix of the v2.1 file: stripping it
         // yields the byte-identical rev-2.1 archive a pre-2.2 reader
@@ -1170,10 +1191,11 @@ mod tests {
         );
 
         // The block reads back exactly, without decoding payloads.
-        let block = v2_telemetry(&full).unwrap().unwrap();
+        let reader = ArchiveReader::open(&full).unwrap();
+        let block = reader.telemetry().unwrap();
         assert_eq!(block.sections.len(), 1);
         assert_eq!(block.sections[0].flows, telem);
-        assert!(v2_telemetry(&v21).unwrap().is_none());
+        assert!(ArchiveReader::open(&v21).unwrap().telemetry().is_none());
     }
 
     #[test]
@@ -1249,9 +1271,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_many_empty_sections_decode_with_bounded_threads() {
-        // 10k zero-payload sections: must decode (to an empty archive)
-        // without trying to spawn 10k threads.
+    fn v2_many_empty_sections_decode_to_an_empty_archive() {
+        // 10k zero-payload sections: the section count is untrusted, so
+        // it must cost one index walk and nothing per section beyond it.
         let n = 10_000u64;
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC_V2);
@@ -1266,6 +1288,93 @@ mod tests {
         }
         let ct = CompressedTrace::from_bytes(&bytes).unwrap();
         assert_eq!(ct, CompressedTrace::default());
+    }
+
+    /// A one-section plain-v2 archive: one short template `[short_m]`,
+    /// one address and one flow — short, through the remaps, or with
+    /// `long_m` a one-entry long template.
+    fn crafted_v2(short_m: u64, short_remap: u64, addr_remap: u64, long_m: Option<u64>) -> Vec<u8> {
+        let n_long = long_m.is_some() as u64;
+        let mut payload = Vec::new();
+        if let Some(m) = long_m {
+            for v in [1, m, 0] {
+                put_varint(v, &mut payload); // one (M, gap) entry
+            }
+        }
+        for v in [n_long, 0, 1] {
+            put_varint(v, &mut payload); // local index 0 + S/L bit, address, Δts
+        }
+        if long_m.is_none() {
+            put_varint(0, &mut payload); // rtt
+        }
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC_V2);
+        bytes.push(VERSION_V2);
+        for v in [1, n_long, 1, 1, 1, short_m] {
+            put_varint(v, &mut bytes); // preamble, then the short template
+        }
+        bytes.extend_from_slice(&[10, 0, 0, 1]);
+        for v in [
+            payload.len() as u64,
+            1,
+            n_long,
+            1,
+            short_remap,
+            1,
+            addr_remap,
+        ] {
+            put_varint(v, &mut bytes);
+        }
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    const WIDE_U16: u64 = u16::MAX as u64 + 2; // `as u16` aliases it to 1
+    const WIDE_U32: u64 = u32::MAX as u64 + 1; // `as u32` aliases it to 0
+
+    #[test]
+    fn v2_wide_template_entries_rejected_not_aliased() {
+        assert!(CompressedTrace::from_bytes(&crafted_v2(1, 0, 0, None)).is_ok());
+        assert!(CompressedTrace::from_bytes(&crafted_v2(1, 0, 0, Some(1))).is_ok());
+        let want = CodecError::IndexOutOfRange("template entry", WIDE_U16);
+        // A short-template entry fails the header parse…
+        let short = crafted_v2(WIDE_U16, 0, 0, None);
+        assert_eq!(ArchiveReader::open(&short).err(), Some(want.clone()));
+        // …a long-template `M` the payload decode.
+        let long = crafted_v2(1, 0, 0, Some(WIDE_U16));
+        let reader = ArchiveReader::open(&long).unwrap();
+        assert_eq!(reader.sections().next().unwrap().err(), Some(want.clone()));
+        assert_eq!(CompressedTrace::from_bytes(&long), Err(want));
+    }
+
+    #[test]
+    fn v2_wide_remaps_rejected_not_aliased() {
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v2(1, WIDE_U32, 0, None)),
+            Err(CodecError::IndexOutOfRange("short template", WIDE_U32))
+        );
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v2(1, 0, WIDE_U32, None)),
+            Err(CodecError::IndexOutOfRange("address", WIDE_U32))
+        );
+    }
+
+    #[test]
+    fn v2_timestamp_overflow_is_an_error_not_a_panic() {
+        // Two flows whose Δts are 1 and u64::MAX: the running clock
+        // would wrap past zero.
+        let bytes = include_bytes!("../../../tests/fixtures/ts_overflow_v2.fzc");
+        let reader = ArchiveReader::open(bytes).unwrap();
+        let sections: Vec<_> = reader.sections().collect();
+        assert_eq!(sections.len(), 1);
+        assert_eq!(
+            sections[0].as_ref().err(),
+            Some(&CodecError::UnsortedTimeSeq)
+        );
+        assert_eq!(
+            CompressedTrace::from_bytes(bytes),
+            Err(CodecError::UnsortedTimeSeq)
+        );
     }
 
     #[test]

@@ -302,7 +302,7 @@ impl CompressedTrace {
             let n = get_varint(data, &mut pos)? as usize;
             let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
             for _ in 0..n {
-                v.push(get_varint(data, &mut pos)? as u16);
+                v.push(narrow(get_varint(data, &mut pos)?, "template entry")?);
             }
             short_templates.push(v);
         }
@@ -312,7 +312,7 @@ impl CompressedTrace {
             let n = get_varint(data, &mut pos)? as usize;
             let mut entries = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
             for _ in 0..n {
-                let m = get_varint(data, &mut pos)? as u16;
+                let m = narrow(get_varint(data, &mut pos)?, "template entry")?;
                 let ipt = Duration::from_micros(get_varint(data, &mut pos)?);
                 entries.push((m, ipt));
             }
@@ -338,9 +338,18 @@ impl CompressedTrace {
         for _ in 0..n_flows {
             let key = get_varint(data, &mut pos)?;
             let is_long = key & 1 == 1;
-            let template_idx = (key >> 1) as u32;
-            let addr_idx = get_varint(data, &mut pos)? as u32;
-            last_ts += get_varint(data, &mut pos)?;
+            let template_idx = narrow(
+                key >> 1,
+                if is_long {
+                    "long template"
+                } else {
+                    "short template"
+                },
+            )?;
+            let addr_idx = narrow(get_varint(data, &mut pos)?, "address")?;
+            last_ts = last_ts
+                .checked_add(get_varint(data, &mut pos)?)
+                .ok_or(CodecError::UnsortedTimeSeq)?;
             let rtt = if is_long {
                 Duration::ZERO
             } else {
@@ -373,6 +382,13 @@ impl CompressedTrace {
 /// checks reject the file, instead of aborting on a huge allocation.
 pub(crate) fn clamped_capacity(count: usize, remaining: usize) -> usize {
     count.min(remaining)
+}
+
+/// Narrows a decoded varint to its field's width (a `u16` `M` value, a
+/// `u32` index or remap). An `as` cast would silently alias a wider
+/// value onto a valid one, so it is an out-of-range error instead.
+pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, CodecError> {
+    T::try_from(v).map_err(|_| CodecError::IndexOutOfRange(what, v))
 }
 
 pub(crate) fn put_varint(mut v: u64, out: &mut Vec<u8>) {
@@ -522,6 +538,67 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    /// A v1 archive: one short template `[short_m]`, one long template
+    /// `[(long_m, 0)]`, one address and one flow record `(key, addr)`.
+    fn crafted_v1(short_m: u64, long_m: u64, key: u64, addr: u64) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&MAGIC);
+        bytes.push(VERSION);
+        for v in [1, 1, 1, 1, 1, short_m, 1, long_m, 0] {
+            put_varint(v, &mut bytes); // counts, then both templates
+        }
+        bytes.extend_from_slice(&[10, 0, 0, 1]);
+        for v in [key, addr, 1] {
+            put_varint(v, &mut bytes); // template key, address, Δts
+        }
+        if key & 1 == 0 {
+            put_varint(0, &mut bytes); // rtt
+        }
+        bytes
+    }
+
+    const WIDE_U16: u64 = u16::MAX as u64 + 2; // `as u16` aliases it to 1
+    const WIDE_U32: u64 = u32::MAX as u64 + 1; // `as u32` aliases it to 0
+
+    #[test]
+    fn wide_template_entries_rejected_not_aliased() {
+        assert!(CompressedTrace::from_bytes(&crafted_v1(1, 1, 0, 0)).is_ok());
+        assert!(CompressedTrace::from_bytes(&crafted_v1(1, 1, 1, 0)).is_ok());
+        for bytes in [crafted_v1(WIDE_U16, 1, 0, 0), crafted_v1(1, WIDE_U16, 0, 0)] {
+            assert_eq!(
+                CompressedTrace::from_bytes(&bytes),
+                Err(CodecError::IndexOutOfRange("template entry", WIDE_U16))
+            );
+        }
+    }
+
+    #[test]
+    fn wide_indices_rejected_not_aliased() {
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v1(1, 1, WIDE_U32 << 1, 0)),
+            Err(CodecError::IndexOutOfRange("short template", WIDE_U32))
+        );
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v1(1, 1, WIDE_U32 << 1 | 1, 0)),
+            Err(CodecError::IndexOutOfRange("long template", WIDE_U32))
+        );
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v1(1, 1, 0, WIDE_U32)),
+            Err(CodecError::IndexOutOfRange("address", WIDE_U32))
+        );
+    }
+
+    #[test]
+    fn timestamp_overflow_is_an_error_not_a_panic() {
+        // Two flows whose Δts are 1 and u64::MAX: the running clock
+        // would wrap past zero.
+        let bytes = include_bytes!("../../../tests/fixtures/ts_overflow_v1.fzc");
+        assert_eq!(
+            CompressedTrace::from_bytes(bytes),
+            Err(CodecError::UnsortedTimeSeq)
+        );
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub use compress::{
     assemble_sections, assemble_shards, CompressionReport, Compressor, FlowAssembler,
 };
 pub use container::{
-    read_v2, v2_metadata, v2_telemetry, ArchiveFormat, SectionMergeStats, ShardSection,
+    read_v2, v2_metadata, ArchiveFormat, ArchiveReader, DecodedSection, SectionMergeStats,
+    ShardSection,
 };
 pub use datasets::{CompressedTrace, DatasetSizes, FlowRecord};
 pub use decompress::{
@@ -75,7 +76,7 @@ pub use decompress::{
 };
 pub use meta::{ArchiveMeta, FlowKeyBloom, SectionMeta};
 pub use query::{
-    query_bytes, select_bytes, FlowQuery, QueryOutcome, QuerySelection, QueryStats, SectionStream,
+    query_bytes, select_bytes, select_reader, FlowQuery, QueryOutcome, QuerySelection, QueryStats,
 };
 pub use synth::{synthesize, ArchiveModel, SynthConfig, SynthGenerator};
 pub use telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};

@@ -9,7 +9,7 @@
 //! - **Time.** A section's metadata records the `[first_ts, last_ts]`
 //!   range of its flows' start timestamps; a section is skipped only
 //!   when that range misses the query window entirely
-//!   ([`SectionMeta::intersects`]).
+//!   ([`SectionMeta::intersects`](crate::meta::SectionMeta::intersects)).
 //! - **Flow.** The Bloom filter stores exactly the synthesized
 //!   client→server tuples decompression will emit for the section's
 //!   records (see [`crate::meta`]); membership is probed in both
@@ -20,11 +20,11 @@
 //!   tuples that will never exist — they are ignored (time pruning
 //!   stays valid).
 //!
-//! Surviving sections decode on the shared worker pool (the same
-//! section-parallel path [`read_v2`](crate::container::read_v2) uses),
-//! their time-seq slices merge with the same stable k-way merge, and a
-//! record-level filter — the ground truth the Bloom only approximates —
-//! keeps exactly the flows that match. Because endpoint synthesis is
+//! Surviving sections decode serially on the same
+//! [`ArchiveReader::select`] path [`read_v2`](crate::container::read_v2)
+//! takes, their time-seq slices merge with the same stable k-way merge,
+//! and a record-level filter — the ground truth the Bloom only
+//! approximates — keeps exactly the flows that match. Because endpoint synthesis is
 //! position-independent ([`synth_tuple`]), decompressing the filtered
 //! subset yields **byte-identical packets** to filtering a full
 //! decompression after the fact; the query tests pin this.
@@ -36,11 +36,10 @@
 //! output), and [`query_bytes`] is `select_bytes` plus collecting that
 //! stream into a [`Trace`].
 
-use crate::container::{decode_section, merge_time_seq, parse_v2, ArchiveFormat, SectionEntry};
-use crate::datasets::{CodecError, CompressedTrace, FlowRecord, LongTemplate};
+use crate::container::{ArchiveFormat, ArchiveReader};
+use crate::datasets::{CodecError, CompressedTrace, FlowRecord};
 use crate::decompress::{synth_tuple, DecompressParams, Decompressor};
-use crate::meta::{ArchiveMeta, SectionMeta};
-use crate::telemetry::{ArchiveTelemetry, FlowTelemetry};
+use crate::meta::ArchiveMeta;
 use flowzip_trace::{FiveTuple, Timestamp, Trace};
 use std::net::Ipv4Addr;
 
@@ -162,7 +161,7 @@ pub fn select_bytes(
             };
             Ok(finish(ct, query, dp, stats))
         }
-        ArchiveFormat::V2 => query_v2(data, query, dp),
+        ArchiveFormat::V2 => select_reader(ArchiveReader::open(data)?, query, dp),
     }
 }
 
@@ -206,71 +205,37 @@ fn survives(
     true
 }
 
-fn query_v2(
-    data: &[u8],
+/// [`select_bytes`] over an already-opened v2 archive: the sections
+/// whose metadata cannot rule the query out decode on the reader's one
+/// selection path, then the record-level filter runs. A caller that
+/// also wants header facts (counts, telemetry) reads them off the same
+/// reader first instead of parsing the file twice.
+///
+/// # Errors
+///
+/// [`CodecError`] for a malformed section payload.
+pub fn select_reader(
+    reader: ArchiveReader<'_>,
     query: &FlowQuery,
     dp: &DecompressParams,
 ) -> Result<QuerySelection, CodecError> {
-    let parsed = parse_v2(data)?;
-    let n_short = parsed.short_templates.len();
-    let n_addr = parsed.addresses.len();
-
     let mut stats = QueryStats {
-        sections_total: parsed.entries.len() as u64,
-        has_metadata: parsed.meta.is_some(),
-        flows_total: parsed.entries.iter().map(|e| e.flow_count as u64).sum(),
+        sections_total: reader.counts().3,
+        has_metadata: reader.metadata().is_some(),
+        flows_total: reader.flows(),
         ..QueryStats::default()
     };
-    let survivors: Vec<usize> = match &parsed.meta {
-        None => (0..parsed.entries.len()).collect(),
-        Some(meta) => (0..parsed.entries.len())
-            .filter(|&i| survives(meta, i, query, dp.seed, &mut stats))
-            .collect(),
-    };
-    stats.sections_scanned = survivors.len() as u64;
-
-    // Decode only the survivors, on the shared pool — the same
-    // section-parallel shape as a full read, minus the pruned work.
-    let pairs: Vec<(&SectionEntry, &[u8])> = survivors
-        .iter()
-        .map(|&i| (&parsed.entries[i], parsed.payloads[i]))
+    let keep: Vec<bool> = (0..stats.sections_total as usize)
+        .map(|i| {
+            reader
+                .metadata()
+                .is_none_or(|meta| survives(meta, i, query, dp.seed, &mut stats))
+        })
         .collect();
-    let decoded: Vec<(Vec<LongTemplate>, Vec<FlowRecord>)> =
-        flowzip_io::WorkerPool::with_available_parallelism()
-            .run(
-                pairs
-                    .iter()
-                    .map(|(entry, payload)| move || decode_section(payload, entry, n_short, n_addr))
-                    .collect(),
-            )
-            .into_iter()
-            .collect::<Result<Vec<_>, CodecError>>()?;
-
-    // Compact the surviving sections' long templates and re-base the
-    // records' global indices onto the compacted table.
-    let mut long_templates = Vec::new();
-    let mut slices = Vec::with_capacity(decoded.len());
-    for (&i, (longs, mut seq)) in survivors.iter().zip(decoded) {
-        let new_base = long_templates.len() as u32;
-        let old_base = parsed.entries[i].long_base;
-        for r in &mut seq {
-            if r.is_long {
-                r.template_idx = r.template_idx - old_base + new_base;
-            }
-        }
-        long_templates.extend(longs);
-        slices.push(seq);
-    }
-
+    stats.sections_scanned = keep.iter().filter(|&&k| k).count() as u64;
     // Survivors keep their relative order, so the stable k-way merge of
     // the subset is a subsequence of the full merge — order preserved.
-    let ct = CompressedTrace {
-        short_templates: parsed.short_templates,
-        long_templates,
-        addresses: parsed.addresses,
-        time_seq: merge_time_seq(slices),
-    };
-    ct.validate()?;
+    let ct = reader.select(|i| keep[i])?;
     Ok(finish(ct, query, dp, stats))
 }
 
@@ -291,118 +256,6 @@ fn finish(
     stats.flows_matched = archive.time_seq.len() as u64;
     stats.packets = archive.packet_count();
     QuerySelection { archive, stats }
-}
-
-/// One archive section decoded for streaming analysis: the section's
-/// flow records (globally-indexed) plus its slice of the long-template
-/// table.
-#[derive(Debug, Clone)]
-pub struct DecodedSection {
-    /// Position in the archive's section order.
-    pub index: usize,
-    /// The section's v2.1 metadata record, when the archive carries one.
-    pub meta: Option<SectionMeta>,
-    /// The section's long templates; a record with `is_long` indexes
-    /// this table at `template_idx - long_base`.
-    pub long_templates: Vec<LongTemplate>,
-    /// Global index of `long_templates[0]`.
-    pub long_base: u32,
-    /// The section's flow records, time-sorted, with global short
-    /// template and address indices.
-    pub records: Vec<FlowRecord>,
-    /// The section's v2.2 telemetry rows (index-joined to `records`),
-    /// when the archive carries an `FZT1` block.
-    pub telemetry: Option<Vec<FlowTelemetry>>,
-}
-
-/// Streaming, section-at-a-time access to a v2 archive — what the
-/// analysis passes consume to build CDFs and histograms without ever
-/// materializing the whole time-seq dataset.
-///
-/// Global context (short templates, addresses, metadata) parses once at
-/// [`SectionStream::open`]; each [`SectionStream::next_section`] call
-/// decodes exactly one payload.
-pub struct SectionStream<'a> {
-    parsed: crate::container::ParsedV2<'a>,
-    next: usize,
-}
-
-impl<'a> SectionStream<'a> {
-    /// Parses a v2 archive's header, index and (optional) metadata
-    /// block, without decoding any payload.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when `data` is not a well-formed v2 archive (v1
-    /// has no sections to stream).
-    pub fn open(data: &'a [u8]) -> Result<SectionStream<'a>, CodecError> {
-        Ok(SectionStream {
-            parsed: parse_v2(data)?,
-            next: 0,
-        })
-    }
-
-    /// Sections in the archive.
-    pub fn sections(&self) -> usize {
-        self.parsed.entries.len()
-    }
-
-    /// The global short-flows-template dataset (cluster centers).
-    pub fn short_templates(&self) -> &[Vec<u16>] {
-        &self.parsed.short_templates
-    }
-
-    /// The global address dataset.
-    pub fn addresses(&self) -> &[Ipv4Addr] {
-        &self.parsed.addresses
-    }
-
-    /// The archive's v2.1 metadata block, when present.
-    pub fn metadata(&self) -> Option<&ArchiveMeta> {
-        self.parsed.meta.as_ref()
-    }
-
-    /// The archive's v2.2 telemetry block, when present.
-    pub fn telemetry(&self) -> Option<&ArchiveTelemetry> {
-        self.parsed.telemetry.as_ref()
-    }
-
-    /// Decodes the next section, or `None` after the last.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when the section payload is malformed.
-    pub fn next_section(&mut self) -> Option<Result<DecodedSection, CodecError>> {
-        let i = self.next;
-        let entry = self.parsed.entries.get(i)?;
-        self.next += 1;
-        let n_short = self.parsed.short_templates.len();
-        let n_addr = self.parsed.addresses.len();
-        Some(
-            decode_section(self.parsed.payloads[i], entry, n_short, n_addr).map(
-                |(long_templates, records)| DecodedSection {
-                    index: i,
-                    meta: self.parsed.meta.as_ref().map(|m| m.sections[i].clone()),
-                    long_templates,
-                    long_base: entry.long_base,
-                    records,
-                    telemetry: self
-                        .parsed
-                        .telemetry
-                        .as_ref()
-                        .map(|t| t.sections[i].flows.clone()),
-                },
-            ),
-        )
-    }
-}
-
-impl Iterator for SectionStream<'_> {
-    type Item = Result<DecodedSection, CodecError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_section()
-    }
 }
 
 #[cfg(test)]
@@ -609,17 +462,17 @@ mod tests {
     }
 
     #[test]
-    fn section_stream_visits_every_record_once() {
+    fn reader_sections_visit_every_record_once() {
         let bytes = sectioned_archive(250, 27, 5);
         let full = CompressedTrace::from_bytes(&bytes).unwrap();
-        let mut stream = SectionStream::open(&bytes).unwrap();
-        assert_eq!(stream.sections(), 5);
-        assert_eq!(stream.short_templates(), &full.short_templates[..]);
-        assert_eq!(stream.addresses(), &full.addresses[..]);
-        assert!(stream.metadata().is_some());
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        assert_eq!(reader.counts().3, 5);
+        assert_eq!(reader.short_templates(), &full.short_templates[..]);
+        assert_eq!(reader.addresses(), &full.addresses[..]);
+        assert!(reader.metadata().is_some());
         let mut records = 0usize;
         let mut longs = 0usize;
-        while let Some(section) = stream.next_section() {
+        for section in reader.sections() {
             let section = section.unwrap();
             assert_eq!(
                 section.meta.as_ref().unwrap().flows,

@@ -119,7 +119,7 @@ proptest! {
         let from_v2 = CompressedTrace::from_bytes(&bytes_v2).unwrap();
         prop_assert_eq!(from_v1, from_v2);
         // Measuring the real multi-section file tiles it exactly.
-        let sizes = flowzip_core::container::v2_sizes(&bytes_v2).unwrap();
+        let sizes = flowzip_core::ArchiveReader::open(&bytes_v2).unwrap().sizes().unwrap();
         prop_assert_eq!(sizes.total(), bytes_v2.len() as u64);
     }
 

@@ -29,10 +29,10 @@ use flowzip_core::{
     assemble_sections, CompressionReport, FlowAccumulator, FlowAssembler, FlowTelemetry, Params,
     ShardSection,
 };
-use flowzip_io::WorkerPool;
 use flowzip_obs::Gauge;
 use flowzip_trace::prelude::*;
 use flowzip_trace::TraceError;
+use std::panic::resume_unwind;
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -213,6 +213,58 @@ impl ShardWorker {
     }
 }
 
+/// The router: pulls packets off `input`, hashes each to its shard and
+/// hands `batch_size` blocks over the shard channels. Returns the input
+/// error that stopped it, if any; dropping `senders` on return closes
+/// every shard channel.
+fn route<I>(
+    input: I,
+    senders: Vec<mpsc::SyncSender<Vec<PacketRecord>>>,
+    queue_depth: &[Gauge],
+    config: &EngineConfig,
+) -> Option<TraceError>
+where
+    I: Iterator<Item = Result<PacketRecord, TraceError>>,
+{
+    // Gauge up before the hand-off so the shard's decrement can never
+    // take a depth below zero; a failed send (the shard died — the join
+    // in `run_pipeline` re-raises its panic) takes it back.
+    let send = |s: usize, batch: Vec<PacketRecord>| -> bool {
+        queue_depth[s].inc();
+        let sent = senders[s].send(batch).is_ok();
+        if !sent {
+            queue_depth[s].dec();
+        }
+        sent
+    };
+    let mut buffers: Vec<Vec<PacketRecord>> = (0..config.shards)
+        .map(|_| Vec::with_capacity(config.batch_size))
+        .collect();
+    for item in input {
+        match item {
+            Ok(p) => {
+                let s = shard_of(&p, config.shards);
+                buffers[s].push(p);
+                if buffers[s].len() >= config.batch_size {
+                    let batch =
+                        std::mem::replace(&mut buffers[s], Vec::with_capacity(config.batch_size));
+                    if !send(s, batch) {
+                        return None;
+                    }
+                }
+            }
+            Err(e) => return Some(e),
+        }
+    }
+    for (s, buf) in buffers.into_iter().enumerate() {
+        if !buf.is_empty() && !send(s, buf) {
+            break;
+        }
+    }
+    // The senders drop here, closing every shard channel.
+    None
+}
+
 /// One shard's worker loop: every received batch is an exact
 /// router-built block, processed as-is until the channel closes.
 fn run_shard(
@@ -358,63 +410,31 @@ impl StreamingEngine {
             }
             return Ok(vec![worker.finish()]);
         }
-        // One pool worker per shard: every shard loop must run
+        // One scoped thread per shard: every shard loop must run
         // concurrently with the router (bounded channels would deadlock
-        // a queued shard), so the pool is sized to the task count. The
-        // router itself is the pool's foreground closure on this thread.
+        // a shard left waiting), and the router runs on this thread.
         let queue_depth: Vec<Gauge> = obs.iter().map(|o| o.queue_depth.clone()).collect();
-        let mut senders = Vec::with_capacity(config.shards);
-        let mut tasks = Vec::with_capacity(config.shards);
-        for obs in obs {
-            let (tx, rx) = mpsc::sync_channel::<Vec<PacketRecord>>(config.channel_capacity);
-            let params = config.params.clone();
-            let idle_timeout = config.idle_timeout;
-            let telemetry = config.telemetry;
-            senders.push(tx);
-            tasks.push(move || run_shard(rx, params, idle_timeout, telemetry, obs));
-        }
-
-        let pool = WorkerPool::new(config.shards);
-        let (outputs, input_err) = pool.run_with(tasks, move || {
-            // Gauge up before the hand-off so the shard's decrement can
-            // never take a depth below zero; a failed send (the worker
-            // died — the pool's join re-raises its panic) takes it back.
-            let send = |s: usize, batch: Vec<PacketRecord>| -> bool {
-                queue_depth[s].inc();
-                let sent = senders[s].send(batch).is_ok();
-                if !sent {
-                    queue_depth[s].dec();
-                }
-                sent
-            };
-            let mut buffers: Vec<Vec<PacketRecord>> = (0..config.shards)
-                .map(|_| Vec::with_capacity(config.batch_size))
+        let (outputs, input_err) = std::thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(config.shards);
+            let shards: Vec<_> = obs
+                .into_iter()
+                .map(|obs| {
+                    let (tx, rx) = mpsc::sync_channel(config.channel_capacity);
+                    senders.push(tx);
+                    let params = config.params.clone();
+                    scope.spawn(move || {
+                        run_shard(rx, params, config.idle_timeout, config.telemetry, obs)
+                    })
+                })
                 .collect();
-            for item in input {
-                match item {
-                    Ok(p) => {
-                        let s = shard_of(&p, config.shards);
-                        buffers[s].push(p);
-                        if buffers[s].len() >= config.batch_size {
-                            let batch = std::mem::replace(
-                                &mut buffers[s],
-                                Vec::with_capacity(config.batch_size),
-                            );
-                            if !send(s, batch) {
-                                return None;
-                            }
-                        }
-                    }
-                    Err(e) => return Some(e),
-                }
-            }
-            for (s, buf) in buffers.into_iter().enumerate() {
-                if !buf.is_empty() && !send(s, buf) {
-                    break;
-                }
-            }
-            // The senders drop here, closing every shard channel.
-            None
+            let input_err = route(input, senders, &queue_depth, config);
+            // Join every shard (its channel is closed now) and re-raise
+            // the first panic with its original payload.
+            let outputs: Vec<ShardOutput> = shards
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|panic| resume_unwind(panic)))
+                .collect();
+            (outputs, input_err)
         });
         match input_err {
             Some(e) => Err(e),
@@ -708,9 +728,11 @@ mod tests {
             // the telemetry-off archive byte for byte.
             assert!(on_bytes.len() > off_bytes.len(), "{shards} shards");
             assert_eq!(&on_bytes[..off_bytes.len()], &off_bytes[..]);
-            let telem = flowzip_core::v2_telemetry(&on_bytes).unwrap().unwrap();
+            let on = flowzip_core::ArchiveReader::open(&on_bytes).unwrap();
+            let telem = on.telemetry().unwrap();
             assert_eq!(telem.flow_count(), 24);
-            assert!(flowzip_core::v2_telemetry(&off_bytes).unwrap().is_none());
+            let off = flowzip_core::ArchiveReader::open(&off_bytes).unwrap();
+            assert!(off.telemetry().is_none());
             assert!(telem
                 .sections
                 .iter()

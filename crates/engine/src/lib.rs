@@ -7,14 +7,12 @@
 //! algorithm into the online pipeline every production session runs,
 //! one that handles traces far larger than RAM:
 //!
-//! * **Incremental input** — packets arrive from any
+//! * **Incremental input** — packets arrive from any fallible
 //!   `Iterator<Item = Result<PacketRecord, TraceError>>`, e.g. the
 //!   streaming [`TshReader`](flowzip_trace::TshReader) /
-//!   [`PcapReader`](flowzip_trace::PcapReader), or the packet stream of
-//!   a pluggable [`InputSource`](flowzip_io::InputSource): a prefetched
-//!   [`FileSource`](flowzip_io::FileSource) or a parallel-reader
-//!   [`MultiFileSource`](flowzip_io::MultiFileSource) overlaps disk and
-//!   decode with compute.
+//!   [`PcapReader`](flowzip_trace::PcapReader). The engine knows
+//!   nothing about files: `flowzip-pipeline` opens the input and hands
+//!   the engine its packet stream.
 //! * **Flow sharding** — one router on the calling thread hashes each
 //!   packet's canonical flow key and hands it to one of N worker
 //!   threads, so every packet of a flow lands on the same shard, in

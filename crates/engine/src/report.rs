@@ -31,8 +31,8 @@ pub struct EngineReport {
     pub stage_busy_secs: f64,
     /// `elapsed − stage_busy`, clamped at zero: wall-clock the shard
     /// stages did not see (input wait, thread scheduling, routing,
-    /// channel hand-off). Zero when metrics are off. The engine never
-    /// sees the input's [`IoStats`](flowzip_io::IoStats);
+    /// channel hand-off). Zero when metrics are off. The engine only
+    /// sees a packet iterator, not the input's read-wait counters;
     /// `flowzip-pipeline`'s `Timing` subtracts read-wait from this.
     pub unattributed_secs: f64,
     /// Archive sections written: one per shard.

@@ -13,9 +13,8 @@
 //!   drains them strictly in set order. Delivery is *exactly* what a
 //!   single chained reader would produce — same packets, same order,
 //!   same first error — so archives stay byte-identical.
-//! * [`WorkerPool`] — the small bounded-thread task runner shared by the
-//!   multi-file readers, the engine's shard workers and the container-v2
-//!   section-parallel decoder.
+//! * [`WorkerPool`] — the small bounded-thread task runner behind the
+//!   multi-file readers.
 //! * [`InputSource`] + [`IoStats`] — the pluggable input interface the
 //!   engine consumes, with read-wait/byte counters that let a run report
 //!   how much wall-clock it lost waiting on input vs. computing.

@@ -1,40 +1,28 @@
-//! A small shared worker pool: run M tasks on at most N threads.
+//! A small worker pool: run M `'static` tasks on at most N owned
+//! threads.
 //!
-//! Three execution shapes cover every consumer in the workspace:
-//!
-//! * [`WorkerPool::run`] — queued, scoped, blocking. Tasks may borrow
-//!   from the caller; at most `workers` OS threads exist at once, however
-//!   many tasks there are. This is what the container-v2 section decoder
-//!   uses instead of one thread per (untrusted) section count.
-//! * [`WorkerPool::run_with`] — like `run`, plus a *foreground* closure
-//!   that executes on the caller's thread while the tasks run. The
-//!   streaming engine's router is the foreground; the shard loops are the
-//!   tasks. **Pipelined tasks that block on each other must not exceed
-//!   the worker count** — queued tasks only start when a worker frees up.
-//! * [`WorkerPool::run_detached`] — `'static` tasks on owned threads,
-//!   returning a [`DetachedTasks`] join handle. This is what
-//!   [`MultiFileSource`](crate::MultiFileSource) readers use: the pool
-//!   outlives the call and drains files in the background.
+//! [`WorkerPool::run_detached`] starts the tasks and returns a
+//! [`DetachedTasks`] join handle at once. This is what
+//! [`MultiFileSource`](crate::MultiFileSource) readers use: the pool
+//! outlives the call and drains files in the background.
 //!
 //! Tasks are claimed in index order from a shared atomic cursor, so the
-//! first `workers` tasks start immediately and result order always
-//! matches task order. Worker panics are re-raised on join (`run`/
-//! `run_with`) or surfaced by [`DetachedTasks::join`].
+//! first `workers` tasks start immediately. Worker panics surface from
+//! [`DetachedTasks::join`].
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// A bounded thread-count task runner. Cheap to construct — threads only
-/// exist while a `run*` call is executing (or, for
-/// [`WorkerPool::run_detached`], until the detached tasks finish).
+/// exist until the tasks of a [`WorkerPool::run_detached`] call finish.
 #[derive(Debug, Clone)]
 pub struct WorkerPool {
     workers: usize,
 }
 
-/// Task slots shared by every execution shape: each worker claims the
-/// next unclaimed index and runs that task.
+/// Task slots: each worker claims the next unclaimed index and runs
+/// that task.
 struct TaskQueue<F> {
     slots: Vec<Mutex<Option<F>>>,
     next: AtomicUsize,
@@ -48,7 +36,7 @@ impl<F> TaskQueue<F> {
         }
     }
 
-    fn claim(&self) -> Option<(usize, F)> {
+    fn claim(&self) -> Option<F> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
         let slot = self.slots.get(i)?;
         let task = slot
@@ -56,11 +44,7 @@ impl<F> TaskQueue<F> {
             .unwrap_or_else(|e| e.into_inner())
             .take()
             .expect("task slot claimed twice");
-        Some((i, task))
-    }
-
-    fn len(&self) -> usize {
-        self.slots.len()
+        Some(task)
     }
 }
 
@@ -72,98 +56,11 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the host: one worker per available CPU.
-    pub fn with_available_parallelism() -> WorkerPool {
-        WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
-    /// The concurrency cap.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs every task to completion on at most [`WorkerPool::workers`]
-    /// scoped threads and returns the results in task order. Tasks may
-    /// borrow from the caller's stack.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic after all threads have stopped.
-    pub fn run<T, F>(&self, tasks: Vec<F>) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send,
-        T: Send,
-    {
-        self.run_with(tasks, || ()).0
-    }
-
-    /// Runs `tasks` on worker threads while `foreground` executes on the
-    /// *caller's* thread, then joins everything and returns both results.
-    /// The streaming engine routes packets in the foreground while its
-    /// shard loops run as tasks.
-    ///
-    /// Deadlock rule: if tasks communicate with the foreground (or each
-    /// other) through blocking channels, the caller must size the pool so
-    /// every such task runs concurrently — queued tasks do not start
-    /// until a worker frees up.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first worker panic after the foreground returns and
-    /// all threads have stopped.
-    pub fn run_with<T, F, R, G>(&self, tasks: Vec<F>, foreground: G) -> (Vec<T>, R)
-    where
-        F: FnOnce() -> T + Send,
-        T: Send,
-        G: FnOnce() -> R,
-    {
-        if tasks.is_empty() {
-            return (Vec::new(), foreground());
-        }
-        let queue = TaskQueue::new(tasks);
-        let results: Vec<Mutex<Option<T>>> = (0..queue.len()).map(|_| Mutex::new(None)).collect();
-        let threads = self.workers.min(queue.len());
-
-        let fg = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        while let Some((i, task)) = queue.claim() {
-                            let out = task();
-                            *results[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-                        }
-                    })
-                })
-                .collect();
-            let fg = foreground();
-            for h in handles {
-                if let Err(panic) = h.join() {
-                    resume_unwind(panic);
-                }
-            }
-            fg
-        });
-
-        let outputs = results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("worker finished without storing a result")
-            })
-            .collect();
-        (outputs, fg)
-    }
-
-    /// Starts `tasks` on at most [`WorkerPool::workers`] *owned* threads
-    /// and returns immediately. Tasks must be `'static`; results flow
-    /// through whatever channels the tasks carry. Call
-    /// [`DetachedTasks::join`] to wait and surface panics, or drop the
-    /// handle to let the threads finish (or exit) on their own.
+    /// Starts `tasks` on at most `workers` *owned* threads and returns
+    /// immediately. Tasks must be `'static`; results flow through
+    /// whatever channels the tasks carry. Call [`DetachedTasks::join`]
+    /// to wait and surface panics, or drop the handle to let the threads
+    /// finish (or exit) on their own.
     pub fn run_detached<F>(&self, tasks: Vec<F>) -> DetachedTasks
     where
         F: FnOnce() + Send + 'static,
@@ -174,19 +71,13 @@ impl WorkerPool {
             .map(|_| {
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
-                    while let Some((_, task)) = queue.claim() {
+                    while let Some(task) = queue.claim() {
                         task();
                     }
                 })
             })
             .collect();
         DetachedTasks { handles }
-    }
-}
-
-impl Default for WorkerPool {
-    fn default() -> WorkerPool {
-        WorkerPool::with_available_parallelism()
     }
 }
 
@@ -220,26 +111,16 @@ impl DetachedTasks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn results_come_back_in_task_order() {
-        let pool = WorkerPool::new(4);
-        let tasks: Vec<_> = (0..64usize).map(|i| move || i * 2).collect();
-        let out = pool.run(tasks);
-        assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn concurrency_never_exceeds_the_worker_cap() {
         let cap = 3usize;
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let pool = WorkerPool::new(cap);
+        let live = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
         let tasks: Vec<_> = (0..50)
             .map(|_| {
-                let live = &live;
-                let peak = &peak;
+                let live = Arc::clone(&live);
+                let peak = Arc::clone(&peak);
                 move || {
                     let now = live.fetch_add(1, Ordering::SeqCst) + 1;
                     peak.fetch_max(now, Ordering::SeqCst);
@@ -248,40 +129,23 @@ mod tests {
                 }
             })
             .collect();
-        pool.run(tasks);
+        WorkerPool::new(cap).run_detached(tasks).join();
         let seen = peak.load(Ordering::SeqCst);
         assert!(seen <= cap, "peak concurrency {seen} > cap {cap}");
         assert!(seen >= 2, "pool should actually run in parallel");
     }
 
     #[test]
-    fn foreground_runs_on_the_caller_thread() {
-        let caller = std::thread::current().id();
-        let pool = WorkerPool::new(2);
-        let (outs, fg) = pool.run_with(vec![|| 1, || 2], || std::thread::current().id());
-        assert_eq!(outs, vec![1, 2]);
-        assert_eq!(fg, caller);
-    }
-
-    #[test]
-    fn empty_task_list_still_runs_the_foreground() {
-        let pool = WorkerPool::new(4);
-        let (outs, fg) = pool.run_with(Vec::<fn() -> u8>::new(), || 99);
-        assert!(outs.is_empty());
-        assert_eq!(fg, 99);
-    }
-
-    #[test]
     fn zero_workers_clamp_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.run(vec![|| 7]), vec![7]);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn worker_panics_propagate() {
-        WorkerPool::new(2).run(vec![|| panic!("boom")]);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let task = {
+            let ran = Arc::clone(&ran);
+            move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            }
+        };
+        WorkerPool::new(0).run_detached(vec![task]).join();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -481,9 +481,9 @@ fn run_engine(
     if telemetry {
         // Summarize the FZT1 rows straight off the archive just written
         // — the same decode path `info` uses, so the two cannot drift.
-        let summary = flowzip_core::container::v2_telemetry(&bytes)
+        let summary = flowzip_core::ArchiveReader::open(&bytes)
             .map_err(|e| PipelineError::decode(context.to_string(), e))?
-            .as_ref()
+            .telemetry()
             .map(TelemetrySummary::from_telemetry);
         if let Some(a) = report.archive.as_mut() {
             a.telemetry = summary;

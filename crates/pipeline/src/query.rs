@@ -6,10 +6,14 @@
 use crate::compress::RunResult;
 use crate::error::PipelineError;
 use crate::input::{Input, InputKind};
-use crate::report::{Mode, Report, Timing};
+use crate::report::{ArchiveSummary, Mode, Report, Timing};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::{select_bytes, ArchiveFormat, DecompressParams, Decompressor, FlowQuery};
+use flowzip_core::container::v1_counts;
+use flowzip_core::{
+    select_bytes, select_reader, ArchiveFormat, ArchiveReader, DecompressParams, Decompressor,
+    FlowQuery,
+};
 use flowzip_obs::{names, Metrics};
 use flowzip_trace::reader::CaptureFormat;
 use flowzip_trace::{tsh, FiveTuple, Timestamp};
@@ -188,8 +192,22 @@ impl<'a> QueryBuilder<'a> {
         };
         let read_wait = started.elapsed().as_secs_f64();
 
-        let selection = select_bytes(&bytes, &query, &params)
-            .map_err(|e| PipelineError::decode(context.clone(), e))?;
+        // One parse serves the archive facts and the selection: the
+        // summary reads the header alone, so a full decode would throw
+        // away exactly the work pruning saved.
+        let decode_err = |e| PipelineError::decode(context.clone(), e);
+        let (selection, summary) = match ArchiveFormat::detect(&bytes).map_err(decode_err)? {
+            ArchiveFormat::V1 => (
+                select_bytes(&bytes, &query, &params).map_err(decode_err)?,
+                ArchiveSummary::from_v1_counts(bytes.len(), v1_counts(&bytes).map_err(decode_err)?),
+            ),
+            ArchiveFormat::V2 => {
+                let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
+                let summary = ArchiveSummary::from_reader(&reader, bytes.len());
+                let selection = select_reader(reader, &query, &params).map_err(decode_err)?;
+                (selection, summary)
+            }
+        };
         let stats = selection.stats;
 
         if let Some(m) = &metrics {
@@ -205,11 +223,6 @@ impl<'a> QueryBuilder<'a> {
                 .add(stats.flows_matched);
             m.counter(names::QUERY_PACKETS).add(stats.packets);
         }
-
-        // Archive facts from the header walk alone — inspecting via a
-        // full decode would throw away exactly the work pruning saved.
-        let summary = crate::report::ArchiveSummary::from_header(&bytes, stats.has_metadata)
-            .map_err(|e| PipelineError::decode(context.clone(), e))?;
 
         let mut report = Report::new(Mode::Query);
         report.inputs = inputs_desc;
@@ -246,44 +259,6 @@ impl<'a> QueryBuilder<'a> {
         Ok(RunResult {
             report,
             bytes: buffer,
-        })
-    }
-}
-
-/// Archive facts obtainable without decoding payloads — what a query
-/// session reports instead of a full
-/// [`ArchiveSummary::inspect`](crate::report::ArchiveSummary::inspect).
-impl crate::report::ArchiveSummary {
-    pub(crate) fn from_header(
-        bytes: &[u8],
-        has_metadata: bool,
-    ) -> Result<crate::report::ArchiveSummary, flowzip_core::datasets::CodecError> {
-        let format = ArchiveFormat::detect(bytes)?;
-        let (short_templates, long_templates, addresses, sections) = match format {
-            ArchiveFormat::V1 => {
-                let (short, long, addresses) = flowzip_core::container::v1_counts(bytes)?;
-                (short, long, addresses, 1)
-            }
-            ArchiveFormat::V2 => flowzip_core::container::v2_counts(bytes)?,
-        };
-        // FZT1 rows decode from the trailing side-section alone — still
-        // no payload decode, so pruning's savings survive the summary.
-        let telemetry = match format {
-            ArchiveFormat::V1 => None,
-            ArchiveFormat::V2 => flowzip_core::container::v2_telemetry(bytes)?
-                .as_ref()
-                .map(crate::report::TelemetrySummary::from_telemetry),
-        };
-        Ok(crate::report::ArchiveSummary {
-            format,
-            sections,
-            file_bytes: bytes.len() as u64,
-            short_templates,
-            long_templates,
-            addresses,
-            sizes: None,
-            has_metadata,
-            telemetry,
         })
     }
 }

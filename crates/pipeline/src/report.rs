@@ -12,9 +12,11 @@
 //! `flowzip decompress --json` and `flowzip info --json` all speak the
 //! same schema.
 
+use flowzip_core::container::v1_counts;
 use flowzip_core::datasets::CodecError;
 use flowzip_core::{
-    container, ArchiveFormat, ArchiveTelemetry, CompressedTrace, CompressionReport, DatasetSizes,
+    ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressedTrace, CompressionReport,
+    DatasetSizes,
 };
 use flowzip_engine::EngineReport;
 use flowzip_io::IoStats;
@@ -163,43 +165,59 @@ impl ArchiveSummary {
         bytes: &[u8],
         measure_v1: bool,
     ) -> Result<(CompressedTrace, ArchiveSummary), CodecError> {
-        let format = ArchiveFormat::detect(bytes)?;
-        let archive = CompressedTrace::from_bytes(bytes)?;
-        let (sections, sizes) = match format {
-            ArchiveFormat::V1 => (1, measure_v1.then(|| archive.encode().1)),
-            ArchiveFormat::V2 => (
-                container::v2_counts(bytes)?.3,
-                Some(container::v2_sizes(bytes)?),
-            ),
-        };
-        let has_metadata = match format {
-            ArchiveFormat::V1 => false,
-            // `from_bytes` above already validated the block, so the
-            // size measurement (when taken) or a direct header walk
-            // answers presence cheaply.
-            ArchiveFormat::V2 => match &sizes {
-                Some(s) => s.metadata > 0,
-                None => container::v2_metadata(bytes)?.is_some(),
-            },
-        };
-        let telemetry = match format {
-            ArchiveFormat::V1 => None,
-            ArchiveFormat::V2 => container::v2_telemetry(bytes)?
-                .as_ref()
-                .map(TelemetrySummary::from_telemetry),
-        };
-        let summary = ArchiveSummary {
-            format,
+        match ArchiveFormat::detect(bytes)? {
+            ArchiveFormat::V1 => {
+                let archive = CompressedTrace::from_bytes(bytes)?;
+                let mut summary = ArchiveSummary::from_v1_counts(bytes.len(), v1_counts(bytes)?);
+                summary.sizes = measure_v1.then(|| archive.encode().1);
+                Ok((archive, summary))
+            }
+            ArchiveFormat::V2 => {
+                // One parse serves the header facts, the layout walk and
+                // the decode; a decode error outranks a layout error.
+                let reader = ArchiveReader::open(bytes)?;
+                let sizes = reader.sizes();
+                let mut summary = ArchiveSummary::from_reader(&reader, bytes.len());
+                let archive = reader.select(|_| true)?;
+                summary.sizes = Some(sizes?);
+                Ok((archive, summary))
+            }
+        }
+    }
+
+    /// The facts a v1 header's `(short templates, long templates,
+    /// addresses)` counts give; `sizes` left unmeasured.
+    pub(crate) fn from_v1_counts(file_bytes: usize, counts: (u64, u64, u64)) -> ArchiveSummary {
+        let (short_templates, long_templates, addresses) = counts;
+        ArchiveSummary {
+            format: ArchiveFormat::V1,
+            sections: 1,
+            file_bytes: file_bytes as u64,
+            short_templates,
+            long_templates,
+            addresses,
+            sizes: None,
+            has_metadata: false,
+            telemetry: None,
+        }
+    }
+
+    /// The facts a parsed v2 header gives — no payload decoded, so a
+    /// query's pruning savings survive the summary; `sizes` left
+    /// unmeasured.
+    pub(crate) fn from_reader(reader: &ArchiveReader<'_>, file_bytes: usize) -> ArchiveSummary {
+        let (short_templates, long_templates, addresses, sections) = reader.counts();
+        ArchiveSummary {
+            format: ArchiveFormat::V2,
             sections,
-            file_bytes: bytes.len() as u64,
-            short_templates: archive.short_templates.len() as u64,
-            long_templates: archive.long_templates.len() as u64,
-            addresses: archive.addresses.len() as u64,
-            sizes,
-            has_metadata,
-            telemetry,
-        };
-        Ok((archive, summary))
+            file_bytes: file_bytes as u64,
+            short_templates,
+            long_templates,
+            addresses,
+            sizes: None,
+            has_metadata: reader.metadata().is_some(),
+            telemetry: reader.telemetry().map(TelemetrySummary::from_telemetry),
+        }
     }
 }
 

@@ -9,7 +9,7 @@
 //!   decodes both to the same `CompressedTrace` (proptest over random
 //!   traces, shard counts and loss rates).
 
-use flowzip_core::{container, CompressedTrace};
+use flowzip_core::{ArchiveReader, CompressedTrace};
 use flowzip_pipeline::{Input, Pipeline, Sink};
 use flowzip_trace::Trace;
 use flowzip_traffic::p2p::{P2pTrafficConfig, P2pTrafficGenerator};
@@ -122,8 +122,8 @@ proptest! {
         let decoded_off = CompressedTrace::from_bytes(&off).unwrap();
         prop_assert_eq!(decoded_on, decoded_off);
         // The suffix itself is well-formed and row-complete.
-        let telemetry = container::v2_telemetry(&on).unwrap().expect("FZT1 present");
-        prop_assert_eq!(telemetry.flow_count(), flows as u64);
-        prop_assert!(container::v2_telemetry(&off).unwrap().is_none());
+        let on = ArchiveReader::open(&on).unwrap();
+        prop_assert_eq!(on.telemetry().expect("FZT1 present").flow_count(), flows as u64);
+        prop_assert!(ArchiveReader::open(&off).unwrap().telemetry().is_none());
     }
 }

@@ -372,9 +372,9 @@ impl Driver {
                 write_archive(&path, &bytes)?;
                 let mut report = Report::from_engine(er, None);
                 if self.telemetry {
-                    if let Ok(Some(t)) = flowzip_core::container::v2_telemetry(&bytes) {
+                    if let Ok(reader) = flowzip_core::ArchiveReader::open(&bytes) {
                         if let Some(a) = report.archive.as_mut() {
-                            a.telemetry = Some(TelemetrySummary::from_telemetry(&t));
+                            a.telemetry = reader.telemetry().map(TelemetrySummary::from_telemetry);
                         }
                     }
                 }

@@ -11,7 +11,7 @@
 //! * A wall-clock window that saw no packets is explicitly manifested
 //!   (`archive: null`), not silently skipped.
 
-use flowzip_core::{v2_telemetry, CompressedTrace, DecompressParams, Decompressor, Params};
+use flowzip_core::{ArchiveReader, CompressedTrace, DecompressParams, Decompressor, Params};
 use flowzip_engine::StreamingEngine;
 use flowzip_pipeline::Pipeline;
 use flowzip_serve::{read_manifest, CloseReason, OverloadPolicy, PipelineServe, ServeSource};
@@ -171,8 +171,9 @@ fn straddling_flow_appears_in_both_windows_with_telemetry() {
         let bytes = std::fs::read(w.archive.as_ref().unwrap()).unwrap();
         let ct = CompressedTrace::from_bytes(&bytes).unwrap();
         ct.validate().unwrap();
-        let telem = v2_telemetry(&bytes).unwrap();
-        let telem = telem
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        let telem = reader
+            .telemetry()
             .unwrap_or_else(|| panic!("window {} missing FZT1 telemetry side-section", w.index));
         assert_eq!(
             telem.flow_count(),

@@ -1006,16 +1006,26 @@ fn assert_clean_failure(args: &[&std::ffi::OsStr], out: &std::path::Path, needle
     assert!(!part.exists(), "{args:?} left {}", part.display());
 }
 
-/// Two crafted v1 headers whose element counts no file could hold: a
-/// 2^62-entry short-template dataset (`Vec::with_capacity` overflowed)
-/// and a 2^42-record time-seq (a 128 TiB allocation aborted the
-/// process). The reader clamps every pre-allocation to the bytes left,
-/// so each command fails cleanly on the truncated body instead.
+/// Crafted archives every command must reject cleanly:
+/// - two v1 headers whose element counts no file could hold: a
+///   2^62-entry short-template dataset (`Vec::with_capacity` overflowed)
+///   and a 2^42-record time-seq (a 128 TiB allocation aborted the
+///   process). The reader clamps every pre-allocation to the bytes
+///   left, so each command fails on the truncated body instead;
+/// - a v1 archive and its plain-v2 twin holding two flows whose
+///   timestamp deltas are 1 and `u64::MAX`: the running clock
+///   overflowed (a panic in debug builds, a wrap in release). The sum is
+///   checked, so it is the same unsorted-time-seq error either way.
 #[test]
-fn crafted_v1_counts_are_errors_not_panics() {
-    let dir = tmpdir("crafted-v1");
+fn crafted_v1_and_v2_archives_are_errors_not_panics() {
+    let dir = tmpdir("crafted");
     let out = dir.join("out.tsh");
-    for name in ["v1_capacity_overflow.fzc", "v1_huge_flow_count.fzc"] {
+    for (name, needle) in [
+        ("v1_capacity_overflow.fzc", "compressed trace truncated"),
+        ("v1_huge_flow_count.fzc", "compressed trace truncated"),
+        ("ts_overflow_v1.fzc", "time-seq dataset not sorted"),
+        ("ts_overflow_v2.fzc", "time-seq dataset not sorted"),
+    ] {
         let archive = fixture(name);
         let archive = archive.as_os_str();
         let o = out.as_os_str();
@@ -1025,7 +1035,7 @@ fn crafted_v1_counts_are_errors_not_panics() {
             vec!["query".as_ref(), archive],
             vec!["query".as_ref(), archive, "-o".as_ref(), o],
         ] {
-            assert_clean_failure(&args, &out, "compressed trace truncated");
+            assert_clean_failure(&args, &out, needle);
             assert!(
                 bin().args(&args).output().unwrap().stdout.is_empty(),
                 "{args:?} printed output"
