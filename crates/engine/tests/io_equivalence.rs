@@ -2,10 +2,10 @@
 //! `flowzip-io` input subsystem must produce archives **byte-identical**
 //! to the classic single-threaded reader path.
 //!
-//! * [`MultiFileSource`] over a pre-split trace == one `TshReader` over
-//!   the unsplit trace, for every reader count. Parallel ingest only
-//!   overlaps the work; delivery order is the file order, which for a
-//!   split trace *is* the single-stream order.
+//! * The sequential set reader ([`FileSource::open_set`]) and
+//!   [`MultiFileSource`] at every reader count, over a pre-split trace,
+//!   == one `TshReader` over the unsplit trace. Delivery order is the
+//!   file order, which for a split trace *is* the single-stream order.
 //! * [`PrefetchReader`] beneath the reader == reading the file directly.
 //!   Prefetching moves bytes between threads, never changes them.
 //!
@@ -16,6 +16,7 @@
 use flowzip_engine::StreamingEngine;
 use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
 use flowzip_trace::tsh;
+use flowzip_trace::{PacketRecord, TraceError};
 use flowzip_trace::{Trace, TshReader};
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 use proptest::prelude::*;
@@ -65,6 +66,8 @@ fn reference_bytes(engine: &StreamingEngine, tsh_image: &[u8]) -> Vec<u8> {
         .0
 }
 
+/// Reader count 0 is the sequential set reader; `n ≥ 1` is
+/// [`MultiFileSource`] with `n` reader threads.
 fn check_multifile(
     trace: &Trace,
     shards: usize,
@@ -80,20 +83,23 @@ fn check_multifile(
         .build();
     let want = reference_bytes(&engine, &image);
 
-    let source = MultiFileSource::open(
-        &paths,
-        MultiFileConfig {
-            readers,
-            batch_packets: 64,
-            queue_batches: 2,
-            prefetch: None,
-        },
-    )
-    .unwrap();
-    let stats = source.stats();
-    let (got, report) = engine
-        .compress_stream_to_bytes(source.into_packets())
+    type Packets = Box<dyn Iterator<Item = Result<PacketRecord, TraceError>>>;
+    let (stats, packets): (_, Packets) = if readers == 0 {
+        let source = FileSource::open_set(&paths).unwrap();
+        (source.stats(), Box::new(source.into_packets()))
+    } else {
+        let source = MultiFileSource::open(
+            &paths,
+            MultiFileConfig {
+                readers,
+                batch_packets: 64,
+                queue_batches: 2,
+            },
+        )
         .unwrap();
+        (source.stats(), Box::new(source.into_packets()))
+    };
+    let (got, report) = engine.compress_stream_to_bytes(packets).unwrap();
     prop_assert_eq!(
         &got,
         &want,
@@ -136,15 +142,17 @@ fn check_prefetch(trace: &Trace, shards: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The fixed acceptance pin: a split trace through parallel readers and
-/// the unsplit trace through the prefetcher, across shard counts, all
-/// byte-identical to the classic path — plus the ≥-1-reader sanity that
-/// the no-prefetch single-file `FileSource` is the classic path.
+/// The fixed acceptance pin: a split trace through the set reader and
+/// through parallel readers, and the unsplit trace through the
+/// prefetcher, across shard counts, all byte-identical to the classic
+/// path.
 #[test]
 fn pinned_multifile_and_prefetch_archives_are_byte_identical() {
     let trace = web_trace(250, 0x10);
     for shards in [1usize, 2, 8] {
-        check_multifile(&trace, shards, 4, 2).unwrap_or_else(|e| panic!("{e}"));
+        for readers in [0usize, 2] {
+            check_multifile(&trace, shards, 4, readers).unwrap_or_else(|e| panic!("{e}"));
+        }
         check_prefetch(&trace, shards).unwrap_or_else(|e| panic!("{e}"));
     }
 }
@@ -171,16 +179,17 @@ fn plain_file_source_is_the_classic_path_with_wait_accounting() {
 }
 
 proptest! {
-    /// Acceptance criterion, property form: `MultiFileSource` over a
-    /// split trace produces the byte-identical archive for any split
-    /// shape, reader count and shard count.
+    /// Acceptance criterion, property form: the set reader and
+    /// `MultiFileSource` (reader count 0 is the set reader) over a split
+    /// trace produce the byte-identical archive for any split shape,
+    /// reader count and shard count.
     #[test]
     fn multifile_source_matches_single_reader_archive(
         flows in 20usize..100,
         seed in 0u64..500,
         shards in 1usize..5,
         n_files in 1usize..6,
-        readers in 1usize..5,
+        readers in 0usize..5,
     ) {
         check_multifile(&web_trace(flows, seed), shards, n_files, readers)?;
     }

@@ -13,16 +13,16 @@
 //! * At shards {2, 3, 8} over the web and p2p generators, archive bytes do not depend on `batch_size` ×
 //!   `channel_capacity` — whatever the OS schedule of the shard threads,
 //!   which every proptest case re-rolls with a fresh pool.
-//! * The multi-file reader path (a [`MultiFileSource`] drained as a
-//!   packet iterator) compresses byte-for-byte like the flat stream of
-//!   the same capture — file and reader-batch boundaries carry no
-//!   meaning.
+//! * The multi-file readers (the sequential [`FileSource`] set and a
+//!   [`MultiFileSource`], drained as packet iterators) compress
+//!   byte-for-byte like the flat stream of the same capture — file and
+//!   reader-batch boundaries carry no meaning.
 //! * With one shard and no eviction the engine is byte-identical to the
 //!   batch `Compressor`.
 
 use flowzip_core::{Compressor, Params};
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
+use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::{tsh, Trace};
 use flowzip_traffic::p2p::{P2pTrafficConfig, P2pTrafficGenerator};
 use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
@@ -125,11 +125,11 @@ fn single_shard_is_byte_identical_to_batch() {
     }
 }
 
-/// The multi-file reader path: a capture pre-split into ragged chunks,
-/// drained through the multi-file source, agrees byte-for-byte with the
-/// flat stream of the same packets — across routings (2, 3 and 8
-/// shards) and reader counts, with reader batches that never
-/// line up with engine batches.
+/// The multi-file readers: a capture pre-split into ragged chunks,
+/// drained through the sequential set reader (reader count 0) or the
+/// multi-file source, agrees byte-for-byte with the flat stream of the
+/// same packets — across routings (2, 3 and 8 shards) and reader
+/// counts, with reader batches that never line up with engine batches.
 #[test]
 fn multifile_batches_match_single_stream_across_routings() {
     let trace = web_trace(250, 4242);
@@ -152,25 +152,28 @@ fn multifile_batches_match_single_stream_across_routings() {
 
     for shards in [2usize, 3, 8] {
         let reference = compress_with(&trace, shards, 96, 4);
-        for readers in [1usize, 2, 3] {
+        for readers in [0usize, 1, 2, 3] {
             let engine = StreamingEngine::builder()
                 .shards(shards)
                 .batch_size(96)
                 .channel_capacity(4)
                 .build();
-            let source = MultiFileSource::open(
-                &paths,
-                MultiFileConfig {
-                    readers,
-                    batch_packets: 37,
-                    queue_batches: 2,
-                    prefetch: None,
-                },
-            )
-            .unwrap();
-            let (bytes, _) = engine
-                .compress_stream_to_bytes(source.into_packets())
+            let (bytes, _) = if readers == 0 {
+                let source = FileSource::open_set(&paths).unwrap();
+                engine.compress_stream_to_bytes(source.into_packets())
+            } else {
+                let source = MultiFileSource::open(
+                    &paths,
+                    MultiFileConfig {
+                        readers,
+                        batch_packets: 37,
+                        queue_batches: 2,
+                    },
+                )
                 .unwrap();
+                engine.compress_stream_to_bytes(source.into_packets())
+            }
+            .unwrap();
             assert_eq!(
                 bytes, reference,
                 "{shards} shards, {readers} readers diverged from the flat stream"

@@ -5,7 +5,7 @@
 //! single-shard (fully serial) run reports.
 
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
+use flowzip_io::{FileSource, InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::prelude::*;
 use flowzip_trace::{tsh, TraceError, TshReader};
 
@@ -104,7 +104,9 @@ fn injected_error_at_every_position_matches_serial() {
 }
 
 /// The multi-file path: the second of three chunk files is truncated.
-/// Every shard and reader count surfaces the same first error.
+/// Every shard and reader count surfaces the same first error, through
+/// the sequential set reader (reader count 0) and the multi-file
+/// source alike.
 #[test]
 fn truncated_multifile_chunk_propagates_the_same_error() {
     let trace = sample_trace(60);
@@ -127,20 +129,23 @@ fn truncated_multifile_chunk_propagates_the_same_error() {
 
     let mut seen = Vec::new();
     for shards in [1usize, 2, 3] {
-        for readers in [1usize, 2, 4] {
-            let source = MultiFileSource::open(
-                &paths,
-                MultiFileConfig {
-                    readers,
-                    batch_packets: 8,
-                    queue_batches: 2,
-                    prefetch: None,
-                },
-            )
-            .unwrap();
-            let err = engine(shards, 8)
-                .compress_stream_to_bytes(source.into_packets())
-                .unwrap_err();
+        for readers in [0usize, 1, 2, 4] {
+            let err = if readers == 0 {
+                let source = FileSource::open_set(&paths).unwrap();
+                engine(shards, 8).compress_stream_to_bytes(source.into_packets())
+            } else {
+                let source = MultiFileSource::open(
+                    &paths,
+                    MultiFileConfig {
+                        readers,
+                        batch_packets: 8,
+                        queue_batches: 2,
+                    },
+                )
+                .unwrap();
+                engine(shards, 8).compress_stream_to_bytes(source.into_packets())
+            }
+            .unwrap_err();
             assert!(
                 matches!(err, TraceError::TruncatedRecord { got: 7, need: 44 }),
                 "{shards} shards × {readers} readers: got {err:?}"

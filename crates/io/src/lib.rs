@@ -1,26 +1,29 @@
-//! Overlapped-I/O input subsystem for the flowzip pipeline.
+//! Capture input for the flowzip pipeline.
 //!
-//! The streaming engine's scaling ceiling was its single reader+router
-//! thread: every byte was read, decoded *and* routed on one core. This
-//! crate decouples disk from parse from compute:
-//!
-//! * [`PrefetchReader`] — a dedicated I/O thread double-buffers
-//!   fixed-size file chunks (bounded channel, configurable count/size)
-//!   behind the existing `TshReader`/`PcapReader` iterators.
-//! * [`MultiFileSource`] — an ordered set of pre-split capture files
-//!   (explicit list or `*`/`?` glob) as one logical packet stream, with
-//!   parallel reader threads each decoding a file while the consumer
-//!   drains them strictly in set order. Delivery is *exactly* what a
-//!   single chained reader would produce — same packets, same order,
-//!   same first error — so archives stay byte-identical.
-//! * [`WorkerPool`] — the small bounded-thread task runner behind the
-//!   multi-file readers.
+//! * [`FileSource`] — the one capture-file reader: an ordered set of
+//!   TSH or pcap files (a single file is a set of one), each file's
+//!   magic sniffed up front, a mixed pcap/TSH set rejected before
+//!   anything is read, then one buffered reader per file chained on the
+//!   consuming thread. Zero-byte files contribute no packets.
+//! * [`ReaderSource`] — the same contract over any byte stream (a stdin
+//!   pipe, an accepted socket).
+//! * [`glob`] — `*`/`?` filename patterns, sorted so numbered chunks
+//!   keep capture order.
 //! * [`InputSource`] + [`IoStats`] — the pluggable input interface the
 //!   engine consumes, with read-wait/byte counters that let a run report
 //!   how much wall-clock it lost waiting on input vs. computing.
 //!
+//! Reading is sequential by design. On the 8-file `p2p_pcap_split`
+//! ledger workload (1.04 M packets, `--threads 2`, 2-vCPU host) the
+//! sequential reader compresses in 189 ms wall against 219 ms through
+//! two reader threads, for the same archive bytes. [`MultiFileSource`],
+//! [`PrefetchReader`] and [`WorkerPool`] — the reader threads that
+//! measurement retired — stay only because the performance ledger's
+//! `io.multifile_read` and `io.prefetch_read` probes
+//! (`benchmark/src/layers.rs`) import them.
+//!
 //! ```
-//! use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource};
+//! use flowzip_io::{FileSource, InputSource};
 //! use flowzip_trace::prelude::*;
 //! use flowzip_trace::tsh;
 //!
@@ -32,11 +35,8 @@
 //! std::fs::write(dir.join("a.tsh"), tsh::to_bytes(&t)).unwrap();
 //! std::fs::write(dir.join("b.tsh"), tsh::to_bytes(&t)).unwrap();
 //!
-//! // …presented as one logical stream, drained by 2 reader threads.
-//! let source = MultiFileSource::open(
-//!     [dir.join("a.tsh"), dir.join("b.tsh")],
-//!     MultiFileConfig::with_readers(2),
-//! ).unwrap();
+//! // …read as one logical stream, in order, on this thread.
+//! let source = FileSource::open_set([dir.join("a.tsh"), dir.join("b.tsh")]).unwrap();
 //! let packets: Vec<_> = source.into_packets().collect::<Result<_, _>>().unwrap();
 //! assert_eq!(packets.len(), 2);
 //! # std::fs::remove_dir_all(&dir).ok();

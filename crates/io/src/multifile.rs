@@ -1,36 +1,25 @@
 //! [`MultiFileSource`]: an ordered set of pre-split capture files as one
 //! logical packet stream, drained by parallel reader threads.
 //!
-//! NLANR traces ship pre-chunked; the single reader+router thread was
-//! the engine's scaling ceiling. The contract that keeps parallel ingest
-//! *safe to substitute* for the classic path:
+//! **No product path uses this module**: compression reads every file
+//! input through [`FileSource`](crate::FileSource) on the caller's
+//! thread, which is faster for `cmp`-identical archives. It stays only
+//! because the performance ledger's `io.multifile_read` probe
+//! (`benchmark/src/layers.rs`) imports it.
 //!
-//! > The packet stream is **exactly** what chaining a single reader over
-//! > the files in the given order would produce — same packets, same
-//! > order, same first error — whatever the reader count.
-//!
-//! The implementation makes that structural rather than incidental:
-//! every file gets a bounded batch queue; [`WorkerPool`]-capped reader
-//! threads claim files *in set order* and decode them into their queues;
-//! the consumer drains queue 0 to its end-marker, then queue 1, and so
-//! on. File k is thus being parsed while file k-1 is still being
-//! consumed — read and decode overlap compute — but delivery order never
-//! depends on thread timing. Timestamps that interleave *across* files
-//! stay in file order, exactly like the single-stream read (the engine's
-//! time-seq sort, not the reader, owns global time order).
-//!
-//! Memory is bounded by `files × queue_batches × batch_packets` packets
-//! in the worst case, and reader threads back-pressure on their queue
-//! when the consumer lags.
+//! Delivery is exactly what [`FileSource`](crate::FileSource) yields —
+//! same packets, same order, same first error — whatever the reader
+//! count: [`WorkerPool`]-capped reader threads claim files in set order
+//! and decode each into its own bounded batch queue, and the consumer
+//! drains queue 0 to its end-marker, then queue 1, and so on.
 
 use crate::pool::{DetachedTasks, WorkerPool};
-use crate::prefetch::{PrefetchConfig, PrefetchReader};
-use crate::source::{InputSource, FILE_BUF_BYTES};
+use crate::source::{sniff_set, InputSource, SetFile, FILE_BUF_BYTES};
 use crate::stats::{CountingRead, IoStats};
 use flowzip_trace::reader::{CaptureFormat, CaptureReader};
 use flowzip_trace::{PacketRecord, TraceError};
 use std::io::BufReader;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::time::Instant;
 
@@ -45,10 +34,6 @@ pub struct MultiFileConfig {
     /// Bounded in-flight batches per file queue (clamped ≥ 1) — the
     /// back-pressure knob.
     pub queue_batches: usize,
-    /// Optional per-file chunk prefetching on top of the reader threads
-    /// (a second overlap layer; usually unnecessary, readers are already
-    /// off the consumer's thread).
-    pub prefetch: Option<PrefetchConfig>,
 }
 
 impl MultiFileConfig {
@@ -57,7 +42,6 @@ impl MultiFileConfig {
             readers: self.readers.max(1),
             batch_packets: self.batch_packets.max(1),
             queue_batches: self.queue_batches.max(1),
-            prefetch: self.prefetch,
         }
     }
 
@@ -76,17 +60,8 @@ impl Default for MultiFileConfig {
             readers: 2,
             batch_packets: 1024,
             queue_batches: 4,
-            prefetch: None,
         }
     }
-}
-
-/// Per-file classification from the up-front sniff.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileKind {
-    /// Zero bytes: contributes no packets, whatever the set format.
-    Empty,
-    Capture(CaptureFormat),
 }
 
 /// What a reader thread sends its file's queue.
@@ -103,7 +78,7 @@ enum Msg {
 /// [module docs](self) for the ordering contract.
 #[derive(Debug)]
 pub struct MultiFileSource {
-    files: Vec<(PathBuf, FileKind)>,
+    files: Vec<SetFile>,
     format: CaptureFormat,
     config: MultiFileConfig,
     stats: IoStats,
@@ -123,60 +98,13 @@ impl MultiFileSource {
         paths: impl IntoIterator<Item = P>,
         config: MultiFileConfig,
     ) -> Result<MultiFileSource, TraceError> {
-        let mut files = Vec::new();
-        let mut format: Option<(CaptureFormat, PathBuf)> = None;
-        for path in paths {
-            let path = path.as_ref().to_path_buf();
-            let kind = sniff_file(&path)?;
-            if let FileKind::Capture(f) = kind {
-                match &format {
-                    None => format = Some((f, path.clone())),
-                    Some((first, first_path)) if *first != f => {
-                        return Err(TraceError::InvalidTrace(format!(
-                            "mixed capture formats in one input set: {} is {first}, {} is {f}",
-                            first_path.display(),
-                            path.display()
-                        )));
-                    }
-                    Some(_) => {}
-                }
-            }
-            files.push((path, kind));
-        }
-        if files.is_empty() {
-            return Err(TraceError::InvalidTrace(
-                "multi-file input set is empty".to_string(),
-            ));
-        }
+        let (files, format) = sniff_set(paths)?;
         Ok(MultiFileSource {
             files,
-            // An all-empty set has no capture to name; TSH (the
-            // magic-less default) is what a single empty file sniffs as.
-            format: format.map(|(f, _)| f).unwrap_or(CaptureFormat::Tsh),
+            format,
             config: config.validated(),
             stats: IoStats::new(),
         })
-    }
-
-    /// Opens a set from literal paths and/or `*`/`?` filename patterns
-    /// (see [`glob`](crate::glob)); pattern matches are sorted so
-    /// numbered chunks keep capture order.
-    ///
-    /// # Errors
-    ///
-    /// Glob failures as [`TraceError::InvalidTrace`], then everything
-    /// [`MultiFileSource::open`] can return.
-    pub fn open_globs<S: AsRef<str>>(
-        patterns: &[S],
-        config: MultiFileConfig,
-    ) -> Result<MultiFileSource, TraceError> {
-        let paths = crate::glob::expand_all(patterns).map_err(TraceError::InvalidTrace)?;
-        MultiFileSource::open(paths, config)
-    }
-
-    /// The files in delivery order.
-    pub fn paths(&self) -> Vec<&Path> {
-        self.files.iter().map(|(p, _)| p.as_path()).collect()
     }
 
     /// The set's capture format (every non-empty file agrees).
@@ -185,44 +113,18 @@ impl MultiFileSource {
     }
 }
 
-/// Reads the first bytes of `path` to classify it.
-fn sniff_file(path: &Path) -> Result<FileKind, TraceError> {
-    use std::io::Read;
-    let mut head = [0u8; 4];
-    let mut file = std::fs::File::open(path)?;
-    let mut filled = 0;
-    while filled < head.len() {
-        match file.read(&mut head[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(if filled == 0 {
-        FileKind::Empty
-    } else {
-        FileKind::Capture(CaptureFormat::sniff(&head[..filled]))
-    })
-}
-
-/// One reader thread's whole job: decode `path` into `tx` in batches.
+/// One reader thread's whole job: decode `file` into `tx` in batches.
 fn read_file(
-    path: &Path,
-    kind: FileKind,
+    file: SetFile,
     format: CaptureFormat,
     config: &MultiFileConfig,
     stats: &IoStats,
     tx: &SyncSender<Msg>,
 ) {
-    let FileKind::Capture(_) = kind else {
-        let _ = tx.send(Msg::Eof);
-        return;
-    };
     let send_err = |e: TraceError| {
         let _ = tx.send(Msg::Err(e));
     };
-    let file = match std::fs::File::open(path) {
+    let file = match file.into_read() {
         Ok(f) => f,
         Err(e) => return send_err(e.into()),
     };
@@ -230,17 +132,12 @@ fn read_file(
     // bytes are counted but not timed; `Msg` channel sends back-pressure
     // against the bounded queue instead.
     let counted = CountingRead::new(file, stats.clone());
-    let stream: Box<dyn std::io::Read + Send> = match config.prefetch {
-        None => Box::new(counted),
-        Some(p) => Box::new(PrefetchReader::with_config(counted, p, IoStats::new())),
-    };
-    let reader = match CaptureReader::with_format(
-        BufReader::with_capacity(FILE_BUF_BYTES, stream),
-        format,
-    ) {
-        Ok(r) => r,
-        Err(e) => return send_err(e),
-    };
+    let reader =
+        match CaptureReader::with_format(BufReader::with_capacity(FILE_BUF_BYTES, counted), format)
+        {
+            Ok(r) => r,
+            Err(e) => return send_err(e),
+        };
     let mut batch = Vec::with_capacity(config.batch_packets);
     for item in reader {
         match item {
@@ -294,12 +191,12 @@ impl InputSource for MultiFileSource {
         } = self;
         let mut receivers = Vec::with_capacity(files.len());
         let mut tasks: Vec<Box<dyn FnOnce() + Send>> = Vec::with_capacity(files.len());
-        for (path, kind) in files {
+        for file in files {
             let (tx, rx) = std::sync::mpsc::sync_channel::<Msg>(config.queue_batches);
             receivers.push(rx);
             let stats = stats.clone();
             tasks.push(Box::new(move || {
-                read_file(&path, kind, format, &config, &stats, &tx);
+                read_file(file, format, &config, &stats, &tx);
             }));
         }
         // Workers claim files in set order, so the file the consumer
@@ -399,6 +296,7 @@ mod tests {
     use super::*;
     use flowzip_trace::prelude::*;
     use flowzip_trace::tsh;
+    use std::path::PathBuf;
 
     pub(crate) fn pkt(i: u64, us: u64) -> PacketRecord {
         PacketRecord::builder()
@@ -443,7 +341,6 @@ mod tests {
                     readers,
                     batch_packets: 32,
                     queue_batches: 2,
-                    prefetch: None,
                 },
             )
             .unwrap();
@@ -472,7 +369,6 @@ mod tests {
                 readers: 2,
                 batch_packets: 16,
                 queue_batches: 2,
-                prefetch: None,
             },
         )
         .unwrap();

@@ -2,9 +2,9 @@
 //! threads.
 //!
 //! [`WorkerPool::run_detached`] starts the tasks and returns a
-//! [`DetachedTasks`] join handle at once. This is what
-//! [`MultiFileSource`](crate::MultiFileSource) readers use: the pool
-//! outlives the call and drains files in the background.
+//! [`DetachedTasks`] join handle at once. Its one user is
+//! [`MultiFileSource`](crate::MultiFileSource), kept only for the
+//! ledger's `io.multifile_read` probe; no product path spawns the pool.
 //!
 //! Tasks are claimed in index order from a shared atomic cursor, so the
 //! first `workers` tasks start immediately. Worker panics surface from

@@ -12,6 +12,11 @@
 //! in-flight buffers, so memory is capped at `chunks × chunk_bytes` and
 //! a slow consumer back-pressures the disk instead of buffering the
 //! file. The default (2 × 1 MiB) is classic double buffering.
+//!
+//! **No product path uses this module.** It stays only for the
+//! performance ledger's `io.prefetch_read` probe
+//! (`benchmark/src/layers.rs`, via
+//! [`FileSource::open_prefetched`](crate::FileSource::open_prefetched)).
 
 use crate::stats::IoStats;
 use std::io::Read;
@@ -33,15 +38,6 @@ pub struct PrefetchConfig {
 impl PrefetchConfig {
     /// Minimum accepted chunk size.
     pub const MIN_CHUNK_BYTES: usize = 4 << 10;
-
-    /// `chunk_bytes` sized in whole mebibytes — the CLI's
-    /// `--prefetch-mb` unit.
-    pub fn with_chunk_mb(mb: u64) -> PrefetchConfig {
-        PrefetchConfig {
-            chunk_bytes: (mb as usize).saturating_mul(1 << 20),
-            ..PrefetchConfig::default()
-        }
-    }
 
     fn validated(self) -> PrefetchConfig {
         PrefetchConfig {
@@ -315,7 +311,6 @@ mod tests {
         .validated();
         assert_eq!(c.chunk_bytes, PrefetchConfig::MIN_CHUNK_BYTES);
         assert_eq!(c.chunks, 1);
-        assert_eq!(PrefetchConfig::with_chunk_mb(3).chunk_bytes, 3 << 20);
     }
 
     #[test]

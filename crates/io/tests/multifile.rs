@@ -1,9 +1,10 @@
-//! Multi-file ingest edge cases, pinned at the packet level: whatever
-//! the reader count, [`MultiFileSource`] must behave *exactly* like one
+//! Multi-file ingest edge cases, pinned at the packet level: the
+//! sequential set reader ([`FileSource::open_set`]) and, whatever its
+//! reader count, [`MultiFileSource`] must both behave *exactly* like one
 //! reader chained over the files in order — same packets, same order,
 //! same first error.
 
-use flowzip_io::{InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
+use flowzip_io::{glob, FileSource, InputSource, MultiFileConfig, MultiFileSource};
 use flowzip_trace::prelude::*;
 use flowzip_trace::reader::CaptureReader;
 use flowzip_trace::{pcap, tsh, TraceError};
@@ -56,8 +57,8 @@ fn chained_single_reader(paths: &[PathBuf]) -> (Vec<PacketRecord>, Option<String
     (packets, None)
 }
 
-/// Drains a multi-file source the same way, capturing the first error.
-fn drain(src: MultiFileSource) -> (Vec<PacketRecord>, Option<String>) {
+/// Drains a source the same way, capturing the first error.
+fn drain(src: impl InputSource) -> (Vec<PacketRecord>, Option<String>) {
     let mut packets = Vec::new();
     for item in src.into_packets() {
         match item {
@@ -88,11 +89,14 @@ fn empty_file_in_the_set_contributes_no_packets() {
     write_tsh(&dir.join("c.tsh"), &c);
     let paths = vec![dir.join("a.tsh"), dir.join("b.tsh"), dir.join("c.tsh")];
 
+    let want: Vec<_> = a.iter().chain(&c).cloned().collect();
+    let (got, err) = drain(FileSource::open_set(&paths).unwrap());
+    assert!(err.is_none());
+    assert_eq!(got, want, "set reader");
     for readers in [1usize, 3] {
         let src = MultiFileSource::open(&paths, MultiFileConfig::with_readers(readers)).unwrap();
         let (got, err) = drain(src);
         assert!(err.is_none());
-        let want: Vec<_> = a.iter().chain(&c).cloned().collect();
         assert_eq!(got, want, "{readers} readers");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -106,22 +110,23 @@ fn mixed_pcap_and_tsh_sets_are_rejected_up_front() {
     std::fs::write(dir.join("a.tsh"), tsh::to_bytes(&trace)).unwrap();
     std::fs::write(dir.join("b.pcap"), pcap::to_bytes(&trace)).unwrap();
 
-    let err = MultiFileSource::open(
-        [dir.join("a.tsh"), dir.join("b.pcap")],
-        MultiFileConfig::default(),
-    )
-    .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("mixed capture formats"), "{msg}");
-    assert!(msg.contains("a.tsh") && msg.contains("b.pcap"), "{msg}");
+    let mixed = [dir.join("a.tsh"), dir.join("b.pcap")];
+    for err in [
+        FileSource::open_set(&mixed).unwrap_err(),
+        MultiFileSource::open(&mixed, MultiFileConfig::default()).unwrap_err(),
+    ] {
+        let msg = err.to_string();
+        assert!(msg.contains("mixed capture formats"), "{msg}");
+        assert!(msg.contains("a.tsh") && msg.contains("b.pcap"), "{msg}");
+    }
 
     // An empty file is compatible with either format.
     std::fs::write(dir.join("zero.tsh"), b"").unwrap();
-    MultiFileSource::open(
-        [dir.join("zero.tsh"), dir.join("b.pcap")],
-        MultiFileConfig::default(),
-    )
-    .unwrap();
+    let zero_first = [dir.join("zero.tsh"), dir.join("b.pcap")];
+    let set = FileSource::open_set(&zero_first).unwrap();
+    assert_eq!(set.format(), flowzip_trace::CaptureFormat::Pcap);
+    assert_eq!(drain(set).0.len(), 20);
+    MultiFileSource::open(&zero_first, MultiFileConfig::default()).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -137,9 +142,13 @@ fn mid_chunk_truncation_surfaces_at_the_right_point() {
     let paths = vec![dir.join("a.tsh"), dir.join("b.tsh")];
 
     let reference = chained_single_reader(&paths);
-    for readers in [1usize, 2, 4] {
-        let src = MultiFileSource::open(&paths, MultiFileConfig::with_readers(readers)).unwrap();
-        let (got, err) = drain(src);
+    for readers in [0usize, 1, 2, 4] {
+        // Reader count 0 stands for the sequential set reader.
+        let (got, err) = if readers == 0 {
+            drain(FileSource::open_set(&paths).unwrap())
+        } else {
+            drain(MultiFileSource::open(&paths, MultiFileConfig::with_readers(readers)).unwrap())
+        };
         // All of file a and the two whole records of file b arrive, then
         // the truncation error — exactly like the chained single reader.
         assert_eq!(got.len(), 32, "{readers} readers");
@@ -168,6 +177,9 @@ fn out_of_order_file_timestamps_keep_single_stream_order() {
     let paths = vec![dir.join("f0.tsh"), dir.join("f1.tsh"), dir.join("f2.tsh")];
 
     let want: Vec<_> = late.iter().chain(&early).chain(&mixed).cloned().collect();
+    let (got, err) = drain(FileSource::open_set(&paths).unwrap());
+    assert!(err.is_none());
+    assert_eq!(got, want, "set reader");
     for readers in [1usize, 2, 3, 6] {
         let src = MultiFileSource::open(
             &paths,
@@ -175,7 +187,6 @@ fn out_of_order_file_timestamps_keep_single_stream_order() {
                 readers,
                 batch_packets: 7, // ragged batches stress queue boundaries
                 queue_batches: 2,
-                prefetch: None,
             },
         )
         .unwrap();
@@ -203,28 +214,29 @@ fn pcap_sets_stream_like_chained_readers() {
     .unwrap();
     let paths = vec![dir.join("a.pcap"), dir.join("b.pcap")];
 
-    let src = MultiFileSource::open(&paths, MultiFileConfig::with_readers(2)).unwrap();
-    assert_eq!(src.format(), flowzip_trace::CaptureFormat::Pcap);
-    let stats = src.stats();
-    let (got, err) = drain(src);
-    assert!(err.is_none());
-    assert_eq!(got, chained_single_reader(&paths).0);
-    // Every raw byte of both files was pulled and counted.
     let total: u64 = paths
         .iter()
         .map(|p| std::fs::metadata(p).unwrap().len())
         .sum();
-    assert_eq!(stats.bytes_read(), total);
+    let set = FileSource::open_set(&paths).unwrap();
+    assert_eq!(set.format(), flowzip_trace::CaptureFormat::Pcap);
+    let multi = MultiFileSource::open(&paths, MultiFileConfig::with_readers(2)).unwrap();
+    assert_eq!(multi.format(), flowzip_trace::CaptureFormat::Pcap);
+    for (stats, (got, err)) in [(set.stats(), drain(set)), (multi.stats(), drain(multi))] {
+        assert!(err.is_none());
+        assert_eq!(got, chained_single_reader(&paths).0);
+        // Every raw byte of both files was pulled and counted.
+        assert_eq!(stats.bytes_read(), total);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn missing_file_errors_at_open() {
-    let err = MultiFileSource::open(
-        [PathBuf::from("/nonexistent/nope-00.tsh")],
-        MultiFileConfig::default(),
-    )
-    .unwrap_err();
+    let missing = [PathBuf::from("/nonexistent/nope-00.tsh")];
+    let err = MultiFileSource::open(&missing, MultiFileConfig::default()).unwrap_err();
+    assert!(matches!(err, TraceError::Io(_)));
+    let err = FileSource::open_set(&missing).unwrap_err();
     assert!(matches!(err, TraceError::Io(_)));
 }
 
@@ -239,15 +251,15 @@ fn glob_open_orders_chunks_lexicographically() {
     write_tsh(&dir.join("t-00.tsh"), &a);
     write_tsh(&dir.join("t-01.tsh"), &b);
     let pattern = dir.join("t-*.tsh");
-    let src = MultiFileSource::open_globs(
-        &[pattern.to_str().unwrap()],
-        MultiFileConfig::with_readers(2),
-    )
-    .unwrap();
+    let paths = glob::expand_all(&[pattern.to_str().unwrap()]).unwrap();
+    let src = MultiFileSource::open(&paths, MultiFileConfig::with_readers(2)).unwrap();
     let want: Vec<_> = a.iter().chain(&b).chain(&c).cloned().collect();
     let (got, err) = drain(src);
     assert!(err.is_none());
     assert_eq!(got, want);
+    let (got, err) = drain(FileSource::open_set(&paths).unwrap());
+    assert!(err.is_none());
+    assert_eq!(got, want, "set reader");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -278,21 +290,24 @@ fn non_utf8_literal_paths_stream_fine() {
     let (got, err) = drain(src);
     assert!(err.is_none(), "{err:?}");
     assert_eq!(got, want);
+    let (got, err) = drain(FileSource::open_set([weird, plain]).unwrap());
+    assert!(err.is_none(), "{err:?}");
+    assert_eq!(got, want, "set reader");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
-    /// Any trace, any split, any reader count: the parallel multi-file
-    /// stream equals the chained single-reader stream exactly. (This is
-    /// the packet-level half of the archive-equivalence guarantee; the
-    /// engine test pins the archive bytes.)
+    /// Any trace, any split, any reader count: the sequential set
+    /// reader and the parallel multi-file stream both equal the chained
+    /// single-reader stream exactly. (This is the packet-level half of
+    /// the archive-equivalence guarantee; the engine test pins the
+    /// archive bytes.)
     #[test]
     fn multifile_equals_chained_reader(
         n_packets in 0usize..400,
         n_files in 1usize..6,
         readers in 1usize..5,
         batch in 1usize..64,
-        prefetch in any::<bool>(),
         seed in 0u64..1_000,
     ) {
         let dir = tmpdir(&format!("prop-{seed}-{n_packets}-{n_files}"));
@@ -314,11 +329,13 @@ proptest! {
             start += take;
             paths.push(path);
         }
+        let (got, err) = drain(FileSource::open_set(&paths).unwrap());
+        prop_assert!(err.is_none());
+        prop_assert_eq!(&got, &packets);
         let src = MultiFileSource::open(&paths, MultiFileConfig {
             readers,
             batch_packets: batch,
             queue_batches: 2,
-            prefetch: prefetch.then_some(PrefetchConfig { chunk_bytes: 4096, chunks: 2 }),
         }).unwrap();
         let (got, err) = drain(src);
         prop_assert!(err.is_none());

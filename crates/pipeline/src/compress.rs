@@ -8,7 +8,7 @@ use crate::sink::Sink;
 use crate::Pipeline;
 use flowzip_core::Params;
 use flowzip_engine::StreamingEngine;
-use flowzip_io::{glob, FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig};
+use flowzip_io::{glob, FileSource, InputSource};
 use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink};
 use flowzip_trace::Duration;
 use std::sync::atomic::AtomicBool;
@@ -48,8 +48,6 @@ pub struct CompressBuilder<'a> {
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
     idle_timeout: Option<Duration>,
-    prefetch_mb: Option<u64>,
-    readers: Option<usize>,
     telemetry: bool,
     metrics: Option<Metrics>,
     profiler: Option<Profiler>,
@@ -71,8 +69,6 @@ impl Pipeline {
             batch_size: None,
             channel_capacity: None,
             idle_timeout: None,
-            prefetch_mb: None,
-            readers: None,
             telemetry: false,
             metrics: None,
             profiler: None,
@@ -130,21 +126,6 @@ impl<'a> CompressBuilder<'a> {
     /// Evict flows idle longer than this much *trace* time.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
         self.idle_timeout = Some(timeout);
-        self
-    }
-
-    /// Prefetch file reads on a dedicated I/O thread, double-buffering
-    /// chunks of this many MiB (`0` is a configuration error —
-    /// prefetching nothing is a misconfiguration, not a mode).
-    pub fn prefetch_mb(mut self, mb: u64) -> Self {
-        self.prefetch_mb = Some(mb);
-        self
-    }
-
-    /// Parallel reader threads for multi-file input (`0` is a
-    /// configuration error).
-    pub fn readers(mut self, readers: usize) -> Self {
-        self.readers = Some(readers);
         self
     }
 
@@ -233,8 +214,6 @@ impl<'a> CompressBuilder<'a> {
             batch_size,
             channel_capacity,
             idle_timeout,
-            prefetch_mb,
-            readers,
             telemetry,
             metrics,
             profiler,
@@ -262,17 +241,6 @@ impl<'a> CompressBuilder<'a> {
         if channel_capacity == Some(0) {
             return Err(PipelineError::config(
                 "channel_capacity must be ≥ 1 (got 0; a zero-slot channel would deadlock)",
-            ));
-        }
-        if readers == Some(0) {
-            return Err(PipelineError::config(
-                "readers must be ≥ 1 (got 0; zero reader threads would never deliver a packet)",
-            ));
-        }
-        if prefetch_mb == Some(0) {
-            return Err(PipelineError::config(
-                "prefetch_mb must be ≥ 1 when prefetch is enabled (got 0; \
-                 omit .prefetch_mb() to disable prefetching)",
             ));
         }
         if stats_interval == Some(std::time::Duration::ZERO) {
@@ -308,15 +276,6 @@ impl<'a> CompressBuilder<'a> {
                  (Input::file/files/glob/trace/packets/source)",
             ));
         }
-        // File-ingest knobs on a non-file input would be silently
-        // ignored — reject them instead, like every other nonsense knob.
-        if !matches!(&kind, InputKind::Files(_)) && (readers.is_some() || prefetch_mb.is_some()) {
-            return Err(PipelineError::config(
-                "readers/prefetch_mb tune file ingest and have no effect on in-memory or \
-                 pre-opened inputs — drop them, or configure the source itself \
-                 (e.g. MultiFileConfig) before Input::source",
-            ));
-        }
 
         // A stats interval implies metrics: sampling a disabled registry
         // would emit nothing.
@@ -349,8 +308,6 @@ impl<'a> CompressBuilder<'a> {
             batch_size,
             channel_capacity,
             idle_timeout,
-            prefetch_mb,
-            readers,
             telemetry,
             &metrics,
             &profiler,
@@ -380,8 +337,6 @@ fn run_engine(
     batch_size: Option<usize>,
     channel_capacity: Option<usize>,
     idle_timeout: Option<Duration>,
-    prefetch_mb: Option<u64>,
-    readers: Option<usize>,
     telemetry: bool,
     metrics: &Metrics,
     profiler: &Profiler,
@@ -409,51 +364,26 @@ fn run_engine(
     if let Some(t) = threads.or(single.then_some(1)) {
         builder = builder.shards(t);
     }
-    let batch = batch_size.unwrap_or(1024);
-    builder = builder.batch_size(batch);
+    builder = builder.batch_size(batch_size.unwrap_or(1024));
     if let Some(c) = channel_capacity {
         builder = builder.channel_capacity(c);
     }
     let engine = builder
         .try_build()
         .map_err(|e| PipelineError::config(e.to_string()))?;
-    let prefetch = prefetch_mb.map(PrefetchConfig::with_chunk_mb);
 
     let read_err = |e| PipelineError::read(context.to_string(), e);
     let (bytes, engine_report, stats) = match kind {
         InputKind::Files(paths) => {
-            // An explicit reader count routes even a single file through
-            // the multi-file source: its reader thread moves decode off
-            // the router, which is what the knob asks for.
-            let (stats, bytes_report) = if paths.len() > 1 || readers.is_some() {
-                let source = MultiFileSource::open(
-                    &paths,
-                    MultiFileConfig {
-                        readers: readers.unwrap_or(2),
-                        batch_packets: batch,
-                        queue_batches: 4,
-                        prefetch,
-                    },
-                )
+            let source = FileSource::open_set(&paths).map_err(read_err)?;
+            let stats = source.stats();
+            // Teed before the read starts, so live snapshots see reader
+            // bytes/wait while the run is in flight.
+            stats.attach_metrics(metrics);
+            let (b, er) = engine
+                .compress_stream_to_bytes(source.into_packets())
                 .map_err(read_err)?;
-                let stats = source.stats();
-                // Teed before the read starts, so live snapshots see
-                // reader bytes/wait while the run is in flight.
-                stats.attach_metrics(metrics);
-                let br = engine
-                    .compress_stream_to_bytes(source.into_packets())
-                    .map_err(read_err)?;
-                (stats, br)
-            } else {
-                let source = FileSource::open_with(&paths[0], prefetch).map_err(read_err)?;
-                let stats = source.stats();
-                stats.attach_metrics(metrics);
-                let br = engine
-                    .compress_stream_to_bytes(source.into_packets())
-                    .map_err(read_err)?;
-                (stats, br)
-            };
-            (bytes_report.0, bytes_report.1, Some(stats))
+            (b, er, Some(stats))
         }
         InputKind::Trace(trace) => {
             let (b, er) = engine

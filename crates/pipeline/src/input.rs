@@ -57,7 +57,8 @@ impl<'a> Input<'a> {
     }
 
     /// An ordered set of pre-split capture files, streamed as **one**
-    /// logical trace in the given order (the multi-file reader path).
+    /// logical trace in the given order, each file read in turn on the
+    /// calling thread.
     pub fn files<P: AsRef<Path>>(paths: impl IntoIterator<Item = P>) -> Input<'static> {
         Input {
             kind: InputKind::Files(
@@ -110,9 +111,9 @@ impl<'a> Input<'a> {
     }
 
     /// An already-opened [`InputSource`] — a
-    /// [`FileSource`](flowzip_io::FileSource) you configured yourself, a
-    /// [`MultiFileSource`](flowzip_io::MultiFileSource), or your own
-    /// implementation. The source's [`IoStats`] feed the report's
+    /// [`FileSource`](flowzip_io::FileSource), a
+    /// [`ReaderSource`](flowzip_io::ReaderSource) over a pipe or socket,
+    /// or your own implementation. The source's [`IoStats`] feed the report's
     /// read-wait/compute split.
     pub fn source<S>(source: S) -> Input<'a>
     where
@@ -120,7 +121,7 @@ impl<'a> Input<'a> {
         S::Packets: 'a,
     {
         let stats = source.stats();
-        // Name the source by its type (e.g. `MultiFileSource`) so
+        // Name the source by its type (e.g. `FileSource`) so
         // reports and error contexts say *what* was being read, not just
         // "input source".
         let description = std::any::type_name::<S>()

@@ -3,8 +3,8 @@
 //!
 //! The workspace grew its capability crates bottom-up — the paper's
 //! batch [`Compressor`](flowzip_core::Compressor), the sharded
-//! [`StreamingEngine`](flowzip_engine::StreamingEngine), the overlapped
-//! ingest sources in [`flowzip_io`]. This crate is the one front door: a
+//! [`StreamingEngine`](flowzip_engine::StreamingEngine), the capture
+//! reader in [`flowzip_io`]. This crate is the one front door: a
 //! builder-style *session* that names the input once, the output once,
 //! the tuning once, and runs the engine over it. There is one compress
 //! route; `Compressor` stays in `flowzip-core` as the reference oracle
@@ -56,9 +56,9 @@
 //! [`Input::source`] inputs get the engine's default of one shard per
 //! core (at most 8). No other knob changes the shard count. Nonsense
 //! configurations (any zero-valued knob, an empty file list, a glob
-//! matching nothing, file-ingest knobs on an in-memory input) are
-//! rejected up front with a descriptive [`PipelineError::Config`] instead
-//! of panicking, hanging, or silently compressing nothing.
+//! matching nothing) are rejected up front with a descriptive
+//! [`PipelineError::Config`] instead of panicking, hanging, or silently
+//! compressing nothing.
 //!
 //! # The unified report
 //!

@@ -84,12 +84,8 @@ impl<'a> Sink<'a> {
     fn open(self) -> Result<SinkWriter<'a>, PipelineError> {
         Ok(match self.kind {
             SinkKind::File(path) => {
-                let part = PartFile::create(&path).map_err(|e| {
-                    PipelineError::write(
-                        format!("create {}", Sink::partial_path(&path).display()),
-                        e,
-                    )
-                })?;
+                let part = PartFile::create(&path)
+                    .map_err(|e| PipelineError::write(format!("create {}", path.display()), e))?;
                 SinkWriter::File(BufWriter::with_capacity(SINK_BUFFER_BYTES, part))
             }
             SinkKind::Bytes => SinkWriter::Bytes(Vec::new()),
@@ -176,7 +172,7 @@ impl SinkWriter<'_> {
     /// Where the bytes are going, for error messages.
     fn context(&self) -> String {
         match self {
-            SinkWriter::File(w) => format!("write {}", w.get_ref().part.display()),
+            SinkWriter::File(w) => format!("write {}", w.get_ref().written_path().display()),
             SinkWriter::Bytes(_) | SinkWriter::Writer(_) => "write sink".to_string(),
         }
     }
@@ -225,44 +221,69 @@ impl Write for SinkWriter<'_> {
 /// [`PartFile::commit`] renames it into place, and dropping it
 /// uncommitted — an error return, a panic unwinding — unlinks the
 /// scratch file. This is the one implementation of the workspace's
-/// write-`.part`-then-rename discipline; [`Sink::file`] is built on it,
-/// and callers that stream several sessions into one output (`flowzip
-/// query <dir> -o`) hand each session `Sink::writer(&mut part_file)`.
+/// write-`.part`-then-rename discipline; [`Sink::file`] and serve's
+/// rotated archives are built on it, and callers that stream several
+/// sessions into one output (`flowzip query <dir> -o`) hand each
+/// session `Sink::writer(&mut part_file)`.
+///
+/// An existing `path` that is not a regular file (a FIFO, a device, or
+/// a symlink to one such as `/dev/stdout`) is written straight through
+/// and never unlinked: a rename would replace the node itself.
 #[derive(Debug)]
 pub struct PartFile {
     file: File,
-    part: PathBuf,
+    /// The uncommitted scratch file; `None` when writing straight
+    /// through or once committed.
+    part: Option<PathBuf>,
     path: PathBuf,
-    committed: bool,
 }
 
 impl PartFile {
     /// Creates (or truncates) `<path>.part`; `path` itself is untouched
-    /// until [`PartFile::commit`].
+    /// until [`PartFile::commit`]. A non-regular `path` is opened
+    /// instead.
     ///
     /// # Errors
     ///
-    /// The scratch file could not be created.
+    /// The file to write could not be opened.
     pub fn create(path: impl AsRef<Path>) -> io::Result<PartFile> {
         let path = path.as_ref().to_path_buf();
-        let part = Sink::partial_path(&path);
-        Ok(PartFile {
-            file: File::create(&part)?,
-            part,
-            path,
-            committed: false,
-        })
+        let (file, part) = if PartFile::writes_through(&path) {
+            (File::options().write(true).open(&path)?, None)
+        } else {
+            let part = Sink::partial_path(&path);
+            (File::create(&part)?, Some(part))
+        };
+        Ok(PartFile { file, part, path })
     }
 
-    /// Renames the scratch file over `path`. Unbuffered, so everything
-    /// written is already in the file.
+    /// Whether [`PartFile::create`] writes `path` straight through
+    /// rather than staging `.part`: `path` exists and is not a regular
+    /// file. Such a target is never renamed over or unlinked.
+    pub fn writes_through(path: impl AsRef<Path>) -> bool {
+        // `metadata` follows symlinks: `/dev/stdout` is the node it
+        // names, not the link.
+        std::fs::metadata(path).is_ok_and(|m| !m.is_file())
+    }
+
+    /// The file the bytes land in: the scratch file, or `path` itself
+    /// when writing straight through.
+    pub fn written_path(&self) -> &Path {
+        self.part.as_deref().unwrap_or(&self.path)
+    }
+
+    /// Renames the scratch file over `path` (a no-op when writing
+    /// straight through). Unbuffered, so everything written is already
+    /// in the file.
     ///
     /// # Errors
     ///
     /// The rename failed; the scratch file is removed.
     pub fn commit(mut self) -> io::Result<()> {
-        std::fs::rename(&self.part, &self.path)?;
-        self.committed = true;
+        if let Some(part) = &self.part {
+            std::fs::rename(part, &self.path)?;
+        }
+        self.part = None;
         Ok(())
     }
 }
@@ -279,8 +300,8 @@ impl Write for PartFile {
 
 impl Drop for PartFile {
     fn drop(&mut self) {
-        if !self.committed {
-            std::fs::remove_file(&self.part).ok();
+        if let Some(part) = &self.part {
+            std::fs::remove_file(part).ok();
         }
     }
 }

@@ -7,9 +7,8 @@
 //! | `Input::trace` / `Input::file`, no tuning | `Compressor::compress` (the paper-reference oracle) and `.threads(1)` |
 //! | `Input::trace` + `threads` | `StreamingEngine::compress_stream_to_bytes` over the trace |
 //! | `Input::packets` | … over the packet iterator |
-//! | `Input::file` | … over `FileSource::into_packets` |
-//! | `Input::file` + `prefetch_mb` | … with `FileSource::open_prefetched` |
-//! | `Input::files`/`Input::glob` + `readers` | … with `MultiFileSource` |
+//! | `Input::file` | … over `FileSource::into_packets`, and with `FileSource::open_prefetched` |
+//! | `Input::files`/`Input::glob` | … with `FileSource::open_set` and with `MultiFileSource` |
 //! | `Pipeline::decompress` | `Decompressor::decompress` + `tsh/pcap::to_bytes` |
 //!
 //! The sink never changes the bytes:
@@ -258,6 +257,8 @@ fn file_session_matches_engine_file_source_entry_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A session reads its file directly; the prefetch reader beneath the
+/// engine moves the same bytes through a thread and changes nothing.
 #[test]
 fn prefetched_session_matches_engine_prefetch_entry_point() {
     let dir = tmpdir("prefetch");
@@ -270,7 +271,7 @@ fn prefetched_session_matches_engine_prefetch_entry_point() {
         .build();
     let (want, _) = engine
         .compress_stream_to_bytes(
-            FileSource::open_prefetched(&path, PrefetchConfig::with_chunk_mb(1))
+            FileSource::open_prefetched(&path, PrefetchConfig::default())
                 .unwrap()
                 .into_packets(),
         )
@@ -279,7 +280,6 @@ fn prefetched_session_matches_engine_prefetch_entry_point() {
         .input(Input::file(&path))
         .sink(Sink::bytes())
         .threads(2)
-        .prefetch_mb(1)
         .run()
         .unwrap();
     assert_eq!(result.into_bytes().unwrap(), want);
@@ -291,32 +291,36 @@ fn multi_file_session_matches_engine_multi_file_entry_point() {
     let dir = tmpdir("multi");
     let trace = web_trace(180, 46);
     let chunks = write_chunks(&dir, &tsh::to_bytes(&trace), 3);
+    let engine = StreamingEngine::builder()
+        .shards(2)
+        .batch_size(1024)
+        .build();
+    let result = Pipeline::compress()
+        .input(Input::files(&chunks))
+        .sink(Sink::bytes())
+        .threads(2)
+        .run()
+        .unwrap();
+    let got = result.into_bytes().unwrap();
+    let (want, _) = engine
+        .compress_stream_to_bytes(FileSource::open_set(&chunks).unwrap().into_packets())
+        .unwrap();
+    assert_eq!(got, want, "set reader");
+    // The retired reader threads deliver the same stream.
     for readers in [1usize, 3] {
-        let engine = StreamingEngine::builder()
-            .shards(2)
-            .batch_size(1024)
-            .build();
         let source = MultiFileSource::open(
             &chunks,
             MultiFileConfig {
                 readers,
                 batch_packets: 1024,
                 queue_batches: 4,
-                prefetch: None,
             },
         )
         .unwrap();
         let (want, _) = engine
             .compress_stream_to_bytes(source.into_packets())
             .unwrap();
-        let result = Pipeline::compress()
-            .input(Input::files(&chunks))
-            .sink(Sink::bytes())
-            .threads(2)
-            .readers(readers)
-            .run()
-            .unwrap();
-        assert_eq!(result.into_bytes().unwrap(), want, "{readers} readers");
+        assert_eq!(got, want, "{readers} readers");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -326,27 +330,21 @@ fn glob_and_source_inputs_match_the_explicit_list() {
     let dir = tmpdir("glob");
     let trace = web_trace(130, 47);
     let chunks = write_chunks(&dir, &tsh::to_bytes(&trace), 3);
-    let run = |input: Input<'_>, readers: Option<usize>| {
-        let mut session = Pipeline::compress()
+    let run = |input: Input<'_>| {
+        Pipeline::compress()
             .input(input)
             .sink(Sink::bytes())
-            .threads(2);
-        if let Some(r) = readers {
-            session = session.readers(r);
-        }
-        session.run().unwrap().into_bytes().unwrap()
+            .threads(2)
+            .run()
+            .unwrap()
+            .into_bytes()
+            .unwrap()
     };
-    let want = run(Input::files(&chunks), Some(2));
+    let want = run(Input::files(&chunks));
     let pattern = dir.join("chunk-*.tsh");
-    assert_eq!(
-        run(Input::glob(pattern.to_str().unwrap()), Some(2)),
-        want,
-        "glob"
-    );
-    // A pre-opened source carries its own reader config; the session's
-    // `readers` knob would be rejected (see the validation suite).
-    let source = MultiFileSource::open(&chunks, MultiFileConfig::with_readers(2)).unwrap();
-    assert_eq!(run(Input::source(source), None), want, "source");
+    assert_eq!(run(Input::glob(pattern.to_str().unwrap())), want, "glob");
+    let source = FileSource::open_set(&chunks).unwrap();
+    assert_eq!(run(Input::source(source)), want, "source");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -68,30 +68,6 @@ fn zero_channel_capacity_is_rejected() {
 }
 
 #[test]
-fn zero_readers_is_rejected() {
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .readers(0),
-        "readers must be ≥ 1",
-    );
-}
-
-#[test]
-fn zero_prefetch_mb_is_rejected() {
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .prefetch_mb(0),
-        "prefetch_mb must be ≥ 1",
-    );
-}
-
-#[test]
 fn empty_file_list_is_rejected() {
     expect_config_err(
         Pipeline::compress()
@@ -120,27 +96,6 @@ fn glob_matching_nothing_is_an_error_not_an_empty_run() {
         "matched no files",
     );
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn file_ingest_knobs_on_non_file_inputs_are_rejected() {
-    // readers/prefetch_mb would be silently ignored for in-memory and
-    // pre-opened inputs — that is a misconfiguration, not a no-op.
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .readers(4),
-        "no effect",
-    );
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::packets(t.iter().cloned()))
-            .sink(Sink::bytes())
-            .prefetch_mb(8),
-        "no effect",
-    );
 }
 
 #[test]

@@ -26,8 +26,9 @@ use crate::source::{drain, ServeSource};
 use crate::{CloseReason, OverloadPolicy, ServeError, ServeReport, WindowSummary};
 use flowzip_engine::StreamingEngine;
 use flowzip_obs::{names, Counter, Gauge, Metrics, Sampler};
-use flowzip_pipeline::{Report, Sink, TelemetrySummary};
+use flowzip_pipeline::{PartFile, Report, TelemetrySummary};
 use flowzip_trace::{PacketRecord, TraceError};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -442,18 +443,16 @@ impl Driver {
     }
 }
 
-/// Writes archive bytes atomically: `.part` scratch first, then rename —
-/// the same discipline as [`Sink`] file delivery, so a reader (or
-/// `flowzip query`) pointed at the rotation directory never observes a
-/// truncated archive.
+/// Writes archive bytes atomically through [`PartFile`]: `.part` scratch
+/// first, then rename, so a reader (or `flowzip query`) pointed at the
+/// rotation directory never observes a truncated archive.
 fn write_archive(path: &std::path::Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let part = Sink::partial_path(path);
-    std::fs::write(&part, bytes)
-        .map_err(|e| ServeError::io(format!("write {}", part.display()), e))?;
-    std::fs::rename(&part, path).map_err(|e| {
-        std::fs::remove_file(&part).ok();
-        ServeError::io(format!("rename into {}", path.display()), e)
-    })
+    let mut part = PartFile::create(path)
+        .map_err(|e| ServeError::io(format!("create {}", path.display()), e))?;
+    part.write_all(bytes)
+        .map_err(|e| ServeError::io(format!("write {}", part.written_path().display()), e))?;
+    part.commit()
+        .map_err(|e| ServeError::io(format!("rename into {}", path.display()), e))
 }
 
 pub(crate) fn unix_ms() -> u64 {

@@ -89,8 +89,14 @@ impl Drop for PartialGuard {
 /// Registers `path` for unlink-on-signal. Returns `None` when all
 /// `GUARD_SLOTS` guard slots are busy or the path does not fit — the caller
 /// proceeds unguarded (worst case a `.part` scratch file survives an
-/// interrupt).
+/// interrupt) — and when `path` exists and is not a regular file, which
+/// is never unlinked.
 pub fn guard_partial(path: &std::path::Path) -> Option<PartialGuard> {
+    // An existing FIFO, device or symlink to one (`/dev/stdout`) is
+    // written straight through, never staged: it is not ours to unlink.
+    if flowzip_pipeline::PartFile::writes_through(path) {
+        return None;
+    }
     let bytes = path.as_os_str().as_encoded_bytes();
     if bytes.is_empty() || bytes.len() >= GUARD_PATH_MAX || bytes.contains(&0) {
         return None;

@@ -1,12 +1,12 @@
-//! Tour of the `flowzip-io` overlapped-ingest subsystem, driven through
-//! the `Pipeline` session API.
+//! Tour of file input through the `Pipeline` session API.
 //!
-//! Generates a Web trace, lays it out on disk three ways — one TSH file,
-//! the same file behind a prefetching I/O thread, and a pre-split
-//! four-chunk set drained by parallel readers — and compresses each
-//! through one pipeline session. All three archives are byte-identical;
-//! what changes is *where* the read+decode time goes, which the unified
-//! report's read-wait/compute split makes visible.
+//! Generates a Web trace, lays it out on disk two ways — one TSH file
+//! and a pre-split four-chunk set, the way NLANR ships its captures —
+//! and compresses each through one pipeline session. Every file input
+//! goes through the one capture reader, `FileSource`: the chunks are
+//! read in order, one after another, on the thread that routes packets
+//! to the shards. Both archives are byte-identical; the unified report's
+//! read-wait/compute split shows how little of the run the reads cost.
 //!
 //! ```text
 //! cargo run --release --example multifile
@@ -47,51 +47,38 @@ fn main() {
         })
         .collect();
 
-    // 1. Classic: one file, reads on the consuming thread. The report
-    //    charges blocking read() time as read-wait.
-    let plain = Pipeline::compress()
+    // 1. One file, read on the consuming thread. The report charges
+    //    blocking read() time as read-wait.
+    let whole_run = Pipeline::compress()
         .input(Input::file(&whole))
         .sink(Sink::bytes())
         .threads(2)
         .run()
         .unwrap();
-    println!("single reader : {}", plain.report);
+    println!("one file      : {}", whole_run.report);
 
-    // 2. Prefetched: a dedicated I/O thread double-buffers 1 MiB chunks
-    //    ahead of the parser; only hand-off waits count as read-wait.
-    let prefetched = Pipeline::compress()
-        .input(Input::file(&whole))
-        .sink(Sink::bytes())
-        .threads(2)
-        .prefetch_mb(1)
-        .run()
-        .unwrap();
-    println!("prefetched    : {}", prefetched.report);
-
-    // 3. Multi-file: the chunk set as one logical stream, two parallel
-    //    reader threads decoding ahead while the engine compresses. An
-    //    already-configured InputSource plugs in via Input::source just
-    //    the same.
-    let source = MultiFileSource::open(&chunks, MultiFileConfig::with_readers(2)).unwrap();
+    // 2. The chunk set as one logical stream, in the given order. An
+    //    already-opened InputSource plugs in via Input::source just the
+    //    same as Input::files.
+    let source = FileSource::open_set(&chunks).unwrap();
     println!(
-        "multi-file    : {} chunks, {} format",
+        "chunk set     : {} chunks, {} format",
         chunks.len(),
         source.format()
     );
-    let multi = Pipeline::compress()
+    let chunked = Pipeline::compress()
         .input(Input::source(source))
         .sink(Sink::bytes())
         .threads(2)
         .run()
         .unwrap();
-    println!("              : {}", multi.report);
+    println!("              : {}", chunked.report);
 
-    // The ingest path never changes the archive.
-    assert_eq!(plain.bytes(), prefetched.bytes());
-    assert_eq!(plain.bytes(), multi.bytes());
+    // How the capture is laid out never changes the archive.
+    assert_eq!(whole_run.bytes(), chunked.bytes());
     println!(
-        "\nall three ingest paths produced the identical {}-byte archive",
-        multi.bytes().unwrap().len()
+        "\nboth layouts produced the identical {}-byte archive",
+        chunked.bytes().unwrap().len()
     );
 
     std::fs::remove_dir_all(&dir).ok();

@@ -69,27 +69,26 @@ fn main() {
         .unwrap();
     println!("packets         : {}", from_packets.report);
 
-    // 4. Input::file — single capture file (prefetch optional), written
-    //    straight to a Sink::file.
+    // 4. Input::file — single capture file, written straight to a
+    //    Sink::file.
     let archive_path = dir.join("whole.fzc");
     let from_file = Pipeline::compress()
         .input(Input::file(&whole))
         .sink(Sink::file(&archive_path))
         .threads(2)
-        .prefetch_mb(1)
         .run()
         .unwrap();
-    println!("file + prefetch : {}", from_file.report);
+    println!("file            : {}", from_file.report);
 
-    // 5. Input::files — a pre-split set streams as ONE ordered trace
-    //    through parallel readers; 6. Input::glob does the same from a
-    //    pattern; 7. Input::source accepts any InputSource you opened
-    //    yourself. All three are byte-identical to the single file.
+    // 5. Input::files — a pre-split set streams as ONE ordered trace,
+    //    each chunk read in turn on this thread; 6. Input::glob does the
+    //    same from a pattern; 7. Input::source accepts any InputSource
+    //    you opened yourself. All three are byte-identical to the single
+    //    file.
     let from_files = Pipeline::compress()
         .input(Input::files(&chunks))
         .sink(Sink::bytes())
         .threads(2)
-        .readers(3)
         .run()
         .unwrap();
     let pattern = dir.join("chunk-*.tsh");
@@ -97,10 +96,9 @@ fn main() {
         .input(Input::glob(pattern.to_str().unwrap()))
         .sink(Sink::bytes())
         .threads(2)
-        .readers(3)
         .run()
         .unwrap();
-    let source = MultiFileSource::open(&chunks, MultiFileConfig::with_readers(3)).unwrap();
+    let source = FileSource::open_set(&chunks).unwrap();
     let from_source = Pipeline::compress()
         .input(Input::source(source))
         .sink(Sink::bytes())

@@ -5,8 +5,8 @@
 //! flowzip stats      web.tsh
 //! flowzip compress   web.tsh -o web.fzc
 //! flowzip compress   web.pcap -o web.fzc --threads 4 --idle-timeout 60
-//! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc --readers 3
-//! flowzip compress   'trace-*.tsh' -o web.fzc --readers 4 --prefetch-mb 4
+//! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc
+//! flowzip compress   'trace-*.tsh' -o web.fzc --threads 4
 //! flowzip compress   web.tsh -o web.fzc --threads 4 --stats-interval 1 --metrics --json
 //! flowzip compress   web.tsh -o web.fzc --threads 4 --profile trace.json
 //! flowzip info       web.fzc [--json]
@@ -32,9 +32,9 @@
 //! `--threads N` is the one flag that sets its shard count. Left unset, a
 //! single input file runs on one shard, inline and byte-identical on
 //! every host; multiple input files (an explicit list or a quoted `*`/`?`
-//! glob streams as *one* logical trace in argument order through parallel
-//! reader threads, byte-identical to a single chained reader) get one
-//! shard per core. `--idle-timeout 0` and `--prefetch-mb 0` mean "off".
+//! glob, streamed as *one* logical trace in argument order, each file
+//! read in turn on the main thread) get one shard per core.
+//! `--idle-timeout 0` means "off".
 //!
 //! Flags are checked against the command's own section of [`USAGE`]: an
 //! unknown or misplaced `--flag` is an error, never silently ignored.
@@ -49,6 +49,29 @@ use flowzip::trace::reader::CaptureFormat;
 use flowzip::trace::tsh;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// `println!` that never panics: see [`print_line`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        print_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout. A closed pipe (`flowzip info x.fzc | head
+/// -1`) is a quiet exit with status 141, what a shell reports for a
+/// SIGPIPE death: whatever the command wrote to disk is complete, and
+/// nobody is left to read the rest. Any other failure exits 1.
+fn print_line(line: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(128 + 13);
+        }
+        eprintln!("error: write stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,8 +94,7 @@ const USAGE: &str = "usage:
                       written as container v2, one section per shard)
                      [--threads N] (shards; default 1 for a single input file,
                       one per core for several)
-                     [--idle-timeout SECS] [--batch-size N]
-                     [--readers N] [--prefetch-mb N] [--json]
+                     [--idle-timeout SECS] [--batch-size N] [--json]
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
                       idle/active time — into a rev 2.2 FZT1 side-section;
                       older readers ignore it byte-identically)
@@ -294,7 +316,7 @@ fn generate(opts: &Opts) -> Result<(), String> {
     )
     .generate();
     let bytes = write_tsh(&out, &trace)?;
-    println!(
+    out!(
         "wrote {}: {} packets, {} flows, {} bytes",
         out.display(),
         trace.len(),
@@ -307,8 +329,8 @@ fn generate(opts: &Opts) -> Result<(), String> {
 fn stats(opts: &Opts) -> Result<(), String> {
     let trace = read_tsh(opts.input()?)?;
     let s = FlowTable::from_trace(&trace).stats(50);
-    println!("{s}");
-    println!(
+    out!("{s}");
+    out!(
         "packets {}  duration {}  tsh bytes {}",
         trace.len(),
         trace.duration(),
@@ -325,8 +347,7 @@ fn compress(opts: &Opts) -> Result<(), String> {
     let json = opts.get_bool("json");
 
     // The whole flag surface maps 1:1 onto pipeline knobs; input
-    // wiring (single vs. multi-file, prefetch) and the shard default
-    // live in the pipeline, not here.
+    // wiring and the shard default live in the pipeline, not here.
     let mut session = Pipeline::compress()
         .input(Input::globs(&opts.positional))
         .sink(Sink::file(&out));
@@ -336,20 +357,13 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if opts.get("batch-size").is_some() {
         session = session.batch_size(opts.get_u64("batch-size", 0)? as usize);
     }
-    if opts.get("readers").is_some() {
-        session = session.readers(opts.get_u64("readers", 0)? as usize);
-    }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
     }
-    // 0 means "off" for these two.
+    // 0 means "off".
     let idle_secs = opts.get_u64("idle-timeout", 0)?;
     if idle_secs > 0 {
         session = session.idle_timeout(Duration::from_secs(idle_secs));
-    }
-    let prefetch_mb = opts.get_u64("prefetch-mb", 0)?;
-    if prefetch_mb > 0 {
-        session = session.prefetch_mb(prefetch_mb);
     }
 
     // Observability: --metrics embeds the final registry dump in the
@@ -393,9 +407,9 @@ fn compress(opts: &Opts) -> Result<(), String> {
     }
     let report = &result.report;
     if json {
-        println!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
-        println!("{report}");
+        out!("{report}");
     }
     // With --json, stdout carries exactly one JSON object; the human
     // notice moves to stderr so `flowzip ... --json | jq` works.
@@ -412,7 +426,7 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if json {
         log::info(&notice);
     } else {
-        println!("{notice}");
+        out!("{notice}");
     }
     if signal::received().is_some() {
         log::info("interrupted: open flows were drained into a valid partial archive");
@@ -529,10 +543,10 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let report = handle.wait().map_err(|e| e.to_string())?;
 
     if json {
-        println!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
         let stored = report.windows.iter().filter(|w| w.packets > 0).count();
-        println!(
+        out!(
             "served {} windows ({} stored), {} packets in, {} archived, {} dropped ({:.1}s)",
             report.windows.len(),
             stored,
@@ -541,7 +555,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
             report.dropped_packets,
             report.elapsed_secs
         );
-        println!("manifest: {}", report.manifest.display());
+        out!("manifest: {}", report.manifest.display());
     }
     if let Some(e) = &report.source_error {
         return Err(format!("source failed: {e}"));
@@ -556,45 +570,47 @@ fn info(opts: &Opts) -> Result<(), String> {
     let mut report = Report::inspect(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
     report.inputs = vec![input.to_string()];
     if opts.get_bool("json") {
-        println!("{}", report.to_json());
+        out!("{}", report.to_json());
         return Ok(());
     }
     let archive = report.archive.as_ref().expect("info always summarizes");
-    println!("archive: {input}");
+    out!("archive: {input}");
     match (archive.format, archive.has_metadata) {
-        (ArchiveFormat::V1, _) => println!("  format           : v1"),
+        (ArchiveFormat::V1, _) => out!("  format           : v1"),
         (ArchiveFormat::V2, false) => {
-            println!("  format           : v2 ({} sections)", archive.sections);
+            out!("  format           : v2 ({} sections)", archive.sections);
         }
-        (ArchiveFormat::V2, true) if archive.telemetry.is_some() => println!(
+        (ArchiveFormat::V2, true) if archive.telemetry.is_some() => out!(
             "  format           : v2.2 ({} sections, per-section metadata + telemetry)",
             archive.sections
         ),
-        (ArchiveFormat::V2, true) => println!(
+        (ArchiveFormat::V2, true) => out!(
             "  format           : v2.1 ({} sections, per-section metadata)",
             archive.sections
         ),
     }
-    println!("  flows            : {}", report.flows);
-    println!("  packets          : {}", report.packets);
-    println!("  short templates  : {}", archive.short_templates);
-    println!("  long templates   : {}", archive.long_templates);
-    println!("  unique addresses : {}", archive.addresses);
-    println!("  file bytes       : {}", archive.file_bytes);
-    println!("  bytes            : {}", archive.sizes.unwrap_or_default());
+    out!("  flows            : {}", report.flows);
+    out!("  packets          : {}", report.packets);
+    out!("  short templates  : {}", archive.short_templates);
+    out!("  long templates   : {}", archive.long_templates);
+    out!("  unique addresses : {}", archive.addresses);
+    out!("  file bytes       : {}", archive.file_bytes);
+    out!("  bytes            : {}", archive.sizes.unwrap_or_default());
     if let Some(t) = &archive.telemetry {
-        println!(
+        out!(
             "  telemetry        : {} flows, {} with RTT ({} samples)",
-            t.flows, t.rtt_flows, t.rtt_samples
+            t.flows,
+            t.rtt_flows,
+            t.rtt_samples
         );
         if t.rtt_flows > 0 {
-            println!(
+            out!(
                 "  rtt              : mean {:.1} ms, p95 {:.1} ms",
                 t.mean_rtt_us as f64 / 1_000.0,
                 t.p95_rtt_us as f64 / 1_000.0
             );
         }
-        println!(
+        out!(
             "  retransmissions  : {} ({} fast, {} timeout)",
             t.retransmissions(),
             t.retrans_fast,
@@ -606,9 +622,11 @@ fn info(opts: &Opts) -> Result<(), String> {
     if archive.format == ArchiveFormat::V2 {
         if let Ok(passes) = flowzip::analysis::analyze_archive(&bytes) {
             let c = passes.complexity;
-            println!(
+            out!(
                 "  complexity       : {:.1}/100 (size entropy {:.2}, burstiness {:.2})",
-                c.score, c.flow_size_entropy, c.arrival_burstiness
+                c.score,
+                c.flow_size_entropy,
+                c.arrival_burstiness
             );
         }
     }
@@ -644,10 +662,10 @@ fn decompress(opts: &Opts) -> Result<(), String> {
         report.peak_open_flows
     );
     if json {
-        println!("{}", report.to_json());
+        out!("{}", report.to_json());
         log::info(&notice);
     } else {
-        println!("{notice}");
+        out!("{notice}");
     }
     Ok(())
 }
@@ -690,9 +708,9 @@ fn query(opts: &Opts) -> Result<(), String> {
     let result = session.run().map_err(|e| e.to_string())?;
     let report = &result.report;
     if json {
-        println!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
-        println!("{report}");
+        out!("{report}");
     }
     if let Some(path) = &out {
         let notice = format!(
@@ -704,7 +722,7 @@ fn query(opts: &Opts) -> Result<(), String> {
         if json {
             log::info(&notice);
         } else {
-            println!("{notice}");
+            out!("{notice}");
         }
     }
     Ok(())
@@ -735,10 +753,7 @@ fn query_rotation_dir(
     // (and unlinked if any window fails): each window's session streams
     // its records straight into it.
     let mut part = out
-        .map(|path| {
-            PartFile::create(path)
-                .map_err(|e| format!("create {}: {e}", Sink::partial_path(path).display()))
-        })
+        .map(|path| PartFile::create(path).map_err(|e| format!("create {}: {e}", path.display())))
         .transpose()?;
     for e in &entries {
         let Some(name) = &e.archive else { continue };
@@ -771,13 +786,13 @@ fn query_rotation_dir(
             .map_err(|e| format!("rename into {}: {e}", path.display()))?;
     }
     if json {
-        println!(
+        out!(
             "{{\"type\":\"flowzip.query_dir\",\"windows\":{windows},\"packets\":{packets},\"output_bytes\":{written}}}"
         );
     } else {
-        println!("queried {windows} rotated archives: {packets} packets matched");
+        out!("queried {windows} rotated archives: {packets} packets matched");
         if let Some(path) = out {
-            println!("wrote {}: {} bytes", path.display(), written);
+            out!("wrote {}: {} bytes", path.display(), written);
         }
     }
     Ok(())
@@ -794,7 +809,7 @@ fn synth(opts: &Opts) -> Result<(), String> {
     let archive = CompressedTrace::from_bytes(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
     let trace = synthesize(&archive, flows, seed);
     let written = write_tsh(&out, &trace)?;
-    println!(
+    out!(
         "synthesized {}: {} flows, {} packets ({} bytes)",
         out.display(),
         flows,

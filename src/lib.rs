@@ -17,7 +17,7 @@
 //! | [`core`] | `flowzip-core` | the flow-clustering compressor (§2–§4) |
 //! | [`engine`] | `flowzip-engine` | sharded, bounded-memory streaming engine |
 //! | [`serve`] | `flowzip-serve` | continuous-ingest daemon: rotated archives + manifest |
-//! | [`io`] | `flowzip-io` | overlapped-I/O input: prefetch, multi-file readers, worker pool |
+//! | [`io`] | `flowzip-io` | capture input: the sequential file-set reader, globs, read-wait stats |
 //! | [`obs`] | `flowzip-obs` | metrics, live stats snapshots, span profiling, leveled logging |
 //! | [`deflate`] | `flowzip-deflate` | from-scratch DEFLATE/gzip baseline |
 //! | [`vj`] | `flowzip-vj` | Van Jacobson header compression baseline |
@@ -113,10 +113,7 @@ pub mod prelude {
         DecompressParams, Decompressor, Params, SynthConfig, SynthGenerator,
     };
     pub use flowzip_engine::{EngineBuilder, EngineReport, StreamingEngine};
-    pub use flowzip_io::{
-        FileSource, InputSource, MultiFileConfig, MultiFileSource, PrefetchConfig, PrefetchReader,
-        WorkerPool,
-    };
+    pub use flowzip_io::{FileSource, InputSource};
     pub use flowzip_netbench::{BenchConfig, BenchKind, BenchReport, PacketProcessor};
     pub use flowzip_obs::{Metrics, Profiler, SnapshotFormat, StatsSink, StatsSnapshot};
     pub use flowzip_pipeline::{Input, Pipeline, PipelineError, Report, RunResult, Sink};
@@ -136,7 +133,7 @@ mod tests {
         // Compile-time check that every re-export resolves.
         let _ = crate::core::Params::paper;
         let _ = crate::engine::StreamingEngine::builder;
-        let _ = crate::io::WorkerPool::new(2);
+        let _ = crate::io::IoStats::new();
         let _ = crate::pipeline::Pipeline::compress;
         let _ = crate::obs::Metrics::enabled();
         let _ = crate::cachesim::CacheConfig::netbench_l1();

@@ -2,6 +2,7 @@
 //! full generate → compress → decompress → synth file workflow, and error
 //! handling.
 
+use flowzip::pipeline::Sink;
 use flowzip::trace::{Duration, Timestamp};
 use std::net::Ipv4Addr;
 use std::path::PathBuf;
@@ -303,7 +304,7 @@ fn multi_file_compress_matches_single_file_archive() {
     let out = bin()
         .arg("compress")
         .args(chunks.iter().map(|(p, _)| p.clone()))
-        .args(["--threads", "2", "--readers", "3", "-o"])
+        .args(["--threads", "2", "-o"])
         .arg(&list_fzc)
         .output()
         .unwrap();
@@ -323,7 +324,7 @@ fn multi_file_compress_matches_single_file_archive() {
     let out = bin()
         .arg("compress")
         .arg(dir.join("chunk-*.tsh"))
-        .args(["--threads", "2", "--readers", "2", "-o"])
+        .args(["--threads", "2", "-o"])
         .arg(&glob_fzc)
         .output()
         .unwrap();
@@ -337,12 +338,12 @@ fn multi_file_compress_matches_single_file_archive() {
     assert_eq!(std::fs::read(&list_fzc).unwrap(), want);
     assert_eq!(std::fs::read(&glob_fzc).unwrap(), want);
 
-    // --prefetch-mb on the unsplit file: still byte-identical.
+    // The unsplit file once more: still byte-identical.
     let pf_fzc = dir.join("prefetch.fzc");
     let out = bin()
         .arg("compress")
         .arg(&whole)
-        .args(["--threads", "2", "--prefetch-mb", "1", "-o"])
+        .args(["--threads", "2", "-o"])
         .arg(&pf_fzc)
         .output()
         .unwrap();
@@ -1292,5 +1293,234 @@ fn decompress_and_query_report_their_open_flow_peak() {
         "{}",
         String::from_utf8_lossy(&q.stdout)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Generates a small web trace into `dir/name` through the CLI.
+fn generate_into(dir: &std::path::Path, name: &str) -> PathBuf {
+    let path = dir.join(name);
+    let out = bin()
+        .args([
+            "generate", "--flows", "60", "--secs", "10", "--seed", "3", "-o",
+        ])
+        .arg(&path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    path
+}
+
+/// Every file input is read in turn on the main thread, so the retired
+/// reader-thread knobs are unknown flags (exit 1), not ignored words.
+#[test]
+fn retired_reader_flags_are_unknown() {
+    let dir = tmpdir("readerflags");
+    let tsh = generate_into(&dir, "a.tsh");
+    let fzc = dir.join("a.fzc");
+    for (flag, value) in [("--readers", "2"), ("--prefetch-mb", "1")] {
+        let out = bin()
+            .arg("compress")
+            .arg(&tsh)
+            .arg("-o")
+            .arg(&fzc)
+            .args([flag, value])
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {flag} for compress")),
+            "{flag}: {err}"
+        );
+        assert!(!fzc.exists());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A stdout whose reader is gone (`flowzip info x.fzc --json | head -c
+/// 50`) ends the run quietly — exit 141, the status of a SIGPIPE death —
+/// instead of panicking with exit 101. The pipe's read end is dropped
+/// before the child starts, so its first write always fails.
+#[test]
+fn closed_stdout_is_a_quiet_exit_not_a_panic() {
+    use flowzip::core::CompressedTrace;
+
+    let dir = tmpdir("closedout");
+    let tsh = generate_into(&dir, "w.tsh");
+    let fzc = dir.join("w.fzc");
+    let out = bin()
+        .arg("compress")
+        .arg(&tsh)
+        .arg("-o")
+        .arg(&fzc)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let piped = dir.join("piped.fzc");
+    let runs: [Vec<&std::ffi::OsStr>; 3] = [
+        vec!["info".as_ref(), fzc.as_ref(), "--json".as_ref()],
+        vec!["stats".as_ref(), tsh.as_ref()],
+        vec![
+            "compress".as_ref(),
+            tsh.as_ref(),
+            "-o".as_ref(),
+            piped.as_ref(),
+            "--json".as_ref(),
+        ],
+    ];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = bin().args(&args).stdout(writer).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(141), "{args:?}: {err}");
+    }
+    // The archive was complete before the report hit the closed pipe.
+    let archive = CompressedTrace::from_bytes(&std::fs::read(&piped).unwrap()).unwrap();
+    let want = CompressedTrace::from_bytes(&std::fs::read(&fzc).unwrap()).unwrap();
+    assert_eq!(archive.packet_count(), want.packet_count());
+    assert!(!Sink::partial_path(&piped).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `decompress -o FIFO` writes into the FIFO, not over it: a reader on
+/// the FIFO gets exactly the bytes `-o file` holds, and the FIFO is
+/// still a FIFO afterwards. The reader waits behind a timeout, so a
+/// binary that renames a scratch file over the FIFO fails the test
+/// instead of hanging it.
+#[cfg(unix)]
+#[test]
+fn decompress_into_a_fifo_writes_through_it() {
+    use std::os::unix::fs::FileTypeExt;
+
+    let dir = tmpdir("fifo");
+    let tsh = generate_into(&dir, "w.tsh");
+    let fzc = dir.join("w.fzc");
+    let file = dir.join("restored.tsh");
+    for (arg, out) in [(&tsh, &fzc), (&fzc, &file)] {
+        let cmd = if out == &fzc {
+            "compress"
+        } else {
+            "decompress"
+        };
+        let run = bin().arg(cmd).arg(arg).arg("-o").arg(out).output().unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    }
+    let want = std::fs::read(&file).unwrap();
+
+    let fifo = dir.join("restored.fifo");
+    let made = Command::new("mkfifo").arg(&fifo).status().unwrap();
+    assert!(made.success());
+    let (tx, rx) = std::sync::mpsc::channel();
+    let reader_path = fifo.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(std::fs::read(&reader_path));
+    });
+    let mut child = bin()
+        .arg("decompress")
+        .arg(&fzc)
+        .arg("-o")
+        .arg(&fifo)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let got = match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(read) => read.unwrap(),
+        Err(_) => {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("nothing arrived through the FIFO within 30 s");
+        }
+    };
+    let status = child.wait().unwrap();
+    assert!(status.success());
+    assert_eq!(got, want);
+    let kind = std::fs::symlink_metadata(&fifo).unwrap().file_type();
+    assert!(kind.is_fifo(), "the FIFO was replaced: {kind:?}");
+    assert!(!Sink::partial_path(&fifo).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A capture read from a pipe (`cat w.tsh | flowzip compress
+/// /dev/stdin`) compresses to the same archive as the file itself: the
+/// format sniff keeps the bytes it read from a handle that cannot be
+/// reopened at the same position.
+#[cfg(unix)]
+#[test]
+fn compress_of_a_piped_input_matches_the_file() {
+    use flowzip::prelude::*;
+    use flowzip::trace::{pcap, tsh};
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let dir = tmpdir("stdin");
+    let trace = WebTrafficGenerator::new(
+        WebTrafficConfig {
+            flows: 80,
+            duration_secs: 10.0,
+            ..WebTrafficConfig::default()
+        },
+        5,
+    )
+    .generate();
+    for (tag, bytes) in [
+        ("tsh", tsh::to_bytes(&trace)),
+        ("pcap", pcap::to_bytes(&trace)),
+    ] {
+        let file = dir.join(format!("w.{tag}"));
+        std::fs::write(&file, &bytes).unwrap();
+        let want = dir.join(format!("{tag}-file.fzc"));
+        let out = bin()
+            .arg("compress")
+            .arg(&file)
+            .arg("-o")
+            .arg(&want)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        let got = dir.join(format!("{tag}-pipe.fzc"));
+        let mut child = bin()
+            .args(["compress", "/dev/stdin", "-o"])
+            .arg(&got)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut stdin = child.stdin.take().unwrap();
+        let feeder = std::thread::spawn(move || {
+            // A reader that gives up early closes the pipe; its error
+            // is the status asserted below, not a write failure here.
+            let _ = stdin.write_all(&bytes);
+        });
+        let out = child.wait_with_output().unwrap();
+        feeder.join().unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            std::fs::read(&got).unwrap(),
+            std::fs::read(&want).unwrap(),
+            "{tag}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
