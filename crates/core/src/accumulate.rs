@@ -6,8 +6,9 @@
 //! Rst TCP flag is found, the algorithm ... looks for the number of
 //! inserted nodes associated to this flow."
 //!
-//! This implementation keys active flows by the canonical 5-tuple hash
-//! and finalizes a flow when:
+//! This implementation keys active flows by the packed canonical 5-tuple
+//! ([`FlowKey`], hashed once per packet under a seeded [`FlowHash`]) and
+//! finalizes a flow when:
 //!
 //! * an RST is seen (abortive close — immediate), or
 //! * both directions have sent FIN and the closing ACK arrives, or
@@ -24,7 +25,8 @@ use crate::characterize::{size_class, Dependence};
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
 use flowzip_trace::prelude::*;
-use flowzip_trace::FlowKey;
+use flowzip_trace::{FlowHash, FlowKey};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -232,7 +234,9 @@ struct ActiveFlow {
     /// First-seen sequence number; pairs with the `order` log so stale
     /// log entries for a reopened key are distinguishable.
     seq: u64,
-    initiator: FiveTuple,
+    /// The first packet's direction bit from [`FlowKey::of`]; a packet
+    /// comes from the initiator when its bit equals this one.
+    initiator_up: bool,
     first_ts: Timestamp,
     last_ts: Timestamp,
     last_dir: Option<FlowDirection>,
@@ -245,10 +249,15 @@ struct ActiveFlow {
 }
 
 impl ActiveFlow {
-    fn finish(self, _params: &Params) -> FinishedFlow {
+    fn finish(self, key: FlowKey) -> FinishedFlow {
+        let t = key.tuple();
         FinishedFlow {
             first_ts: self.first_ts,
-            dst_ip: self.initiator.dst_ip,
+            dst_ip: if self.initiator_up {
+                t.dst_ip
+            } else {
+                t.src_ip
+            },
             rtt: self.rtt.unwrap_or(Duration::ZERO),
             vector: self.vector,
             ipts: self.ipts,
@@ -265,7 +274,9 @@ pub struct FlowAccumulator {
     params: Params,
     /// Derive per-flow TCP telemetry inline during [`Self::push`].
     telemetry: bool,
-    active: HashMap<FlowKey, ActiveFlow>,
+    /// Open flows. Iteration order depends on the per-table seed, so
+    /// nothing walks this map; `order` decides every output order.
+    active: HashMap<FlowKey, ActiveFlow, FlowHash>,
     /// Append-only log of `(key, seq)` in first-seen order, so
     /// `finish()` and `evict_idle()` drain deterministically. Entries
     /// whose flow has completed (or whose key was reopened under a new
@@ -298,7 +309,7 @@ impl FlowAccumulator {
         FlowAccumulator {
             params,
             telemetry,
-            active: HashMap::new(),
+            active: HashMap::default(),
             order: Vec::new(),
             tombstones: 0,
             next_seq: 0,
@@ -327,31 +338,36 @@ impl FlowAccumulator {
     /// Routes one packet into its flow, finalizing the flow when the
     /// packet completes it.
     pub fn push(&mut self, p: &PacketRecord) {
-        let key = FlowKey::canonical(p.tuple());
-        let telemetry = self.telemetry;
-        let flow = self.active.entry(key).or_insert_with(|| {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.order.push((key, seq));
-            // Live flows = log entries minus tombstones; after the push
-            // that is the open-flow count including this new flow.
-            self.peak_active = self.peak_active.max(self.order.len() - self.tombstones);
-            ActiveFlow {
-                seq,
-                initiator: p.tuple(),
-                first_ts: p.timestamp(),
-                last_ts: p.timestamp(),
-                last_dir: None,
-                rtt: None,
-                fin_from_initiator: false,
-                fin_from_responder: false,
-                vector: Vec::new(),
-                ipts: Vec::new(),
-                telem: telemetry.then(Box::default),
+        let (key, up) = FlowKey::of(p.tuple());
+        // One hash per packet: the entry found here also removes the flow
+        // if this packet completes it.
+        let mut entry = match self.active.entry(key) {
+            Entry::Occupied(entry) => entry,
+            Entry::Vacant(slot) => {
+                let seq = self.next_seq;
+                self.next_seq += 1;
+                self.order.push((key, seq));
+                // Live flows = log entries minus tombstones; after the push
+                // that is the open-flow count including this new flow.
+                self.peak_active = self.peak_active.max(self.order.len() - self.tombstones);
+                slot.insert_entry(ActiveFlow {
+                    seq,
+                    initiator_up: up,
+                    first_ts: p.timestamp(),
+                    last_ts: p.timestamp(),
+                    last_dir: None,
+                    rtt: None,
+                    fin_from_initiator: false,
+                    fin_from_responder: false,
+                    vector: Vec::new(),
+                    ipts: Vec::new(),
+                    telem: self.telemetry.then(Box::default),
+                })
             }
-        });
+        };
+        let flow = entry.get_mut();
 
-        let dir = if p.tuple() == flow.initiator {
+        let dir = if up == flow.initiator_up {
             FlowDirection::FromInitiator
         } else {
             FlowDirection::FromResponder
@@ -385,11 +401,7 @@ impl FlowAccumulator {
         let complete = p.flags().is_rst()
             || (flow.fin_from_initiator && flow.fin_from_responder && !p.flags().is_fin()); // the closing ACK after both FINs
         if complete {
-            let flow = self
-                .active
-                .remove(&key)
-                .expect("flow present - just updated");
-            self.finished.push(flow.finish(&self.params));
+            self.finished.push(entry.remove().finish(key));
             // The flow's `order` entry becomes a tombstone; compact the
             // log once tombstones dominate so it stays proportional to
             // the open-flow count (amortized O(1) per completion).
@@ -444,7 +456,7 @@ impl FlowAccumulator {
             };
             if idle {
                 let flow = self.active.remove(&key).expect("idle flow present");
-                self.finished.push(flow.finish(&self.params));
+                self.finished.push(flow.finish(key));
                 evicted += 1;
             } else {
                 kept.push((key, seq));
@@ -460,11 +472,15 @@ impl FlowAccumulator {
     /// flow. Open flows are flushed in first-seen order, after the
     /// FIN/RST-completed ones.
     pub fn finish(mut self) -> Vec<FinishedFlow> {
+        // One allocation for the flush instead of a doubling chain: with
+        // tens of thousands of flows still open, the chain's last step
+        // is megabytes copied while the table is still allocated.
+        self.finished.reserve_exact(self.active.len());
         for (key, seq) in std::mem::take(&mut self.order) {
             let live = self.active.get(&key).is_some_and(|f| f.seq == seq);
             if live {
                 let flow = self.active.remove(&key).expect("live flow present");
-                self.finished.push(flow.finish(&self.params));
+                self.finished.push(flow.finish(key));
             }
         }
         self.finished

@@ -9,7 +9,7 @@
 
 use crate::characterize::DistanceMetric;
 use crate::Params;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// How candidate templates are searched inside a bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -62,8 +62,9 @@ impl MatchOutcome {
 pub struct TemplateStore {
     params: Params,
     templates: Vec<Template>,
-    /// `n` → indices of templates with that length.
-    buckets: HashMap<usize, Bucket>,
+    /// Indexed by `n`: the templates with that length. Grown on demand to
+    /// the longest vector offered; short flows keep it at `short_max + 1`.
+    buckets: Vec<Bucket>,
     matched: u64,
     inserted: u64,
 }
@@ -82,7 +83,7 @@ impl TemplateStore {
         TemplateStore {
             params,
             templates: Vec::new(),
-            buckets: HashMap::new(),
+            buckets: Vec::new(),
             matched: 0,
             inserted: 0,
         }
@@ -135,7 +136,10 @@ impl TemplateStore {
         let d_sim = self.params.d_sim(n);
         let sum: u64 = vector.iter().map(|&m| m as u64).sum();
 
-        let bucket = self.buckets.entry(n).or_default();
+        if n >= self.buckets.len() {
+            self.buckets.resize_with(n + 1, Bucket::default);
+        }
+        let bucket = &mut self.buckets[n];
         let found = match self.params.index {
             SearchIndex::Linear => bucket.order.iter().copied().find(|&idx| {
                 within(

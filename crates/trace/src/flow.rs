@@ -10,9 +10,13 @@
 use crate::packet::PacketRecord;
 use crate::time::{Duration, Timestamp};
 use crate::trace::Trace;
-use crate::tuple::FiveTuple;
+use crate::tuple::{FiveTuple, Protocol};
+use std::cmp::Ordering;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::net::Ipv4Addr;
 
 /// Direction of a packet within its bidirectional flow.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -46,26 +50,84 @@ impl fmt::Display for FlowDirection {
 
 /// Canonical, direction-free identity of a conversation: both directional
 /// five-tuples of a TCP connection map to the same `FlowKey`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct FlowKey(FiveTuple);
+///
+/// # Layout
+///
+/// Two `u64` words. Each endpoint packs as `ip << 16 | port` (48 bits,
+/// so comparing packed endpoints compares `(ip, port)` pairs). The first
+/// word is the lower endpoint; the second is the upper endpoint shifted
+/// left by 8 with the protocol number in its low byte. Equality is two
+/// word compares, and [`FlowHash`] hashes the pair with one multiply.
+///
+/// `Ord` is not the word order: it compares [`FlowKey::tuple`]s, so keys
+/// sort exactly as their canonical five-tuples do.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct FlowKey {
+    lo: u64,
+    hi: u64,
+}
+
+/// `ip << 16 | port`: `(ip, port)` pairs order as their packed values.
+#[inline]
+fn endpoint(ip: Ipv4Addr, port: u16) -> u64 {
+    u64::from(u32::from(ip)) << 16 | u64::from(port)
+}
 
 impl FlowKey {
-    /// Canonicalizes a directional tuple: the lexicographically smaller
-    /// `(ip, port)` endpoint becomes the "source" slot.
-    pub fn canonical(t: FiveTuple) -> FlowKey {
-        let fwd = (t.src_ip, t.src_port);
-        let rev = (t.dst_ip, t.dst_port);
-        if fwd <= rev {
-            FlowKey(t)
-        } else {
-            FlowKey(t.reversed())
-        }
+    /// Canonicalizes a directional tuple and reports its direction: the
+    /// `bool` is `true` when the packet runs from the lower `(ip, port)`
+    /// endpoint to the upper one. A tuple whose two endpoints are equal
+    /// reads `true` both ways round.
+    #[inline]
+    pub fn of(t: FiveTuple) -> (FlowKey, bool) {
+        let src = endpoint(t.src_ip, t.src_port);
+        let dst = endpoint(t.dst_ip, t.dst_port);
+        let up = src <= dst;
+        let (lo, hi) = if up { (src, dst) } else { (dst, src) };
+        let key = FlowKey {
+            lo,
+            hi: hi << 8 | u64::from(t.protocol.number()),
+        };
+        (key, up)
     }
 
-    /// The canonical five-tuple (an arbitrary but fixed direction).
+    /// Canonicalizes a directional tuple: the lexicographically smaller
+    /// `(ip, port)` endpoint becomes the "source" slot.
+    #[inline]
+    pub fn canonical(t: FiveTuple) -> FlowKey {
+        FlowKey::of(t).0
+    }
+
+    /// The canonical five-tuple (an arbitrary but fixed direction): the
+    /// lower endpoint is the source.
     #[inline]
     pub fn tuple(&self) -> FiveTuple {
-        self.0
+        FiveTuple {
+            src_ip: Ipv4Addr::from((self.lo >> 16) as u32),
+            src_port: self.lo as u16,
+            dst_ip: Ipv4Addr::from((self.hi >> 24) as u32),
+            dst_port: (self.hi >> 8) as u16,
+            protocol: Protocol::new(self.hi as u8),
+        }
+    }
+}
+
+impl Hash for FlowKey {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u128(u128::from(self.hi) << 64 | u128::from(self.lo));
+    }
+}
+
+impl Ord for FlowKey {
+    fn cmp(&self, other: &FlowKey) -> Ordering {
+        self.tuple().cmp(&other.tuple())
+    }
+}
+
+impl PartialOrd for FlowKey {
+    fn partial_cmp(&self, other: &FlowKey) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
@@ -77,7 +139,102 @@ impl From<FiveTuple> for FlowKey {
 
 impl fmt::Display for FlowKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        write!(f, "{}", self.tuple())
+    }
+}
+
+impl fmt::Debug for FlowKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("FlowKey").field(&self.tuple()).finish()
+    }
+}
+
+/// The hasher every [`FlowKey`]-keyed table uses.
+///
+/// A key hashes as `fold((lo ^ s0) × (hi ^ s1))`: its two words XORed
+/// with two seeds, one 64×64→128-bit multiply, and the product's halves
+/// XORed together. Each `FlowHash` draws its seeds once from std's
+/// [`RandomState`], so a crafted capture or serve peer cannot precompute
+/// keys that collide in a table it does not know the seeds of.
+///
+/// The seed changes between tables and between runs, so a table's
+/// iteration order must never reach output: flow tables keep a
+/// first-seen log and walk that instead.
+#[derive(Clone)]
+pub struct FlowHash {
+    seeds: [u64; 2],
+}
+
+impl FlowHash {
+    /// A hasher with fresh seeds.
+    pub fn new() -> FlowHash {
+        let random = RandomState::new();
+        FlowHash {
+            seeds: [random.hash_one(0u8), random.hash_one(1u8)],
+        }
+    }
+}
+
+impl Default for FlowHash {
+    fn default() -> FlowHash {
+        FlowHash::new()
+    }
+}
+
+impl fmt::Debug for FlowHash {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FlowHash").finish_non_exhaustive()
+    }
+}
+
+impl BuildHasher for FlowHash {
+    type Hasher = FlowHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FlowHasher {
+        FlowHasher {
+            seeds: self.seeds,
+            hash: 0,
+        }
+    }
+}
+
+/// The [`Hasher`] a [`FlowHash`] builds. A [`FlowKey`] is one 128-bit
+/// write; any other input goes through the byte-wise fallback, which
+/// chains the same folded multiply over 16-byte blocks.
+#[derive(Clone)]
+pub struct FlowHasher {
+    seeds: [u64; 2],
+    hash: u64,
+}
+
+impl FlowHasher {
+    #[inline]
+    fn mix(&mut self, a: u64, b: u64) {
+        let product = u128::from(a ^ self.seeds[0]) * u128::from(b ^ self.seeds[1] ^ self.hash);
+        self.hash = product as u64 ^ (product >> 64) as u64;
+    }
+}
+
+impl Hasher for FlowHasher {
+    #[inline]
+    fn write_u128(&mut self, x: u128) {
+        self.mix(x as u64, (x >> 64) as u64);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for block in bytes.chunks(16) {
+            let mut buf = [0u8; 16];
+            buf[..block.len()].copy_from_slice(block);
+            self.write_u128(u128::from_le_bytes(buf));
+        }
+        // Zero padding alone would hash `[1]` and `[1, 0]` alike.
+        self.mix(bytes.len() as u64, 0);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
     }
 }
 
@@ -211,7 +368,7 @@ impl Flow {
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
     order: Vec<FlowKey>,
-    flows: HashMap<FlowKey, Flow>,
+    flows: HashMap<FlowKey, Flow, FlowHash>,
 }
 
 impl FlowTable {
@@ -232,11 +389,11 @@ impl FlowTable {
     /// Routes one packet to its flow, creating the flow on first sight.
     pub fn insert(&mut self, p: PacketRecord) {
         let key = FlowKey::canonical(p.tuple());
-        match self.flows.get_mut(&key) {
-            Some(flow) => flow.push(p),
-            None => {
+        match self.flows.entry(key) {
+            Entry::Occupied(flow) => flow.into_mut().push(p),
+            Entry::Vacant(slot) => {
                 self.order.push(key);
-                self.flows.insert(key, Flow::starting_with(p));
+                slot.insert(Flow::starting_with(p));
             }
         }
     }
@@ -396,7 +553,6 @@ fn fraction(num: u64, den: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::flags::TcpFlags;
-    use crate::prelude::*;
 
     fn client_tuple(port: u16) -> FiveTuple {
         FiveTuple::tcp(
@@ -424,6 +580,37 @@ mod tests {
             FlowKey::canonical(client_tuple(1000)),
             FlowKey::canonical(client_tuple(1001))
         );
+    }
+
+    #[test]
+    fn flow_hash_is_seeded_per_table() {
+        let key = FlowKey::canonical(client_tuple(1000));
+        let (a, b) = (FlowHash::new(), FlowHash::new());
+        assert_eq!(
+            a.hash_one(key),
+            a.hash_one(FlowKey::canonical(key.tuple().reversed()))
+        );
+        assert_ne!(a.hash_one(key), b.hash_one(key));
+    }
+
+    #[test]
+    fn flow_hash_byte_fallback_is_a_hash() {
+        let builder = FlowHash::new();
+        let hash = |bytes: &[u8]| {
+            let mut h = builder.build_hasher();
+            h.write(bytes);
+            h.finish()
+        };
+        assert_eq!(hash(b"flowzip"), hash(b"flowzip"));
+        assert_ne!(hash(&[1]), hash(&[1, 0]));
+        assert_ne!(hash(&[0; 16]), hash(&[0; 32]));
+
+        let mut map: HashMap<String, usize, FlowHash> = HashMap::default();
+        for i in 0..2_000 {
+            map.insert(format!("flow-{i}"), i);
+        }
+        assert_eq!(map.len(), 2_000);
+        assert!((0..2_000).all(|i| map[&format!("flow-{i}")] == i));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!   [`reader::PacketRead`] iterator interface.
 //! * [`writer`] — the mirror image: [`writer::CaptureWriter`] streams
 //!   packets into either format, one record at a time.
-//! * [`flow`] — grouping packets into bidirectional flows, flow statistics.
+//! * [`flow`] — grouping packets into bidirectional flows under the packed
+//!   [`flow::FlowKey`] and its seeded [`flow::FlowHash`], flow statistics.
 //!
 //! # Example
 //!
@@ -53,7 +54,7 @@ pub mod writer;
 
 pub use error::TraceError;
 pub use flags::TcpFlags;
-pub use flow::{Flow, FlowDirection, FlowKey, FlowStats, FlowTable};
+pub use flow::{Flow, FlowDirection, FlowHash, FlowKey, FlowStats, FlowTable};
 pub use packet::{PacketBuilder, PacketRecord};
 pub use pcap::{PcapReader, PcapWriter};
 pub use reader::{CaptureFormat, CaptureReader, PacketRead};

@@ -2,8 +2,9 @@
 //! structural helpers must agree with naive re-computations.
 
 use flowzip_trace::prelude::*;
-use flowzip_trace::tsh;
+use flowzip_trace::{tsh, FlowHash};
 use proptest::prelude::*;
+use std::hash::BuildHasher;
 
 fn arb_packet() -> impl Strategy<Value = PacketRecord> {
     (
@@ -36,6 +37,42 @@ fn arb_packet() -> impl Strategy<Value = PacketRecord> {
                     .build()
             },
         )
+}
+
+/// An address that is usually one of three, so that endpoints tie often,
+/// plus the extremes of the packed layout.
+fn arb_ip() -> impl Strategy<Value = Ipv4Addr> {
+    prop_oneof![
+        3 => (0u32..3).prop_map(|i| Ipv4Addr::from(0x0a00_0001 + i)),
+        2 => any::<u32>().prop_map(Ipv4Addr::from),
+        1 => prop::sample::select(vec![0u32, u32::MAX]).prop_map(Ipv4Addr::from),
+    ]
+}
+
+fn arb_port() -> impl Strategy<Value = u16> {
+    prop_oneof![3 => 79u16..82, 2 => any::<u16>()]
+}
+
+fn arb_protocol() -> impl Strategy<Value = Protocol> {
+    prop_oneof![
+        prop::sample::select(vec![Protocol::TCP, Protocol::UDP]),
+        any::<u8>().prop_map(Protocol::new),
+    ]
+}
+
+fn arb_tuple() -> impl Strategy<Value = FiveTuple> {
+    (arb_ip(), arb_port(), arb_ip(), arb_port(), arb_protocol())
+        .prop_map(|(sip, sp, dip, dp, proto)| FiveTuple::new(sip, sp, dip, dp, proto))
+}
+
+/// The canonical tuple by definition: the smaller `(ip, port)` endpoint
+/// is the source.
+fn reference_canonical(t: FiveTuple) -> FiveTuple {
+    if (t.src_ip, t.src_port) <= (t.dst_ip, t.dst_port) {
+        t
+    } else {
+        t.reversed()
+    }
 }
 
 proptest! {
@@ -108,5 +145,47 @@ proptest! {
         let t = Timestamp::from_micros(us);
         let (s, m) = t.to_secs_micros();
         prop_assert_eq!(Timestamp::from_secs_micros(s, m).unwrap(), t);
+    }
+    #[test]
+    fn flow_key_agrees_with_the_reference_canonical_tuple(
+        t in arb_tuple(), u in arb_tuple(), other_protocol in arb_protocol())
+    {
+        let key = FlowKey::canonical(t);
+        prop_assert_eq!(key, FlowKey::canonical(t.reversed()));
+        prop_assert_eq!(key.tuple(), reference_canonical(t));
+        prop_assert_eq!(FlowKey::from(t), key);
+        prop_assert_eq!(key.to_string(), reference_canonical(t).to_string());
+
+        // The direction bit: true for exactly one of the two directions,
+        // and for both when the two endpoints are equal.
+        let (of_key, up) = FlowKey::of(t);
+        let (_, down) = FlowKey::of(t.reversed());
+        prop_assert_eq!(of_key, key);
+        prop_assert_eq!(up, t == reference_canonical(t));
+        if t == t.reversed() {
+            prop_assert!(up && down);
+        } else {
+            prop_assert!(up != down);
+        }
+
+        // Equality and order follow the reference tuples, for unrelated
+        // pairs, pairs that differ only in protocol, and tuples whose two
+        // endpoints are equal.
+        let mut same_ends = t;
+        same_ends.protocol = other_protocol;
+        let looped = FiveTuple::new(t.src_ip, t.src_port, t.src_ip, t.src_port, t.protocol);
+        let hasher = FlowHash::new();
+        for v in [u, same_ends, same_ends.reversed(), looped, t.reversed()] {
+            let other = FlowKey::canonical(v);
+            let (a, b) = (reference_canonical(t), reference_canonical(v));
+            prop_assert_eq!(key == other, a == b);
+            prop_assert_eq!(key.cmp(&other), a.cmp(&b));
+            if key == other {
+                prop_assert_eq!(hasher.hash_one(key), hasher.hash_one(other));
+            }
+        }
+        let (looped_key, looped_up) = FlowKey::of(looped);
+        prop_assert_eq!(looped_key.tuple(), looped);
+        prop_assert!(looped_up);
     }
 }
