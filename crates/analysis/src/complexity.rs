@@ -5,6 +5,8 @@
 //! chances for the accumulator to retire state) — so the score blends
 //! a normalized flow-size entropy with an arrival-burstiness measure.
 
+use flowzip_core::CompressedTrace;
+
 /// The complexity decomposition: both components normalized to `[0, 1]`
 /// plus their blended headline score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,6 +38,24 @@ impl TraceComplexity {
             arrival_burstiness,
             score: 100.0 * (flow_size_entropy + arrival_burstiness) / 2.0,
         }
+    }
+
+    /// Scores a decoded archive: one flow per `time-seq` record, sized
+    /// by its template. Equal to the streaming
+    /// [`analyze_sections`](crate::analyze_sections) score, which folds
+    /// the same flows section by section.
+    pub fn from_archive(archive: &CompressedTrace) -> TraceComplexity {
+        let sizes: Vec<u64> = archive
+            .time_seq
+            .iter()
+            .map(|r| archive.flow_len(r))
+            .collect();
+        let starts_us: Vec<u64> = archive
+            .time_seq
+            .iter()
+            .map(|r| r.first_ts.as_micros())
+            .collect();
+        TraceComplexity::from_flows(&sizes, &starts_us)
     }
 }
 

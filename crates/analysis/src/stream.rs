@@ -190,6 +190,7 @@ mod tests {
         assert_eq!(passes.flow_size_histogram.total(), ct.time_seq.len() as u64);
         let shorts = ct.time_seq.iter().filter(|r| !r.is_long).count();
         assert_eq!(passes.rtt_ms.len(), shorts);
+        assert_eq!(passes.complexity, TraceComplexity::from_archive(&ct));
         // Section rollups tile the archive.
         assert_eq!(
             passes.sections.iter().map(|s| s.flows).sum::<u64>(),

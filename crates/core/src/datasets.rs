@@ -162,16 +162,17 @@ impl CompressedTrace {
 
     /// Total packets the archive expands to.
     pub fn packet_count(&self) -> u64 {
-        self.time_seq
-            .iter()
-            .map(|r| {
-                if r.is_long {
-                    self.long_templates[r.template_idx as usize].entries.len() as u64
-                } else {
-                    self.short_templates[r.template_idx as usize].len() as u64
-                }
-            })
-            .sum()
+        self.time_seq.iter().map(|r| self.flow_len(r)).sum()
+    }
+
+    /// Packets the stored flow `r` expands to: the length of its short
+    /// or long template.
+    pub fn flow_len(&self, r: &FlowRecord) -> u64 {
+        if r.is_long {
+            self.long_templates[r.template_idx as usize].entries.len() as u64
+        } else {
+            self.short_templates[r.template_idx as usize].len() as u64
+        }
     }
 
     /// Checks referential and ordering invariants.

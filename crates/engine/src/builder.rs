@@ -253,6 +253,13 @@ impl EngineBuilder {
         self
     }
 
+    /// The configuration as set so far, before [`EngineBuilder::build`]
+    /// clamps it or [`EngineBuilder::try_build`] checks it — what a
+    /// session holding this builder reads its engine defaults from.
+    pub fn config(&self) -> &EngineConfig {
+        &self.config
+    }
+
     /// Finalizes the configuration, silently clamping zero-valued knobs
     /// up to 1. Prefer [`EngineBuilder::try_build`] where a zero is more
     /// likely a caller bug than a request for the minimum.

@@ -3,13 +3,14 @@
 
 use crate::error::PipelineError;
 use crate::input::{Input, InputKind};
-use crate::report::{Report, TelemetrySummary};
+use crate::report::Report;
 use crate::sink::Sink;
+use crate::stats::LiveStats;
 use crate::Pipeline;
 use flowzip_core::Params;
-use flowzip_engine::StreamingEngine;
+use flowzip_engine::{EngineBuilder, StreamingEngine};
 use flowzip_io::{glob, FileSource, InputSource};
-use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink};
+use flowzip_obs::{Metrics, Profiler, SnapshotFormat, StatsSink};
 use flowzip_trace::Duration;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -43,18 +44,9 @@ impl RunResult {
 pub struct CompressBuilder<'a> {
     input: Option<Input<'a>>,
     sink: Option<Sink<'a>>,
-    params: Params,
+    engine: EngineBuilder,
     threads: Option<usize>,
-    batch_size: Option<usize>,
-    channel_capacity: Option<usize>,
-    idle_timeout: Option<Duration>,
-    telemetry: bool,
-    metrics: Option<Metrics>,
-    profiler: Option<Profiler>,
-    stats_interval: Option<std::time::Duration>,
-    stats_format: Option<SnapshotFormat>,
-    stats_writer: Option<StatsSink>,
-    cancel: Option<Arc<AtomicBool>>,
+    stats: LiveStats,
 }
 
 impl Pipeline {
@@ -64,18 +56,9 @@ impl Pipeline {
         CompressBuilder {
             input: None,
             sink: None,
-            params: Params::paper(),
+            engine: StreamingEngine::builder(),
             threads: None,
-            batch_size: None,
-            channel_capacity: None,
-            idle_timeout: None,
-            telemetry: false,
-            metrics: None,
-            profiler: None,
-            stats_interval: None,
-            stats_format: None,
-            stats_writer: None,
-            cancel: None,
+            stats: LiveStats::default(),
         }
     }
 }
@@ -95,7 +78,7 @@ impl<'a> CompressBuilder<'a> {
 
     /// Compression parameters (default: [`Params::paper`]).
     pub fn params(mut self, params: Params) -> Self {
-        self.params = params;
+        self.engine = self.engine.params(params);
         self
     }
 
@@ -112,20 +95,20 @@ impl<'a> CompressBuilder<'a> {
 
     /// Packets per cross-thread batch (`0` is a configuration error).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size);
+        self.engine = self.engine.batch_size(batch_size);
         self
     }
 
     /// Bounded in-flight batches per shard channel (`0` is a
     /// configuration error).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = Some(capacity);
+        self.engine = self.engine.channel_capacity(capacity);
         self
     }
 
     /// Evict flows idle longer than this much *trace* time.
     pub fn idle_timeout(mut self, timeout: Duration) -> Self {
-        self.idle_timeout = Some(timeout);
+        self.engine = self.engine.idle_timeout(Some(timeout));
         self
     }
 
@@ -135,7 +118,7 @@ impl<'a> CompressBuilder<'a> {
     /// unchanged: a pre-2.2 reader decodes the same archive
     /// byte-identically.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
+        self.engine = self.engine.telemetry(telemetry);
         self
     }
 
@@ -146,7 +129,7 @@ impl<'a> CompressBuilder<'a> {
     /// (`report.to_json()` embeds it under `"metrics"`). Defaults to
     /// disabled, which costs the hot loops one predictable branch.
     pub fn metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = Some(metrics);
+        self.engine = self.engine.metrics(metrics);
         self
     }
 
@@ -154,18 +137,18 @@ impl<'a> CompressBuilder<'a> {
     /// [`Profiler::to_trace_json`] after the run and open the result in
     /// `chrome://tracing` or Perfetto. Defaults to disabled.
     pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = Some(profiler);
+        self.engine = self.engine.profiler(profiler);
         self
     }
 
     /// Emits a live stats snapshot every `interval` while the run is in
     /// flight, plus one final snapshot at completion — so even a run
     /// shorter than the interval produces at least one line. Implies
-    /// metrics: when no [`CompressBuilder::metrics`] registry is given,
-    /// an enabled one is created for the session. A zero interval is a
-    /// configuration error.
+    /// metrics: unless an enabled [`CompressBuilder::metrics`] registry
+    /// is given, an enabled one is created for the session. A zero
+    /// interval is a configuration error.
     pub fn stats_interval(mut self, interval: std::time::Duration) -> Self {
-        self.stats_interval = Some(interval);
+        self.stats.interval = Some(interval);
         self
     }
 
@@ -173,14 +156,14 @@ impl<'a> CompressBuilder<'a> {
     /// [`SnapshotFormat::JsonLines`]; requires
     /// [`CompressBuilder::stats_interval`]).
     pub fn stats_format(mut self, format: SnapshotFormat) -> Self {
-        self.stats_format = Some(format);
+        self.stats.format = Some(format);
         self
     }
 
     /// Where live snapshots go (default standard error; requires
     /// [`CompressBuilder::stats_interval`]).
     pub fn stats_writer(mut self, writer: StatsSink) -> Self {
-        self.stats_writer = Some(writer);
+        self.stats.writer = Some(writer);
         self
     }
 
@@ -191,7 +174,7 @@ impl<'a> CompressBuilder<'a> {
     /// rides on — the delivered file is complete and decodable, just cut
     /// at the interruption point.
     pub fn cancel(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
+        self.engine = self.engine.cancel_flag(flag);
         self
     }
 
@@ -209,18 +192,9 @@ impl<'a> CompressBuilder<'a> {
         let CompressBuilder {
             input,
             sink,
-            params,
+            mut engine,
             threads,
-            batch_size,
-            channel_capacity,
-            idle_timeout,
-            telemetry,
-            metrics,
-            profiler,
-            stats_interval,
-            stats_format,
-            stats_writer,
-            cancel,
+            stats,
         } = self;
         let input = input.ok_or_else(|| {
             PipelineError::config("compress session has no input — call .input(Input::…)")
@@ -231,27 +205,6 @@ impl<'a> CompressBuilder<'a> {
         if threads == Some(0) {
             return Err(PipelineError::config(
                 "threads must be ≥ 1 (got 0; zero worker shards would hang the router)",
-            ));
-        }
-        if batch_size == Some(0) {
-            return Err(PipelineError::config(
-                "batch_size must be ≥ 1 (got 0; empty batches would never hand packets over)",
-            ));
-        }
-        if channel_capacity == Some(0) {
-            return Err(PipelineError::config(
-                "channel_capacity must be ≥ 1 (got 0; a zero-slot channel would deadlock)",
-            ));
-        }
-        if stats_interval == Some(std::time::Duration::ZERO) {
-            return Err(PipelineError::config(
-                "stats_interval must be non-zero (a zero interval would spin emitting snapshots)",
-            ));
-        }
-        if stats_interval.is_none() && (stats_format.is_some() || stats_writer.is_some()) {
-            return Err(PipelineError::config(
-                "stats_format/stats_writer shape live snapshot output and need \
-                 .stats_interval(…) to produce any",
             ));
         }
 
@@ -277,43 +230,27 @@ impl<'a> CompressBuilder<'a> {
             ));
         }
 
-        // A stats interval implies metrics: sampling a disabled registry
-        // would emit nothing.
-        let metrics = metrics.unwrap_or_else(|| {
-            if stats_interval.is_some() {
-                Metrics::enabled()
-            } else {
-                Metrics::disabled()
-            }
-        });
-        let profiler = profiler.unwrap_or_else(Profiler::disabled);
-        // The sampler thread lives exactly as long as the run: dropping
-        // it (on success *and* on error) emits the final snapshot and
-        // joins.
-        let sampler = stats_interval.map(|interval| {
-            Sampler::start(
-                &metrics,
-                interval,
-                stats_format.unwrap_or_default(),
-                stats_writer.unwrap_or_else(StatsSink::stderr),
-            )
-        });
+        // `threads` alone sets the shard count. Unset, a single file or
+        // an in-memory trace runs on one shard — the engine's inline
+        // path, no router or shard thread, bytes ≡ `Compressor` — so
+        // default archive bytes never depend on the host's core count;
+        // the other inputs keep the engine's per-core default.
+        let single = match &kind {
+            InputKind::Files(paths) => paths.len() == 1,
+            InputKind::Trace(_) => true,
+            _ => false,
+        };
+        if let Some(t) = threads.or(single.then_some(1)) {
+            engine = engine.shards(t);
+        }
+        let (engine, sampler) = stats.start(engine)?;
 
         let context = format!("compress {}", inputs_desc.join(" "));
-        let (bytes, mut report) = run_engine(
-            kind,
-            &context,
-            params,
-            threads,
-            batch_size,
-            channel_capacity,
-            idle_timeout,
-            telemetry,
-            &metrics,
-            &profiler,
-            cancel,
-        )?;
+        let (bytes, mut report) = run_engine(&engine, kind, &context)?;
+        // The sampler lives exactly as long as the run: dropping it (here,
+        // or on the error return above) emits the final snapshot and joins.
         drop(sampler);
+        let metrics = &engine.config().metrics;
         if metrics.is_enabled() {
             report.metrics = Some(metrics.snapshot());
         }
@@ -325,53 +262,15 @@ impl<'a> CompressBuilder<'a> {
     }
 }
 
-/// Builds the engine, wires the input as a packet stream (with its
-/// [`IoStats`](flowzip_io::IoStats) handle when it has one), and
-/// compresses to archive bytes.
-#[allow(clippy::too_many_arguments)]
+/// Wires the input into `engine` as a packet stream (with its
+/// [`IoStats`](flowzip_io::IoStats) handle when it has one) and
+/// compresses it to archive bytes.
 fn run_engine(
+    engine: &StreamingEngine,
     kind: InputKind<'_>,
     context: &str,
-    params: Params,
-    threads: Option<usize>,
-    batch_size: Option<usize>,
-    channel_capacity: Option<usize>,
-    idle_timeout: Option<Duration>,
-    telemetry: bool,
-    metrics: &Metrics,
-    profiler: &Profiler,
-    cancel: Option<Arc<AtomicBool>>,
 ) -> Result<(Vec<u8>, Report), PipelineError> {
-    let mut builder = StreamingEngine::builder()
-        .params(params)
-        .idle_timeout(idle_timeout)
-        .telemetry(telemetry)
-        .metrics(metrics.clone())
-        .profiler(profiler.clone());
-    if let Some(flag) = cancel {
-        builder = builder.cancel_flag(flag);
-    }
-    // `threads` alone sets the shard count. Unset, a single file or an
-    // in-memory trace runs on one shard — the engine's inline path, no
-    // router or shard thread, bytes ≡ `Compressor` — so default archive
-    // bytes never depend on the host's core count; the other inputs
-    // keep the engine's per-core default.
-    let single = match &kind {
-        InputKind::Files(paths) => paths.len() == 1,
-        InputKind::Trace(_) => true,
-        _ => false,
-    };
-    if let Some(t) = threads.or(single.then_some(1)) {
-        builder = builder.shards(t);
-    }
-    builder = builder.batch_size(batch_size.unwrap_or(1024));
-    if let Some(c) = channel_capacity {
-        builder = builder.channel_capacity(c);
-    }
-    let engine = builder
-        .try_build()
-        .map_err(|e| PipelineError::config(e.to_string()))?;
-
+    let metrics = &engine.config().metrics;
     let read_err = |e| PipelineError::read(context.to_string(), e);
     let (bytes, engine_report, stats) = match kind {
         InputKind::Files(paths) => {
@@ -406,18 +305,7 @@ fn run_engine(
             unreachable!("patterns expanded and bytes rejected in run()")
         }
     };
-
-    let mut report = Report::from_engine(engine_report, stats.as_ref());
-    if telemetry {
-        // Summarize the FZT1 rows straight off the archive just written
-        // — the same decode path `info` uses, so the two cannot drift.
-        let summary = flowzip_core::ArchiveReader::open(&bytes)
-            .map_err(|e| PipelineError::decode(context.to_string(), e))?
-            .telemetry()
-            .map(TelemetrySummary::from_telemetry);
-        if let Some(a) = report.archive.as_mut() {
-            a.telemetry = summary;
-        }
-    }
+    let report = Report::from_engine(engine_report, &bytes, stats.as_ref())
+        .map_err(|e| PipelineError::decode(context.to_string(), e))?;
     Ok((bytes, report))
 }

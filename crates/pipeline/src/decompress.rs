@@ -3,7 +3,7 @@
 
 use crate::compress::RunResult;
 use crate::error::PipelineError;
-use crate::input::{Input, InputKind};
+use crate::input::Input;
 use crate::report::{ArchiveSummary, Mode, Report, Timing};
 use crate::sink::Sink;
 use crate::Pipeline;
@@ -96,23 +96,7 @@ impl<'a> DecompressBuilder<'a> {
         let inputs_desc = input.describe();
         let context = format!("decompress {}", inputs_desc.join(" "));
 
-        let bytes = match input.kind {
-            InputKind::Bytes(bytes) => bytes,
-            InputKind::Files(paths) if paths.len() == 1 => std::fs::read(&paths[0])
-                .map_err(|e| PipelineError::read(context.clone(), e.into()))?,
-            InputKind::Files(_) | InputKind::Patterns(_) => {
-                return Err(PipelineError::config(
-                    "decompress reads exactly one archive — pass Input::file(path) \
-                     or Input::bytes(vec)",
-                ));
-            }
-            InputKind::Trace(_) | InputKind::Packets(_) | InputKind::Stream { .. } => {
-                return Err(PipelineError::config(
-                    "decompress wants a serialized archive (Input::file or Input::bytes), \
-                     not a packet stream",
-                ));
-            }
-        };
+        let bytes = input.kind.into_archive("decompress", &context)?;
         let read_wait = started.elapsed().as_secs_f64();
 
         let (archive, summary) = ArchiveSummary::inspect_lean(&bytes)

@@ -1,6 +1,7 @@
 //! [`Input`] — the one place every packet (or archive) source a session
 //! can consume is named.
 
+use crate::error::PipelineError;
 use flowzip_io::{InputSource, IoStats};
 use flowzip_trace::{PacketRecord, Trace, TraceError};
 use std::fmt;
@@ -154,6 +155,33 @@ impl<'a> Input<'a> {
             InputKind::Packets(_) => vec!["<packet stream>".to_string()],
             InputKind::Stream { description, .. } => vec![format!("<{description}>")],
             InputKind::Bytes(_) => vec!["<in-memory archive>".to_string()],
+        }
+    }
+}
+
+impl InputKind<'_> {
+    /// The one archive a decompress or query `session` reads: a single
+    /// file, or bytes already in memory. `context` prefixes read errors.
+    pub(crate) fn into_archive(
+        self,
+        session: &str,
+        context: &str,
+    ) -> Result<Vec<u8>, PipelineError> {
+        match self {
+            InputKind::Bytes(bytes) => Ok(bytes),
+            InputKind::Files(paths) if paths.len() == 1 => {
+                std::fs::read(&paths[0]).map_err(|e| PipelineError::read(context, e.into()))
+            }
+            InputKind::Files(_) | InputKind::Patterns(_) => Err(PipelineError::config(format!(
+                "{session} reads exactly one archive — pass Input::file(path) \
+                 or Input::bytes(vec)"
+            ))),
+            InputKind::Trace(_) | InputKind::Packets(_) | InputKind::Stream { .. } => {
+                Err(PipelineError::config(format!(
+                    "{session} wants a serialized archive (Input::file or Input::bytes), \
+                     not a packet stream"
+                )))
+            }
         }
     }
 }

@@ -47,27 +47,39 @@
 //! assert_eq!(restored.report.packets as usize, trace.len());
 //! ```
 //!
-//! # Shards
+//! # Shards and engine tuning
 //!
-//! [`CompressBuilder::threads`] is the one knob that sets parallelism.
-//! Unset, a single file or an in-memory trace runs on **one shard** —
+//! A compress session holds the engine's own
+//! [`EngineBuilder`](flowzip_engine::EngineBuilder): `params`,
+//! `batch_size`, `channel_capacity`, `idle_timeout`, `telemetry`,
+//! `metrics`, `profiler` and `cancel` forward to it, so the engine's
+//! defaults and its one validator
+//! ([`EngineBuilder::try_build`](flowzip_engine::EngineBuilder::try_build))
+//! are the session's. [`CompressBuilder::threads`] is the one knob the
+//! session resolves itself, because its default depends on the input:
+//! unset, a single file or an in-memory trace runs on **one shard** —
 //! inline on the calling thread, byte-identical to `Compressor`, the same
 //! bytes on every host — while multi-file, [`Input::packets`] and
 //! [`Input::source`] inputs get the engine's default of one shard per
-//! core (at most 8). No other knob changes the shard count. Nonsense
-//! configurations (any zero-valued knob, an empty file list, a glob
-//! matching nothing) are rejected up front with a descriptive
-//! [`PipelineError::Config`] instead of panicking, hanging, or silently
-//! compressing nothing.
+//! core (at most 8). No other knob changes the shard count. The live
+//! stats knobs go through [`LiveStats::start`], which `flowzip serve`'s
+//! session builder calls too. Nonsense configurations (any zero-valued
+//! knob, an empty file list, a glob matching nothing) are rejected up
+//! front with a descriptive [`PipelineError::Config`] instead of
+//! panicking, hanging, or silently compressing nothing.
 //!
 //! # The unified report
 //!
-//! Every session returns one [`Report`] merging the §3/§5
-//! [`CompressionReport`](flowzip_core::CompressionReport), the
-//! [`EngineReport`](flowzip_engine::EngineReport) figures and the
-//! [`IoStats`](flowzip_io::IoStats) read-wait/compute split behind one
-//! stable [`Report::to_json`] schema — the same schema `flowzip compress
+//! Every session returns one [`Report`] behind one stable
+//! [`Report::to_json`] schema — the same schema `flowzip compress
 //! --json`, `flowzip decompress --json` and `flowzip info --json` print.
+//! A compress session fills it once, in [`Report::from_engine`], from
+//! the engine's [`EngineReport`](flowzip_engine::EngineReport) (which
+//! carries the §3/§5
+//! [`CompressionReport`](flowzip_core::CompressionReport)), the archive
+//! bytes the engine wrote (the `FZT1` telemetry summary) and the input's
+//! [`IoStats`](flowzip_io::IoStats) read-wait/compute split; `flowzip
+//! serve` builds each window's report the same way.
 
 pub mod compress;
 pub mod decompress;
@@ -76,6 +88,7 @@ pub mod input;
 pub mod query;
 pub mod report;
 pub mod sink;
+pub mod stats;
 
 pub use compress::{CompressBuilder, RunResult};
 pub use decompress::DecompressBuilder;
@@ -89,6 +102,7 @@ pub use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink, Sta
 pub use input::Input;
 pub use report::{ArchiveSummary, EngineSummary, Mode, Report, TelemetrySummary, Timing};
 pub use sink::{PartFile, Sink, SINK_BUFFER_BYTES};
+pub use stats::LiveStats;
 
 /// The session entry point: [`Pipeline::compress`] and
 /// [`Pipeline::decompress`] start a builder each.

@@ -345,21 +345,45 @@ impl Report {
     /// [`CodecError`] when the bytes are not a valid archive.
     pub fn inspect(bytes: &[u8]) -> Result<Report, CodecError> {
         let (archive, summary) = ArchiveSummary::inspect(bytes)?;
+        Ok(Report::from_archive(&archive, summary))
+    }
+
+    /// An [`Mode::Info`] report for an archive [`ArchiveSummary::inspect`]
+    /// already decoded — for callers that read the archive's flows too.
+    pub fn from_archive(archive: &CompressedTrace, summary: ArchiveSummary) -> Report {
         let mut report = Report::new(Mode::Info);
         report.packets = archive.packet_count();
         report.flows = archive.flow_count() as u64;
         report.archive = Some(summary);
-        Ok(report)
+        report
     }
 
-    /// Folds an [`EngineReport`] into the unified [`Report`], charging
-    /// the drained source's [`IoStats`] (when the input had one) to the
-    /// read-wait/compute split — the same [`Timing`] clamp decompress
-    /// sessions use, so the report pipelines cannot drift. This is how
-    /// compress sessions summarize their run, and how embedders that
-    /// drive the engine directly (e.g. `flowzip serve`'s per-window
-    /// reports) produce the same stable schema.
-    pub fn from_engine(er: EngineReport, stats: Option<&IoStats>) -> Report {
+    /// Folds an [`EngineReport`] and the `archive` bytes that run wrote
+    /// into the unified [`Report`], charging the drained source's
+    /// [`IoStats`] (when the input had one) to the read-wait/compute
+    /// split — the same [`Timing`] clamp decompress sessions use, so the
+    /// report pipelines cannot drift. When the archive carries an `FZT1`
+    /// block, its rows are summarized through the same reader `info`
+    /// uses. This is how compress sessions summarize their run, and how
+    /// embedders that drive the engine directly (e.g. `flowzip serve`'s
+    /// per-window reports) produce the same stable schema.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] when the telemetry block of `archive` does not
+    /// parse.
+    pub fn from_engine(
+        er: EngineReport,
+        archive: &[u8],
+        stats: Option<&IoStats>,
+    ) -> Result<Report, CodecError> {
+        let telemetry = if er.report.sizes.telemetry > 0 {
+            ArchiveReader::open(archive)?
+                .telemetry()
+                .map(TelemetrySummary::from_telemetry)
+        } else {
+            None
+        };
         let mut report = Report::new(Mode::Compress);
         report.packets = er.report.packets;
         report.flows = er.report.flows;
@@ -376,7 +400,7 @@ impl Report {
             addresses: er.report.addresses,
             sizes: Some(er.report.sizes),
             has_metadata: true,
-            telemetry: None,
+            telemetry,
         });
         // Raw-iterator runs carry no stats handle: nothing was read.
         let read_wait = stats.map_or(0.0, IoStats::read_wait_secs);
@@ -396,7 +420,7 @@ impl Report {
         }
         report.timing = Some(timing);
         report.compression = Some(er.report);
-        report
+        Ok(report)
     }
 
     /// Open-flow high-water mark, when the run tracked one.

@@ -67,9 +67,9 @@ pub use source::ServeSource;
 pub(crate) type WindowCallback = Box<dyn FnMut(&WindowSummary) + Send>;
 
 use flowzip_core::Params;
-use flowzip_engine::StreamingEngine;
-use flowzip_obs::{names, Metrics, Sampler, SnapshotFormat, StatsSink};
-use flowzip_pipeline::{Pipeline, Report};
+use flowzip_engine::EngineBuilder;
+use flowzip_obs::{names, Metrics, SnapshotFormat, StatsSink};
+use flowzip_pipeline::{LiveStats, Pipeline, Report};
 use flowzip_trace::Duration as TraceDuration;
 use session::{Driver, Shared};
 use std::path::{Path, PathBuf};
@@ -336,18 +336,10 @@ pub struct ServeBuilder {
     out_dir: Option<PathBuf>,
     rotate_every: Option<Duration>,
     rotate_packets: Option<u64>,
-    params: Params,
-    threads: Option<usize>,
-    batch_size: Option<usize>,
-    channel_capacity: Option<usize>,
-    idle_timeout: Option<TraceDuration>,
-    telemetry: bool,
+    engine: EngineBuilder,
     queue_batches: usize,
     overload: OverloadPolicy,
-    metrics: Option<Metrics>,
-    stats_interval: Option<Duration>,
-    stats_format: Option<SnapshotFormat>,
-    stats_writer: Option<StatsSink>,
+    stats: LiveStats,
     on_window: Option<WindowCallback>,
     stop: Option<Arc<AtomicBool>>,
 }
@@ -391,18 +383,12 @@ impl ServeBuilder {
             out_dir: None,
             rotate_every: None,
             rotate_packets: None,
-            params: Params::paper(),
-            threads: None,
-            batch_size: None,
-            channel_capacity: None,
-            idle_timeout: None,
-            telemetry: false,
+            // A daemon defaults to observable; `Metrics::disabled()` is
+            // the explicit opt-out.
+            engine: EngineBuilder::new().metrics(Metrics::enabled()),
             queue_batches: 64,
             overload: OverloadPolicy::default(),
-            metrics: None,
-            stats_interval: None,
-            stats_format: None,
-            stats_writer: None,
+            stats: LiveStats::default(),
             on_window: None,
             stop: None,
         }
@@ -438,39 +424,42 @@ impl ServeBuilder {
 
     /// Compression parameters (default: [`Params::paper`]).
     pub fn params(mut self, params: Params) -> Self {
-        self.params = params;
+        self.engine = self.engine.params(params);
         self
     }
 
-    /// Worker shards per window run (engine default otherwise).
+    /// Worker shards per window run (engine default otherwise; `0` is a
+    /// configuration error).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.engine = self.engine.shards(threads);
         self
     }
 
-    /// Packets per cross-thread batch — also the ingest batch size.
+    /// Packets per cross-thread batch — also the ingest batch size
+    /// (`0` is a configuration error).
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = Some(batch_size);
+        self.engine = self.engine.batch_size(batch_size);
         self
     }
 
-    /// Bounded in-flight batches per engine shard channel.
+    /// Bounded in-flight batches per engine shard channel (`0` is a
+    /// configuration error).
     pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = Some(capacity);
+        self.engine = self.engine.channel_capacity(capacity);
         self
     }
 
     /// Evict flows idle longer than this much *trace* time — the knob
     /// that keeps per-window memory flat when flows never close.
     pub fn idle_timeout(mut self, timeout: TraceDuration) -> Self {
-        self.idle_timeout = Some(timeout);
+        self.engine = self.engine.idle_timeout(Some(timeout));
         self
     }
 
     /// Derive per-flow TCP telemetry and append the rev 2.2 `FZT1`
     /// side-section to **every** rotated archive.
     pub fn telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
+        self.engine = self.engine.telemetry(telemetry);
         self
     }
 
@@ -491,29 +480,33 @@ impl ServeBuilder {
 
     /// Metrics registry the session reports into (default: enabled —
     /// a daemon without observability is a black box; pass
-    /// [`Metrics::disabled`] to opt out).
+    /// [`Metrics::disabled`] to opt out, which a
+    /// [`ServeBuilder::stats_interval`] overrides).
     pub fn metrics(mut self, metrics: Metrics) -> Self {
-        self.metrics = Some(metrics);
+        self.engine = self.engine.metrics(metrics);
         self
     }
 
     /// Emit a live stats snapshot every `interval` for the whole
     /// session (packets/s, active flows, queue depth, window age —
-    /// every registered counter).
+    /// every registered counter). A zero interval is a configuration
+    /// error.
     pub fn stats_interval(mut self, interval: Duration) -> Self {
-        self.stats_interval = Some(interval);
+        self.stats.interval = Some(interval);
         self
     }
 
-    /// Live snapshot format (default [`SnapshotFormat::JsonLines`]).
+    /// Live snapshot format (default [`SnapshotFormat::JsonLines`];
+    /// requires [`ServeBuilder::stats_interval`]).
     pub fn stats_format(mut self, format: SnapshotFormat) -> Self {
-        self.stats_format = Some(format);
+        self.stats.format = Some(format);
         self
     }
 
-    /// Where live snapshots go (default standard error).
+    /// Where live snapshots go (default standard error; requires
+    /// [`ServeBuilder::stats_interval`]).
     pub fn stats_writer(mut self, writer: StatsSink) -> Self {
-        self.stats_writer = Some(writer);
+        self.stats.writer = Some(writer);
         self
     }
 
@@ -561,46 +554,17 @@ impl ServeBuilder {
                 "queue_batches must be ≥ 1 (got 0; a zero-slot queue delivers nothing)".into(),
             ));
         }
-        if self.stats_interval == Some(Duration::ZERO) {
-            return Err(ServeError::Config(
-                "stats_interval must be non-zero (a zero interval would spin)".into(),
-            ));
-        }
+        let (engine, sampler) = self
+            .stats
+            .start(self.engine)
+            .map_err(|e| ServeError::Config(e.to_string()))?;
         std::fs::create_dir_all(&out_dir)
             .map_err(|e| ServeError::io(format!("create {}", out_dir.display()), e))?;
 
-        // A daemon defaults to observable; `Metrics::disabled()` is the
-        // explicit opt-out.
-        let metrics = self.metrics.unwrap_or_else(Metrics::enabled);
-        let batch_size = self.batch_size.unwrap_or(1024);
-        let mut builder = StreamingEngine::builder()
-            .params(self.params)
-            .batch_size(batch_size)
-            .telemetry(self.telemetry)
-            .idle_timeout(self.idle_timeout)
-            .metrics(metrics.clone());
-        if let Some(t) = self.threads {
-            builder = builder.shards(t);
-        }
-        if let Some(c) = self.channel_capacity {
-            builder = builder.channel_capacity(c);
-        }
-        let engine = builder
-            .try_build()
-            .map_err(|e| ServeError::Config(e.to_string()))?;
-
+        let metrics = engine.config().metrics.clone();
         let stop = self.stop.unwrap_or_default();
         let shared = Shared::new(stop.clone());
         let (tx, rx) = mpsc::sync_channel::<Vec<flowzip_trace::PacketRecord>>(self.queue_batches);
-
-        let sampler = self.stats_interval.map(|interval| {
-            Sampler::start(
-                &metrics,
-                interval,
-                self.stats_format.unwrap_or_default(),
-                self.stats_writer.unwrap_or_else(StatsSink::stderr),
-            )
-        });
 
         let ingest = {
             let ingest_shared = Shared {
@@ -613,6 +577,7 @@ impl ServeBuilder {
             let dropped_counter = metrics.counter(names::SERVE_DROPPED_PACKETS);
             let queue_gauge = metrics.gauge(names::SERVE_QUEUE_DEPTH);
             let overload = self.overload;
+            let batch_size = engine.config().batch_size;
             std::thread::Builder::new()
                 .name("flowzip-serve-ingest".into())
                 .spawn(move || {
@@ -636,8 +601,6 @@ impl ServeBuilder {
             out_dir: out_dir.clone(),
             rotate_every: self.rotate_every,
             rotate_packets: self.rotate_packets,
-            telemetry: self.telemetry,
-            metrics: metrics.clone(),
             sampler,
             on_window: self.on_window,
             ingest: Some(ingest),

@@ -25,8 +25,8 @@ use crate::manifest::{archive_name, ManifestWriter};
 use crate::source::{drain, ServeSource};
 use crate::{CloseReason, OverloadPolicy, ServeError, ServeReport, WindowSummary};
 use flowzip_engine::StreamingEngine;
-use flowzip_obs::{names, Counter, Gauge, Metrics, Sampler};
-use flowzip_pipeline::{PartFile, Report, TelemetrySummary};
+use flowzip_obs::{names, Counter, Gauge, Sampler};
+use flowzip_pipeline::{PartFile, Report};
 use flowzip_trace::{PacketRecord, TraceError};
 use std::io::Write;
 use std::path::PathBuf;
@@ -315,8 +315,6 @@ pub(crate) struct Driver {
     pub(crate) out_dir: PathBuf,
     pub(crate) rotate_every: Option<Duration>,
     pub(crate) rotate_packets: Option<u64>,
-    pub(crate) telemetry: bool,
-    pub(crate) metrics: Metrics,
     pub(crate) sampler: Option<Sampler>,
     pub(crate) on_window: Option<crate::WindowCallback>,
     pub(crate) ingest: Option<std::thread::JoinHandle<()>>,
@@ -329,9 +327,10 @@ impl Driver {
     pub(crate) fn run(mut self) -> Result<ServeReport, ServeError> {
         let started = Instant::now();
         let mut manifest = ManifestWriter::open(&self.out_dir)?;
-        let age_gauge = self.metrics.gauge(names::SERVE_WINDOW_AGE_SECS);
-        let queue_gauge = self.metrics.gauge(names::SERVE_QUEUE_DEPTH);
-        let windows_counter = self.metrics.counter(names::SERVE_WINDOWS);
+        let metrics = &self.engine.config().metrics;
+        let age_gauge = metrics.gauge(names::SERVE_WINDOW_AGE_SECS);
+        let queue_gauge = metrics.gauge(names::SERVE_QUEUE_DEPTH);
+        let windows_counter = metrics.counter(names::SERVE_WINDOWS);
 
         let mut rx = self.rx;
         let mut carry: Vec<PacketRecord> = Vec::new();
@@ -371,14 +370,9 @@ impl Driver {
             let (archive, report) = if packets > 0 {
                 let path = self.out_dir.join(archive_name(opened_unix_ms, index));
                 write_archive(&path, &bytes)?;
-                let mut report = Report::from_engine(er, None);
-                if self.telemetry {
-                    if let Ok(reader) = flowzip_core::ArchiveReader::open(&bytes) {
-                        if let Some(a) = report.archive.as_mut() {
-                            a.telemetry = reader.telemetry().map(TelemetrySummary::from_telemetry);
-                        }
-                    }
-                }
+                let report = Report::from_engine(er, &bytes, None).map_err(|e| {
+                    ServeError::Config(format!("window archive does not parse: {e}"))
+                })?;
                 (Some(path), Some(report))
             } else {
                 (None, None)
@@ -465,6 +459,7 @@ pub(crate) fn unix_ms() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowzip_obs::Metrics;
     use std::sync::mpsc::sync_channel;
 
     fn packets(n: u64) -> Vec<PacketRecord> {

@@ -39,10 +39,11 @@
 //! Flags are checked against the command's own section of [`USAGE`]: an
 //! unknown or misplaced `--flag` is an error, never silently ignored.
 
+use flowzip::analysis::TraceComplexity;
 use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
-use flowzip::pipeline::{Input, PartFile, Pipeline, Report, Sink};
+use flowzip::pipeline::{ArchiveSummary, Input, PartFile, Pipeline, QueryBuilder, Report, Sink};
 use flowzip::prelude::*;
 use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeSource};
 use flowzip::trace::reader::CaptureFormat;
@@ -339,6 +340,25 @@ fn stats(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `--stats-interval SECS` and `--stats-format json|human`, as `compress`
+/// and `serve` take them. The session rejects a zero interval and a
+/// format without an interval.
+fn stats_flags(
+    opts: &Opts,
+) -> Result<(Option<std::time::Duration>, Option<SnapshotFormat>), String> {
+    let interval = match opts.get("stats-interval") {
+        None => None,
+        Some(_) => Some(std::time::Duration::from_secs(
+            opts.get_u64("stats-interval", 0)?,
+        )),
+    };
+    let format = opts
+        .get("stats-format")
+        .map(SnapshotFormat::parse)
+        .transpose()?;
+    Ok((interval, format))
+}
+
 fn compress(opts: &Opts) -> Result<(), String> {
     if opts.positional.is_empty() {
         return Err("missing input file".into());
@@ -372,17 +392,12 @@ fn compress(opts: &Opts) -> Result<(), String> {
     if opts.get_bool("metrics") {
         session = session.metrics(Metrics::enabled());
     }
-    if opts.get("stats-interval").is_some() {
-        let secs = opts.get_u64("stats-interval", 0)?;
-        if secs == 0 {
-            return Err("--stats-interval wants a whole number of seconds ≥ 1".into());
-        }
-        session = session.stats_interval(std::time::Duration::from_secs(secs));
-        if let Some(name) = opts.get("stats-format") {
-            session = session.stats_format(SnapshotFormat::parse(name)?);
-        }
-    } else if opts.get("stats-format").is_some() {
-        return Err("--stats-format needs --stats-interval SECS".into());
+    let (interval, format) = stats_flags(opts)?;
+    if let Some(interval) = interval {
+        session = session.stats_interval(interval);
+    }
+    if let Some(format) = format {
+        session = session.stats_format(format);
     }
     let profile_path = opts.get("profile").map(PathBuf::from);
     let profiler = profile_path.is_some().then(Profiler::enabled);
@@ -498,17 +513,12 @@ fn serve(opts: &Opts) -> Result<(), String> {
     if idle_secs > 0 {
         session = session.idle_timeout(Duration::from_secs(idle_secs));
     }
-    if opts.get("stats-interval").is_some() {
-        let secs = opts.get_u64("stats-interval", 0)?;
-        if secs == 0 {
-            return Err("--stats-interval wants a whole number of seconds ≥ 1".into());
-        }
-        session = session.stats_interval(std::time::Duration::from_secs(secs));
-        if let Some(name) = opts.get("stats-format") {
-            session = session.stats_format(SnapshotFormat::parse(name)?);
-        }
-    } else if opts.get("stats-format").is_some() {
-        return Err("--stats-format needs --stats-interval SECS".into());
+    let (interval, format) = stats_flags(opts)?;
+    if let Some(interval) = interval {
+        session = session.stats_interval(interval);
+    }
+    if let Some(format) = format {
+        session = session.stats_format(format);
     }
 
     // First signal: finish the window and flush a final valid archive.
@@ -567,7 +577,10 @@ fn serve(opts: &Opts) -> Result<(), String> {
 fn info(opts: &Opts) -> Result<(), String> {
     let input = opts.input()?;
     let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-    let mut report = Report::inspect(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
+    // One decode serves the report and the complexity line.
+    let (decoded, summary) =
+        ArchiveSummary::inspect(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
+    let mut report = Report::from_archive(&decoded, summary);
     report.inputs = vec![input.to_string()];
     if opts.get_bool("json") {
         out!("{}", report.to_json());
@@ -620,15 +633,13 @@ fn info(opts: &Opts) -> Result<(), String> {
     // The trace-complexity score folds straight off the flow records, so
     // any v2 archive (telemetry or not) gets one.
     if archive.format == ArchiveFormat::V2 {
-        if let Ok(passes) = flowzip::analysis::analyze_archive(&bytes) {
-            let c = passes.complexity;
-            out!(
-                "  complexity       : {:.1}/100 (size entropy {:.2}, burstiness {:.2})",
-                c.score,
-                c.flow_size_entropy,
-                c.arrival_burstiness
-            );
-        }
+        let c = TraceComplexity::from_archive(&decoded);
+        out!(
+            "  complexity       : {:.1}/100 (size entropy {:.2}, burstiness {:.2})",
+            c.score,
+            c.flow_size_entropy,
+            c.arrival_burstiness
+        );
     }
     Ok(())
 }
@@ -686,19 +697,7 @@ fn query(opts: &Opts) -> Result<(), String> {
     if Path::new(input).is_dir() {
         return query_rotation_dir(opts, input, json, out.as_deref(), out_format);
     }
-    let mut session = Pipeline::query()
-        .input(Input::file(input))
-        .seed(opts.get_u64("seed", 0x5EED)?)
-        .output_format(out_format);
-    if let Some(spec) = opts.get("flow") {
-        session = session.flow_spec(spec).map_err(|e| e.to_string())?;
-    }
-    if let Some(secs) = opts.get_f64("from")? {
-        session = session.from_secs(secs);
-    }
-    if let Some(secs) = opts.get_f64("to")? {
-        session = session.to_secs(secs);
-    }
+    let mut session = query_session(opts, Path::new(input), out_format)?;
     if let Some(path) = &out {
         session = session.sink(Sink::file(path));
     }
@@ -726,6 +725,30 @@ fn query(opts: &Opts) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// A query session over the archive at `path`, with `--seed`, `--flow`,
+/// `--from` and `--to` applied — one archive's share of `query`, whether
+/// it names a file or a rotation directory.
+fn query_session<'a>(
+    opts: &Opts,
+    path: &Path,
+    out_format: CaptureFormat,
+) -> Result<QueryBuilder<'a>, String> {
+    let mut session = Pipeline::query()
+        .input(Input::file(path))
+        .seed(opts.get_u64("seed", 0x5EED)?)
+        .output_format(out_format);
+    if let Some(spec) = opts.get("flow") {
+        session = session.flow_spec(spec).map_err(|e| e.to_string())?;
+    }
+    if let Some(secs) = opts.get_f64("from")? {
+        session = session.from_secs(secs);
+    }
+    if let Some(secs) = opts.get_f64("to")? {
+        session = session.to_secs(secs);
+    }
+    Ok(session)
 }
 
 /// `flowzip query <rotation-dir>`: run the identical query over every
@@ -758,19 +781,7 @@ fn query_rotation_dir(
     for e in &entries {
         let Some(name) = &e.archive else { continue };
         let path = Path::new(dir).join(name);
-        let mut session = Pipeline::query()
-            .input(Input::file(&path))
-            .seed(opts.get_u64("seed", 0x5EED)?)
-            .output_format(out_format);
-        if let Some(spec) = opts.get("flow") {
-            session = session.flow_spec(spec).map_err(|e| e.to_string())?;
-        }
-        if let Some(secs) = opts.get_f64("from")? {
-            session = session.from_secs(secs);
-        }
-        if let Some(secs) = opts.get_f64("to")? {
-            session = session.to_secs(secs);
-        }
+        let mut session = query_session(opts, &path, out_format)?;
         if let Some(part) = &mut part {
             session = session.sink(Sink::writer(part));
         }
