@@ -1,5 +1,5 @@
 //! **Section-stream analysis passes**: build the paper's CDFs,
-//! histograms and series directly from a v2 archive, one section at a
+//! histograms and series directly from an archive, one section at a
 //! time, without ever reconstructing the full `time-seq` dataset (let
 //! alone decompressing packets).
 //!
@@ -35,7 +35,7 @@ pub struct SectionPoint {
 /// The streaming passes' combined result: distribution passes (CDF +
 /// Figure 3 histogram over packets-per-flow, RTT CDF) and the
 /// per-section series pass.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArchivePasses {
     /// Flow records across all sections.
     pub flows: u64,
@@ -148,11 +148,12 @@ pub fn analyze_sections(reader: &ArchiveReader<'_>) -> Result<ArchivePasses, Cod
     })
 }
 
-/// [`analyze_sections`] over raw v2 archive bytes.
+/// [`analyze_sections`] over raw archive bytes (v1 reads as one
+/// section).
 ///
 /// # Errors
 ///
-/// [`CodecError`] when `data` is not a well-formed v2 archive.
+/// [`CodecError`] when `data` is not a well-formed v1 or v2 archive.
 pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
     analyze_sections(&ArchiveReader::open(data)?)
 }
@@ -266,19 +267,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_bytes_are_rejected() {
-        let trace = WebTrafficGenerator::new(
-            WebTrafficConfig {
-                flows: 30,
-                ..WebTrafficConfig::default()
-            },
-            33,
-        )
-        .generate();
-        let v1 = Compressor::new(Params::paper())
-            .compress(&trace)
-            .0
-            .to_bytes();
-        assert!(analyze_archive(&v1).is_err(), "v1 has no sections");
+    fn v1_fixture_passes_equal_its_v2_twin() {
+        // The golden fixtures hold one archive in both revisions; v1
+        // reads as one section without metadata or telemetry.
+        let v1 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc");
+        let v2 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc2");
+        let passes = analyze_archive(v1).unwrap();
+        assert_eq!(passes, analyze_archive(v2).unwrap());
+        assert_eq!(passes.sections.len(), 1);
+        assert!(!passes.has_telemetry);
     }
 }

@@ -278,101 +278,16 @@ impl CompressedTrace {
     }
 
     /// Parses a container produced by [`CompressedTrace::to_bytes`] or
-    /// [`CompressedTrace::to_bytes_v2`] — the format is detected from the
-    /// magic, so v1 archives keep reading back forever.
+    /// [`CompressedTrace::to_bytes_v2`] through the one
+    /// [`ArchiveReader`](crate::ArchiveReader), which reads both
+    /// revisions — so v1 archives keep reading back forever.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] for malformed input; the result additionally
     /// passes [`CompressedTrace::validate`].
     pub fn from_bytes(data: &[u8]) -> Result<CompressedTrace, CodecError> {
-        if data.len() >= 4 && data[0..4] == crate::container::MAGIC_V2 {
-            return crate::container::read_v2(data);
-        }
-        if data.len() < 5 || data[0..4] != MAGIC || data[4] != VERSION {
-            return Err(CodecError::BadHeader);
-        }
-        let mut pos = 5usize;
-        let n_short = get_varint(data, &mut pos)? as usize;
-        let n_long = get_varint(data, &mut pos)? as usize;
-        let n_addr = get_varint(data, &mut pos)? as usize;
-        let n_flows = get_varint(data, &mut pos)? as usize;
-
-        let mut short_templates = Vec::with_capacity(clamped_capacity(n_short, data.len() - pos));
-        for _ in 0..n_short {
-            let n = get_varint(data, &mut pos)? as usize;
-            let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
-            for _ in 0..n {
-                v.push(narrow(get_varint(data, &mut pos)?, "template entry")?);
-            }
-            short_templates.push(v);
-        }
-
-        let mut long_templates = Vec::with_capacity(clamped_capacity(n_long, data.len() - pos));
-        for _ in 0..n_long {
-            let n = get_varint(data, &mut pos)? as usize;
-            let mut entries = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
-            for _ in 0..n {
-                let m = narrow(get_varint(data, &mut pos)?, "template entry")?;
-                let ipt = Duration::from_micros(get_varint(data, &mut pos)?);
-                entries.push((m, ipt));
-            }
-            long_templates.push(LongTemplate { entries });
-        }
-
-        let mut addresses = Vec::with_capacity(clamped_capacity(n_addr, data.len() - pos));
-        for _ in 0..n_addr {
-            if pos + 4 > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            addresses.push(Ipv4Addr::new(
-                data[pos],
-                data[pos + 1],
-                data[pos + 2],
-                data[pos + 3],
-            ));
-            pos += 4;
-        }
-
-        let mut time_seq = Vec::with_capacity(clamped_capacity(n_flows, data.len() - pos));
-        let mut last_ts = 0u64;
-        for _ in 0..n_flows {
-            let key = get_varint(data, &mut pos)?;
-            let is_long = key & 1 == 1;
-            let template_idx = narrow(
-                key >> 1,
-                if is_long {
-                    "long template"
-                } else {
-                    "short template"
-                },
-            )?;
-            let addr_idx = narrow(get_varint(data, &mut pos)?, "address")?;
-            last_ts = last_ts
-                .checked_add(get_varint(data, &mut pos)?)
-                .ok_or(CodecError::UnsortedTimeSeq)?;
-            let rtt = if is_long {
-                Duration::ZERO
-            } else {
-                Duration::from_micros(get_varint(data, &mut pos)? << RTT_SHIFT)
-            };
-            time_seq.push(FlowRecord {
-                first_ts: Timestamp::from_micros(last_ts),
-                is_long,
-                template_idx,
-                addr_idx,
-                rtt,
-            });
-        }
-
-        let ct = CompressedTrace {
-            short_templates,
-            long_templates,
-            addresses,
-            time_seq,
-        };
-        ct.validate()?;
-        Ok(ct)
+        crate::container::ArchiveReader::open(data)?.select(|_| true)
     }
 }
 

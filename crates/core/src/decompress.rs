@@ -180,9 +180,9 @@ impl Decompressor {
     }
 
     /// Parses serialized archive bytes — either container format, v1 or
-    /// v2, detected from the magic — and expands them. The format never
-    /// changes the output: a v2 read reconstructs the identical
-    /// [`CompressedTrace`] the v1 path yields, so the synthesized trace
+    /// v2, through the one reader — and expands them. The format never
+    /// changes the output: a v2 file reconstructs the identical
+    /// [`CompressedTrace`] its v1 twin does, so the synthesized trace
     /// is packet-identical too.
     ///
     /// # Errors

@@ -36,7 +36,7 @@
 //! output), and [`query_bytes`] is `select_bytes` plus collecting that
 //! stream into a [`Trace`].
 
-use crate::container::{ArchiveFormat, ArchiveReader};
+use crate::container::ArchiveReader;
 use crate::datasets::{CodecError, CompressedTrace, FlowRecord};
 use crate::decompress::{synth_tuple, DecompressParams, Decompressor};
 use crate::meta::ArchiveMeta;
@@ -149,20 +149,7 @@ pub fn select_bytes(
     query: &FlowQuery,
     dp: &DecompressParams,
 ) -> Result<QuerySelection, CodecError> {
-    match ArchiveFormat::detect(data)? {
-        ArchiveFormat::V1 => {
-            let ct = CompressedTrace::from_bytes(data)?;
-            let flows_total = ct.time_seq.len() as u64;
-            let stats = QueryStats {
-                sections_total: 1,
-                sections_scanned: 1,
-                flows_total,
-                ..QueryStats::default()
-            };
-            Ok(finish(ct, query, dp, stats))
-        }
-        ArchiveFormat::V2 => select_reader(ArchiveReader::open(data)?, query, dp),
-    }
+    select_reader(ArchiveReader::open(data)?, query, dp)
 }
 
 /// [`select_bytes`], then the matching packets synthesized and
@@ -205,7 +192,7 @@ fn survives(
     true
 }
 
-/// [`select_bytes`] over an already-opened v2 archive: the sections
+/// [`select_bytes`] over an already-opened archive: the sections
 /// whose metadata cannot rule the query out decode on the reader's one
 /// selection path, then the record-level filter runs. A caller that
 /// also wants header facts (counts, telemetry) reads them off the same
@@ -235,18 +222,7 @@ pub fn select_reader(
     stats.sections_scanned = keep.iter().filter(|&&k| k).count() as u64;
     // Survivors keep their relative order, so the stable k-way merge of
     // the subset is a subsequence of the full merge — order preserved.
-    let ct = reader.select(|i| keep[i])?;
-    Ok(finish(ct, query, dp, stats))
-}
-
-/// Record-level filtering — the tail both format paths share. `stats`
-/// arrives with the planner counters already set.
-fn finish(
-    mut archive: CompressedTrace,
-    query: &FlowQuery,
-    dp: &DecompressParams,
-    mut stats: QueryStats,
-) -> QuerySelection {
+    let mut archive = reader.select(|i| keep[i])?;
     let CompressedTrace {
         addresses,
         time_seq,
@@ -255,7 +231,7 @@ fn finish(
     time_seq.retain(|r| query.matches(dp.seed, addresses, r));
     stats.flows_matched = archive.time_seq.len() as u64;
     stats.packets = archive.packet_count();
-    QuerySelection { archive, stats }
+    Ok(QuerySelection { archive, stats })
 }
 
 #[cfg(test)]

@@ -511,7 +511,7 @@ impl ShardAggregates {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowzip_core::{ArchiveFormat, CompressedTrace, Compressor};
+    use flowzip_core::{ArchiveFormat, ArchiveReader, CompressedTrace, Compressor};
 
     fn stream(trace: &Trace) -> impl Iterator<Item = Result<PacketRecord, TraceError>> + '_ {
         trace.iter().cloned().map(Ok)
@@ -643,7 +643,10 @@ mod tests {
         }
         let (oracle, oracle_report) = Compressor::new(Params::paper()).compress(&trace);
         let v1_bytes = oracle.to_bytes();
-        assert_eq!(ArchiveFormat::detect(&v1_bytes).unwrap(), ArchiveFormat::V1);
+        assert_eq!(
+            ArchiveReader::open(&v1_bytes).unwrap().format(),
+            ArchiveFormat::V1
+        );
         let from_v1 = CompressedTrace::from_bytes(&v1_bytes).unwrap();
         for shards in [1usize, 2, 5] {
             let engine = StreamingEngine::builder()
@@ -651,7 +654,10 @@ mod tests {
                 .batch_size(8)
                 .build();
             let (v2_bytes, v2_report) = engine.compress_stream_to_bytes(stream(&trace)).unwrap();
-            assert_eq!(ArchiveFormat::detect(&v2_bytes).unwrap(), ArchiveFormat::V2);
+            assert_eq!(
+                ArchiveReader::open(&v2_bytes).unwrap().format(),
+                ArchiveFormat::V2
+            );
             let from_v2 = CompressedTrace::from_bytes(&v2_bytes).unwrap();
             assert_eq!(from_v1, from_v2, "{shards} shards");
 

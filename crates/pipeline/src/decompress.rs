@@ -99,7 +99,7 @@ impl<'a> DecompressBuilder<'a> {
         let bytes = input.kind.into_archive("decompress", &context)?;
         let read_wait = started.elapsed().as_secs_f64();
 
-        let (archive, summary) = ArchiveSummary::inspect_lean(&bytes)
+        let (archive, summary) = ArchiveSummary::inspect(&bytes)
             .map_err(|e| PipelineError::decode(context.clone(), e))?;
         // The parsed archive is all the merge reads from here on.
         drop(bytes);

@@ -9,11 +9,7 @@ use crate::input::Input;
 use crate::report::{ArchiveSummary, Mode, Report, Timing};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::container::v1_counts;
-use flowzip_core::{
-    select_bytes, select_reader, ArchiveFormat, ArchiveReader, DecompressParams, Decompressor,
-    FlowQuery,
-};
+use flowzip_core::{select_reader, ArchiveReader, DecompressParams, Decompressor, FlowQuery};
 use flowzip_obs::{names, Metrics};
 use flowzip_trace::reader::CaptureFormat;
 use flowzip_trace::{tsh, FiveTuple, Timestamp};
@@ -180,18 +176,9 @@ impl<'a> QueryBuilder<'a> {
         // summary reads the header alone, so a full decode would throw
         // away exactly the work pruning saved.
         let decode_err = |e| PipelineError::decode(context.clone(), e);
-        let (selection, summary) = match ArchiveFormat::detect(&bytes).map_err(decode_err)? {
-            ArchiveFormat::V1 => (
-                select_bytes(&bytes, &query, &params).map_err(decode_err)?,
-                ArchiveSummary::from_v1_counts(bytes.len(), v1_counts(&bytes).map_err(decode_err)?),
-            ),
-            ArchiveFormat::V2 => {
-                let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
-                let summary = ArchiveSummary::from_reader(&reader, bytes.len());
-                let selection = select_reader(reader, &query, &params).map_err(decode_err)?;
-                (selection, summary)
-            }
-        };
+        let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
+        let summary = ArchiveSummary::from_reader(&reader, bytes.len());
+        let selection = select_reader(reader, &query, &params).map_err(decode_err)?;
         let stats = selection.stats;
 
         if let Some(m) = &metrics {

@@ -12,7 +12,6 @@
 //! `flowzip decompress --json` and `flowzip info --json` all speak the
 //! same schema.
 
-use flowzip_core::container::v1_counts;
 use flowzip_core::datasets::CodecError;
 use flowzip_core::{
     ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressedTrace, CompressionReport,
@@ -70,8 +69,8 @@ pub struct ArchiveSummary {
     /// Unique destination addresses.
     pub addresses: u64,
     /// Byte footprint per §3 dataset, when the run measured it
-    /// (inspection and compress runs always do; decompress skips the
-    /// measurement when it would cost a full v1 re-encode).
+    /// (inspection, decompress and compress runs do; query runs read
+    /// the header alone).
     pub sizes: Option<DatasetSizes>,
     /// Whether the archive carries the rev 2.1 per-section metadata
     /// block (always `false` for v1).
@@ -141,74 +140,32 @@ impl TelemetrySummary {
 }
 
 impl ArchiveSummary {
-    /// Summarizes serialized archive bytes: detects the container,
-    /// decodes it, and measures the real file layout (a multi-section v2
-    /// index would not survive a re-encode). Returns the decoded archive
-    /// too, so callers needing its contents decode once.
+    /// Summarizes serialized archive bytes (v1 or v2): opens them once,
+    /// measures the real file layout (a multi-section v2 index would not
+    /// survive a re-encode) and decodes the archive. Returns the decoded
+    /// archive too, so callers needing its contents decode once.
     ///
     /// # Errors
     ///
     /// [`CodecError`] when the bytes are not a valid v1/v2 archive.
     pub fn inspect(bytes: &[u8]) -> Result<(CompressedTrace, ArchiveSummary), CodecError> {
-        ArchiveSummary::inspect_inner(bytes, true)
+        // One parse serves the header facts, the layout walk and the
+        // decode; a decode error outranks a layout error.
+        let reader = ArchiveReader::open(bytes)?;
+        let sizes = reader.sizes();
+        let mut summary = ArchiveSummary::from_reader(&reader, bytes.len());
+        let archive = reader.select(|_| true)?;
+        summary.sizes = Some(sizes?);
+        Ok((archive, summary))
     }
 
-    /// [`ArchiveSummary::inspect`] without the per-dataset size
-    /// measurement when it is not already cheap: v2 sizes come from a
-    /// header scan either way, but v1 sizes would cost a full re-encode
-    /// of the archive — which a decompress session has no use for.
-    pub fn inspect_lean(bytes: &[u8]) -> Result<(CompressedTrace, ArchiveSummary), CodecError> {
-        ArchiveSummary::inspect_inner(bytes, false)
-    }
-
-    fn inspect_inner(
-        bytes: &[u8],
-        measure_v1: bool,
-    ) -> Result<(CompressedTrace, ArchiveSummary), CodecError> {
-        match ArchiveFormat::detect(bytes)? {
-            ArchiveFormat::V1 => {
-                let archive = CompressedTrace::from_bytes(bytes)?;
-                let mut summary = ArchiveSummary::from_v1_counts(bytes.len(), v1_counts(bytes)?);
-                summary.sizes = measure_v1.then(|| archive.encode().1);
-                Ok((archive, summary))
-            }
-            ArchiveFormat::V2 => {
-                // One parse serves the header facts, the layout walk and
-                // the decode; a decode error outranks a layout error.
-                let reader = ArchiveReader::open(bytes)?;
-                let sizes = reader.sizes();
-                let mut summary = ArchiveSummary::from_reader(&reader, bytes.len());
-                let archive = reader.select(|_| true)?;
-                summary.sizes = Some(sizes?);
-                Ok((archive, summary))
-            }
-        }
-    }
-
-    /// The facts a v1 header's `(short templates, long templates,
-    /// addresses)` counts give; `sizes` left unmeasured.
-    pub(crate) fn from_v1_counts(file_bytes: usize, counts: (u64, u64, u64)) -> ArchiveSummary {
-        let (short_templates, long_templates, addresses) = counts;
-        ArchiveSummary {
-            format: ArchiveFormat::V1,
-            sections: 1,
-            file_bytes: file_bytes as u64,
-            short_templates,
-            long_templates,
-            addresses,
-            sizes: None,
-            has_metadata: false,
-            telemetry: None,
-        }
-    }
-
-    /// The facts a parsed v2 header gives — no payload decoded, so a
+    /// The facts a parsed header gives — no payload decoded, so a
     /// query's pruning savings survive the summary; `sizes` left
     /// unmeasured.
     pub(crate) fn from_reader(reader: &ArchiveReader<'_>, file_bytes: usize) -> ArchiveSummary {
         let (short_templates, long_templates, addresses, sections) = reader.counts();
         ArchiveSummary {
-            format: ArchiveFormat::V2,
+            format: reader.format(),
             sections,
             file_bytes: file_bytes as u64,
             short_templates,

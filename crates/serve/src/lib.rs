@@ -68,6 +68,7 @@ pub(crate) type WindowCallback = Box<dyn FnMut(&WindowSummary) + Send>;
 
 use flowzip_core::Params;
 use flowzip_engine::EngineBuilder;
+use flowzip_obs::json::JsonObject;
 use flowzip_obs::{names, Metrics, SnapshotFormat, StatsSink};
 use flowzip_pipeline::{LiveStats, Pipeline, Report};
 use flowzip_trace::Duration as TraceDuration;
@@ -207,24 +208,20 @@ impl ServeReport {
     /// One JSON object summarizing the session (window details live in
     /// the manifest; this is the headline accounting).
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"type\":\"flowzip.serve\",\"windows\":{},\"produced_packets\":{},",
-                "\"compressed_packets\":{},\"dropped_packets\":{},\"out_dir\":\"{}\",",
-                "\"manifest\":\"{}\",\"source_error\":{},\"elapsed_secs\":{:.6}}}"
-            ),
-            self.windows.len(),
-            self.produced_packets,
-            self.compressed_packets,
-            self.dropped_packets,
-            flowzip_pipeline::report::json_escape(&self.out_dir.display().to_string()),
-            flowzip_pipeline::report::json_escape(&self.manifest.display().to_string()),
-            match &self.source_error {
-                Some(e) => format!("\"{}\"", flowzip_pipeline::report::json_escape(e)),
-                None => "null".to_string(),
-            },
-            self.elapsed_secs,
-        )
+        let mut j = JsonObject::compact();
+        j.str("type", "flowzip.serve");
+        j.num("windows", self.windows.len() as u64);
+        j.num("produced_packets", self.produced_packets);
+        j.num("compressed_packets", self.compressed_packets);
+        j.num("dropped_packets", self.dropped_packets);
+        j.str("out_dir", &self.out_dir.display().to_string());
+        j.str("manifest", &self.manifest.display().to_string());
+        match &self.source_error {
+            Some(e) => j.str("source_error", e),
+            None => j.raw("source_error", "null"),
+        }
+        j.f6("elapsed_secs", self.elapsed_secs);
+        j.finish()
     }
 }
 
@@ -616,5 +613,36 @@ impl ServeBuilder {
             metrics,
             out_dir,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn serve_report_json_line_is_pinned() {
+        let mut report = ServeReport {
+            windows: Vec::new(),
+            produced_packets: 7,
+            compressed_packets: 5,
+            dropped_packets: 2,
+            out_dir: PathBuf::from("rot"),
+            manifest: PathBuf::from("rot/manifest.jsonl"),
+            source_error: None,
+            elapsed_secs: 1.5,
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"type":"flowzip.serve","windows":0,"produced_packets":7,"#,
+                r#""compressed_packets":5,"dropped_packets":2,"out_dir":"rot","#,
+                r#""manifest":"rot/manifest.jsonl","source_error":null,"elapsed_secs":1.500000}"#
+            )
+        );
+        report.source_error = Some("bad \"frame\"".to_string());
+        assert!(report
+            .to_json()
+            .contains(r#""source_error":"bad \"frame\"","elapsed_secs""#));
     }
 }

@@ -22,6 +22,7 @@
 //! decodable.
 
 use crate::{CloseReason, ServeError, WindowSummary};
+use flowzip_obs::json::JsonObject;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -56,30 +57,29 @@ impl ManifestWriter {
 
     /// Appends `window` as one JSON line and flushes.
     pub(crate) fn append(&mut self, w: &WindowSummary) -> Result<(), ServeError> {
-        let archive = match w.archive.as_ref().and_then(|p| p.file_name()) {
-            Some(name) => format!("\"{}\"", name.to_string_lossy()),
-            None => "null".to_string(),
-        };
-        let opt = |v: Option<u64>| v.map_or("null".to_string(), |v| v.to_string());
-        let line = format!(
-            concat!(
-                "{{\"type\":\"flowzip.window\",\"window\":{},\"archive\":{},",
-                "\"reason\":\"{}\",\"cut\":\"drain\",\"packets\":{},\"flows\":{},",
-                "\"bytes\":{},\"dropped_packets\":{},\"opened_unix_ms\":{},",
-                "\"closed_unix_ms\":{},\"first_ts_us\":{},\"last_ts_us\":{}}}\n"
-            ),
-            w.index,
-            archive,
-            w.reason.as_str(),
-            w.packets,
-            w.flows,
-            w.bytes,
-            w.dropped_packets,
-            w.opened_unix_ms,
-            w.closed_unix_ms,
-            opt(w.first_ts_us),
-            opt(w.last_ts_us),
-        );
+        let mut j = JsonObject::compact();
+        j.str("type", "flowzip.window");
+        j.num("window", w.index);
+        match w.archive.as_ref().and_then(|p| p.file_name()) {
+            Some(name) => j.str("archive", &name.to_string_lossy()),
+            None => j.raw("archive", "null"),
+        }
+        j.str("reason", w.reason.as_str());
+        j.str("cut", "drain");
+        j.num("packets", w.packets);
+        j.num("flows", w.flows);
+        j.num("bytes", w.bytes);
+        j.num("dropped_packets", w.dropped_packets);
+        j.num("opened_unix_ms", w.opened_unix_ms);
+        j.num("closed_unix_ms", w.closed_unix_ms);
+        for (key, v) in [("first_ts_us", w.first_ts_us), ("last_ts_us", w.last_ts_us)] {
+            match v {
+                Some(v) => j.num(key, v),
+                None => j.raw(key, "null"),
+            }
+        }
+        let mut line = j.finish();
+        line.push('\n');
         self.file
             .write_all(line.as_bytes())
             .and_then(|()| self.file.flush())

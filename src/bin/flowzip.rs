@@ -41,6 +41,7 @@
 
 use flowzip::analysis::TraceComplexity;
 use flowzip::core::{synthesize, CompressedTrace};
+use flowzip::obs::json::JsonObject;
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
 use flowzip::pipeline::{ArchiveSummary, Input, PartFile, Pipeline, QueryBuilder, Report, Sink};
@@ -769,6 +770,8 @@ fn query_rotation_dir(
         );
     }
     let entries = flowzip::serve::read_manifest(Path::new(dir)).map_err(|e| e.to_string())?;
+    // One registry across every window's session: its counters sum them.
+    let metrics = opts.get_bool("metrics").then(Metrics::enabled);
     let mut windows = 0u64;
     let mut packets = 0u64;
     let mut written = 0u64;
@@ -785,6 +788,9 @@ fn query_rotation_dir(
         if let Some(part) = &mut part {
             session = session.sink(Sink::writer(part));
         }
+        if let Some(m) = &metrics {
+            session = session.metrics(m.clone());
+        }
         let result = session
             .run()
             .map_err(|e| format!("{}: {e}", path.display()))?;
@@ -797,9 +803,15 @@ fn query_rotation_dir(
             .map_err(|e| format!("rename into {}: {e}", path.display()))?;
     }
     if json {
-        out!(
-            "{{\"type\":\"flowzip.query_dir\",\"windows\":{windows},\"packets\":{packets},\"output_bytes\":{written}}}"
-        );
+        let mut j = JsonObject::compact();
+        j.str("type", "flowzip.query_dir");
+        j.num("windows", windows);
+        j.num("packets", packets);
+        j.num("output_bytes", written);
+        if let Some(m) = &metrics {
+            j.raw("metrics", &m.snapshot().to_json());
+        }
+        out!("{}", j.finish());
     } else {
         out!("queried {windows} rotated archives: {packets} packets matched");
         if let Some(path) = out {

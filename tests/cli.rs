@@ -1213,6 +1213,55 @@ fn rotation_directory_query_streams_every_window_into_one_output() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `query <rotation-dir> --metrics` shares one registry across the
+/// windows' sessions, so its counters are the windows' sums — here a
+/// 3-section v2 window and the 1-section v1 golden fixture.
+#[test]
+fn rotation_directory_query_metrics_sum_the_windows() {
+    use flowzip::obs::json::is_valid_json;
+    let dir = tmpdir("rotmetrics");
+    let rot = dir.join("rot");
+    std::fs::create_dir_all(&rot).unwrap();
+    let tsh = dir.join("w0.tsh");
+    let w0 = rot.join("w0.fzc");
+    for args in [
+        vec!["generate", "--flows", "120", "--secs", "10", "--seed", "5"],
+        vec!["compress", tsh.to_str().unwrap(), "--threads", "3"],
+    ] {
+        let out = if args[0] == "generate" { &tsh } else { &w0 };
+        let run = bin().args(&args).arg("-o").arg(out).output().unwrap();
+        assert!(run.status.success(), "{args:?}");
+    }
+    std::fs::copy(fixture("web120_seed20050320.fzc"), rot.join("w1.fzc")).unwrap();
+    let mut manifest = String::new();
+    for (window, name) in ["w0.fzc", "w1.fzc"].iter().enumerate() {
+        manifest.push_str(&format!(
+            "{{\"type\":\"flowzip.window\",\"window\":{window},\"archive\":\"{name}\",\
+             \"reason\":\"packets\",\"cut\":\"drain\",\"packets\":0,\"flows\":0,\"bytes\":0,\
+             \"dropped_packets\":0,\"opened_unix_ms\":0,\"closed_unix_ms\":0,\
+             \"first_ts_us\":null,\"last_ts_us\":null}}\n"
+        ));
+    }
+    std::fs::write(rot.join("manifest.jsonl"), &manifest).unwrap();
+
+    let run = bin()
+        .arg("query")
+        .arg(&rot)
+        .args(["--json", "--metrics"])
+        .output()
+        .unwrap();
+    assert!(run.status.success());
+    let line = String::from_utf8_lossy(&run.stdout).trim().to_string();
+    assert!(is_valid_json(&line), "{line}");
+    assert!(
+        line.starts_with("{\"type\":\"flowzip.query_dir\",\"windows\":2,"),
+        "{line}"
+    );
+    assert!(line.contains("\"query.sections_total\":4"), "{line}");
+    assert!(line.contains("\"query.sections_scanned\":4"), "{line}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn decompress_and_query_report_their_open_flow_peak() {
     let dir = tmpdir("peak");
