@@ -27,8 +27,10 @@ fn main() {
     let finished = acc.finish();
     let mut store = TemplateStore::new(Params::paper());
     let short: Vec<_> = finished.iter().filter(|f| f.is_short(50)).collect();
+    let mut vector = Vec::new();
     for f in &short {
-        store.offer(&f.vector);
+        f.decode_vector(&mut vector);
+        store.offer(&vector);
     }
 
     let total = short.len() as u64;

@@ -6,6 +6,14 @@
 //! Rst TCP flag is found, the algorithm ... looks for the number of
 //! inserted nodes associated to this flow."
 //!
+//! Here the per-flow packet list is one byte log in the
+//! `long-flows-template` wire encoding: per packet, `varint M` then
+//! `varint gap_µs` — ≈ 3 B per packet, one growing buffer per open
+//! flow. A long flow's archive entry is that log behind a length
+//! prefix, so it is stored verbatim without ever being decoded; a short
+//! flow decodes only its `M` column ([`FinishedFlow::decode_vector`])
+//! for clustering.
+//!
 //! This implementation keys active flows by the packed canonical 5-tuple
 //! ([`FlowKey`], hashed once per packet under a seeded [`FlowHash`]) and
 //! finalizes a flow when:
@@ -22,6 +30,7 @@
 //! accumulator as soon as they close instead of piling up.
 
 use crate::characterize::{size_class, Dependence};
+use crate::container::{get_long_entry, long_entry_ms, put_long_entry};
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
 use flowzip_trace::prelude::*;
@@ -37,6 +46,10 @@ use std::net::Ipv4Addr;
 pub const IDLE_THRESHOLD_US: u64 = 1_000_000;
 
 /// A fully characterized, completed flow ready for clustering.
+///
+/// Its packets stay in the accumulator's encoded log: [`Self::entries`]
+/// decodes the `(M, gap)` pairs, [`Self::decode_vector`] the `M` vector
+/// alone, and a long flow's log goes into the archive as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FinishedFlow {
     /// Timestamp of the first packet (the `time-seq` field).
@@ -46,11 +59,13 @@ pub struct FinishedFlow {
     /// Estimated round-trip time: gap from the first packet to the first
     /// responder packet; zero when the responder never spoke.
     pub rtt: Duration,
-    /// The flow's `M` vector (`KM_f` in §2).
-    pub vector: Vec<u16>,
-    /// Inter-packet gaps (`vector.len()` entries; the first is zero) —
-    /// stored verbatim for long flows only.
-    pub ipts: Vec<Duration>,
+    /// Per packet, `varint M` then `varint gap_µs` (the first gap zero):
+    /// exactly the bytes the container's `put_long_template` writes after
+    /// its length prefix. The flow's `M` vector (`KM_f` in §2) and its
+    /// timing are this one buffer, ≈ 3 B per packet.
+    pub(crate) log: Vec<u8>,
+    /// Packets in `log`.
+    packets: u64,
     /// TCP-dynamics telemetry, when the accumulator ran with
     /// [`FlowAccumulator::with_telemetry`]; `None` otherwise.
     pub telemetry: Option<FlowTelemetry>,
@@ -59,18 +74,36 @@ pub struct FinishedFlow {
 impl FinishedFlow {
     /// Packet count.
     pub fn len(&self) -> usize {
-        self.vector.len()
+        self.packets as usize
     }
 
     /// `true` for flows without packets (never produced by the
     /// accumulator; kept for container symmetry).
     pub fn is_empty(&self) -> bool {
-        self.vector.is_empty()
+        self.packets == 0
     }
 
     /// Whether the flow is short under the given threshold.
     pub fn is_short(&self, short_max: usize) -> bool {
         self.len() <= short_max
+    }
+
+    /// The flow's packets as `(M, gap before this packet)` pairs, the
+    /// first gap zero — the entries of its long template.
+    pub fn entries(&self) -> impl Iterator<Item = (u16, Duration)> + '_ {
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            (pos < self.log.len())
+                .then(|| get_long_entry(&self.log, &mut pos).expect("the accumulator's log"))
+        })
+    }
+
+    /// Decodes the flow's `M` vector into `out` (cleared first), skipping
+    /// the gaps — what clustering reads, into a buffer the caller reuses.
+    pub fn decode_vector(&self, out: &mut Vec<u16>) {
+        out.clear();
+        out.reserve(self.len());
+        long_entry_ms(&self.log, out);
     }
 }
 
@@ -229,6 +262,9 @@ impl TelemetryState {
     }
 }
 
+/// One open flow: the §3 node. Its packet list is `log`, one growing
+/// byte buffer the packets are appended to in the [`FinishedFlow`]
+/// encoding as they arrive, and that [`FinishedFlow`] takes over as is.
 #[derive(Debug)]
 struct ActiveFlow {
     /// First-seen sequence number; pairs with the `order` log so stale
@@ -243,8 +279,9 @@ struct ActiveFlow {
     rtt: Option<Duration>,
     fin_from_initiator: bool,
     fin_from_responder: bool,
-    vector: Vec<u16>,
-    ipts: Vec<Duration>,
+    /// `varint M`, `varint gap_µs` per packet.
+    log: Vec<u8>,
+    packets: u64,
     telem: Option<Box<TelemetryState>>,
 }
 
@@ -259,8 +296,8 @@ impl ActiveFlow {
                 t.src_ip
             },
             rtt: self.rtt.unwrap_or(Duration::ZERO),
-            vector: self.vector,
-            ipts: self.ipts,
+            log: self.log,
+            packets: self.packets,
             telemetry: self.telem.map(|t| t.finish()),
         }
     }
@@ -359,8 +396,8 @@ impl FlowAccumulator {
                     rtt: None,
                     fin_from_initiator: false,
                     fin_from_responder: false,
-                    vector: Vec::new(),
-                    ipts: Vec::new(),
+                    log: Vec::new(),
+                    packets: 0,
                     telem: self.telemetry.then(Box::default),
                 })
             }
@@ -375,19 +412,21 @@ impl FlowAccumulator {
         if flow.rtt.is_none() && dir == FlowDirection::FromResponder {
             flow.rtt = Some(p.timestamp().saturating_since(flow.first_ts));
         }
+        // The first packet's gap is zero: `last_ts` starts at its time.
+        let gap = p.timestamp().saturating_since(flow.last_ts);
         if let Some(telem) = flow.telem.as_mut() {
-            telem.observe(p, dir, p.timestamp().saturating_since(flow.last_ts));
+            telem.observe(p, dir, gap);
         }
         let dep = Dependence::infer(flow.last_dir, dir);
         let f1 = self.params.classifier.classify(p.flags());
         let f3 = size_class(p.payload_len(), self.params.size_edge);
-        let m = self.params.weights.m_value(f1, dep, f3);
-        flow.vector.push(m.min(u16::MAX as u32) as u16);
-        flow.ipts.push(if flow.vector.len() == 1 {
-            Duration::ZERO
-        } else {
-            p.timestamp().saturating_since(flow.last_ts)
-        });
+        let m = self
+            .params
+            .weights
+            .m_value(f1, dep, f3)
+            .min(u16::MAX as u32) as u16;
+        put_long_entry(m, gap.as_micros(), &mut flow.log);
+        flow.packets += 1;
         flow.last_ts = p.timestamp();
         flow.last_dir = Some(dir);
 
@@ -445,25 +484,24 @@ impl FlowAccumulator {
     /// callers trading exactness for bounded memory pick a cutoff safely
     /// past any plausible TCP idle period.
     pub fn evict_idle(&mut self, cutoff: Timestamp) -> usize {
-        let mut evicted = 0usize;
-        let mut kept = Vec::with_capacity(self.active.len());
-        for (key, seq) in std::mem::take(&mut self.order) {
-            let idle = match self.active.get(&key) {
-                Some(flow) if flow.seq == seq => flow.last_ts < cutoff,
-                // Tombstone (completed, or key reopened under a new seq):
-                // drop the entry while we're rebuilding anyway.
-                _ => continue,
-            };
-            if idle {
-                let flow = self.active.remove(&key).expect("idle flow present");
-                self.finished.push(flow.finish(key));
-                evicted += 1;
-            } else {
-                kept.push((key, seq));
+        let before = self.finished.len();
+        let (active, finished) = (&mut self.active, &mut self.finished);
+        // Compacts the log in place: idle flows and tombstones (completed,
+        // or key reopened under a new seq) leave it, live flows keep
+        // their first-seen order.
+        self.order.retain(|&(key, seq)| match active.get(&key) {
+            Some(flow) if flow.seq == seq => {
+                let idle = flow.last_ts < cutoff;
+                if idle {
+                    let flow = active.remove(&key).expect("idle flow present");
+                    finished.push(flow.finish(key));
+                }
+                !idle
             }
-        }
-        self.order = kept;
+            _ => false,
+        });
         self.tombstones = 0;
+        let evicted = self.finished.len() - before;
         self.evicted += evicted as u64;
         evicted
     }
@@ -499,6 +537,17 @@ mod tests {
             Ipv4Addr::new(192, 168, 1, 2),
             80,
         )
+    }
+
+    fn vector(f: &FinishedFlow) -> Vec<u16> {
+        let mut v = vec![u16::MAX; 3]; // stale contents must not survive
+        f.decode_vector(&mut v);
+        assert_eq!(v, f.entries().map(|(m, _)| m).collect::<Vec<_>>());
+        v
+    }
+
+    fn ipts(f: &FinishedFlow) -> Vec<Duration> {
+        f.entries().map(|(_, gap)| gap).collect()
     }
 
     fn pkt(t: FiveTuple, us: u64, flags: TcpFlags, len: u16) -> PacketRecord {
@@ -549,7 +598,7 @@ mod tests {
         // server FIN+ACK: same dir -> not dep              -> 48+4 = 52
         // client FIN+ACK: flip -> dep                      -> 48
         // server ACK: flip -> dep                          -> 32
-        assert_eq!(f.vector, vec![0, 16, 32, 37, 34, 52, 48, 32]);
+        assert_eq!(vector(f), vec![0, 16, 32, 37, 34, 52, 48, 32]);
     }
 
     #[test]
@@ -597,8 +646,7 @@ mod tests {
         push_conversation(&mut acc, tuple(6000), 0);
         push_conversation(&mut acc, tuple(6001), 1_000_000);
         let flows = acc.completed();
-        assert_eq!(flows[0].vector, flows[1].vector);
-        assert_eq!(flows[0].ipts, flows[1].ipts);
+        assert!(flows[0].entries().eq(flows[1].entries()));
     }
 
     #[test]
@@ -610,13 +658,62 @@ mod tests {
         acc.push(&pkt(t, 360, TcpFlags::RST, 0));
         let flows = acc.finish();
         assert_eq!(
-            flows[0].ipts,
+            ipts(&flows[0]),
             vec![
                 Duration::ZERO,
                 Duration::from_micros(250),
                 Duration::from_micros(10)
             ]
         );
+    }
+
+    #[test]
+    fn gaps_past_32_bits_and_near_u64_max_round_trip() {
+        let mut acc = FlowAccumulator::new(Params::paper());
+        let t = tuple(7100);
+        let wide = (1u64 << 32) + 7;
+        let huge = u64::MAX - 3 - wide;
+        acc.push(&pkt(t, 3, TcpFlags::SYN, 0));
+        acc.push(&pkt(t, 3 + wide, TcpFlags::ACK, 0));
+        acc.push(&pkt(t, 3 + wide + huge, TcpFlags::RST, 0));
+        let f = acc.finish().remove(0);
+        assert_eq!(f.len(), 3);
+        assert_eq!(
+            ipts(&f),
+            vec![
+                Duration::ZERO,
+                Duration::from_micros(wide),
+                Duration::from_micros(huge)
+            ]
+        );
+        // Three one-byte `M`s; gaps of 1, 5 and 10 varint bytes.
+        assert_eq!(f.log.len(), 3 + 1 + 5 + 10);
+        assert_eq!(vector(&f).len(), 3);
+    }
+
+    #[test]
+    fn m_clamps_at_u16_max() {
+        let params = Params {
+            weights: crate::Weights {
+                flags: 40_000,
+                dependence: 4,
+                size: 1,
+            },
+            ..Params::paper()
+        };
+        let mut acc = FlowAccumulator::new(params);
+        let t = tuple(7200);
+        acc.push(&pkt(t, 0, TcpFlags::SYN, 0));
+        acc.push(&pkt(t.reversed(), 10, TcpFlags::SYN | TcpFlags::ACK, 0));
+        acc.push(&pkt(t, 20, TcpFlags::FIN | TcpFlags::ACK, 0));
+        let f = acc.finish().remove(0);
+        let v = vector(&f);
+        assert_eq!(v.len(), 3);
+        // Every packet flips direction (dependent, +0). SYN: class 0.
+        // SYN-ACK: 40 000, a three-byte varint. FIN-ACK: 3 · 40 000,
+        // clamped.
+        assert_eq!(v, vec![0, 40_000, u16::MAX]);
+        assert_eq!(ipts(&f)[2], Duration::from_micros(10));
     }
 
     #[test]
@@ -745,8 +842,7 @@ mod tests {
             assert_eq!(a.first_ts, b.first_ts);
             assert_eq!(a.dst_ip, b.dst_ip);
             assert_eq!(a.rtt, b.rtt);
-            assert_eq!(a.vector, b.vector);
-            assert_eq!(a.ipts, b.ipts);
+            assert!(a.entries().eq(b.entries()));
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::accumulate::{FinishedFlow, FlowAccumulator};
 use crate::cluster::TemplateStore;
-use crate::container::ShardSection;
+use crate::container::{get_long_template, put_encoded_long_template, ShardSection};
 use crate::datasets::{CompressedTrace, DatasetSizes, FlowRecord, LongTemplate};
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
@@ -125,15 +125,15 @@ struct PendingFlow {
     rtt: flowzip_trace::Duration,
     is_long: bool,
     /// Index into the owning assembler's template list (short) or its
-    /// long-template list (long).
+    /// long-template slice (long).
     template_idx: u32,
     /// TCP dynamics the accumulator derived, when telemetry was on.
     telemetry: Option<FlowTelemetry>,
 }
 
 /// The per-flow half of dataset assembly: finished flows go in, a local
-/// `short-flows-template` store, long templates and pending flow records
-/// come out.
+/// `short-flows-template` store, the encoded `long-flows-template` slice
+/// and pending flow records come out.
 ///
 /// This is the single implementation of §3's short/long branch, shared
 /// by the batch [`Compressor`] (one assembler, folded by
@@ -144,7 +144,12 @@ struct PendingFlow {
 pub struct FlowAssembler {
     short_max: usize,
     store: TemplateStore,
-    long_templates: Vec<LongTemplate>,
+    /// The section's long-flows-template slice in wire form: per long
+    /// flow, its packet count then its log, appended as it arrives —
+    /// long flows are never decoded on the compress path.
+    long_payload: Vec<u8>,
+    /// The short flow's `M` vector, decoded for clustering (reused).
+    vector: Vec<u16>,
     pending: Vec<PendingFlow>,
     packets: u64,
     short_flows: u64,
@@ -166,7 +171,8 @@ impl FlowAssembler {
         FlowAssembler {
             short_max: params.short_max,
             store: TemplateStore::new(params),
-            long_templates: Vec::new(),
+            long_payload: Vec::new(),
+            vector: Vec::new(),
             pending: Vec::new(),
             packets: 0,
             short_flows: 0,
@@ -181,7 +187,8 @@ impl FlowAssembler {
         self.packets += flow.len() as u64;
         if flow.is_short(self.short_max) {
             self.short_flows += 1;
-            let outcome = self.store.offer(&flow.vector);
+            flow.decode_vector(&mut self.vector);
+            let outcome = self.store.offer(&self.vector);
             self.pending.push(PendingFlow {
                 first_ts: flow.first_ts,
                 dst_ip: flow.dst_ip,
@@ -191,17 +198,10 @@ impl FlowAssembler {
                 telemetry: flow.telemetry,
             });
         } else {
-            self.long_flows += 1;
             // "For long flows, we do not perform any search."
-            let idx = self.long_templates.len() as u32;
-            self.long_templates.push(LongTemplate {
-                entries: flow
-                    .vector
-                    .iter()
-                    .copied()
-                    .zip(flow.ipts.iter().copied())
-                    .collect(),
-            });
+            let idx = self.long_flows as u32;
+            self.long_flows += 1;
+            put_encoded_long_template(flow.len() as u64, &flow.log, &mut self.long_payload);
             self.pending.push(PendingFlow {
                 first_ts: flow.first_ts,
                 dst_ip: flow.dst_ip,
@@ -253,10 +253,7 @@ impl FlowAssembler {
         });
         let records: Vec<FlowRecord> = rows.into_iter().map(|(r, _)| r).collect();
 
-        let mut payload = Vec::new();
-        for t in &self.long_templates {
-            crate::container::put_long_template(t, &mut payload);
-        }
+        let mut payload = self.long_payload;
         let long_template_bytes = payload.len() as u64;
         let mut last_ts = 0u64;
         for r in &records {
@@ -281,7 +278,7 @@ impl FlowAssembler {
             store: self.store,
             addresses,
             flow_count: records.len() as u64,
-            long_count: self.long_templates.len() as u64,
+            long_count: self.long_flows,
             packets: self.packets,
             short_flows: self.short_flows,
             long_flows: self.long_flows,
@@ -373,7 +370,13 @@ pub fn assemble_shards(
 
         let remap = store.merge(shard.store);
         let long_base = long_templates.len() as u32;
-        long_templates.extend(shard.long_templates);
+        let mut pos = 0;
+        for _ in 0..shard.long_flows {
+            long_templates.push(
+                get_long_template(&shard.long_payload, &mut pos)
+                    .expect("the assembler encodes well-formed long templates"),
+            );
+        }
         for rec in shard.pending {
             let addr_idx = *addr_index.entry(rec.dst_ip).or_insert_with(|| {
                 addresses.push(rec.dst_ip);
@@ -528,6 +531,93 @@ mod tests {
         for t in &ct.long_templates {
             assert!(t.entries.len() > Params::paper().short_max);
         }
+    }
+
+    /// The entries' archive encoding, through the container's encoder.
+    fn long_template_bytes(flows: &[&FinishedFlow]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for f in flows {
+            let t = LongTemplate {
+                entries: f.entries().collect(),
+            };
+            crate::container::put_long_template(&t, &mut out);
+        }
+        out
+    }
+
+    #[test]
+    fn short_max_packets_is_short_and_one_more_is_long() {
+        use flowzip_trace::prelude::*;
+        let params = Params::paper();
+        let mut acc = FlowAccumulator::new(params.clone());
+        for (port, n) in [(4000u16, params.short_max), (4001, params.short_max + 1)] {
+            let t = FiveTuple::tcp(
+                Ipv4Addr::new(10, 0, 0, 1),
+                port,
+                Ipv4Addr::new(10, 0, 0, 2),
+                80,
+            );
+            let mut us = 0;
+            for i in 0..n as u64 {
+                us += i * i * 37; // gaps of one to three varint bytes
+                let dir = if i % 3 == 1 { t.reversed() } else { t };
+                acc.push(
+                    &PacketRecord::builder()
+                        .tuple(dir)
+                        .timestamp(Timestamp::from_micros(us))
+                        .flags(TcpFlags::ACK)
+                        .payload_len((i * 97 % 1500) as u16)
+                        .build(),
+                );
+            }
+        }
+        let flows = acc.finish();
+        assert_eq!(flows.len(), 2);
+        assert!(flows[0].is_short(params.short_max));
+        assert!(!flows[1].is_short(params.short_max));
+
+        let mut asm = FlowAssembler::new(params);
+        for f in &flows {
+            asm.consume(f);
+        }
+        assert_eq!((asm.short_flows, asm.long_flows), (1, 1));
+        let section = asm.into_section();
+        assert_eq!(section.long_count, 1);
+        let long = &section.payload[..section.long_template_bytes as usize];
+        assert_eq!(long, long_template_bytes(&[&flows[1]]));
+    }
+
+    #[test]
+    fn long_payload_is_put_long_template_of_the_decoded_entries() {
+        let trace = web_trace(600, 6);
+        let params = Params::paper();
+        let mut acc = FlowAccumulator::new(params.clone());
+        for p in &trace {
+            acc.push(p);
+        }
+        let flows = acc.finish();
+        let long: Vec<&FinishedFlow> = flows
+            .iter()
+            .filter(|f| !f.is_short(params.short_max))
+            .collect();
+        assert!(!long.is_empty());
+
+        let mut asm = FlowAssembler::new(params.clone());
+        for f in &flows {
+            asm.consume(f);
+        }
+        let section = asm.into_section();
+        let want = long_template_bytes(&long);
+        assert_eq!(
+            &section.payload[..section.long_template_bytes as usize],
+            &want
+        );
+
+        // The oracle decodes the same bytes back to the same entries.
+        let (ct, _) = Compressor::new(params).assemble(&trace, flows.clone());
+        let decoded: Vec<Vec<_>> = ct.long_templates.into_iter().map(|t| t.entries).collect();
+        let entries: Vec<Vec<_>> = long.iter().map(|f| f.entries().collect()).collect();
+        assert_eq!(decoded, entries);
     }
 
     #[test]

@@ -157,12 +157,118 @@ pub struct ShardSection {
 
 /// Appends one long template in the shared record encoding (identical to
 /// v1's, so the formats cannot drift — the cross-version tests compare
-/// decoded archives for equality).
+/// decoded archives for equality): its length, then its entries.
 pub(crate) fn put_long_template(t: &LongTemplate, out: &mut Vec<u8>) {
     put_varint(t.entries.len() as u64, out);
     for &(m, ipt) in &t.entries {
+        put_long_entry(m, ipt.as_micros(), out);
+    }
+}
+
+/// Appends one long template whose `len` entries [`put_long_entry`]
+/// already encoded — a flow's packet log, stored as it is.
+pub(crate) fn put_encoded_long_template(len: u64, entries: &[u8], out: &mut Vec<u8>) {
+    put_varint(len, out);
+    out.extend_from_slice(entries);
+}
+
+/// Appends one long-template entry: `varint M`, then `varint gap_µs`.
+/// The accumulator logs every packet of a flow this way as it arrives.
+#[inline]
+pub(crate) fn put_long_entry(m: u16, gap_us: u64, out: &mut Vec<u8>) {
+    let at = out.len();
+    // A one-byte `M` (always, under the paper's weights) and a gap of at
+    // most seven bytes (under 18 years) go out as one eight-byte store
+    // cut back to their length. Only spare capacity takes that store, so
+    // the log grows exactly as byte-wise pushes would grow it.
+    if m < 0x80 && gap_us < 1 << 49 && out.capacity() - at >= 8 {
+        let gap_len = 1 + (63 - (gap_us | 1).leading_zeros()) / 7;
+        // The gap's 7-bit groups, one per byte, low group first...
+        let groups = (gap_us & 0x7f)
+            | (gap_us << 1) & 0x7f00
+            | (gap_us << 2) & 0x7f_0000
+            | (gap_us << 3) & 0x7f00_0000
+            | (gap_us << 4) & 0x7f_0000_0000
+            | (gap_us << 5) & 0x7f00_0000_0000
+            | (gap_us << 6) & 0x7f_0000_0000_0000;
+        // ...with the continuation bit on every byte but its last.
+        let more = 0x0080_8080_8080_8080 & ((1 << (8 * (gap_len - 1))) - 1);
+        let word = u64::from(m) | (groups | more) << 8;
+        out.extend_from_slice(&word.to_le_bytes());
+        out.truncate(at + 1 + gap_len as usize);
+    } else {
         put_varint(m as u64, out);
-        put_varint(ipt.as_micros(), out);
+        put_varint(gap_us, out);
+    }
+}
+
+/// Reads one long-template entry at `pos`: the inverse of
+/// [`put_long_entry`].
+pub(crate) fn get_long_entry(data: &[u8], pos: &mut usize) -> Result<(u16, Duration), CodecError> {
+    let m = narrow(get_varint(data, pos)?, "template entry")?;
+    let gap = Duration::from_micros(get_varint(data, pos)?);
+    Ok((m, gap))
+}
+
+/// Reads one long template at `pos` — the inverse of
+/// [`put_long_template`] and the only long-template decoder: archive
+/// payloads and the [`Compressor`](crate::Compressor) oracle's
+/// assembled long slices both decode through it.
+pub(crate) fn get_long_template(data: &[u8], pos: &mut usize) -> Result<LongTemplate, CodecError> {
+    let n = get_varint(data, pos)? as usize;
+    let mut entries = Vec::with_capacity(clamped_capacity(n, data.len() - *pos));
+    for _ in 0..n {
+        entries.push(get_long_entry(data, pos)?);
+    }
+    Ok(LongTemplate { entries })
+}
+
+/// Appends the `M` of every entry in `entries` to `out`, skipping the
+/// gaps: clustering's view of a short flow's log. `entries` holds whole
+/// entries from [`put_long_entry`] and nothing else.
+pub(crate) fn long_entry_ms(entries: &[u8], out: &mut Vec<u16>) {
+    let mut pos = 0;
+    while pos < entries.len() {
+        // Bit 8k + 7 of `ends` is set when byte k ends a varint. An
+        // entry's first end closes its `M`, its second its gap.
+        let (word, ends) = varint_ends_at(entries, pos);
+        let gap1 = ends & ends.wrapping_sub(1);
+        let g1 = gap1.trailing_zeros();
+        let m2 = gap1 & gap1.wrapping_sub(1);
+        let gap2 = m2 & m2.wrapping_sub(1);
+        // One-byte `M`s (always, under the paper's weights): two entries
+        // per word when both fit, else one; parsing byte by byte only
+        // for a wider `M` or a gap of eight bytes or more.
+        if ends & 0x80 != 0 && m2.trailing_zeros() == g1 + 8 && gap2 != 0 {
+            out.push((word & 0x7f) as u16);
+            out.push((word >> (g1 + 1) & 0x7f) as u16);
+            pos += gap2.trailing_zeros() as usize / 8 + 1;
+        } else if ends & 0x80 != 0 && gap1 != 0 {
+            out.push((word & 0x7f) as u16);
+            pos += g1 as usize / 8 + 1;
+        } else {
+            let (m, _) = get_long_entry(entries, &mut pos).expect("whole long-template entries");
+            out.push(m);
+        }
+    }
+}
+
+/// Up to eight bytes of `bytes` from `pos` (`pos` in bounds) as a
+/// little-endian word, and the mask of its bytes' high bits that are
+/// clear — the bytes that end a varint — over the bytes present.
+#[inline]
+fn varint_ends_at(bytes: &[u8], pos: usize) -> (u64, u64) {
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    match bytes.get(pos..pos + 8) {
+        Some(eight) => {
+            let word = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+            (word, !word & HIGH)
+        }
+        None => {
+            let tail = &bytes[pos..];
+            let word = tail.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+            (word, !word & HIGH & (u64::MAX >> (64 - 8 * tail.len())))
+        }
     }
 }
 
@@ -718,14 +824,7 @@ impl<'a> ArchiveReader<'a> {
         let mut long_templates =
             Vec::with_capacity(clamped_capacity(entry.long_count, payload.len()));
         for _ in 0..entry.long_count {
-            let n = get_varint(payload, &mut pos)? as usize;
-            let mut entries = Vec::with_capacity(clamped_capacity(n, payload.len() - pos));
-            for _ in 0..n {
-                let m = narrow(get_varint(payload, &mut pos)?, "template entry")?;
-                let ipt = Duration::from_micros(get_varint(payload, &mut pos)?);
-                entries.push((m, ipt));
-            }
-            long_templates.push(LongTemplate { entries });
+            long_templates.push(get_long_template(payload, &mut pos)?);
         }
         pos += entry.gap;
 
@@ -1042,6 +1141,72 @@ mod tests {
         )
         .generate();
         Compressor::new(Params::paper()).compress(&trace).0
+    }
+
+    /// `M` and gap values at and around every varint width boundary the
+    /// entry codec branches on.
+    fn boundary_entries() -> Vec<(u16, u64)> {
+        let ms = [0u16, 1, 50, 127, 128, 16_383, 16_384, u16::MAX];
+        let mut gaps = vec![0u64, u64::MAX];
+        for bits in [7, 14, 21, 28, 35, 42, 49, 56, 63] {
+            gaps.extend([(1 << bits) - 1, 1 << bits]);
+        }
+        ms.iter()
+            .flat_map(|&m| gaps.iter().map(move |&g| (m, g)))
+            .collect()
+    }
+
+    #[test]
+    fn long_entries_encode_as_two_varints() {
+        for (m, gap) in boundary_entries() {
+            let mut want = Vec::new();
+            put_varint(u64::from(m), &mut want);
+            put_varint(gap, &mut want);
+            // From an empty buffer (no spare capacity), with plenty, and
+            // from an odd length with fewer than eight bytes spare.
+            for (prefix, spare) in [(0, 0), (0, 64), (5, 2)] {
+                let mut out = Vec::with_capacity(prefix + spare);
+                out.resize(prefix, 0xAA);
+                put_long_entry(m, gap, &mut out);
+                assert_eq!(out[..prefix], vec![0xAA; prefix][..]);
+                assert_eq!(out[prefix..], want[..], "M {m}, gap {gap}");
+                let mut pos = prefix;
+                let entry = get_long_entry(&out, &mut pos).unwrap();
+                assert_eq!(entry, (m, Duration::from_micros(gap)));
+                assert_eq!(pos, out.len());
+            }
+        }
+    }
+
+    #[test]
+    fn long_entry_ms_matches_entry_by_entry_decoding() {
+        let boundary = boundary_entries();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..2_000 {
+            // Mostly the paper's one-byte `M`s and short gaps, with every
+            // boundary value mixed in, over logs of every tail length.
+            let n = case % 40;
+            let mut log = Vec::new();
+            let mut want = Vec::new();
+            for _ in 0..n {
+                let (m, gap) = match next() % 8 {
+                    0 => boundary[next() as usize % boundary.len()],
+                    _ => ((next() % 64) as u16, next() % (1 << (7 * (1 + next() % 3)))),
+                };
+                put_long_entry(m, gap, &mut log);
+                want.push(m);
+            }
+            let mut got = vec![7u16];
+            long_entry_ms(&log, &mut got);
+            assert_eq!(got[0], 7, "appends");
+            assert_eq!(got[1..], want[..], "case {case}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! endpoints, loop back to their own endpoint and mix in UDP.
 
 use flowzip_core::characterize::{size_class, Dependence};
-use flowzip_core::{FinishedFlow, FlowAccumulator, Params};
+use flowzip_core::{FinishedFlow, FlowAccumulator, FlowTelemetry, Params};
 use flowzip_trace::prelude::*;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -120,6 +120,17 @@ fn canonical(t: FiveTuple) -> FiveTuple {
     }
 }
 
+/// What the reference expects of one finished flow: `FinishedFlow`'s
+/// fields, with its packets as plain `(M, gap)` entries.
+#[derive(Debug)]
+struct RefFinished {
+    first_ts: Timestamp,
+    dst_ip: Ipv4Addr,
+    rtt: Duration,
+    entries: Vec<(u16, Duration)>,
+    telemetry: Option<FlowTelemetry>,
+}
+
 struct RefFlow {
     seq: u64,
     initiator: FiveTuple,
@@ -135,7 +146,7 @@ struct Reference {
     telemetry: bool,
     open: BTreeMap<FiveTuple, RefFlow>,
     next_seq: u64,
-    finished: Vec<FinishedFlow>,
+    finished: Vec<RefFinished>,
     evicted: u64,
 }
 
@@ -200,7 +211,7 @@ impl Reference {
             self.close_where(|f| f.packets.last().expect("non-empty").timestamp() < cutoff);
     }
 
-    fn finish(mut self) -> Vec<FinishedFlow> {
+    fn finish(mut self) -> Vec<RefFinished> {
         self.close_where(|_| true);
         self.finished
     }
@@ -209,8 +220,7 @@ impl Reference {
         let first_ts = flow.packets[0].timestamp();
         let mut last: Option<(FlowDirection, Timestamp)> = None;
         let mut rtt = None;
-        let mut vector = Vec::new();
-        let mut ipts = Vec::new();
+        let mut entries = Vec::new();
         for p in &flow.packets {
             let dir = if p.tuple() == flow.initiator {
                 FlowDirection::FromInitiator
@@ -224,11 +234,11 @@ impl Reference {
             let f1 = self.params.classifier.classify(p.flags());
             let f3 = size_class(p.payload_len(), self.params.size_edge);
             let m = self.params.weights.m_value(f1, dep, f3);
-            vector.push(m.min(u32::from(u16::MAX)) as u16);
-            ipts.push(match last {
+            let gap = match last {
                 Some((_, ts)) => p.timestamp().saturating_since(ts),
                 None => Duration::ZERO,
-            });
+            };
+            entries.push((m.min(u32::from(u16::MAX)) as u16, gap));
             last = Some((dir, p.timestamp()));
         }
         // Telemetry is per-flow arithmetic with its own unit tests; what
@@ -244,12 +254,11 @@ impl Reference {
             assert_eq!(out.len(), 1, "one flow's packets form one flow");
             out.remove(0).telemetry.expect("telemetry on")
         });
-        self.finished.push(FinishedFlow {
+        self.finished.push(RefFinished {
             first_ts,
             dst_ip: flow.initiator.dst_ip,
             rtt: rtt.unwrap_or(Duration::ZERO),
-            vector,
-            ipts,
+            entries,
             telemetry,
         });
     }
@@ -301,8 +310,15 @@ proptest! {
             prop_assert_eq!(g.first_ts, w.first_ts, "flow {} first_ts", i);
             prop_assert_eq!(g.dst_ip, w.dst_ip, "flow {} dst_ip", i);
             prop_assert_eq!(g.rtt, w.rtt, "flow {} rtt", i);
-            prop_assert_eq!(&g.vector, &w.vector, "flow {} vector", i);
-            prop_assert_eq!(&g.ipts, &w.ipts, "flow {} ipts", i);
+            // Every packet's `M` and gap, in order, and the count: the
+            // old separate `vector` and `ipts` checks in one.
+            prop_assert_eq!(g.len(), w.entries.len(), "flow {} packets", i);
+            let entries: Vec<(u16, Duration)> = g.entries().collect();
+            prop_assert_eq!(&entries, &w.entries, "flow {} entries", i);
+            let mut vector = Vec::new();
+            g.decode_vector(&mut vector);
+            let want: Vec<u16> = w.entries.iter().map(|&(m, _)| m).collect();
+            prop_assert_eq!(vector, want, "flow {} M vector", i);
             prop_assert_eq!(g.telemetry, w.telemetry, "flow {} telemetry", i);
         }
 

@@ -1,0 +1,229 @@
+//! Heap and allocation budgets of the compress path's per-flow state.
+//!
+//! The `#[global_allocator]` below is the benchmark harness's counting
+//! allocator extended with live bytes and their high-water mark. It is
+//! this test binary's own: the product crates keep the system allocator.
+//!
+//! Counting is per thread — the harness runs tests on parallel threads,
+//! and each measurement only sees the allocations of the thread that
+//! asked for it. Live bytes start at zero when a measurement starts, so a
+//! block freed during it that predates it can push them below zero; the
+//! high-water mark is the most the heap grew above where it stood.
+//!
+//! Each ceiling is the value measured when it was set plus 25 %. A change
+//! that lowers a value ratchets its ceiling down; one that raises it past
+//! the ceiling fails here, before any benchmark run.
+
+use flowzip_core::{FlowAccumulator, FlowAssembler, Params};
+use flowzip_trace::prelude::*;
+use flowzip_traffic::{WebTrafficConfig, WebTrafficGenerator};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+// Const-initialized and drop-free, so reading them never allocates.
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Notes an allocator call that changes the live bytes by `delta`.
+#[inline]
+fn note(call: bool, delta: i64) {
+    if ENABLED.get() {
+        CALLS.set(CALLS.get() + u64::from(call));
+        let live = LIVE.get() + delta;
+        LIVE.set(live);
+        PEAK.set(PEAK.get().max(live));
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(true, layout.size() as i64);
+        // SAFETY: the caller's `layout` is passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(true, layout.size() as i64);
+        // SAFETY: as `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(true, new_size as i64 - layout.size() as i64);
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`,
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(false, -(layout.size() as i64));
+        // SAFETY: as `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// What one measured closure cost on its thread's heap.
+struct HeapUse {
+    /// Allocator calls: alloc + alloc_zeroed + realloc.
+    calls: u64,
+    /// Most bytes live above the starting point at any moment.
+    peak_bytes: u64,
+}
+
+/// Runs `f` with counting on and returns its result and heap use.
+fn measure<T>(f: impl FnOnce() -> T) -> (T, HeapUse) {
+    CALLS.set(0);
+    LIVE.set(0);
+    PEAK.set(0);
+    ENABLED.set(true);
+    let out = f();
+    ENABLED.set(false);
+    let used = HeapUse {
+        calls: CALLS.get(),
+        peak_bytes: PEAK.get() as u64,
+    };
+    (out, used)
+}
+
+fn web_trace() -> Trace {
+    WebTrafficGenerator::new(
+        WebTrafficConfig {
+            flows: 4_000,
+            ..WebTrafficConfig::default()
+        },
+        20_050_320,
+    )
+    .generate()
+}
+
+/// Four long-lived carriers sharing `packets` by 0.6 / 0.2 / 0.1 / 0.1,
+/// as TCP trunking does: a handshake each, then full-size data answered
+/// by an ACK every second segment, a FIN each at the end, a packet every
+/// 200 µs.
+fn trunk_trace(packets: usize) -> Trace {
+    const SHARES: [usize; 4] = [6, 2, 1, 1];
+    let carriers: Vec<FiveTuple> = (0..SHARES.len() as u8)
+        .map(|i| {
+            FiveTuple::tcp(
+                Ipv4Addr::new(10, 1, 0, i + 1),
+                20_000 + u16::from(i),
+                Ipv4Addr::new(172, 16, 0, i + 1),
+                443,
+            )
+        })
+        .collect();
+    // Each carrier's turns, spread over a cycle of ten packets.
+    let cycle: Vec<usize> = (0..10)
+        .map(|slot| {
+            let mut edge = 0;
+            SHARES
+                .iter()
+                .position(|&s| {
+                    edge += s;
+                    (slot * 7 + 3) % 10 < edge
+                })
+                .expect("shares sum to ten")
+        })
+        .collect();
+
+    let mut out = Vec::with_capacity(packets);
+    let mut push = |t: FiveTuple, flags: TcpFlags, len: u16| {
+        out.push(
+            PacketRecord::builder()
+                .timestamp(Timestamp::from_micros(out.len() as u64 * 200))
+                .tuple(t)
+                .flags(flags)
+                .payload_len(len)
+                .build(),
+        );
+    };
+    for &c in &carriers {
+        push(c, TcpFlags::SYN, 0);
+        push(c.reversed(), TcpFlags::SYN | TcpFlags::ACK, 0);
+    }
+    let mut unacked = [0u8; 4];
+    for i in 0..packets - 4 * carriers.len() {
+        let c = cycle[i % cycle.len()];
+        if unacked[c] == 2 {
+            push(carriers[c].reversed(), TcpFlags::ACK, 0);
+            unacked[c] = 0;
+        } else {
+            push(carriers[c], TcpFlags::PSH | TcpFlags::ACK, 1460);
+            unacked[c] += 1;
+        }
+    }
+    for &c in &carriers {
+        push(c, TcpFlags::FIN | TcpFlags::ACK, 0);
+        push(c.reversed(), TcpFlags::FIN | TcpFlags::ACK, 0);
+    }
+    Trace::from_packets(out)
+}
+
+#[test]
+fn accumulate_allocations_per_packet() {
+    let trace = web_trace();
+    let packets = trace.packets();
+    let (flows, used) = measure(|| {
+        let mut acc = FlowAccumulator::new(Params::paper());
+        for p in packets {
+            acc.push(p);
+        }
+        acc.finish().len()
+    });
+    assert!(flows > 3_000, "{flows} flows");
+    let per_packet = used.calls as f64 / packets.len() as f64;
+    // Measured 0.211 with one byte log per flow; two `Vec`s per flow (an
+    // `M` vector and a gap vector) measured 0.332. ROADMAP item 14's
+    // target is < 0.02: a short flow that never allocates.
+    assert!(
+        per_packet <= 0.26,
+        "accumulate made {per_packet:.4} allocations per packet (ceiling 0.26)"
+    );
+}
+
+#[test]
+fn trunk_heap_high_water_per_packet() {
+    let trace = trunk_trace(200_000);
+    let packets = trace.packets();
+    let (long_flows, used) = measure(|| {
+        let params = Params::paper();
+        let mut acc = FlowAccumulator::new(params.clone());
+        let mut asm = FlowAssembler::new(params);
+        // The engine's cadence: finished flows leave after every batch.
+        for batch in packets.chunks(1024) {
+            for p in batch {
+                acc.push(p);
+            }
+            for f in acc.drain_completed() {
+                asm.consume(&f);
+            }
+        }
+        for f in acc.finish() {
+            asm.consume(&f);
+        }
+        asm.into_section().long_count
+    });
+    assert_eq!(long_flows, 4);
+    let per_packet = used.peak_bytes as f64 / packets.len() as f64;
+    // Measured 5.74 B/packet: the carriers' byte logs at ≈ 3 B per
+    // packet while they are open, then the section's long-template slice
+    // they are appended to. Keeping a 2 B `M` and an 8 B gap per open
+    // packet, then a 16 B decoded entry per long-flow packet until the
+    // section was written, measured 22.7.
+    assert!(
+        per_packet <= 7.2,
+        "accumulate + assemble peaked at {per_packet:.2} heap bytes per packet (ceiling 7.2)"
+    );
+}

@@ -34,8 +34,10 @@ fn main() {
 
     // Cluster at the paper's threshold.
     let mut store = TemplateStore::new(Params::paper());
+    let mut vector = Vec::new();
     for f in flows.iter().filter(|f| f.is_short(50)) {
-        store.offer(&f.vector);
+        f.decode_vector(&mut vector);
+        store.offer(&vector);
     }
     println!(
         "short flows: {}   clusters: {}   (avg {:.1} flows/cluster)\n",
@@ -104,7 +106,8 @@ fn main() {
             ..Params::paper()
         });
         for f in flows.iter().filter(|f| f.is_short(50)) {
-            s.offer(&f.vector);
+            f.decode_vector(&mut vector);
+            s.offer(&vector);
         }
         table.row_owned(vec![
             format!("{:.0}%", sim * 100.0),
