@@ -330,16 +330,17 @@ mod tests {
         }
         let bytes = tsh::to_bytes(&t);
         let direct: Vec<_> = TshReader::new(&bytes[..]).map(|p| p.unwrap()).collect();
-        let prefetched: Vec<_> = TshReader::new(PrefetchReader::with_config(
-            std::io::Cursor::new(bytes),
-            PrefetchConfig {
-                chunk_bytes: 4096,
-                chunks: 2,
-            },
-            IoStats::new(),
-        ))
-        .map(|p| p.unwrap())
-        .collect();
+        let prefetched: Vec<_> =
+            TshReader::new(std::io::BufReader::new(PrefetchReader::with_config(
+                std::io::Cursor::new(bytes),
+                PrefetchConfig {
+                    chunk_bytes: 4096,
+                    chunks: 2,
+                },
+                IoStats::new(),
+            )))
+            .map(|p| p.unwrap())
+            .collect();
         assert_eq!(direct, prefetched);
     }
 }

@@ -373,7 +373,7 @@ impl std::fmt::Debug for ServeBuilder {
 
 impl ServeBuilder {
     /// Starts from the defaults: v2.2 archives, engine defaults, a
-    /// 64-batch ingest queue, [`OverloadPolicy::Drop`].
+    /// 32-batch ingest queue, [`OverloadPolicy::Drop`].
     pub fn new() -> ServeBuilder {
         ServeBuilder {
             source: None,
@@ -383,7 +383,10 @@ impl ServeBuilder {
             // A daemon defaults to observable; `Metrics::disabled()` is
             // the explicit opt-out.
             engine: EngineBuilder::new().metrics(Metrics::enabled()),
-            queue_batches: 64,
+            // Ingest outruns the engine, so under `Block` the queue sits
+            // full (≈ 39 KB per slot) and under `Drop` its depth is the
+            // burst it absorbs; ROADMAP item 19 has the measured curve.
+            queue_batches: 32,
             overload: OverloadPolicy::default(),
             stats: LiveStats::default(),
             on_window: None,
@@ -460,7 +463,7 @@ impl ServeBuilder {
         self
     }
 
-    /// Bound of the ingest queue in batches (default 64; `0` is a
+    /// Bound of the ingest queue in batches (default 32; `0` is a
     /// configuration error). Peak queued packets ≈ `queue_batches ×
     /// batch_size`.
     pub fn queue_batches(mut self, batches: usize) -> Self {

@@ -7,15 +7,18 @@
 //! original on-wire length preserved in `orig_len`.
 //!
 //! Both byte orders are accepted on read (magic detection); files are
-//! written little-endian with microsecond timestamps.
+//! written little-endian with microsecond timestamps. The reader honours
+//! the IPv4 header length (IHL), so a frame with IP options parses; its
+//! packet is written back without them.
 
 use crate::error::TraceError;
 use crate::flags::TcpFlags;
 use crate::packet::{wire_timestamp, PacketRecord, WIRE_HEADER_BYTES};
+use crate::reader::{fill, skip};
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Ipv4Addr;
 
 /// Little-endian microsecond magic.
@@ -35,15 +38,22 @@ pub const LINKTYPE_ETHERNET: u32 = 1;
 pub const SNAP_BYTES: u32 = 54;
 /// Largest per-record capture length the reader accepts. Real snaplens
 /// top out at 64 KiB; anything bigger means a desynced or hostile
-/// stream, and bounding it keeps a corrupt length field from turning
-/// into a multi-gigabyte allocation.
+/// stream, and bounding it keeps a corrupt length field from silently
+/// skipping gigabytes of input as one frame.
 pub const MAX_CAPTURE_BYTES: usize = 1 << 18;
 
 /// Bytes of the pcap global header.
 const GLOBAL_HEADER_BYTES: usize = 24;
+/// Bytes of a per-record header: seconds, microseconds, captured and
+/// original length.
+const RECORD_HEADER_BYTES: usize = 16;
 /// Bytes one packet occupies on disk: the 16-byte record header plus the
 /// captured frame.
-const RECORD_BYTES: usize = 16 + SNAP_BYTES as usize;
+const RECORD_BYTES: usize = RECORD_HEADER_BYTES + SNAP_BYTES as usize;
+/// The frame bytes the reader can look at: Ethernet (14), the longest
+/// IPv4 header (IHL 15, 60 bytes) and a TCP header (20). Anything past
+/// them is skipped unread.
+const FRAME_HEAD_BYTES: usize = 14 + 60 + 20;
 
 /// Streaming pcap writer: [`PcapWriter::new`] writes the global header
 /// once, then [`PcapWriter::write_packet`] encodes one record straight
@@ -143,8 +153,10 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
 
 /// Incremental pcap reader: an iterator of
 /// `Result<PacketRecord, TraceError>` that parses one capture record at a
-/// time. Non-IPv4 / non-Ethernet frames and under-snap captures are
-/// skipped silently, like [`read_trace`]; the first hard error (truncated
+/// time, in place from the [`BufRead`] buffer — no copy and no
+/// allocation per record. Non-IPv4 / non-Ethernet frames and frames
+/// captured too short to hold their IPv4 and TCP headers are skipped
+/// silently, like [`read_trace`]; the first hard error (truncated
 /// record, bad timestamp, I/O failure) is yielded once and fuses the
 /// iterator.
 #[derive(Debug)]
@@ -154,7 +166,57 @@ pub struct PcapReader<R> {
     done: bool,
 }
 
-impl<R: Read> PcapReader<R> {
+/// What one capture record holds for the reader.
+enum Record {
+    /// A TCP/IPv4 frame, decoded.
+    Packet(PacketRecord),
+    /// A frame the reader passes over.
+    Skipped,
+}
+
+/// A decoded 16-byte record header.
+struct RecordHeader {
+    secs: u32,
+    micros: u32,
+    incl: usize,
+    orig: u32,
+}
+
+impl RecordHeader {
+    /// Decodes the header in the file's byte order and bounds its
+    /// capture length.
+    #[inline]
+    fn decode(h: &[u8; RECORD_HEADER_BYTES], big_endian: bool) -> Result<Self, TraceError> {
+        let field = |off: usize| {
+            let v = u32::from_le_bytes([h[off], h[off + 1], h[off + 2], h[off + 3]]);
+            if big_endian {
+                v.swap_bytes()
+            } else {
+                v
+            }
+        };
+        let incl = field(8) as usize;
+        if incl > MAX_CAPTURE_BYTES {
+            return Err(TraceError::InvalidTrace(format!(
+                "capture length {incl} exceeds the {MAX_CAPTURE_BYTES} B limit"
+            )));
+        }
+        Ok(RecordHeader {
+            secs: field(0),
+            micros: field(4),
+            incl,
+            orig: field(12),
+        })
+    }
+
+    /// The leading frame bytes [`parse_frame`] reads.
+    #[inline]
+    fn head_len(&self) -> usize {
+        self.incl.min(FRAME_HEAD_BYTES)
+    }
+}
+
+impl<R: BufRead> PcapReader<R> {
     /// Reads and validates the 24-byte global header, leaving the stream
     /// positioned at the first record.
     ///
@@ -163,8 +225,14 @@ impl<R: Read> PcapReader<R> {
     /// Returns [`TraceError::InvalidTrace`] for a bad magic or link type
     /// and [`TraceError::TruncatedRecord`] for a short global header.
     pub fn new(mut inner: R) -> Result<PcapReader<R>, TraceError> {
-        let mut global = [0u8; 24];
-        read_exact_or(&mut inner, &mut global, 24)?;
+        let mut global = [0u8; GLOBAL_HEADER_BYTES];
+        let got = fill(&mut inner, &mut global)?;
+        if got < GLOBAL_HEADER_BYTES {
+            return Err(TraceError::TruncatedRecord {
+                got,
+                need: GLOBAL_HEADER_BYTES,
+            });
+        }
         let magic = u32::from_le_bytes([global[0], global[1], global[2], global[3]]);
         let big_endian = match magic {
             MAGIC_LE => false,
@@ -198,81 +266,133 @@ impl<R: Read> PcapReader<R> {
         self.inner
     }
 
-    fn u32at(&self, b: &[u8], off: usize) -> u32 {
-        let raw = [b[off], b[off + 1], b[off + 2], b[off + 3]];
-        if self.big_endian {
-            u32::from_be_bytes(raw)
-        } else {
-            u32::from_le_bytes(raw)
+    /// Parses records until one decodes to a packet, errors, or EOF.
+    #[inline]
+    fn read_packet(&mut self) -> Option<Result<PacketRecord, TraceError>> {
+        loop {
+            match self.read_record() {
+                Ok(Some(Record::Packet(p))) => return Some(Ok(p)),
+                Ok(Some(Record::Skipped)) => {}
+                Ok(None) => return None,
+                Err(e) => return Some(Err(e)),
+            }
         }
     }
 
-    /// Parses records until one decodes to a packet, is skipped into the
-    /// next iteration, errors, or EOF.
-    fn read_packet(&mut self) -> Option<Result<PacketRecord, TraceError>> {
-        let mut rec = [0u8; 16];
-        loop {
-            match read_record_header(&mut self.inner, &mut rec) {
-                Ok(false) => return None,
-                Ok(true) => {}
-                Err(e) => return Some(Err(e)),
+    /// Parses one record straight out of the buffer when it holds the
+    /// whole record; otherwise takes the copying slow path. `None` at a
+    /// clean EOF.
+    #[inline]
+    fn read_record(&mut self) -> Result<Option<Record>, TraceError> {
+        let big_endian = self.big_endian;
+        let buf = self.inner.fill_buf()?;
+        let Some(h) = buf.first_chunk::<RECORD_HEADER_BYTES>() else {
+            return self.read_straddling();
+        };
+        let header = RecordHeader::decode(h, big_endian)?;
+        let Some(frame) = buf[RECORD_HEADER_BYTES..].get(..header.incl) else {
+            return self.read_straddling();
+        };
+        let record = parse_frame(&header, &frame[..header.head_len()]);
+        self.inner.consume(RECORD_HEADER_BYTES + header.incl);
+        record.map(Some)
+    }
+
+    /// A record split across buffer refills (or short reads): its header
+    /// and frame head are copied to the stack, the rest of the frame is
+    /// consumed unread.
+    #[cold]
+    fn read_straddling(&mut self) -> Result<Option<Record>, TraceError> {
+        let mut h = [0u8; RECORD_HEADER_BYTES];
+        match fill(&mut self.inner, &mut h)? {
+            0 => return Ok(None),
+            RECORD_HEADER_BYTES => {}
+            got => {
+                return Err(TraceError::TruncatedRecord {
+                    got,
+                    need: RECORD_HEADER_BYTES,
+                })
             }
-            let secs = self.u32at(&rec, 0);
-            let micros = self.u32at(&rec, 4);
-            let incl = self.u32at(&rec, 8) as usize;
-            let orig = self.u32at(&rec, 12);
-            if incl > MAX_CAPTURE_BYTES {
-                return Some(Err(TraceError::InvalidTrace(format!(
-                    "capture length {incl} exceeds the {MAX_CAPTURE_BYTES} B limit"
-                ))));
-            }
-            let mut body = vec![0u8; incl];
-            if let Err(e) = read_exact_or(&mut self.inner, &mut body, incl) {
-                return Some(Err(e));
-            }
-            if incl < SNAP_BYTES as usize {
-                continue; // too short to hold our headers
-            }
-            if u16::from_be_bytes([body[12], body[13]]) != 0x0800 {
-                continue; // not IPv4
-            }
-            let ip = &body[14..34];
-            if ip[0] >> 4 != 4 {
-                continue;
-            }
-            let ts = match Timestamp::from_secs_micros(secs, micros) {
-                Ok(ts) => ts,
-                Err(e) => return Some(Err(e)),
-            };
-            let tcp = &body[34..54];
-            let total_len = u16::from_be_bytes([ip[2], ip[3]]) as u32;
-            let payload = total_len
-                .max(orig.saturating_sub(14))
-                .saturating_sub(crate::packet::HEADER_BYTES) as u16;
-            return Some(Ok(PacketRecord::builder()
-                .timestamp(ts)
-                .src(
-                    Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]),
-                    u16::from_be_bytes([tcp[0], tcp[1]]),
-                )
-                .dst(
-                    Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]),
-                    u16::from_be_bytes([tcp[2], tcp[3]]),
-                )
-                .protocol(Protocol::new(ip[9]))
-                .flags(TcpFlags::from_bits(tcp[13]))
-                .payload_len(payload)
-                .seq(u32::from_be_bytes([tcp[4], tcp[5], tcp[6], tcp[7]]))
-                .ack(u32::from_be_bytes([tcp[8], tcp[9], tcp[10], tcp[11]]))
-                .window(u16::from_be_bytes([tcp[14], tcp[15]]))
-                .ip_id(u16::from_be_bytes([ip[4], ip[5]]))
-                .ttl(ip[8])
-                .build()));
         }
+        let header = RecordHeader::decode(&h, self.big_endian)?;
+        let mut head = [0u8; FRAME_HEAD_BYTES];
+        let head = &mut head[..header.head_len()];
+        let mut got = fill(&mut self.inner, head)?;
+        if got == head.len() {
+            got += skip(&mut self.inner, header.incl - got)?;
+        }
+        if got < header.incl {
+            return Err(TraceError::TruncatedRecord {
+                got,
+                need: header.incl,
+            });
+        }
+        parse_frame(&header, head).map(Some)
     }
 }
 
-impl<R: Read> Iterator for PcapReader<R> {
+/// Decodes one captured frame, `frame` being its first
+/// [`RecordHeader::head_len`] bytes. Frames that are not IPv4 on
+/// Ethernet, or whose capture ends inside the IPv4 or TCP header, are
+/// [`Record::Skipped`]; the TCP header is found through the IHL field.
+#[inline]
+fn parse_frame(header: &RecordHeader, frame: &[u8]) -> Result<Record, TraceError> {
+    // Ethernet and the fixed IPv4 header; SNAP_BYTES also covers the
+    // TCP header when there are no IP options.
+    let Some(eth_ip) = frame.first_chunk::<{ SNAP_BYTES as usize }>() else {
+        return Ok(Record::Skipped);
+    };
+    if u16::from_be_bytes([eth_ip[12], eth_ip[13]]) != 0x0800 {
+        return Ok(Record::Skipped); // not IPv4
+    }
+    let ip: &[u8; 20] = eth_ip[14..34]
+        .try_into()
+        .expect("a 54-byte head holds the fixed IPv4 header");
+    if ip[0] >> 4 != 4 {
+        return Ok(Record::Skipped);
+    }
+    let ip_header = usize::from(ip[0] & 0x0f) * 4;
+    if ip_header < 20 {
+        return Ok(Record::Skipped); // IHL < 5: no valid IPv4 header
+    }
+    let Some(tcp) = frame
+        .get(14 + ip_header..)
+        .and_then(|tcp| tcp.first_chunk::<20>())
+    else {
+        return Ok(Record::Skipped); // capture ends inside the TCP header
+    };
+    let ts = Timestamp::from_secs_micros(header.secs, header.micros)?;
+    let total_len = u16::from_be_bytes([ip[2], ip[3]]) as u32;
+    // Saturates at u16::MAX: segmentation-offload captures report
+    // on-wire lengths past what an IPv4 total length can hold.
+    let payload = total_len
+        .max(header.orig.saturating_sub(14))
+        .saturating_sub(ip_header as u32 + 20)
+        .min(u16::MAX as u32) as u16;
+    Ok(Record::Packet(
+        PacketRecord::builder()
+            .timestamp(ts)
+            .src(
+                Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]),
+                u16::from_be_bytes([tcp[0], tcp[1]]),
+            )
+            .dst(
+                Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]),
+                u16::from_be_bytes([tcp[2], tcp[3]]),
+            )
+            .protocol(Protocol::new(ip[9]))
+            .flags(TcpFlags::from_bits(tcp[13]))
+            .payload_len(payload)
+            .seq(u32::from_be_bytes([tcp[4], tcp[5], tcp[6], tcp[7]]))
+            .ack(u32::from_be_bytes([tcp[8], tcp[9], tcp[10], tcp[11]]))
+            .window(u16::from_be_bytes([tcp[14], tcp[15]]))
+            .ip_id(u16::from_be_bytes([ip[4], ip[5]]))
+            .ttl(ip[8])
+            .build(),
+    ))
+}
+
+impl<R: BufRead> Iterator for PcapReader<R> {
     type Item = Result<PacketRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -288,49 +408,19 @@ impl<R: Read> Iterator for PcapReader<R> {
     }
 }
 
-/// Reads a pcap file into a trace. Non-IPv4 or non-Ethernet frames and
-/// truncated captures (< 54 bytes) are skipped, like a tolerant analyzer.
+/// Reads a pcap file into a trace, buffering `r` itself. Non-IPv4 or
+/// non-Ethernet frames and captures too short for their headers are
+/// skipped, like a tolerant analyzer.
 ///
 /// # Errors
 ///
 /// Returns [`TraceError`] for malformed global/record headers.
 pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
     let mut trace = Trace::new();
-    for pkt in PcapReader::new(r)? {
+    for pkt in PcapReader::new(BufReader::new(r))? {
         trace.push(pkt?);
     }
     Ok(trace)
-}
-
-/// Reads a 16-byte record header; `Ok(false)` at clean EOF.
-fn read_record_header<R: Read>(r: &mut R, buf: &mut [u8; 16]) -> Result<bool, TraceError> {
-    let mut filled = 0;
-    while filled < 16 {
-        let n = r.read(&mut buf[filled..])?;
-        if n == 0 {
-            if filled == 0 {
-                return Ok(false);
-            }
-            return Err(TraceError::TruncatedRecord {
-                got: filled,
-                need: 16,
-            });
-        }
-        filled += n;
-    }
-    Ok(true)
-}
-
-fn read_exact_or<R: Read>(r: &mut R, buf: &mut [u8], need: usize) -> Result<(), TraceError> {
-    let mut filled = 0;
-    while filled < need {
-        let n = r.read(&mut buf[filled..])?;
-        if n == 0 {
-            return Err(TraceError::TruncatedRecord { got: filled, need });
-        }
-        filled += n;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -431,6 +521,80 @@ mod tests {
         assert_eq!(bytes.len(), 24);
         let back = read_trace(&bytes[..]).unwrap();
         assert!(back.is_empty());
+    }
+
+    /// A one-record image of `p` whose frame `edit` rewrites; the record
+    /// header's `incl_len` follows the edited frame and `orig_len` is
+    /// set as given.
+    fn one_record(p: PacketRecord, orig: u32, edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let img = to_bytes(&Trace::from_packets(vec![p]));
+        let mut frame = img[24 + 16..].to_vec();
+        edit(&mut frame);
+        let mut out = img[..24 + 8].to_vec();
+        out.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        out.extend_from_slice(&orig.to_le_bytes());
+        out.extend_from_slice(&frame);
+        out
+    }
+
+    /// Inserts `words` 32-bit words of IP options and sets IHL and the
+    /// IP total length to match.
+    fn add_ip_options(frame: &mut Vec<u8>, words: u8) {
+        let options = vec![0x01; 4 * words as usize]; // NOP options
+        frame.splice(34..34, options);
+        frame[14] = 0x45 + words;
+        let total = u16::from_be_bytes([frame[16], frame[17]]) + 4 * words as u16;
+        frame[16..18].copy_from_slice(&total.to_be_bytes());
+    }
+
+    #[test]
+    fn payload_len_saturates_on_oversized_orig_len() {
+        // Segmentation-offload captures report on-wire lengths past what
+        // 16 bits hold; the payload clamps instead of wrapping.
+        let p = sample_trace().packets()[3];
+        for orig in [65_590u32, 70_000] {
+            let img = one_record(p, orig, |_| {});
+            let back = read_trace(&img[..]).unwrap();
+            assert_eq!(back.packets()[0].payload_len(), u16::MAX, "orig_len {orig}");
+        }
+        // Just below the wrap point the length is exact.
+        let img = one_record(p, 65_589, |_| {});
+        assert_eq!(
+            read_trace(&img[..]).unwrap().packets()[0].payload_len(),
+            65_535
+        );
+        let img = one_record(p, 14 + 40 + 100, |_| {});
+        let back = read_trace(&img[..]).unwrap().packets()[0];
+        assert_eq!(back.payload_len(), p.payload_len().max(100));
+    }
+
+    #[test]
+    fn ip_options_move_the_tcp_header() {
+        let p = sample_trace().packets()[7];
+        let orig = 14 + p.ip_total_len() + 4;
+        let img = one_record(p, orig, |f| add_ip_options(f, 1));
+        assert_eq!(img.len(), 24 + 16 + 58);
+        let back = read_trace(&img[..]).unwrap();
+        assert_eq!(back.packets(), &[p], "IHL 6, captured whole");
+
+        // Cut at 54 B the TCP header is incomplete: skipped, like an
+        // under-snap capture.
+        let img = one_record(p, orig, |f| {
+            add_ip_options(f, 1);
+            f.truncate(54);
+        });
+        assert!(
+            read_trace(&img[..]).unwrap().is_empty(),
+            "IHL 6, cut at 54 B"
+        );
+
+        // IHL 4 cannot hold an IPv4 header: skipped.
+        let img = one_record(p, 14 + p.ip_total_len(), |f| f[14] = 0x44);
+        assert!(read_trace(&img[..]).unwrap().is_empty(), "IHL 4");
+
+        // The longest header (IHL 15) still fits the reader's frame head.
+        let img = one_record(p, 14 + p.ip_total_len() + 40, |f| add_ip_options(f, 10));
+        assert_eq!(read_trace(&img[..]).unwrap().packets(), &[p], "IHL 15");
     }
 
     #[test]

@@ -12,12 +12,18 @@
 //!   for every fallible packet iterator.
 //! * [`CaptureFormat`] — TSH vs. pcap, detected from the leading magic.
 //! * [`CaptureReader`] — either concrete reader behind one enum.
+//!
+//! Both readers parse in place: a record the [`BufRead`] buffer holds
+//! whole is decoded straight out of [`BufRead::fill_buf`]'s slice and
+//! consumed. Only a record that straddles the buffer's end takes the
+//! slow path, `fill` and `skip` below, which copies a bounded record
+//! head to the stack and discards the rest.
 
 use crate::error::TraceError;
 use crate::packet::PacketRecord;
 use crate::pcap::{self, PcapReader};
 use crate::tsh::TshReader;
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
 /// The interface every packet reader shares: a fallible iterator of
 /// [`PacketRecord`]s. Blanket-implemented, so any adaptor built from
@@ -114,7 +120,7 @@ impl<R: BufRead> CaptureReader<R> {
     }
 }
 
-impl<R: std::io::Read> Iterator for CaptureReader<R> {
+impl<R: BufRead> Iterator for CaptureReader<R> {
     type Item = Result<PacketRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -123,6 +129,39 @@ impl<R: std::io::Read> Iterator for CaptureReader<R> {
             CaptureReader::Pcap(r) => r.next(),
         }
     }
+}
+
+/// Copies stream bytes into `buf` until it is full or the stream ends;
+/// returns how many were copied, short only at EOF.
+pub(crate) fn fill<R: BufRead>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        let avail = r.fill_buf()?;
+        if avail.is_empty() {
+            break;
+        }
+        let n = avail.len().min(buf.len() - filled);
+        buf[filled..filled + n].copy_from_slice(&avail[..n]);
+        r.consume(n);
+        filled += n;
+    }
+    Ok(filled)
+}
+
+/// Discards up to `n` stream bytes without copying them; returns how
+/// many were discarded, short only at EOF.
+pub(crate) fn skip<R: BufRead>(r: &mut R, n: usize) -> io::Result<usize> {
+    let mut skipped = 0;
+    while skipped < n {
+        let avail = r.fill_buf()?.len();
+        if avail == 0 {
+            break;
+        }
+        let k = avail.min(n - skipped);
+        r.consume(k);
+        skipped += k;
+    }
+    Ok(skipped)
 }
 
 #[cfg(test)]

@@ -19,10 +19,11 @@
 use crate::error::TraceError;
 use crate::flags::TcpFlags;
 use crate::packet::{wire_timestamp, PacketRecord, WIRE_HEADER_BYTES};
+use crate::reader::fill;
 use crate::time::Timestamp;
 use crate::trace::Trace;
 use crate::tuple::Protocol;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::Ipv4Addr;
 
 /// Size of one TSH record on disk.
@@ -73,12 +74,19 @@ fn encode_into(
 /// Returns [`TraceError::TruncatedRecord`] for short input and
 /// [`TraceError::FieldOutOfRange`] for an unnormalized microsecond field.
 pub fn decode_record(rec: &[u8]) -> Result<(PacketRecord, u8), TraceError> {
-    if rec.len() < RECORD_BYTES {
-        return Err(TraceError::TruncatedRecord {
+    match rec.first_chunk::<RECORD_BYTES>() {
+        Some(rec) => decode(rec),
+        None => Err(TraceError::TruncatedRecord {
             got: rec.len(),
             need: RECORD_BYTES,
-        });
+        }),
     }
+}
+
+/// [`decode_record`] on a whole record, so every field offset is in
+/// bounds by type.
+#[inline]
+fn decode(rec: &[u8; RECORD_BYTES]) -> Result<(PacketRecord, u8), TraceError> {
     let secs = u32::from_be_bytes([rec[0], rec[1], rec[2], rec[3]]);
     let interface = rec[4];
     let micros = u32::from_be_bytes([0, rec[5], rec[6], rec[7]]);
@@ -177,9 +185,10 @@ pub fn write_trace<W: Write>(w: W, trace: &Trace) -> Result<u64, TraceError> {
 }
 
 /// Incremental TSH record reader: an iterator of
-/// `Result<PacketRecord, TraceError>` that holds one 44-byte record in
-/// memory at a time, so arbitrarily large traces stream without being
-/// slurped into a [`Trace`].
+/// `Result<PacketRecord, TraceError>` that decodes each 44-byte record
+/// in place from the [`BufRead`] buffer, so arbitrarily large traces
+/// stream without being slurped into a [`Trace`] and without a copy or
+/// an allocation per record.
 ///
 /// The first error (truncated record, unnormalized field, I/O failure)
 /// is yielded once and fuses the iterator — subsequent calls return
@@ -203,8 +212,8 @@ pub struct TshReader<R> {
     done: bool,
 }
 
-impl<R: Read> TshReader<R> {
-    /// Wraps a byte stream of consecutive 44-byte TSH records.
+impl<R: BufRead> TshReader<R> {
+    /// Wraps a buffered byte stream of consecutive 44-byte TSH records.
     pub fn new(inner: R) -> TshReader<R> {
         TshReader { inner, done: false }
     }
@@ -214,27 +223,40 @@ impl<R: Read> TshReader<R> {
         self.inner
     }
 
+    /// Decodes the next record from the buffer when it holds the whole
+    /// record; otherwise takes the copying slow path.
+    #[inline]
     fn read_record(&mut self) -> Option<Result<PacketRecord, TraceError>> {
-        let mut buf = [0u8; RECORD_BYTES];
-        let mut filled = 0;
-        while filled < RECORD_BYTES {
-            match self.inner.read(&mut buf[filled..]) {
-                Ok(0) if filled == 0 => return None, // clean EOF at a boundary
-                Ok(0) => {
-                    return Some(Err(TraceError::TruncatedRecord {
-                        got: filled,
-                        need: RECORD_BYTES,
-                    }))
-                }
-                Ok(n) => filled += n,
-                Err(e) => return Some(Err(e.into())),
-            }
+        let buf = match self.inner.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) => return Some(Err(e.into())),
+        };
+        let Some(rec) = buf.first_chunk::<RECORD_BYTES>() else {
+            return self.read_straddling();
+        };
+        let item = decode(rec).map(|(pkt, _ifc)| pkt);
+        self.inner.consume(RECORD_BYTES);
+        Some(item)
+    }
+
+    /// A record split across buffer refills (or short reads): copied to
+    /// the stack, then decoded.
+    #[cold]
+    fn read_straddling(&mut self) -> Option<Result<PacketRecord, TraceError>> {
+        let mut rec = [0u8; RECORD_BYTES];
+        match fill(&mut self.inner, &mut rec) {
+            Ok(0) => None, // clean EOF at a boundary
+            Ok(RECORD_BYTES) => Some(decode(&rec).map(|(pkt, _ifc)| pkt)),
+            Ok(got) => Some(Err(TraceError::TruncatedRecord {
+                got,
+                need: RECORD_BYTES,
+            })),
+            Err(e) => Some(Err(e.into())),
         }
-        Some(decode_record(&buf).map(|(pkt, _ifc)| pkt))
     }
 }
 
-impl<R: Read> Iterator for TshReader<R> {
+impl<R: BufRead> Iterator for TshReader<R> {
     type Item = Result<PacketRecord, TraceError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -250,7 +272,7 @@ impl<R: Read> Iterator for TshReader<R> {
     }
 }
 
-/// Reads consecutive TSH records until EOF.
+/// Reads consecutive TSH records until EOF, buffering `r` itself.
 ///
 /// # Errors
 ///
@@ -258,7 +280,7 @@ impl<R: Read> Iterator for TshReader<R> {
 /// record, and propagates I/O failures.
 pub fn read_trace<R: Read>(r: R) -> Result<Trace, TraceError> {
     let mut trace = Trace::new();
-    for pkt in TshReader::new(r) {
+    for pkt in TshReader::new(BufReader::new(r)) {
         trace.push(pkt?);
     }
     Ok(trace)

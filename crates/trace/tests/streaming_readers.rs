@@ -208,3 +208,127 @@ fn pcap_reader_fuses_after_error() {
     assert!(r.next().unwrap().is_err());
     assert!(r.next().is_none());
 }
+
+/// A reader that hands out 1, 2, …, 7, 1, 2, … bytes per call however
+/// much is asked for, so record boundaries land everywhere.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.step = self.step % 7 + 1;
+        let n = self.step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Packets and the first error (its `Debug` form: variant and fields).
+type Outcome = (Vec<PacketRecord>, Option<String>);
+
+fn outcome<I: Iterator<Item = Result<PacketRecord, TraceError>>>(it: I) -> Outcome {
+    let (packets, err) = drain(it);
+    (packets, err.map(|e| format!("{e:?}")))
+}
+
+fn pcap_outcome<R: std::io::BufRead>(r: R) -> Outcome {
+    match PcapReader::new(r) {
+        Ok(reader) => outcome(reader),
+        Err(e) => (Vec::new(), Some(format!("{e:?}"))),
+    }
+}
+
+/// Holds every buffer capacity from 1 to 160 bytes, over a stream of
+/// short reads, to the whole-slice parse of `bytes`.
+fn sweep_capacities(bytes: &[u8], parse: impl Fn(&mut dyn std::io::BufRead) -> Outcome) {
+    let whole = parse(&mut &bytes[..]);
+    for capacity in 1..=160 {
+        let mut r = std::io::BufReader::with_capacity(capacity, Trickle { bytes, step: 0 });
+        assert_eq!(
+            parse(&mut r),
+            whole,
+            "capacity {capacity}, {} input bytes",
+            bytes.len()
+        );
+    }
+}
+
+/// A pcap file in either byte order from `(packet, frame, orig_len)`
+/// records; the packet supplies the timestamp.
+fn pcap_file(big_endian: bool, records: &[(PacketRecord, Vec<u8>, u32)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    let put32 = |out: &mut Vec<u8>, v: u32| {
+        out.extend_from_slice(&if big_endian {
+            v.to_be_bytes()
+        } else {
+            v.to_le_bytes()
+        })
+    };
+    put32(&mut out, pcap::MAGIC_LE);
+    put32(&mut out, if big_endian { 0x0002_0004 } else { 0x0004_0002 });
+    put32(&mut out, 0); // thiszone
+    put32(&mut out, 0); // sigfigs
+    put32(&mut out, 65_535); // snaplen
+    put32(&mut out, pcap::LINKTYPE_ETHERNET);
+    for (p, frame, orig) in records {
+        let (secs, micros) = p.timestamp().to_secs_micros();
+        put32(&mut out, secs);
+        put32(&mut out, micros);
+        put32(&mut out, frame.len() as u32);
+        put32(&mut out, *orig);
+        out.extend_from_slice(frame);
+    }
+    out
+}
+
+#[test]
+fn readers_agree_at_every_buffer_boundary() {
+    let t = sample_trace(6);
+    let p = t.packets();
+    let frames = pcap::to_bytes(&t);
+    let frame = |i: usize| frames[24 + 70 * i + 16..24 + 70 * (i + 1)].to_vec();
+    let orig = |i: usize| 14 + p[i].ip_total_len();
+
+    // Frames past the headers: a 60-byte one with an Ethernet trailer,
+    // and one longer than the reader's frame head, whose tail is skipped
+    // unread.
+    let padded = |i: usize, len: usize| {
+        let mut f = frame(i);
+        f.resize(len, 0xEE);
+        f
+    };
+    let mut arp = frame(2);
+    arp[12..14].copy_from_slice(&[0x08, 0x06]);
+    let under_snap = frame(3)[..40].to_vec();
+    let records = [
+        (p[0], frame(0), orig(0)),
+        (p[1], padded(1, 60), orig(1)),
+        (p[2], arp, orig(2)),
+        (p[3], under_snap, orig(3)),
+        (p[4], padded(4, 160), orig(4)),
+        (p[5], frame(5), orig(5)),
+    ];
+
+    for big_endian in [false, true] {
+        let bytes = pcap_file(big_endian, &records);
+        let parse = |r: &mut dyn std::io::BufRead| pcap_outcome(r);
+        let (packets, err) = parse(&mut &bytes[..]);
+        assert_eq!(packets, [p[0], p[1], p[4], p[5]], "big_endian {big_endian}");
+        assert!(err.is_none());
+        // Every cut: inside the global header, each record header and
+        // each frame.
+        for cut in 0..=bytes.len() {
+            sweep_capacities(&bytes[..cut], parse);
+        }
+    }
+
+    let bytes = tsh::to_bytes(&t);
+    let parse = |r: &mut dyn std::io::BufRead| outcome(TshReader::new(r));
+    assert_eq!(parse(&mut &bytes[..]).0, p);
+    for cut in 0..=bytes.len() {
+        sweep_capacities(&bytes[..cut], parse);
+    }
+}

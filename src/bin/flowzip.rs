@@ -90,7 +90,7 @@ fn main() -> ExitCode {
 
 const USAGE: &str = "usage:
   flowzip generate   [--flows N] [--secs S] [--seed K] -o OUT.tsh
-  flowzip stats      IN.tsh
+  flowzip stats      IN   (TSH or pcap, auto-detected)
   flowzip compress   IN...  -o OUT.fzc   (TSH or pcap, auto-detected; several
                      files or a quoted glob stream as one trace in order;
                       written as container v2, one section per shard)
@@ -284,15 +284,6 @@ fn exit_if_signalled() {
     }
 }
 
-fn read_tsh(path: &str) -> Result<Trace, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut trace = Trace::new();
-    for pkt in tsh::TshReader::new(std::io::BufReader::new(file)) {
-        trace.push(pkt.map_err(|e| format!("parse {path}: {e}"))?);
-    }
-    Ok(trace)
-}
-
 fn write_tsh(path: &PathBuf, trace: &Trace) -> Result<u64, String> {
     let file =
         std::fs::File::create(path).map_err(|e| format!("create {}: {e}", path.display()))?;
@@ -329,7 +320,11 @@ fn generate(opts: &Opts) -> Result<(), String> {
 }
 
 fn stats(opts: &Opts) -> Result<(), String> {
-    let trace = read_tsh(opts.input()?)?;
+    let path = opts.input()?;
+    let trace = FileSource::open(path)
+        .map_err(|e| format!("open {path}: {e}"))?
+        .collect::<Result<Trace, _>>()
+        .map_err(|e| format!("parse {path}: {e}"))?;
     let s = FlowTable::from_trace(&trace).stats(50);
     out!("{s}");
     out!(

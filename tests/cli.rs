@@ -843,6 +843,45 @@ fn pcap_input_is_auto_detected() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `stats` sniffs the capture format like `compress`: a trace's TSH and
+/// pcap forms print the same flow summary.
+#[test]
+fn stats_reads_tsh_and_pcap_alike() {
+    use flowzip::prelude::*;
+    use flowzip::trace::{pcap, tsh};
+
+    let dir = tmpdir("stats-pcap");
+    let trace = WebTrafficGenerator::new(
+        WebTrafficConfig {
+            flows: 80,
+            duration_secs: 10.0,
+            ..WebTrafficConfig::default()
+        },
+        5,
+    )
+    .generate();
+    let tsh_path = dir.join("web.tsh");
+    std::fs::write(&tsh_path, tsh::to_bytes(&trace)).unwrap();
+    let pcap_path = dir.join("web.pcap");
+    std::fs::write(&pcap_path, pcap::to_bytes(&trace)).unwrap();
+
+    let stats_of = |path: &PathBuf| {
+        let out = bin().arg("stats").arg(path).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}: {}",
+            path.display(),
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let from_tsh = stats_of(&tsh_path);
+    assert!(from_tsh.contains("80 flows"), "{from_tsh}");
+    assert!(from_tsh.contains(&format!("packets {}", trace.len())));
+    assert_eq!(stats_of(&pcap_path), from_tsh);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn query_subcommand_prunes_and_matches_full_decode() {
     let dir = tmpdir("query");
