@@ -27,7 +27,8 @@
 //! The result is *lossy* — exact headers are gone — but preserves the
 //! statistical properties (flag sequences, size classes, timing, address
 //! locality) that §6 shows drive memory-system behaviour of trace
-//! consumers, at ≈3% of the original size (Eq. 7–8, [`model`]).
+//! consumers, at ≈3% of the original size (Eq. 7–8; the analytic model
+//! lives in the `flowzip-paper` lab crate).
 //!
 //! # Example
 //!
@@ -55,7 +56,6 @@ pub mod container;
 pub mod datasets;
 pub mod decompress;
 pub mod meta;
-pub mod model;
 pub mod query;
 pub mod synth;
 pub mod telemetry;

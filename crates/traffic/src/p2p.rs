@@ -6,7 +6,7 @@
 //! flows are *long* (chunk transfers of hundreds of segments), traffic is
 //! *bidirectional* (both peers upload), ports are arbitrary high ports on
 //! both ends, and sessions interleave data with keep-alives. The
-//! [`exp_p2p`](../flowzip_bench) experiment quantifies what that does to
+//! [`exp_p2p`](../flowzip_paper) experiment quantifies what that does to
 //! the compression ratio.
 
 use crate::dist::{bounded_pareto, exponential, lognormal};

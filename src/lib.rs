@@ -7,7 +7,8 @@
 //! the original trace size while preserving the statistical properties
 //! that drive memory-system behaviour of trace-driven benchmarks.
 //!
-//! This facade crate re-exports the whole workspace:
+//! This facade crate re-exports the product's crates (the paper's §5/§6
+//! reproduction lab is the separate `flowzip-paper` crate):
 //!
 //! | module | crate | contents |
 //! |---|---|---|
@@ -20,11 +21,6 @@
 //! | [`io`] | `flowzip-io` | capture input: the sequential file-set reader, globs, read-wait stats |
 //! | [`obs`] | `flowzip-obs` | metrics, live stats snapshots, span profiling, leveled logging |
 //! | [`deflate`] | `flowzip-deflate` | from-scratch DEFLATE/gzip baseline |
-//! | [`vj`] | `flowzip-vj` | Van Jacobson header compression baseline |
-//! | [`peuhkuri`] | `flowzip-peuhkuri` | Peuhkuri flow-based baseline |
-//! | [`radix`] | `flowzip-radix` | PATRICIA routing table + tracing |
-//! | [`cachesim`] | `flowzip-cachesim` | cache simulator + packet meter |
-//! | [`netbench`] | `flowzip-netbench` | Route/NAT/RTR kernels (§6) |
 //! | [`analysis`] | `flowzip-analysis` | CDFs, histograms, KS, tables |
 //!
 //! # Quickstart
@@ -89,35 +85,27 @@
 //! ```
 
 pub use flowzip_analysis as analysis;
-pub use flowzip_cachesim as cachesim;
 pub use flowzip_core as core;
 pub use flowzip_deflate as deflate;
 pub use flowzip_engine as engine;
 pub use flowzip_io as io;
-pub use flowzip_netbench as netbench;
 pub use flowzip_obs as obs;
-pub use flowzip_peuhkuri as peuhkuri;
 pub use flowzip_pipeline as pipeline;
-pub use flowzip_radix as radix;
 pub use flowzip_serve as serve;
 pub use flowzip_trace as trace;
 pub use flowzip_traffic as traffic;
-pub use flowzip_vj as vj;
 
 /// One-stop imports for examples and applications.
 pub mod prelude {
     pub use flowzip_analysis::{ks_distance, BucketedHistogram, Cdf, TextTable};
-    pub use flowzip_cachesim::{Cache, CacheConfig, PacketCost, PacketCostMeter};
     pub use flowzip_core::{
         synthesize, ArchiveFormat, CompressedTrace, CompressionReport, Compressor,
         DecompressParams, Decompressor, Params, SynthConfig, SynthGenerator,
     };
     pub use flowzip_engine::{EngineBuilder, EngineReport, StreamingEngine};
     pub use flowzip_io::{FileSource, InputSource};
-    pub use flowzip_netbench::{BenchConfig, BenchKind, BenchReport, PacketProcessor};
     pub use flowzip_obs::{Metrics, Profiler, SnapshotFormat, StatsSink, StatsSnapshot};
     pub use flowzip_pipeline::{Input, Pipeline, PipelineError, Report, RunResult, Sink};
-    pub use flowzip_radix::{RadixTable, TableGen};
     pub use flowzip_serve::{
         OverloadPolicy, PipelineServe, ServeHandle, ServeReport, ServeSource, WindowSummary,
     };
@@ -131,14 +119,14 @@ mod tests {
     #[test]
     fn facade_exposes_all_crates() {
         // Compile-time check that every re-export resolves.
+        let _ = crate::analysis::ks_distance;
         let _ = crate::core::Params::paper;
         let _ = crate::engine::StreamingEngine::builder;
         let _ = crate::io::IoStats::new();
         let _ = crate::pipeline::Pipeline::compress;
         let _ = crate::obs::Metrics::enabled();
-        let _ = crate::cachesim::CacheConfig::netbench_l1();
         let _ = crate::trace::TcpFlags::SYN;
-        let _ = crate::netbench::BenchKind::Route;
+        let _ = crate::traffic::WebTrafficConfig::default();
         let _ = crate::deflate::Level::Default;
         let _ = crate::serve::ServeSource::stdin;
     }
