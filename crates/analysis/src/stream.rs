@@ -100,9 +100,7 @@ pub fn analyze_sections(reader: &ArchiveReader<'_>) -> Result<ArchivePasses, Cod
         let mut packets = 0u64;
         for r in &section.records {
             let n = if r.is_long {
-                section.long_templates[(r.template_idx - section.long_base) as usize]
-                    .entries
-                    .len()
+                section.long_templates[(r.template_idx - section.long_base) as usize].len()
             } else {
                 short_len[r.template_idx as usize]
             };

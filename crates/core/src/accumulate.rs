@@ -30,7 +30,7 @@
 //! accumulator as soon as they close instead of piling up.
 
 use crate::characterize::{size_class, Dependence};
-use crate::container::{get_long_entry, long_entry_ms, put_long_entry};
+use crate::container::{long_entry_ms, put_long_entry, LongEntries};
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
 use flowzip_trace::prelude::*;
@@ -60,9 +60,9 @@ pub struct FinishedFlow {
     /// responder packet; zero when the responder never spoke.
     pub rtt: Duration,
     /// Per packet, `varint M` then `varint gap_µs` (the first gap zero):
-    /// exactly the bytes the container's `put_long_template` writes after
-    /// its length prefix. The flow's `M` vector (`KM_f` in §2) and its
-    /// timing are this one buffer, ≈ 3 B per packet.
+    /// exactly the bytes a `LongTemplate` holds and the container writes
+    /// after its length prefix. The flow's `M` vector (`KM_f` in §2) and
+    /// its timing are this one buffer, ≈ 3 B per packet.
     pub(crate) log: Vec<u8>,
     /// Packets in `log`.
     packets: u64,
@@ -91,11 +91,7 @@ impl FinishedFlow {
     /// The flow's packets as `(M, gap before this packet)` pairs, the
     /// first gap zero — the entries of its long template.
     pub fn entries(&self) -> impl Iterator<Item = (u16, Duration)> + '_ {
-        let mut pos = 0;
-        std::iter::from_fn(move || {
-            (pos < self.log.len())
-                .then(|| get_long_entry(&self.log, &mut pos).expect("the accumulator's log"))
-        })
+        LongEntries::new(&self.log)
     }
 
     /// Decodes the flow's `M` vector into `out` (cleared first), skipping

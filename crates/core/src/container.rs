@@ -155,18 +155,11 @@ pub struct ShardSection {
     pub telemetry: Option<Vec<FlowTelemetry>>,
 }
 
-/// Appends one long template in the shared record encoding (identical to
-/// v1's, so the formats cannot drift — the cross-version tests compare
-/// decoded archives for equality): its length, then its entries.
-pub(crate) fn put_long_template(t: &LongTemplate, out: &mut Vec<u8>) {
-    put_varint(t.entries.len() as u64, out);
-    for &(m, ipt) in &t.entries {
-        put_long_entry(m, ipt.as_micros(), out);
-    }
-}
-
 /// Appends one long template whose `len` entries [`put_long_entry`]
-/// already encoded — a flow's packet log, stored as it is.
+/// already encoded — a flow's packet log or a [`LongTemplate`], stored
+/// as it is. v1 and v2 share this record encoding, so the formats cannot
+/// drift (the cross-version tests compare decoded archives for
+/// equality).
 pub(crate) fn put_encoded_long_template(len: u64, entries: &[u8], out: &mut Vec<u8>) {
     put_varint(len, out);
     out.extend_from_slice(entries);
@@ -211,16 +204,116 @@ pub(crate) fn get_long_entry(data: &[u8], pos: &mut usize) -> Result<(u16, Durat
 }
 
 /// Reads one long template at `pos` — the inverse of
-/// [`put_long_template`] and the only long-template decoder: archive
-/// payloads and the [`Compressor`](crate::Compressor) oracle's
-/// assembled long slices both decode through it.
-pub(crate) fn get_long_template(data: &[u8], pos: &mut usize) -> Result<LongTemplate, CodecError> {
-    let n = get_varint(data, pos)? as usize;
-    let mut entries = Vec::with_capacity(clamped_capacity(n, data.len() - *pos));
+/// [`put_encoded_long_template`], and what archive payloads and the
+/// [`Compressor`](crate::Compressor) oracle's assembled long slices both
+/// parse through. The entries are not decoded into a vector: one walk
+/// checks each as [`get_long_entry`] would read it (same errors, in the
+/// same order), then the walked bytes are copied as they are. A template
+/// with a non-minimal varint is re-encoded instead, so a parsed
+/// template's bytes are always what [`put_long_entry`] writes.
+pub(crate) fn copy_long_template(data: &[u8], pos: &mut usize) -> Result<LongTemplate, CodecError> {
+    let n = get_varint(data, pos)?;
+    let start = *pos;
+    let mut minimal = true;
     for _ in 0..n {
-        entries.push(get_long_entry(data, pos)?);
+        let (len, min) = long_entry_len(data, *pos)?;
+        *pos += len;
+        minimal &= min;
     }
-    Ok(LongTemplate { entries })
+    let bytes = &data[start..*pos];
+    // Each entry took at least two of `bytes`, so `n` fits a `usize`.
+    let len = n as usize;
+    Ok(if minimal {
+        LongTemplate::from_encoded(len, bytes.into())
+    } else {
+        LongTemplate::from_entries(LongEntries::new(bytes))
+    })
+}
+
+/// The byte length of the long-template entry at `pos`, and whether both
+/// its varints are minimal; the errors [`get_long_entry`] would return.
+#[inline]
+fn long_entry_len(data: &[u8], pos: usize) -> Result<(usize, bool), CodecError> {
+    if let Some(&eight) = data.get(pos..).and_then(<[u8]>::first_chunk::<8>) {
+        if let Some(last) = entry_in_word(u64::from_le_bytes(eight)) {
+            // Minimal unless a gap of two bytes or more ends in a zero.
+            return Ok((last + 1, last == 1 || eight[last] != 0));
+        }
+    }
+    let mut end = pos;
+    let (m, gap) = get_long_entry(data, &mut end)?;
+    let minimal = end - pos == varint_len(u64::from(m)) + varint_len(gap.as_micros());
+    Ok((end - pos, minimal))
+}
+
+/// When the long-template entry that starts `word` (little-endian) has
+/// a one-byte `M` — always, under the paper's weights — and a gap of at
+/// most seven bytes, so that it lies inside the word: the index of the
+/// gap's last byte.
+#[inline]
+fn entry_in_word(word: u64) -> Option<usize> {
+    // Bit 8k + 7 is set when byte k ends a varint.
+    let ends = !word & 0x8080_8080_8080_8080;
+    let gap_ends = ends & !0xff;
+    (ends & 0x80 != 0 && gap_ends != 0).then(|| gap_ends.trailing_zeros() as usize / 8)
+}
+
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    1 + (63 - (v | 1).leading_zeros() as usize) / 7
+}
+
+/// A long template's `(M, gap)` entries, decoded one at a time from
+/// their [`put_long_entry`] bytes — [`LongTemplate::entries`], the
+/// decompressor's per-flow cursor and a finished flow's log all read
+/// through it.
+#[derive(Debug, Clone)]
+pub(crate) struct LongEntries<'a> {
+    /// The entries not read yet.
+    rest: &'a [u8],
+}
+
+impl<'a> LongEntries<'a> {
+    /// Reads `bytes`, whole entries from [`put_long_entry`].
+    pub(crate) fn new(bytes: &'a [u8]) -> LongEntries<'a> {
+        LongEntries { rest: bytes }
+    }
+}
+
+impl Iterator for LongEntries<'_> {
+    type Item = (u16, Duration);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u16, Duration)> {
+        // An entry inside one word decodes from it: the gap's 7-bit
+        // groups, one per byte, gathered low group first — the inverse
+        // of `put_long_entry`'s store.
+        if let Some(&eight) = self.rest.first_chunk::<8>() {
+            let word = u64::from_le_bytes(eight);
+            if let Some(last) = entry_in_word(word) {
+                // Pairs of groups, then fours, then all seven close up.
+                let g = (word >> 8) & ((1 << (8 * last)) - 1) & 0x7f7f_7f7f_7f7f_7f7f;
+                let g = (g & 0x007f_007f_007f_007f) | (g >> 1) & 0x3f80_3f80_3f80_3f80;
+                let g = (g & 0x0000_3fff_0000_3fff) | (g >> 2) & 0x0fff_c000_0fff_c000;
+                let gap = (g & 0x0fff_ffff) | (g >> 4) & 0x00ff_ffff_f000_0000;
+                self.rest = &self.rest[last + 1..];
+                return Some(((word & 0x7f) as u16, Duration::from_micros(gap)));
+            }
+        }
+        // A wider entry, or one in the last seven bytes. The bytes are
+        // whole entries, so this fails only once they are spent.
+        let mut pos = 0;
+        match get_long_entry(self.rest, &mut pos) {
+            Ok(entry) => {
+                self.rest = &self.rest[pos..];
+                Some(entry)
+            }
+            Err(_) => {
+                self.rest = &[];
+                None
+            }
+        }
+    }
 }
 
 /// Appends the `M` of every entry in `entries` to `out`, skipping the
@@ -813,7 +906,9 @@ impl<'a> ArchiveReader<'a> {
     }
 
     /// Decodes one section payload into globally-indexed datasets, its
-    /// long templates numbered from `long_base`.
+    /// long templates numbered from `long_base`. Long templates are
+    /// checked and copied, not decoded ([`copy_long_template`]): every
+    /// error surfaces here, before any packet is synthesized.
     fn decode(
         &self,
         entry: &SectionEntry<'_>,
@@ -824,7 +919,7 @@ impl<'a> ArchiveReader<'a> {
         let mut long_templates =
             Vec::with_capacity(clamped_capacity(entry.long_count, payload.len()));
         for _ in 0..entry.long_count {
-            long_templates.push(get_long_template(payload, &mut pos)?);
+            long_templates.push(copy_long_template(payload, &mut pos)?);
         }
         pos += entry.gap;
 
@@ -890,15 +985,17 @@ impl<'a> ArchiveReader<'a> {
 
 /// One archive section decoded by [`ArchiveReader::sections`]: the
 /// section's flow records (globally indexed) plus its slice of the
-/// long-template table.
+/// long-template table, each template still in its wire encoding
+/// (validated; [`LongTemplate::len`] is O(1), and
+/// [`LongTemplate::entries`] decodes on demand).
 #[derive(Debug, Clone)]
 pub struct DecodedSection {
     /// Position in the archive's section order.
     pub index: usize,
     /// The section's v2.1 metadata record, when the archive carries one.
     pub meta: Option<SectionMeta>,
-    /// The section's long templates; a record with `is_long` indexes
-    /// this table at `template_idx - long_base`.
+    /// The section's long templates, ≈ 3 B per packet; a record with
+    /// `is_long` indexes this table at `template_idx - long_base`.
     pub long_templates: Vec<LongTemplate>,
     /// Global index of `long_templates[0]`.
     pub long_base: u32,
@@ -1029,7 +1126,7 @@ impl CompressedTrace {
     ) -> (Vec<u8>, DatasetSizes) {
         let mut payload = Vec::new();
         for t in &self.long_templates {
-            put_long_template(t, &mut payload);
+            put_encoded_long_template(t.len() as u64, t.encoded(), &mut payload);
         }
         let long_template_bytes = payload.len() as u64;
         let mut last_ts = 0u64;
@@ -1207,6 +1304,47 @@ mod tests {
             assert_eq!(got[0], 7, "appends");
             assert_eq!(got[1..], want[..], "case {case}");
         }
+    }
+
+    #[test]
+    fn non_minimal_long_entries_parse_to_their_minimal_form() {
+        // A v1 archive with one long flow, then the same archive with the
+        // second entry's `M` (40) and gap (300) padded by zero groups:
+        // valid LEB128 that no writer emits.
+        let entries = [(3, 0), (40, 300), (7, 9)].map(|(m, g)| (m, Duration::from_micros(g)));
+        let ct = CompressedTrace {
+            short_templates: vec![],
+            long_templates: vec![LongTemplate::from_entries(entries)],
+            addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
+            time_seq: vec![FlowRecord {
+                first_ts: Timestamp::from_secs(1),
+                is_long: true,
+                template_idx: 0,
+                addr_idx: 0,
+                rtt: Duration::ZERO,
+            }],
+        };
+        let (minimal, sizes) = ct.encode();
+        let at = (sizes.header + sizes.short_templates) as usize;
+        let mut padded = minimal[..at].to_vec();
+        padded.extend([3, 3, 0, 40 | 0x80, 0, 0xAC, 0x82, 0x80, 0, 7, 9]);
+        padded.extend_from_slice(&minimal[at + sizes.long_templates as usize..]);
+
+        // The parse re-encodes the padded template: it equals the minimal
+        // one, re-encodes to the minimal bytes, and expands to the same
+        // packets.
+        let parsed = CompressedTrace::from_bytes(&padded).unwrap();
+        assert_eq!(parsed, CompressedTrace::from_bytes(&minimal).unwrap());
+        assert_eq!(
+            parsed.long_templates[0].encoded(),
+            ct.long_templates[0].encoded()
+        );
+        assert_eq!(parsed.to_bytes(), minimal);
+        let d = crate::Decompressor::default();
+        assert_eq!(
+            d.decompress_bytes(&padded).unwrap(),
+            d.decompress_bytes(&minimal).unwrap()
+        );
     }
 
     #[test]

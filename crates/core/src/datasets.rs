@@ -14,6 +14,7 @@
 //! are quantized to 128 µs units — the decompressor only needs the RTT's
 //! magnitude, and the format is lossy by design.
 
+use crate::container::put_encoded_long_template;
 use flowzip_trace::{Duration, Timestamp};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -25,11 +26,66 @@ pub const VERSION: u8 = 1;
 /// RTT quantization shift (128 µs units).
 pub const RTT_SHIFT: u32 = 7;
 
-/// One long-flow template entry list: `(M, inter-packet gap)` per packet.
+/// One long flow stored verbatim: `(M, inter-packet gap)` per packet.
+///
+/// The entries stay in the `long-flows-template` wire encoding — per
+/// packet `varint M` then `varint gap_µs`, ≈ 3 B — from the accumulator
+/// to the archive and back: parsing copies a template's validated bytes
+/// and the decompressor's merge decodes each entry as it emits it. The
+/// bytes are always minimally encoded (a parse re-encodes a template
+/// whose varints are not), so equality is equality of the entries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LongTemplate {
-    /// `(M value, gap before this packet)`; the first gap is zero.
-    pub entries: Vec<(u16, Duration)>,
+    /// Entries in `bytes`.
+    len: usize,
+    /// The entries, encoded.
+    bytes: Box<[u8]>,
+}
+
+impl LongTemplate {
+    /// A template of `entries`: `(M value, gap before this packet)`, the
+    /// first gap zero by convention.
+    pub fn from_entries(entries: impl IntoIterator<Item = (u16, Duration)>) -> LongTemplate {
+        let mut bytes = Vec::new();
+        let mut len = 0;
+        for (m, gap) in entries {
+            crate::container::put_long_entry(m, gap.as_micros(), &mut bytes);
+            len += 1;
+        }
+        LongTemplate::from_encoded(len, bytes.into())
+    }
+
+    /// A template of `len` entries already encoded minimally in `bytes`.
+    pub(crate) fn from_encoded(len: usize, bytes: Box<[u8]>) -> LongTemplate {
+        LongTemplate { len, bytes }
+    }
+
+    /// Packets the template expands to.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` for a template without packets.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `(M, gap before this packet)` pairs, decoded one at a time.
+    pub fn entries(&self) -> impl Iterator<Item = (u16, Duration)> + '_ {
+        self.cursor()
+    }
+
+    /// [`LongTemplate::entries`] as the named iterator the merge keeps
+    /// in each open flow's cursor.
+    pub(crate) fn cursor(&self) -> crate::container::LongEntries<'_> {
+        crate::container::LongEntries::new(&self.bytes)
+    }
+
+    /// The encoded entries, without the length prefix the container
+    /// writes ahead of them.
+    pub(crate) fn encoded(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 /// One `time-seq` record.
@@ -169,7 +225,7 @@ impl CompressedTrace {
     /// or long template.
     pub fn flow_len(&self, r: &FlowRecord) -> u64 {
         if r.is_long {
-            self.long_templates[r.template_idx as usize].entries.len() as u64
+            self.long_templates[r.template_idx as usize].len() as u64
         } else {
             self.short_templates[r.template_idx as usize].len() as u64
         }
@@ -234,11 +290,7 @@ impl CompressedTrace {
 
         let mark = out.len();
         for t in &self.long_templates {
-            put_varint(t.entries.len() as u64, &mut out);
-            for &(m, ipt) in &t.entries {
-                put_varint(m as u64, &mut out);
-                put_varint(ipt.as_micros(), &mut out);
-            }
+            put_encoded_long_template(t.len() as u64, t.encoded(), &mut out);
         }
         let long_templates = (out.len() - mark) as u64;
 
@@ -343,11 +395,9 @@ mod tests {
     fn sample() -> CompressedTrace {
         CompressedTrace {
             short_templates: vec![vec![0, 16, 32, 48], vec![0, 16, 37, 34, 52, 48, 32]],
-            long_templates: vec![LongTemplate {
-                entries: (0..60)
-                    .map(|i| (((i * 3) % 54) as u16, Duration::from_micros(i as u64 * 17)))
-                    .collect(),
-            }],
+            long_templates: vec![LongTemplate::from_entries(
+                (0..60).map(|i| (((i * 3) % 54) as u16, Duration::from_micros(i as u64 * 17))),
+            )],
             addresses: vec![Ipv4Addr::new(193, 1, 2, 3), Ipv4Addr::new(172, 16, 99, 4)],
             time_seq: vec![
                 FlowRecord {

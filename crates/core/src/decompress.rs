@@ -18,8 +18,10 @@
 //! §4 "merges flows by timestamp while writing the output file", and so
 //! does [`Decompressor::packets`]: it never holds more than the flows
 //! that are open *right now*. Each `time-seq` record becomes a small
-//! per-flow **cursor** (a template slice, a position, the flow's clock,
-//! direction and sequence counters); open cursors sit in a min-heap
+//! per-flow **cursor** (the rest of its template — a long flow's still
+//! in its ≈ 3 B/packet wire encoding, each entry decoded once, as it is
+//! reached — its next packet's decoded `M`, the flow's clock, direction
+//! and sequence counters); open cursors sit in a min-heap
 //! keyed `(timestamp of the cursor's next packet, time-seq index)`.
 //! Every step first opens each unopened record whose `first_ts` is not
 //! later than the heap's top — `time_seq` is validated sorted by
@@ -53,6 +55,7 @@
 //! encode time to compute the flow keys a future query will look for.
 
 use crate::characterize::{size_class_representative, Dependence, FlagClass};
+use crate::container::LongEntries;
 use crate::datasets::{CompressedTrace, FlowRecord, RTT_SHIFT};
 use crate::Params;
 use flowzip_trace::prelude::*;
@@ -203,13 +206,17 @@ impl Decompressor {
     /// Positions a cursor on `record`'s first packet.
     fn open<'a>(&self, ct: &'a CompressedTrace, record: &FlowRecord) -> Cursor<'a> {
         let server = ct.addresses[record.addr_idx as usize];
+        let mut template = if record.is_long {
+            Template::Long(ct.long_templates[record.template_idx as usize].cursor())
+        } else {
+            Template::Short(ct.short_templates[record.template_idx as usize].iter())
+        };
+        // The first packet lands at the record's timestamp: its stored
+        // gap is not read.
+        let next = template.next().map(|(m, _)| self.decode(m));
         Cursor {
-            template: if record.is_long {
-                Template::Long(&ct.long_templates[record.template_idx as usize].entries)
-            } else {
-                Template::Short(&ct.short_templates[record.template_idx as usize])
-            },
-            pos: 0,
+            template,
+            next,
             now: record.first_ts,
             rtt: if record.rtt.is_zero() {
                 self.config.default_rtt
@@ -236,21 +243,22 @@ impl Default for Decompressor {
     }
 }
 
-/// A flow's `M` sequence: a shared cluster center, or a long flow's
-/// verbatim `(M, gap)` pairs.
-#[derive(Debug, Clone, Copy)]
+/// The rest of a flow's `M` sequence: a shared cluster center, or a
+/// long flow's verbatim `(M, gap)` pairs, still encoded.
+#[derive(Debug, Clone)]
 enum Template<'a> {
-    Short(&'a [u16]),
-    Long(&'a [(u16, Duration)]),
+    Short(std::slice::Iter<'a, u16>),
+    Long(LongEntries<'a>),
 }
 
 impl Template<'_> {
-    /// Packet `i`'s `M` value and, for long flows, the stored gap
+    /// The next packet's `M` value and, for long flows, the stored gap
     /// before it.
-    fn get(&self, i: usize) -> Option<(u16, Option<Duration>)> {
+    #[inline]
+    fn next(&mut self) -> Option<(u16, Option<Duration>)> {
         match self {
-            Template::Short(t) => t.get(i).map(|&m| (m, None)),
-            Template::Long(t) => t.get(i).map(|&(m, ipt)| (m, Some(ipt))),
+            Template::Short(t) => t.next().map(|&m| (m, None)),
+            Template::Long(t) => t.next().map(|(m, ipt)| (m, Some(ipt))),
         }
     }
 }
@@ -259,9 +267,10 @@ impl Template<'_> {
 /// from a packet to the next.
 #[derive(Debug)]
 struct Cursor<'a> {
+    /// The packets after the next one.
     template: Template<'a>,
-    /// Index of the next packet to emit.
-    pos: usize,
+    /// The next packet's decoded `M`; `None` once the template is spent.
+    next: Option<DecodedM>,
     /// Timestamp of the next packet to emit.
     now: Timestamp,
     rtt: Duration,
@@ -274,15 +283,15 @@ struct Cursor<'a> {
 
 impl Cursor<'_> {
     fn is_done(&self) -> bool {
-        self.template.get(self.pos).is_none()
+        self.next.is_none()
     }
 
-    /// The §4 per-packet step: decodes the packet at `pos` (flags, size,
-    /// sequence numbers), then advances the flow's clock and direction
-    /// to the packet after it. `None` once the template is spent.
+    /// The §4 per-packet step: emits the next packet (flags, size,
+    /// sequence numbers), then reads the entry after it — once: its `M`
+    /// sets the flow's clock and direction now and is the packet the
+    /// following step emits. `None` once the template is spent.
     fn next_packet(&mut self, d: &Decompressor) -> Option<PacketRecord> {
-        let (m, _) = self.template.get(self.pos)?;
-        let decoded = d.decode(m);
+        let decoded = self.next?;
         let len = decoded.payload_len;
         let (tuple, seq, ack) = if self.client_to_server {
             let seq = self.client_seq;
@@ -302,9 +311,10 @@ impl Cursor<'_> {
             .ack(ack)
             .build();
 
-        self.pos += 1;
-        if let Some((next_m, stored_ipt)) = self.template.get(self.pos) {
-            let dependent = d.decode(next_m).dependent;
+        self.next = None;
+        if let Some((next_m, stored_ipt)) = self.template.next() {
+            let next = d.decode(next_m);
+            let dependent = next.dependent;
             // Timing: stored gap for long flows; synthesized for short.
             // Saturating — a crafted gap must not wrap the clock
             // backwards (the merge relies on it never doing so).
@@ -317,6 +327,7 @@ impl Cursor<'_> {
             if dependent {
                 self.client_to_server = !self.client_to_server;
             }
+            self.next = Some(next);
         }
         Some(packet)
     }

@@ -1,4 +1,5 @@
-//! Heap and allocation budgets of the compress path's per-flow state.
+//! Heap and allocation budgets of the compress path's per-flow state
+//! and of the decode path's parsed archive.
 //!
 //! The `#[global_allocator]` below is the benchmark harness's counting
 //! allocator extended with live bytes and their high-water mark. It is
@@ -14,7 +15,7 @@
 //! that lowers a value ratchets its ceiling down; one that raises it past
 //! the ceiling fails here, before any benchmark run.
 
-use flowzip_core::{FlowAccumulator, FlowAssembler, Params};
+use flowzip_core::{read_v2, Compressor, Decompressor, FlowAccumulator, FlowAssembler, Params};
 use flowzip_trace::prelude::*;
 use flowzip_traffic::{WebTrafficConfig, WebTrafficGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -225,5 +226,32 @@ fn trunk_heap_high_water_per_packet() {
     assert!(
         per_packet <= 7.2,
         "accumulate + assemble peaked at {per_packet:.2} heap bytes per packet (ceiling 7.2)"
+    );
+}
+
+#[test]
+fn trunk_decode_heap_high_water_per_packet() {
+    let trace = trunk_trace(200_000);
+    let bytes = Compressor::new(Params::paper())
+        .compress(&trace)
+        .0
+        .to_bytes_v2();
+    let (packets, used) = measure(|| {
+        let archive = read_v2(&bytes).expect("a valid archive");
+        let d = Decompressor::default();
+        let mut stream = d.packets(&archive);
+        let packets = stream.by_ref().count();
+        assert_eq!(stream.peak_open(), 4);
+        packets
+    });
+    assert_eq!(packets, trace.len());
+    let per_packet = used.peak_bytes as f64 / packets as f64;
+    // Measured 3.005 B/packet: the parsed long templates kept in their
+    // wire encoding, ≈ 3 B per packet as in the archive itself. Decoding
+    // each template into a 16 B `(u16, Duration)` per packet measured
+    // 16.005.
+    assert!(
+        per_packet <= 3.76,
+        "parse + merge peaked at {per_packet:.2} heap bytes per packet (ceiling 3.76)"
     );
 }

@@ -116,11 +116,12 @@ fn arb_tied_archive() -> impl Strategy<Value = CompressedTrace> {
         .prop_map(|(short_templates, long, records)| {
             let long_templates: Vec<LongTemplate> = long
                 .into_iter()
-                .map(|entries| LongTemplate {
-                    entries: entries
-                        .into_iter()
-                        .map(|(m, gap)| (m, Duration::from_micros(gap)))
-                        .collect(),
+                .map(|entries| {
+                    LongTemplate::from_entries(
+                        entries
+                            .into_iter()
+                            .map(|(m, gap)| (m, Duration::from_micros(gap))),
+                    )
                 })
                 .collect();
             let mut time_seq: Vec<FlowRecord> = records
@@ -181,15 +182,13 @@ fn carriers(n: usize, packets: usize, gap: u64) -> CompressedTrace {
     CompressedTrace {
         short_templates: vec![],
         long_templates: (0..n)
-            .map(|i| LongTemplate {
-                entries: (0..packets)
-                    .map(|k| {
-                        (
-                            34,
-                            Duration::from_micros(if k == 0 { 0 } else { gap + i as u64 }),
-                        )
-                    })
-                    .collect(),
+            .map(|i| {
+                LongTemplate::from_entries((0..packets).map(|k| {
+                    (
+                        34,
+                        Duration::from_micros(if k == 0 { 0 } else { gap + i as u64 }),
+                    )
+                }))
             })
             .collect(),
         addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
@@ -241,7 +240,11 @@ fn a_crafted_gap_saturates_the_clock_instead_of_wrapping() {
     // packet.
     let mut ct = carriers(1, 3, 10);
     ct.time_seq[0].first_ts = Timestamp::from_secs(10);
-    ct.long_templates[0].entries[1].1 = Duration::from_micros(u64::MAX);
+    ct.long_templates[0] = LongTemplate::from_entries([
+        (34, Duration::ZERO),
+        (34, Duration::from_micros(u64::MAX)),
+        (34, Duration::from_micros(10)),
+    ]);
     let ct = CompressedTrace::from_bytes(&ct.to_bytes_v2()).expect("the archive is valid");
     let d = Decompressor::default();
     let times: Vec<u64> = d.packets(&ct).map(|p| p.timestamp().as_micros()).collect();

@@ -53,8 +53,93 @@ fn arb_trace() -> impl Strategy<Value = Trace> {
     })
 }
 
+/// An `M` of any varint width, `u16::MAX` included.
+fn arb_m() -> impl Strategy<Value = u16> {
+    prop_oneof![
+        0u16..128,
+        Just(u16::MAX),
+        (0u32..16, any::<u16>()).prop_map(|(shift, m)| m >> shift),
+    ]
+}
+
+/// A gap of any varint width, one to ten bytes, `u64::MAX` included.
+fn arb_gap() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(0u64),
+        Just(u64::MAX),
+        (0u32..64, any::<u64>()).prop_map(|(shift, gap)| gap >> shift),
+    ]
+}
+
+/// The entry-by-entry decode a long template had before it stayed
+/// packed: its length, then per entry `varint M` and `varint gap_µs`,
+/// each read into a `(u16, Duration)`.
+fn decode_long_template(bytes: &[u8]) -> Vec<(u16, Duration)> {
+    let mut pos = 0;
+    let mut varint = || {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let b = bytes[pos];
+            pos += 1;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                break;
+            }
+        }
+        v
+    };
+    let n = varint();
+    (0..n)
+        .map(|_| {
+            let m = u16::try_from(varint()).unwrap();
+            (m, Duration::from_micros(varint()))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn packed_long_templates_read_back_as_their_entries(
+        entries in prop::collection::vec((arb_m(), arb_gap()), 0..40),
+    ) {
+        use flowzip_core::datasets::LongTemplate;
+        use flowzip_core::FlowRecord;
+        let want: Vec<(u16, Duration)> = entries
+            .iter()
+            .map(|&(m, gap)| (m, Duration::from_micros(gap)))
+            .collect();
+        let t = LongTemplate::from_entries(want.iter().copied());
+        prop_assert_eq!(t.len(), want.len());
+        prop_assert_eq!(t.entries().collect::<Vec<_>>(), want.clone());
+
+        let ct = CompressedTrace {
+            short_templates: vec![],
+            long_templates: vec![t.clone()],
+            addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
+            time_seq: vec![FlowRecord {
+                first_ts: Timestamp::from_secs(1),
+                is_long: true,
+                template_idx: 0,
+                addr_idx: 0,
+                rtt: Duration::ZERO,
+            }],
+        };
+        // The v1 long-template dataset, decoded the old way.
+        let (v1, sizes) = ct.encode();
+        let at = (sizes.header + sizes.short_templates) as usize;
+        let dataset = &v1[at..at + sizes.long_templates as usize];
+        prop_assert_eq!(decode_long_template(dataset), want.clone());
+        // Parsed through either revision, the packed template is the
+        // same one, and reads back as the same entries.
+        for bytes in [v1.clone(), ct.to_bytes_v2()] {
+            let back = CompressedTrace::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(&back.long_templates[0], &t);
+            prop_assert_eq!(back.long_templates[0].entries().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(back.packet_count(), want.len() as u64);
+        }
+    }
 
     #[test]
     fn compression_conserves_packets_and_flows(trace in arb_trace()) {

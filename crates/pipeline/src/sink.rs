@@ -227,8 +227,10 @@ impl Write for SinkWriter<'_> {
 /// session `Sink::writer(&mut part_file)`.
 ///
 /// An existing `path` that is not a regular file (a FIFO, a device, or
-/// a symlink to one such as `/dev/stdout`) is written straight through
-/// and never unlinked: a rename would replace the node itself.
+/// a symlink to one such as `/dev/stdout`), and any path that reaches an
+/// open descriptor (`/dev/stdout` when a shell redirected it to a file),
+/// is written straight through and never unlinked: a rename would
+/// replace the node, or the link, itself.
 #[derive(Debug)]
 pub struct PartFile {
     file: File,
@@ -249,7 +251,9 @@ impl PartFile {
     pub fn create(path: impl AsRef<Path>) -> io::Result<PartFile> {
         let path = path.as_ref().to_path_buf();
         let (file, part) = if PartFile::writes_through(&path) {
-            (File::options().write(true).open(&path)?, None)
+            // Appending: a file a shell opened with `>` is empty, and
+            // one opened with `>>` keeps what it held.
+            (File::options().append(true).open(&path)?, None)
         } else {
             let part = Sink::partial_path(&path);
             (File::create(&part)?, Some(part))
@@ -259,11 +263,37 @@ impl PartFile {
 
     /// Whether [`PartFile::create`] writes `path` straight through
     /// rather than staging `.part`: `path` exists and is not a regular
-    /// file. Such a target is never renamed over or unlinked.
+    /// file, or its chain of symlinks passes through an open descriptor
+    /// (`/dev/stdout` → `/proc/self/fd/1`, `/dev/fd/N`) — whatever that
+    /// descriptor names, even a regular file a shell redirected it to.
+    /// Such a target is never renamed over or unlinked.
     pub fn writes_through(path: impl AsRef<Path>) -> bool {
         // `metadata` follows symlinks: `/dev/stdout` is the node it
         // names, not the link.
-        std::fs::metadata(path).is_ok_and(|m| !m.is_file())
+        std::fs::metadata(&path).is_ok_and(|m| !m.is_file())
+            || PartFile::names_a_descriptor(path.as_ref())
+    }
+
+    /// Whether `path`, or a link its symlink chain passes through, is a
+    /// per-process descriptor link.
+    fn names_a_descriptor(path: &Path) -> bool {
+        let mut hop = path.to_path_buf();
+        // Past the kernel's own limit of 40 links a chain cannot open.
+        for _ in 0..=40 {
+            if hop.starts_with("/proc/self/fd") || hop.starts_with("/dev/fd") {
+                return true;
+            }
+            match std::fs::read_link(&hop) {
+                Ok(target) => {
+                    hop = match hop.parent() {
+                        Some(dir) => dir.join(target),
+                        None => target,
+                    }
+                }
+                Err(_) => return false,
+            }
+        }
+        false
     }
 
     /// The file the bytes land in: the scratch file, or `path` itself
@@ -464,6 +494,30 @@ mod tests {
         f.commit().unwrap();
         assert!(!part.exists());
         assert_eq!(std::fs::read(&out).unwrap(), b"whole");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `-o /dev/stdout` with stdout redirected to a regular file: the
+    /// link chain ends at the file, but it passes through a descriptor.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_link_to_an_open_descriptor_is_written_through_not_renamed_over() {
+        use std::os::fd::AsRawFd;
+        let dir = std::env::temp_dir().join(format!("flowzip-fd-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let redirected = dir.join("redirected.tsh");
+        let file = File::create(&redirected).unwrap();
+        let out = dir.join("out");
+        let fd = format!("/proc/self/fd/{}", file.as_raw_fd());
+        std::os::unix::fs::symlink(&fd, &out).unwrap();
+
+        let mut f = PartFile::create(&out).unwrap();
+        f.write_all(b"capture").unwrap();
+        f.commit().unwrap();
+        assert_eq!(std::fs::read(&redirected).unwrap(), b"capture");
+        assert_eq!(std::fs::read_link(&out).unwrap(), PathBuf::from(fd));
+        assert!(!Sink::partial_path(&out).exists());
+        drop(file);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -75,6 +75,31 @@ fn print_line(line: std::fmt::Arguments<'_>) {
     }
 }
 
+/// Whether `out` names this process's own standard output (`-o
+/// /dev/stdout`, be stdout a pipe, a terminal or a redirected file):
+/// the command's report then goes to stderr, so that stdout carries its
+/// output and nothing else.
+#[cfg_attr(not(unix), allow(unused_variables))]
+fn is_own_stdout(out: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        if let (Ok(a), Ok(b)) = (std::fs::metadata(out), std::fs::metadata("/dev/stdout")) {
+            return (a.dev(), a.ino()) == (b.dev(), b.ino());
+        }
+    }
+    false
+}
+
+/// [`print_line`], or stderr when stdout carries the command's output.
+fn report_line(to_stderr: bool, line: std::fmt::Arguments<'_>) {
+    if to_stderr {
+        eprintln!("{line}");
+    } else {
+        print_line(line);
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -653,6 +678,7 @@ fn decompress(opts: &Opts) -> Result<(), String> {
     // half-written `.part` scratch and exits.
     signal::install_oneshot();
     let _guard = signal::guard_partial(&Sink::partial_path(&out));
+    let to_stderr = is_own_stdout(&out);
     let result = Pipeline::decompress()
         .input(Input::file(input))
         .sink(Sink::file(&out))
@@ -669,10 +695,10 @@ fn decompress(opts: &Opts) -> Result<(), String> {
         report.peak_open_flows
     );
     if json {
-        out!("{}", report.to_json());
+        report_line(to_stderr, format_args!("{}", report.to_json()));
         log::info(&notice);
     } else {
-        out!("{notice}");
+        report_line(to_stderr, format_args!("{notice}"));
     }
     Ok(())
 }
@@ -697,15 +723,16 @@ fn query(opts: &Opts) -> Result<(), String> {
     if let Some(path) = &out {
         session = session.sink(Sink::file(path));
     }
+    let to_stderr = out.as_deref().is_some_and(is_own_stdout);
     if opts.get_bool("metrics") {
         session = session.metrics(Metrics::enabled());
     }
     let result = session.run().map_err(|e| e.to_string())?;
     let report = &result.report;
     if json {
-        out!("{}", report.to_json());
+        report_line(to_stderr, format_args!("{}", report.to_json()));
     } else {
-        out!("{report}");
+        report_line(to_stderr, format_args!("{report}"));
     }
     if let Some(path) = &out {
         let notice = format!(
@@ -717,7 +744,7 @@ fn query(opts: &Opts) -> Result<(), String> {
         if json {
             log::info(&notice);
         } else {
-            out!("{notice}");
+            report_line(to_stderr, format_args!("{notice}"));
         }
     }
     Ok(())
@@ -773,6 +800,7 @@ fn query_rotation_dir(
     // One scratch file for the whole run, renamed into place at the end
     // (and unlinked if any window fails): each window's session streams
     // its records straight into it.
+    let to_stderr = out.is_some_and(is_own_stdout);
     let mut part = out
         .map(|path| PartFile::create(path).map_err(|e| format!("create {}: {e}", path.display())))
         .transpose()?;
@@ -806,11 +834,17 @@ fn query_rotation_dir(
         if let Some(m) = &metrics {
             j.raw("metrics", &m.snapshot().to_json());
         }
-        out!("{}", j.finish());
+        report_line(to_stderr, format_args!("{}", j.finish()));
     } else {
-        out!("queried {windows} rotated archives: {packets} packets matched");
+        report_line(
+            to_stderr,
+            format_args!("queried {windows} rotated archives: {packets} packets matched"),
+        );
         if let Some(path) = out {
-            out!("wrote {}: {} bytes", path.display(), written);
+            report_line(
+                to_stderr,
+                format_args!("wrote {}: {} bytes", path.display(), written),
+            );
         }
     }
     Ok(())

@@ -1013,13 +1013,11 @@ fn overflowing_gap_archive() -> Vec<u8> {
     use flowzip::core::{CompressedTrace, FlowRecord};
     CompressedTrace {
         short_templates: vec![],
-        long_templates: vec![LongTemplate {
-            entries: vec![
-                (0, Duration::ZERO),
-                (16, Duration::from_micros(u64::MAX)),
-                (32, Duration::from_micros(5)),
-            ],
-        }],
+        long_templates: vec![LongTemplate::from_entries([
+            (0, Duration::ZERO),
+            (16, Duration::from_micros(u64::MAX)),
+            (32, Duration::from_micros(5)),
+        ])],
         addresses: vec![Ipv4Addr::new(193, 5, 9, 1)],
         time_seq: vec![FlowRecord {
             first_ts: Timestamp::from_secs(10),
@@ -1080,6 +1078,86 @@ fn crafted_v1_and_v2_archives_are_errors_not_panics() {
                 bin().args(&args).output().unwrap().stdout.is_empty(),
                 "{args:?} printed output"
             );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// LEB128, as the container writes its varints.
+fn varint(mut v: u64, out: &mut Vec<u8>) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A v1 archive holding `long` as its one long-template dataset entry,
+/// then one address and one long flow record; cut after `keep` bytes.
+fn crafted_long_v1(long: &[u8], keep: usize) -> Vec<u8> {
+    let mut b = b"FZC1\x01".to_vec();
+    for count in [0, 1, 1, 1] {
+        varint(count, &mut b);
+    }
+    b.extend_from_slice(long);
+    b.extend_from_slice(&[10, 0, 0, 1, 1, 0, 1]); // address; key, addr, Δts
+    b.truncate(keep);
+    b
+}
+
+/// A plain v2 archive whose one section's payload is `long`, then
+/// `records` (one long flow record, or none).
+fn crafted_long_v2(long: &[u8], records: &[u8]) -> Vec<u8> {
+    let mut b = b"FZC2\x02".to_vec();
+    for count in [0, 1, 1, 1] {
+        varint(count, &mut b);
+    }
+    b.extend_from_slice(&[10, 0, 0, 1]);
+    let flows = u64::from(!records.is_empty());
+    for v in [(long.len() + records.len()) as u64, flows, 1, 0, 1, 0] {
+        varint(v, &mut b); // payload, flows, longs, short and address remaps
+    }
+    b.extend_from_slice(long);
+    b.extend_from_slice(records);
+    b
+}
+
+/// Long templates are parse-checked entry by entry before any output:
+/// an `M` past `u16` and an entry the bytes end inside are the same
+/// errors on every command, in both container revisions.
+#[test]
+fn crafted_long_templates_are_errors_not_panics() {
+    let entries = |list: &[u64]| {
+        let mut b = Vec::new();
+        for &v in list {
+            varint(v, &mut b);
+        }
+        b
+    };
+    // Two entries, the second's `M` is 65 536.
+    let wide = entries(&[2, 5, 0, 65_536, 3]);
+    // Three entries declared; the bytes end after the third's `M`.
+    let cut = entries(&[3, 5, 0, 7, 300, 9]);
+    let wide_msg = "template entry index 65536 out of range";
+    let truncated = "compressed trace truncated";
+    let dir = tmpdir("crafted-long");
+    let out = dir.join("out.tsh");
+    for (name, bytes, needle) in [
+        ("wide_v1", crafted_long_v1(&wide, usize::MAX), wide_msg),
+        ("wide_v2", crafted_long_v2(&wide, &[1, 0, 1]), wide_msg),
+        ("cut_v1", crafted_long_v1(&cut, 9 + cut.len()), truncated),
+        ("cut_v2", crafted_long_v2(&cut, &[]), truncated),
+    ] {
+        let archive = dir.join(format!("{name}.fzc"));
+        std::fs::write(&archive, bytes).unwrap();
+        let archive = archive.as_os_str();
+        let o = out.as_os_str();
+        for args in [
+            vec!["info".as_ref(), archive],
+            vec!["decompress".as_ref(), archive, "-o".as_ref(), o],
+            vec!["query".as_ref(), archive, "-o".as_ref(), o],
+        ] {
+            assert_clean_failure(&args, &out, needle);
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -1537,6 +1615,45 @@ fn decompress_into_a_fifo_writes_through_it() {
     let kind = std::fs::symlink_metadata(&fifo).unwrap().file_type();
     assert!(kind.is_fifo(), "the FIFO was replaced: {kind:?}");
     assert!(!Sink::partial_path(&fifo).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `-o /dev/stdout` with stdout redirected to a regular file, as
+/// `flowzip decompress w.fzc -o /dev/stdout > out.tsh` does: the file
+/// gets exactly the bytes `-o FILE` writes (the report goes to stderr),
+/// and `/dev/stdout` stays what it was — it used to be renamed over.
+#[cfg(target_os = "linux")]
+#[test]
+fn output_to_dev_stdout_redirected_into_a_file() {
+    let dev_stdout = std::path::Path::new("/dev/stdout");
+    let Ok(before) = std::fs::symlink_metadata(dev_stdout) else {
+        return;
+    };
+    let dir = tmpdir("devstdout");
+    let tsh = generate_into(&dir, "w.tsh");
+    let fzc = dir.join("w.fzc");
+    let run = bin().arg("compress").arg(&tsh).arg("-o").arg(&fzc).output();
+    assert!(run.unwrap().status.success());
+    for cmd in ["decompress", "query"] {
+        let want = dir.join(format!("{cmd}-want.tsh"));
+        let got = dir.join(format!("{cmd}-got.tsh"));
+        let run = bin().arg(cmd).arg(&fzc).arg("-o").arg(&want).output();
+        assert!(run.unwrap().status.success());
+        let run = bin()
+            .arg(cmd)
+            .arg(&fzc)
+            .args(["-o", "/dev/stdout"])
+            .stdout(std::fs::File::create(&got).unwrap())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(run.status.success(), "{cmd}: {stderr}");
+        assert!(stderr.contains("wrote /dev/stdout"), "{cmd}: {stderr}");
+        assert_eq!(std::fs::read(&got).unwrap(), std::fs::read(&want).unwrap());
+        let after = std::fs::symlink_metadata(dev_stdout).unwrap();
+        assert_eq!(after.file_type(), before.file_type(), "{cmd}");
+        assert!(!Sink::partial_path(dev_stdout).exists(), "{cmd}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
