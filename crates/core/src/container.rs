@@ -175,7 +175,7 @@ pub(crate) fn put_long_entry(m: u16, gap_us: u64, out: &mut Vec<u8>) {
     // cut back to their length. Only spare capacity takes that store, so
     // the log grows exactly as byte-wise pushes would grow it.
     if m < 0x80 && gap_us < 1 << 49 && out.capacity() - at >= 8 {
-        let gap_len = 1 + (63 - (gap_us | 1).leading_zeros()) / 7;
+        let gap_len = varint_len(gap_us);
         // The gap's 7-bit groups, one per byte, low group first...
         let groups = (gap_us & 0x7f)
             | (gap_us << 1) & 0x7f00
@@ -188,7 +188,7 @@ pub(crate) fn put_long_entry(m: u16, gap_us: u64, out: &mut Vec<u8>) {
         let more = 0x0080_8080_8080_8080 & ((1 << (8 * (gap_len - 1))) - 1);
         let word = u64::from(m) | (groups | more) << 8;
         out.extend_from_slice(&word.to_le_bytes());
-        out.truncate(at + 1 + gap_len as usize);
+        out.truncate(at + 1 + gap_len);
     } else {
         put_varint(m as u64, out);
         put_varint(gap_us, out);
@@ -234,28 +234,10 @@ pub(crate) fn copy_long_template(data: &[u8], pos: &mut usize) -> Result<LongTem
 /// its varints are minimal; the errors [`get_long_entry`] would return.
 #[inline]
 fn long_entry_len(data: &[u8], pos: usize) -> Result<(usize, bool), CodecError> {
-    if let Some(&eight) = data.get(pos..).and_then(<[u8]>::first_chunk::<8>) {
-        if let Some(last) = entry_in_word(u64::from_le_bytes(eight)) {
-            // Minimal unless a gap of two bytes or more ends in a zero.
-            return Ok((last + 1, last == 1 || eight[last] != 0));
-        }
-    }
     let mut end = pos;
     let (m, gap) = get_long_entry(data, &mut end)?;
     let minimal = end - pos == varint_len(u64::from(m)) + varint_len(gap.as_micros());
     Ok((end - pos, minimal))
-}
-
-/// When the long-template entry that starts `word` (little-endian) has
-/// a one-byte `M` — always, under the paper's weights — and a gap of at
-/// most seven bytes, so that it lies inside the word: the index of the
-/// gap's last byte.
-#[inline]
-fn entry_in_word(word: u64) -> Option<usize> {
-    // Bit 8k + 7 is set when byte k ends a varint.
-    let ends = !word & 0x8080_8080_8080_8080;
-    let gap_ends = ends & !0xff;
-    (ends & 0x80 != 0 && gap_ends != 0).then(|| gap_ends.trailing_zeros() as usize / 8)
 }
 
 /// Bytes [`put_varint`] writes for `v`.
@@ -285,23 +267,8 @@ impl Iterator for LongEntries<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(u16, Duration)> {
-        // An entry inside one word decodes from it: the gap's 7-bit
-        // groups, one per byte, gathered low group first — the inverse
-        // of `put_long_entry`'s store.
-        if let Some(&eight) = self.rest.first_chunk::<8>() {
-            let word = u64::from_le_bytes(eight);
-            if let Some(last) = entry_in_word(word) {
-                // Pairs of groups, then fours, then all seven close up.
-                let g = (word >> 8) & ((1 << (8 * last)) - 1) & 0x7f7f_7f7f_7f7f_7f7f;
-                let g = (g & 0x007f_007f_007f_007f) | (g >> 1) & 0x3f80_3f80_3f80_3f80;
-                let g = (g & 0x0000_3fff_0000_3fff) | (g >> 2) & 0x0fff_c000_0fff_c000;
-                let gap = (g & 0x0fff_ffff) | (g >> 4) & 0x00ff_ffff_f000_0000;
-                self.rest = &self.rest[last + 1..];
-                return Some(((word & 0x7f) as u16, Duration::from_micros(gap)));
-            }
-        }
-        // A wider entry, or one in the last seven bytes. The bytes are
-        // whole entries, so this fails only once they are spent.
+        // The bytes are whole entries, so this fails only once they
+        // are spent.
         let mut pos = 0;
         match get_long_entry(self.rest, &mut pos) {
             Ok(entry) => {

@@ -275,9 +275,9 @@ impl PartFile {
     }
 
     /// Whether `path`, or a link its symlink chain passes through, is a
-    /// per-process descriptor link.
-    fn names_a_descriptor(path: &Path) -> bool {
-        let mut hop = path.to_path_buf();
+    /// per-process descriptor link (`/proc/self/fd/N`, `/dev/fd/N`).
+    pub fn names_a_descriptor(path: impl AsRef<Path>) -> bool {
+        let mut hop = path.as_ref().to_path_buf();
         // Past the kernel's own limit of 40 links a chain cannot open.
         for _ in 0..=40 {
             if hop.starts_with("/proc/self/fd") || hop.starts_with("/dev/fd") {

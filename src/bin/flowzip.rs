@@ -64,25 +64,32 @@ macro_rules! out {
 /// SIGPIPE death: whatever the command wrote to disk is complete, and
 /// nobody is left to read the rest. Any other failure exits 1.
 fn print_line(line: std::fmt::Arguments<'_>) {
+    write_line(&mut std::io::stdout().lock(), "stdout", line);
+}
+
+/// [`print_line`] on any stream; `name` is the stream's, for the error.
+fn write_line(w: &mut dyn std::io::Write, name: &str, line: std::fmt::Arguments<'_>) {
     use std::io::Write;
-    let mut stdout = std::io::stdout().lock();
-    if let Err(e) = writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+    if let Err(e) = writeln!(w, "{line}").and_then(|()| w.flush()) {
         if e.kind() == std::io::ErrorKind::BrokenPipe {
             std::process::exit(128 + 13);
         }
-        eprintln!("error: write stdout: {e}");
+        // Not `eprintln!`: it panics when stderr is the stream that failed.
+        let _ = writeln!(std::io::stderr(), "error: write {name}: {e}");
         std::process::exit(1);
     }
 }
 
-/// Whether `out` names this process's own standard output (`-o
-/// /dev/stdout`, be stdout a pipe, a terminal or a redirected file):
-/// the command's report then goes to stderr, so that stdout carries its
-/// output and nothing else.
+/// Whether `out` is this process's own standard output reached through
+/// a descriptor link (`-o /dev/stdout`, `-o /dev/fd/1`), be stdout a
+/// pipe, a terminal or a redirected file: the command's report then goes
+/// to stderr, so that stdout carries its output and nothing else. A path
+/// that merely names the same file (`-o /dev/null > /dev/null`) keeps
+/// the report on stdout.
 #[cfg_attr(not(unix), allow(unused_variables))]
 fn is_own_stdout(out: &Path) -> bool {
     #[cfg(unix)]
-    {
+    if PartFile::names_a_descriptor(out) {
         use std::os::unix::fs::MetadataExt;
         if let (Ok(a), Ok(b)) = (std::fs::metadata(out), std::fs::metadata("/dev/stdout")) {
             return (a.dev(), a.ino()) == (b.dev(), b.ino());
@@ -91,10 +98,11 @@ fn is_own_stdout(out: &Path) -> bool {
     false
 }
 
-/// [`print_line`], or stderr when stdout carries the command's output.
+/// [`print_line`], or the same on stderr when stdout carries the
+/// command's output.
 fn report_line(to_stderr: bool, line: std::fmt::Arguments<'_>) {
     if to_stderr {
-        eprintln!("{line}");
+        write_line(&mut std::io::stderr().lock(), "stderr", line);
     } else {
         print_line(line);
     }

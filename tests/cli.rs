@@ -1657,6 +1657,30 @@ fn output_to_dev_stdout_redirected_into_a_file() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `-o /dev/null > /dev/null` names stdout's file but not through a
+/// descriptor link: the report stays on stdout, where a timing run
+/// throws it away, rather than landing on the terminal.
+#[cfg(target_os = "linux")]
+#[test]
+fn output_to_dev_null_keeps_the_report_on_stdout() {
+    let dir = tmpdir("devnull");
+    let tsh = generate_into(&dir, "w.tsh");
+    let fzc = dir.join("w.fzc");
+    let run = bin().arg("compress").arg(&tsh).arg("-o").arg(&fzc).output();
+    assert!(run.unwrap().status.success());
+    let run = bin()
+        .arg("decompress")
+        .arg(&fzc)
+        .args(["-o", "/dev/null"])
+        .stdout(std::process::Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{stderr}");
+    assert!(!stderr.contains("wrote"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A capture read from a pipe (`cat w.tsh | flowzip compress
 /// /dev/stdin`) compresses to the same archive as the file itself: the
 /// format sniff keeps the bytes it read from a handle that cannot be
