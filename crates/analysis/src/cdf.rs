@@ -35,7 +35,7 @@ impl Cdf {
     }
 
     /// `P[X <= x]`.
-    pub fn eval(&self, x: f64) -> f64 {
+    pub(crate) fn eval(&self, x: f64) -> f64 {
         if self.sorted.is_empty() {
             return 0.0;
         }

@@ -42,7 +42,7 @@ impl TraceComplexity {
 
     /// Scores a decoded archive: one flow per `time-seq` record, sized
     /// by its template. Equal to the streaming
-    /// [`analyze_sections`](crate::analyze_sections) score, which folds
+    /// [`analyze_archive`](crate::analyze_archive) score, which folds
     /// the same flows section by section.
     pub fn from_archive(archive: &CompressedTrace) -> TraceComplexity {
         let sizes: Vec<u64> = archive

@@ -62,25 +62,16 @@ pub struct ArchivePasses {
     pub sections: Vec<SectionPoint>,
 }
 
-impl ArchivePasses {
-    /// The per-section series as parallel columns for
-    /// [`write_dat`](crate::write_dat): `(start seconds, flows,
-    /// packets)` per section.
-    pub fn section_series(&self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let start: Vec<f64> = self.sections.iter().map(|s| s.first_ts_s).collect();
-        let flows: Vec<f64> = self.sections.iter().map(|s| s.flows as f64).collect();
-        let packets: Vec<f64> = self.sections.iter().map(|s| s.packets as f64).collect();
-        (start, flows, packets)
-    }
-}
-
-/// Runs the streaming passes over every section of `reader`.
+/// Runs the streaming passes over every section of the archive `data`
+/// (v1 reads as one section).
 ///
 /// # Errors
 ///
-/// [`CodecError`] when a section payload is malformed; sections decoded
-/// before the error are discarded.
-pub fn analyze_sections(reader: &ArchiveReader<'_>) -> Result<ArchivePasses, CodecError> {
+/// [`CodecError`] when `data` is not a well-formed v1 or v2 archive, or
+/// a section payload is malformed; sections decoded before the error
+/// are discarded.
+pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
+    let reader = ArchiveReader::open(data)?;
     let mut sizes: Vec<f64> = Vec::new();
     let mut sizes_u: Vec<u64> = Vec::new();
     let mut starts_us: Vec<u64> = Vec::new();
@@ -146,16 +137,6 @@ pub fn analyze_sections(reader: &ArchiveReader<'_>) -> Result<ArchivePasses, Cod
     })
 }
 
-/// [`analyze_sections`] over raw archive bytes (v1 reads as one
-/// section).
-///
-/// # Errors
-///
-/// [`CodecError`] when `data` is not a well-formed v1 or v2 archive.
-pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
-    analyze_sections(&ArchiveReader::open(data)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,16 +187,6 @@ mod tests {
         // the CDF agrees with the histogram about the mass at small n.
         assert!(passes.packets_per_flow.quantile(0.0).unwrap() >= 1.0);
         assert!(passes.rtt_ms.quantile(0.5).unwrap() > 0.0);
-    }
-
-    #[test]
-    fn section_series_columns_are_parallel() {
-        let bytes = archive_bytes(80, 32);
-        let passes = analyze_archive(&bytes).unwrap();
-        let (start, flows, packets) = passes.section_series();
-        assert_eq!(start.len(), passes.sections.len());
-        assert_eq!(flows.len(), passes.sections.len());
-        assert_eq!(packets.len(), passes.sections.len());
     }
 
     #[test]

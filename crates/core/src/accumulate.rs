@@ -43,7 +43,7 @@ use std::net::Ipv4Addr;
 /// time in a flow's telemetry; shorter gaps count as *active* transfer
 /// time (1 s — safely past any plausible in-transfer ack gap, well
 /// under typical keep-alive intervals).
-pub const IDLE_THRESHOLD_US: u64 = 1_000_000;
+pub(crate) const IDLE_THRESHOLD_US: u64 = 1_000_000;
 
 /// A fully characterized, completed flow ready for clustering.
 ///

@@ -47,7 +47,7 @@ impl FlagClass {
 
     /// The canonical flag byte this class decodes to (used by the
     /// decompressor).
-    pub fn to_flags(self) -> TcpFlags {
+    pub(crate) fn to_flags(self) -> TcpFlags {
         match self {
             FlagClass::Syn => TcpFlags::SYN,
             FlagClass::SynAck => TcpFlags::SYN | TcpFlags::ACK,
@@ -59,7 +59,7 @@ impl FlagClass {
     }
 
     /// Inverse of [`FlagClass::value`].
-    pub fn from_value(v: u32) -> Option<FlagClass> {
+    pub(crate) fn from_value(v: u32) -> Option<FlagClass> {
         Some(match v {
             0 => FlagClass::Syn,
             1 => FlagClass::SynAck,
@@ -192,7 +192,7 @@ pub fn size_class(payload_len: u16, edge: u16) -> u32 {
 
 /// Representative payload lengths per size class, used when expanding
 /// templates back into packets.
-pub fn size_class_representative(class: u32, edge: u16) -> u16 {
+pub(crate) fn size_class_representative(class: u32, edge: u16) -> u16 {
     match class {
         0 => 0,
         1 => edge / 2 + 1,
@@ -255,56 +255,33 @@ impl Weights {
     }
 }
 
-/// Distance metric between two equal-length `M` vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistanceMetric {
-    /// Manhattan distance (the reading of Eq. 4 used throughout).
-    #[default]
-    L1,
-    /// Euclidean distance (ablation).
-    L2,
+/// Eq. (4)'s distance between two equal-length `M` vectors: the L1
+/// (Manhattan) norm of their difference.
+///
+/// # Panics
+///
+/// Panics if the vectors differ in length — templates are only ever
+/// compared within the same `n` bucket.
+pub fn l1_distance(a: &[u16], b: &[u16]) -> f64 {
+    assert_eq!(a.len(), b.len(), "templates compared within one n bucket");
+    a.iter()
+        .zip(b)
+        .map(|(&x, &y)| (x as i64 - y as i64).abs() as f64)
+        .sum()
 }
 
-impl DistanceMetric {
-    /// Computes the distance between two vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors differ in length — templates are only ever
-    /// compared within the same `n` bucket.
-    pub fn distance(self, a: &[u16], b: &[u16]) -> f64 {
-        assert_eq!(a.len(), b.len(), "templates compared within one n bucket");
-        match self {
-            DistanceMetric::L1 => a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| (x as i64 - y as i64).abs() as f64)
-                .sum(),
-            DistanceMetric::L2 => a
-                .iter()
-                .zip(b)
-                .map(|(&x, &y)| {
-                    let d = x as f64 - y as f64;
-                    d * d
-                })
-                .sum::<f64>()
-                .sqrt(),
+/// Whether [`l1_distance`] is at most `limit`, exiting as soon as the
+/// running sum passes it (the hot path of template search).
+pub(crate) fn l1_within(a: &[u16], b: &[u16], limit: f64) -> bool {
+    let mut acc = 0i64;
+    let lim = limit as i64;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += (x as i64 - y as i64).abs();
+        if acc > lim {
+            return false;
         }
     }
-
-    /// L1 distance with early exit once `limit` is exceeded (the hot path
-    /// of template search).
-    pub fn l1_within(a: &[u16], b: &[u16], limit: f64) -> bool {
-        let mut acc = 0i64;
-        let lim = limit as i64;
-        for (&x, &y) in a.iter().zip(b) {
-            acc += (x as i64 - y as i64).abs();
-            if acc > lim {
-                return false;
-            }
-        }
-        acc as f64 <= limit
-    }
+    acc as f64 <= limit
 }
 
 #[cfg(test)]
@@ -408,11 +385,9 @@ mod tests {
     fn distances() {
         let a = [0u16, 16, 32];
         let b = [2u16, 16, 30];
-        assert_eq!(DistanceMetric::L1.distance(&a, &b), 4.0);
-        let l2 = DistanceMetric::L2.distance(&a, &b);
-        assert!((l2 - (8f64).sqrt()).abs() < 1e-12);
-        assert!(DistanceMetric::l1_within(&a, &b, 4.0));
-        assert!(!DistanceMetric::l1_within(&a, &b, 3.0));
+        assert_eq!(l1_distance(&a, &b), 4.0);
+        assert!(l1_within(&a, &b, 4.0));
+        assert!(!l1_within(&a, &b, 3.0));
     }
 
     #[test]

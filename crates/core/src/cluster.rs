@@ -7,22 +7,9 @@
 //! a bucket, a new flow joins the first template within `d_sim` (Eq. 4)
 //! or becomes a new cluster center.
 
-use crate::characterize::DistanceMetric;
+use crate::characterize::l1_within;
 use crate::Params;
 use std::collections::BTreeMap;
-
-/// How candidate templates are searched inside a bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchIndex {
-    /// Compare against every template in the bucket.
-    Linear,
-    /// Prune by vector sum first (default). For L1,
-    /// `|Σa − Σb| ≤ d_L1(a, b)`, so only templates whose sums fall within
-    /// `d_sim` can match; for L2 the window widens to `√n · d_sim`
-    /// (Cauchy–Schwarz bound `|Σa − Σb| ≤ √n · d_L2`).
-    #[default]
-    SumPruned,
-}
 
 /// One stored cluster center.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,19 +49,12 @@ impl MatchOutcome {
 pub struct TemplateStore {
     params: Params,
     templates: Vec<Template>,
-    /// Indexed by `n`: the templates with that length. Grown on demand to
-    /// the longest vector offered; short flows keep it at `short_max + 1`.
-    buckets: Vec<Bucket>,
+    /// Indexed by `n`: the templates with that length, keyed by vector
+    /// sum. Grown on demand to the longest vector offered; short flows
+    /// keep it at `short_max + 1`.
+    buckets: Vec<BTreeMap<u64, Vec<u32>>>,
     matched: u64,
     inserted: u64,
-}
-
-#[derive(Debug, Default)]
-struct Bucket {
-    /// Template indices in insertion order (linear search order).
-    order: Vec<u32>,
-    /// Vector-sum index for pruned search.
-    by_sum: BTreeMap<u64, Vec<u32>>,
 }
 
 impl TemplateStore {
@@ -137,43 +117,17 @@ impl TemplateStore {
         let sum: u64 = vector.iter().map(|&m| m as u64).sum();
 
         if n >= self.buckets.len() {
-            self.buckets.resize_with(n + 1, Bucket::default);
+            self.buckets.resize_with(n + 1, BTreeMap::new);
         }
+        // `|Σa − Σb| ≤ d_L1(a, b)`, so only templates whose sums fall
+        // within `d_sim` can match.
+        let window = d_sim.ceil() as u64;
         let bucket = &mut self.buckets[n];
-        let found = match self.params.index {
-            SearchIndex::Linear => bucket.order.iter().copied().find(|&idx| {
-                within(
-                    self.params.metric,
-                    &self.templates[idx as usize].vector,
-                    vector,
-                    d_sim,
-                )
-            }),
-            SearchIndex::SumPruned => {
-                let window = match self.params.metric {
-                    DistanceMetric::L1 => d_sim,
-                    DistanceMetric::L2 => d_sim * (n as f64).sqrt(),
-                }
-                .ceil() as u64;
-                let lo = sum.saturating_sub(window);
-                let hi = sum + window;
-                let mut best: Option<u32> = None;
-                'outer: for (_, idxs) in bucket.by_sum.range(lo..=hi) {
-                    for &idx in idxs {
-                        if within(
-                            self.params.metric,
-                            &self.templates[idx as usize].vector,
-                            vector,
-                            d_sim,
-                        ) {
-                            best = Some(idx);
-                            break 'outer;
-                        }
-                    }
-                }
-                best
-            }
-        };
+        let found = bucket
+            .range(sum.saturating_sub(window)..=sum + window)
+            .flat_map(|(_, idxs)| idxs)
+            .copied()
+            .find(|&idx| l1_within(&self.templates[idx as usize].vector, vector, d_sim));
 
         match found {
             Some(idx) => {
@@ -187,8 +141,7 @@ impl TemplateStore {
                     vector: vector.to_vec(),
                     members,
                 });
-                bucket.order.push(idx);
-                bucket.by_sum.entry(sum).or_default().push(idx);
+                bucket.entry(sum).or_default().push(idx);
                 self.inserted += 1;
                 self.matched += members - 1;
                 MatchOutcome::Inserted(idx)
@@ -226,15 +179,8 @@ impl TemplateStore {
 
     /// Consumes the store, returning the template list (the dataset that
     /// gets serialized).
-    pub fn into_templates(self) -> Vec<Template> {
+    pub(crate) fn into_templates(self) -> Vec<Template> {
         self.templates
-    }
-}
-
-fn within(metric: DistanceMetric, a: &[u16], b: &[u16], limit: f64) -> bool {
-    match metric {
-        DistanceMetric::L1 => DistanceMetric::l1_within(a, b, limit),
-        DistanceMetric::L2 => metric.distance(a, b) <= limit,
     }
 }
 
@@ -289,25 +235,39 @@ mod tests {
         assert_eq!(s.offer(&b), MatchOutcome::Inserted(1));
     }
 
+    /// The linear-scan reference for the sum-pruned search: each vector
+    /// is compared with every center of its length, and joins the first
+    /// one within `d_sim` or becomes a center. Returns whether each
+    /// vector matched, and the final center count.
+    fn linear_reference(params: &Params, vectors: &[Vec<u16>]) -> (Vec<bool>, usize) {
+        let mut centers: Vec<&[u16]> = Vec::new();
+        let matched = vectors
+            .iter()
+            .map(|v| {
+                let d_sim = params.d_sim(v.len());
+                let hit = centers
+                    .iter()
+                    .any(|c| c.len() == v.len() && l1_within(c, v, d_sim));
+                if !hit {
+                    centers.push(v);
+                }
+                hit
+            })
+            .collect();
+        (matched, centers.len())
+    }
+
     #[test]
     fn linear_and_pruned_agree() {
         let vectors: Vec<Vec<u16>> = (0..200)
             .map(|i| (0..10).map(|j| ((i * 7 + j * 13) % 55) as u16).collect())
             .collect();
-        let mut lin = TemplateStore::new(Params {
-            index: SearchIndex::Linear,
-            ..Params::paper()
-        });
-        let mut pruned = TemplateStore::new(Params {
-            index: SearchIndex::SumPruned,
-            ..Params::paper()
-        });
-        for v in &vectors {
-            let a = lin.offer(v);
-            let b = pruned.offer(v);
-            assert_eq!(a.is_match(), b.is_match(), "vector {v:?}");
+        let (lin, lin_len) = linear_reference(&Params::paper(), &vectors);
+        let mut pruned = store();
+        for (v, &lin_match) in vectors.iter().zip(&lin) {
+            assert_eq!(pruned.offer(v).is_match(), lin_match, "vector {v:?}");
         }
-        assert_eq!(lin.len(), pruned.len());
+        assert_eq!(pruned.len(), lin_len);
     }
 
     #[test]
@@ -322,27 +282,6 @@ mod tests {
         assert_eq!(s.offer(&a), MatchOutcome::Inserted(0));
         assert_eq!(s.offer(&b), MatchOutcome::Inserted(1));
         assert!(s.offer(&a).is_match());
-    }
-
-    #[test]
-    fn l2_metric_clusters_more_tightly() {
-        // L2 distance of a spread-out difference is much smaller than L1,
-        // but the threshold is the same, so L2 merges more.
-        let params_l2 = Params {
-            metric: DistanceMetric::L2,
-            ..Params::paper()
-        };
-        let mut l1 = store();
-        let mut l2 = TemplateStore::new(params_l2);
-        let a: Vec<u16> = vec![20; 16]; // n=16 -> d_sim = 16
-        let b: Vec<u16> = a.iter().map(|&x| x + 1).collect(); // L1=16, L2=4
-        l1.offer(&a);
-        l2.offer(&a);
-        assert!(l1.offer(&b).is_match()); // 16 <= 16
-        assert!(l2.offer(&b).is_match()); // 4 <= 16
-        let c: Vec<u16> = a.iter().map(|&x| x + 2).collect(); // L1=32, L2=8
-        assert!(!l1.offer(&c).is_match());
-        assert!(l2.offer(&c).is_match());
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! metadata-stripped v2 twin yields equal archives), a reader accepts
 //! files with or without it, and writers that must interoperate with
 //! strict pre-2.1 readers emit plain v2 via
-//! [`CompressedTrace::encode_v2_opts`]. When present the block is
+//! `CompressedTrace::encode_v2_opts`. When present the block is
 //! validated, not blindly skipped — a corrupt or truncated block is a
 //! [`CodecError`], never a panic or a silently wrong query index.
 //!
@@ -74,9 +74,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Container v2 magic: "FZC2".
-pub const MAGIC_V2: [u8; 4] = *b"FZC2";
+pub(crate) const MAGIC_V2: [u8; 4] = *b"FZC2";
 /// Container v2 version byte.
-pub const VERSION_V2: u8 = 2;
+pub(crate) const VERSION_V2: u8 = 2;
 
 /// Which container layout an archive uses. [`ArchiveReader`] opens both;
 /// the only writer of v1 is [`CompressedTrace::to_bytes`], the reference
@@ -364,7 +364,7 @@ struct SectionEntry<'a> {
 /// What the index-assembly merge learned — the clustering figures that
 /// only exist after shard stores fold together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SectionMergeStats {
+pub(crate) struct SectionMergeStats {
     /// Cluster centers in the merged `short-flows-template` dataset.
     pub clusters: u64,
     /// Flows that joined an existing cluster, post-merge.
@@ -385,7 +385,7 @@ pub struct SectionMergeStats {
 ///
 /// Panics if shard stores were built with different parameters (the same
 /// contract as [`TemplateStore::merge`]).
-pub fn write_sections(
+pub(crate) fn write_sections(
     params: &Params,
     sections: Vec<ShardSection>,
 ) -> (Vec<u8>, DatasetSizes, SectionMergeStats) {
@@ -1065,7 +1065,7 @@ impl CompressedTrace {
     /// payload tiling, no trailing block) for interoperability with
     /// strict pre-2.1 readers — and for the compat tests that pin the
     /// two layouts decoding identically.
-    pub fn encode_v2_opts(&self, with_metadata: bool) -> (Vec<u8>, DatasetSizes) {
+    pub(crate) fn encode_v2_opts(&self, with_metadata: bool) -> (Vec<u8>, DatasetSizes) {
         self.encode_v2_inner(with_metadata, None)
     }
 

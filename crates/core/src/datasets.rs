@@ -22,9 +22,9 @@ use std::net::Ipv4Addr;
 /// Container magic: "FZC1".
 pub const MAGIC: [u8; 4] = *b"FZC1";
 /// Format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// RTT quantization shift (128 µs units).
-pub const RTT_SHIFT: u32 = 7;
+pub(crate) const RTT_SHIFT: u32 = 7;
 
 /// One long flow stored verbatim: `(M, inter-packet gap)` per packet.
 ///

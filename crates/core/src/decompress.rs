@@ -45,7 +45,7 @@
 //!
 //! The synthesized client address and port are a **pure function of the
 //! record's stored content** — `(seed, first-packet timestamp,
-//! destination address, quantized RTT, S/L bit)` via [`synth_client`] —
+//! destination address, quantized RTT, S/L bit)` via `synth_client` —
 //! not of the record's position in the time-seq stream. That invariance
 //! is what makes archives *queryable*: decoding any subset of a v2
 //! archive's sections reproduces, flow for flow, the exact endpoints a
@@ -446,7 +446,7 @@ impl Iterator for PacketStream<'_> {
 /// a pruned query decode, the encode-time Bloom-key writer — derives the
 /// identical endpoint, regardless of which sections around it were
 /// decoded.
-pub fn synth_client(
+pub(crate) fn synth_client(
     seed: u64,
     first_ts: Timestamp,
     server: Ipv4Addr,
@@ -492,7 +492,7 @@ pub fn synth_client(
 /// [`synth_client`] packaged as the flow's client→server five-tuple
 /// (server side on port 80, per §4) — the flow key the v2.1 metadata
 /// Bloom filters store and `flowzip query` matches against.
-pub fn synth_tuple(
+pub(crate) fn synth_tuple(
     seed: u64,
     first_ts: Timestamp,
     server: Ipv4Addr,

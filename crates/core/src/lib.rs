@@ -61,24 +61,19 @@ pub mod synth;
 pub mod telemetry;
 
 pub use accumulate::{FinishedFlow, FlowAccumulator};
-pub use characterize::{Dependence, DistanceMetric, FlagClass, FlagClassifier, Weights};
-pub use cluster::{SearchIndex, TemplateStore};
+pub use characterize::{l1_distance, Dependence, FlagClass, FlagClassifier, Weights};
+pub use cluster::{MatchOutcome, Template, TemplateStore};
 pub use compress::{
     assemble_sections, assemble_shards, CompressionReport, Compressor, FlowAssembler,
 };
 pub use container::{
-    read_v2, v2_metadata, ArchiveFormat, ArchiveReader, DecodedSection, SectionMergeStats,
-    ShardSection,
+    read_v2, v2_metadata, ArchiveFormat, ArchiveReader, DecodedSection, ShardSection,
 };
 pub use datasets::{CompressedTrace, DatasetSizes, FlowRecord};
-pub use decompress::{
-    synth_client, synth_tuple, DecompressParams, Decompressor, PacketStream, DEFAULT_SEED,
-};
-pub use meta::{ArchiveMeta, FlowKeyBloom, SectionMeta};
-pub use query::{
-    query_bytes, select_bytes, select_reader, FlowQuery, QueryOutcome, QuerySelection, QueryStats,
-};
-pub use synth::{synthesize, ArchiveModel, SynthConfig, SynthGenerator};
+pub use decompress::{DecompressParams, Decompressor, PacketStream, DEFAULT_SEED};
+pub use meta::{ArchiveMeta, SectionMeta};
+pub use query::{query_bytes, select_reader, FlowQuery, QueryOutcome, QuerySelection, QueryStats};
+pub use synth::{synthesize, SynthConfig, SynthGenerator};
 pub use telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
 
 /// All knobs of the compression pipeline, with the paper's values as
@@ -98,11 +93,6 @@ pub struct Params {
     /// Similarity threshold as a fraction of the maximum inter-flow
     /// distance (paper: 2%).
     pub similarity: f64,
-    /// Distance metric between template vectors (paper reading: L1).
-    pub metric: DistanceMetric,
-    /// Template search strategy (sum-pruned index by default; linear
-    /// scan available for ablation).
-    pub index: SearchIndex,
 }
 
 impl Params {
@@ -116,8 +106,6 @@ impl Params {
             short_max: 50,
             per_packet_bound: 50,
             similarity: 0.02,
-            metric: DistanceMetric::L1,
-            index: SearchIndex::SumPruned,
         }
     }
 

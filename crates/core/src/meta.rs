@@ -24,7 +24,7 @@
 //! # What the Bloom filter stores
 //!
 //! The archive is lossy: client endpoints are *synthesized* at
-//! decompression time ([`synth_tuple`](crate::decompress::synth_tuple)
+//! decompression time (`synth_tuple`
 //! derives them purely from the record's content and the seed). The
 //! filter therefore stores the **synthesized client→server five-tuples**
 //! — the only flow keys a query over the decompressed trace can ever
@@ -39,9 +39,9 @@ use flowzip_trace::{FiveTuple, Timestamp};
 use std::net::Ipv4Addr;
 
 /// Metadata-block magic: "FZM1".
-pub const META_MAGIC: [u8; 4] = *b"FZM1";
+pub(crate) const META_MAGIC: [u8; 4] = *b"FZM1";
 /// Metadata-block version this reader writes and accepts.
-pub const META_VERSION: u64 = 1;
+pub(crate) const META_VERSION: u64 = 1;
 
 /// Filter bits budgeted per stored flow key (≈1% false positives with
 /// [`FlowKeyBloom::HASHES`] probes).
@@ -51,7 +51,7 @@ const BITS_PER_KEY: u64 = 10;
 /// count at construction. Membership is direction-sensitive — callers
 /// matching conversations probe both orientations.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlowKeyBloom {
+pub(crate) struct FlowKeyBloom {
     bits: Vec<u8>,
     m: u64,
     k: u32,
@@ -69,11 +69,11 @@ fn splitmix64(mut x: u64) -> u64 {
 impl FlowKeyBloom {
     /// Hash probes per key (paired with 10 bits per key for the
     /// classic ≈1% false-positive point).
-    pub const HASHES: u32 = 7;
+    pub(crate) const HASHES: u32 = 7;
 
     /// An empty filter sized for `keys` insertions (zero keys → zero
     /// bits; [`FlowKeyBloom::contains`] is then always `false`).
-    pub fn sized_for(keys: u64) -> FlowKeyBloom {
+    pub(crate) fn sized_for(keys: u64) -> FlowKeyBloom {
         let m = keys.saturating_mul(BITS_PER_KEY).div_ceil(8) * 8;
         FlowKeyBloom {
             bits: vec![0u8; (m / 8) as usize],
@@ -87,11 +87,6 @@ impl FlowKeyBloom {
         FlowKeyBloom { bits, m, k }
     }
 
-    /// Filter size in bits.
-    pub fn bits(&self) -> u64 {
-        self.m
-    }
-
     /// Double-hashing probe positions for one tuple.
     fn positions(&self, tuple: &FiveTuple) -> impl Iterator<Item = u64> + '_ {
         let h = tuple.stable_hash();
@@ -102,7 +97,7 @@ impl FlowKeyBloom {
     }
 
     /// Inserts one flow key.
-    pub fn insert(&mut self, tuple: &FiveTuple) {
+    pub(crate) fn insert(&mut self, tuple: &FiveTuple) {
         if self.m == 0 {
             return;
         }
@@ -114,7 +109,7 @@ impl FlowKeyBloom {
 
     /// `true` when the key *may* have been inserted (never a false
     /// negative; false positives at the design rate).
-    pub fn contains(&self, tuple: &FiveTuple) -> bool {
+    pub(crate) fn contains(&self, tuple: &FiveTuple) -> bool {
         if self.m == 0 {
             return false;
         }
@@ -124,7 +119,7 @@ impl FlowKeyBloom {
 
     /// Probes both directions of a conversation — the query planner's
     /// membership test, matching [`FiveTuple::same_conversation`].
-    pub fn contains_conversation(&self, tuple: &FiveTuple) -> bool {
+    pub(crate) fn contains_conversation(&self, tuple: &FiveTuple) -> bool {
         self.contains(tuple) || self.contains(&tuple.reversed())
     }
 }
@@ -147,7 +142,7 @@ pub struct SectionMeta {
     /// Bytes of the section payload's time-seq slice.
     pub time_seq_bytes: u64,
     /// Synthesized-flow-key membership filter.
-    pub bloom: FlowKeyBloom,
+    pub(crate) bloom: FlowKeyBloom,
 }
 
 impl SectionMeta {
@@ -156,7 +151,7 @@ impl SectionMeta {
     /// destination IP; the Bloom keys are the client→server tuples
     /// [`synth_tuple`](crate::decompress::synth_tuple) will synthesize
     /// for the same records at decompression time under `seed`.
-    pub fn from_records(
+    pub(crate) fn from_records(
         seed: u64,
         packets: u64,
         long_template_bytes: u64,
@@ -197,7 +192,7 @@ impl SectionMeta {
 /// assume, plus one [`SectionMeta`] per archive section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ArchiveMeta {
-    /// Seed [`SectionMeta::from_records`] synthesized the Bloom keys
+    /// Seed `SectionMeta::from_records` synthesized the Bloom keys
     /// with; a query running under a different decompression seed must
     /// ignore the filters (time pruning stays valid).
     pub seed: u64,
@@ -332,7 +327,7 @@ mod tests {
     #[test]
     fn empty_bloom_rejects_everything() {
         let b = FlowKeyBloom::sized_for(0);
-        assert_eq!(b.bits(), 0);
+        assert_eq!(b.m, 0);
         assert!(!b.contains(&tuple(1, 5000)));
         assert!(!b.contains_conversation(&tuple(1, 5000)));
     }

@@ -25,11 +25,11 @@
 //! takes, their time-seq slices merge with the same stable k-way merge,
 //! and a record-level filter — the ground truth the Bloom only
 //! approximates — keeps exactly the flows that match. Because endpoint synthesis is
-//! position-independent ([`synth_tuple`]), decompressing the filtered
+//! position-independent (`synth_tuple`), decompressing the filtered
 //! subset yields **byte-identical packets** to filtering a full
 //! decompression after the fact; the query tests pin this.
 //!
-//! Planning and synthesis are separate steps: [`select_bytes`] stops at
+//! Planning and synthesis are separate steps: `select_bytes` stops at
 //! the filtered archive (a caller that only counts reads
 //! [`QueryStats::packets`], summed from template lengths; one that
 //! writes a capture drains [`Decompressor::packets`] over it into its
@@ -144,7 +144,7 @@ pub struct QuerySelection {
 /// # Errors
 ///
 /// [`CodecError`] for malformed input.
-pub fn select_bytes(
+pub(crate) fn select_bytes(
     data: &[u8],
     query: &FlowQuery,
     dp: &DecompressParams,
@@ -152,7 +152,7 @@ pub fn select_bytes(
     select_reader(ArchiveReader::open(data)?, query, dp)
 }
 
-/// [`select_bytes`], then the matching packets synthesized and
+/// `select_bytes`, then the matching packets synthesized and
 /// collected into a [`Trace`].
 ///
 /// # Errors
@@ -192,7 +192,7 @@ fn survives(
     true
 }
 
-/// [`select_bytes`] over an already-opened archive: the sections
+/// `select_bytes` over an already-opened archive: the sections
 /// whose metadata cannot rule the query out decode on the reader's one
 /// selection path, then the record-level filter runs. A caller that
 /// also wants header facts (counts, telemetry) reads them off the same

@@ -42,7 +42,7 @@ impl Default for SynthConfig {
 
 /// The fitted model extracted from an archive.
 #[derive(Debug, Clone)]
-pub struct ArchiveModel {
+pub(crate) struct ArchiveModel {
     /// `(is_long, template_idx, weight)` — how often each template was
     /// referenced by `time-seq`.
     template_weights: Vec<(bool, u32, u64)>,
@@ -58,7 +58,7 @@ impl ArchiveModel {
     /// Fits the model from an archive's datasets.
     ///
     /// Returns `None` for an empty archive (nothing to fit).
-    pub fn fit(archive: &CompressedTrace) -> Option<ArchiveModel> {
+    pub(crate) fn fit(archive: &CompressedTrace) -> Option<ArchiveModel> {
         if archive.time_seq.is_empty() {
             return None;
         }
@@ -89,16 +89,6 @@ impl ArchiveModel {
             rtts_us,
             mean_arrival_us,
         })
-    }
-
-    /// Number of distinct templates in the model.
-    pub fn template_count(&self) -> usize {
-        self.template_weights.len()
-    }
-
-    /// Fitted mean flow inter-arrival gap.
-    pub fn mean_arrival(&self) -> Duration {
-        Duration::from_micros(self.mean_arrival_us as u64)
     }
 
     fn sample_weighted<R: Rng>(weights: impl Iterator<Item = u64> + Clone, rng: &mut R) -> usize {
@@ -300,8 +290,9 @@ mod tests {
     fn model_fit_summaries() {
         let a = archive(250, 13);
         let m = ArchiveModel::fit(&a).unwrap();
-        assert!(m.template_count() > 0);
-        assert!(m.template_count() <= a.short_templates.len() + a.long_templates.len());
-        assert!(m.mean_arrival() > Duration::ZERO);
+        let templates = m.template_weights.len();
+        assert!(templates > 0);
+        assert!(templates <= a.short_templates.len() + a.long_templates.len());
+        assert!(m.mean_arrival_us > 0.0);
     }
 }

@@ -33,9 +33,9 @@
 use crate::datasets::{get_varint, put_varint, CodecError};
 
 /// Telemetry-block magic: "FZT1".
-pub const TELEMETRY_MAGIC: [u8; 4] = *b"FZT1";
+pub(crate) const TELEMETRY_MAGIC: [u8; 4] = *b"FZT1";
 /// Telemetry-block version this reader writes and accepts.
-pub const TELEMETRY_VERSION: u64 = 1;
+pub(crate) const TELEMETRY_VERSION: u64 = 1;
 
 /// One flow's TCP dynamics, derived during the accumulate pass.
 ///
@@ -68,16 +68,6 @@ impl FlowTelemetry {
     /// Total retransmissions, both mechanisms.
     pub fn retransmissions(&self) -> u64 {
         self.retrans_fast + self.retrans_timeout
-    }
-
-    /// Mean throughput over the flow's *active* time, in bytes per
-    /// second (0 when the flow was never active).
-    pub fn bytes_per_sec(&self) -> f64 {
-        if self.active_us == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / (self.active_us as f64 / 1e6)
-        }
     }
 }
 
@@ -292,7 +282,5 @@ mod tests {
             bytes: 1_000_000,
         };
         assert_eq!(f.retransmissions(), 3);
-        assert!((f.bytes_per_sec() - 500_000.0).abs() < 1e-9);
-        assert_eq!(FlowTelemetry::default().bytes_per_sec(), 0.0);
     }
 }

@@ -249,7 +249,7 @@ proptest! {
             let outcome = store.offer(v);
             let center = &store.templates()[outcome.index() as usize].vector;
             if center.len() == v.len() {
-                let d = flowzip_core::DistanceMetric::L1.distance(center, v);
+                let d = flowzip_core::l1_distance(center, v);
                 if outcome.is_match() {
                     prop_assert!(d <= params.d_sim(v.len()) + 1e-9);
                 } else {

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected) as required by gzip trailers.
 
 /// The reflected CRC-32 polynomial used by gzip, zip and Ethernet.
-pub const POLYNOMIAL: u32 = 0xEDB8_8320;
+pub(crate) const POLYNOMIAL: u32 = 0xEDB8_8320;
 
 /// Streaming CRC-32 computation.
 ///

@@ -10,35 +10,35 @@ use crate::huffman;
 use crate::lz77::{self, Token};
 
 /// Number of literal/length symbols (0–285, with 286/287 reserved).
-pub const NUM_LITLEN: usize = 286;
+pub(crate) const NUM_LITLEN: usize = 286;
 /// Number of distance symbols.
-pub const NUM_DIST: usize = 30;
+pub(crate) const NUM_DIST: usize = 30;
 /// Number of code-length-alphabet symbols.
-pub const NUM_CL: usize = 19;
+pub(crate) const NUM_CL: usize = 19;
 /// End-of-block marker symbol.
-pub const END_OF_BLOCK: usize = 256;
+pub(crate) const END_OF_BLOCK: usize = 256;
 
 /// Base match length for each length symbol (257 + index).
-pub const LENGTH_BASE: [u16; 29] = [
+pub(crate) const LENGTH_BASE: [u16; 29] = [
     3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131,
     163, 195, 227, 258,
 ];
 /// Extra bits for each length symbol.
-pub const LENGTH_EXTRA: [u8; 29] = [
+pub(crate) const LENGTH_EXTRA: [u8; 29] = [
     0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0,
 ];
 /// Base distance for each distance symbol.
-pub const DIST_BASE: [u16; 30] = [
+pub(crate) const DIST_BASE: [u16; 30] = [
     1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537,
     2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577,
 ];
 /// Extra bits for each distance symbol.
-pub const DIST_EXTRA: [u8; 30] = [
+pub(crate) const DIST_EXTRA: [u8; 30] = [
     0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13,
     13,
 ];
 /// Transmission order of code-length-code lengths (RFC 1951 §3.2.7).
-pub const CL_ORDER: [usize; 19] = [
+pub(crate) const CL_ORDER: [usize; 19] = [
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15,
 ];
 
@@ -47,7 +47,7 @@ pub const CL_ORDER: [usize; 19] = [
 /// # Panics
 ///
 /// Panics if `len` is outside the DEFLATE range.
-pub fn length_symbol(len: u16) -> (u16, u8, u16) {
+pub(crate) fn length_symbol(len: u16) -> (u16, u8, u16) {
     assert!((3..=258).contains(&len), "match length {len} out of range");
     // Find the last base <= len.
     let idx = match LENGTH_BASE.binary_search(&len) {
@@ -62,7 +62,7 @@ pub fn length_symbol(len: u16) -> (u16, u8, u16) {
 /// # Panics
 ///
 /// Panics if `dist` is outside the DEFLATE range.
-pub fn distance_symbol(dist: u16) -> (u16, u8, u16) {
+pub(crate) fn distance_symbol(dist: u16) -> (u16, u8, u16) {
     assert!(dist >= 1, "distance must be positive");
     let idx = match DIST_BASE.binary_search(&dist) {
         Ok(i) => i,
@@ -72,7 +72,7 @@ pub fn distance_symbol(dist: u16) -> (u16, u8, u16) {
 }
 
 /// Fixed literal/length code lengths (RFC 1951 §3.2.6).
-pub fn fixed_litlen_lengths() -> Vec<u8> {
+pub(crate) fn fixed_litlen_lengths() -> Vec<u8> {
     let mut l = vec![0u8; 288];
     l[0..144].fill(8);
     l[144..256].fill(9);
@@ -82,7 +82,7 @@ pub fn fixed_litlen_lengths() -> Vec<u8> {
 }
 
 /// Fixed distance code lengths: thirty 5-bit codes.
-pub fn fixed_dist_lengths() -> Vec<u8> {
+pub(crate) fn fixed_dist_lengths() -> Vec<u8> {
     vec![5u8; 30]
 }
 

@@ -10,9 +10,9 @@ use std::fmt;
 /// gzip magic bytes.
 pub const MAGIC: [u8; 2] = [0x1f, 0x8b];
 /// Compression method 8 = deflate (the only defined one).
-pub const METHOD_DEFLATE: u8 = 8;
+pub(crate) const METHOD_DEFLATE: u8 = 8;
 /// Fixed container overhead: 10-byte header + 8-byte trailer.
-pub const OVERHEAD: usize = 18;
+pub(crate) const OVERHEAD: usize = 18;
 
 /// Errors from parsing a gzip file.
 #[derive(Debug, Clone, PartialEq, Eq)]

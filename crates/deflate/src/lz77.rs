@@ -6,11 +6,11 @@
 //! match by one position when the next position matches longer.
 
 /// DEFLATE window size: matches may reach back at most this far.
-pub const WINDOW_SIZE: usize = 32 * 1024;
+pub(crate) const WINDOW_SIZE: usize = 32 * 1024;
 /// Minimum match length DEFLATE can encode.
-pub const MIN_MATCH: usize = 3;
+pub(crate) const MIN_MATCH: usize = 3;
 /// Maximum match length DEFLATE can encode.
-pub const MAX_MATCH: usize = 258;
+pub(crate) const MAX_MATCH: usize = 258;
 
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;

@@ -7,7 +7,7 @@ use crate::inflate::{inflate, InflateError};
 use std::fmt;
 
 /// Compression method + 32 KiB window (CMF byte).
-pub const CMF: u8 = 0x78;
+pub(crate) const CMF: u8 = 0x78;
 /// Largest Adler-32 modulus prime.
 const ADLER_MOD: u32 = 65_521;
 

@@ -34,7 +34,7 @@ impl CancelFlag {
     }
 
     /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.0.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))
     }
 }
@@ -166,17 +166,15 @@ pub struct EngineBuilder {
 }
 
 impl EngineBuilder {
-    /// Starts from the defaults: paper parameters, one shard per
-    /// available CPU (capped at 8), 1024-packet batches, 4 in-flight
-    /// batches per shard, no idle eviction.
+    /// Starts from the defaults: paper parameters, one shard (inline on
+    /// the calling thread, bytes ≡ the batch compressor on every host),
+    /// 1024-packet batches, 4 in-flight batches per shard, no idle
+    /// eviction.
     pub fn new() -> EngineBuilder {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         EngineBuilder {
             config: EngineConfig {
                 params: Params::paper(),
-                shards: cpus.min(8),
+                shards: 1,
                 batch_size: 1024,
                 channel_capacity: 4,
                 idle_timeout: None,
@@ -293,7 +291,7 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = EngineConfig::default();
-        assert!(c.shards >= 1);
+        assert_eq!(c.shards, 1);
         assert!(c.batch_size >= 1);
         assert!(c.channel_capacity >= 1);
         assert_eq!(c.idle_timeout, None);

@@ -11,7 +11,7 @@
 use std::path::{Path, PathBuf};
 
 /// Does `pattern` contain glob metacharacters?
-pub fn is_pattern(pattern: &str) -> bool {
+pub(crate) fn is_pattern(pattern: &str) -> bool {
     pattern.contains('*') || pattern.contains('?')
 }
 

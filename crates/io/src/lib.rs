@@ -17,9 +17,9 @@
 //! ledger workload (1.04 M packets, `--threads 2`, 2-vCPU host) the
 //! sequential reader compresses in 189 ms wall against 219 ms through
 //! two reader threads, for the same archive bytes. [`MultiFileSource`],
-//! [`PrefetchReader`] and [`WorkerPool`] — the reader threads that
-//! measurement retired — stay only because the performance ledger's
-//! `io.multifile_read` and `io.prefetch_read` probes
+//! [`PrefetchReader`] and their crate-private worker pool — the reader
+//! threads that measurement retired — stay only because the performance
+//! ledger's `io.multifile_read` and `io.prefetch_read` probes
 //! (`benchmark/src/layers.rs`) import them.
 //!
 //! ```
@@ -44,13 +44,12 @@
 
 pub mod glob;
 pub mod multifile;
-pub mod pool;
+mod pool;
 pub mod prefetch;
 pub mod source;
 pub mod stats;
 
 pub use multifile::{MultiFileConfig, MultiFileIter, MultiFileSource};
-pub use pool::{DetachedTasks, WorkerPool};
 pub use prefetch::{PrefetchConfig, PrefetchReader};
 pub use source::{FileSource, InputSource, ReaderSource};
-pub use stats::{CountingRead, IoStats, TimedRead};
+pub use stats::{IoStats, TimedRead};

@@ -9,7 +9,7 @@
 //!
 //! Delivery is exactly what [`FileSource`](crate::FileSource) yields —
 //! same packets, same order, same first error — whatever the reader
-//! count: [`WorkerPool`]-capped reader threads claim files in set order
+//! count: pool-capped reader threads claim files in set order
 //! and decode each into its own bounded batch queue, and the consumer
 //! drains queue 0 to its end-marker, then queue 1, and so on.
 

@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 /// A bounded thread-count task runner. Cheap to construct — threads only
 /// exist until the tasks of a [`WorkerPool::run_detached`] call finish.
 #[derive(Debug, Clone)]
-pub struct WorkerPool {
+pub(crate) struct WorkerPool {
     workers: usize,
 }
 
@@ -50,7 +50,7 @@ impl<F> TaskQueue<F> {
 
 impl WorkerPool {
     /// A pool running at most `workers` tasks concurrently (clamped ≥ 1).
-    pub fn new(workers: usize) -> WorkerPool {
+    pub(crate) fn new(workers: usize) -> WorkerPool {
         WorkerPool {
             workers: workers.max(1),
         }
@@ -61,7 +61,7 @@ impl WorkerPool {
     /// whatever channels the tasks carry. Call [`DetachedTasks::join`]
     /// to wait and surface panics, or drop the handle to let the threads
     /// finish (or exit) on their own.
-    pub fn run_detached<F>(&self, tasks: Vec<F>) -> DetachedTasks
+    pub(crate) fn run_detached<F>(&self, tasks: Vec<F>) -> DetachedTasks
     where
         F: FnOnce() + Send + 'static,
     {
@@ -85,7 +85,7 @@ impl WorkerPool {
 /// the threads — they run (or exit, once their channels disconnect) on
 /// their own.
 #[derive(Debug)]
-pub struct DetachedTasks {
+pub(crate) struct DetachedTasks {
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
@@ -95,7 +95,7 @@ impl DetachedTasks {
     /// # Panics
     ///
     /// Re-raises the first worker panic after all threads have stopped.
-    pub fn join(self) {
+    pub(crate) fn join(self) {
         let mut panic = None;
         for h in self.handles {
             if let Err(p) = h.join() {

@@ -37,7 +37,7 @@ pub struct PrefetchConfig {
 
 impl PrefetchConfig {
     /// Minimum accepted chunk size.
-    pub const MIN_CHUNK_BYTES: usize = 4 << 10;
+    pub(crate) const MIN_CHUNK_BYTES: usize = 4 << 10;
 
     fn validated(self) -> PrefetchConfig {
         PrefetchConfig {
@@ -88,7 +88,7 @@ impl PrefetchReader {
     /// (waiting on the hand-off channel) and raw bytes are charged to
     /// `stats`. Disk time on the I/O thread is deliberately *not*
     /// charged — it overlaps compute, which is the whole point.
-    pub fn with_config<R: Read + Send + 'static>(
+    pub(crate) fn with_config<R: Read + Send + 'static>(
         mut inner: R,
         config: PrefetchConfig,
         stats: IoStats,

@@ -84,7 +84,7 @@ impl IoStats {
     }
 
     /// Records time the consuming pipeline spent blocked on input.
-    pub fn add_wait(&self, wait: std::time::Duration) {
+    pub(crate) fn add_wait(&self, wait: std::time::Duration) {
         let ns = wait.as_nanos() as u64;
         self.inner.read_wait_nanos.fetch_add(ns, Ordering::Relaxed);
         if let Some(m) = self.inner.mirror.get() {
@@ -94,7 +94,7 @@ impl IoStats {
     }
 
     /// Records raw bytes pulled from the underlying files.
-    pub fn add_bytes(&self, n: u64) {
+    pub(crate) fn add_bytes(&self, n: u64) {
         self.inner.bytes_read.fetch_add(n, Ordering::Relaxed);
         if let Some(m) = self.inner.mirror.get() {
             m.bytes.add(n);
@@ -102,7 +102,7 @@ impl IoStats {
     }
 
     /// Records one decoded batch handed over by a reader thread.
-    pub fn add_batch(&self) {
+    pub(crate) fn add_batch(&self) {
         self.inner.batches.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = self.inner.mirror.get() {
             m.batches.inc();
@@ -112,7 +112,7 @@ impl IoStats {
     /// Adjusts the prefetch-buffer occupancy gauge (`+1` when the I/O
     /// thread parks a chunk, `-1` when the consumer takes one). Only
     /// visible through an attached registry — there is no local total.
-    pub fn prefetch_add(&self, delta: i64) {
+    pub(crate) fn prefetch_add(&self, delta: i64) {
         if let Some(m) = self.inner.mirror.get() {
             m.prefetch_occupancy.add(delta);
         }
@@ -173,14 +173,14 @@ impl<R: Read> Read for TimedRead<R> {
 /// A [`Read`] adaptor that only counts bytes — for reader threads whose
 /// disk time is overlapped with compute and must not show up as wait.
 #[derive(Debug)]
-pub struct CountingRead<R> {
+pub(crate) struct CountingRead<R> {
     inner: R,
     stats: IoStats,
 }
 
 impl<R: Read> CountingRead<R> {
     /// Wraps `inner`, counting bytes into `stats`.
-    pub fn new(inner: R, stats: IoStats) -> CountingRead<R> {
+    pub(crate) fn new(inner: R, stats: IoStats) -> CountingRead<R> {
         CountingRead { inner, stats }
     }
 }

@@ -249,20 +249,10 @@ impl Histogram {
     }
 
     /// Starts timing an interval: `None` when disabled, so the no-op
-    /// path never calls `Instant::now()`. Close with
-    /// [`Histogram::record_since`].
+    /// path never calls `Instant::now()`.
     #[inline]
     pub fn start(&self) -> Option<Instant> {
         self.cell.as_ref().map(|_| Instant::now())
-    }
-
-    /// Records the nanoseconds elapsed since a [`Histogram::start`]
-    /// that returned `Some`.
-    #[inline]
-    pub fn record_since(&self, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.record(t0.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Total of all recorded values (0 for a disabled handle).

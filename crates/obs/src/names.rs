@@ -68,11 +68,11 @@ pub const QUERY_FLOWS_MATCHED: &str = "query.flows_matched";
 pub const QUERY_PACKETS: &str = "query.packets";
 
 /// Prefix every per-shard instrument name starts with.
-pub const SHARD_PREFIX: &str = "engine.shard.";
+pub(crate) const SHARD_PREFIX: &str = "engine.shard.";
 /// Suffix of per-shard queue-depth gauges.
-pub const QUEUE_DEPTH_SUFFIX: &str = ".queue_depth";
+pub(crate) const QUEUE_DEPTH_SUFFIX: &str = ".queue_depth";
 /// Suffix of per-shard active-flow gauges.
-pub const ACTIVE_FLOWS_SUFFIX: &str = ".active_flows";
+pub(crate) const ACTIVE_FLOWS_SUFFIX: &str = ".active_flows";
 
 /// Batches queued on shard `i`'s bounded channel right now (gauge).
 pub fn shard_queue_depth(i: usize) -> String {
@@ -96,7 +96,7 @@ pub fn shard_encode_ns(i: usize) -> String {
 
 /// Parses the shard index out of a per-shard instrument name with the
 /// given suffix, e.g. `engine.shard.3.queue_depth` → `Some(3)`.
-pub fn shard_index(name: &str, suffix: &str) -> Option<usize> {
+pub(crate) fn shard_index(name: &str, suffix: &str) -> Option<usize> {
     name.strip_prefix(SHARD_PREFIX)?
         .strip_suffix(suffix)?
         .parse()

@@ -186,7 +186,7 @@ impl StatsSnapshot {
     /// One JSON-lines record (no trailing newline): derived headline
     /// fields first, then the full counter/gauge/histogram dumps. The
     /// schema is pinned by tests — see the [module docs](self).
-    pub fn to_json_line(&self, prev: Option<&StatsSnapshot>) -> String {
+    pub(crate) fn to_json_line(&self, prev: Option<&StatsSnapshot>) -> String {
         let mut j = JsonObject::compact();
         j.str("type", "flowzip.stats");
         j.num("seq", self.seq);
@@ -229,7 +229,7 @@ impl StatsSnapshot {
     /// The human one-liner variant of [`StatsSnapshot::to_json_line`].
     /// Ends with the p95 read-wait stall and p95 measured RTT (`-` until
     /// the respective histogram has observations).
-    pub fn to_human_line(&self, prev: Option<&StatsSnapshot>) -> String {
+    pub(crate) fn to_human_line(&self, prev: Option<&StatsSnapshot>) -> String {
         let depths: Vec<String> = self.queue_depths().iter().map(i64::to_string).collect();
         // Both histograms may be absent (no reader stalls yet, telemetry
         // off) — the field still prints so columns line up across lines.

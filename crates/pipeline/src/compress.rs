@@ -38,14 +38,12 @@ impl RunResult {
 }
 
 /// Builder for one compression session. Construct with
-/// [`Pipeline::compress`]; see the [crate docs](crate) for the shard
-/// default.
+/// [`Pipeline::compress`].
 #[derive(Debug)]
 pub struct CompressBuilder<'a> {
     input: Option<Input<'a>>,
     sink: Option<Sink<'a>>,
     engine: EngineBuilder,
-    threads: Option<usize>,
     stats: LiveStats,
 }
 
@@ -57,7 +55,6 @@ impl Pipeline {
             input: None,
             sink: None,
             engine: StreamingEngine::builder(),
-            threads: None,
             stats: LiveStats::default(),
         }
     }
@@ -82,27 +79,12 @@ impl<'a> CompressBuilder<'a> {
         self
     }
 
-    /// Worker shards — the one knob that sets parallelism (`0` is a
-    /// configuration error). Unset, a single file or an in-memory trace
-    /// runs on one shard, inline on the calling thread and byte-identical
-    /// to [`Compressor`](flowzip_core::Compressor); multi-file,
-    /// packet-iterator and [`Input::source`] inputs get one shard per
-    /// core (at most 8).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Packets per cross-thread batch (`0` is a configuration error).
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.engine = self.engine.batch_size(batch_size);
-        self
-    }
-
-    /// Bounded in-flight batches per shard channel (`0` is a
+    /// Worker shards — the one knob that sets parallelism (default 1:
+    /// inline on the calling thread, byte-identical to
+    /// [`Compressor`](flowzip_core::Compressor) on every host; `0` is a
     /// configuration error).
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.engine = self.engine.channel_capacity(capacity);
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.engine = self.engine.shards(threads);
         self
     }
 
@@ -192,8 +174,7 @@ impl<'a> CompressBuilder<'a> {
         let CompressBuilder {
             input,
             sink,
-            mut engine,
-            threads,
+            engine,
             stats,
         } = self;
         let input = input.ok_or_else(|| {
@@ -202,7 +183,7 @@ impl<'a> CompressBuilder<'a> {
         let sink = sink.ok_or_else(|| {
             PipelineError::config("compress session has no sink — call .sink(Sink::…)")
         })?;
-        if threads == Some(0) {
+        if engine.config().shards == 0 {
             return Err(PipelineError::config(
                 "threads must be ≥ 1 (got 0; zero worker shards would hang the router)",
             ));
@@ -230,19 +211,6 @@ impl<'a> CompressBuilder<'a> {
             ));
         }
 
-        // `threads` alone sets the shard count. Unset, a single file or
-        // an in-memory trace runs on one shard — the engine's inline
-        // path, no router or shard thread, bytes ≡ `Compressor` — so
-        // default archive bytes never depend on the host's core count;
-        // the other inputs keep the engine's per-core default.
-        let single = match &kind {
-            InputKind::Files(paths) => paths.len() == 1,
-            InputKind::Trace(_) => true,
-            _ => false,
-        };
-        if let Some(t) = threads.or(single.then_some(1)) {
-            engine = engine.shards(t);
-        }
         let (engine, sampler) = stats.start(engine)?;
 
         let context = format!("compress {}", inputs_desc.join(" "));

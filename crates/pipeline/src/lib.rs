@@ -51,17 +51,14 @@
 //!
 //! A compress session holds the engine's own
 //! [`EngineBuilder`](flowzip_engine::EngineBuilder): `params`,
-//! `batch_size`, `channel_capacity`, `idle_timeout`, `telemetry`,
-//! `metrics`, `profiler` and `cancel` forward to it, so the engine's
-//! defaults and its one validator
+//! `idle_timeout`, `telemetry`, `metrics`, `profiler` and `cancel`
+//! forward to it, so the engine's defaults and its one validator
 //! ([`EngineBuilder::try_build`](flowzip_engine::EngineBuilder::try_build))
-//! are the session's. [`CompressBuilder::threads`] is the one knob the
-//! session resolves itself, because its default depends on the input:
-//! unset, a single file or an in-memory trace runs on **one shard** —
-//! inline on the calling thread, byte-identical to `Compressor`, the same
-//! bytes on every host — while multi-file, [`Input::packets`] and
-//! [`Input::source`] inputs get the engine's default of one shard per
-//! core (at most 8). No other knob changes the shard count. The live
+//! are the session's. [`CompressBuilder::threads`] sets the shard count
+//! and defaults to **one shard** for every input: inline on the calling
+//! thread, byte-identical to `Compressor`, the same bytes on every host.
+//! Batching and channel depth keep the engine's defaults; they never
+//! change the bytes, so a session does not expose them. The live
 //! stats knobs go through [`LiveStats::start`], which `flowzip serve`'s
 //! session builder calls too. Nonsense configurations (any zero-valued
 //! knob, an empty file list, a glob matching nothing) are rejected up
@@ -94,14 +91,14 @@ pub use compress::{CompressBuilder, RunResult};
 pub use decompress::DecompressBuilder;
 pub use error::PipelineError;
 pub use flowzip_engine::CancelFlag;
-pub use query::{parse_flow_spec, QueryBuilder};
+pub use query::QueryBuilder;
 // Observability knobs a session takes (`.metrics()`, `.profiler()`,
 // `.stats_interval()`, …), re-exported so embedders need no direct
 // `flowzip-obs` dependency.
 pub use flowzip_obs::{Metrics, Profiler, Sampler, SnapshotFormat, StatsSink, StatsSnapshot};
 pub use input::Input;
-pub use report::{ArchiveSummary, EngineSummary, Mode, Report, TelemetrySummary, Timing};
-pub use sink::{PartFile, Sink, SINK_BUFFER_BYTES};
+pub use report::{ArchiveSummary, EngineSummary, Report, TelemetrySummary, Timing};
+pub use sink::{PartFile, Sink};
 pub use stats::LiveStats;
 
 /// The session entry point: [`Pipeline::compress`] and

@@ -22,7 +22,7 @@ use std::time::Instant;
 /// # Errors
 ///
 /// A description of what failed to parse.
-pub fn parse_flow_spec(spec: &str) -> Result<FiveTuple, String> {
+pub(crate) fn parse_flow_spec(spec: &str) -> Result<FiveTuple, String> {
     let (src, dst) = spec
         .split_once("->")
         .ok_or_else(|| format!("flow spec `{spec}` wants SRC_IP:PORT->DST_IP:PORT"))?;

@@ -29,7 +29,7 @@ pub use flowzip_obs::json::json_escape;
 
 /// What kind of run the report describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// Packets in, archive out.
     Compress,
     /// Archive in, synthesized trace out.
@@ -43,7 +43,7 @@ pub enum Mode {
 
 impl Mode {
     /// The JSON `"mode"` value.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Mode::Compress => "compress",
             Mode::Decompress => "decompress",
@@ -104,7 +104,7 @@ pub struct TelemetrySummary {
 
 impl TelemetrySummary {
     /// Folds decoded `FZT1` rows into the headline aggregate.
-    pub fn from_telemetry(t: &ArchiveTelemetry) -> TelemetrySummary {
+    pub(crate) fn from_telemetry(t: &ArchiveTelemetry) -> TelemetrySummary {
         let mut s = TelemetrySummary {
             flows: t.flow_count(),
             rtt_flows: 0,
@@ -239,7 +239,7 @@ impl Timing {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// What kind of run this was.
-    pub mode: Mode,
+    pub(crate) mode: Mode,
     /// Input names (paths, patterns, or `<in-memory …>` placeholders).
     pub inputs: Vec<String>,
     /// Output path, when the sink had one.
@@ -276,7 +276,7 @@ pub struct Report {
 
 impl Report {
     /// An empty report in `mode`; the session fills what it knows.
-    pub fn new(mode: Mode) -> Report {
+    pub(crate) fn new(mode: Mode) -> Report {
         Report {
             mode,
             inputs: Vec::new(),
@@ -294,7 +294,7 @@ impl Report {
         }
     }
 
-    /// An [`Mode::Info`] report for serialized archive bytes — what
+    /// An `info`-mode report for serialized archive bytes — what
     /// `flowzip info` prints.
     ///
     /// # Errors
@@ -305,7 +305,7 @@ impl Report {
         Ok(Report::from_archive(&archive, summary))
     }
 
-    /// An [`Mode::Info`] report for an archive [`ArchiveSummary::inspect`]
+    /// An `info`-mode report for an archive [`ArchiveSummary::inspect`]
     /// already decoded — for callers that read the archive's flows too.
     pub fn from_archive(archive: &CompressedTrace, summary: ArchiveSummary) -> Report {
         let mut report = Report::new(Mode::Info);

@@ -1,7 +1,7 @@
 //! [`Sink`] — where a session's serialized output goes.
 //!
 //! Every sink is written as a **stream**: a session opens it once,
-//! pushes bytes through a fixed [`SINK_BUFFER_BYTES`] buffer, and
+//! pushes bytes through a fixed 64 KiB buffer, and
 //! commits at the end. A compress session pushes its finished archive in
 //! one write; decompress and query sessions push one capture record per
 //! synthesized packet, so their memory does not grow with the output.
@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 /// Bytes buffered between a session and a file or caller-supplied
 /// writer — the largest single `write` a packet-streaming session
 /// issues.
-pub const SINK_BUFFER_BYTES: usize = 64 * 1024;
+pub(crate) const SINK_BUFFER_BYTES: usize = 64 * 1024;
 
 /// One session output: a file, an in-memory byte buffer returned from
 /// [`run()`](crate::CompressBuilder::run), or any [`Write`]r you own.
@@ -49,7 +49,7 @@ impl<'a> Sink<'a> {
     }
 
     /// Stream the output into any writer (a socket, a compressor, a
-    /// test buffer), in writes of at most [`SINK_BUFFER_BYTES`] when the
+    /// test buffer), in writes of at most 64 KiB when the
     /// session produces it packet by packet.
     pub fn writer(writer: impl Write + 'a) -> Sink<'a> {
         Sink {

@@ -5,6 +5,7 @@
 //! | session | pinned against |
 //! |---|---|
 //! | `Input::trace` / `Input::file`, no tuning | `Compressor::compress` (the paper-reference oracle) and `.threads(1)` |
+//! | `Input::files` / `Input::packets`, no tuning | `.threads(1)` |
 //! | `Input::trace` + `threads` | `StreamingEngine::compress_stream_to_bytes` over the trace |
 //! | `Input::packets` | … over the packet iterator |
 //! | `Input::file` | … over `FileSource::into_packets`, and with `FileSource::open_prefetched` |
@@ -172,7 +173,6 @@ fn streaming_session_matches_engine_trace_entry_point() {
             .input(Input::trace(&trace))
             .sink(Sink::bytes())
             .threads(shards)
-            .batch_size(128)
             .run()
             .unwrap();
         assert_eq!(result.report.engine.unwrap().shards, shards);
@@ -192,7 +192,6 @@ fn packets_session_matches_engine_packets_entry_point() {
         .input(Input::packets(packets.iter().cloned()))
         .sink(Sink::bytes())
         .threads(2)
-        .batch_size(64)
         .run()
         .unwrap();
     assert_eq!(
@@ -228,7 +227,6 @@ fn non_send_input_compresses_on_two_shards() {
         .input(Input::packets((0..shared.len()).map(move |i| shared[i])))
         .sink(Sink::bytes())
         .threads(2)
-        .batch_size(64)
         .run()
         .unwrap();
     assert_eq!(result.into_bytes().unwrap(), want, "Pipeline::compress");
@@ -348,6 +346,36 @@ fn glob_and_source_inputs_match_the_explicit_list() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every input runs on one shard unless `threads` asks: a 2-file set
+/// and a packet iterator compress with no thread setting to the bytes of
+/// `.threads(1)`, whatever the host's core count.
+#[test]
+fn untuned_sessions_run_one_shard_on_every_input() {
+    let dir = tmpdir("untuned");
+    let trace = web_trace(120, 51);
+    let chunks = write_chunks(&dir, &tsh::to_bytes(&trace), 2);
+    let run = |input: Input<'_>, threads: Option<usize>| {
+        let mut session = Pipeline::compress().input(input).sink(Sink::bytes());
+        if let Some(t) = threads {
+            session = session.threads(t);
+        }
+        let result = session.run().unwrap();
+        assert_eq!(result.report.engine.as_ref().unwrap().shards, 1);
+        result.into_bytes().unwrap()
+    };
+    assert_eq!(
+        run(Input::files(&chunks), None),
+        run(Input::files(&chunks), Some(1)),
+        "2-file input"
+    );
+    assert_eq!(
+        run(Input::packets(trace.iter().cloned()), None),
+        run(Input::packets(trace.iter().cloned()), Some(1)),
+        "packet iterator"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn every_sink_delivers_the_identical_bytes() {
     let dir = tmpdir("sinks");
@@ -455,7 +483,6 @@ proptest! {
             .input(Input::trace(&trace))
             .sink(Sink::bytes())
             .threads(shards)
-            .batch_size(128)
             .run()
             .unwrap()
             .into_bytes()

@@ -44,30 +44,6 @@ fn zero_threads_is_rejected() {
 }
 
 #[test]
-fn zero_batch_size_is_rejected() {
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .batch_size(0),
-        "batch_size must be ≥ 1",
-    );
-}
-
-#[test]
-fn zero_channel_capacity_is_rejected() {
-    let t = tiny_trace();
-    expect_config_err(
-        Pipeline::compress()
-            .input(Input::trace(&t))
-            .sink(Sink::bytes())
-            .channel_capacity(0),
-        "channel_capacity must be ≥ 1",
-    );
-}
-
-#[test]
 fn empty_file_list_is_rejected() {
     expect_config_err(
         Pipeline::compress()

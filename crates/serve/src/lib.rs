@@ -59,7 +59,7 @@ mod session;
 pub mod signal;
 mod source;
 
-pub use manifest::{read_manifest, ManifestEntry, MANIFEST_NAME};
+pub use manifest::{read_manifest, ManifestEntry};
 pub use source::ServeSource;
 
 /// The per-window observer callback stored by the builder and invoked
@@ -372,8 +372,9 @@ impl std::fmt::Debug for ServeBuilder {
 }
 
 impl ServeBuilder {
-    /// Starts from the defaults: v2.2 archives, engine defaults, a
-    /// 32-batch ingest queue, [`OverloadPolicy::Drop`].
+    /// Starts from the defaults: v2.2 archives, engine defaults (one
+    /// shard per window), a 32-batch ingest queue,
+    /// [`OverloadPolicy::Drop`].
     pub fn new() -> ServeBuilder {
         ServeBuilder {
             source: None,
@@ -428,24 +429,10 @@ impl ServeBuilder {
         self
     }
 
-    /// Worker shards per window run (engine default otherwise; `0` is a
-    /// configuration error).
+    /// Worker shards per window run (default 1; `0` is a configuration
+    /// error).
     pub fn threads(mut self, threads: usize) -> Self {
         self.engine = self.engine.shards(threads);
-        self
-    }
-
-    /// Packets per cross-thread batch — also the ingest batch size
-    /// (`0` is a configuration error).
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.engine = self.engine.batch_size(batch_size);
-        self
-    }
-
-    /// Bounded in-flight batches per engine shard channel (`0` is a
-    /// configuration error).
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.engine = self.engine.channel_capacity(capacity);
         self
     }
 
@@ -465,7 +452,7 @@ impl ServeBuilder {
 
     /// Bound of the ingest queue in batches (default 32; `0` is a
     /// configuration error). Peak queued packets ≈ `queue_batches ×
-    /// batch_size`.
+    /// 1024`, the engine's batch size.
     pub fn queue_batches(mut self, batches: usize) -> Self {
         self.queue_batches = batches;
         self

@@ -27,7 +27,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File name of the manifest inside a rotation directory.
-pub const MANIFEST_NAME: &str = "manifest.jsonl";
+pub(crate) const MANIFEST_NAME: &str = "manifest.jsonl";
 
 /// Appends one line per closed window to `<dir>/manifest.jsonl`,
 /// flushing after each so a crash loses at most the in-flight window.
@@ -194,7 +194,7 @@ fn json_u64(line: &str, key: &str) -> Option<u64> {
 /// `flowzip-20260808T120000Z-000003.fzc`. The UTC second plus the
 /// six-digit window index keeps names unique and `sort`-ordered even
 /// when several windows rotate within one second.
-pub fn archive_name(opened_unix_ms: u64, window: u64) -> String {
+pub(crate) fn archive_name(opened_unix_ms: u64, window: u64) -> String {
     format!(
         "flowzip-{}-{window:06}.fzc",
         utc_compact(opened_unix_ms / 1000)

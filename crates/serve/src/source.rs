@@ -82,7 +82,7 @@ impl ServeSource {
 
     /// Like [`ServeSource::listen`] over a pre-bound listener — lets
     /// tests bind port 0 and learn the real address first.
-    pub fn listener(listener: std::net::TcpListener) -> ServeSource {
+    pub(crate) fn listener(listener: std::net::TcpListener) -> ServeSource {
         ServeSource {
             kind: SourceKind::Listen(listener),
         }

@@ -31,15 +31,15 @@ fn sustained_overload_drops_and_counts_instead_of_buffering() {
     let _ = std::fs::remove_dir_all(&dir);
 
     const PRODUCED: u64 = 60_000;
-    // A one-batch queue and a driver that naps after every rotation: the
-    // in-memory firehose outruns the consumer by construction, so drops
-    // are guaranteed, and peak buffering is one queue batch + one carry.
+    // A one-batch queue (of the fixed 1024-packet ingest batch) and a
+    // driver that naps after every rotation, two per batch: the in-memory
+    // firehose outruns the consumer by construction, so drops are
+    // guaranteed, and peak buffering is one queue batch + one carry.
     let handle = Pipeline::serve()
         .source(ServeSource::packets(firehose(PRODUCED)))
         .out_dir(&dir)
         .rotate_packets(512)
         .threads(1)
-        .batch_size(128)
         .queue_batches(1)
         .overload(OverloadPolicy::Drop)
         .on_window(|_| std::thread::sleep(Duration::from_millis(20)))
@@ -78,7 +78,6 @@ fn overload_session_survives_and_stays_queryable() {
         .out_dir(&dir)
         .rotate_packets(1_000)
         .threads(1)
-        .batch_size(128)
         .queue_batches(1)
         .overload(OverloadPolicy::Drop)
         .on_window(|_| std::thread::sleep(Duration::from_millis(10)))

@@ -55,22 +55,23 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 #[test]
 fn concatenated_window_decodes_equal_a_one_shot_run() {
-    let input = whole_flows(40, 10); // 400 packets, 4 windows of 100
+    // 4000 packets, 4 windows of 1000: the 1024-packet ingest batches
+    // straddle every window boundary.
+    let input = whole_flows(400, 10);
     let dir = temp_dir("concat");
 
     let handle = Pipeline::serve()
         .source(ServeSource::packets(input.clone().into_iter().map(Ok)))
         .out_dir(&dir)
-        .rotate_packets(100)
+        .rotate_packets(1000)
         .threads(1)
-        .batch_size(64)
         .overload(OverloadPolicy::Block)
         .start()
         .unwrap();
     let report = handle.wait().unwrap();
 
-    assert_eq!(report.produced_packets, 400);
-    assert_eq!(report.compressed_packets, 400);
+    assert_eq!(report.produced_packets, 4000);
+    assert_eq!(report.compressed_packets, 4000);
     assert_eq!(report.dropped_packets, 0);
     let stored: Vec<_> = report.windows.iter().filter(|w| w.packets > 0).collect();
     assert_eq!(
@@ -115,6 +116,38 @@ fn concatenated_window_decodes_equal_a_one_shot_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A session with no thread setting runs one shard per window: its
+/// archives are byte-identical to `.threads(1)`'s, whatever the host's
+/// core count.
+#[test]
+fn untuned_session_matches_threads_one() {
+    let input = whole_flows(300, 10);
+    let windows = |tag: &str, threads: Option<usize>| {
+        let dir = temp_dir(tag);
+        let mut session = Pipeline::serve()
+            .source(ServeSource::packets(input.clone().into_iter().map(Ok)))
+            .out_dir(&dir)
+            .rotate_packets(1000)
+            .overload(OverloadPolicy::Block);
+        if let Some(t) = threads {
+            session = session.threads(t);
+        }
+        let report = session.start().unwrap().wait().unwrap();
+        assert_eq!(report.compressed_packets, 3000);
+        let bytes: Vec<Vec<u8>> = report
+            .windows
+            .iter()
+            .filter_map(|w| w.archive.as_ref())
+            .map(|path| std::fs::read(path).unwrap())
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    };
+    let untuned = windows("untuned", None);
+    assert_eq!(untuned.len(), 3);
+    assert_eq!(untuned, windows("threads1", Some(1)));
+}
+
 #[test]
 fn straddling_flow_appears_in_both_windows_with_telemetry() {
     // Flow A spans the whole run; flow B completes inside window 0.
@@ -151,7 +184,6 @@ fn straddling_flow_appears_in_both_windows_with_telemetry() {
         .out_dir(&dir)
         .rotate_packets(30)
         .threads(1)
-        .batch_size(16)
         .telemetry(true)
         .overload(OverloadPolicy::Block)
         .start()
@@ -253,10 +285,13 @@ fn empty_time_window_is_manifested_not_skipped() {
 
 #[test]
 fn shutdown_flushes_a_final_valid_archive() {
-    // An endless source; stopping the session must still deliver a
+    // An endless source, paced so that several 1024-packet ingest batches
+    // arrive before the stop; stopping the session must still deliver a
     // complete final archive through the drain path.
     let endless = std::iter::successors(Some(0u64), |k| Some(k + 1)).map(|k| {
-        std::thread::sleep(Duration::from_micros(200));
+        if k % 8 == 0 {
+            std::thread::sleep(Duration::from_micros(200));
+        }
         Ok(PacketRecord::builder()
             .src(Ipv4Addr::new(10, 0, (k >> 8) as u8, k as u8), 2000)
             .dst(Ipv4Addr::new(192, 0, 2, 1), 80)
@@ -272,7 +307,6 @@ fn shutdown_flushes_a_final_valid_archive() {
         .out_dir(&dir)
         .rotate_packets(1_000_000) // far away: the stop is the only cut
         .threads(1)
-        .batch_size(32)
         .start()
         .unwrap();
     std::thread::sleep(Duration::from_millis(300));

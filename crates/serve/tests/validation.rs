@@ -75,20 +75,6 @@ fn zero_queue_batches_is_rejected() {
 }
 
 #[test]
-fn zero_batch_size_is_rejected() {
-    expect_config_err("batch-size", |s| s.batch_size(0), "batch_size must be ≥ 1");
-}
-
-#[test]
-fn zero_channel_capacity_is_rejected() {
-    expect_config_err(
-        "channel-capacity",
-        |s| s.channel_capacity(0),
-        "channel_capacity must be ≥ 1",
-    );
-}
-
-#[test]
 fn zero_stats_interval_is_rejected() {
     expect_config_err(
         "stats-interval",

@@ -41,7 +41,7 @@ impl TcpFlags {
     /// Urgent pointer is valid.
     pub const URG: TcpFlags = TcpFlags(0x20);
     /// Mask of all six defined bits.
-    pub const ALL: TcpFlags = TcpFlags(0x3f);
+    pub(crate) const ALL: TcpFlags = TcpFlags(0x3f);
 
     /// Creates a flag set from the raw TCP header flag byte.
     ///

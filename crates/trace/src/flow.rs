@@ -249,7 +249,7 @@ pub struct Flow {
 impl Flow {
     /// Creates a flow from its first packet; the packet's tuple becomes the
     /// initiator direction.
-    pub fn starting_with(first: PacketRecord) -> Flow {
+    pub(crate) fn starting_with(first: PacketRecord) -> Flow {
         Flow {
             initiator: first.tuple(),
             packets: vec![(first, FlowDirection::FromInitiator)],
@@ -279,7 +279,7 @@ impl Flow {
     }
 
     /// `true` when the flow holds no packets (cannot happen for flows built
-    /// through [`Flow::starting_with`], but kept for container symmetry).
+    /// through `Flow::starting_with`, but kept for container symmetry).
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.packets.is_empty()
@@ -310,7 +310,7 @@ impl Flow {
     }
 
     /// Total bytes on the wire (headers + payload) both ways.
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.packets
             .iter()
             .map(|(p, _)| p.ip_total_len() as u64)
@@ -416,14 +416,6 @@ impl FlowTable {
     /// Looks up one flow by any directional tuple of the conversation.
     pub fn get(&self, tuple: FiveTuple) -> Option<&Flow> {
         self.flows.get(&FlowKey::canonical(tuple))
-    }
-
-    /// Consumes the table, yielding flows in first-seen order.
-    pub fn into_flows(mut self) -> Vec<Flow> {
-        self.order
-            .iter()
-            .map(|k| self.flows.remove(k).expect("order and map stay in sync"))
-            .collect()
     }
 
     /// Computes the summary statistics the paper reports in §3.
@@ -658,13 +650,13 @@ mod tests {
     }
 
     #[test]
-    fn into_flows_preserves_first_seen_order() {
+    fn flows_iterate_in_first_seen_order() {
         let mut trace = Trace::new();
         for port in [5000u16, 4000, 4500] {
             trace.push(pkt(client_tuple(port), port as u64, TcpFlags::SYN, 0));
         }
-        let flows = FlowTable::from_trace(&trace).into_flows();
-        let ports: Vec<u16> = flows.iter().map(|f| f.initiator().src_port).collect();
+        let table = FlowTable::from_trace(&trace);
+        let ports: Vec<u16> = table.flows().map(|f| f.initiator().src_port).collect();
         assert_eq!(ports, vec![5000, 4000, 4500]);
     }
 

@@ -16,8 +16,8 @@
 //! * [`tsh`] — 44-byte TSH record codec: incremental [`tsh::TshReader`]
 //!   for streaming, plus whole-trace read/write.
 //! * [`reader`] — capture-format sniffing ([`reader::CaptureFormat`]) and
-//!   the format-agnostic [`reader::CaptureReader`] behind the shared
-//!   [`reader::PacketRead`] iterator interface.
+//!   the format-agnostic [`reader::CaptureReader`], a fallible packet
+//!   iterator.
 //! * [`writer`] — the mirror image: [`writer::CaptureWriter`] streams
 //!   packets into either format, one record at a time.
 //! * [`flow`] — grouping packets into bidirectional flows under the packed
@@ -56,11 +56,11 @@ pub use error::TraceError;
 pub use flags::TcpFlags;
 pub use flow::{Flow, FlowDirection, FlowHash, FlowKey, FlowStats, FlowTable};
 pub use packet::{PacketBuilder, PacketRecord};
-pub use pcap::{PcapReader, PcapWriter};
-pub use reader::{CaptureFormat, CaptureReader, PacketRead};
+pub use pcap::PcapReader;
+pub use reader::{CaptureFormat, CaptureReader};
 pub use time::{Duration, Timestamp};
 pub use trace::Trace;
-pub use tsh::{TshReader, TshWriter};
+pub use tsh::TshReader;
 pub use tuple::{FiveTuple, Protocol};
 pub use writer::CaptureWriter;
 

@@ -24,23 +24,23 @@ use std::net::Ipv4Addr;
 /// Little-endian microsecond magic.
 pub const MAGIC_LE: u32 = 0xA1B2_C3D4;
 /// Byte-swapped magic (big-endian writer).
-pub const MAGIC_BE: u32 = 0xD4C3_B2A1;
+pub(crate) const MAGIC_BE: u32 = 0xD4C3_B2A1;
 /// Nanosecond-timestamp magic (`tcpdump --nano`), little-endian. Not a
 /// supported input — recognized only so format sniffers can route the
 /// file to the pcap reader's clear "bad pcap magic" error instead of
 /// misparsing it as TSH records.
-pub const MAGIC_NS_LE: u32 = 0xA1B2_3C4D;
+pub(crate) const MAGIC_NS_LE: u32 = 0xA1B2_3C4D;
 /// Byte-swapped nanosecond magic. See [`MAGIC_NS_LE`].
-pub const MAGIC_NS_BE: u32 = 0x4D3C_B2A1;
+pub(crate) const MAGIC_NS_BE: u32 = 0x4D3C_B2A1;
 /// Link type: Ethernet.
 pub const LINKTYPE_ETHERNET: u32 = 1;
 /// Captured bytes per packet: Ethernet (14) + IPv4 (20) + TCP (20).
-pub const SNAP_BYTES: u32 = 54;
+pub(crate) const SNAP_BYTES: u32 = 54;
 /// Largest per-record capture length the reader accepts. Real snaplens
 /// top out at 64 KiB; anything bigger means a desynced or hostile
 /// stream, and bounding it keeps a corrupt length field from silently
 /// skipping gigabytes of input as one frame.
-pub const MAX_CAPTURE_BYTES: usize = 1 << 18;
+pub(crate) const MAX_CAPTURE_BYTES: usize = 1 << 18;
 
 /// Bytes of the pcap global header.
 const GLOBAL_HEADER_BYTES: usize = 24;
@@ -60,7 +60,7 @@ const FRAME_HEAD_BYTES: usize = 14 + 60 + 20;
 /// into any [`Write`], so a capture of any length is written without
 /// ever being held whole.
 #[derive(Debug)]
-pub struct PcapWriter<W> {
+pub(crate) struct PcapWriter<W> {
     inner: W,
     written: u64,
 }
@@ -73,7 +73,7 @@ impl<W: Write> PcapWriter<W> {
     /// # Errors
     ///
     /// I/O failures writing the header.
-    pub fn new(mut inner: W) -> Result<PcapWriter<W>, TraceError> {
+    pub(crate) fn new(mut inner: W) -> Result<PcapWriter<W>, TraceError> {
         let mut global = [0u8; GLOBAL_HEADER_BYTES];
         global[0..4].copy_from_slice(&MAGIC_LE.to_le_bytes());
         global[4..6].copy_from_slice(&2u16.to_le_bytes()); // version major
@@ -96,7 +96,7 @@ impl<W: Write> PcapWriter<W> {
     /// I/O failures, and [`TraceError::FieldOutOfRange`] for a timestamp
     /// past the format's 32-bit seconds.
     #[inline]
-    pub fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
+    pub(crate) fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
         let (secs, micros) = wire_timestamp(p.timestamp())?;
         let mut rec = [0u8; RECORD_BYTES];
         rec[0..4].copy_from_slice(&secs.to_le_bytes());
@@ -120,12 +120,12 @@ impl<W: Write> PcapWriter<W> {
     }
 
     /// Bytes written so far, global header included.
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.written
     }
 
     /// Unwraps the writer, returning the underlying sink (unflushed).
-    pub fn into_inner(self) -> W {
+    pub(crate) fn into_inner(self) -> W {
         self.inner
     }
 }

@@ -8,8 +8,6 @@
 //! format a byte stream holds and wrapping the right reader behind one
 //! type.
 //!
-//! * [`PacketRead`] — the shared reader interface, blanket-implemented
-//!   for every fallible packet iterator.
 //! * [`CaptureFormat`] — TSH vs. pcap, detected from the leading magic.
 //! * [`CaptureReader`] — either concrete reader behind one enum.
 //!
@@ -24,15 +22,6 @@ use crate::packet::PacketRecord;
 use crate::pcap::{self, PcapReader};
 use crate::tsh::TshReader;
 use std::io::{self, BufRead};
-
-/// The interface every packet reader shares: a fallible iterator of
-/// [`PacketRecord`]s. Blanket-implemented, so any adaptor built from
-/// iterator combinators qualifies automatically — this is the trait
-/// bound to write when a function accepts "some packet source" without
-/// caring which capture format (or which buffering strategy) feeds it.
-pub trait PacketRead: Iterator<Item = Result<PacketRecord, TraceError>> {}
-
-impl<T: Iterator<Item = Result<PacketRecord, TraceError>>> PacketRead for T {}
 
 /// On-disk capture format, detected from the file's first bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -136,11 +136,6 @@ impl Trace {
         self.packets.len() as u64 * crate::packet::HEADER_BYTES as u64
     }
 
-    /// Total wire bytes (headers + payloads).
-    pub fn wire_bytes(&self) -> u64 {
-        self.packets.iter().map(|p| p.ip_total_len() as u64).sum()
-    }
-
     /// Sub-trace with all packets whose timestamp is `< cutoff`, preserving
     /// order — used by the Figure-1 "elapsed time" sweep.
     pub fn prefix_until(&self, cutoff: Timestamp) -> Trace {
@@ -247,7 +242,6 @@ mod tests {
         t.push(PacketRecord::builder().payload_len(100).build());
         t.push(PacketRecord::builder().payload_len(0).build());
         assert_eq!(t.header_bytes(), 80);
-        assert_eq!(t.wire_bytes(), 40 + 100 + 40);
     }
 
     #[test]

@@ -29,9 +29,6 @@ use std::net::Ipv4Addr;
 /// Size of one TSH record on disk.
 pub const RECORD_BYTES: usize = 44;
 
-/// Maximum timestamp a TSH record can carry (32-bit seconds + 24-bit µs).
-pub const MAX_SECONDS: u64 = u32::MAX as u64;
-
 /// Encodes one packet into the 44-byte TSH wire representation.
 ///
 /// The IPv4 header checksum is computed so decoders that verify it accept
@@ -130,7 +127,7 @@ fn decode(rec: &[u8; RECORD_BYTES]) -> Result<(PacketRecord, u8), TraceError> {
 /// record straight into any [`Write`], so a capture of any length is
 /// written without ever being held whole. (TSH has no file header.)
 #[derive(Debug)]
-pub struct TshWriter<W> {
+pub(crate) struct TshWriter<W> {
     inner: W,
     written: u64,
 }
@@ -138,7 +135,7 @@ pub struct TshWriter<W> {
 impl<W: Write> TshWriter<W> {
     /// Wraps a byte sink. Unbuffered — hand it a
     /// [`BufWriter`](std::io::BufWriter) when `inner` is a file or socket.
-    pub fn new(inner: W) -> TshWriter<W> {
+    pub(crate) fn new(inner: W) -> TshWriter<W> {
         TshWriter { inner, written: 0 }
     }
 
@@ -149,7 +146,7 @@ impl<W: Write> TshWriter<W> {
     /// I/O failures, and [`TraceError::FieldOutOfRange`] for a timestamp
     /// past the format's 32-bit seconds.
     #[inline]
-    pub fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
+    pub(crate) fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
         let mut rec = [0u8; RECORD_BYTES];
         encode_into(p, 0, &mut rec)?;
         self.inner.write_all(&rec)?;
@@ -158,12 +155,12 @@ impl<W: Write> TshWriter<W> {
     }
 
     /// Bytes written so far.
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.written
     }
 
     /// Unwraps the writer, returning the underlying sink (unflushed).
-    pub fn into_inner(self) -> W {
+    pub(crate) fn into_inner(self) -> W {
         self.inner
     }
 }

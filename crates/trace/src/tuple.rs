@@ -15,8 +15,6 @@ impl Protocol {
     pub const TCP: Protocol = Protocol(6);
     /// User Datagram Protocol (17).
     pub const UDP: Protocol = Protocol(17);
-    /// Internet Control Message Protocol (1).
-    pub const ICMP: Protocol = Protocol(1);
 
     /// Wraps a raw protocol number.
     #[inline]

@@ -1,6 +1,6 @@
 //! The format-agnostic packet writer — [`CaptureReader`]'s mirror image.
 //!
-//! [`TshWriter`] and [`PcapWriter`] each stream records into a byte
+//! `TshWriter` and `PcapWriter` each stream records into a byte
 //! sink; [`CaptureWriter`] puts either behind one type so a producer
 //! picks the format at run time and then just writes packets.
 //!
@@ -15,10 +15,11 @@ use std::io::Write;
 
 /// An incremental packet writer for either capture format.
 #[derive(Debug)]
-pub enum CaptureWriter<W> {
-    /// A TSH record stream.
+pub struct CaptureWriter<W>(Format<W>);
+
+#[derive(Debug)]
+enum Format<W> {
     Tsh(TshWriter<W>),
-    /// A pcap capture.
     Pcap(PcapWriter<W>),
 }
 
@@ -30,10 +31,10 @@ impl<W: Write> CaptureWriter<W> {
     ///
     /// I/O failures writing the pcap global header.
     pub fn new(inner: W, format: CaptureFormat) -> Result<CaptureWriter<W>, TraceError> {
-        Ok(match format {
-            CaptureFormat::Tsh => CaptureWriter::Tsh(TshWriter::new(inner)),
-            CaptureFormat::Pcap => CaptureWriter::Pcap(PcapWriter::new(inner)?),
-        })
+        Ok(CaptureWriter(match format {
+            CaptureFormat::Tsh => Format::Tsh(TshWriter::new(inner)),
+            CaptureFormat::Pcap => Format::Pcap(PcapWriter::new(inner)?),
+        }))
     }
 
     /// Appends one packet.
@@ -44,25 +45,25 @@ impl<W: Write> CaptureWriter<W> {
     /// format cannot represent.
     #[inline]
     pub fn write_packet(&mut self, p: &PacketRecord) -> Result<(), TraceError> {
-        match self {
-            CaptureWriter::Tsh(w) => w.write_packet(p),
-            CaptureWriter::Pcap(w) => w.write_packet(p),
+        match &mut self.0 {
+            Format::Tsh(w) => w.write_packet(p),
+            Format::Pcap(w) => w.write_packet(p),
         }
     }
 
     /// Bytes written so far, file header included.
     pub fn bytes_written(&self) -> u64 {
-        match self {
-            CaptureWriter::Tsh(w) => w.bytes_written(),
-            CaptureWriter::Pcap(w) => w.bytes_written(),
+        match &self.0 {
+            Format::Tsh(w) => w.bytes_written(),
+            Format::Pcap(w) => w.bytes_written(),
         }
     }
 
     /// Unwraps the writer, returning the underlying sink (unflushed).
     pub fn into_inner(self) -> W {
-        match self {
-            CaptureWriter::Tsh(w) => w.into_inner(),
-            CaptureWriter::Pcap(w) => w.into_inner(),
+        match self.0 {
+            Format::Tsh(w) => w.into_inner(),
+            Format::Pcap(w) => w.into_inner(),
         }
     }
 }

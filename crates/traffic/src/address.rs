@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 /// A fixed pool of server addresses with Zipf popularity — the spatial
 /// locality of real Web traffic (few very popular sites).
 #[derive(Debug, Clone)]
-pub struct ZipfServerPool {
+pub(crate) struct ZipfServerPool {
     servers: Vec<Ipv4Addr>,
     zipf: Zipf,
 }
@@ -24,7 +24,7 @@ impl ZipfServerPool {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new<R: Rng>(rng: &mut R, n: usize, s: f64) -> ZipfServerPool {
+    pub(crate) fn new<R: Rng>(rng: &mut R, n: usize, s: f64) -> ZipfServerPool {
         assert!(n > 0, "server pool cannot be empty");
         let mut servers = Vec::with_capacity(n);
         for _ in 0..n {
@@ -40,13 +40,8 @@ impl ZipfServerPool {
     }
 
     /// Draws a server by popularity.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Ipv4Addr {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> Ipv4Addr {
         self.servers[self.zipf.sample(rng)]
-    }
-
-    /// All servers, most popular first.
-    pub fn servers(&self) -> &[Ipv4Addr] {
-        &self.servers
     }
 }
 
@@ -56,7 +51,7 @@ impl ZipfServerPool {
 /// populations — dense subtrees under popular prefixes, vast empty space
 /// elsewhere.
 #[derive(Debug, Clone)]
-pub struct FractalAddressModel {
+pub(crate) struct FractalAddressModel {
     /// Per-level probability that the bit is 1.
     bias: [f64; 32],
 }
@@ -68,7 +63,7 @@ impl FractalAddressModel {
     /// # Panics
     ///
     /// Panics unless `0 < p < 1`.
-    pub fn new<R: Rng>(rng: &mut R, p: f64) -> FractalAddressModel {
+    pub(crate) fn new<R: Rng>(rng: &mut R, p: f64) -> FractalAddressModel {
         assert!(p > 0.0 && p < 1.0, "bias must be a probability");
         let mut bias = [0.0f64; 32];
         for b in bias.iter_mut() {
@@ -79,7 +74,7 @@ impl FractalAddressModel {
     }
 
     /// Draws one address from the cascade.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> Ipv4Addr {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> Ipv4Addr {
         let mut addr = 0u32;
         for (level, &p) in self.bias.iter().enumerate() {
             if rng.gen_bool(p) {
@@ -95,7 +90,7 @@ impl FractalAddressModel {
 /// recently used one (moved to the front); otherwise a fresh address is
 /// drawn from the underlying model and pushed.
 #[derive(Debug, Clone)]
-pub struct LruStackModel {
+pub(crate) struct LruStackModel {
     stack: Vec<Ipv4Addr>,
     depth_dist: Zipf,
     max_depth: usize,
@@ -111,7 +106,7 @@ impl LruStackModel {
     /// # Panics
     ///
     /// Panics if `max_depth == 0` or `reuse_prob` is not a probability.
-    pub fn new(max_depth: usize, s: f64, reuse_prob: f64) -> LruStackModel {
+    pub(crate) fn new(max_depth: usize, s: f64, reuse_prob: f64) -> LruStackModel {
         assert!(max_depth > 0, "stack depth must be positive");
         assert!(
             (0.0..=1.0).contains(&reuse_prob),
@@ -126,7 +121,7 @@ impl LruStackModel {
     }
 
     /// Draws the next address, using `fresh` to mint new ones.
-    pub fn next<R: Rng>(
+    pub(crate) fn next<R: Rng>(
         &mut self,
         rng: &mut R,
         mut fresh: impl FnMut(&mut R) -> Ipv4Addr,
@@ -141,11 +136,6 @@ impl LruStackModel {
         self.stack.insert(0, addr);
         self.stack.truncate(self.max_depth);
         addr
-    }
-
-    /// Current stack occupancy.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
     }
 }
 
@@ -173,14 +163,14 @@ mod tests {
             top as f64 / total as f64 > 0.10,
             "top server should dominate"
         );
-        assert_eq!(pool.servers().len(), 50);
+        assert_eq!(pool.servers.len(), 50);
     }
 
     #[test]
     fn server_addresses_avoid_reserved_space() {
         let mut r = rng();
         let pool = ZipfServerPool::new(&mut r, 200, 1.0);
-        for s in pool.servers() {
+        for s in &pool.servers {
             let o = s.octets();
             assert!(o[0] >= 11 && o[0] <= 223, "{s}");
             assert!(o[3] != 0 && o[3] != 255);
@@ -238,7 +228,7 @@ mod tests {
             reuses > 2_000,
             "strong temporal locality expected, got {reuses}"
         );
-        assert!(model.depth() <= 64);
+        assert!(model.stack.len() <= 64);
     }
 
     #[test]

@@ -39,7 +39,7 @@ fn standard_normal<R: Rng>(rng: &mut R) -> f64 {
 
 /// Samples a bounded Pareto (power-law) value in `[min, max]` with shape
 /// `alpha` — the classic heavy tail for elephant flows.
-pub fn bounded_pareto<R: Rng>(rng: &mut R, alpha: f64, min: f64, max: f64) -> f64 {
+pub(crate) fn bounded_pareto<R: Rng>(rng: &mut R, alpha: f64, min: f64, max: f64) -> f64 {
     assert!(
         alpha > 0.0 && min > 0.0 && max > min,
         "invalid pareto parameters"
@@ -53,7 +53,7 @@ pub fn bounded_pareto<R: Rng>(rng: &mut R, alpha: f64, min: f64, max: f64) -> f6
 /// Zipf sampler over ranks `0..n` with exponent `s`, built once and
 /// sampled by inverse CDF (binary search).
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
@@ -63,7 +63,7 @@ impl Zipf {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn new(n: usize, s: f64) -> Zipf {
+    pub(crate) fn new(n: usize, s: f64) -> Zipf {
         assert!(n > 0, "zipf needs at least one rank");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
@@ -78,18 +78,8 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// `true` when the sampler has a single rank.
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
     /// Draws a rank in `0..n` (0 = most popular).
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
@@ -197,7 +187,7 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[0] > counts[99] * 10);
-        assert_eq!(z.len(), 100);
+        assert_eq!(z.cdf.len(), 100);
     }
 
     #[test]

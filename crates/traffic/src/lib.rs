@@ -40,7 +40,6 @@ pub mod p2p;
 pub mod variants;
 pub mod web;
 
-pub use address::{FractalAddressModel, LruStackModel, ZipfServerPool};
 pub use anon::Anonymizer;
 pub use p2p::{P2pTrafficConfig, P2pTrafficGenerator};
 pub use variants::{

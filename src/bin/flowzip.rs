@@ -4,11 +4,11 @@
 //! flowzip generate   --flows 2000 --secs 60 --seed 42 -o web.tsh
 //! flowzip stats      web.tsh
 //! flowzip compress   web.tsh -o web.fzc
-//! flowzip compress   web.pcap -o web.fzc --threads 4 --idle-timeout 60
+//! flowzip compress   web.pcap -o web.fzc --idle-timeout 60
 //! flowzip compress   chunk-00.tsh chunk-01.tsh chunk-02.tsh -o web.fzc
-//! flowzip compress   'trace-*.tsh' -o web.fzc --threads 4
-//! flowzip compress   web.tsh -o web.fzc --threads 4 --stats-interval 1 --metrics --json
-//! flowzip compress   web.tsh -o web.fzc --threads 4 --profile trace.json
+//! flowzip compress   'trace-*.tsh' -o web.fzc
+//! flowzip compress   web.tsh -o web.fzc --stats-interval 1 --metrics --json
+//! flowzip compress   web.tsh -o web.fzc --profile trace.json
 //! flowzip info       web.fzc [--json]
 //! flowzip decompress web.fzc -o web-restored.tsh [--json] [--out-format tsh|pcap]
 //! flowzip query      web.fzc --flow 172.20.1.9:4242->193.5.9.1:80 [--from 0 --to 30] [--json]
@@ -29,12 +29,11 @@
 //! single-blob v1 layout too.
 //!
 //! There is one compress route — the sharded streaming engine — and
-//! `--threads N` is the one flag that sets its shard count. Left unset, a
-//! single input file runs on one shard, inline and byte-identical on
-//! every host; multiple input files (an explicit list or a quoted `*`/`?`
-//! glob, streamed as *one* logical trace in argument order, each file
-//! read in turn on the main thread) get one shard per core.
-//! `--idle-timeout 0` means "off".
+//! `--threads N` is the one flag that sets its shard count. Left unset,
+//! every input runs on one shard, inline and byte-identical on every
+//! host: one file, or several (an explicit list or a quoted `*`/`?` glob,
+//! streamed as *one* logical trace in argument order, each file read in
+//! turn on the main thread). `--idle-timeout 0` means "off".
 //!
 //! Flags are checked against the command's own section of [`USAGE`]: an
 //! unknown or misplaced `--flag` is an error, never silently ignored.
@@ -44,9 +43,11 @@ use flowzip::core::{synthesize, CompressedTrace};
 use flowzip::obs::json::JsonObject;
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
-use flowzip::pipeline::{ArchiveSummary, Input, PartFile, Pipeline, QueryBuilder, Report, Sink};
+use flowzip::pipeline::{
+    ArchiveSummary, Input, PartFile, Pipeline, PipelineError, QueryBuilder, Report, Sink,
+};
 use flowzip::prelude::*;
-use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeSource};
+use flowzip::serve::{signal, OverloadPolicy, PipelineServe, ServeError, ServeSource};
 use flowzip::trace::reader::CaptureFormat;
 use flowzip::trace::tsh;
 use std::path::{Path, PathBuf};
@@ -112,11 +113,63 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
-            eprintln!("{USAGE}");
+            // The command's own section, or the whole text when there is
+            // no (known) command to narrow it to.
+            match args.first().and_then(|cmd| Some((cmd, usage_of(cmd)?))) {
+                Some((cmd, section)) => {
+                    eprintln!("usage:\n  flowzip {cmd} {section}\n\n{}", global_usage());
+                }
+                None => eprintln!("{USAGE}"),
+            }
             ExitCode::FAILURE
+        }
+        Err(Failure::Run(msg)) => {
+            eprintln!("error: {msg}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a command failed. Only a mistake on the command line earns the
+/// usage text; a bad input file or a failed write is reported alone.
+enum Failure {
+    /// Unknown command or flag, missing or contradictory arguments, a
+    /// bad flag value.
+    Usage(String),
+    /// A data or I/O error.
+    Run(String),
+}
+
+/// A [`Failure::Usage`].
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Failure {
+        Failure::Run(msg)
+    }
+}
+
+impl From<PipelineError> for Failure {
+    /// A session's configuration error is a flag value the session
+    /// refused (`--threads 0`, `--stats-format` without an interval).
+    fn from(e: PipelineError) -> Failure {
+        match e {
+            PipelineError::Config(msg) => Failure::Usage(msg),
+            other => Failure::Run(other.to_string()),
+        }
+    }
+}
+
+impl From<ServeError> for Failure {
+    fn from(e: ServeError) -> Failure {
+        match e {
+            ServeError::Config(_) => Failure::Usage(e.to_string()),
+            other => Failure::Run(other.to_string()),
         }
     }
 }
@@ -127,9 +180,8 @@ const USAGE: &str = "usage:
   flowzip compress   IN...  -o OUT.fzc   (TSH or pcap, auto-detected; several
                      files or a quoted glob stream as one trace in order;
                       written as container v2, one section per shard)
-                     [--threads N] (shards; default 1 for a single input file,
-                      one per core for several)
-                     [--idle-timeout SECS] [--batch-size N] [--json]
+                     [--threads N] (shards; default 1)
+                     [--idle-timeout SECS] [--json]
                      [--telemetry] (derive per-flow TCP dynamics — RTT, retransmissions,
                       idle/active time — into a rev 2.2 FZT1 side-section;
                       older readers ignore it byte-identically)
@@ -145,7 +197,7 @@ const USAGE: &str = "usage:
                       whichever trips first; neither = one archive at EOF/signal)
                      [--queue-batches N] [--overload drop|block] (bounded ingest
                       queue; drop sheds load and counts serve.dropped_packets)
-                     [--threads N] [--batch-size N] [--idle-timeout SECS]
+                     [--threads N] (shards; default 1) [--idle-timeout SECS]
                      [--telemetry] [--json]
                      [--stats-interval SECS] [--stats-format json|human]
                      (SIGINT/SIGTERM: finish the window, flush a final valid
@@ -179,6 +231,11 @@ fn usage_of(cmd: &str) -> Option<&'static str> {
     Some(&section[..end.unwrap_or(section.len())])
 }
 
+/// The flags every command takes: the last paragraph of [`USAGE`].
+fn global_usage() -> &'static str {
+    &USAGE[USAGE.rfind("\nglobal:").map_or(USAGE.len(), |i| i + 1)..]
+}
+
 /// Whether `usage` names `--key` as a whole word.
 fn names_flag(usage: &str, key: &str) -> bool {
     usage
@@ -192,17 +249,17 @@ struct Opts {
 }
 
 impl Opts {
-    /// Parses `cmd`'s arguments, rejecting any flag `usage` (the
+    /// Parses `cmd`'s arguments, rejecting any flag `section` (the
     /// command's [`usage_of`] section) does not name.
-    fn parse(cmd: &str, usage: &str, args: &[String]) -> Result<Opts, String> {
-        let global = &USAGE[USAGE.rfind("\nglobal:").unwrap_or(USAGE.len())..];
+    fn parse(cmd: &str, section: &str, args: &[String]) -> Result<Opts, Failure> {
+        let global = global_usage();
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut i = 0;
         while i < args.len() {
             if let Some(key) = args[i].strip_prefix("--") {
-                if !names_flag(usage, key) && !names_flag(global, key) {
-                    return Err(format!("unknown flag --{key} for {cmd}"));
+                if !names_flag(section, key) && !names_flag(global, key) {
+                    return Err(usage(format!("unknown flag --{key} for {cmd}")));
                 }
                 if BOOL_FLAGS.contains(&key) {
                     flags.push((key.to_string(), "true".to_string()));
@@ -211,14 +268,16 @@ impl Opts {
                 }
                 let value = args
                     .get(i + 1)
-                    .ok_or_else(|| format!("missing value for --{key}"))?;
+                    .ok_or_else(|| usage(format!("missing value for --{key}")))?;
                 flags.push((key.to_string(), value.clone()));
                 i += 2;
             } else if args[i] == "-o" {
-                if !usage.contains(" -o ") {
-                    return Err(format!("unknown flag -o for {cmd}"));
+                if !section.contains(" -o ") {
+                    return Err(usage(format!("unknown flag -o for {cmd}")));
                 }
-                let value = args.get(i + 1).ok_or("missing value for -o")?;
+                let value = args
+                    .get(i + 1)
+                    .ok_or_else(|| usage("missing value for -o"))?;
                 flags.push(("out".to_string(), value.clone()));
                 i += 2;
             } else if args[i] == "-q" || args[i] == "-v" {
@@ -241,10 +300,12 @@ impl Opts {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+    fn get_u64(&self, key: &str, default: u64) -> Result<u64, Failure> {
         match self.get(key) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("--{key} wants a number")),
+            Some(v) => v
+                .parse()
+                .map_err(|_| usage(format!("--{key} wants a number"))),
         }
     }
 
@@ -252,35 +313,35 @@ impl Opts {
         self.get(key).is_some()
     }
 
-    fn get_f64(&self, key: &str) -> Result<Option<f64>, String> {
+    fn get_f64(&self, key: &str) -> Result<Option<f64>, Failure> {
         match self.get(key) {
             None => Ok(None),
             Some(v) => v
                 .parse()
                 .map(Some)
-                .map_err(|_| format!("--{key} wants a number of seconds")),
+                .map_err(|_| usage(format!("--{key} wants a number of seconds"))),
         }
     }
 
-    fn out(&self) -> Result<PathBuf, String> {
+    fn out(&self) -> Result<PathBuf, Failure> {
         self.get("out")
             .map(PathBuf::from)
-            .ok_or_else(|| "missing -o OUT".to_string())
+            .ok_or_else(|| usage("missing -o OUT"))
     }
 
-    fn input(&self) -> Result<&str, String> {
+    fn input(&self) -> Result<&str, Failure> {
         self.positional
             .first()
             .map(|s| s.as_str())
-            .ok_or_else(|| "missing input file".to_string())
+            .ok_or_else(|| usage("missing input file"))
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+fn run(args: &[String]) -> Result<(), Failure> {
     let Some(cmd) = args.first() else {
-        return Err("no command given".into());
+        return Err(usage("no command given"));
     };
-    let handler: fn(&Opts) -> Result<(), String> = match cmd.as_str() {
+    let handler: fn(&Opts) -> Result<(), Failure> = match cmd.as_str() {
         "generate" => generate,
         "stats" => stats,
         "compress" => compress,
@@ -289,14 +350,14 @@ fn run(args: &[String]) -> Result<(), String> {
         "decompress" => decompress,
         "query" => query,
         "synth" => synth,
-        other => return Err(format!("unknown command `{other}`")),
+        other => return Err(usage(format!("unknown command `{other}`"))),
     };
-    let usage = usage_of(cmd).expect("every command has a USAGE section");
-    let opts = Opts::parse(cmd, usage, &args[1..])?;
+    let section = usage_of(cmd).expect("every command has a USAGE section");
+    let opts = Opts::parse(cmd, section, &args[1..])?;
     // FLOWZIP_LOG sets the base level; an explicit flag overrides it.
     log::init_from_env();
     if opts.get_bool("quiet") && opts.get_bool("verbose") {
-        return Err("--quiet and --verbose contradict each other".into());
+        return Err(usage("--quiet and --verbose contradict each other"));
     }
     if opts.get_bool("quiet") {
         log::set_level(Level::Quiet);
@@ -324,7 +385,7 @@ fn write_tsh(path: &PathBuf, trace: &Trace) -> Result<u64, String> {
         .map_err(|e| format!("write {}: {e}", path.display()))
 }
 
-fn generate(opts: &Opts) -> Result<(), String> {
+fn generate(opts: &Opts) -> Result<(), Failure> {
     let flows = opts.get_u64("flows", 2_000)? as usize;
     let secs = opts.get_u64("secs", 60)? as f64;
     let seed = opts.get_u64("seed", 42)?;
@@ -352,7 +413,7 @@ fn generate(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn stats(opts: &Opts) -> Result<(), String> {
+fn stats(opts: &Opts) -> Result<(), Failure> {
     let path = opts.input()?;
     let trace = FileSource::open(path)
         .map_err(|e| format!("open {path}: {e}"))?
@@ -374,7 +435,7 @@ fn stats(opts: &Opts) -> Result<(), String> {
 /// format without an interval.
 fn stats_flags(
     opts: &Opts,
-) -> Result<(Option<std::time::Duration>, Option<SnapshotFormat>), String> {
+) -> Result<(Option<std::time::Duration>, Option<SnapshotFormat>), Failure> {
     let interval = match opts.get("stats-interval") {
         None => None,
         Some(_) => Some(std::time::Duration::from_secs(
@@ -384,13 +445,14 @@ fn stats_flags(
     let format = opts
         .get("stats-format")
         .map(SnapshotFormat::parse)
-        .transpose()?;
+        .transpose()
+        .map_err(usage)?;
     Ok((interval, format))
 }
 
-fn compress(opts: &Opts) -> Result<(), String> {
+fn compress(opts: &Opts) -> Result<(), Failure> {
     if opts.positional.is_empty() {
-        return Err("missing input file".into());
+        return Err(usage("missing input file"));
     }
     let out = opts.out()?;
     let json = opts.get_bool("json");
@@ -402,9 +464,6 @@ fn compress(opts: &Opts) -> Result<(), String> {
         .sink(Sink::file(&out));
     if opts.get("threads").is_some() {
         session = session.threads(opts.get_u64("threads", 0)? as usize);
-    }
-    if opts.get("batch-size").is_some() {
-        session = session.batch_size(opts.get_u64("batch-size", 0)? as usize);
     }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
@@ -440,7 +499,7 @@ fn compress(opts: &Opts) -> Result<(), String> {
     session = session.cancel(signal::install_graceful());
     let _guard = signal::guard_partial(&Sink::partial_path(&out));
 
-    let result = session.run().map_err(|e| e.to_string())?;
+    let result = session.run()?;
     if let (Some(path), Some(p)) = (&profile_path, &profiler) {
         p.write_to(path)
             .map_err(|e| format!("write {}: {e}", path.display()))?;
@@ -479,8 +538,8 @@ fn compress(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn serve(opts: &Opts) -> Result<(), String> {
-    let out_dir = opts.out().map_err(|_| "missing -o OUT_DIR".to_string())?;
+fn serve(opts: &Opts) -> Result<(), Failure> {
+    let out_dir = opts.out().map_err(|_| usage("missing -o OUT_DIR"))?;
     let json = opts.get_bool("json");
 
     let picked = ["listen", "unix", "watch"]
@@ -488,7 +547,9 @@ fn serve(opts: &Opts) -> Result<(), String> {
         .filter(|k| opts.get(k).is_some())
         .count();
     if picked > 1 {
-        return Err("pick at most one of --listen / --unix / --watch (default: stdin)".into());
+        return Err(usage(
+            "pick at most one of --listen / --unix / --watch (default: stdin)",
+        ));
     }
     let source = if let Some(addr) = opts.get("listen") {
         ServeSource::listen(addr).map_err(|e| format!("bind {addr}: {e}"))?
@@ -499,7 +560,7 @@ fn serve(opts: &Opts) -> Result<(), String> {
         }
         #[cfg(not(unix))]
         {
-            return Err(format!("--unix {path} needs a Unix platform"));
+            return Err(usage(format!("--unix {path} needs a Unix platform")));
         }
     } else if let Some(dir) = opts.get("watch") {
         ServeSource::watch_dir(dir)
@@ -511,14 +572,14 @@ fn serve(opts: &Opts) -> Result<(), String> {
     let mut session = Pipeline::serve().source(source).out_dir(&out_dir);
     let rotate_secs = opts.get_u64("rotate-secs", 0)?;
     if opts.get("rotate-secs").is_some() && rotate_secs == 0 {
-        return Err("--rotate-secs wants a positive number of seconds".into());
+        return Err(usage("--rotate-secs wants a positive number of seconds"));
     }
     if rotate_secs > 0 {
         session = session.rotate_every(std::time::Duration::from_secs(rotate_secs));
     }
     let rotate_packets = opts.get_u64("rotate-packets", 0)?;
     if opts.get("rotate-packets").is_some() && rotate_packets == 0 {
-        return Err("--rotate-packets wants a positive packet count".into());
+        return Err(usage("--rotate-packets wants a positive packet count"));
     }
     if rotate_packets > 0 {
         session = session.rotate_packets(rotate_packets);
@@ -526,14 +587,11 @@ fn serve(opts: &Opts) -> Result<(), String> {
     if opts.get("threads").is_some() {
         session = session.threads(opts.get_u64("threads", 0)? as usize);
     }
-    if opts.get("batch-size").is_some() {
-        session = session.batch_size(opts.get_u64("batch-size", 0)? as usize);
-    }
     if opts.get("queue-batches").is_some() {
         session = session.queue_batches(opts.get_u64("queue-batches", 0)? as usize);
     }
     if let Some(name) = opts.get("overload") {
-        session = session.overload(OverloadPolicy::parse(name)?);
+        session = session.overload(OverloadPolicy::parse(name).map_err(usage)?);
     }
     if opts.get_bool("telemetry") {
         session = session.telemetry(true);
@@ -578,8 +636,8 @@ fn serve(opts: &Opts) -> Result<(), String> {
             (s, p) => format!("every {s}s or {p} packets"),
         }
     ));
-    let handle = session.start().map_err(|e| e.to_string())?;
-    let report = handle.wait().map_err(|e| e.to_string())?;
+    let handle = session.start()?;
+    let report = handle.wait()?;
 
     if json {
         out!("{}", report.to_json());
@@ -597,13 +655,13 @@ fn serve(opts: &Opts) -> Result<(), String> {
         out!("manifest: {}", report.manifest.display());
     }
     if let Some(e) = &report.source_error {
-        return Err(format!("source failed: {e}"));
+        return Err(format!("source failed: {e}").into());
     }
     exit_if_signalled();
     Ok(())
 }
 
-fn info(opts: &Opts) -> Result<(), String> {
+fn info(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
     // One decode serves the report and the complexity line.
@@ -673,14 +731,18 @@ fn info(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn decompress(opts: &Opts) -> Result<(), String> {
+fn decompress(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let out = opts.out()?;
     let json = opts.get_bool("json");
     let out_format = match opts.get("out-format") {
         None | Some("tsh") => CaptureFormat::Tsh,
         Some("pcap") => CaptureFormat::Pcap,
-        Some(other) => return Err(format!("unknown --out-format `{other}` (want tsh or pcap)")),
+        Some(other) => {
+            return Err(usage(format!(
+                "unknown --out-format `{other}` (want tsh or pcap)"
+            )))
+        }
     };
     // Nothing to finalize mid-decode: an interrupt just removes the
     // half-written `.part` scratch and exits.
@@ -692,8 +754,7 @@ fn decompress(opts: &Opts) -> Result<(), String> {
         .sink(Sink::file(&out))
         .seed(opts.get_u64("seed", 0x5EED)?)
         .output_format(out_format)
-        .run()
-        .map_err(|e| e.to_string())?;
+        .run()?;
     let report = &result.report;
     let notice = format!(
         "wrote {}: {} packets ({} bytes), peak {} open flows",
@@ -711,14 +772,18 @@ fn decompress(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-fn query(opts: &Opts) -> Result<(), String> {
+fn query(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let json = opts.get_bool("json");
     let out = opts.get("out").map(PathBuf::from);
     let out_format = match opts.get("out-format") {
         None | Some("tsh") => CaptureFormat::Tsh,
         Some("pcap") => CaptureFormat::Pcap,
-        Some(other) => return Err(format!("unknown --out-format `{other}` (want tsh or pcap)")),
+        Some(other) => {
+            return Err(usage(format!(
+                "unknown --out-format `{other}` (want tsh or pcap)"
+            )))
+        }
     };
     signal::install_oneshot();
     let _guard = out
@@ -735,7 +800,7 @@ fn query(opts: &Opts) -> Result<(), String> {
     if opts.get_bool("metrics") {
         session = session.metrics(Metrics::enabled());
     }
-    let result = session.run().map_err(|e| e.to_string())?;
+    let result = session.run()?;
     let report = &result.report;
     if json {
         report_line(to_stderr, format_args!("{}", report.to_json()));
@@ -765,13 +830,13 @@ fn query_session<'a>(
     opts: &Opts,
     path: &Path,
     out_format: CaptureFormat,
-) -> Result<QueryBuilder<'a>, String> {
+) -> Result<QueryBuilder<'a>, Failure> {
     let mut session = Pipeline::query()
         .input(Input::file(path))
         .seed(opts.get_u64("seed", 0x5EED)?)
         .output_format(out_format);
     if let Some(spec) = opts.get("flow") {
-        session = session.flow_spec(spec).map_err(|e| e.to_string())?;
+        session = session.flow_spec(spec)?;
     }
     if let Some(secs) = opts.get_f64("from")? {
         session = session.from_secs(secs);
@@ -793,11 +858,11 @@ fn query_rotation_dir(
     json: bool,
     out: Option<&Path>,
     out_format: CaptureFormat,
-) -> Result<(), String> {
+) -> Result<(), Failure> {
     if out.is_some() && out_format == CaptureFormat::Pcap {
-        return Err(
-            "rotation-directory -o concatenation is TSH-only (pcap puts a header per file)".into(),
-        );
+        return Err(usage(
+            "rotation-directory -o concatenation is TSH-only (pcap puts a header per file)",
+        ));
     }
     let entries = flowzip::serve::read_manifest(Path::new(dir)).map_err(|e| e.to_string())?;
     // One registry across every window's session: its counters sum them.
@@ -858,7 +923,7 @@ fn query_rotation_dir(
     Ok(())
 }
 
-fn synth(opts: &Opts) -> Result<(), String> {
+fn synth(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let out = opts.out()?;
     signal::install_oneshot();

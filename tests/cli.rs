@@ -162,6 +162,85 @@ fn missing_file_is_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("open"));
 }
 
+/// Only a command-line mistake prints the usage text, and then only the
+/// command's own section: a crafted archive or a missing file is a data
+/// or I/O error, reported alone (exit 1 either way).
+#[test]
+fn usage_follows_command_line_mistakes_only() {
+    let dir = tmpdir("usage");
+    let bad = dir.join("bad.fzc");
+    std::fs::write(&bad, b"FZC2 but not an archive").unwrap();
+    let missing = dir.join("missing.tsh");
+    let never = dir.join("never.fzc");
+    let run_errors: [Vec<&std::ffi::OsStr>; 3] = [
+        vec!["info".as_ref(), bad.as_os_str()],
+        vec!["info".as_ref(), missing.as_os_str()],
+        vec![
+            "compress".as_ref(),
+            missing.as_os_str(),
+            "-o".as_ref(),
+            never.as_os_str(),
+        ],
+    ];
+    for args in &run_errors {
+        let out = bin().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.starts_with("error: "), "{args:?}: {err}");
+        assert!(!err.contains("usage:"), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+
+    let out = bin().arg("info").arg(&bad).arg("--bogus").output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown flag --bogus for info"), "{err}");
+    assert!(err.contains("usage:\n  flowzip info "), "{err}");
+    assert!(
+        !err.contains("flowzip compress"),
+        "only info's section: {err}"
+    );
+    assert!(!never.exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every input runs on one shard unless `--threads` asks: a 2-file split
+/// compresses to the same bytes with no `--threads` as with
+/// `--threads 1`, whatever the host's core count.
+#[test]
+fn default_multi_file_compress_matches_threads_one() {
+    let dir = tmpdir("default-shards");
+    let whole = generate_into(&dir, "whole.tsh");
+    let bytes = std::fs::read(&whole).unwrap();
+    let cut = bytes.len() / 44 / 2 * 44;
+    let parts = [dir.join("part-0.tsh"), dir.join("part-1.tsh")];
+    std::fs::write(&parts[0], &bytes[..cut]).unwrap();
+    std::fs::write(&parts[1], &bytes[cut..]).unwrap();
+    let compress = |extra: &[&str], out: &PathBuf| {
+        let run = bin()
+            .arg("compress")
+            .args(&parts)
+            .args(extra)
+            .arg("-o")
+            .arg(out)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+    };
+    let (default, one) = (dir.join("default.fzc"), dir.join("one.fzc"));
+    compress(&[], &default);
+    compress(&["--threads", "1"], &one);
+    assert_eq!(
+        std::fs::read(&default).unwrap(),
+        std::fs::read(&one).unwrap()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn fixture(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
@@ -1481,13 +1560,18 @@ fn generate_into(dir: &std::path::Path, name: &str) -> PathBuf {
 }
 
 /// Every file input is read in turn on the main thread, so the retired
-/// reader-thread knobs are unknown flags (exit 1), not ignored words.
+/// reader-thread knobs are unknown flags (exit 1), not ignored words; so
+/// is the retired `--batch-size`.
 #[test]
 fn retired_reader_flags_are_unknown() {
     let dir = tmpdir("readerflags");
     let tsh = generate_into(&dir, "a.tsh");
     let fzc = dir.join("a.fzc");
-    for (flag, value) in [("--readers", "2"), ("--prefetch-mb", "1")] {
+    for (flag, value) in [
+        ("--readers", "2"),
+        ("--prefetch-mb", "1"),
+        ("--batch-size", "256"),
+    ] {
         let out = bin()
             .arg("compress")
             .arg(&tsh)
@@ -1504,6 +1588,20 @@ fn retired_reader_flags_are_unknown() {
         );
         assert!(!fzc.exists());
     }
+    // Batching never changes the bytes, so `serve` takes no batch size
+    // either; the refusal comes before the rotation directory exists.
+    let rot = dir.join("rot");
+    let out = bin()
+        .arg("serve")
+        .arg("-o")
+        .arg(&rot)
+        .args(["--batch-size", "256"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("unknown flag --batch-size for serve"), "{err}");
+    assert!(!rot.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
 

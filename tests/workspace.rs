@@ -16,7 +16,7 @@ fn every_facade_module_is_reachable() {
             .build()
             .config()
             .shards
-            >= 1
+            == 1
     );
     assert_eq!(flowzip::io::IoStats::new().bytes_read(), 0);
     assert!(flowzip::obs::Metrics::enabled().is_enabled());
@@ -41,7 +41,7 @@ fn prelude_pulls_in_the_whole_pipeline_vocabulary() {
 
 #[test]
 fn params_paper_matches_the_papers_constants() {
-    use flowzip::core::{DistanceMetric, Params, Weights};
+    use flowzip::core::{l1_distance, Params, Weights};
 
     let p = Params::paper();
     // §2: M(p) = 16·f1 + 4·f2 + 1·f3.
@@ -61,7 +61,8 @@ fn params_paper_matches_the_papers_constants() {
     assert_eq!(p.per_packet_bound, 50);
     assert!((p.similarity - 0.02).abs() < 1e-12);
     assert!((p.d_sim(37) - 37.0).abs() < 1e-9);
-    assert_eq!(p.metric, DistanceMetric::L1);
+    // Eq. (4)'s distance is L1: |0−2| + |16−16| + |32−30|.
+    assert_eq!(l1_distance(&[0, 16, 32], &[2, 16, 30]), 4.0);
     // And `Default` must stay in sync with `paper()`.
     assert_eq!(Params::default(), p);
 }
