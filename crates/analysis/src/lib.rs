@@ -17,7 +17,7 @@ pub use cdf::Cdf;
 pub use complexity::TraceComplexity;
 pub use histogram::BucketedHistogram;
 pub use series::write_dat;
-pub use stream::{analyze_archive, ArchivePasses, SectionPoint};
+pub use stream::{analyze_archive, ArchivePasses};
 pub use table::TextTable;
 
 /// Two-sample Kolmogorov–Smirnov statistic: the maximum vertical gap

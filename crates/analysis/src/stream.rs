@@ -16,25 +16,9 @@ use crate::{BucketedHistogram, Cdf};
 use flowzip_core::datasets::CodecError;
 use flowzip_core::ArchiveReader;
 
-/// One archive section reduced to series points — the per-section
-/// rollup the time-series pass plots.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SectionPoint {
-    /// Position in the archive's section order.
-    pub index: usize,
-    /// Flow records in the section.
-    pub flows: u64,
-    /// Packets the section's flows expand to.
-    pub packets: u64,
-    /// Earliest flow start in the section, seconds.
-    pub first_ts_s: f64,
-    /// Latest flow start in the section, seconds.
-    pub last_ts_s: f64,
-}
-
 /// The streaming passes' combined result: distribution passes (CDF +
-/// Figure 3 histogram over packets-per-flow, RTT CDF) and the
-/// per-section series pass.
+/// Figure 3 histogram over packets-per-flow, RTT CDF) and the trace
+/// complexity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ArchivePasses {
     /// Flow records across all sections.
@@ -58,8 +42,6 @@ pub struct ArchivePasses {
     pub has_telemetry: bool,
     /// The trace-complexity decomposition over flow sizes and arrivals.
     pub complexity: TraceComplexity,
-    /// One rollup point per section, in section order.
-    pub sections: Vec<SectionPoint>,
 }
 
 /// Runs the streaming passes over every section of the archive `data`
@@ -80,15 +62,13 @@ pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
     let mut retrans: Vec<f64> = Vec::new();
     let has_telemetry = reader.telemetry().is_some();
     let mut histogram = BucketedHistogram::figure3();
-    let mut sections = Vec::with_capacity(reader.counts().3 as usize);
-    let mut packets_total = 0u64;
+    let mut packets = 0u64;
 
     // Short-template expansion sizes are global and reused per record.
     let short_len: Vec<usize> = reader.short_templates().iter().map(Vec::len).collect();
 
     for section in reader.sections() {
         let section = section?;
-        let mut packets = 0u64;
         for r in &section.records {
             let n = if r.is_long {
                 section.long_templates[(r.template_idx - section.long_base) as usize].len()
@@ -112,20 +92,11 @@ pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
             }
             retrans.push(t.retransmissions() as f64);
         }
-        packets_total += packets;
-        let secs = |r: &flowzip_core::FlowRecord| r.first_ts.as_micros() as f64 / 1e6;
-        sections.push(SectionPoint {
-            index: section.index,
-            flows: section.records.len() as u64,
-            packets,
-            first_ts_s: section.records.first().map_or(0.0, secs),
-            last_ts_s: section.records.last().map_or(0.0, secs),
-        });
     }
 
     Ok(ArchivePasses {
         flows: sizes.len() as u64,
-        packets: packets_total,
+        packets,
         packets_per_flow: Cdf::from_samples(sizes),
         flow_size_histogram: histogram,
         rtt_ms: Cdf::from_samples(rtts),
@@ -133,7 +104,6 @@ pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
         retransmissions_per_flow: Cdf::from_samples(retrans),
         has_telemetry,
         complexity: TraceComplexity::from_flows(&sizes_u, &starts_us),
-        sections,
     })
 }
 
@@ -171,17 +141,18 @@ mod tests {
         let shorts = ct.time_seq.iter().filter(|r| !r.is_long).count();
         assert_eq!(passes.rtt_ms.len(), shorts);
         assert_eq!(passes.complexity, TraceComplexity::from_archive(&ct));
-        // Section rollups tile the archive.
+        // The reader's sections tile the archive the passes folded.
+        let sections: Vec<_> = ArchiveReader::open(&bytes)
+            .unwrap()
+            .sections()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(
-            passes.sections.iter().map(|s| s.flows).sum::<u64>(),
+            sections.iter().map(|s| s.records.len() as u64).sum::<u64>(),
             passes.flows
         );
-        assert_eq!(
-            passes.sections.iter().map(|s| s.packets).sum::<u64>(),
-            passes.packets
-        );
-        for s in &passes.sections {
-            assert!(s.first_ts_s <= s.last_ts_s);
+        for s in &sections {
+            assert!(s.records.first().map(|r| r.first_ts) <= s.records.last().map(|r| r.first_ts));
         }
         // Distribution sanity: every flow has at least one packet, and
         // the CDF agrees with the histogram about the mass at small n.
@@ -243,7 +214,7 @@ mod tests {
         let v2 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc2");
         let passes = analyze_archive(v1).unwrap();
         assert_eq!(passes, analyze_archive(v2).unwrap());
-        assert_eq!(passes.sections.len(), 1);
+        assert_eq!(ArchiveReader::open(v1).unwrap().sections().count(), 1);
         assert!(!passes.has_telemetry);
     }
 }

@@ -30,7 +30,8 @@
 //! accumulator as soon as they close instead of piling up.
 
 use crate::characterize::{size_class, Dependence};
-use crate::container::{long_entry_ms, put_long_entry, LongEntries};
+use crate::container::{long_entry_ms, put_long_entry};
+use crate::decode::LongEntries;
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
 use flowzip_trace::prelude::*;

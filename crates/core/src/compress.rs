@@ -2,8 +2,9 @@
 
 use crate::accumulate::{FinishedFlow, FlowAccumulator};
 use crate::cluster::TemplateStore;
-use crate::container::{copy_long_template, put_encoded_long_template, ShardSection};
+use crate::container::{put_encoded_long_template, ShardSection};
 use crate::datasets::{CompressedTrace, DatasetSizes, FlowRecord, LongTemplate};
+use crate::decode::{copy_long_template, ByteCursor};
 use crate::telemetry::FlowTelemetry;
 use crate::Params;
 use flowzip_trace::Trace;
@@ -284,7 +285,6 @@ impl FlowAssembler {
             long_flows: self.long_flows,
             payload,
             long_template_bytes,
-            time_seq_bytes,
             meta,
             telemetry,
         }
@@ -370,10 +370,10 @@ pub fn assemble_shards(
 
         let remap = store.merge(shard.store);
         let long_base = long_templates.len() as u32;
-        let mut pos = 0;
+        let mut cur = ByteCursor::new(&shard.long_payload);
         for _ in 0..shard.long_flows {
             long_templates.push(
-                copy_long_template(&shard.long_payload, &mut pos)
+                copy_long_template(&mut cur)
                     .expect("the assembler encodes well-formed long templates"),
             );
         }

@@ -49,6 +49,9 @@
 //! bytes between the two record slices (a v2 payload skips none). Both
 //! revisions share the record encoding, so one decoder reads both, and
 //! [`ArchiveFormat::detect`] is the only place the magic is looked at.
+//! The parse itself lives in the crate's `decode` module, behind one
+//! checked byte cursor; this module keeps the writers, of which
+//! `write_v2` is the only one that lays out a v2 archive.
 //!
 //! **Equivalence guarantee.** Reading a v2 archive reconstructs the
 //! *identical* [`CompressedTrace`] the v1 path would have produced from
@@ -62,14 +65,14 @@
 
 use crate::cluster::TemplateStore;
 use crate::datasets::{
-    clamped_capacity, get_varint, narrow, put_varint, CodecError, CompressedTrace, DatasetSizes,
-    FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, VERSION,
+    put_varint, CodecError, CompressedTrace, DatasetSizes, FlowRecord, LongTemplate, RTT_SHIFT,
 };
+use crate::decode::{skip_long_templates, ByteCursor, SectionEntry};
 use crate::decompress::DEFAULT_SEED;
 use crate::meta::{ArchiveMeta, SectionMeta};
 use crate::telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
 use crate::Params;
-use flowzip_trace::{Duration, Timestamp};
+use flowzip_trace::Timestamp;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -88,23 +91,6 @@ pub enum ArchiveFormat {
     /// Sectioned layout with a section index (magic `FZC2`), the default.
     #[default]
     V2,
-}
-
-impl ArchiveFormat {
-    /// Detects the container format from the leading magic bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::BadHeader`] when the bytes start with neither magic.
-    pub fn detect(data: &[u8]) -> Result<ArchiveFormat, CodecError> {
-        if data.len() >= 4 && data[0..4] == MAGIC_V2 {
-            Ok(ArchiveFormat::V2)
-        } else if data.len() >= 4 && data[0..4] == MAGIC {
-            Ok(ArchiveFormat::V1)
-        } else {
-            Err(CodecError::BadHeader)
-        }
-    }
 }
 
 impl std::fmt::Display for ArchiveFormat {
@@ -141,10 +127,9 @@ pub struct ShardSection {
     pub short_flows: u64,
     /// Long flows this shard consumed.
     pub long_flows: u64,
-    /// Bytes of the payload's long-template slice.
+    /// Bytes of the payload's long-template slice; the rest of it is the
+    /// time-seq slice.
     pub long_template_bytes: u64,
-    /// Bytes of the payload's time-seq slice.
-    pub time_seq_bytes: u64,
     /// The section's v2.1 metadata record (time range, counts, flow-key
     /// Bloom filter), computed on the shard's thread alongside the
     /// payload encode.
@@ -195,92 +180,9 @@ pub(crate) fn put_long_entry(m: u16, gap_us: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads one long-template entry at `pos`: the inverse of
-/// [`put_long_entry`].
-pub(crate) fn get_long_entry(data: &[u8], pos: &mut usize) -> Result<(u16, Duration), CodecError> {
-    let m = narrow(get_varint(data, pos)?, "template entry")?;
-    let gap = Duration::from_micros(get_varint(data, pos)?);
-    Ok((m, gap))
-}
-
-/// Reads one long template at `pos` — the inverse of
-/// [`put_encoded_long_template`], and what archive payloads and the
-/// [`Compressor`](crate::Compressor) oracle's assembled long slices both
-/// parse through. The entries are not decoded into a vector: one walk
-/// checks each as [`get_long_entry`] would read it (same errors, in the
-/// same order), then the walked bytes are copied as they are. A template
-/// with a non-minimal varint is re-encoded instead, so a parsed
-/// template's bytes are always what [`put_long_entry`] writes.
-pub(crate) fn copy_long_template(data: &[u8], pos: &mut usize) -> Result<LongTemplate, CodecError> {
-    let n = get_varint(data, pos)?;
-    let start = *pos;
-    let mut minimal = true;
-    for _ in 0..n {
-        let (len, min) = long_entry_len(data, *pos)?;
-        *pos += len;
-        minimal &= min;
-    }
-    let bytes = &data[start..*pos];
-    // Each entry took at least two of `bytes`, so `n` fits a `usize`.
-    let len = n as usize;
-    Ok(if minimal {
-        LongTemplate::from_encoded(len, bytes.into())
-    } else {
-        LongTemplate::from_entries(LongEntries::new(bytes))
-    })
-}
-
-/// The byte length of the long-template entry at `pos`, and whether both
-/// its varints are minimal; the errors [`get_long_entry`] would return.
-#[inline]
-fn long_entry_len(data: &[u8], pos: usize) -> Result<(usize, bool), CodecError> {
-    let mut end = pos;
-    let (m, gap) = get_long_entry(data, &mut end)?;
-    let minimal = end - pos == varint_len(u64::from(m)) + varint_len(gap.as_micros());
-    Ok((end - pos, minimal))
-}
-
 /// Bytes [`put_varint`] writes for `v`.
-fn varint_len(v: u64) -> usize {
+pub(crate) fn varint_len(v: u64) -> usize {
     1 + (63 - (v | 1).leading_zeros() as usize) / 7
-}
-
-/// A long template's `(M, gap)` entries, decoded one at a time from
-/// their [`put_long_entry`] bytes — [`LongTemplate::entries`], the
-/// decompressor's per-flow cursor and a finished flow's log all read
-/// through it.
-#[derive(Debug, Clone)]
-pub(crate) struct LongEntries<'a> {
-    /// The entries not read yet.
-    rest: &'a [u8],
-}
-
-impl<'a> LongEntries<'a> {
-    /// Reads `bytes`, whole entries from [`put_long_entry`].
-    pub(crate) fn new(bytes: &'a [u8]) -> LongEntries<'a> {
-        LongEntries { rest: bytes }
-    }
-}
-
-impl Iterator for LongEntries<'_> {
-    type Item = (u16, Duration);
-
-    #[inline]
-    fn next(&mut self) -> Option<(u16, Duration)> {
-        // The bytes are whole entries, so this fails only once they
-        // are spent.
-        let mut pos = 0;
-        match get_long_entry(self.rest, &mut pos) {
-            Ok(entry) => {
-                self.rest = &self.rest[pos..];
-                Some(entry)
-            }
-            Err(_) => {
-                self.rest = &[];
-                None
-            }
-        }
-    }
 }
 
 /// Appends the `M` of every entry in `entries` to `out`, skipping the
@@ -307,8 +209,10 @@ pub(crate) fn long_entry_ms(entries: &[u8], out: &mut Vec<u16>) {
             out.push((word & 0x7f) as u16);
             pos += g1 as usize / 8 + 1;
         } else {
-            let (m, _) = get_long_entry(entries, &mut pos).expect("whole long-template entries");
+            let mut cur = ByteCursor::new(&entries[pos..]);
+            let (m, _) = cur.long_entry().expect("whole long-template entries");
             out.push(m);
+            pos = entries.len() - cur.remaining();
         }
     }
 }
@@ -332,9 +236,24 @@ fn varint_ends_at(bytes: &[u8], pos: usize) -> (u64, u64) {
     }
 }
 
+/// Appends the short-flows-template dataset: per template its length,
+/// then its `M` values (shared with v1's encoding).
+pub(crate) fn put_short_templates<'t>(
+    templates: impl IntoIterator<Item = &'t [u16]>,
+    out: &mut Vec<u8>,
+) {
+    for t in templates {
+        put_varint(t.len() as u64, out);
+        for &m in t {
+            put_varint(m as u64, out);
+        }
+    }
+}
+
 /// Appends one time-seq record (shared with v1's encoding; `last_ts`
 /// carries the delta-coding state).
 pub(crate) fn put_time_seq_record(r: &FlowRecord, last_ts: &mut u64, out: &mut Vec<u8>) {
+    // Dataset id packed into the template index's low bit.
     put_varint((r.template_idx as u64) << 1 | r.is_long as u64, out);
     put_varint(r.addr_idx as u64, out);
     let ts = r.first_ts.as_micros();
@@ -343,22 +262,6 @@ pub(crate) fn put_time_seq_record(r: &FlowRecord, last_ts: &mut u64, out: &mut V
     if !r.is_long {
         put_varint(r.rtt.as_micros() >> RTT_SHIFT, out);
     }
-}
-
-/// One parsed section-index entry and its (still encoded) payload.
-struct SectionEntry<'a> {
-    payload: &'a [u8],
-    /// Bytes between the payload's long-template and time-seq slices
-    /// that decoding skips: v1's address dataset, zero for v2.
-    gap: usize,
-    flow_count: usize,
-    long_count: usize,
-    /// Local short-template index → global index.
-    short_remap: Vec<u32>,
-    /// Local address index → global index.
-    addr_remap: Vec<u32>,
-    /// Global index of this section's first long template.
-    long_base: u32,
 }
 
 /// What the index-assembly merge learned — the clustering figures that
@@ -377,9 +280,9 @@ pub(crate) struct SectionMergeStats {
 /// the per-dataset footprint (index bytes count as `header`), and the
 /// post-merge clustering stats. This is the engine's entire serial
 /// serialization tail: merge the near-constant template stores and
-/// address lists, write the small global datasets and the index, and
-/// memcpy the payloads the shards already encoded — O(shards + clusters
-/// + addresses), not O(trace).
+/// address lists, then hand the small global datasets, the index and the
+/// payloads the shards already encoded to [`write_v2`] — O(shards +
+/// clusters + addresses), not O(trace).
 ///
 /// # Panics
 ///
@@ -392,126 +295,156 @@ pub(crate) fn write_sections(
     let mut merged = TemplateStore::new(params.clone());
     let mut addresses: Vec<Ipv4Addr> = Vec::new();
     let mut addr_index: HashMap<Ipv4Addr, u32> = HashMap::new();
-    let mut short_remaps: Vec<Vec<u32>> = Vec::with_capacity(sections.len());
-    let mut addr_remaps: Vec<Vec<u32>> = Vec::with_capacity(sections.len());
-    let mut long_total = 0u64;
-
-    let sections: Vec<ShardSection> = sections
-        .into_iter()
-        .map(|mut section| {
-            let store = std::mem::replace(&mut section.store, TemplateStore::new(params.clone()));
-            short_remaps.push(merged.merge(store));
-            let remap = section
-                .addresses
-                .iter()
-                .map(|&a| {
-                    *addr_index.entry(a).or_insert_with(|| {
-                        addresses.push(a);
-                        (addresses.len() - 1) as u32
-                    })
-                })
-                .collect();
-            addr_remaps.push(remap);
-            long_total += section.long_count;
-            section
-        })
-        .collect();
-
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC_V2);
-    out.push(VERSION_V2);
-    put_varint(merged.len() as u64, &mut out);
-    put_varint(long_total, &mut out);
-    put_varint(addresses.len() as u64, &mut out);
-    put_varint(sections.len() as u64, &mut out);
-    let preamble = out.len() as u64;
-
-    let mark = out.len();
-    for t in merged.templates() {
-        put_varint(t.vector.len() as u64, &mut out);
-        for &m in &t.vector {
-            put_varint(m as u64, &mut out);
-        }
-    }
-    let short_templates = (out.len() - mark) as u64;
-
-    let mark = out.len();
-    for a in &addresses {
-        out.extend_from_slice(&a.octets());
-    }
-    let addr_bytes = (out.len() - mark) as u64;
-
-    let mark = out.len();
-    for (i, section) in sections.iter().enumerate() {
-        put_varint(section.payload.len() as u64, &mut out);
-        put_varint(section.flow_count, &mut out);
-        put_varint(section.long_count, &mut out);
-        put_varint(short_remaps[i].len() as u64, &mut out);
-        for &g in &short_remaps[i] {
-            put_varint(g as u64, &mut out);
-        }
-        put_varint(addr_remaps[i].len() as u64, &mut out);
-        for &g in &addr_remaps[i] {
-            put_varint(g as u64, &mut out);
-        }
-    }
-    let index_bytes = (out.len() - mark) as u64;
-
-    let mut long_template_bytes = 0u64;
-    let mut time_seq_bytes = 0u64;
+    let mut layouts = Vec::with_capacity(sections.len());
     let mut metas = Vec::with_capacity(sections.len());
     let mut telems = Vec::with_capacity(sections.len());
     for section in sections {
-        out.extend_from_slice(&section.payload);
-        long_template_bytes += section.long_template_bytes;
-        time_seq_bytes += section.time_seq_bytes;
+        let short_remap = merged.merge(section.store);
+        let addr_remap = section
+            .addresses
+            .iter()
+            .map(|&a| {
+                *addr_index.entry(a).or_insert_with(|| {
+                    addresses.push(a);
+                    (addresses.len() - 1) as u32
+                })
+            })
+            .collect();
+        layouts.push(SectionLayout {
+            payload: section.payload,
+            flow_count: section.flow_count,
+            long_count: section.long_count,
+            long_template_bytes: section.long_template_bytes,
+            short_remap,
+            addr_remap,
+        });
         metas.push(section.meta);
         telems.push(section.telemetry);
     }
 
-    // Rev 2.1: the trailing metadata block. The Bloom keys inside were
-    // computed shard-side against real addresses and timestamps, so the
-    // global merge above cannot invalidate them.
-    let mark = out.len();
-    ArchiveMeta {
+    // Rev 2.1: the Bloom keys inside were computed shard-side against
+    // real addresses and timestamps, so the global merge above cannot
+    // invalidate them.
+    let meta = ArchiveMeta {
         seed: DEFAULT_SEED,
         sections: metas,
-    }
-    .encode(&mut out);
-    let metadata_bytes = (out.len() - mark) as u64;
-
-    // Rev 2.2: the trailing telemetry block, only when every shard ran
-    // with telemetry on — a partial block would misdescribe the archive.
-    let mark = out.len();
-    let telemetry_bytes = if !telems.is_empty() && telems.iter().all(Option::is_some) {
-        ArchiveTelemetry {
-            sections: telems
+    };
+    // Rev 2.2: only when every shard ran with telemetry on — a partial
+    // block would misdescribe the archive.
+    let telemetry = telems
+        .into_iter()
+        .collect::<Option<Vec<_>>>()
+        .filter(|rows| !rows.is_empty())
+        .map(|rows| ArchiveTelemetry {
+            sections: rows
                 .into_iter()
-                .map(|t| SectionTelemetry { flows: t.unwrap() })
+                .map(|flows| SectionTelemetry { flows })
                 .collect(),
-        }
-        .encode(&mut out);
-        (out.len() - mark) as u64
-    } else {
-        0
-    };
-
-    let sizes = DatasetSizes {
-        header: preamble + index_bytes,
-        short_templates,
-        long_templates: long_template_bytes,
-        addresses: addr_bytes,
-        time_seq: time_seq_bytes,
-        metadata: metadata_bytes,
-        telemetry: telemetry_bytes,
-    };
-    debug_assert_eq!(sizes.total(), out.len() as u64);
+        });
+    let (out, sizes) = write_v2(
+        merged.templates().iter().map(|t| t.vector.as_slice()),
+        &addresses,
+        layouts,
+        Some(&meta),
+        telemetry.as_ref(),
+    );
     let stats = SectionMergeStats {
         clusters: merged.len() as u64,
         matched_flows: merged.matched_count(),
         addresses: addresses.len() as u64,
     };
     (out, sizes, stats)
+}
+
+/// One section as [`write_v2`] lays it out: its encoded payload and
+/// what its index entry says about it.
+struct SectionLayout {
+    /// Encoded long-template + time-seq slice (local indices).
+    payload: Vec<u8>,
+    flow_count: u64,
+    long_count: u64,
+    /// Bytes of the payload's long-template slice.
+    long_template_bytes: u64,
+    /// Local short-template index → global index.
+    short_remap: Vec<u32>,
+    /// Local address index → global index.
+    addr_remap: Vec<u32>,
+}
+
+/// Writes the v2 layout — preamble, global short-template and address
+/// datasets, section index, the payloads concatenated, then the optional
+/// `FZM1` and `FZT1` blocks — and its per-dataset footprint (index bytes
+/// count as `header`). The one writer of `FZC2`: [`write_sections`] and
+/// [`CompressedTrace::encode_v2`] both lay archives out through it.
+fn write_v2<'t>(
+    short_templates: impl ExactSizeIterator<Item = &'t [u16]>,
+    addresses: &[Ipv4Addr],
+    sections: Vec<SectionLayout>,
+    meta: Option<&ArchiveMeta>,
+    telemetry: Option<&ArchiveTelemetry>,
+) -> (Vec<u8>, DatasetSizes) {
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC_V2);
+    out.push(VERSION_V2);
+    put_varint(short_templates.len() as u64, &mut out);
+    put_varint(sections.iter().map(|s| s.long_count).sum(), &mut out);
+    put_varint(addresses.len() as u64, &mut out);
+    put_varint(sections.len() as u64, &mut out);
+    let preamble = out.len() as u64;
+
+    let mark = out.len();
+    put_short_templates(short_templates, &mut out);
+    let short_bytes = (out.len() - mark) as u64;
+
+    let mark = out.len();
+    out.extend(addresses.iter().flat_map(Ipv4Addr::octets));
+    let addr_bytes = (out.len() - mark) as u64;
+
+    let mark = out.len();
+    for section in &sections {
+        put_varint(section.payload.len() as u64, &mut out);
+        put_varint(section.flow_count, &mut out);
+        put_varint(section.long_count, &mut out);
+        for remap in [&section.short_remap, &section.addr_remap] {
+            put_varint(remap.len() as u64, &mut out);
+            for &g in remap {
+                put_varint(g as u64, &mut out);
+            }
+        }
+    }
+    let index_bytes = (out.len() - mark) as u64;
+
+    let mark = out.len();
+    let mut long_template_bytes = 0u64;
+    for section in sections {
+        out.extend_from_slice(&section.payload);
+        long_template_bytes += section.long_template_bytes;
+    }
+    let payload_bytes = (out.len() - mark) as u64;
+
+    let mark = out.len();
+    if let Some(meta) = meta {
+        meta.encode(&mut out);
+    }
+    let metadata_bytes = (out.len() - mark) as u64;
+
+    let mark = out.len();
+    if let Some(telemetry) = telemetry {
+        telemetry.encode(&mut out);
+    }
+    let telemetry_bytes = (out.len() - mark) as u64;
+
+    let sizes = DatasetSizes {
+        header: preamble + index_bytes,
+        short_templates: short_bytes,
+        long_templates: long_template_bytes,
+        addresses: addr_bytes,
+        time_seq: payload_bytes - long_template_bytes,
+        metadata: metadata_bytes,
+        telemetry: telemetry_bytes,
+    };
+    debug_assert_eq!(sizes.total(), out.len() as u64);
+    (out, sizes)
 }
 
 /// An archive (v1 or v2) parsed once, with its payloads still encoded.
@@ -536,219 +469,19 @@ pub(crate) fn write_sections(
 /// [`sections`]: ArchiveReader::sections
 /// [`select`]: ArchiveReader::select
 pub struct ArchiveReader<'a> {
-    format: ArchiveFormat,
-    n_long: usize,
-    short_templates: Vec<Vec<u16>>,
-    addresses: Vec<Ipv4Addr>,
-    entries: Vec<SectionEntry<'a>>,
-    meta: Option<ArchiveMeta>,
-    telemetry: Option<ArchiveTelemetry>,
+    pub(crate) format: ArchiveFormat,
+    pub(crate) n_long: usize,
+    pub(crate) short_templates: Vec<Vec<u16>>,
+    pub(crate) addresses: Vec<Ipv4Addr>,
+    pub(crate) entries: Vec<SectionEntry<'a>>,
+    pub(crate) meta: Option<ArchiveMeta>,
+    pub(crate) telemetry: Option<ArchiveTelemetry>,
     /// Byte footprint with every payload byte counted as `time_seq`;
     /// [`ArchiveReader::sizes`] moves the long-template slices across.
-    footprint: DatasetSizes,
+    pub(crate) footprint: DatasetSizes,
 }
 
-impl<'a> ArchiveReader<'a> {
-    /// Parses an archive's header, index and trailing blocks, without
-    /// decoding any payload.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when `data` is not a well-formed v1 or v2 archive.
-    pub fn open(data: &'a [u8]) -> Result<ArchiveReader<'a>, CodecError> {
-        let format = ArchiveFormat::detect(data)?;
-        let version = match format {
-            ArchiveFormat::V1 => VERSION,
-            ArchiveFormat::V2 => VERSION_V2,
-        };
-        if data.len() < 5 || data[4] != version {
-            return Err(CodecError::BadHeader);
-        }
-        let mut pos = 5usize;
-        let n_short = get_varint(data, &mut pos)? as usize;
-        let n_long = get_varint(data, &mut pos)? as usize;
-        let n_addr = get_varint(data, &mut pos)? as usize;
-        // v1 declares its flow count here, v2 its section count.
-        let n_records = get_varint(data, &mut pos)? as usize;
-        let preamble = pos;
-
-        let mut short_templates = Vec::with_capacity(clamped_capacity(n_short, data.len() - pos));
-        for _ in 0..n_short {
-            let n = get_varint(data, &mut pos)? as usize;
-            let mut v = Vec::with_capacity(clamped_capacity(n, data.len() - pos));
-            for _ in 0..n {
-                v.push(narrow(get_varint(data, &mut pos)?, "template entry")?);
-            }
-            short_templates.push(v);
-        }
-        let short_bytes = pos - preamble;
-
-        // v1 stores the long-template dataset ahead of the addresses;
-        // walk it to find them (decoding waits for the payload pass).
-        let long_start = pos;
-        if format == ArchiveFormat::V1 {
-            skip_long_templates(data, &mut pos, n_long)?;
-        }
-
-        let mut addresses = Vec::with_capacity(clamped_capacity(n_addr, data.len() - pos));
-        for _ in 0..n_addr {
-            if pos + 4 > data.len() {
-                return Err(CodecError::Truncated);
-            }
-            addresses.push(Ipv4Addr::new(
-                data[pos],
-                data[pos + 1],
-                data[pos + 2],
-                data[pos + 3],
-            ));
-            pos += 4;
-        }
-        let addr_bytes = n_addr * 4;
-
-        if format == ArchiveFormat::V1 {
-            // One section whose payload runs from the long templates to
-            // the end of the file, address block included (and skipped).
-            let identity = |n: usize| u32::try_from(n).map(|n| (0..n).collect());
-            let entry = SectionEntry {
-                payload: &data[long_start..],
-                gap: addr_bytes,
-                flow_count: n_records,
-                long_count: n_long,
-                short_remap: identity(n_short).map_err(|_| CodecError::Truncated)?,
-                addr_remap: identity(n_addr).map_err(|_| CodecError::Truncated)?,
-                long_base: 0,
-            };
-            return Ok(ArchiveReader {
-                format,
-                n_long,
-                short_templates,
-                addresses,
-                entries: vec![entry],
-                meta: None,
-                telemetry: None,
-                footprint: DatasetSizes {
-                    header: preamble as u64,
-                    short_templates: short_bytes as u64,
-                    long_templates: 0,
-                    addresses: addr_bytes as u64,
-                    time_seq: (data.len() - long_start - addr_bytes) as u64,
-                    metadata: 0,
-                    telemetry: 0,
-                },
-            });
-        }
-        let n_sections = n_records;
-
-        let index_start = pos;
-        let mut index = Vec::with_capacity(clamped_capacity(n_sections, data.len() - pos));
-        let mut long_base = 0u64;
-        for _ in 0..n_sections {
-            let payload_len = get_varint(data, &mut pos)? as usize;
-            let flow_count = get_varint(data, &mut pos)? as usize;
-            let long_count = get_varint(data, &mut pos)? as usize;
-            let n_short_local = get_varint(data, &mut pos)? as usize;
-            let mut short_remap =
-                Vec::with_capacity(clamped_capacity(n_short_local, data.len() - pos));
-            for _ in 0..n_short_local {
-                short_remap.push(narrow(get_varint(data, &mut pos)?, "short template")?);
-            }
-            let n_addr_local = get_varint(data, &mut pos)? as usize;
-            let mut addr_remap =
-                Vec::with_capacity(clamped_capacity(n_addr_local, data.len() - pos));
-            for _ in 0..n_addr_local {
-                addr_remap.push(narrow(get_varint(data, &mut pos)?, "address")?);
-            }
-            let long_base_u32 = u32::try_from(long_base).map_err(|_| CodecError::Truncated)?;
-            index.push((
-                payload_len,
-                SectionEntry {
-                    payload: &[],
-                    gap: 0,
-                    flow_count,
-                    long_count,
-                    short_remap,
-                    addr_remap,
-                    long_base: long_base_u32,
-                },
-            ));
-            long_base += long_count as u64;
-        }
-        if long_base != n_long as u64 {
-            return Err(CodecError::SectionLength(n_sections));
-        }
-        let index_bytes = pos - index_start;
-
-        // Slice out each payload; the index byte-lengths must tile the rest
-        // of the file exactly, up to the optional trailing blocks.
-        let payload_start = pos;
-        let mut entries = Vec::with_capacity(index.len());
-        for (payload_len, mut entry) in index {
-            let end = pos
-                .checked_add(payload_len)
-                .filter(|&e| e <= data.len())
-                .ok_or(CodecError::Truncated)?;
-            entry.payload = &data[pos..end];
-            entries.push(entry);
-            pos = end;
-        }
-        let payload_bytes = pos - payload_start;
-
-        let meta_start = pos;
-        let meta = if pos == data.len() {
-            None // plain v2: no metadata block
-        } else {
-            let block = ArchiveMeta::decode(data, &mut pos, n_sections)?;
-            // The block must agree with the index it summarizes.
-            for (m, entry) in block.sections.iter().zip(&entries) {
-                if m.flows != entry.flow_count as u64 {
-                    return Err(CodecError::Metadata("flow count disagrees with index"));
-                }
-                if m.long_template_bytes + m.time_seq_bytes != entry.payload.len() as u64 {
-                    return Err(CodecError::Metadata("byte split disagrees with index"));
-                }
-            }
-            Some(block)
-        };
-        let meta_bytes = pos - meta_start;
-        // Rev 2.2: where a v2.1 reader would report trailing garbage, this
-        // one parses the optional telemetry block — which, like FZM1, must
-        // then end the file exactly and agree with the section index.
-        let telemetry_start = pos;
-        let telemetry = if pos == data.len() {
-            None
-        } else {
-            let block = ArchiveTelemetry::decode(data, &mut pos, n_sections)?;
-            if pos != data.len() {
-                return Err(CodecError::SectionLength(n_sections));
-            }
-            for (t, entry) in block.sections.iter().zip(&entries) {
-                if t.flows.len() != entry.flow_count {
-                    return Err(CodecError::Telemetry("flow count disagrees with index"));
-                }
-            }
-            Some(block)
-        };
-
-        Ok(ArchiveReader {
-            format,
-            n_long,
-            short_templates,
-            addresses,
-            entries,
-            meta,
-            telemetry,
-            footprint: DatasetSizes {
-                header: (preamble + index_bytes) as u64,
-                short_templates: short_bytes as u64,
-                long_templates: 0,
-                addresses: addr_bytes as u64,
-                time_seq: payload_bytes as u64,
-                metadata: meta_bytes as u64,
-                telemetry: (pos - telemetry_start) as u64,
-            },
-        })
-    }
-
+impl ArchiveReader<'_> {
     /// The container revision the bytes carry.
     pub fn format(&self) -> ArchiveFormat {
         self.format
@@ -786,9 +519,9 @@ impl<'a> ArchiveReader<'a> {
     pub fn sizes(&self) -> Result<DatasetSizes, CodecError> {
         let mut long = 0u64;
         for entry in &self.entries {
-            let mut p = 0usize;
-            skip_long_templates(entry.payload, &mut p, entry.long_count)?;
-            long += p as u64;
+            let mut cur = ByteCursor::new(entry.payload);
+            skip_long_templates(&mut cur, entry.long_count)?;
+            long += cur.read_since(entry.payload.len()) as u64;
         }
         Ok(DatasetSizes {
             long_templates: long,
@@ -826,7 +559,6 @@ impl<'a> ArchiveReader<'a> {
         self.entries.iter().enumerate().map(|(i, entry)| {
             let (long_templates, records) = self.decode(entry, entry.long_base)?;
             Ok(DecodedSection {
-                index: i,
                 meta: self.meta.as_ref().map(|m| m.sections[i].clone()),
                 long_templates,
                 long_base: entry.long_base,
@@ -852,13 +584,16 @@ impl<'a> ArchiveReader<'a> {
         self,
         mut keep: impl FnMut(usize) -> bool,
     ) -> Result<CompressedTrace, CodecError> {
-        let payload_bytes = self.footprint.time_seq as usize;
-        let mut long_templates = Vec::with_capacity(clamped_capacity(self.n_long, payload_bytes));
+        let mut long_templates = Vec::new();
         let mut slices = Vec::with_capacity(self.entries.len());
         for (i, entry) in self.entries.iter().enumerate() {
             if keep(i) {
                 let (longs, seq) = self.decode(entry, long_templates.len() as u32)?;
-                long_templates.extend(longs);
+                if long_templates.is_empty() {
+                    long_templates = longs;
+                } else {
+                    long_templates.extend(longs);
+                }
                 slices.push(seq);
             }
         }
@@ -871,83 +606,6 @@ impl<'a> ArchiveReader<'a> {
         ct.validate()?;
         Ok(ct)
     }
-
-    /// Decodes one section payload into globally-indexed datasets, its
-    /// long templates numbered from `long_base`. Long templates are
-    /// checked and copied, not decoded ([`copy_long_template`]): every
-    /// error surfaces here, before any packet is synthesized.
-    fn decode(
-        &self,
-        entry: &SectionEntry<'_>,
-        long_base: u32,
-    ) -> Result<(Vec<LongTemplate>, Vec<FlowRecord>), CodecError> {
-        let payload = entry.payload;
-        let mut pos = 0usize;
-        let mut long_templates =
-            Vec::with_capacity(clamped_capacity(entry.long_count, payload.len()));
-        for _ in 0..entry.long_count {
-            long_templates.push(copy_long_template(payload, &mut pos)?);
-        }
-        pos += entry.gap;
-
-        let mut time_seq =
-            Vec::with_capacity(clamped_capacity(entry.flow_count, payload.len() - pos));
-        let mut last_ts = 0u64;
-        for _ in 0..entry.flow_count {
-            let key = get_varint(payload, &mut pos)?;
-            let is_long = key & 1 == 1;
-            let local_idx = (key >> 1) as usize;
-            let template_idx = if is_long {
-                if local_idx >= entry.long_count {
-                    return Err(CodecError::IndexOutOfRange(
-                        "long template",
-                        local_idx as u64,
-                    ));
-                }
-                long_base + local_idx as u32
-            } else {
-                let global =
-                    *entry
-                        .short_remap
-                        .get(local_idx)
-                        .ok_or(CodecError::IndexOutOfRange(
-                            "short template",
-                            local_idx as u64,
-                        ))?;
-                if global as usize >= self.short_templates.len() {
-                    return Err(CodecError::IndexOutOfRange("short template", global as u64));
-                }
-                global
-            };
-            let local_addr = get_varint(payload, &mut pos)? as usize;
-            let addr_idx = *entry
-                .addr_remap
-                .get(local_addr)
-                .ok_or(CodecError::IndexOutOfRange("address", local_addr as u64))?;
-            if addr_idx as usize >= self.addresses.len() {
-                return Err(CodecError::IndexOutOfRange("address", addr_idx as u64));
-            }
-            last_ts = last_ts
-                .checked_add(get_varint(payload, &mut pos)?)
-                .ok_or(CodecError::UnsortedTimeSeq)?;
-            let rtt = if is_long {
-                Duration::ZERO
-            } else {
-                Duration::from_micros(get_varint(payload, &mut pos)? << RTT_SHIFT)
-            };
-            time_seq.push(FlowRecord {
-                first_ts: Timestamp::from_micros(last_ts),
-                is_long,
-                template_idx,
-                addr_idx,
-                rtt,
-            });
-        }
-        if pos != payload.len() {
-            return Err(CodecError::Truncated);
-        }
-        Ok((long_templates, time_seq))
-    }
 }
 
 /// One archive section decoded by [`ArchiveReader::sections`]: the
@@ -957,8 +615,6 @@ impl<'a> ArchiveReader<'a> {
 /// [`LongTemplate::entries`] decodes on demand).
 #[derive(Debug, Clone)]
 pub struct DecodedSection {
-    /// Position in the archive's section order.
-    pub index: usize,
     /// The section's v2.1 metadata record, when the archive carries one.
     pub meta: Option<SectionMeta>,
     /// The section's long templates, ≈ 3 B per packet; a record with
@@ -1018,20 +674,6 @@ fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
     out
 }
 
-/// Steps `pos` over `count` encoded long templates without decoding
-/// them — how the opener finds v1's address dataset and
-/// [`ArchiveReader::sizes`] the long-template/time-seq boundary.
-fn skip_long_templates(data: &[u8], pos: &mut usize, count: usize) -> Result<(), CodecError> {
-    for _ in 0..count {
-        let n = get_varint(data, pos)?;
-        for _ in 0..n {
-            get_varint(data, pos)?;
-            get_varint(data, pos)?;
-        }
-    }
-    Ok(())
-}
-
 /// The v2.1 trailing metadata block of an archive, if present (never
 /// for v1): [`ArchiveReader::metadata`], owned. Payloads are never
 /// decoded.
@@ -1057,16 +699,7 @@ impl CompressedTrace {
 
     /// [`CompressedTrace::to_bytes_v2`] plus the per-dataset footprint.
     pub fn encode_v2(&self) -> (Vec<u8>, DatasetSizes) {
-        self.encode_v2_opts(true)
-    }
-
-    /// [`CompressedTrace::encode_v2`] with the v2.1 metadata block made
-    /// explicit: `with_metadata = false` writes a plain v2 file (exact
-    /// payload tiling, no trailing block) for interoperability with
-    /// strict pre-2.1 readers — and for the compat tests that pin the
-    /// two layouts decoding identically.
-    pub(crate) fn encode_v2_opts(&self, with_metadata: bool) -> (Vec<u8>, DatasetSizes) {
-        self.encode_v2_inner(with_metadata, None)
+        self.encode_v2_opts(true, None)
     }
 
     /// Serializes a single-section rev 2.2 container: metadata block
@@ -1083,10 +716,15 @@ impl CompressedTrace {
             self.time_seq.len(),
             "one telemetry row per flow record"
         );
-        self.encode_v2_inner(true, Some(telemetry))
+        self.encode_v2_opts(true, Some(telemetry))
     }
 
-    fn encode_v2_inner(
+    /// [`CompressedTrace::encode_v2`] with both trailing blocks made
+    /// explicit: `with_metadata = false` writes a plain v2 file (exact
+    /// payload tiling, no trailing block) for interoperability with
+    /// strict pre-2.1 readers — and for the compat tests that pin the
+    /// two layouts decoding identically.
+    pub(crate) fn encode_v2_opts(
         &self,
         with_metadata: bool,
         telemetry: Option<&[FlowTelemetry]>,
@@ -1102,90 +740,39 @@ impl CompressedTrace {
         }
         let time_seq_bytes = payload.len() as u64 - long_template_bytes;
 
+        let meta = with_metadata.then(|| ArchiveMeta {
+            seed: DEFAULT_SEED,
+            sections: vec![SectionMeta::from_records(
+                DEFAULT_SEED,
+                self.packet_count(),
+                long_template_bytes,
+                time_seq_bytes,
+                &self.time_seq,
+                |r| self.addresses[r.addr_idx as usize],
+            )],
+        });
+        let telemetry = telemetry.map(|rows| ArchiveTelemetry {
+            sections: vec![SectionTelemetry {
+                flows: rows.to_vec(),
+            }],
+        });
         // Identity remaps: the single section's locals are the globals.
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC_V2);
-        out.push(VERSION_V2);
-        put_varint(self.short_templates.len() as u64, &mut out);
-        put_varint(self.long_templates.len() as u64, &mut out);
-        put_varint(self.addresses.len() as u64, &mut out);
-        put_varint(1, &mut out);
-        let preamble = out.len() as u64;
-
-        let mark = out.len();
-        for t in &self.short_templates {
-            put_varint(t.len() as u64, &mut out);
-            for &m in t {
-                put_varint(m as u64, &mut out);
-            }
-        }
-        let short_templates = (out.len() - mark) as u64;
-
-        let mark = out.len();
-        for a in &self.addresses {
-            out.extend_from_slice(&a.octets());
-        }
-        let addr_bytes = (out.len() - mark) as u64;
-
-        let mark = out.len();
-        put_varint(payload.len() as u64, &mut out);
-        put_varint(self.time_seq.len() as u64, &mut out);
-        put_varint(self.long_templates.len() as u64, &mut out);
-        put_varint(self.short_templates.len() as u64, &mut out);
-        for i in 0..self.short_templates.len() as u64 {
-            put_varint(i, &mut out);
-        }
-        put_varint(self.addresses.len() as u64, &mut out);
-        for i in 0..self.addresses.len() as u64 {
-            put_varint(i, &mut out);
-        }
-        let index_bytes = (out.len() - mark) as u64;
-
-        out.extend_from_slice(&payload);
-
-        let metadata_bytes = if with_metadata {
-            let mark = out.len();
-            ArchiveMeta {
-                seed: DEFAULT_SEED,
-                sections: vec![SectionMeta::from_records(
-                    DEFAULT_SEED,
-                    self.packet_count(),
-                    long_template_bytes,
-                    time_seq_bytes,
-                    &self.time_seq,
-                    |r| self.addresses[r.addr_idx as usize],
-                )],
-            }
-            .encode(&mut out);
-            (out.len() - mark) as u64
-        } else {
-            0
+        let identity = |n: usize| (0..n as u32).collect();
+        let section = SectionLayout {
+            payload,
+            flow_count: self.time_seq.len() as u64,
+            long_count: self.long_templates.len() as u64,
+            long_template_bytes,
+            short_remap: identity(self.short_templates.len()),
+            addr_remap: identity(self.addresses.len()),
         };
-
-        let telemetry_bytes = if let Some(rows) = telemetry {
-            let mark = out.len();
-            ArchiveTelemetry {
-                sections: vec![SectionTelemetry {
-                    flows: rows.to_vec(),
-                }],
-            }
-            .encode(&mut out);
-            (out.len() - mark) as u64
-        } else {
-            0
-        };
-
-        let sizes = DatasetSizes {
-            header: preamble + index_bytes,
-            short_templates,
-            long_templates: long_template_bytes,
-            addresses: addr_bytes,
-            time_seq: time_seq_bytes,
-            metadata: metadata_bytes,
-            telemetry: telemetry_bytes,
-        };
-        debug_assert_eq!(sizes.total(), out.len() as u64);
-        (out, sizes)
+        write_v2(
+            self.short_templates.iter().map(Vec::as_slice),
+            &self.addresses,
+            vec![section],
+            meta.as_ref(),
+            telemetry.as_ref(),
+        )
     }
 }
 
@@ -1193,6 +780,7 @@ impl CompressedTrace {
 mod tests {
     use super::*;
     use crate::compress::Compressor;
+    use flowzip_trace::Duration;
     use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 
     fn web_archive(flows: usize, seed: u64) -> CompressedTrace {
@@ -1234,10 +822,10 @@ mod tests {
                 put_long_entry(m, gap, &mut out);
                 assert_eq!(out[..prefix], vec![0xAA; prefix][..]);
                 assert_eq!(out[prefix..], want[..], "M {m}, gap {gap}");
-                let mut pos = prefix;
-                let entry = get_long_entry(&out, &mut pos).unwrap();
+                let mut cur = ByteCursor::new(&out[prefix..]);
+                let entry = cur.long_entry().unwrap();
                 assert_eq!(entry, (m, Duration::from_micros(gap)));
-                assert_eq!(pos, out.len());
+                assert_eq!(cur.remaining(), 0);
             }
         }
     }
@@ -1426,23 +1014,100 @@ mod tests {
     }
 
     #[test]
-    fn golden_fixture_mutants_are_errors_or_valid_archives() {
+    fn fixture_mutants_are_errors_or_valid_archives() {
         let v1 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc");
         let v2 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc2");
-        // Both fixtures hold the same archive, through the same reader.
+        // Both golden fixtures hold the same archive, through the same
+        // reader.
         assert_eq!(
             CompressedTrace::from_bytes(v1).unwrap(),
             CompressedTrace::from_bytes(v2).unwrap()
         );
-        // No proper prefix of v1 is an archive; of v2 exactly one is,
-        // the plain file ahead of the FZM1 block. A flip inside a
-        // timestamp, RTT or Bloom byte can still leave a valid archive.
-        let (cuts, flips) = sweep_mutants(v1);
-        assert_eq!(cuts, 0);
-        assert!(flips < v1.len(), "{flips}");
-        let (cuts, flips) = sweep_mutants(v2);
-        assert_eq!(cuts, 1);
-        assert!(flips < v2.len(), "{flips}");
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures");
+        let mut swept = 0;
+        for file in std::fs::read_dir(dir).unwrap() {
+            let path = file.unwrap().path();
+            if !path.to_string_lossy().contains(".fzc") {
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let (cuts, flips) = sweep_mutants(&bytes);
+            swept += 1;
+            // No proper prefix of the golden v1 is an archive; of v2
+            // exactly one is, the plain file ahead of the FZM1 block. A
+            // flip inside a timestamp, RTT or Bloom byte can still leave
+            // a valid archive.
+            if bytes == v1 || bytes == v2 {
+                assert_eq!(cuts, usize::from(bytes == v2), "{}", path.display());
+                assert!(flips < bytes.len(), "{flips}");
+            }
+        }
+        assert!(swept >= 7, "{swept} fixtures");
+        // And a rev 2.2 archive, whose FZT1 block no fixture carries: its
+        // legal prefixes are the plain v2 and rev 2.1 files.
+        let ct = web_archive(20, 14);
+        let telem: Vec<FlowTelemetry> = (0..ct.time_seq.len() as u64)
+            .map(|i| FlowTelemetry {
+                rtt_us: 900 + i,
+                rtt_samples: 1 + i % 2,
+                bytes: 100 * i,
+                ..FlowTelemetry::default()
+            })
+            .collect();
+        let (cuts, _) = sweep_mutants(&ct.encode_v2_with_telemetry(&telem).0);
+        assert_eq!(cuts, 2);
+    }
+
+    /// `bytes` with the one-byte varint at `at` rewritten as the 10-byte
+    /// encoding of 2⁶⁴ plus its value — a varint a reader that drops the
+    /// 10th byte's high bits aliases back onto the original.
+    fn overflowing_at(bytes: &[u8], at: usize) -> Vec<u8> {
+        assert!(bytes[at] < 0x80, "a one-byte varint at {at}");
+        let mut out = bytes[..at].to_vec();
+        out.extend(crate::decode::tests::overflowing(u64::from(bytes[at])));
+        out.extend_from_slice(&bytes[at + 1..]);
+        out
+    }
+
+    #[test]
+    fn overflowing_varints_rejected_not_aliased() {
+        let v2 = crafted_v2(1, 0, 0, None);
+        let v1 = CompressedTrace {
+            short_templates: vec![vec![1]],
+            long_templates: vec![],
+            addresses: vec![Ipv4Addr::new(10, 0, 0, 1)],
+            time_seq: vec![FlowRecord {
+                first_ts: Timestamp::from_micros(1),
+                is_long: false,
+                template_idx: 0,
+                addr_idx: 0,
+                rtt: Duration::ZERO,
+            }],
+        }
+        .to_bytes();
+        let ct = web_archive(30, 15);
+        let plain_len = ct.encode_v2_opts(false, None).0.len();
+        let v21 = ct.to_bytes_v2();
+        let v22 = ct
+            .encode_v2_with_telemetry(&vec![FlowTelemetry::default(); ct.time_seq.len()])
+            .0;
+        for (surface, bytes, at) in [
+            ("preamble count", &v2, 5),
+            // Past the version, the preamble and template (6 B), the
+            // address (4 B) and the index entry's four leading varints.
+            ("index remap", &v2, 5 + 6 + 4 + 4),
+            // A v1 payload runs to the end of the file: Δts, then RTT.
+            ("time-seq Δstart", &v1, v1.len() - 2),
+            ("FZM1 version", &v21, plain_len + 4),
+            ("FZT1 version", &v22, v21.len() + 4),
+        ] {
+            assert!(CompressedTrace::from_bytes(bytes).is_ok(), "{surface}");
+            assert_eq!(
+                CompressedTrace::from_bytes(&overflowing_at(bytes, at)),
+                Err(CodecError::Truncated),
+                "{surface}"
+            );
+        }
     }
 
     #[test]
@@ -1465,7 +1130,7 @@ mod tests {
     #[test]
     fn v2_truncation_rejected() {
         // Plain v2 (no metadata block): every proper prefix is malformed.
-        let bytes = web_archive(60, 5).encode_v2_opts(false).0;
+        let bytes = web_archive(60, 5).encode_v2_opts(false, None).0;
         for cut in 5..bytes.len() {
             assert!(
                 CompressedTrace::from_bytes(&bytes[..cut]).is_err(),
@@ -1480,7 +1145,7 @@ mod tests {
         // the cut at the block's start, which *is* the plain v2 file.
         let ct = web_archive(60, 5);
         let full = ct.to_bytes_v2();
-        let plain_len = ct.encode_v2_opts(false).0.len();
+        let plain_len = ct.encode_v2_opts(false, None).0.len();
         assert!(plain_len < full.len());
         let decoded_full = CompressedTrace::from_bytes(&full).unwrap();
         for cut in 5..full.len() {
@@ -1496,8 +1161,8 @@ mod tests {
     #[test]
     fn v21_and_plain_v2_decode_identically() {
         let ct = web_archive(120, 8);
-        let with = ct.encode_v2_opts(true).0;
-        let without = ct.encode_v2_opts(false).0;
+        let with = ct.encode_v2_opts(true, None).0;
+        let without = ct.encode_v2_opts(false, None).0;
         assert!(with.len() > without.len());
         assert_eq!(with[..without.len()], without[..], "block is a pure suffix");
         assert_eq!(
@@ -1537,7 +1202,7 @@ mod tests {
     #[test]
     fn v2_corrupt_metadata_rejected_not_ignored() {
         let ct = web_archive(60, 10);
-        let plain_len = ct.encode_v2_opts(false).0.len();
+        let plain_len = ct.encode_v2_opts(false, None).0.len();
         let full = ct.to_bytes_v2();
         // Stomp the block magic: neither a valid block nor a clean end.
         let mut bad = full.clone();
@@ -1545,7 +1210,7 @@ mod tests {
         assert!(CompressedTrace::from_bytes(&bad).is_err());
         // Flow-count disagreement between block and index is caught.
         let meta = v2_metadata(&full).unwrap().unwrap();
-        let mut forged = ct.encode_v2_opts(false).0;
+        let mut forged = ct.encode_v2_opts(false, None).0;
         let mut tampered = meta.clone();
         tampered.sections[0].flows += 1;
         tampered.encode(&mut forged);
@@ -1635,7 +1300,7 @@ mod tests {
         let ct = web_archive(30, 13);
         let telem = vec![FlowTelemetry::default(); ct.time_seq.len()];
         let full = ct.encode_v2_with_telemetry(&telem).0;
-        let plain_len = ct.encode_v2_opts(false).0.len();
+        let plain_len = ct.encode_v2_opts(false, None).0.len();
         let v21_len = ct.to_bytes_v2().len();
         let want = CompressedTrace::from_bytes(&full).unwrap();
         for cut in 5..full.len() {

@@ -14,7 +14,7 @@
 //! are quantized to 128 µs units — the decompressor only needs the RTT's
 //! magnitude, and the format is lossy by design.
 
-use crate::container::put_encoded_long_template;
+use crate::container::{put_encoded_long_template, put_short_templates, put_time_seq_record};
 use flowzip_trace::{Duration, Timestamp};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -77,8 +77,8 @@ impl LongTemplate {
 
     /// [`LongTemplate::entries`] as the named iterator the merge keeps
     /// in each open flow's cursor.
-    pub(crate) fn cursor(&self) -> crate::container::LongEntries<'_> {
-        crate::container::LongEntries::new(&self.bytes)
+    pub(crate) fn cursor(&self) -> crate::decode::LongEntries<'_> {
+        crate::decode::LongEntries::new(&self.bytes)
     }
 
     /// The encoded entries, without the length prefix the container
@@ -280,12 +280,7 @@ impl CompressedTrace {
         let header = out.len() as u64;
 
         let mark = out.len();
-        for t in &self.short_templates {
-            put_varint(t.len() as u64, &mut out);
-            for &m in t {
-                put_varint(m as u64, &mut out);
-            }
-        }
+        put_short_templates(self.short_templates.iter().map(Vec::as_slice), &mut out);
         let short_templates = (out.len() - mark) as u64;
 
         let mark = out.len();
@@ -295,23 +290,13 @@ impl CompressedTrace {
         let long_templates = (out.len() - mark) as u64;
 
         let mark = out.len();
-        for a in &self.addresses {
-            out.extend_from_slice(&a.octets());
-        }
+        out.extend(self.addresses.iter().flat_map(Ipv4Addr::octets));
         let addresses = (out.len() - mark) as u64;
 
         let mark = out.len();
         let mut last_ts = 0u64;
         for r in &self.time_seq {
-            // Dataset id packed into the template index's low bit.
-            put_varint((r.template_idx as u64) << 1 | r.is_long as u64, &mut out);
-            put_varint(r.addr_idx as u64, &mut out);
-            let ts = r.first_ts.as_micros();
-            put_varint(ts.saturating_sub(last_ts), &mut out);
-            last_ts = ts;
-            if !r.is_long {
-                put_varint(r.rtt.as_micros() >> RTT_SHIFT, &mut out);
-            }
+            put_time_seq_record(r, &mut last_ts, &mut out);
         }
         let time_seq = (out.len() - mark) as u64;
 
@@ -343,22 +328,6 @@ impl CompressedTrace {
     }
 }
 
-/// Caps an element count read from untrusted input before it reaches
-/// `Vec::with_capacity`: every decoded element consumes at least one
-/// input byte, so a count exceeding the bytes still unread is certainly
-/// malformed — reserve no more than that and let the per-element bounds
-/// checks reject the file, instead of aborting on a huge allocation.
-pub(crate) fn clamped_capacity(count: usize, remaining: usize) -> usize {
-    count.min(remaining)
-}
-
-/// Narrows a decoded varint to its field's width (a `u16` `M` value, a
-/// `u32` index or remap). An `as` cast would silently alias a wider
-/// value onto a valid one, so it is an out-of-range error instead.
-pub(crate) fn narrow<T: TryFrom<u64>>(v: u64, what: &'static str) -> Result<T, CodecError> {
-    T::try_from(v).map_err(|_| CodecError::IndexOutOfRange(what, v))
-}
-
 pub(crate) fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     loop {
         let b = (v & 0x7f) as u8;
@@ -368,23 +337,6 @@ pub(crate) fn put_varint(mut v: u64, out: &mut Vec<u8>) {
             return;
         }
         out.push(b | 0x80);
-    }
-}
-
-pub(crate) fn get_varint(data: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let b = *data.get(*pos).ok_or(CodecError::Truncated)?;
-        *pos += 1;
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift > 63 {
-            return Err(CodecError::Truncated);
-        }
     }
 }
 

@@ -55,8 +55,8 @@
 //! encode time to compute the flow keys a future query will look for.
 
 use crate::characterize::{size_class_representative, Dependence, FlagClass};
-use crate::container::LongEntries;
 use crate::datasets::{CompressedTrace, FlowRecord, RTT_SHIFT};
+use crate::decode::LongEntries;
 use crate::Params;
 use flowzip_trace::prelude::*;
 use rand::rngs::StdRng;

@@ -54,6 +54,7 @@ pub mod cluster;
 pub mod compress;
 pub mod container;
 pub mod datasets;
+mod decode;
 pub mod decompress;
 pub mod meta;
 pub mod query;

@@ -34,7 +34,7 @@
 //! so pruning never drops a matching flow; false positives only cost a
 //! decoded-then-filtered-out section.
 
-use crate::datasets::{get_varint, put_varint, CodecError, FlowRecord};
+use crate::datasets::{put_varint, FlowRecord};
 use flowzip_trace::{FiveTuple, Timestamp};
 use std::net::Ipv4Addr;
 
@@ -83,17 +83,18 @@ impl FlowKeyBloom {
     }
 
     /// Reassembles a filter from its serialized parameters.
-    fn from_parts(bits: Vec<u8>, m: u64, k: u32) -> FlowKeyBloom {
+    pub(crate) fn from_parts(bits: Vec<u8>, m: u64, k: u32) -> FlowKeyBloom {
         FlowKeyBloom { bits, m, k }
     }
 
-    /// Double-hashing probe positions for one tuple.
-    fn positions(&self, tuple: &FiveTuple) -> impl Iterator<Item = u64> + '_ {
+    /// Double-hashing probe positions for one tuple in a filter of `m`
+    /// bits probed `k` times. Taking the two by value leaves the filter
+    /// free to borrow mutably while the positions are walked.
+    fn positions(m: u64, k: u32, tuple: &FiveTuple) -> impl Iterator<Item = u64> {
         let h = tuple.stable_hash();
         let h1 = splitmix64(h);
         let h2 = splitmix64(h ^ 0xA076_1D64_78BD_642F) | 1;
-        let m = self.m;
-        (0..self.k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % m)
+        (0..k as u64).map(move |i| h1.wrapping_add(i.wrapping_mul(h2)) % m)
     }
 
     /// Inserts one flow key.
@@ -101,8 +102,7 @@ impl FlowKeyBloom {
         if self.m == 0 {
             return;
         }
-        let positions: Vec<u64> = self.positions(tuple).collect();
-        for bit in positions {
+        for bit in FlowKeyBloom::positions(self.m, self.k, tuple) {
             self.bits[(bit / 8) as usize] |= 1 << (bit % 8);
         }
     }
@@ -113,7 +113,7 @@ impl FlowKeyBloom {
         if self.m == 0 {
             return false;
         }
-        self.positions(tuple)
+        FlowKeyBloom::positions(self.m, self.k, tuple)
             .all(|bit| self.bits[(bit / 8) as usize] & (1 << (bit % 8)) != 0)
     }
 
@@ -219,75 +219,12 @@ impl ArchiveMeta {
             out.extend_from_slice(&s.bloom.bits);
         }
     }
-
-    /// Parses and validates a block at `*pos`, which must describe
-    /// exactly `expect_sections` sections (the preamble's count —
-    /// disagreement means the file is corrupt, not merely old or new).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Metadata`] on structural violations,
-    /// [`CodecError::Truncated`] when the block ends early.
-    pub fn decode(
-        data: &[u8],
-        pos: &mut usize,
-        expect_sections: usize,
-    ) -> Result<ArchiveMeta, CodecError> {
-        let end = pos
-            .checked_add(4)
-            .filter(|&e| e <= data.len())
-            .ok_or(CodecError::Truncated)?;
-        if data[*pos..end] != META_MAGIC {
-            return Err(CodecError::Metadata("bad metadata magic"));
-        }
-        *pos = end;
-        if get_varint(data, pos)? != META_VERSION {
-            return Err(CodecError::Metadata("unsupported metadata version"));
-        }
-        let seed = get_varint(data, pos)?;
-        let n = get_varint(data, pos)? as usize;
-        if n != expect_sections {
-            return Err(CodecError::Metadata("section count mismatch"));
-        }
-        let mut sections = Vec::with_capacity(n.min(data.len() - *pos));
-        for _ in 0..n {
-            let first_ts = Timestamp::from_micros(get_varint(data, pos)?);
-            let last_ts = Timestamp::from_micros(get_varint(data, pos)?);
-            if last_ts < first_ts {
-                return Err(CodecError::Metadata("section time range inverted"));
-            }
-            let packets = get_varint(data, pos)?;
-            let flows = get_varint(data, pos)?;
-            let long_template_bytes = get_varint(data, pos)?;
-            let time_seq_bytes = get_varint(data, pos)?;
-            let m = get_varint(data, pos)?;
-            let k = get_varint(data, pos)?;
-            if k > 64 {
-                return Err(CodecError::Metadata("implausible Bloom hash count"));
-            }
-            let bloom_bytes = usize::try_from(m.div_ceil(8))
-                .ok()
-                .filter(|&b| b <= data.len() - *pos)
-                .ok_or(CodecError::Truncated)?;
-            let bits = data[*pos..*pos + bloom_bytes].to_vec();
-            *pos += bloom_bytes;
-            sections.push(SectionMeta {
-                first_ts,
-                last_ts,
-                packets,
-                flows,
-                long_template_bytes,
-                time_seq_bytes,
-                bloom: FlowKeyBloom::from_parts(bits, m, k as u32),
-            });
-        }
-        Ok(ArchiveMeta { seed, sections })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::CodecError;
     use flowzip_trace::Duration;
 
     fn tuple(a: u8, port: u16) -> FiveTuple {

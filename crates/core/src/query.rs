@@ -367,7 +367,7 @@ mod tests {
     fn plain_v2_without_metadata_scans_everything_correctly() {
         let trace = web_trace(150, 24);
         let ct = Compressor::new(Params::paper()).compress(&trace).0;
-        let bytes = ct.encode_v2_opts(false).0;
+        let bytes = ct.encode_v2_opts(false, None).0;
         let dp = DecompressParams::default();
         let full = Decompressor::new(dp.clone()).decompress(&ct);
         let q = full.packets()[0].tuple();

@@ -30,7 +30,7 @@
 //! section's flow records, so row *i* describes record *i* — a reader
 //! joins them by index, no flow key needed.
 
-use crate::datasets::{get_varint, put_varint, CodecError};
+use crate::datasets::put_varint;
 
 /// Telemetry-block magic: "FZT1".
 pub(crate) const TELEMETRY_MAGIC: [u8; 4] = *b"FZT1";
@@ -111,68 +111,12 @@ impl ArchiveTelemetry {
             }
         }
     }
-
-    /// Parses and validates a block at `*pos`, which must describe
-    /// exactly `expect_sections` sections (the preamble's count —
-    /// disagreement means the file is corrupt, not merely old or new).
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError::Telemetry`] on structural violations,
-    /// [`CodecError::Truncated`] when the block ends early.
-    pub fn decode(
-        data: &[u8],
-        pos: &mut usize,
-        expect_sections: usize,
-    ) -> Result<ArchiveTelemetry, CodecError> {
-        let end = pos
-            .checked_add(4)
-            .filter(|&e| e <= data.len())
-            .ok_or(CodecError::Truncated)?;
-        if data[*pos..end] != TELEMETRY_MAGIC {
-            return Err(CodecError::Telemetry("bad telemetry magic"));
-        }
-        *pos = end;
-        if get_varint(data, pos)? != TELEMETRY_VERSION {
-            return Err(CodecError::Telemetry("unsupported telemetry version"));
-        }
-        let n = get_varint(data, pos)? as usize;
-        if n != expect_sections {
-            return Err(CodecError::Telemetry("section count mismatch"));
-        }
-        let mut sections = Vec::with_capacity(n.min(data.len() - *pos));
-        for _ in 0..n {
-            let flows_n = get_varint(data, pos)? as usize;
-            // Each row is at least 7 varint bytes; an implausible count
-            // is caught before the allocation, not by OOM.
-            if flows_n > (data.len() - *pos) / 7 + 1 {
-                return Err(CodecError::Telemetry("implausible flow count"));
-            }
-            let mut flows = Vec::with_capacity(flows_n);
-            for _ in 0..flows_n {
-                let f = FlowTelemetry {
-                    rtt_us: get_varint(data, pos)?,
-                    rtt_samples: get_varint(data, pos)?,
-                    retrans_fast: get_varint(data, pos)?,
-                    retrans_timeout: get_varint(data, pos)?,
-                    active_us: get_varint(data, pos)?,
-                    idle_us: get_varint(data, pos)?,
-                    bytes: get_varint(data, pos)?,
-                };
-                if f.rtt_samples == 0 && f.rtt_us != 0 {
-                    return Err(CodecError::Telemetry("rtt estimate without samples"));
-                }
-                flows.push(f);
-            }
-            sections.push(SectionTelemetry { flows });
-        }
-        Ok(ArchiveTelemetry { sections })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datasets::CodecError;
 
     fn sample() -> ArchiveTelemetry {
         let flow = |i: u64| FlowTelemetry {

@@ -255,3 +255,29 @@ fn trunk_decode_heap_high_water_per_packet() {
         "parse + merge peaked at {per_packet:.2} heap bytes per packet (ceiling 3.76)"
     );
 }
+
+#[test]
+fn into_section_allocations_do_not_grow_with_flows() {
+    let trace = web_trace();
+    let params = Params::paper();
+    let mut acc = FlowAccumulator::new(params.clone());
+    for p in trace.packets() {
+        acc.push(p);
+    }
+    let mut asm = FlowAssembler::new(params);
+    let flows = acc.finish();
+    for f in &flows {
+        asm.consume(f);
+    }
+    let (section, used) = measure(|| asm.into_section());
+    assert_eq!(section.flow_count, flows.len() as u64);
+    // Measured 16 at 4 000 flows: the section's vectors and address
+    // table, grown by doubling. Collecting each flow's seven Bloom probe
+    // positions into a `Vec` before setting them cost one more per flow.
+    assert!(
+        used.calls <= 20,
+        "into_section made {} allocations for {} flows (ceiling 20)",
+        used.calls,
+        flows.len()
+    );
+}

@@ -95,6 +95,19 @@ pub enum OverloadPolicy {
 }
 
 impl OverloadPolicy {
+    /// The ingest queue depth, in batches, a session under this policy
+    /// gets unless [`ServeBuilder::queue_batches`] sets one. `Drop`
+    /// absorbs ≈ 131 ms of a 1 M packet/s feed (≈ 5 MB, held only while
+    /// the engine is behind) before it sheds, so a driver stall of a few
+    /// tens of milliseconds loses nothing. `Block` only holds up the
+    /// source, and a full queue of its depth is its steady state.
+    fn default_queue_batches(self) -> usize {
+        match self {
+            OverloadPolicy::Drop => 128,
+            OverloadPolicy::Block => 32,
+        }
+    }
+
     /// Parses a CLI spelling (`drop` | `block`).
     ///
     /// # Errors
@@ -334,7 +347,7 @@ pub struct ServeBuilder {
     rotate_every: Option<Duration>,
     rotate_packets: Option<u64>,
     engine: EngineBuilder,
-    queue_batches: usize,
+    queue_batches: Option<usize>,
     overload: OverloadPolicy,
     stats: LiveStats,
     on_window: Option<WindowCallback>,
@@ -373,8 +386,8 @@ impl std::fmt::Debug for ServeBuilder {
 
 impl ServeBuilder {
     /// Starts from the defaults: v2.2 archives, engine defaults (one
-    /// shard per window), a 32-batch ingest queue,
-    /// [`OverloadPolicy::Drop`].
+    /// shard per window), [`OverloadPolicy::Drop`] and its 128-batch
+    /// ingest queue.
     pub fn new() -> ServeBuilder {
         ServeBuilder {
             source: None,
@@ -387,7 +400,7 @@ impl ServeBuilder {
             // Ingest outruns the engine, so under `Block` the queue sits
             // full (≈ 39 KB per slot) and under `Drop` its depth is the
             // burst it absorbs; ROADMAP item 19 has the measured curve.
-            queue_batches: 32,
+            queue_batches: None,
             overload: OverloadPolicy::default(),
             stats: LiveStats::default(),
             on_window: None,
@@ -450,11 +463,12 @@ impl ServeBuilder {
         self
     }
 
-    /// Bound of the ingest queue in batches (default 32; `0` is a
-    /// configuration error). Peak queued packets ≈ `queue_batches ×
+    /// Bound of the ingest queue in batches (default 128 under
+    /// [`OverloadPolicy::Drop`], 32 under [`OverloadPolicy::Block`]; `0`
+    /// is a configuration error). Peak queued packets ≈ `queue_batches ×
     /// 1024`, the engine's batch size.
     pub fn queue_batches(mut self, batches: usize) -> Self {
-        self.queue_batches = batches;
+        self.queue_batches = Some(batches);
         self
     }
 
@@ -536,7 +550,10 @@ impl ServeBuilder {
                 "rotate_every must be non-zero (a zero window would rotate forever)".into(),
             ));
         }
-        if self.queue_batches == 0 {
+        let queue_batches = self
+            .queue_batches
+            .unwrap_or_else(|| self.overload.default_queue_batches());
+        if queue_batches == 0 {
             return Err(ServeError::Config(
                 "queue_batches must be ≥ 1 (got 0; a zero-slot queue delivers nothing)".into(),
             ));
@@ -551,7 +568,7 @@ impl ServeBuilder {
         let metrics = engine.config().metrics.clone();
         let stop = self.stop.unwrap_or_default();
         let shared = Shared::new(stop.clone());
-        let (tx, rx) = mpsc::sync_channel::<Vec<flowzip_trace::PacketRecord>>(self.queue_batches);
+        let (tx, rx) = mpsc::sync_channel::<Vec<flowzip_trace::PacketRecord>>(queue_batches);
 
         let ingest = {
             let ingest_shared = Shared {

@@ -97,3 +97,37 @@ fn overload_session_survives_and_stays_queryable() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn default_drop_queue_absorbs_a_stalled_driver() {
+    // A 100-batch burst while the driver stalls 100 ms after its first
+    // window: the default `Drop` queue holds the whole burst, so a
+    // driver that falls behind for a moment loses nothing.
+    let dir = std::env::temp_dir().join(format!("flowzip-serve-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    const PRODUCED: u64 = 100 * 1024;
+    let mut stalled = false;
+    let handle = Pipeline::serve()
+        .source(ServeSource::packets(firehose(PRODUCED)))
+        .out_dir(&dir)
+        .rotate_packets(1024)
+        .overload(OverloadPolicy::Drop)
+        .on_window(move |_| {
+            if !stalled {
+                stalled = true;
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        })
+        .start()
+        .unwrap();
+    let report = handle.wait().unwrap();
+
+    assert_eq!(report.produced_packets, PRODUCED, "source fully drained");
+    assert_eq!(
+        report.dropped_packets, 0,
+        "the default queue absorbs the stall"
+    );
+    assert_eq!(report.compressed_packets, PRODUCED, "every packet archived");
+    let _ = std::fs::remove_dir_all(&dir);
+}

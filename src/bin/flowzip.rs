@@ -196,7 +196,8 @@ const USAGE: &str = "usage:
                      [--rotate-secs S] [--rotate-packets N] (rotation boundaries;
                       whichever trips first; neither = one archive at EOF/signal)
                      [--queue-batches N] [--overload drop|block] (bounded ingest
-                      queue; drop sheds load and counts serve.dropped_packets)
+                      queue, default 128 batches under drop, 32 under block;
+                      drop sheds load and counts serve.dropped_packets)
                      [--threads N] (shards; default 1) [--idle-timeout SECS]
                      [--telemetry] [--json]
                      [--stats-interval SECS] [--stats-format json|human]
@@ -612,9 +613,14 @@ fn serve(opts: &Opts) -> Result<(), Failure> {
     // Second signal: unlink the in-flight `.part` and die immediately.
     session = session.stop_flag(signal::install_graceful());
     session = session.on_window(|w| {
+        let dropped = if w.dropped_packets > 0 {
+            format!(", {} dropped", w.dropped_packets)
+        } else {
+            String::new()
+        };
         log::info(&match &w.archive {
             Some(path) => format!(
-                "window {}: {} packets, {} flows → {} ({} bytes, {})",
+                "window {}: {} packets, {} flows → {} ({} bytes, {}{dropped})",
                 w.index,
                 w.packets,
                 w.flows,
@@ -622,7 +628,7 @@ fn serve(opts: &Opts) -> Result<(), Failure> {
                 w.bytes,
                 w.reason.as_str()
             ),
-            None => format!("window {}: empty ({})", w.index, w.reason.as_str()),
+            None => format!("window {}: empty ({}{dropped})", w.index, w.reason.as_str()),
         });
     });
 
