@@ -118,18 +118,46 @@ impl Compressor {
 }
 
 /// One flow, characterized and clustered shard-locally, awaiting final
-/// index assignment in [`assemble_shards`].
-#[derive(Debug)]
+/// index assignment: its time-seq record before the indices are known.
+#[derive(Debug, Clone, Copy)]
 struct PendingFlow {
     first_ts: flowzip_trace::Timestamp,
-    dst_ip: Ipv4Addr,
+    /// Zero for long flows, which carry their timing in the template.
     rtt: flowzip_trace::Duration,
-    is_long: bool,
+    /// The destination address as `u32::from(Ipv4Addr)`, until
+    /// [`FlowAssembler::into_section`] overwrites it with the address's
+    /// local index.
+    addr: u32,
     /// Index into the owning assembler's template list (short) or its
-    /// long-template slice (long).
-    template_idx: u32,
-    /// TCP dynamics the accumulator derived, when telemetry was on.
-    telemetry: Option<FlowTelemetry>,
+    /// long-template slice (long), shifted left once; the low bit is the
+    /// long flag, as the wire record packs it. A section holds fewer
+    /// than 2^31 of each.
+    template: u32,
+}
+
+// One record per finished flow is the compress path's O(flows) term.
+const _: () = assert!(std::mem::size_of::<PendingFlow>() <= 24);
+
+impl PendingFlow {
+    fn is_long(&self) -> bool {
+        self.template & 1 == 1
+    }
+
+    /// The index into the owning assembler's short or long templates.
+    fn local_template(&self) -> u32 {
+        self.template >> 1
+    }
+
+    /// The time-seq record under the given indices.
+    fn record(&self, template_idx: u32, addr_idx: u32) -> FlowRecord {
+        FlowRecord {
+            first_ts: self.first_ts,
+            is_long: self.is_long(),
+            template_idx,
+            addr_idx,
+            rtt: self.rtt,
+        }
+    }
 }
 
 /// The per-flow half of dataset assembly: finished flows go in, a local
@@ -141,6 +169,11 @@ struct PendingFlow {
 /// [`assemble_shards`]) and the sharded streaming engine (one assembler
 /// per shard, each encoded by [`FlowAssembler::into_section`] and folded
 /// by [`assemble_sections`]) — so the two pipelines cannot drift apart.
+///
+/// Until the section is written it keeps 24 B per finished flow (its
+/// [`FlowRecord`] with the address still unindexed), plus one telemetry
+/// row when built with telemetry on, plus each long flow's encoded
+/// template.
 #[derive(Debug)]
 pub struct FlowAssembler {
     short_max: usize,
@@ -151,11 +184,14 @@ pub struct FlowAssembler {
     long_payload: Vec<u8>,
     /// The short flow's `M` vector, decoded for clustering (reused).
     vector: Vec<u16>,
+    /// One record per consumed flow, in consume order.
     pending: Vec<PendingFlow>,
+    /// `pending`'s telemetry rows, index for index; `None` unless built
+    /// with telemetry on.
+    telemetry: Option<Vec<FlowTelemetry>>,
     packets: u64,
     short_flows: u64,
     long_flows: u64,
-    telemetry: bool,
 }
 
 impl FlowAssembler {
@@ -175,42 +211,45 @@ impl FlowAssembler {
             long_payload: Vec::new(),
             vector: Vec::new(),
             pending: Vec::new(),
+            telemetry: telemetry.then(Vec::new),
             packets: 0,
             short_flows: 0,
             long_flows: 0,
-            telemetry,
         }
     }
 
     /// Consumes one finished flow: short flows are offered to the local
     /// template store, long flows stored verbatim.
+    ///
+    /// # Panics
+    ///
+    /// When the assembler was built with telemetry on and `flow` carries
+    /// no telemetry row.
     pub fn consume(&mut self, flow: &FinishedFlow) {
         self.packets += flow.len() as u64;
-        if flow.is_short(self.short_max) {
+        let (template, rtt) = if flow.is_short(self.short_max) {
             self.short_flows += 1;
             flow.decode_vector(&mut self.vector);
             let outcome = self.store.offer(&self.vector);
-            self.pending.push(PendingFlow {
-                first_ts: flow.first_ts,
-                dst_ip: flow.dst_ip,
-                rtt: flow.rtt,
-                is_long: false,
-                template_idx: outcome.index(),
-                telemetry: flow.telemetry,
-            });
+            (outcome.index() << 1, flow.rtt)
         } else {
             // "For long flows, we do not perform any search."
             let idx = self.long_flows as u32;
             self.long_flows += 1;
             put_encoded_long_template(flow.len() as u64, &flow.log, &mut self.long_payload);
-            self.pending.push(PendingFlow {
-                first_ts: flow.first_ts,
-                dst_ip: flow.dst_ip,
-                rtt: flowzip_trace::Duration::ZERO,
-                is_long: true,
-                template_idx: idx,
-                telemetry: flow.telemetry,
-            });
+            (idx << 1 | 1, flowzip_trace::Duration::ZERO)
+        };
+        self.pending.push(PendingFlow {
+            first_ts: flow.first_ts,
+            rtt,
+            addr: u32::from(flow.dst_ip),
+            template,
+        });
+        if let Some(rows) = &mut self.telemetry {
+            rows.push(
+                flow.telemetry
+                    .expect("telemetry on: every consumed flow carries a row"),
+            );
         }
     }
 
@@ -221,44 +260,38 @@ impl FlowAssembler {
     /// payload serializes with shard-local indices. Designed to run on
     /// the shard's own thread — the O(trace) serialization work leaves
     /// the writer's serial tail entirely.
+    ///
+    /// The sort moves 4 B indices, not records: ordering them by
+    /// `(first_ts, consume index)` in place is the stable time order
+    /// without the full-width scratch a stable sort allocates.
     pub fn into_section(self) -> ShardSection {
-        let mut addr_index: HashMap<Ipv4Addr, u32> = HashMap::new();
+        let mut pending = self.pending;
         let mut addresses: Vec<Ipv4Addr> = Vec::new();
-        // Telemetry rows ride along through the stable time sort so row
-        // *i* of the section's FZT1 block describes record *i*.
-        let mut rows: Vec<(FlowRecord, Option<FlowTelemetry>)> = self
-            .pending
-            .into_iter()
-            .map(|rec| {
-                let addr_idx = *addr_index.entry(rec.dst_ip).or_insert_with(|| {
-                    addresses.push(rec.dst_ip);
+        {
+            let mut addr_index: HashMap<u32, u32> = HashMap::new();
+            for rec in &mut pending {
+                let ip = rec.addr;
+                rec.addr = *addr_index.entry(ip).or_insert_with(|| {
+                    addresses.push(Ipv4Addr::from(ip));
                     (addresses.len() - 1) as u32
                 });
-                (
-                    FlowRecord {
-                        first_ts: rec.first_ts,
-                        is_long: rec.is_long,
-                        template_idx: rec.template_idx,
-                        addr_idx,
-                        rtt: rec.rtt,
-                    },
-                    rec.telemetry,
-                )
+            }
+        }
+        let flows = u32::try_from(pending.len()).expect("a section holds fewer than 2^32 flows");
+        let mut order: Vec<u32> = (0..flows).collect();
+        order.sort_unstable_by_key(|&i| (pending[i as usize].first_ts, i));
+        let records = || {
+            order.iter().map(|&i| {
+                let rec = &pending[i as usize];
+                rec.record(rec.local_template(), rec.addr)
             })
-            .collect();
-        rows.sort_by_key(|(r, _)| r.first_ts);
-        let telemetry = self.telemetry.then(|| {
-            rows.iter()
-                .map(|(_, t)| t.expect("telemetry on: every consumed flow carries a row"))
-                .collect::<Vec<FlowTelemetry>>()
-        });
-        let records: Vec<FlowRecord> = rows.into_iter().map(|(r, _)| r).collect();
+        };
 
         let mut payload = self.long_payload;
         let long_template_bytes = payload.len() as u64;
         let mut last_ts = 0u64;
-        for r in &records {
-            crate::container::put_time_seq_record(r, &mut last_ts, &mut payload);
+        for r in records() {
+            crate::container::put_time_seq_record(&r, &mut last_ts, &mut payload);
         }
         let time_seq_bytes = payload.len() as u64 - long_template_bytes;
 
@@ -271,14 +304,19 @@ impl FlowAssembler {
             self.packets,
             long_template_bytes,
             time_seq_bytes,
-            &records,
+            records(),
             |r| addresses[r.addr_idx as usize],
         );
+
+        // Row *i* of the section's FZT1 block describes record *i*.
+        let telemetry = self
+            .telemetry
+            .map(|rows| order.iter().map(|&i| rows[i as usize]).collect());
 
         ShardSection {
             store: self.store,
             addresses,
-            flow_count: records.len() as u64,
+            flow_count: u64::from(flows),
             long_count: self.long_flows,
             packets: self.packets,
             short_flows: self.short_flows,
@@ -377,22 +415,18 @@ pub fn assemble_shards(
                     .expect("the assembler encodes well-formed long templates"),
             );
         }
-        for rec in shard.pending {
-            let addr_idx = *addr_index.entry(rec.dst_ip).or_insert_with(|| {
-                addresses.push(rec.dst_ip);
+        for rec in &shard.pending {
+            let ip = Ipv4Addr::from(rec.addr);
+            let addr_idx = *addr_index.entry(ip).or_insert_with(|| {
+                addresses.push(ip);
                 (addresses.len() - 1) as u32
             });
-            time_seq.push(FlowRecord {
-                first_ts: rec.first_ts,
-                is_long: rec.is_long,
-                template_idx: if rec.is_long {
-                    long_base + rec.template_idx
-                } else {
-                    remap[rec.template_idx as usize]
-                },
-                addr_idx,
-                rtt: rec.rtt,
-            });
+            let template_idx = if rec.is_long() {
+                long_base + rec.local_template()
+            } else {
+                remap[rec.local_template() as usize]
+            };
+            time_seq.push(rec.record(template_idx, addr_idx));
         }
     }
 
@@ -713,6 +747,118 @@ mod tests {
             trace.header_bytes(),
         );
         assert_eq!(bytes, ct.to_bytes_v2());
+    }
+
+    /// 200 flows whose first packets share one of five timestamps, all
+    /// opened before any closes, then reset in reverse opening order:
+    /// consume order runs against opening order inside every tie group.
+    /// Every seventh flow is long.
+    fn tied_start_trace() -> Trace {
+        use flowzip_trace::prelude::*;
+        const FLOWS: u16 = 200;
+        let tuple = |k: u16| {
+            FiveTuple::tcp(
+                Ipv4Addr::new(10, 0, 0, 1),
+                4_000 + k,
+                Ipv4Addr::new(192, 0, (k / 100) as u8, (k % 100) as u8),
+                80,
+            )
+        };
+        let packet = |t: FiveTuple, us: u64, flags: TcpFlags| {
+            PacketRecord::builder()
+                .tuple(t)
+                .timestamp(Timestamp::from_micros(us))
+                .flags(flags)
+                .build()
+        };
+        let mut packets = Vec::new();
+        for k in 0..FLOWS {
+            let t = tuple(k);
+            let start = 1_000 * u64::from(k % 5);
+            packets.push(packet(t, start, TcpFlags::SYN));
+            packets.push(packet(
+                t.reversed(),
+                start + 100 + u64::from(k) * 13,
+                TcpFlags::SYN | TcpFlags::ACK,
+            ));
+            let data = if k % 7 == 0 {
+                Params::paper().short_max
+            } else {
+                2
+            };
+            for i in 0..data as u64 {
+                packets.push(packet(t, 10_000 + i, TcpFlags::ACK));
+            }
+        }
+        for k in (0..FLOWS).rev() {
+            packets.push(packet(
+                tuple(k),
+                100_000 + u64::from(FLOWS - k),
+                TcpFlags::RST,
+            ));
+        }
+        Trace::from_packets(packets)
+    }
+
+    #[test]
+    fn tied_first_timestamps_keep_consume_order() {
+        let trace = tied_start_trace();
+        let params = Params::paper();
+        let flows = |telemetry: bool| {
+            let mut acc = FlowAccumulator::with_telemetry(params.clone(), telemetry);
+            for p in &trace {
+                acc.push(p);
+            }
+            acc.finish()
+        };
+        let flows_plain = flows(false);
+        assert!(flows_plain
+            .windows(2)
+            .any(|w| w[0].first_ts > w[1].first_ts));
+        let tsh = flowzip_trace::tsh::file_size(&trace);
+        let hdr = trace.header_bytes();
+        let (ct, _) = Compressor::new(params.clone()).compress(&trace);
+
+        // One assembler: the batch oracle's v2 bytes.
+        let mut asm = FlowAssembler::new(params.clone());
+        for f in &flows_plain {
+            asm.consume(f);
+        }
+        let (bytes, _) = assemble_sections(&params, vec![asm.into_section()], tsh, hdr);
+        assert_eq!(bytes, ct.to_bytes_v2());
+
+        // With telemetry, row i still describes record i: the oracle's
+        // rows are the flows' own, stably sorted by first timestamp.
+        let flows_telem = flows(true);
+        let mut sorted: Vec<&FinishedFlow> = flows_telem.iter().collect();
+        sorted.sort_by_key(|f| f.first_ts);
+        let rows: Vec<FlowTelemetry> = sorted.iter().map(|f| f.telemetry.unwrap()).collect();
+        let mut asm = FlowAssembler::with_telemetry(params.clone(), true);
+        for f in &flows_telem {
+            asm.consume(f);
+        }
+        let (bytes, _) = assemble_sections(&params, vec![asm.into_section()], tsh, hdr);
+        assert_eq!(bytes, ct.encode_v2_opts(true, Some(&rows)).0);
+
+        // Three assemblers: the sections merge back to the v1 oracle.
+        let build = || {
+            let mut asms: Vec<FlowAssembler> =
+                (0..3).map(|_| FlowAssembler::new(params.clone())).collect();
+            for (i, flow) in flows_plain.iter().enumerate() {
+                asms[i % 3].consume(flow);
+            }
+            asms
+        };
+        let (ct_v1, _) = assemble_shards(&params, build(), tsh, hdr);
+        let sections = build()
+            .into_iter()
+            .map(FlowAssembler::into_section)
+            .collect();
+        let (bytes_v2, _) = assemble_sections(&params, sections, tsh, hdr);
+        assert_eq!(
+            CompressedTrace::from_bytes(&bytes_v2).unwrap(),
+            CompressedTrace::from_bytes(&ct_v1.to_bytes()).unwrap()
+        );
     }
 
     #[test]

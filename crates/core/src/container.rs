@@ -559,7 +559,6 @@ impl ArchiveReader<'_> {
         self.entries.iter().enumerate().map(|(i, entry)| {
             let (long_templates, records) = self.decode(entry, entry.long_base)?;
             Ok(DecodedSection {
-                meta: self.meta.as_ref().map(|m| m.sections[i].clone()),
                 long_templates,
                 long_base: entry.long_base,
                 records,
@@ -615,8 +614,6 @@ impl ArchiveReader<'_> {
 /// [`LongTemplate::entries`] decodes on demand).
 #[derive(Debug, Clone)]
 pub struct DecodedSection {
-    /// The section's v2.1 metadata record, when the archive carries one.
-    pub meta: Option<SectionMeta>,
     /// The section's long templates, ≈ 3 B per packet; a record with
     /// `is_long` indexes this table at `template_idx - long_base`.
     pub long_templates: Vec<LongTemplate>,
@@ -747,7 +744,7 @@ impl CompressedTrace {
                 self.packet_count(),
                 long_template_bytes,
                 time_seq_bytes,
-                &self.time_seq,
+                self.time_seq.iter().copied(),
                 |r| self.addresses[r.addr_idx as usize],
             )],
         });
@@ -964,7 +961,7 @@ mod tests {
         assert_eq!(s1.len(), 1);
         assert_eq!(s1[0].records, s2[0].records);
         assert_eq!(s1[0].long_templates, s2[0].long_templates);
-        assert!(s1[0].meta.is_none() && s1[0].telemetry.is_none());
+        assert!(s1[0].telemetry.is_none());
         let (a1, a2) = (r1.select(|_| true).unwrap(), r2.select(|_| true).unwrap());
         assert_eq!(a1, a2);
         assert_eq!(a1, CompressedTrace::from_bytes(&v1).unwrap());

@@ -523,6 +523,9 @@ impl Iterator for LongEntries<'_> {
     }
 }
 
+// The reader parses the block from its own cursor; this entry point
+// serves the block's unit tests.
+#[cfg(test)]
 impl ArchiveMeta {
     /// Parses and validates a block at `*pos`, which must describe
     /// exactly `expect_sections` sections (the preamble's count —
@@ -532,7 +535,7 @@ impl ArchiveMeta {
     ///
     /// [`CodecError::Metadata`] on structural violations,
     /// [`CodecError::Truncated`] when the block ends early.
-    pub fn decode(
+    pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
         expect_sections: usize,
@@ -590,6 +593,9 @@ fn meta_block(cur: &mut ByteCursor<'_>, expect_sections: usize) -> Result<Archiv
     Ok(ArchiveMeta { seed, sections })
 }
 
+// The reader parses the block from its own cursor; this entry point
+// serves the block's unit tests.
+#[cfg(test)]
 impl ArchiveTelemetry {
     /// Parses and validates a block at `*pos`, which must describe
     /// exactly `expect_sections` sections (the preamble's count —
@@ -599,7 +605,7 @@ impl ArchiveTelemetry {
     ///
     /// [`CodecError::Telemetry`] on structural violations,
     /// [`CodecError::Truncated`] when the block ends early.
-    pub fn decode(
+    pub(crate) fn decode(
         data: &[u8],
         pos: &mut usize,
         expect_sections: usize,

@@ -146,9 +146,10 @@ pub struct SectionMeta {
 }
 
 impl SectionMeta {
-    /// Builds a section's metadata from its time-sorted flow records.
-    /// `server_of` resolves each record's address index to the stored
-    /// destination IP; the Bloom keys are the client→server tuples
+    /// Builds a section's metadata from its flow records, visited once
+    /// in time order. `server_of` resolves each record's address index
+    /// to the stored destination IP; the Bloom keys are the
+    /// client→server tuples
     /// [`synth_tuple`](crate::decompress::synth_tuple) will synthesize
     /// for the same records at decompression time under `seed`.
     pub(crate) fn from_records(
@@ -156,21 +157,26 @@ impl SectionMeta {
         packets: u64,
         long_template_bytes: u64,
         time_seq_bytes: u64,
-        records: &[FlowRecord],
+        records: impl ExactSizeIterator<Item = FlowRecord>,
         server_of: impl Fn(&FlowRecord) -> Ipv4Addr,
     ) -> SectionMeta {
-        let mut bloom = FlowKeyBloom::sized_for(records.len() as u64);
+        let flows = records.len() as u64;
+        let mut bloom = FlowKeyBloom::sized_for(flows);
+        let mut bounds: Option<(Timestamp, Timestamp)> = None;
         for r in records {
-            let server = server_of(r);
+            let server = server_of(&r);
             bloom.insert(&crate::decompress::synth_tuple(
                 seed, r.first_ts, server, r.rtt, r.is_long,
             ));
+            let first = bounds.map_or(r.first_ts, |(first, _)| first);
+            bounds = Some((first, r.first_ts));
         }
+        let (first_ts, last_ts) = bounds.unwrap_or((Timestamp::ZERO, Timestamp::ZERO));
         SectionMeta {
-            first_ts: records.first().map_or(Timestamp::ZERO, |r| r.first_ts),
-            last_ts: records.last().map_or(Timestamp::ZERO, |r| r.first_ts),
+            first_ts,
+            last_ts,
             packets,
-            flows: records.len() as u64,
+            flows,
             long_template_bytes,
             time_seq_bytes,
             bloom,
@@ -284,7 +290,7 @@ mod tests {
             Ipv4Addr::new(193, 0, 0, 2),
             Ipv4Addr::new(193, 0, 0, 3),
         ];
-        let section = SectionMeta::from_records(0x5EED, 240, 17, 320, &records, |r| {
+        let section = SectionMeta::from_records(0x5EED, 240, 17, 320, records.into_iter(), |r| {
             addrs[r.addr_idx as usize]
         });
         ArchiveMeta {

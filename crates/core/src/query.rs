@@ -445,15 +445,12 @@ mod tests {
         assert_eq!(reader.counts().3, 5);
         assert_eq!(reader.short_templates(), &full.short_templates[..]);
         assert_eq!(reader.addresses(), &full.addresses[..]);
-        assert!(reader.metadata().is_some());
+        let meta = reader.metadata().unwrap();
         let mut records = 0usize;
         let mut longs = 0usize;
-        for section in reader.sections() {
+        for (section, meta) in reader.sections().zip(&meta.sections) {
             let section = section.unwrap();
-            assert_eq!(
-                section.meta.as_ref().unwrap().flows,
-                section.records.len() as u64
-            );
+            assert_eq!(meta.flows, section.records.len() as u64);
             // Long records index the section-local table via long_base.
             for r in &section.records {
                 if r.is_long {
