@@ -5,7 +5,8 @@
 //! chances for the accumulator to retire state) — so the score blends
 //! a normalized flow-size entropy with an arrival-burstiness measure.
 
-use flowzip_core::CompressedTrace;
+use flowzip_core::ArchiveFlow;
+use std::collections::BTreeMap;
 
 /// The complexity decomposition: both components normalized to `[0, 1]`
 /// plus their blended headline score.
@@ -31,47 +32,61 @@ impl TraceComplexity {
     /// timestamps (microseconds, any order). Degenerate inputs are
     /// defined, not errors: fewer than two flows score 0.
     pub fn from_flows(sizes: &[u64], starts_us: &[u64]) -> TraceComplexity {
-        let flow_size_entropy = normalized_entropy(sizes);
-        let arrival_burstiness = burstiness(starts_us);
+        let mut sorted = starts_us.to_vec();
+        sorted.sort_unstable();
+        TraceComplexity::from_parts(&size_counts(sizes.iter().copied()), &sorted)
+    }
+
+    /// Scores an archive's flows as its record merge
+    /// ([`ArchiveReader::records`](flowzip_core::ArchiveReader::records))
+    /// yields them: one flow per `time-seq` record, sized by its
+    /// template, in start order. Equal to [`TraceComplexity::from_flows`]
+    /// over the same flows, keeping one start time per flow and a count
+    /// per distinct size.
+    pub fn from_records<'r>(flows: impl IntoIterator<Item = ArchiveFlow<'r>>) -> TraceComplexity {
+        let flows = flows.into_iter();
+        let mut counts = BTreeMap::new();
+        let mut starts_us = Vec::with_capacity(flows.size_hint().0);
+        for flow in flows {
+            *counts.entry(flow.packets).or_insert(0u64) += 1;
+            starts_us.push(flow.record.first_ts.as_micros());
+        }
+        // Merge order is start order, so this sort finds one sorted run;
+        // it keeps the score right for flows in any other order.
+        starts_us.sort_unstable();
+        TraceComplexity::from_parts(&counts, &starts_us)
+    }
+
+    /// The score of a size histogram and the sorted start times.
+    fn from_parts(size_counts: &BTreeMap<u64, u64>, sorted_starts_us: &[u64]) -> TraceComplexity {
+        let flow_size_entropy = normalized_entropy(size_counts);
+        let arrival_burstiness = burstiness(sorted_starts_us);
         TraceComplexity {
             flow_size_entropy,
             arrival_burstiness,
             score: 100.0 * (flow_size_entropy + arrival_burstiness) / 2.0,
         }
     }
-
-    /// Scores a decoded archive: one flow per `time-seq` record, sized
-    /// by its template. Equal to the streaming
-    /// [`analyze_archive`](crate::analyze_archive) score, which folds
-    /// the same flows section by section.
-    pub fn from_archive(archive: &CompressedTrace) -> TraceComplexity {
-        let sizes: Vec<u64> = archive
-            .time_seq
-            .iter()
-            .map(|r| archive.flow_len(r))
-            .collect();
-        let starts_us: Vec<u64> = archive
-            .time_seq
-            .iter()
-            .map(|r| r.first_ts.as_micros())
-            .collect();
-        TraceComplexity::from_flows(&sizes, &starts_us)
-    }
 }
 
-/// Shannon entropy of the value distribution, normalized by
-/// `log2(distinct values)`; 0 when there are fewer than two distinct
-/// values (a single-valued distribution has nothing to be uncertain
-/// about).
-fn normalized_entropy(values: &[u64]) -> f64 {
-    let mut counts = std::collections::BTreeMap::new();
-    for &v in values {
+/// How many times each value occurs.
+fn size_counts(values: impl Iterator<Item = u64>) -> BTreeMap<u64, u64> {
+    let mut counts = BTreeMap::new();
+    for v in values {
         *counts.entry(v).or_insert(0u64) += 1;
     }
+    counts
+}
+
+/// Shannon entropy of the value distribution given as per-value counts,
+/// normalized by `log2(distinct values)`; 0 when there are fewer than
+/// two distinct values (a single-valued distribution has nothing to be
+/// uncertain about).
+fn normalized_entropy(counts: &BTreeMap<u64, u64>) -> f64 {
     if counts.len() < 2 {
         return 0.0;
     }
-    let n = values.len() as f64;
+    let n = counts.values().sum::<u64>() as f64;
     let h: f64 = counts
         .values()
         .map(|&c| {
@@ -84,18 +99,17 @@ fn normalized_entropy(values: &[u64]) -> f64 {
 
 /// `cv / (1 + cv)` over the inter-arrival gaps of the sorted start
 /// times; 0 with fewer than two gaps or an all-simultaneous trace.
-fn burstiness(starts_us: &[u64]) -> f64 {
-    if starts_us.len() < 3 {
+fn burstiness(sorted: &[u64]) -> f64 {
+    if sorted.len() < 3 {
         return 0.0;
     }
-    let mut sorted = starts_us.to_vec();
-    sorted.sort_unstable();
-    let gaps: Vec<f64> = sorted.windows(2).map(|w| (w[1] - w[0]) as f64).collect();
-    let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+    let gaps = || sorted.windows(2).map(|w| (w[1] - w[0]) as f64);
+    let len = (sorted.len() - 1) as f64;
+    let mean = gaps().sum::<f64>() / len;
     if mean <= 0.0 {
         return 0.0;
     }
-    let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
+    let var = gaps().map(|g| (g - mean) * (g - mean)).sum::<f64>() / len;
     let cv = var.sqrt() / mean;
     cv / (1.0 + cv)
 }

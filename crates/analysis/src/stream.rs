@@ -1,15 +1,16 @@
-//! **Section-stream analysis passes**: build the paper's CDFs,
-//! histograms and series directly from an archive, one section at a
-//! time, without ever reconstructing the full `time-seq` dataset (let
-//! alone decompressing packets).
+//! **Record-stream analysis passes**: build the paper's CDFs,
+//! histograms and series directly from an archive's flow records,
+//! without reconstructing the `time-seq` dataset (let alone
+//! decompressing packets).
 //!
 //! The input is a [`flowzip_core::ArchiveReader`] — global context
 //! (short-flow templates, addresses, the v2.1 metadata block) parses
-//! once, then each section's flow records decode and fold into the
-//! accumulators before the next section is touched. Peak memory is
-//! O(global datasets + one section + flows-worth of samples), which is
-//! what makes the passes usable on archives whose expansion would not
-//! fit.
+//! once, then its record merge ([`ArchiveReader::records`]) validates
+//! every section and hands over one flow at a time, decoded out of the
+//! archive bytes, to fold into the accumulators. Peak memory is the
+//! archive, the reader's global datasets and the samples the passes
+//! keep (a few per flow), which is what makes the passes usable on
+//! archives whose expansion would not fit.
 
 use crate::complexity::TraceComplexity;
 use crate::{BucketedHistogram, Cdf};
@@ -44,14 +45,14 @@ pub struct ArchivePasses {
     pub complexity: TraceComplexity,
 }
 
-/// Runs the streaming passes over every section of the archive `data`
-/// (v1 reads as one section).
+/// Runs the streaming passes over every flow of the archive `data` (v1
+/// reads as one section).
 ///
 /// # Errors
 ///
 /// [`CodecError`] when `data` is not a well-formed v1 or v2 archive, or
-/// a section payload is malformed; sections decoded before the error
-/// are discarded.
+/// a section payload is malformed; nothing is folded before the reader
+/// has validated every section.
 pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
     let reader = ArchiveReader::open(data)?;
     let mut sizes: Vec<f64> = Vec::new();
@@ -64,29 +65,22 @@ pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
     let mut histogram = BucketedHistogram::figure3();
     let mut packets = 0u64;
 
-    // Short-template expansion sizes are global and reused per record.
-    let short_len: Vec<usize> = reader.short_templates().iter().map(Vec::len).collect();
-
-    for section in reader.sections() {
-        let section = section?;
-        for r in &section.records {
-            let n = if r.is_long {
-                section.long_templates[(r.template_idx - section.long_base) as usize].len()
-            } else {
-                short_len[r.template_idx as usize]
-            };
-            packets += n as u64;
-            sizes.push(n as f64);
-            sizes_u.push(n as u64);
-            starts_us.push(r.first_ts.as_micros());
-            histogram.add(n as f64);
-            if !r.is_long {
-                rtts.push(r.rtt.as_micros() as f64 / 1_000.0);
-            }
+    let telemetry = reader.telemetry();
+    for flow in reader.records(|_| true)? {
+        let r = flow.record;
+        let n = flow.packets;
+        packets += n;
+        sizes.push(n as f64);
+        sizes_u.push(n);
+        starts_us.push(r.first_ts.as_micros());
+        histogram.add(n as f64);
+        if !r.is_long {
+            rtts.push(r.rtt.as_micros() as f64 / 1_000.0);
         }
-        // Telemetry rows index-join the section's records, so this is
-        // the same flow population the distribution passes just folded.
-        for t in section.telemetry.iter().flatten() {
+        // Telemetry rows index-join their section's records, so this is
+        // the same flow population the distribution passes fold.
+        let row = telemetry.and_then(|t| t.sections.get(flow.section)?.flows.get(flow.index));
+        if let Some(t) = row {
             if t.rtt_samples > 0 {
                 measured_rtts.push(t.rtt_us as f64 / 1_000.0);
             }
@@ -140,20 +134,17 @@ mod tests {
         assert_eq!(passes.flow_size_histogram.total(), ct.time_seq.len() as u64);
         let shorts = ct.time_seq.iter().filter(|r| !r.is_long).count();
         assert_eq!(passes.rtt_ms.len(), shorts);
-        assert_eq!(passes.complexity, TraceComplexity::from_archive(&ct));
-        // The reader's sections tile the archive the passes folded.
-        let sections: Vec<_> = ArchiveReader::open(&bytes)
-            .unwrap()
-            .sections()
-            .map(Result::unwrap)
-            .collect();
+        let reader = ArchiveReader::open(&bytes).unwrap();
         assert_eq!(
-            sections.iter().map(|s| s.records.len() as u64).sum::<u64>(),
-            passes.flows
+            passes.complexity,
+            TraceComplexity::from_records(reader.records(|_| true).unwrap())
         );
-        for s in &sections {
-            assert!(s.records.first().map(|r| r.first_ts) <= s.records.last().map(|r| r.first_ts));
-        }
+        let sizes: Vec<u64> = ct.time_seq.iter().map(|r| ct.flow_len(r)).collect();
+        let starts: Vec<u64> = ct.time_seq.iter().map(|r| r.first_ts.as_micros()).collect();
+        assert_eq!(
+            passes.complexity,
+            TraceComplexity::from_flows(&sizes, &starts)
+        );
         // Distribution sanity: every flow has at least one packet, and
         // the CDF agrees with the histogram about the mass at small n.
         assert!(passes.packets_per_flow.quantile(0.0).unwrap() >= 1.0);
@@ -214,7 +205,7 @@ mod tests {
         let v2 = include_bytes!("../../../tests/fixtures/web120_seed20050320.fzc2");
         let passes = analyze_archive(v1).unwrap();
         assert_eq!(passes, analyze_archive(v2).unwrap());
-        assert_eq!(ArchiveReader::open(v1).unwrap().sections().count(), 1);
+        assert_eq!(ArchiveReader::open(v1).unwrap().counts().3, 1);
         assert!(!passes.has_telemetry);
     }
 }

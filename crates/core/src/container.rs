@@ -39,15 +39,16 @@
 //! [`CodecError`], never a panic or a silently wrong query index.
 //!
 //! **One reader, both revisions.** [`ArchiveReader`] parses the header,
-//! index and trailing blocks once; every consumer — [`read_v2`] and
-//! [`CompressedTrace::from_bytes`], the query planner, `flowzip info`'s
-//! size and telemetry summary, the analysis passes — reads through it,
-//! and payloads decode serially on the caller's thread. A v1 archive
-//! opens as one section with identity remaps and no `FZM1`/`FZT1`
-//! block: its payload spans the long-template dataset, the address
-//! dataset and the time-seq dataset, and decoding skips the address
-//! bytes between the two record slices (a v2 payload skips none). Both
-//! revisions share the record encoding, so one decoder reads both, and
+//! index and trailing blocks once; every consumer — decompression, the
+//! query planner, `flowzip info`'s summary, the analysis passes, and
+//! [`read_v2`] / [`CompressedTrace::from_bytes`] — reads through it, and
+//! payloads decode serially on the caller's thread, record by record
+//! through one merge ([`ArchiveReader::records`]). A v1 archive opens as
+//! one section with identity remaps and no `FZM1`/`FZT1` block: its
+//! payload spans the long-template dataset, the address dataset and the
+//! time-seq dataset, and decoding skips the address bytes between the
+//! two record slices (a v2 payload skips none). Both revisions share the
+//! record encoding, so one decoder reads both, and
 //! [`ArchiveFormat::detect`] is the only place the magic is looked at.
 //! The parse itself lives in the crate's `decode` module, behind one
 //! checked byte cursor; this module keeps the writers, of which
@@ -57,7 +58,7 @@
 //! *identical* [`CompressedTrace`] the v1 path would have produced from
 //! the same shards: template stores merge in shard order under the same
 //! Eq. 4 rule, addresses dedupe in the same first-appearance order, and
-//! the per-section time-sorted slices are k-way merged with ties broken
+//! the per-section time-sorted records are k-way merged with ties broken
 //! by section index — exactly the stable sort v1 applies to the
 //! concatenated records. Decompression output is therefore
 //! packet-identical across formats, which the engine equivalence suite
@@ -65,14 +66,14 @@
 
 use crate::cluster::TemplateStore;
 use crate::datasets::{
-    put_varint, CodecError, CompressedTrace, DatasetSizes, FlowRecord, LongTemplate, RTT_SHIFT,
+    put_varint, CodecError, CompressedTrace, DatasetSizes, FlowRecord, RTT_SHIFT,
 };
-use crate::decode::{skip_long_templates, ByteCursor, SectionEntry};
+pub use crate::decode::{ArchiveFlow, Records};
+use crate::decode::{ByteCursor, SectionEntry};
 use crate::decompress::DEFAULT_SEED;
 use crate::meta::{ArchiveMeta, SectionMeta};
 use crate::telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
 use crate::Params;
-use flowzip_trace::Timestamp;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -376,6 +377,9 @@ struct SectionLayout {
 /// `FZM1` and `FZT1` blocks — and its per-dataset footprint (index bytes
 /// count as `header`). The one writer of `FZC2`: [`write_sections`] and
 /// [`CompressedTrace::encode_v2`] both lay archives out through it.
+///
+/// Every part but the payloads is encoded first, so the output is
+/// allocated once, at its final length.
 fn write_v2<'t>(
     short_templates: impl ExactSizeIterator<Item = &'t [u16]>,
     addresses: &[Ipv4Addr],
@@ -383,67 +387,69 @@ fn write_v2<'t>(
     meta: Option<&ArchiveMeta>,
     telemetry: Option<&ArchiveTelemetry>,
 ) -> (Vec<u8>, DatasetSizes) {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC_V2);
-    out.push(VERSION_V2);
-    put_varint(short_templates.len() as u64, &mut out);
-    put_varint(sections.iter().map(|s| s.long_count).sum(), &mut out);
-    put_varint(addresses.len() as u64, &mut out);
-    put_varint(sections.len() as u64, &mut out);
-    let preamble = out.len() as u64;
+    let mut head = Vec::new();
+    head.extend_from_slice(&MAGIC_V2);
+    head.push(VERSION_V2);
+    put_varint(short_templates.len() as u64, &mut head);
+    put_varint(sections.iter().map(|s| s.long_count).sum(), &mut head);
+    put_varint(addresses.len() as u64, &mut head);
+    put_varint(sections.len() as u64, &mut head);
+    let preamble = head.len() as u64;
 
-    let mark = out.len();
-    put_short_templates(short_templates, &mut out);
-    let short_bytes = (out.len() - mark) as u64;
+    let mark = head.len();
+    put_short_templates(short_templates, &mut head);
+    let short_bytes = (head.len() - mark) as u64;
 
-    let mark = out.len();
-    out.extend(addresses.iter().flat_map(Ipv4Addr::octets));
-    let addr_bytes = (out.len() - mark) as u64;
+    let mark = head.len();
+    head.extend(addresses.iter().flat_map(Ipv4Addr::octets));
+    let addr_bytes = (head.len() - mark) as u64;
 
-    let mark = out.len();
+    let mark = head.len();
     for section in &sections {
-        put_varint(section.payload.len() as u64, &mut out);
-        put_varint(section.flow_count, &mut out);
-        put_varint(section.long_count, &mut out);
+        put_varint(section.payload.len() as u64, &mut head);
+        put_varint(section.flow_count, &mut head);
+        put_varint(section.long_count, &mut head);
         for remap in [&section.short_remap, &section.addr_remap] {
-            put_varint(remap.len() as u64, &mut out);
+            put_varint(remap.len() as u64, &mut head);
             for &g in remap {
-                put_varint(g as u64, &mut out);
+                put_varint(g as u64, &mut head);
             }
         }
     }
-    let index_bytes = (out.len() - mark) as u64;
+    let index_bytes = (head.len() - mark) as u64;
 
-    let mark = out.len();
+    let mut meta_block = Vec::new();
+    if let Some(meta) = meta {
+        meta.encode(&mut meta_block);
+    }
+    let mut telemetry_block = Vec::new();
+    if let Some(telemetry) = telemetry {
+        telemetry.encode(&mut telemetry_block);
+    }
+
+    let payload_bytes: usize = sections.iter().map(|s| s.payload.len()).sum();
+    let mut out =
+        Vec::with_capacity(head.len() + payload_bytes + meta_block.len() + telemetry_block.len());
+    out.extend_from_slice(&head);
     let mut long_template_bytes = 0u64;
     for section in sections {
         out.extend_from_slice(&section.payload);
         long_template_bytes += section.long_template_bytes;
     }
-    let payload_bytes = (out.len() - mark) as u64;
-
-    let mark = out.len();
-    if let Some(meta) = meta {
-        meta.encode(&mut out);
-    }
-    let metadata_bytes = (out.len() - mark) as u64;
-
-    let mark = out.len();
-    if let Some(telemetry) = telemetry {
-        telemetry.encode(&mut out);
-    }
-    let telemetry_bytes = (out.len() - mark) as u64;
+    out.extend_from_slice(&meta_block);
+    out.extend_from_slice(&telemetry_block);
 
     let sizes = DatasetSizes {
         header: preamble + index_bytes,
         short_templates: short_bytes,
         long_templates: long_template_bytes,
         addresses: addr_bytes,
-        time_seq: payload_bytes - long_template_bytes,
-        metadata: metadata_bytes,
-        telemetry: telemetry_bytes,
+        time_seq: payload_bytes as u64 - long_template_bytes,
+        metadata: meta_block.len() as u64,
+        telemetry: telemetry_block.len() as u64,
     };
     debug_assert_eq!(sizes.total(), out.len() as u64);
+    debug_assert_eq!(out.capacity(), out.len());
     (out, sizes)
 }
 
@@ -454,20 +460,25 @@ fn write_v2<'t>(
 /// blocks in one pass, recording each dataset's byte footprint as it
 /// goes; a v1 archive is one section without an index or trailing
 /// blocks (see the [module docs](self)). Everything a header-only
-/// consumer wants — [`counts`], [`sizes`], [`metadata`], [`telemetry`]
-/// — is then a method, and
-/// payloads decode only on demand: one section at a time through
-/// [`sections`] (the analysis passes), or a chosen subset through
-/// [`select`] ([`read_v2`] keeps every section, the query planner the
-/// ones its time/Bloom test cannot rule out). Sections decode serially
-/// on the caller's thread.
+/// consumer wants — [`counts`], [`metadata`], [`telemetry`] — is then a
+/// method. Payloads decode only through [`records`]: one validating
+/// walk over the sections the caller keeps, then a stable
+/// `(first_ts, section)` merge of one record cursor per kept section,
+/// decoding each record as the merge reaches it. Decompression, `query`,
+/// `info` and the analysis passes all read that merge; [`read_v2`]
+/// collects it.
+///
+/// Memory: the archive bytes the reader borrows, the short templates
+/// and addresses it parsed (≈ 3 KB in the reference archive), the
+/// section index, and per kept section one record and one offset per
+/// long template (≈ 8 B each). Long templates stay in the archive
+/// bytes; no record array is built.
 ///
 /// [`counts`]: ArchiveReader::counts
-/// [`sizes`]: ArchiveReader::sizes
 /// [`metadata`]: ArchiveReader::metadata
 /// [`telemetry`]: ArchiveReader::telemetry
-/// [`sections`]: ArchiveReader::sections
-/// [`select`]: ArchiveReader::select
+/// [`records`]: ArchiveReader::records
+#[derive(Debug)]
 pub struct ArchiveReader<'a> {
     pub(crate) format: ArchiveFormat,
     pub(crate) n_long: usize,
@@ -477,7 +488,7 @@ pub struct ArchiveReader<'a> {
     pub(crate) meta: Option<ArchiveMeta>,
     pub(crate) telemetry: Option<ArchiveTelemetry>,
     /// Byte footprint with every payload byte counted as `time_seq`;
-    /// [`ArchiveReader::sizes`] moves the long-template slices across.
+    /// [`Records::sizes`] moves the long-template slices across.
     pub(crate) footprint: DatasetSizes,
 }
 
@@ -504,32 +515,6 @@ impl ArchiveReader<'_> {
         self.entries.iter().map(|e| e.flow_count as u64).sum()
     }
 
-    /// The per-dataset byte footprint of the file as laid out (the
-    /// preamble and index count as `header`; each payload splits at its
-    /// long-template/time-seq boundary; for v1 this equals what
-    /// [`CompressedTrace::encode`] reported). This is what `flowzip info`
-    /// reports — unlike a re-encode, it agrees with the file on disk even
-    /// for multi-section archives, whose index and per-section delta
-    /// restarts a single-section re-encode can't see.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when a payload's long-template slice is malformed:
-    /// finding the boundary walks it.
-    pub fn sizes(&self) -> Result<DatasetSizes, CodecError> {
-        let mut long = 0u64;
-        for entry in &self.entries {
-            let mut cur = ByteCursor::new(entry.payload);
-            skip_long_templates(&mut cur, entry.long_count)?;
-            long += cur.read_since(entry.payload.len()) as u64;
-        }
-        Ok(DatasetSizes {
-            long_templates: long,
-            time_seq: self.footprint.time_seq - long,
-            ..self.footprint
-        })
-    }
-
     /// The global short-flows-template dataset (cluster centers).
     pub fn short_templates(&self) -> &[Vec<u16>] {
         &self.short_templates
@@ -551,124 +536,32 @@ impl ArchiveReader<'_> {
     pub fn telemetry(&self) -> Option<&ArchiveTelemetry> {
         self.telemetry.as_ref()
     }
-
-    /// Decodes the sections one at a time, in archive order — what the
-    /// analysis passes fold without materializing the whole time-seq
-    /// dataset.
-    pub fn sections(&self) -> impl Iterator<Item = Result<DecodedSection, CodecError>> + '_ {
-        self.entries.iter().enumerate().map(|(i, entry)| {
-            let (long_templates, records) = self.decode(entry, entry.long_base)?;
-            Ok(DecodedSection {
-                long_templates,
-                long_base: entry.long_base,
-                records,
-                telemetry: self.telemetry.as_ref().map(|t| t.sections[i].flows.clone()),
-            })
-        })
-    }
-
-    /// Decodes the sections `keep` accepts (by index, in archive order)
-    /// into one [`CompressedTrace`]: the kept sections' long templates
-    /// are compacted and their records' long indices rebased onto the
-    /// compacted table (with every section kept, the rebase is the
-    /// identity), then the time-sorted slices k-way merge stably by
-    /// `(first_ts, section index)`. `select(|_| true)` is the whole
-    /// archive, exactly what its v1 twin decodes to.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] for a malformed payload; the result additionally
-    /// passes [`CompressedTrace::validate`].
-    pub fn select(
-        self,
-        mut keep: impl FnMut(usize) -> bool,
-    ) -> Result<CompressedTrace, CodecError> {
-        let mut long_templates = Vec::new();
-        let mut slices = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            if keep(i) {
-                let (longs, seq) = self.decode(entry, long_templates.len() as u32)?;
-                if long_templates.is_empty() {
-                    long_templates = longs;
-                } else {
-                    long_templates.extend(longs);
-                }
-                slices.push(seq);
-            }
-        }
-        let ct = CompressedTrace {
-            short_templates: self.short_templates,
-            long_templates,
-            addresses: self.addresses,
-            time_seq: merge_time_seq(slices),
-        };
-        ct.validate()?;
-        Ok(ct)
-    }
-}
-
-/// One archive section decoded by [`ArchiveReader::sections`]: the
-/// section's flow records (globally indexed) plus its slice of the
-/// long-template table, each template still in its wire encoding
-/// (validated; [`LongTemplate::len`] is O(1), and
-/// [`LongTemplate::entries`] decodes on demand).
-#[derive(Debug, Clone)]
-pub struct DecodedSection {
-    /// The section's long templates, ≈ 3 B per packet; a record with
-    /// `is_long` indexes this table at `template_idx - long_base`.
-    pub long_templates: Vec<LongTemplate>,
-    /// Global index of `long_templates[0]`.
-    pub long_base: u32,
-    /// The section's flow records, time-sorted, with global short
-    /// template and address indices.
-    pub records: Vec<FlowRecord>,
-    /// The section's v2.2 telemetry rows (index-joined to `records`),
-    /// when the archive carries an `FZT1` block.
-    pub telemetry: Option<Vec<FlowTelemetry>>,
 }
 
 /// Parses an archive (v2, or v1 as its one section) into one global
-/// [`CompressedTrace`]: [`ArchiveReader::select`] with every section
-/// kept, exactly [`CompressedTrace::from_bytes`]. A v2.1 trailing
-/// metadata block, when present, is validated and then ignored — it
-/// never influences the reconstructed archive.
+/// [`CompressedTrace`]: the [`ArchiveReader::records`] merge of every
+/// section, collected, beside copies of every long template — exactly
+/// [`CompressedTrace::from_bytes`]. A v2.1 trailing metadata block, when
+/// present, is validated and then ignored — it never influences the
+/// reconstructed archive.
 ///
 /// # Errors
 ///
 /// [`CodecError`] for malformed input; the result additionally passes
 /// [`CompressedTrace::validate`].
 pub fn read_v2(data: &[u8]) -> Result<CompressedTrace, CodecError> {
-    ArchiveReader::open(data)?.select(|_| true)
-}
-
-/// Stable k-way merge of per-section time-sorted slices: equal
-/// timestamps resolve to the lower section index, which reproduces v1's
-/// stable sort over the shard-order concatenation exactly.
-fn merge_time_seq(slices: Vec<Vec<FlowRecord>>) -> Vec<FlowRecord> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let total = slices.len();
-    if total == 1 {
-        return slices.into_iter().next().unwrap_or_default();
-    }
-    let mut out = Vec::with_capacity(slices.iter().map(Vec::len).sum());
-    let mut cursors = vec![0usize; total];
-    let mut heap: BinaryHeap<Reverse<(Timestamp, usize)>> = slices
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(i, s)| Reverse((s[0].first_ts, i)))
-        .collect();
-    while let Some(Reverse((_, i))) = heap.pop() {
-        let rec = slices[i][cursors[i]];
-        out.push(rec);
-        cursors[i] += 1;
-        if cursors[i] < slices[i].len() {
-            heap.push(Reverse((slices[i][cursors[i]].first_ts, i)));
-        }
-    }
-    out
+    let reader = ArchiveReader::open(data)?;
+    let records = reader.records(|_| true)?;
+    let long_templates = records.long_templates();
+    let time_seq = records.map(|f| f.record).collect();
+    let ct = CompressedTrace {
+        short_templates: reader.short_templates,
+        long_templates,
+        addresses: reader.addresses,
+        time_seq,
+    };
+    debug_assert_eq!(ct.validate(), Ok(()));
+    Ok(ct)
 }
 
 /// The v2.1 trailing metadata block of an archive, if present (never
@@ -777,7 +670,8 @@ impl CompressedTrace {
 mod tests {
     use super::*;
     use crate::compress::Compressor;
-    use flowzip_trace::Duration;
+    use crate::datasets::LongTemplate;
+    use flowzip_trace::{Duration, Timestamp};
     use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 
     fn web_archive(flows: usize, seed: u64) -> CompressedTrace {
@@ -952,19 +846,25 @@ mod tests {
         assert_eq!(r2.counts(), counts);
         assert_eq!(r1.flows(), ct.time_seq.len() as u64);
         // Each revision's layout walk recovers its own writer's breakdown.
-        assert_eq!(r1.sizes().unwrap(), v1_sizes);
-        assert_eq!(r2.sizes().unwrap(), v2_sizes);
+        assert_eq!(r1.records(|_| true).unwrap().sizes(), v1_sizes);
+        assert_eq!(r2.records(|_| true).unwrap().sizes(), v2_sizes);
         // v1 carries neither trailing block.
         assert!(r1.metadata().is_none() && r1.telemetry().is_none());
-        let s1: Vec<_> = r1.sections().map(Result::unwrap).collect();
-        let s2: Vec<_> = r2.sections().map(Result::unwrap).collect();
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1[0].records, s2[0].records);
-        assert_eq!(s1[0].long_templates, s2[0].long_templates);
-        assert!(s1[0].telemetry.is_none());
-        let (a1, a2) = (r1.select(|_| true).unwrap(), r2.select(|_| true).unwrap());
+        let records = |r: &ArchiveReader<'_>| -> Vec<(FlowRecord, u64, usize)> {
+            r.records(|_| true)
+                .unwrap()
+                .map(|f| (f.record, f.packets, f.section))
+                .collect()
+        };
+        let (f1, f2) = (records(&r1), records(&r2));
+        assert_eq!(f1, f2);
+        assert!(f1.iter().all(|&(_, _, section)| section == 0));
+        let (a1, a2) = (read_v2(&v1).unwrap(), read_v2(&v2).unwrap());
         assert_eq!(a1, a2);
-        assert_eq!(a1, CompressedTrace::from_bytes(&v1).unwrap());
+        assert_eq!(
+            a1.time_seq,
+            f1.iter().map(|&(r, _, _)| r).collect::<Vec<_>>()
+        );
         assert_eq!(v2_metadata(&v1), Ok(None));
     }
 
@@ -989,14 +889,23 @@ mod tests {
             let Ok(reader) = ArchiveReader::open(m) else {
                 return 0;
             };
-            let _ = reader.sizes();
-            let _ = reader.sections().count();
-            match reader.select(|_| true) {
-                Ok(ct) => {
+            let records = reader.records(|_| true);
+            match records {
+                Ok(records) => {
+                    assert_eq!(records.sizes().total(), m.len() as u64);
+                    let (flows, packets) = (records.flows(), records.packets());
+                    let merged: Vec<u64> = records.map(|f| f.packets).collect();
+                    assert_eq!(merged.len() as u64, flows);
+                    assert_eq!(merged.iter().sum::<u64>(), packets);
+                    let ct = read_v2(m).expect("the merge accepted it");
                     assert_eq!(ct.validate(), Ok(()));
+                    assert_eq!(ct.packet_count(), packets);
                     1
                 }
-                Err(_) => 0,
+                Err(_) => {
+                    assert!(read_v2(m).is_err());
+                    0
+                }
             }
         };
         let cuts = (0..bytes.len()).map(|cut| accepts(&bytes[..cut])).sum();
@@ -1114,7 +1023,8 @@ mod tests {
         assert_eq!(sizes.total(), bytes.len() as u64);
         assert!(sizes.header > 0 && sizes.time_seq > 0);
         // Measuring the written file recovers the writer's breakdown.
-        assert_eq!(ArchiveReader::open(&bytes).unwrap().sizes().unwrap(), sizes);
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        assert_eq!(reader.records(|_| true).unwrap().sizes(), sizes);
     }
 
     #[test]
@@ -1252,7 +1162,8 @@ mod tests {
         let (full, sizes) = ct.encode_v2_with_telemetry(&telem);
         assert_eq!(sizes.total(), full.len() as u64);
         assert!(sizes.telemetry > 0);
-        assert_eq!(ArchiveReader::open(&full).unwrap().sizes().unwrap(), sizes);
+        let reader = ArchiveReader::open(&full).unwrap();
+        assert_eq!(reader.records(|_| true).unwrap().sizes(), sizes);
 
         // The block is a pure suffix of the v2.1 file: stripping it
         // yields the byte-identical rev-2.1 archive a pre-2.2 reader
@@ -1417,7 +1328,7 @@ mod tests {
         // …a long-template `M` the payload decode.
         let long = crafted_v2(1, 0, 0, Some(WIDE_U16));
         let reader = ArchiveReader::open(&long).unwrap();
-        assert_eq!(reader.sections().next().unwrap().err(), Some(want.clone()));
+        assert_eq!(reader.records(|_| true).err(), Some(want.clone()));
         assert_eq!(CompressedTrace::from_bytes(&long), Err(want));
     }
 
@@ -1439,11 +1350,10 @@ mod tests {
         // would wrap past zero.
         let bytes = include_bytes!("../../../tests/fixtures/ts_overflow_v2.fzc");
         let reader = ArchiveReader::open(bytes).unwrap();
-        let sections: Vec<_> = reader.sections().collect();
-        assert_eq!(sections.len(), 1);
+        assert_eq!(reader.counts().3, 1);
         assert_eq!(
-            sections[0].as_ref().err(),
-            Some(&CodecError::UnsortedTimeSeq)
+            reader.records(|_| true).err(),
+            Some(CodecError::UnsortedTimeSeq)
         );
         assert_eq!(
             CompressedTrace::from_bytes(bytes),
@@ -1461,8 +1371,36 @@ mod tests {
         );
     }
 
+    /// A plain v2 archive of `sections`, each a time-sorted run of
+    /// short-flow records over one shared address and identity remaps.
+    fn sectioned(n_short: usize, sections: &[Vec<FlowRecord>]) -> Vec<u8> {
+        let templates = vec![vec![1u16]; n_short];
+        let identity = |n: usize| (0..n as u32).collect();
+        let layouts = sections
+            .iter()
+            .map(|records| {
+                let mut payload = Vec::new();
+                let mut last_ts = 0;
+                for r in records {
+                    put_time_seq_record(r, &mut last_ts, &mut payload);
+                }
+                SectionLayout {
+                    payload,
+                    flow_count: records.len() as u64,
+                    long_count: 0,
+                    long_template_bytes: 0,
+                    short_remap: identity(n_short),
+                    addr_remap: identity(1),
+                }
+            })
+            .collect();
+        let addresses = [Ipv4Addr::new(10, 0, 0, 1)];
+        let templates = templates.iter().map(Vec::as_slice);
+        write_v2(templates, &addresses, layouts, None, None).0
+    }
+
     #[test]
-    fn merge_time_seq_is_stable_across_sections() {
+    fn record_merge_is_stable_across_sections() {
         let rec = |us: u64, idx: u32| FlowRecord {
             first_ts: Timestamp::from_micros(us),
             is_long: false,
@@ -1472,22 +1410,65 @@ mod tests {
         };
         // Two sections with interleaved and *equal* timestamps: ties must
         // resolve to the earlier section, like v1's stable sort.
-        let merged = merge_time_seq(vec![
+        let sections = [
             vec![rec(10, 0), rec(20, 1), rec(20, 2)],
             vec![rec(5, 3), rec(20, 4), rec(30, 5)],
-        ]);
+        ];
+        let bytes = sectioned(6, &sections);
+        let reader = ArchiveReader::open(&bytes).unwrap();
+        let merged: Vec<FlowRecord> = reader
+            .records(|_| true)
+            .unwrap()
+            .map(|f| f.record)
+            .collect();
         let order: Vec<u32> = merged.iter().map(|r| r.template_idx).collect();
         assert_eq!(order, vec![3, 0, 1, 2, 4, 5]);
 
-        let mut concat = vec![
-            rec(10, 0),
-            rec(20, 1),
-            rec(20, 2),
-            rec(5, 3),
-            rec(20, 4),
-            rec(30, 5),
-        ];
+        let mut concat = sections.concat();
         concat.sort_by_key(|r| r.first_ts);
         assert_eq!(merged, concat, "k-way merge == stable sort of concat");
+        assert_eq!(read_v2(&bytes).unwrap().time_seq, concat);
+
+        // A kept subset merges to a subsequence of the full merge.
+        let second: Vec<FlowRecord> = reader
+            .records(|i| i == 1)
+            .unwrap()
+            .map(|f| f.record)
+            .collect();
+        assert_eq!(second, sections[1]);
+    }
+
+    #[test]
+    fn v2_writer_allocates_the_archive_once() {
+        let trace = WebTrafficGenerator::new(
+            WebTrafficConfig {
+                flows: 200,
+                ..WebTrafficConfig::default()
+            },
+            16,
+        )
+        .generate();
+        let params = Params::paper();
+        let mut acc = crate::FlowAccumulator::with_telemetry(params.clone(), true);
+        for p in &trace {
+            acc.push(p);
+        }
+        let mut shards: Vec<_> = (0..3)
+            .map(|_| crate::FlowAssembler::with_telemetry(params.clone(), true))
+            .collect();
+        for (i, flow) in acc.finish().iter().enumerate() {
+            shards[i % 3].consume(flow);
+        }
+        let sections = shards.into_iter().map(|a| a.into_section()).collect();
+        let (bytes, sizes, _) = write_sections(&params, sections);
+        assert!(sizes.metadata > 0 && sizes.telemetry > 0, "{sizes:?}");
+        assert_eq!(ArchiveReader::open(&bytes).unwrap().counts().3, 3);
+        assert_eq!(bytes.capacity(), bytes.len());
+        // The oracle's one-section writer too.
+        let ct = read_v2(&bytes).unwrap();
+        let telemetry = vec![FlowTelemetry::default(); ct.time_seq.len()];
+        let (bytes, sizes) = ct.encode_v2_with_telemetry(&telemetry);
+        assert!(sizes.metadata > 0 && sizes.telemetry > 0, "{sizes:?}");
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 }

@@ -315,16 +315,17 @@ impl CompressedTrace {
     }
 
     /// Parses a container produced by [`CompressedTrace::to_bytes`] or
-    /// [`CompressedTrace::to_bytes_v2`] through the one
-    /// [`ArchiveReader`](crate::ArchiveReader), which reads both
-    /// revisions — so v1 archives keep reading back forever.
+    /// [`CompressedTrace::to_bytes_v2`]: [`read_v2`](crate::read_v2),
+    /// the one [`ArchiveReader`](crate::ArchiveReader)'s record merge
+    /// collected. It reads both revisions — so v1 archives keep reading
+    /// back forever.
     ///
     /// # Errors
     ///
     /// Returns [`CodecError`] for malformed input; the result additionally
     /// passes [`CompressedTrace::validate`].
     pub fn from_bytes(data: &[u8]) -> Result<CompressedTrace, CodecError> {
-        crate::container::ArchiveReader::open(data)?.select(|_| true)
+        crate::container::read_v2(data)
     }
 }
 

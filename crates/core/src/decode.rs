@@ -21,11 +21,15 @@ use crate::container::{varint_len, ArchiveFormat, ArchiveReader, MAGIC_V2, VERSI
 use crate::datasets::{
     CodecError, DatasetSizes, FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, VERSION,
 };
+use crate::decompress::Template;
 use crate::meta::{ArchiveMeta, FlowKeyBloom, SectionMeta, META_MAGIC, META_VERSION};
 use crate::telemetry::{
     ArchiveTelemetry, FlowTelemetry, SectionTelemetry, TELEMETRY_MAGIC, TELEMETRY_VERSION,
 };
 use flowzip_trace::{Duration, Timestamp};
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::net::Ipv4Addr;
 
 /// A checked reader over archive bytes: each read consumes what it
@@ -170,6 +174,7 @@ impl ArchiveFormat {
 }
 
 /// One parsed section-index entry and its (still encoded) payload.
+#[derive(Debug)]
 pub(crate) struct SectionEntry<'a> {
     pub(crate) payload: &'a [u8],
     /// Bytes between the payload's long-template and time-seq slices
@@ -356,76 +361,403 @@ impl<'a> ArchiveReader<'a> {
             },
         })
     }
+}
 
-    /// Decodes one section payload into globally-indexed datasets, its
-    /// long templates numbered from `long_base`. Long templates are
-    /// checked and copied, not decoded ([`copy_long_template`]): every
-    /// error surfaces here, before any packet is synthesized.
-    pub(crate) fn decode(
+impl ArchiveReader<'_> {
+    /// The flows of the sections `keep` accepts (by index), in capture
+    /// order: one cursor per kept section, merged stably by
+    /// `(first_ts, section index)`.
+    ///
+    /// One validating walk over the kept sections' long templates and
+    /// time-seq runs first. It checks every entry, index, timestamp
+    /// delta and the bytes after the last record, so every
+    /// [`CodecError`] surfaces here, before the first flow, with the
+    /// variant and message a full decode reports. The walk also counts
+    /// the flows and their packets ([`Records::flows`],
+    /// [`Records::packets`]). Records are then decoded again, one at a
+    /// time, as the merge reaches them.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] for a malformed kept section.
+    pub fn records(&self, keep: impl FnMut(usize) -> bool) -> Result<Records<'_>, CodecError> {
+        self.walk(keep, None)
+    }
+
+    /// [`ArchiveReader::records`], keeping only the flows `filter`
+    /// accepts: the walk counts those alone and notes each record's
+    /// verdict in a bit, which the merge reads instead of running
+    /// `filter` again, and the merge decodes each section only from its
+    /// first match to its last. The query planner's path.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] for a malformed kept section.
+    pub(crate) fn records_matching(
         &self,
-        entry: &SectionEntry<'_>,
-        long_base: u32,
-    ) -> Result<(Vec<LongTemplate>, Vec<FlowRecord>), CodecError> {
-        let mut cur = ByteCursor::new(entry.payload);
-        let mut long_templates = Vec::with_capacity(cur.capacity(entry.long_count, 1));
-        for _ in 0..entry.long_count {
-            long_templates.push(copy_long_template(&mut cur)?);
-        }
-        cur.take(entry.gap)?;
+        keep: impl FnMut(usize) -> bool,
+        mut filter: impl FnMut(&FlowRecord) -> bool,
+    ) -> Result<Records<'_>, CodecError> {
+        self.walk(keep, Some(&mut filter))
+    }
 
-        // A record is at least three bytes: key, address, Δts.
-        let mut time_seq = Vec::with_capacity(cur.capacity(entry.flow_count, 3));
-        let mut last_ts = 0u64;
-        for _ in 0..entry.flow_count {
-            let key = cur.varint()?;
-            let is_long = key & 1 == 1;
-            let local = key >> 1;
-            let template_idx = if is_long {
-                Some(local)
-                    .filter(|&i| i < entry.long_count as u64)
-                    .and_then(|i| u32::try_from(i).ok())
-                    .and_then(|i| long_base.checked_add(i))
-                    .ok_or(CodecError::IndexOutOfRange("long template", local))?
-            } else {
-                let global = remapped(&entry.short_remap, local)
-                    .ok_or(CodecError::IndexOutOfRange("short template", local))?;
-                if global as usize >= self.short_templates.len() {
-                    return Err(CodecError::IndexOutOfRange(
-                        "short template",
-                        u64::from(global),
-                    ));
-                }
-                global
-            };
-            let local_addr = cur.varint()?;
-            let addr_idx = remapped(&entry.addr_remap, local_addr)
-                .ok_or(CodecError::IndexOutOfRange("address", local_addr))?;
-            if addr_idx as usize >= self.addresses.len() {
-                return Err(CodecError::IndexOutOfRange("address", u64::from(addr_idx)));
+    /// [`ArchiveReader::records_matching`], or every record without a
+    /// filter.
+    fn walk<'r>(
+        &'r self,
+        mut keep: impl FnMut(usize) -> bool,
+        mut filter: Option<&mut dyn FnMut(&FlowRecord) -> bool>,
+    ) -> Result<Records<'r>, CodecError> {
+        let reader: &'r ArchiveReader<'r> = self;
+        let mut sections = Vec::new();
+        let (mut flows, mut packets) = (0u64, 0u64);
+        for (i, entry) in reader.entries.iter().enumerate() {
+            if !keep(i) {
+                continue;
             }
-            last_ts = last_ts
-                .checked_add(cur.varint()?)
-                .ok_or(CodecError::UnsortedTimeSeq)?;
-            let rtt = if is_long {
-                Duration::ZERO
+            let mut section = KeptSection::open(i, entry)?;
+            // The first matching record: where the merge starts, with the
+            // delta-coding state it is read in.
+            let mut start = None;
+            let mut matched = filter.is_some().then(Vec::new);
+            for n in 0..entry.flow_count {
+                let before = (section.cur.clone(), section.last_ts, n);
+                let flow = section.decode(reader)?;
+                let hit = filter.as_mut().is_none_or(|f| f(&flow.record));
+                if let Some(bits) = &mut matched {
+                    if n % 64 == 0 {
+                        bits.push(0u64);
+                    }
+                    if let Some(word) = bits.last_mut().filter(|_| hit) {
+                        *word |= record_bit(n);
+                    }
+                }
+                if hit {
+                    flows = flows.saturating_add(1);
+                    packets = packets.saturating_add(flow.packets);
+                    start.get_or_insert(before);
+                    section.end = n.saturating_add(1);
+                }
+            }
+            if section.cur.remaining() != 0 {
+                return Err(CodecError::Truncated);
+            }
+            // The merge decodes from the first match to the last.
+            if let Some(start) = start {
+                (section.cur, section.last_ts, section.decoded) = start;
+            }
+            section.matched = matched;
+            sections.push(section);
+        }
+        let mut heads = BinaryHeap::with_capacity(sections.len());
+        for (k, section) in sections.iter_mut().enumerate() {
+            section.advance(reader);
+            if let Some(head) = &section.head {
+                heads.push(Reverse((head.record.first_ts, k)));
+            }
+        }
+        Ok(Records {
+            reader,
+            sections,
+            heads,
+            peeked: None,
+            flows,
+            packets,
+            yielded: 0,
+        })
+    }
+}
+
+/// One flow as the record merge reaches it: its time-seq record, where
+/// the record is stored, and its template, still in the archive bytes.
+#[derive(Debug, Clone)]
+pub struct ArchiveFlow<'r> {
+    /// The record, indexed into the global datasets as
+    /// [`read_v2`](crate::read_v2) numbers them.
+    pub record: FlowRecord,
+    /// The record's destination address.
+    pub server: Ipv4Addr,
+    /// Packets the flow expands to: its template's length.
+    pub packets: u64,
+    /// The archive section that stores the record.
+    pub section: usize,
+    /// The record's position in its section: the row of that section's
+    /// `FZT1` telemetry it index-joins.
+    pub index: usize,
+    /// The flow's `M` sequence.
+    pub(crate) template: Template<'r>,
+}
+
+/// The merged flows of an archive's kept sections, in capture order —
+/// what [`ArchiveReader::records`] returns. It holds one cursor and one
+/// decoded record per kept section, each long template's offset in its
+/// section (≈ 8 B per long template) and, when a filter chose the flows,
+/// one bit per record; never a record array.
+#[derive(Debug)]
+pub struct Records<'r> {
+    reader: &'r ArchiveReader<'r>,
+    sections: Vec<KeptSection<'r>>,
+    /// `(first_ts, position in sections)` of every section's head record.
+    heads: BinaryHeap<Reverse<(Timestamp, usize)>>,
+    /// The next matching flow, once [`Records::peek`] has looked.
+    peeked: Option<Option<ArchiveFlow<'r>>>,
+    flows: u64,
+    packets: u64,
+    yielded: u64,
+}
+
+impl<'r> Records<'r> {
+    /// Matching flows in the kept sections.
+    pub fn flows(&self) -> u64 {
+        self.flows
+    }
+
+    /// Packets the matching flows expand to.
+    pub fn packets(&self) -> u64 {
+        self.packets
+    }
+
+    /// The per-dataset byte footprint of the file as laid out: the
+    /// preamble and index count as `header`, and each payload splits at
+    /// the long-template/time-seq boundary the walk found (for v1 this
+    /// equals what [`CompressedTrace::encode`](crate::CompressedTrace::encode)
+    /// reports). This is what `flowzip info` reports — unlike a
+    /// re-encode, it agrees with the file on disk even for multi-section
+    /// archives, whose index and per-section delta restarts a
+    /// single-section re-encode can't see. Only the kept sections'
+    /// boundaries are known, so ask a merge that keeps every section.
+    pub fn sizes(&self) -> DatasetSizes {
+        debug_assert_eq!(self.sections.len(), self.reader.entries.len());
+        let footprint = self.reader.footprint;
+        let long = self
+            .sections
+            .iter()
+            .filter_map(|s| s.long.last())
+            .fold(0u64, |sum, &end| sum.saturating_add(end as u64));
+        DatasetSizes {
+            long_templates: long,
+            time_seq: footprint.time_seq.saturating_sub(long),
+            ..footprint
+        }
+    }
+
+    /// The kept sections' long templates, copied, in section order — with
+    /// every section kept, the global long-template dataset
+    /// [`read_v2`](crate::read_v2) collects beside the records. A
+    /// section holding a template with a non-minimal varint has its
+    /// templates re-encoded, so a parsed template's bytes are always what
+    /// [`put_long_entry`](crate::container::put_long_entry) writes.
+    pub(crate) fn long_templates(&self) -> Vec<LongTemplate> {
+        let mut long_templates = Vec::new();
+        for section in &self.sections {
+            let templates =
+                (0..section.entry.long_count as u64).map_while(|i| section.long_template(i));
+            long_templates.extend(templates.map(|(n, entries)| {
+                if section.minimal {
+                    LongTemplate::from_encoded(n, entries.into())
+                } else {
+                    LongTemplate::from_entries(LongEntries::new(entries))
+                }
+            }));
+        }
+        long_templates
+    }
+
+    /// The flow [`Iterator::next`] returns next.
+    pub(crate) fn peek(&mut self) -> Option<&ArchiveFlow<'r>> {
+        if self.peeked.is_none() {
+            self.peeked = Some(self.advance());
+        }
+        self.peeked.as_ref().and_then(Option::as_ref)
+    }
+
+    /// The next matching flow of the merge.
+    fn advance(&mut self) -> Option<ArchiveFlow<'r>> {
+        loop {
+            let mut top = self.heads.peek_mut()?;
+            let Reverse((_, k)) = *top;
+            let section = self.sections.get_mut(k)?;
+            let flow = section.head.take()?;
+            let hit = section.matches(flow.index);
+            section.advance(self.reader);
+            match &section.head {
+                // Re-keyed in place; dropping the guard sifts it down.
+                Some(head) => *top = Reverse((head.record.first_ts, k)),
+                None => {
+                    PeekMut::pop(top);
+                }
+            }
+            if hit {
+                return Some(flow);
+            }
+        }
+    }
+}
+
+impl<'r> Iterator for Records<'r> {
+    type Item = ArchiveFlow<'r>;
+
+    fn next(&mut self) -> Option<ArchiveFlow<'r>> {
+        let flow = match self.peeked.take() {
+            Some(peeked) => peeked,
+            None => self.advance(),
+        }?;
+        self.yielded = self.yielded.saturating_add(1);
+        Some(flow)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = usize::try_from(self.flows.saturating_sub(self.yielded)).ok();
+        (n.unwrap_or(usize::MAX), n)
+    }
+}
+
+/// One kept section mid-merge: where its long templates start, a cursor
+/// on its next time-seq record and that record, decoded.
+#[derive(Debug)]
+struct KeptSection<'r> {
+    section: usize,
+    entry: &'r SectionEntry<'r>,
+    /// The payload offset of each long template, then the end of the
+    /// long-template slice.
+    long: Vec<usize>,
+    /// Whether every varint in the long templates is minimal.
+    minimal: bool,
+    /// At the next record.
+    cur: ByteCursor<'r>,
+    /// The delta-coding state: the last record's `first_ts`, in µs.
+    last_ts: u64,
+    /// Records decoded so far: the index of the next.
+    decoded: usize,
+    /// One past the last record the walk matched.
+    end: usize,
+    /// The next record, once the walk has checked them all.
+    head: Option<ArchiveFlow<'r>>,
+    /// The filter's verdict on each record, one bit per record, when the
+    /// walk ran one.
+    matched: Option<Vec<u64>>,
+}
+
+impl<'r> KeptSection<'r> {
+    /// Checks section `section`'s long templates, notes where each
+    /// starts, and positions the cursor on its first record.
+    fn open(section: usize, entry: &'r SectionEntry<'r>) -> Result<KeptSection<'r>, CodecError> {
+        let mut cur = ByteCursor::new(entry.payload);
+        let mut long = Vec::with_capacity(cur.capacity(entry.long_count, 1).saturating_add(1));
+        let mut minimal = true;
+        for _ in 0..entry.long_count {
+            long.push(cur.read_since(entry.payload.len()));
+            minimal &= walk_long_template(&mut cur)?.2;
+        }
+        long.push(cur.read_since(entry.payload.len()));
+        cur.take(entry.gap)?;
+        Ok(KeptSection {
+            section,
+            entry,
+            long,
+            minimal,
+            cur,
+            last_ts: 0,
+            decoded: 0,
+            end: 0,
+            head: None,
+            matched: None,
+        })
+    }
+
+    /// Whether record `index` passed the walk's filter.
+    fn matches(&self, index: usize) -> bool {
+        self.matched.as_ref().is_none_or(|bits| {
+            bits.get(index / 64)
+                .is_some_and(|word| word & record_bit(index) != 0)
+        })
+    }
+
+    /// Decodes the next record into `head`. The walk checked every
+    /// record, so this comes up empty only past the last it matched.
+    fn advance(&mut self, reader: &'r ArchiveReader<'r>) {
+        self.head = if self.decoded < self.end {
+            self.decode(reader).ok()
+        } else {
+            None
+        };
+    }
+
+    /// Long template `local`'s entry count and entries.
+    fn long_template(&self, local: u64) -> Option<(usize, &'r [u8])> {
+        let i = usize::try_from(local).ok()?;
+        let start = *self.long.get(i)?;
+        let end = *self.long.get(i.checked_add(1)?)?;
+        let mut cur = ByteCursor::new(self.entry.payload.get(start..end)?);
+        let n = cur.varint_usize().ok()?;
+        Some((n, cur.rest))
+    }
+
+    /// Decodes and checks the record at the cursor: its template and
+    /// address indices in range, its timestamp on the clock.
+    fn decode(&mut self, reader: &'r ArchiveReader<'r>) -> Result<ArchiveFlow<'r>, CodecError> {
+        let key = self.cur.varint()?;
+        let is_long = key & 1 == 1;
+        let local = key >> 1;
+        let (template_idx, packets, template) =
+            if is_long {
+                let out_of_range = || CodecError::IndexOutOfRange("long template", local);
+                let (n, entries) = self.long_template(local).ok_or_else(out_of_range)?;
+                let global = u32::try_from(local)
+                    .ok()
+                    .and_then(|i| self.entry.long_base.checked_add(i))
+                    .ok_or_else(out_of_range)?;
+                (global, n, Template::Long(LongEntries::new(entries)))
             } else {
-                // Bits shifted past 2⁶⁴ are dropped, as the writer's
-                // `>> RTT_SHIFT` never set them.
-                Duration::from_micros(cur.varint()?.wrapping_shl(RTT_SHIFT))
+                let global = remapped(&self.entry.short_remap, local)
+                    .ok_or(CodecError::IndexOutOfRange("short template", local))?;
+                let t = reader.short_templates.get(global as usize).ok_or(
+                    CodecError::IndexOutOfRange("short template", u64::from(global)),
+                )?;
+                (global, t.len(), Template::Short(t.iter()))
             };
-            time_seq.push(FlowRecord {
-                first_ts: Timestamp::from_micros(last_ts),
+        let local_addr = self.cur.varint()?;
+        let addr_idx = remapped(&self.entry.addr_remap, local_addr)
+            .ok_or(CodecError::IndexOutOfRange("address", local_addr))?;
+        let server = *reader
+            .addresses
+            .get(addr_idx as usize)
+            .ok_or(CodecError::IndexOutOfRange("address", u64::from(addr_idx)))?;
+        self.last_ts = self
+            .last_ts
+            .checked_add(self.cur.varint()?)
+            .ok_or(CodecError::UnsortedTimeSeq)?;
+        let rtt = if is_long {
+            Duration::ZERO
+        } else {
+            // Bits shifted past 2⁶⁴ are dropped, as the writer's
+            // `>> RTT_SHIFT` never set them.
+            Duration::from_micros(self.cur.varint()?.wrapping_shl(RTT_SHIFT))
+        };
+        let index = self.decoded;
+        self.decoded = self.decoded.saturating_add(1);
+        Ok(ArchiveFlow {
+            record: FlowRecord {
+                first_ts: Timestamp::from_micros(self.last_ts),
                 is_long,
                 template_idx,
                 addr_idx,
                 rtt,
-            });
-        }
-        if cur.remaining() != 0 {
-            return Err(CodecError::Truncated);
-        }
-        Ok((long_templates, time_seq))
+            },
+            server,
+            packets: packets as u64,
+            section: self.section,
+            index,
+            template,
+        })
     }
+}
+
+/// Record `n`'s bit in its word of a section's filter verdicts.
+// `n % 64` is below 64, so the cast keeps every bit.
+#[allow(clippy::cast_possible_truncation)]
+fn record_bit(n: usize) -> u64 {
+    1u64.wrapping_shl((n % 64) as u32)
 }
 
 /// A section-index remap: a count, then that many global indices.
@@ -450,13 +782,25 @@ fn remapped(remap: &[u32], local: u64) -> Option<u32> {
 /// [`put_encoded_long_template`](crate::container::put_encoded_long_template),
 /// and what archive payloads and the [`Compressor`](crate::Compressor)
 /// oracle's assembled long slices both parse through. The entries are
-/// not decoded into a vector: one walk checks each as
-/// [`ByteCursor::long_entry`] reads it (same errors, in the same order),
-/// then the walked bytes are copied as they are. A template with a
+/// not decoded into a vector: [`walk_long_template`] checks each, then
+/// the walked bytes are copied as they are. A template with a
 /// non-minimal varint is re-encoded instead, so a parsed template's
 /// bytes are always what [`put_long_entry`](crate::container::put_long_entry)
 /// writes.
 pub(crate) fn copy_long_template(cur: &mut ByteCursor<'_>) -> Result<LongTemplate, CodecError> {
+    let (n, bytes, minimal) = walk_long_template(cur)?;
+    Ok(if minimal {
+        LongTemplate::from_encoded(n, bytes.into())
+    } else {
+        LongTemplate::from_entries(LongEntries::new(bytes))
+    })
+}
+
+/// Walks one long template, checking each entry as
+/// [`ByteCursor::long_entry`] reads it (same errors, in the same order):
+/// its entry count, its entries' bytes, and whether every varint in them
+/// is minimal.
+fn walk_long_template<'a>(cur: &mut ByteCursor<'a>) -> Result<(usize, &'a [u8], bool), CodecError> {
     let n = cur.varint_usize()?;
     let mut start = cur.clone();
     let mut minimal = true;
@@ -469,20 +813,12 @@ pub(crate) fn copy_long_template(cur: &mut ByteCursor<'_>) -> Result<LongTemplat
         minimal &= cur.read_since(mark) == varint_len(gap);
     }
     let bytes = start.take(cur.read_since(start.remaining()))?;
-    Ok(if minimal {
-        LongTemplate::from_encoded(n, bytes.into())
-    } else {
-        LongTemplate::from_entries(LongEntries::new(bytes))
-    })
+    Ok((n, bytes, minimal))
 }
 
 /// Steps over `count` encoded long templates without decoding them —
-/// how the opener finds v1's address dataset and
-/// [`ArchiveReader::sizes`] the long-template/time-seq boundary.
-pub(crate) fn skip_long_templates(
-    cur: &mut ByteCursor<'_>,
-    count: usize,
-) -> Result<(), CodecError> {
+/// how the opener finds v1's address dataset.
+fn skip_long_templates(cur: &mut ByteCursor<'_>, count: usize) -> Result<(), CodecError> {
     for _ in 0..count {
         let n = cur.varint()?;
         for _ in 0..n {

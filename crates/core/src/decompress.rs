@@ -16,30 +16,39 @@
 //! # The merge
 //!
 //! §4 "merges flows by timestamp while writing the output file", and so
-//! does [`Decompressor::packets`]: it never holds more than the flows
-//! that are open *right now*. Each `time-seq` record becomes a small
-//! per-flow **cursor** (the rest of its template — a long flow's still
-//! in its ≈ 3 B/packet wire encoding, each entry decoded once, as it is
-//! reached — its next packet's decoded `M`, the flow's clock, direction
-//! and sequence counters); open cursors sit in a min-heap
-//! keyed `(timestamp of the cursor's next packet, time-seq index)`.
-//! Every step first opens each unopened record whose `first_ts` is not
-//! later than the heap's top — `time_seq` is validated sorted by
-//! `first_ts`, so nothing still unopened can precede the top — then
-//! emits the top cursor's packet and re-keys it in place.
+//! does [`Decompressor::packets`]. It reads the archive's flows from the
+//! reader's record merge ([`ArchiveReader::records`]), which decodes
+//! each time-seq record out of the archive bytes only when it is next,
+//! and it holds only the flows that are open *right now*. Each flow
+//! becomes a small per-flow **cursor** (the rest of its template — a
+//! long flow's still in its ≈ 3 B/packet wire encoding in the archive
+//! bytes, each entry decoded once, as it is reached — its next packet's
+//! decoded `M`, the flow's clock, direction and sequence counters); open
+//! cursors sit in a min-heap keyed `(timestamp of the cursor's next
+//! packet, record index)`. Every step first opens each unopened flow
+//! whose `first_ts` is not later than the heap's top — the record merge
+//! yields flows sorted by `first_ts`, so nothing still unopened can
+//! precede the top — then emits the top cursor's packet and re-keys it
+//! in place.
 //!
 //! That order is exactly the order [`Decompressor::decompress`] — the
 //! test oracle, which expands flow by flow and then stable-sorts by
-//! timestamp — produces. A stable sort of the flow-by-flow expansion
-//! orders packets by `(timestamp, time-seq index, packet index)`. A
-//! flow's clock never runs backwards (it advances by saturating adds),
-//! so within one flow packet order *is* timestamp order and a cursor's
-//! next packet is always its earliest; across flows the heap key
-//! compares `(timestamp, time-seq index)`. The two orders coincide,
-//! packet for packet, ties included.
+//! timestamp — produces from the same records. A stable sort of the
+//! flow-by-flow expansion orders packets by `(timestamp, time-seq index,
+//! packet index)`. A flow's clock never runs backwards (it advances by
+//! saturating adds), so within one flow packet order *is* timestamp
+//! order and a cursor's next packet is always its earliest; across flows
+//! the heap key compares `(timestamp, time-seq index)`. The two orders
+//! coincide, packet for packet, ties included.
 //!
-//! Memory is O(archive + open flows), independent of the packet count:
+//! Memory is the archive bytes, the reader's resident datasets (short
+//! templates, addresses, the section index), one decoded record and one
+//! offset per long template for each section the merge reads, and one
+//! cursor per open flow — independent of the packet count, and of the
+//! flow count beyond the ≈ 8 B each long template's offset costs.
 //! [`PacketStream::peak_open`] reports the heap's high-water mark.
+//!
+//! [`ArchiveReader::records`]: crate::ArchiveReader::records
 //!
 //! # Position-independent endpoint synthesis
 //!
@@ -56,7 +65,7 @@
 
 use crate::characterize::{size_class_representative, Dependence, FlagClass};
 use crate::datasets::{CompressedTrace, FlowRecord, RTT_SHIFT};
-use crate::decode::LongEntries;
+use crate::decode::{LongEntries, Records};
 use crate::Params;
 use flowzip_trace::prelude::*;
 use rand::rngs::StdRng;
@@ -154,7 +163,13 @@ impl Decompressor {
     pub fn decompress(&self, ct: &CompressedTrace) -> Trace {
         let mut packets = Vec::with_capacity(ct.packet_count() as usize);
         for record in &ct.time_seq {
-            let mut cursor = self.open(ct, record);
+            let template = if record.is_long {
+                Template::Long(ct.long_templates[record.template_idx as usize].cursor())
+            } else {
+                Template::Short(ct.short_templates[record.template_idx as usize].iter())
+            };
+            let server = ct.addresses[record.addr_idx as usize];
+            let mut cursor = self.open(record, server, template);
             while let Some(packet) = cursor.next_packet(self) {
                 packets.push(packet);
             }
@@ -162,23 +177,21 @@ impl Decompressor {
         Trace::from_packets(packets)
     }
 
-    /// The archive's packets in capture order, synthesized on demand:
+    /// The packets of `flows` in capture order, synthesized on demand:
     /// the §4 merge (see the [module docs](self)). Packet for packet the
-    /// sequence [`Decompressor::decompress`] returns, in memory
-    /// proportional to the flows open at once rather than to the trace.
-    ///
-    /// `ct` must pass [`CompressedTrace::validate`] (every parsed
-    /// archive does): the merge relies on `time_seq` being sorted.
-    pub fn packets<'a>(&'a self, ct: &'a CompressedTrace) -> PacketStream<'a> {
+    /// sequence [`Decompressor::decompress`] returns for the same
+    /// records, in memory proportional to the flows open at once rather
+    /// than to the trace.
+    pub fn packets<'a>(&'a self, flows: Records<'a>) -> PacketStream<'a> {
         PacketStream {
             decompressor: self,
-            ct,
+            remaining: flows.packets(),
+            flows,
             next_record: 0,
             cursors: Vec::new(),
             free: Vec::new(),
             heap: BinaryHeap::new(),
             peak_open: 0,
-            remaining: ct.packet_count(),
         }
     }
 
@@ -203,14 +216,14 @@ impl Decompressor {
             .unwrap_or(self.unknown)
     }
 
-    /// Positions a cursor on `record`'s first packet.
-    fn open<'a>(&self, ct: &'a CompressedTrace, record: &FlowRecord) -> Cursor<'a> {
-        let server = ct.addresses[record.addr_idx as usize];
-        let mut template = if record.is_long {
-            Template::Long(ct.long_templates[record.template_idx as usize].cursor())
-        } else {
-            Template::Short(ct.short_templates[record.template_idx as usize].iter())
-        };
+    /// Positions a cursor on the first packet of `record`, a flow to
+    /// `server` whose `M` sequence is `template`.
+    fn open<'a>(
+        &self,
+        record: &FlowRecord,
+        server: Ipv4Addr,
+        mut template: Template<'a>,
+    ) -> Cursor<'a> {
         // The first packet lands at the record's timestamp: its stored
         // gap is not read.
         let next = template.next().map(|(m, _)| self.decode(m));
@@ -246,7 +259,7 @@ impl Default for Decompressor {
 /// The rest of a flow's `M` sequence: a shared cluster center, or a
 /// long flow's verbatim `(M, gap)` pairs, still encoded.
 #[derive(Debug, Clone)]
-enum Template<'a> {
+pub(crate) enum Template<'a> {
     Short(std::slice::Iter<'a, u16>),
     Long(LongEntries<'a>),
 }
@@ -349,8 +362,8 @@ struct NextPacket {
 #[derive(Debug)]
 pub struct PacketStream<'a> {
     decompressor: &'a Decompressor,
-    ct: &'a CompressedTrace,
-    /// Index of the first `time_seq` record not opened yet.
+    flows: Records<'a>,
+    /// Flows opened so far: the next one's record index.
     next_record: usize,
     /// Slab of cursors; `free` lists the vacant slots.
     cursors: Vec<Cursor<'a>>,
@@ -367,15 +380,20 @@ impl PacketStream<'_> {
         self.peak_open
     }
 
-    /// `time_seq` records opened so far.
+    /// Flows opened so far.
     pub fn records_opened(&self) -> usize {
         self.next_record
     }
 
-    /// Opens the next record; a flow with an empty template has no
-    /// packet to wait for and never enters the heap.
-    fn open_next(&mut self, record: &FlowRecord) {
-        let cursor = self.decompressor.open(self.ct, record);
+    /// Opens the next flow; a flow with an empty template has no packet
+    /// to wait for and never enters the heap.
+    fn open_next(&mut self) {
+        let Some(flow) = self.flows.next() else {
+            return;
+        };
+        let cursor = self
+            .decompressor
+            .open(&flow.record, flow.server, flow.template);
         let index = self.next_record;
         self.next_record += 1;
         if cursor.is_done() {
@@ -405,16 +423,15 @@ impl Iterator for PacketStream<'_> {
     type Item = PacketRecord;
 
     fn next(&mut self) -> Option<PacketRecord> {
-        let ct = self.ct;
-        while let Some(record) = ct.time_seq.get(self.next_record) {
+        while let Some(flow) = self.flows.peek() {
             if self
                 .heap
                 .peek()
-                .is_some_and(|Reverse(top)| record.first_ts > top.ts)
+                .is_some_and(|Reverse(top)| flow.record.first_ts > top.ts)
             {
                 break;
             }
-            self.open_next(record);
+            self.open_next();
         }
         let mut top = self.heap.peek_mut()?;
         let cursor = &mut self.cursors[top.0.slot];

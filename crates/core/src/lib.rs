@@ -68,7 +68,7 @@ pub use compress::{
     assemble_sections, assemble_shards, CompressionReport, Compressor, FlowAssembler,
 };
 pub use container::{
-    read_v2, v2_metadata, ArchiveFormat, ArchiveReader, DecodedSection, ShardSection,
+    read_v2, v2_metadata, ArchiveFlow, ArchiveFormat, ArchiveReader, Records, ShardSection,
 };
 pub use datasets::{CompressedTrace, DatasetSizes, FlowRecord};
 pub use decompress::{DecompressParams, Decompressor, PacketStream, DEFAULT_SEED};

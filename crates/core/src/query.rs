@@ -20,24 +20,27 @@
 //!   tuples that will never exist — they are ignored (time pruning
 //!   stays valid).
 //!
-//! Surviving sections decode serially on the same
-//! [`ArchiveReader::select`] path [`read_v2`](crate::container::read_v2)
-//! takes, their time-seq slices merge with the same stable k-way merge,
-//! and a record-level filter — the ground truth the Bloom only
-//! approximates — keeps exactly the flows that match. Because endpoint synthesis is
-//! position-independent (`synth_tuple`), decompressing the filtered
-//! subset yields **byte-identical packets** to filtering a full
+//! Surviving sections decode on the reader's one record path
+//! (`ArchiveReader::records_matching`): one validating walk, which runs
+//! a record-level filter — the ground truth the Bloom only
+//! approximates — and counts the matching flows and their packets, then
+//! the same stable `(first_ts, section)` merge a full decompression
+//! reads, keeping exactly the flows the walk matched. Because endpoint
+//! synthesis is position-independent (`synth_tuple`), decompressing the
+//! filtered merge yields **byte-identical packets** to filtering a full
 //! decompression after the fact; the query tests pin this.
 //!
-//! Planning and synthesis are separate steps: `select_bytes` stops at
-//! the filtered archive (a caller that only counts reads
-//! [`QueryStats::packets`], summed from template lengths; one that
-//! writes a capture drains [`Decompressor::packets`] over it into its
-//! output), and [`query_bytes`] is `select_bytes` plus collecting that
-//! stream into a [`Trace`].
+//! Planning and synthesis are separate steps: [`select_reader`] stops at
+//! the filtered merge (a caller that only counts reads
+//! [`QueryStats::packets`], which the walk summed from template lengths;
+//! one that writes a capture drains [`Decompressor::packets`] over the
+//! merge into its output), and [`query_bytes`] is [`select_reader`] plus
+//! collecting that stream into a [`Trace`]. Neither holds more of the
+//! archive than its bytes, the reader's resident datasets and one
+//! record per surviving section.
 
-use crate::container::ArchiveReader;
-use crate::datasets::{CodecError, CompressedTrace, FlowRecord};
+use crate::container::{ArchiveReader, Records};
+use crate::datasets::{CodecError, FlowRecord};
 use crate::decompress::{synth_tuple, DecompressParams, Decompressor};
 use crate::meta::ArchiveMeta;
 use flowzip_trace::{FiveTuple, Timestamp, Trace};
@@ -121,16 +124,15 @@ pub struct QueryOutcome {
     pub stats: QueryStats,
 }
 
-/// A query's answer before synthesis: the archive cut down to the
-/// matching flows, and the planner counters. Draining
-/// [`Decompressor::packets`] over [`QuerySelection::archive`] yields the
-/// matching packets in capture order; a caller that only wants the
-/// counts reads [`QueryStats::packets`] and synthesizes nothing.
-#[derive(Debug, Clone)]
-pub struct QuerySelection {
-    /// The surviving sections' datasets with `time_seq` filtered to the
-    /// records that match.
-    pub archive: CompressedTrace,
+/// A query's answer before synthesis: the matching flows, merged, and
+/// the planner counters. Draining [`Decompressor::packets`] over
+/// [`QuerySelection::records`] yields the matching packets in capture
+/// order; a caller that only wants the counts reads
+/// [`QueryStats::packets`] and synthesizes nothing.
+#[derive(Debug)]
+pub struct QuerySelection<'r> {
+    /// The surviving sections' flows that match, in capture order.
+    pub records: Records<'r>,
     /// What the planner did; `packets` is the matching flows' template
     /// lengths summed.
     pub stats: QueryStats,
@@ -138,22 +140,8 @@ pub struct QuerySelection {
 
 /// Plans `query` against serialized archive bytes (v1 or v2; pruning
 /// needs v2 with the rev 2.1 metadata block — anything else degrades to
-/// scanning every section, never to a wrong answer) and selects the
-/// matching flows, without synthesizing a packet.
-///
-/// # Errors
-///
-/// [`CodecError`] for malformed input.
-pub(crate) fn select_bytes(
-    data: &[u8],
-    query: &FlowQuery,
-    dp: &DecompressParams,
-) -> Result<QuerySelection, CodecError> {
-    select_reader(ArchiveReader::open(data)?, query, dp)
-}
-
-/// `select_bytes`, then the matching packets synthesized and
-/// collected into a [`Trace`].
+/// scanning every section, never to a wrong answer), then synthesizes
+/// the matching packets and collects them into a [`Trace`].
 ///
 /// # Errors
 ///
@@ -163,8 +151,9 @@ pub fn query_bytes(
     query: &FlowQuery,
     dp: &DecompressParams,
 ) -> Result<QueryOutcome, CodecError> {
-    let QuerySelection { archive, stats } = select_bytes(data, query, dp)?;
-    let trace = Decompressor::new(dp.clone()).packets(&archive).collect();
+    let reader = ArchiveReader::open(data)?;
+    let QuerySelection { records, stats } = select_reader(&reader, query, dp)?;
+    let trace = Decompressor::new(dp.clone()).packets(records).collect();
     Ok(QueryOutcome { trace, stats })
 }
 
@@ -192,20 +181,20 @@ fn survives(
     true
 }
 
-/// `select_bytes` over an already-opened archive: the sections
-/// whose metadata cannot rule the query out decode on the reader's one
-/// selection path, then the record-level filter runs. A caller that
-/// also wants header facts (counts, telemetry) reads them off the same
-/// reader first instead of parsing the file twice.
+/// Plans `query` over an opened archive: the sections whose metadata
+/// cannot rule the query out are walked and merged on the reader's one
+/// record path, and the record-level filter keeps the flows that match.
+/// A caller that also wants header facts (counts, telemetry) reads them
+/// off the same reader instead of parsing the file twice.
 ///
 /// # Errors
 ///
-/// [`CodecError`] for a malformed section payload.
-pub fn select_reader(
-    reader: ArchiveReader<'_>,
+/// [`CodecError`] for a malformed surviving section.
+pub fn select_reader<'r>(
+    reader: &'r ArchiveReader<'_>,
     query: &FlowQuery,
     dp: &DecompressParams,
-) -> Result<QuerySelection, CodecError> {
+) -> Result<QuerySelection<'r>, CodecError> {
     let mut stats = QueryStats {
         sections_total: reader.counts().3,
         has_metadata: reader.metadata().is_some(),
@@ -220,18 +209,15 @@ pub fn select_reader(
         })
         .collect();
     stats.sections_scanned = keep.iter().filter(|&&k| k).count() as u64;
-    // Survivors keep their relative order, so the stable k-way merge of
-    // the subset is a subsequence of the full merge — order preserved.
-    let mut archive = reader.select(|i| keep[i])?;
-    let CompressedTrace {
-        addresses,
-        time_seq,
-        ..
-    } = &mut archive;
-    time_seq.retain(|r| query.matches(dp.seed, addresses, r));
-    stats.flows_matched = archive.time_seq.len() as u64;
-    stats.packets = archive.packet_count();
-    Ok(QuerySelection { archive, stats })
+    // Survivors keep their relative order, so the stable merge of the
+    // subset is a subsequence of the full merge — order preserved.
+    let records = reader.records_matching(
+        |i| keep[i],
+        |r| query.matches(dp.seed, reader.addresses(), r),
+    )?;
+    stats.flows_matched = records.flows();
+    stats.packets = records.packets();
+    Ok(QuerySelection { records, stats })
 }
 
 #[cfg(test)]
@@ -239,6 +225,7 @@ mod tests {
     use super::*;
     use crate::accumulate::FlowAccumulator;
     use crate::compress::{assemble_sections, Compressor, FlowAssembler};
+    use crate::datasets::CompressedTrace;
     use crate::Params;
     use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 
@@ -446,22 +433,24 @@ mod tests {
         assert_eq!(reader.short_templates(), &full.short_templates[..]);
         assert_eq!(reader.addresses(), &full.addresses[..]);
         let meta = reader.metadata().unwrap();
-        let mut records = 0usize;
-        let mut longs = 0usize;
-        for (section, meta) in reader.sections().zip(&meta.sections) {
-            let section = section.unwrap();
-            assert_eq!(meta.flows, section.records.len() as u64);
-            // Long records index the section-local table via long_base.
-            for r in &section.records {
-                if r.is_long {
-                    let local = (r.template_idx - section.long_base) as usize;
-                    assert!(local < section.long_templates.len());
-                }
+        // Each section alone yields its own records, in order, each once.
+        let mut records = 0;
+        for (i, meta) in meta.sections.iter().enumerate() {
+            let flows: Vec<_> = reader.records(|k| k == i).unwrap().collect();
+            assert_eq!(meta.flows, flows.len() as u64);
+            for (index, flow) in flows.iter().enumerate() {
+                assert_eq!((flow.section, flow.index), (i, index));
+                assert_eq!(flow.server, full.addresses[flow.record.addr_idx as usize]);
+                assert_eq!(flow.packets, full.flow_len(&flow.record));
             }
-            records += section.records.len();
-            longs += section.long_templates.len();
+            records += flows.len();
         }
         assert_eq!(records, full.time_seq.len());
-        assert_eq!(longs, full.long_templates.len());
+        // All sections at once: the merge is the full time-seq dataset.
+        let merged = reader.records(|_| true).unwrap();
+        assert_eq!(merged.flows(), full.time_seq.len() as u64);
+        assert_eq!(merged.packets(), full.packet_count());
+        let merged: Vec<FlowRecord> = merged.map(|f| f.record).collect();
+        assert_eq!(merged, full.time_seq);
     }
 }

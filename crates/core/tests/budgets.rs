@@ -1,5 +1,5 @@
 //! Heap and allocation budgets of the compress path's per-flow state
-//! and of the decode path's parsed archive.
+//! and of the decode path's reader, merge and `info` fold.
 //!
 //! The `#[global_allocator]` below is the benchmark harness's counting
 //! allocator extended with live bytes and their high-water mark. It is
@@ -15,7 +15,10 @@
 //! that lowers a value ratchets its ceiling down; one that raises it past
 //! the ceiling fails here, before any benchmark run.
 
-use flowzip_core::{read_v2, Compressor, Decompressor, FlowAccumulator, FlowAssembler, Params};
+use flowzip_analysis::TraceComplexity;
+use flowzip_core::{
+    ArchiveReader, Compressor, Decompressor, FlowAccumulator, FlowAssembler, Params,
+};
 use flowzip_trace::prelude::*;
 use flowzip_traffic::{WebTrafficConfig, WebTrafficGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -282,6 +285,19 @@ fn trunk_heap_high_water_per_packet() {
     );
 }
 
+/// Heap high-water of opening `bytes` and draining the §4 merge over
+/// every record into a count, with the packet count and peak open flows.
+fn decode_heap(bytes: &[u8]) -> (usize, usize, HeapUse) {
+    let ((packets, peak_open), used) = measure(|| {
+        let reader = ArchiveReader::open(bytes).expect("a valid archive");
+        let d = Decompressor::default();
+        let mut stream = d.packets(reader.records(|_| true).expect("valid records"));
+        let packets = stream.by_ref().count();
+        (packets, stream.peak_open())
+    });
+    (packets, peak_open, used)
+}
+
 #[test]
 fn trunk_decode_heap_high_water_per_packet() {
     let trace = trunk_trace(200_000);
@@ -289,23 +305,78 @@ fn trunk_decode_heap_high_water_per_packet() {
         .compress(&trace)
         .0
         .to_bytes_v2();
-    let (packets, used) = measure(|| {
-        let archive = read_v2(&bytes).expect("a valid archive");
-        let d = Decompressor::default();
-        let mut stream = d.packets(&archive);
-        let packets = stream.by_ref().count();
-        assert_eq!(stream.peak_open(), 4);
-        packets
-    });
+    let (packets, peak_open, used) = decode_heap(&bytes);
     assert_eq!(packets, trace.len());
+    assert_eq!(peak_open, 4);
     let per_packet = used.peak_bytes as f64 / packets as f64;
-    // Measured 3.005 B/packet: the parsed long templates kept in their
-    // wire encoding, ≈ 3 B per packet as in the archive itself. Decoding
-    // each template into a 16 B `(u16, Duration)` per packet measured
-    // 16.005.
+    // Measured 0.0086 B/packet (1.7 KB): the reader's datasets, four
+    // long-template offsets and four open cursors, whatever the packet
+    // count. Parsing the archive first, with each long template's wire
+    // bytes copied (≈ 3 B per packet), measured 3.005; decoding each into
+    // a 16 B `(u16, Duration)` per packet measured 16.005.
     assert!(
-        per_packet <= 3.76,
-        "parse + merge peaked at {per_packet:.2} heap bytes per packet (ceiling 3.76)"
+        per_packet <= 0.0107,
+        "open + merge peaked at {per_packet:.4} heap bytes per packet (ceiling 0.0107)"
+    );
+}
+
+/// The seeded web trace's archive on `shards` sections, and its flow
+/// count.
+fn web_archive(shards: usize) -> (Vec<u8>, usize) {
+    let trace = web_trace();
+    let params = Params::paper();
+    let mut acc = FlowAccumulator::new(params.clone());
+    for p in trace.packets() {
+        acc.push(p);
+    }
+    let flows = acc.finish();
+    let mut asms: Vec<FlowAssembler> = (0..shards)
+        .map(|_| FlowAssembler::new(params.clone()))
+        .collect();
+    for (i, f) in flows.iter().enumerate() {
+        asms[i % shards].consume(f);
+    }
+    let sections = asms.into_iter().map(FlowAssembler::into_section).collect();
+    let tsh = flowzip_trace::tsh::file_size(&trace);
+    let bytes = flowzip_core::assemble_sections(&params, sections, tsh, trace.header_bytes()).0;
+    (bytes, flows.len())
+}
+
+#[test]
+fn web_decode_heap_high_water_per_flow() {
+    let (bytes, flows) = web_archive(2);
+    let (packets, _, used) = decode_heap(&bytes);
+    assert!(packets > 10 * flows, "{packets} packets");
+    let per_flow = used.peak_bytes as f64 / flows as f64;
+    // Measured 5.30 B/flow on two sections: the short templates,
+    // addresses and section remaps the reader keeps, an offset per long
+    // template, the open flows' cursors. Parsing the archive first — 32 B
+    // records per section, merged into a second array, and copied long
+    // templates — measured 77.4.
+    assert!(
+        per_flow <= 6.62,
+        "open + merge peaked at {per_flow:.2} heap bytes per flow (ceiling 6.62)"
+    );
+}
+
+#[test]
+fn info_fold_heap_high_water_per_flow() {
+    let (bytes, flows) = web_archive(2);
+    let ((counted, score), used) = measure(|| {
+        let reader = ArchiveReader::open(&bytes).expect("a valid archive");
+        let records = reader.records(|_| true).expect("valid records");
+        let counted = records.flows();
+        (counted, TraceComplexity::from_records(records).score)
+    });
+    assert_eq!(counted, flows as u64);
+    assert!(score > 0.0);
+    let per_flow = used.peak_bytes as f64 / flows as f64;
+    // Measured 12.19 B/flow: the reader's datasets and one 8 B start time
+    // per flow for the burstiness term. Parsing the archive whole, then
+    // copying each flow's size and start, measured 77.4.
+    assert!(
+        per_flow <= 15.2,
+        "open + complexity fold peaked at {per_flow:.2} heap bytes per flow (ceiling 15.2)"
     );
 }
 

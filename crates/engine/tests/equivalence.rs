@@ -24,7 +24,9 @@
 //!   streaming §4 merge expands it exactly like the expand-then-sort
 //!   oracle.
 
-use flowzip_core::{ArchiveFormat, CompressedTrace, Compressor, Decompressor, Params};
+use flowzip_core::{
+    ArchiveFormat, ArchiveReader, CompressedTrace, Compressor, Decompressor, Params,
+};
 use flowzip_engine::{EngineReport, StreamingEngine};
 use flowzip_trace::{Duration, PacketRecord, Trace, TraceError};
 use flowzip_traffic::p2p::{P2pTrafficConfig, P2pTrafficGenerator};
@@ -160,7 +162,8 @@ fn assert_v2_packet_identical(
 
     // The streaming merge — what sessions actually write — is the
     // expand-then-sort oracle packet for packet on engine archives too.
-    let merged: Vec<PacketRecord> = dec.packets(&from_v2).collect();
+    let reader = ArchiveReader::open(&v2_bytes).unwrap();
+    let merged: Vec<PacketRecord> = dec.packets(reader.records(|_| true).unwrap()).collect();
     prop_assert_eq!(&merged[..], restored.packets());
     Ok(())
 }

@@ -140,10 +140,11 @@ pub fn mb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / 1e6)
 }
 
-/// The decompressed trace of §6: `archive` expanded by the §4 merge
-/// ([`Decompressor::packets`]), the path `flowzip decompress` runs.
+/// The decompressed trace of §6: `archive` expanded flow by flow and
+/// time-sorted ([`Decompressor::decompress`]) — packet for packet what
+/// `flowzip decompress`'s §4 merge writes.
 pub fn decompressed(archive: &CompressedTrace) -> Trace {
-    Decompressor::default().packets(archive).collect()
+    Decompressor::default().decompress(archive)
 }
 
 /// Builds a fresh benchmark kernel for one trace replay, with routing

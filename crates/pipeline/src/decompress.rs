@@ -7,7 +7,7 @@ use crate::input::Input;
 use crate::report::{ArchiveSummary, Mode, Report, Timing};
 use crate::sink::Sink;
 use crate::Pipeline;
-use flowzip_core::{DecompressParams, Decompressor};
+use flowzip_core::{ArchiveReader, DecompressParams, Decompressor};
 use flowzip_trace::reader::CaptureFormat;
 use flowzip_trace::tsh;
 use std::time::Instant;
@@ -68,11 +68,15 @@ impl<'a> DecompressBuilder<'a> {
         self
     }
 
-    /// Runs the session: read the archive, decode it, and drain the §4
-    /// merge ([`Decompressor::packets`]) into the sink record by record
-    /// in the chosen capture format. Memory is O(archive + flows open at
-    /// once), whatever the packet count; the report's `peak_open_flows`
-    /// is that working set's high-water mark.
+    /// Runs the session: read the archive, open it and validate every
+    /// section ([`ArchiveReader::records`]), and drain the §4 merge
+    /// ([`Decompressor::packets`]) into the sink record by record in the
+    /// chosen capture format. Every decode error surfaces before the
+    /// first packet. Memory is the archive bytes, the reader's resident
+    /// datasets, ≈ 8 B per long template, the flows open at once and the
+    /// sink's buffer — whatever the packet count, and with no per-flow
+    /// record array; the report's `peak_open_flows` is the open flows'
+    /// high-water mark.
     ///
     /// # Errors
     ///
@@ -99,21 +103,22 @@ impl<'a> DecompressBuilder<'a> {
         let bytes = input.kind.into_archive("decompress", &context)?;
         let read_wait = started.elapsed().as_secs_f64();
 
-        let (archive, summary) = ArchiveSummary::inspect(&bytes)
-            .map_err(|e| PipelineError::decode(context.clone(), e))?;
-        // The parsed archive is all the merge reads from here on.
-        drop(bytes);
+        // The reader's walk checks every record before the first packet.
+        let decode_err = |e| PipelineError::decode(context.clone(), e);
+        let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
+        let flows = reader.records(|_| true).map_err(decode_err)?;
+        let summary = ArchiveSummary::inspect(&reader, &flows, bytes.len());
 
         let mut report = Report::new(Mode::Decompress);
         report.inputs = inputs_desc;
         report.output = sink.path();
-        report.flows = archive.flow_count() as u64;
+        report.flows = flows.flows();
         report.archive = Some(summary);
 
         // §4: merge the flows by timestamp *while writing the output* —
         // each synthesized packet goes straight into the sink's buffer.
         let decompressor = Decompressor::new(params);
-        let mut packets = decompressor.packets(&archive);
+        let mut packets = decompressor.packets(flows);
         let delivered = sink.deliver_packets(output_format, &mut packets)?;
         report.packets = delivered.packets;
         report.peak_open_flows = packets.peak_open() as u64;

@@ -178,7 +178,7 @@ impl<'a> QueryBuilder<'a> {
         let decode_err = |e| PipelineError::decode(context.clone(), e);
         let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
         let summary = ArchiveSummary::from_reader(&reader, bytes.len());
-        let selection = select_reader(reader, &query, &params).map_err(decode_err)?;
+        let selection = select_reader(&reader, &query, &params).map_err(decode_err)?;
         let stats = selection.stats;
 
         if let Some(m) = &metrics {
@@ -202,7 +202,6 @@ impl<'a> QueryBuilder<'a> {
         report.flows = stats.flows_matched;
         report.archive = Some(summary);
         report.query = Some(stats);
-        drop(bytes);
 
         // With a sink, the matching flows merge straight into it; without
         // one the template lengths already gave the packet count and
@@ -210,7 +209,7 @@ impl<'a> QueryBuilder<'a> {
         let mut buffer = None;
         if let Some(sink) = sink {
             let decompressor = Decompressor::new(params);
-            let mut packets = decompressor.packets(&selection.archive);
+            let mut packets = decompressor.packets(selection.records);
             let delivered = sink.deliver_packets(output_format, &mut packets)?;
             report.peak_open_flows = packets.peak_open() as u64;
             report.output_bytes = delivered.bytes_written;
@@ -238,7 +237,7 @@ impl<'a> QueryBuilder<'a> {
 mod tests {
     use super::*;
     use crate::Pipeline;
-    use flowzip_core::{CompressedTrace, Decompressor};
+    use flowzip_core::{read_v2, Decompressor};
     use flowzip_traffic::web::{WebTrafficConfig, WebTrafficGenerator};
 
     /// A multi-section v2.1 archive, built through the front door: a
@@ -265,8 +264,8 @@ mod tests {
     #[test]
     fn query_session_prunes_and_reports() {
         let bytes = sectioned_archive(300, 9);
-        let full = Decompressor::new(DecompressParams::default())
-            .decompress(&CompressedTrace::from_bytes(&bytes).unwrap());
+        let full =
+            Decompressor::new(DecompressParams::default()).decompress(&read_v2(&bytes).unwrap());
         let target = full.packets()[0].tuple();
         let expected: Vec<_> = full
             .packets()

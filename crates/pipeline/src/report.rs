@@ -14,8 +14,7 @@
 
 use flowzip_core::datasets::CodecError;
 use flowzip_core::{
-    ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressedTrace, CompressionReport,
-    DatasetSizes,
+    ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressionReport, DatasetSizes, Records,
 };
 use flowzip_engine::EngineReport;
 use flowzip_io::IoStats;
@@ -140,23 +139,19 @@ impl TelemetrySummary {
 }
 
 impl ArchiveSummary {
-    /// Summarizes serialized archive bytes (v1 or v2): opens them once,
-    /// measures the real file layout (a multi-section v2 index would not
-    /// survive a re-encode) and decodes the archive. Returns the decoded
-    /// archive too, so callers needing its contents decode once.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when the bytes are not a valid v1/v2 archive.
-    pub fn inspect(bytes: &[u8]) -> Result<(CompressedTrace, ArchiveSummary), CodecError> {
-        // One parse serves the header facts, the layout walk and the
-        // decode; a decode error outranks a layout error.
-        let reader = ArchiveReader::open(bytes)?;
-        let sizes = reader.sizes();
-        let mut summary = ArchiveSummary::from_reader(&reader, bytes.len());
-        let archive = reader.select(|_| true)?;
-        summary.sizes = Some(sizes?);
-        Ok((archive, summary))
+    /// Summarizes an opened archive of `file_bytes` bytes (v1 or v2)
+    /// whose every section `records` walked: the header facts, and the
+    /// real file layout (a multi-section v2 index would not survive a
+    /// re-encode).
+    pub fn inspect(
+        reader: &ArchiveReader<'_>,
+        records: &Records<'_>,
+        file_bytes: usize,
+    ) -> ArchiveSummary {
+        ArchiveSummary {
+            sizes: Some(records.sizes()),
+            ..ArchiveSummary::from_reader(reader, file_bytes)
+        }
     }
 
     /// The facts a parsed header gives — no payload decoded, so a
@@ -295,22 +290,25 @@ impl Report {
     }
 
     /// An `info`-mode report for serialized archive bytes — what
-    /// `flowzip info` prints.
+    /// `flowzip info` prints. The reader's validating walk counts the
+    /// flows and packets; no record is merged.
     ///
     /// # Errors
     ///
     /// [`CodecError`] when the bytes are not a valid archive.
     pub fn inspect(bytes: &[u8]) -> Result<Report, CodecError> {
-        let (archive, summary) = ArchiveSummary::inspect(bytes)?;
-        Ok(Report::from_archive(&archive, summary))
+        let reader = ArchiveReader::open(bytes)?;
+        let records = reader.records(|_| true)?;
+        let summary = ArchiveSummary::inspect(&reader, &records, bytes.len());
+        Ok(Report::from_archive(&records, summary))
     }
 
-    /// An `info`-mode report for an archive [`ArchiveSummary::inspect`]
-    /// already decoded — for callers that read the archive's flows too.
-    pub fn from_archive(archive: &CompressedTrace, summary: ArchiveSummary) -> Report {
+    /// An `info`-mode report for an archive whose records `records`
+    /// walked — for callers that go on to read its flows too.
+    pub fn from_archive(records: &Records<'_>, summary: ArchiveSummary) -> Report {
         let mut report = Report::new(Mode::Info);
-        report.packets = archive.packet_count();
-        report.flows = archive.flow_count() as u64;
+        report.packets = records.packets();
+        report.flows = records.flows();
         report.archive = Some(summary);
         report
     }

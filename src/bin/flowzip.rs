@@ -39,7 +39,7 @@
 //! unknown or misplaced `--flag` is an error, never silently ignored.
 
 use flowzip::analysis::TraceComplexity;
-use flowzip::core::{synthesize, CompressedTrace};
+use flowzip::core::{synthesize, ArchiveReader};
 use flowzip::obs::json::JsonObject;
 use flowzip::obs::log::{self, Level};
 use flowzip::obs::{Metrics, Profiler, SnapshotFormat};
@@ -670,10 +670,13 @@ fn serve(opts: &Opts) -> Result<(), Failure> {
 fn info(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-    // One decode serves the report and the complexity line.
-    let (decoded, summary) =
-        ArchiveSummary::inspect(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
-    let mut report = Report::from_archive(&decoded, summary);
+    // The reader's validating walk counts the flows and packets; the
+    // complexity line folds the record merge, one record at a time.
+    let parse_err = |e: flowzip::core::datasets::CodecError| format!("parse {input}: {e}");
+    let reader = ArchiveReader::open(&bytes).map_err(parse_err)?;
+    let records = reader.records(|_| true).map_err(parse_err)?;
+    let summary = ArchiveSummary::inspect(&reader, &records, bytes.len());
+    let mut report = Report::from_archive(&records, summary);
     report.inputs = vec![input.to_string()];
     if opts.get_bool("json") {
         out!("{}", report.to_json());
@@ -726,7 +729,7 @@ fn info(opts: &Opts) -> Result<(), Failure> {
     // The trace-complexity score folds straight off the flow records, so
     // any v2 archive (telemetry or not) gets one.
     if archive.format == ArchiveFormat::V2 {
-        let c = TraceComplexity::from_archive(&decoded);
+        let c = TraceComplexity::from_records(records);
         out!(
             "  complexity       : {:.1}/100 (size entropy {:.2}, burstiness {:.2})",
             c.score,
@@ -937,7 +940,8 @@ fn synth(opts: &Opts) -> Result<(), Failure> {
     let flows = opts.get_u64("flows", 10_000)? as usize;
     let seed = opts.get_u64("seed", 0x517E)?;
     let bytes = std::fs::read(input).map_err(|e| format!("read {input}: {e}"))?;
-    let archive = CompressedTrace::from_bytes(&bytes).map_err(|e| format!("parse {input}: {e}"))?;
+    let archive = flowzip::core::CompressedTrace::from_bytes(&bytes)
+        .map_err(|e| format!("parse {input}: {e}"))?;
     let trace = synthesize(&archive, flows, seed);
     let written = write_tsh(&out, &trace)?;
     out!(

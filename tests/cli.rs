@@ -1242,6 +1242,68 @@ fn crafted_long_templates_are_errors_not_panics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// 2 000 short flows a millisecond apart, alternating between two
+/// addresses, as a v1 archive and its v2 twin — each with the *last*
+/// record's address index patched to 2, one past the address dataset.
+fn bad_last_record_archives() -> [(&'static str, Vec<u8>); 2] {
+    use flowzip::core::{CompressedTrace, FlowRecord};
+    let ct = CompressedTrace {
+        short_templates: vec![vec![0, 16, 32]],
+        long_templates: vec![],
+        addresses: vec![Ipv4Addr::new(193, 5, 9, 1), Ipv4Addr::new(193, 5, 9, 2)],
+        time_seq: (0..2_000u32)
+            .map(|i| FlowRecord {
+                first_ts: Timestamp::from_micros(1_000 * (u64::from(i) + 1)),
+                is_long: false,
+                template_idx: 0,
+                addr_idx: i % 2,
+                rtt: Duration::from_micros(1_280),
+            })
+            .collect(),
+    };
+    // The last record ends each record slice: key 0, address 1, Δts
+    // 1 000 µs (two bytes), RTT 10 × 128 µs.
+    let patch = |mut bytes: Vec<u8>, end: usize| {
+        assert_eq!(bytes[end - 5..end], [0, 1, 0xE8, 0x07, 10]);
+        bytes[end - 4] = 2;
+        bytes
+    };
+    let v1 = ct.to_bytes();
+    let v1_len = v1.len();
+    let (v2, sizes) = ct.encode_v2();
+    let v2_records_end = v2.len() - sizes.metadata as usize;
+    [
+        ("bad_last_v1", patch(v1, v1_len)),
+        ("bad_last_v2", patch(v2, v2_records_end)),
+    ]
+}
+
+/// A bad record at the very end of the time-seq data is still an
+/// up-front error: every command walks the records it will read before
+/// it writes a packet, so decompress and `query -o` leave no output or
+/// `.part` file, and each command reports the record's index error.
+#[test]
+fn a_bad_last_record_fails_before_any_output() {
+    let dir = tmpdir("bad-last");
+    let out = dir.join("out.tsh");
+    for (name, bytes) in bad_last_record_archives() {
+        let archive = dir.join(format!("{name}.fzc"));
+        std::fs::write(&archive, bytes).unwrap();
+        let archive = archive.as_os_str();
+        let o = out.as_os_str();
+        for args in [
+            vec!["info".as_ref(), archive],
+            vec!["info".as_ref(), archive, "--json".as_ref()],
+            vec!["decompress".as_ref(), archive, "-o".as_ref(), o],
+            vec!["query".as_ref(), archive],
+            vec!["query".as_ref(), archive, "-o".as_ref(), o],
+        ] {
+            assert_clean_failure(&args, &out, "address index 2 out of range");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn unrepresentable_timestamps_are_errors_not_panics() {
     let fixture =
