@@ -14,16 +14,20 @@
 //! flow decodes only its `M` column ([`FinishedFlow::decode_vector`])
 //! for clustering.
 //!
-//! This implementation keys active flows by the packed canonical 5-tuple
-//! ([`FlowKey`], hashed once per packet under a seeded [`FlowHash`]) and
-//! finalizes a flow when:
+//! The list of nodes is a slab of slots, reused through a free list and
+//! threaded on `prev`/`next` links in first-seen order; an open flow
+//! costs one slot. A map from the packed canonical 5-tuple ([`FlowKey`],
+//! hashed once per packet under a seeded [`FlowHash`]) to the slot finds
+//! a packet's flow, and nothing walks it: eviction and the end-of-trace
+//! flush walk the list, so no output depends on the map's seeds. A flow
+//! is finalized when:
 //!
 //! * an RST is seen (abortive close — immediate), or
 //! * both directions have sent FIN and the closing ACK arrives, or
 //! * the flow sits idle past a caller-chosen cutoff
 //!   ([`FlowAccumulator::evict_idle`] — what keeps streaming memory
 //!   bounded on arbitrarily long traces), or
-//! * the trace ends ([`FlowAccumulator::finish`]).
+//! * the trace ends ([`FlowAccumulator::flush`]).
 //!
 //! Streaming consumers interleave [`FlowAccumulator::push`] with
 //! [`FlowAccumulator::drain_completed`] so finished flows leave the
@@ -264,9 +268,6 @@ impl TelemetryState {
 /// encoding as they arrive, and that [`FinishedFlow`] takes over as is.
 #[derive(Debug)]
 struct ActiveFlow {
-    /// First-seen sequence number; pairs with the `order` log so stale
-    /// log entries for a reopened key are distinguishable.
-    seq: u64,
     /// The first packet's direction bit from [`FlowKey::of`]; a packet
     /// comes from the initiator when its bit equals this one.
     initiator_up: bool,
@@ -300,27 +301,107 @@ impl ActiveFlow {
     }
 }
 
+/// The end of the first-seen list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One slab slot. An occupied slot holds an open flow and its links in
+/// the §3 first-seen list; a free one (`flow` is `None`) links the free
+/// list through `next`.
+#[derive(Debug)]
+struct Slot {
+    key: FlowKey,
+    prev: u32,
+    next: u32,
+    flow: Option<ActiveFlow>,
+}
+
+// One open flow, one slot: no larger than a map bucket holding the key
+// and the flow side by side (16 + 88 B).
+const _: () = assert!(std::mem::size_of::<Slot>() <= 104);
+
+/// The open flows: a slab of [`Slot`]s, reused through a free list,
+/// threaded on the first-seen list from `head` to `tail`.
+#[derive(Debug)]
+struct FlowList {
+    slots: Vec<Slot>,
+    head: u32,
+    tail: u32,
+    free: u32,
+}
+
+impl FlowList {
+    fn new() -> FlowList {
+        FlowList {
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            free: NIL,
+        }
+    }
+
+    /// Links a new open flow at the tail, in a freed slot when there is
+    /// one, and returns its slot.
+    fn push_back(&mut self, key: FlowKey, flow: ActiveFlow) -> u32 {
+        let slot = Slot {
+            key,
+            prev: self.tail,
+            next: NIL,
+            flow: Some(flow),
+        };
+        let at = if self.free == NIL {
+            let at = u32::try_from(self.slots.len())
+                .ok()
+                .filter(|&at| at != NIL)
+                .expect("fewer than 2^32 - 1 open flows");
+            self.slots.push(slot);
+            at
+        } else {
+            let at = self.free;
+            self.free = self.slots[at as usize].next;
+            self.slots[at as usize] = slot;
+            at
+        };
+        match self.tail {
+            NIL => self.head = at,
+            tail => self.slots[tail as usize].next = at,
+        }
+        self.tail = at;
+        at
+    }
+
+    /// Unlinks the flow in slot `at` and frees the slot.
+    fn remove(&mut self, at: u32) -> (FlowKey, ActiveFlow) {
+        let slot = &mut self.slots[at as usize];
+        let flow = slot.flow.take().expect("a linked slot holds a flow");
+        let (key, prev, next) = (slot.key, slot.prev, slot.next);
+        slot.next = self.free;
+        self.free = at;
+        match prev {
+            NIL => self.head = next,
+            prev => self.slots[prev as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            next => self.slots[next as usize].prev = prev,
+        }
+        (key, flow)
+    }
+}
+
 /// Streaming flow assembler: push packets in trace order, collect
-/// finished flows as they complete, then [`FlowAccumulator::finish`] to
-/// flush still-open flows.
+/// finished flows as they complete, then [`FlowAccumulator::flush`] the
+/// still-open ones.
 #[derive(Debug)]
 pub struct FlowAccumulator {
     params: Params,
     /// Derive per-flow TCP telemetry inline during [`Self::push`].
     telemetry: bool,
-    /// Open flows. Iteration order depends on the per-table seed, so
-    /// nothing walks this map; `order` decides every output order.
-    active: HashMap<FlowKey, ActiveFlow, FlowHash>,
-    /// Append-only log of `(key, seq)` in first-seen order, so
-    /// `finish()` and `evict_idle()` drain deterministically. Entries
-    /// whose flow has completed (or whose key was reopened under a new
-    /// seq) are tombstones, skipped on traversal and compacted away once
-    /// they outnumber live flows — completion itself stays O(1) even
-    /// with millions of concurrently open flows.
-    order: Vec<(FlowKey, u64)>,
-    /// Completed-entry count in `order` (compaction trigger).
-    tombstones: usize,
-    next_seq: u64,
+    /// Each open flow's slot in `open`. Iteration order depends on the
+    /// per-table seed, so nothing walks this map; `open`'s first-seen
+    /// list decides every output order.
+    index: HashMap<FlowKey, u32, FlowHash>,
+    /// The open flows, in first-seen order.
+    open: FlowList,
     finished: Vec<FinishedFlow>,
     /// High-water mark of simultaneously open flows.
     peak_active: usize,
@@ -343,10 +424,8 @@ impl FlowAccumulator {
         FlowAccumulator {
             params,
             telemetry,
-            active: HashMap::default(),
-            order: Vec::new(),
-            tombstones: 0,
-            next_seq: 0,
+            index: HashMap::default(),
+            open: FlowList::new(),
             finished: Vec::new(),
             peak_active: 0,
             evicted: 0,
@@ -355,7 +434,7 @@ impl FlowAccumulator {
 
     /// Number of flows currently open.
     pub fn active_flows(&self) -> usize {
-        self.active.len()
+        self.index.len()
     }
 
     /// Most flows ever open at once — the memory high-water mark a
@@ -373,33 +452,36 @@ impl FlowAccumulator {
     /// packet completes it.
     pub fn push(&mut self, p: &PacketRecord) {
         let (key, up) = FlowKey::of(p.tuple());
+        let open_before = self.index.len();
         // One hash per packet: the entry found here also removes the flow
         // if this packet completes it.
-        let mut entry = match self.active.entry(key) {
+        let entry = match self.index.entry(key) {
             Entry::Occupied(entry) => entry,
-            Entry::Vacant(slot) => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                self.order.push((key, seq));
-                // Live flows = log entries minus tombstones; after the push
-                // that is the open-flow count including this new flow.
-                self.peak_active = self.peak_active.max(self.order.len() - self.tombstones);
-                slot.insert_entry(ActiveFlow {
-                    seq,
-                    initiator_up: up,
-                    first_ts: p.timestamp(),
-                    last_ts: p.timestamp(),
-                    last_dir: None,
-                    rtt: None,
-                    fin_from_initiator: false,
-                    fin_from_responder: false,
-                    log: Vec::new(),
-                    packets: 0,
-                    telem: self.telemetry.then(Box::default),
-                })
+            Entry::Vacant(vacant) => {
+                self.peak_active = self.peak_active.max(open_before + 1);
+                let at = self.open.push_back(
+                    key,
+                    ActiveFlow {
+                        initiator_up: up,
+                        first_ts: p.timestamp(),
+                        last_ts: p.timestamp(),
+                        last_dir: None,
+                        rtt: None,
+                        fin_from_initiator: false,
+                        fin_from_responder: false,
+                        log: Vec::new(),
+                        packets: 0,
+                        telem: self.telemetry.then(Box::default),
+                    },
+                );
+                vacant.insert_entry(at)
             }
         };
-        let flow = entry.get_mut();
+        let at = *entry.get();
+        let flow = self.open.slots[at as usize]
+            .flow
+            .as_mut()
+            .expect("an indexed slot holds a flow");
 
         let dir = if up == flow.initiator_up {
             FlowDirection::FromInitiator
@@ -437,24 +519,10 @@ impl FlowAccumulator {
         let complete = p.flags().is_rst()
             || (flow.fin_from_initiator && flow.fin_from_responder && !p.flags().is_fin()); // the closing ACK after both FINs
         if complete {
-            self.finished.push(entry.remove().finish(key));
-            // The flow's `order` entry becomes a tombstone; compact the
-            // log once tombstones dominate so it stays proportional to
-            // the open-flow count (amortized O(1) per completion).
-            self.tombstones += 1;
-            if self.tombstones > self.active.len() + 16 {
-                self.compact_order();
-            }
+            entry.remove();
+            let (key, flow) = self.open.remove(at);
+            self.finished.push(flow.finish(key));
         }
-    }
-
-    /// Drops `order` entries whose flow completed or whose key was
-    /// reopened under a newer seq.
-    fn compact_order(&mut self) {
-        let active = &self.active;
-        self.order
-            .retain(|(key, seq)| active.get(key).is_some_and(|f| f.seq == *seq));
-        self.tombstones = 0;
     }
 
     /// Flows completed so far (FIN/RST-terminated), in completion order.
@@ -474,7 +542,7 @@ impl FlowAccumulator {
     }
 
     /// Force-closes every flow whose last packet predates `cutoff`,
-    /// finalizing each exactly as [`Self::finish`] would (first-seen
+    /// finalizing each exactly as [`Self::flush`] would (first-seen
     /// order). Returns how many flows were evicted.
     ///
     /// A flow whose key reappears later starts over as a *new* flow, so
@@ -482,45 +550,83 @@ impl FlowAccumulator {
     /// past any plausible TCP idle period.
     pub fn evict_idle(&mut self, cutoff: Timestamp) -> usize {
         let before = self.finished.len();
-        let (active, finished) = (&mut self.active, &mut self.finished);
-        // Compacts the log in place: idle flows and tombstones (completed,
-        // or key reopened under a new seq) leave it, live flows keep
-        // their first-seen order.
-        self.order.retain(|&(key, seq)| match active.get(&key) {
-            Some(flow) if flow.seq == seq => {
-                let idle = flow.last_ts < cutoff;
-                if idle {
-                    let flow = active.remove(&key).expect("idle flow present");
-                    finished.push(flow.finish(key));
-                }
-                !idle
+        let mut at = self.open.head;
+        while at != NIL {
+            let slot = &self.open.slots[at as usize];
+            let next = slot.next;
+            if slot.flow.as_ref().is_some_and(|f| f.last_ts < cutoff) {
+                let (key, flow) = self.open.remove(at);
+                self.index.remove(&key);
+                self.finished.push(flow.finish(key));
             }
-            _ => false,
-        });
-        self.tombstones = 0;
+            at = next;
+        }
         let evicted = self.finished.len() - before;
         self.evicted += evicted as u64;
         evicted
     }
 
-    /// Flushes still-open flows (end of trace) and returns every finished
-    /// flow. Open flows are flushed in first-seen order, after the
-    /// FIN/RST-completed ones.
-    pub fn finish(mut self) -> Vec<FinishedFlow> {
-        // One allocation for the flush instead of a doubling chain: with
-        // tens of thousands of flows still open, the chain's last step
-        // is megabytes copied while the table is still allocated.
-        self.finished.reserve_exact(self.active.len());
-        for (key, seq) in std::mem::take(&mut self.order) {
-            let live = self.active.get(&key).is_some_and(|f| f.seq == seq);
-            if live {
-                let flow = self.active.remove(&key).expect("live flow present");
-                self.finished.push(flow.finish(key));
-            }
+    /// Ends the trace: yields every finished flow, the FIN/RST-completed
+    /// ones first in completion order, then the still-open ones in
+    /// first-seen order, each finalized as it is taken. Nothing is
+    /// collected, so a consumer that takes each flow as it comes never
+    /// holds the flows and the table at once.
+    pub fn flush(self) -> impl ExactSizeIterator<Item = FinishedFlow> {
+        let FlowAccumulator {
+            index,
+            open,
+            finished,
+            ..
+        } = self;
+        Flush {
+            completed: finished.into_iter(),
+            at: open.head,
+            open_left: index.len(),
+            open,
         }
-        self.finished
+    }
+
+    /// [`Self::flush`] collected into a `Vec`. The project's benchmark
+    /// harness calls it; everything else takes flows from `flush`.
+    pub fn finish(self) -> Vec<FinishedFlow> {
+        self.flush().collect()
     }
 }
+
+/// [`FlowAccumulator::flush`]'s iterator: it walks the first-seen list
+/// once, taking each open flow out of its slot.
+struct Flush {
+    completed: std::vec::IntoIter<FinishedFlow>,
+    open: FlowList,
+    /// The next open flow's slot.
+    at: u32,
+    open_left: usize,
+}
+
+impl Iterator for Flush {
+    type Item = FinishedFlow;
+
+    fn next(&mut self) -> Option<FinishedFlow> {
+        if let Some(flow) = self.completed.next() {
+            return Some(flow);
+        }
+        if self.at == NIL {
+            return None;
+        }
+        let slot = &mut self.open.slots[self.at as usize];
+        self.at = slot.next;
+        self.open_left -= 1;
+        let flow = slot.flow.take().expect("a linked slot holds a flow");
+        Some(flow.finish(slot.key))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.completed.len() + self.open_left;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Flush {}
 
 #[cfg(test)]
 mod tests {
@@ -616,7 +722,7 @@ mod tests {
         acc.push(&pkt(t.reversed(), 50, TcpFlags::SYN | TcpFlags::ACK, 0));
         assert_eq!(acc.completed().len(), 0);
         assert_eq!(acc.active_flows(), 1);
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 1);
         assert_eq!(flows[0].len(), 2);
     }
@@ -632,7 +738,7 @@ mod tests {
         acc.push(&pkt(b.reversed(), 15, TcpFlags::SYN | TcpFlags::ACK, 0));
         acc.push(&pkt(a, 20, TcpFlags::RST, 0));
         acc.push(&pkt(b, 25, TcpFlags::RST, 0));
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 2);
         assert!(flows.iter().all(|f| f.len() == 3));
     }
@@ -653,7 +759,7 @@ mod tests {
         acc.push(&pkt(t, 100, TcpFlags::SYN, 0));
         acc.push(&pkt(t.reversed(), 350, TcpFlags::SYN | TcpFlags::ACK, 0));
         acc.push(&pkt(t, 360, TcpFlags::RST, 0));
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(
             ipts(&flows[0]),
             vec![
@@ -673,7 +779,7 @@ mod tests {
         acc.push(&pkt(t, 3, TcpFlags::SYN, 0));
         acc.push(&pkt(t, 3 + wide, TcpFlags::ACK, 0));
         acc.push(&pkt(t, 3 + wide + huge, TcpFlags::RST, 0));
-        let f = acc.finish().remove(0);
+        let f = acc.flush().next().unwrap();
         assert_eq!(f.len(), 3);
         assert_eq!(
             ipts(&f),
@@ -703,7 +809,7 @@ mod tests {
         acc.push(&pkt(t, 0, TcpFlags::SYN, 0));
         acc.push(&pkt(t.reversed(), 10, TcpFlags::SYN | TcpFlags::ACK, 0));
         acc.push(&pkt(t, 20, TcpFlags::FIN | TcpFlags::ACK, 0));
-        let f = acc.finish().remove(0);
+        let f = acc.flush().next().unwrap();
         let v = vector(&f);
         assert_eq!(v.len(), 3);
         // Every packet flips direction (dependent, +0). SYN: class 0.
@@ -727,7 +833,7 @@ mod tests {
         assert_eq!(acc.completed().len(), 1);
         assert_eq!(acc.completed()[0].len(), 1);
         // The fresh flow survives and still finishes normally.
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 2);
     }
 
@@ -738,7 +844,7 @@ mod tests {
         acc.push(&pkt(t, 0, TcpFlags::SYN, 0));
         acc.evict_idle(Timestamp::from_micros(10));
         acc.push(&pkt(t, 20, TcpFlags::ACK, 0));
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 2);
         assert!(flows.iter().all(|f| f.len() == 1));
     }
@@ -757,10 +863,10 @@ mod tests {
     }
 
     #[test]
-    fn order_log_compaction_preserves_semantics() {
-        // Thousands of completions against few open flows force many
-        // compaction cycles; reopened keys must come back as fresh flows
-        // in correct first-seen order and peak must stay small.
+    fn completions_reuse_slots_against_a_long_lived_flow() {
+        // Thousands of completions against one long-lived flow: each
+        // completed flow's slot is freed and taken by the next new flow,
+        // so the slab never outgrows the open flows.
         let mut acc = FlowAccumulator::new(Params::paper());
         let keep = tuple(1); // stays open throughout
         acc.push(&pkt(keep, 0, TcpFlags::SYN, 0));
@@ -771,17 +877,65 @@ mod tests {
             acc.push(&pkt(t, base + 1, TcpFlags::RST, 0));
         }
         assert_eq!(acc.completed().len(), 2_000);
-        assert!(
-            acc.peak_active_flows() <= 3,
-            "peak {}",
-            acc.peak_active_flows()
-        );
+        assert!(acc.open.slots.len() <= 3, "{} slots", acc.open.slots.len());
+        assert_eq!(acc.peak_active_flows(), 2);
         assert_eq!(acc.active_flows(), 1);
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 2_001);
         // The long-lived flow flushes last, with only its own packet.
         assert_eq!(flows[2_000].first_ts, Timestamp::from_micros(0));
         assert_eq!(flows[2_000].len(), 1);
+    }
+
+    #[test]
+    fn evicted_key_reopens_in_a_freed_slot() {
+        let mut acc = FlowAccumulator::new(Params::paper());
+        let (a, b) = (tuple(9400), tuple(9401));
+        acc.push(&pkt(a, 0, TcpFlags::SYN, 0));
+        acc.push(&pkt(b, 100, TcpFlags::SYN, 0));
+        assert_eq!(acc.evict_idle(Timestamp::from_micros(50)), 1);
+        acc.push(&pkt(a, 200, TcpFlags::ACK, 0));
+        assert_eq!(acc.open.slots.len(), 2, "the reopened key took a's slot");
+        assert_eq!(acc.active_flows(), 2);
+        let flows: Vec<_> = acc.flush().collect();
+        let firsts: Vec<u64> = flows.iter().map(|f| f.first_ts.as_micros()).collect();
+        // The evicted flow, then b and the reopened a in first-seen order.
+        assert_eq!(firsts, vec![0, 100, 200]);
+    }
+
+    #[test]
+    fn flush_keeps_first_seen_order_across_completion_eviction_and_reuse() {
+        let mut acc = FlowAccumulator::new(Params::paper());
+        let port = |i: u64| tuple(9500 + i as u16);
+        // Open ten flows, one every 10 µs.
+        for i in 0..10 {
+            acc.push(&pkt(port(i), i * 10, TcpFlags::SYN, 0));
+        }
+        // Complete 3 and 7, and keep 5 and 9 busy past the cutoff, so
+        // the eviction closes 0, 1, 2, 4, 6, 8 and frees their slots.
+        acc.push(&pkt(port(3), 100, TcpFlags::RST, 0));
+        acc.push(&pkt(port(7), 110, TcpFlags::RST, 0));
+        acc.push(&pkt(port(5), 120, TcpFlags::ACK, 0));
+        acc.push(&pkt(port(9), 130, TcpFlags::ACK, 0));
+        assert_eq!(acc.evict_idle(Timestamp::from_micros(115)), 6);
+        let evicted: Vec<u64> = acc
+            .drain_completed()
+            .iter()
+            .map(|f| f.first_ts.as_micros())
+            .collect();
+        assert_eq!(evicted, vec![30, 70, 0, 10, 20, 40, 60, 80]);
+        // Reopen 1 and 0 (in that order) and open a new key: all three
+        // take freed slots and go to the tail of the list.
+        acc.push(&pkt(port(1), 140, TcpFlags::SYN, 0));
+        acc.push(&pkt(port(0), 150, TcpFlags::SYN, 0));
+        acc.push(&pkt(port(20), 160, TcpFlags::SYN, 0));
+        assert_eq!(acc.open.slots.len(), 10);
+        // Complete 9 mid-list, then flush.
+        acc.push(&pkt(port(9), 170, TcpFlags::RST, 0));
+        let flows = acc.flush();
+        assert_eq!(flows.len(), 5);
+        let firsts: Vec<u64> = flows.map(|f| f.first_ts.as_micros()).collect();
+        assert_eq!(firsts, vec![90, 50, 140, 150, 160]);
     }
 
     #[test]
@@ -800,7 +954,7 @@ mod tests {
         let mut acc = FlowAccumulator::new(Params::paper());
         let t = tuple(8000);
         acc.push(&pkt(t, 0, TcpFlags::SYN, 0));
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows[0].rtt, Duration::ZERO);
     }
 
@@ -828,7 +982,7 @@ mod tests {
             let mut acc = FlowAccumulator::with_telemetry(Params::paper(), telemetry);
             push_conversation(&mut acc, tuple(8100), 0);
             push_conversation(&mut acc, tuple(8101), 500);
-            acc.finish()
+            acc.flush().collect::<Vec<_>>()
         };
         let off = run(false);
         let on = run(true);
@@ -864,7 +1018,7 @@ mod tests {
             901,
         ));
         acc.push(&seq_pkt(s, 750, TcpFlags::ACK, 0, 901, 401));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!(f.rtt_samples, 3);
         assert_eq!(f.rtt_us, (300 + 100 + 250) / 3);
         assert_eq!(f.retransmissions(), 0);
@@ -879,7 +1033,7 @@ mod tests {
         let t = tuple(8300);
         acc.push(&seq_pkt(t, 0, TcpFlags::ACK, 500, 1000, 1));
         acc.push(&seq_pkt(t, 900_000, TcpFlags::ACK, 500, 1000, 1));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!((f.retrans_fast, f.retrans_timeout), (0, 1));
 
         // Fast: three duplicate ACKs from the receiver, then the resend.
@@ -892,7 +1046,7 @@ mod tests {
         acc.push(&seq_pkt(s, 300, TcpFlags::ACK, 0, 1, 1000));
         acc.push(&seq_pkt(s, 400, TcpFlags::ACK, 0, 1, 1000));
         acc.push(&seq_pkt(t, 500, TcpFlags::ACK, 500, 1000, 1));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!((f.retrans_fast, f.retrans_timeout), (1, 0));
     }
 
@@ -909,7 +1063,7 @@ mod tests {
         acc.push(&pkt(u, 0, TcpFlags::EMPTY, 80));
         acc.push(&pkt(u, 400, TcpFlags::EMPTY, 120));
         acc.push(&pkt(u, 2_000_400, TcpFlags::EMPTY, 60));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!(f.rtt_samples, 0);
         assert_eq!(f.rtt_us, 0);
         assert_eq!(f.retransmissions(), 0);
@@ -936,7 +1090,7 @@ mod tests {
             8_000,
             3_000,
         ));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!(f.rtt_samples, 1);
         assert_eq!(f.rtt_us, 600);
         assert_eq!(f.bytes, 1000);
@@ -957,7 +1111,7 @@ mod tests {
             (u32::MAX - 100).wrapping_add(500),
             1,
         ));
-        let f = acc.finish().remove(0).telemetry.unwrap();
+        let f = acc.flush().next().unwrap().telemetry.unwrap();
         assert_eq!(f.retransmissions(), 0);
     }
 }

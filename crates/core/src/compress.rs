@@ -90,7 +90,7 @@ impl Compressor {
             acc.push(p);
         }
         let peak = acc.peak_active_flows() as u64;
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         let (compressed, mut report) = self.assemble(trace, flows);
         report.peak_active_flows = peak;
         (compressed, report)
@@ -607,7 +607,7 @@ mod tests {
                 );
             }
         }
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         assert_eq!(flows.len(), 2);
         assert!(flows[0].is_short(params.short_max));
         assert!(!flows[1].is_short(params.short_max));
@@ -631,7 +631,7 @@ mod tests {
         for p in &trace {
             acc.push(p);
         }
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         let long: Vec<&FinishedFlow> = flows
             .iter()
             .filter(|f| !f.is_short(params.short_max))
@@ -690,7 +690,7 @@ mod tests {
         for p in &trace {
             acc.push(p);
         }
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         let build = || {
             let mut asms: Vec<FlowAssembler> =
                 (0..3).map(|_| FlowAssembler::new(params.clone())).collect();
@@ -737,8 +737,8 @@ mod tests {
             acc.push(p);
         }
         let mut asm = FlowAssembler::new(params.clone());
-        for flow in &acc.finish() {
-            asm.consume(flow);
+        for flow in acc.flush() {
+            asm.consume(&flow);
         }
         let (bytes, _) = assemble_sections(
             &params,
@@ -809,7 +809,7 @@ mod tests {
             for p in &trace {
                 acc.push(p);
             }
-            acc.finish()
+            acc.flush().collect::<Vec<_>>()
         };
         let flows_plain = flows(false);
         assert!(flows_plain

@@ -48,11 +48,11 @@
 //! payload spans the long-template dataset, the address dataset and the
 //! time-seq dataset, and decoding skips the address bytes between the
 //! two record slices (a v2 payload skips none). Both revisions share the
-//! record encoding, so one decoder reads both, and
-//! [`ArchiveFormat::detect`] is the only place the magic is looked at.
-//! The parse itself lives in the crate's `decode` module, behind one
-//! checked byte cursor; this module keeps the writers, of which
-//! `write_v2` is the only one that lays out a v2 archive.
+//! record encoding, so one decoder reads both. The parse lives in the
+//! crate's `decode` module, behind one checked byte cursor, and so does
+//! [`ArchiveFormat::detect`], the only place the magic is looked at;
+//! this module keeps the writers, of which `write_v2` is the only one
+//! that lays out a v2 archive.
 //!
 //! **Equivalence guarantee.** Reading a v2 archive reconstructs the
 //! *identical* [`CompressedTrace`] the v1 path would have produced from
@@ -795,13 +795,7 @@ mod tests {
 
     #[test]
     fn format_detection() {
-        let ct = web_archive(40, 1);
-        assert_eq!(ArchiveFormat::detect(&ct.to_bytes()), Ok(ArchiveFormat::V1));
-        assert_eq!(
-            ArchiveFormat::detect(&ct.to_bytes_v2()),
-            Ok(ArchiveFormat::V2)
-        );
-        assert_eq!(ArchiveFormat::detect(b"junk"), Err(CodecError::BadHeader));
+        // `ArchiveFormat::detect` is tested beside it, in `decode`.
         assert_eq!(ArchiveFormat::V2.to_string(), "v2");
         assert_eq!(ArchiveFormat::default(), ArchiveFormat::V2);
     }
@@ -1456,8 +1450,8 @@ mod tests {
         let mut shards: Vec<_> = (0..3)
             .map(|_| crate::FlowAssembler::with_telemetry(params.clone(), true))
             .collect();
-        for (i, flow) in acc.finish().iter().enumerate() {
-            shards[i % 3].consume(flow);
+        for (i, flow) in acc.flush().enumerate() {
+            shards[i % 3].consume(&flow);
         }
         let sections = shards.into_iter().map(|a| a.into_section()).collect();
         let (bytes, sizes, _) = write_sections(&params, sections);

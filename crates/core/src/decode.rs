@@ -1047,6 +1047,28 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn detect_reads_the_magic() {
+        let trace = flowzip_traffic::web::WebTrafficGenerator::new(
+            flowzip_traffic::web::WebTrafficConfig {
+                flows: 40,
+                ..Default::default()
+            },
+            1,
+        )
+        .generate();
+        let ct = crate::Compressor::new(crate::Params::paper())
+            .compress(&trace)
+            .0;
+        assert_eq!(ArchiveFormat::detect(&ct.to_bytes()), Ok(ArchiveFormat::V1));
+        assert_eq!(
+            ArchiveFormat::detect(&ct.to_bytes_v2()),
+            Ok(ArchiveFormat::V2)
+        );
+        assert_eq!(ArchiveFormat::detect(b"junk"), Err(CodecError::BadHeader));
+        assert_eq!(ArchiveFormat::detect(b"FZ"), Err(CodecError::BadHeader));
+    }
+
+    #[test]
     fn counts_reserve_no_more_than_the_bytes_hold() {
         let mut bytes = Vec::new();
         put_varint(1_000_000, &mut bytes);

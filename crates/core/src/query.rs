@@ -249,7 +249,7 @@ mod tests {
         for p in &trace {
             acc.push(p);
         }
-        let finished = acc.finish();
+        let finished: Vec<_> = acc.flush().collect();
         let mut asms: Vec<FlowAssembler> = (0..shards)
             .map(|_| FlowAssembler::new(params.clone()))
             .collect();

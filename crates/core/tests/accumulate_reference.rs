@@ -145,6 +145,8 @@ struct Reference {
     params: Params,
     telemetry: bool,
     open: BTreeMap<FiveTuple, RefFlow>,
+    /// Most flows ever in `open` at once.
+    peak: usize,
     next_seq: u64,
     finished: Vec<RefFinished>,
     evicted: u64,
@@ -156,6 +158,7 @@ impl Reference {
             params: Params::paper(),
             telemetry,
             open: BTreeMap::new(),
+            peak: 0,
             next_seq: 0,
             finished: Vec::new(),
             evicted: 0,
@@ -164,6 +167,9 @@ impl Reference {
 
     fn push(&mut self, p: &PacketRecord) {
         let key = canonical(p.tuple());
+        if !self.open.contains_key(&key) {
+            self.peak = self.peak.max(self.open.len() + 1);
+        }
         let next_seq = &mut self.next_seq;
         let flow = self.open.entry(key).or_insert_with(|| {
             *next_seq += 1;
@@ -250,9 +256,12 @@ impl Reference {
             for p in &flow.packets {
                 solo.push(p);
             }
-            let mut out = solo.finish();
+            let mut out = solo.flush();
             assert_eq!(out.len(), 1, "one flow's packets form one flow");
-            out.remove(0).telemetry.expect("telemetry on")
+            out.next()
+                .expect("one flow")
+                .telemetry
+                .expect("telemetry on")
         });
         self.finished.push(RefFinished {
             first_ts,
@@ -264,14 +273,16 @@ impl Reference {
     }
 }
 
+/// What the accumulator's output holds: the finished flows, the
+/// evictions, and `(active_flows, peak_active_flows)` after every op.
+type Accumulated = (Vec<FinishedFlow>, u64, Vec<(usize, usize)>);
+
 /// Runs the accumulator over the rendered ops, draining at every
-/// eviction so `drain_completed` and `finish` both feed the output.
-fn accumulate(
-    events: &[Result<PacketRecord, Timestamp>],
-    telemetry: bool,
-) -> (Vec<FinishedFlow>, u64) {
+/// eviction so `drain_completed` and `flush` both feed the output.
+fn accumulate(events: &[Result<PacketRecord, Timestamp>], telemetry: bool) -> Accumulated {
     let mut acc = FlowAccumulator::with_telemetry(Params::paper(), telemetry);
     let mut out = Vec::new();
+    let mut counts = Vec::with_capacity(events.len());
     for event in events {
         match event {
             Ok(p) => acc.push(p),
@@ -280,10 +291,11 @@ fn accumulate(
                 out.extend(acc.drain_completed());
             }
         }
+        counts.push((acc.active_flows(), acc.peak_active_flows()));
     }
     let evicted = acc.evicted_flows();
-    out.extend(acc.finish());
-    (out, evicted)
+    out.extend(acc.flush());
+    (out, evicted, counts)
 }
 
 proptest! {
@@ -294,16 +306,23 @@ proptest! {
     {
         let events = render(&ops);
         let mut reference = Reference::new(telemetry);
+        let mut want_counts = Vec::with_capacity(events.len());
         for event in &events {
             match event {
                 Ok(p) => reference.push(p),
                 Err(cutoff) => reference.evict_idle(*cutoff),
             }
+            want_counts.push((reference.open.len(), reference.peak));
         }
         let evicted = reference.evicted;
         let want = reference.finish();
-        let (got, got_evicted) = accumulate(&events, telemetry);
+        let (got, got_evicted, got_counts) = accumulate(&events, telemetry);
 
+        // `compress --json` reports the peak, and the engine's gauge the
+        // open count: both must match the reference after every op.
+        for (i, (g, w)) in got_counts.iter().zip(&want_counts).enumerate() {
+            prop_assert_eq!(g, w, "(active, peak) flows after op {}", i);
+        }
         prop_assert_eq!(got.len(), want.len());
         prop_assert_eq!(got_evicted, evicted);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -324,7 +343,7 @@ proptest! {
 
         // A second accumulator draws different table seeds; the output
         // must not notice.
-        let (again, _) = accumulate(&events, telemetry);
+        let (again, _, _) = accumulate(&events, telemetry);
         prop_assert_eq!(again, got);
     }
 }

@@ -20,6 +20,7 @@ use flowzip_core::{
     ArchiveReader, Compressor, Decompressor, FlowAccumulator, FlowAssembler, Params,
 };
 use flowzip_trace::prelude::*;
+use flowzip_trace::FlowKey;
 use flowzip_traffic::{WebTrafficConfig, WebTrafficGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -112,6 +113,32 @@ fn web_trace() -> Trace {
     .generate()
 }
 
+/// The seeded web trace made dense the way the ledger's `web_dense` is:
+/// 20 000 flows started within 2 s, with the FIN and RST packets dropped
+/// from every flow whose canonical tuple hashes even, so about half the
+/// flows never close.
+fn dense_web_trace() -> Trace {
+    let trace = WebTrafficGenerator::new(
+        WebTrafficConfig {
+            flows: 20_000,
+            duration_secs: 2.0,
+            ..WebTrafficConfig::default()
+        },
+        20_050_320,
+    )
+    .generate();
+    Trace::from_packets(
+        trace
+            .into_packets()
+            .into_iter()
+            .filter(|p| {
+                let tuple = FlowKey::canonical(p.tuple()).tuple();
+                !(p.flags().terminates_flow() && tuple.stable_hash().is_multiple_of(2))
+            })
+            .collect(),
+    )
+}
+
 /// Four long-lived carriers sharing `packets` by 0.6 / 0.2 / 0.1 / 0.1,
 /// as TCP trunking does: a handshake each, then full-size data answered
 /// by an ACK every second segment, a FIN each at the end, a packet every
@@ -184,7 +211,7 @@ fn accumulate_allocations_per_packet() {
         for p in packets {
             acc.push(p);
         }
-        acc.finish().len()
+        acc.flush().count()
     });
     assert!(flows > 3_000, "{flows} flows");
     let per_packet = used.calls as f64 / packets.len() as f64;
@@ -194,6 +221,45 @@ fn accumulate_allocations_per_packet() {
     assert!(
         per_packet <= 0.26,
         "accumulate made {per_packet:.4} allocations per packet (ceiling 0.26)"
+    );
+}
+
+#[test]
+fn dense_accumulate_heap_high_water_per_open_flow() {
+    let trace = dense_web_trace();
+    let packets = trace.packets();
+    let ((flows, peak), used) = measure(|| {
+        let params = Params::paper();
+        let mut acc = FlowAccumulator::new(params.clone());
+        let mut asm = FlowAssembler::new(params);
+        // The engine's cadence: finished flows leave after every batch,
+        // and the open ones go straight from the table into the assembler.
+        for batch in packets.chunks(1024) {
+            for p in batch {
+                acc.push(p);
+            }
+            for f in acc.drain_completed() {
+                asm.consume(&f);
+            }
+        }
+        let peak = acc.peak_active_flows();
+        for f in acc.flush() {
+            asm.consume(&f);
+        }
+        (asm.into_section().flow_count, peak)
+    });
+    assert!(flows > 19_000, "{flows} flows");
+    assert!(peak > 10_000, "peak {peak} open flows");
+    let per_open_flow = used.peak_bytes as f64 / peak as f64;
+    // Measured 272.7 B per open flow: a ≤ 104 B slab slot and a 24 B
+    // index bucket per open flow, each flow's byte log, and the
+    // assembler's state. A map of 104 B buckets beside a first-seen order
+    // log, with the open flows collected into a `Vec` at the end while
+    // the map was still allocated, measured 397.9.
+    assert!(
+        per_open_flow <= 340.9,
+        "accumulate + assemble peaked at {per_open_flow:.1} heap bytes per open flow \
+         (ceiling 340.9)"
     );
 }
 
@@ -207,7 +273,7 @@ fn assemble_heap_per_flow(telemetry: bool) -> f64 {
     for p in trace.packets() {
         acc.push(p);
     }
-    let flows = acc.finish();
+    let flows: Vec<_> = acc.flush().collect();
     let (section, used) = measure(|| {
         let mut asm = FlowAssembler::with_telemetry(params, telemetry);
         for f in &flows {
@@ -267,7 +333,7 @@ fn trunk_heap_high_water_per_packet() {
                 asm.consume(&f);
             }
         }
-        for f in acc.finish() {
+        for f in acc.flush() {
             asm.consume(&f);
         }
         asm.into_section().long_count
@@ -329,7 +395,7 @@ fn web_archive(shards: usize) -> (Vec<u8>, usize) {
     for p in trace.packets() {
         acc.push(p);
     }
-    let flows = acc.finish();
+    let flows: Vec<_> = acc.flush().collect();
     let mut asms: Vec<FlowAssembler> = (0..shards)
         .map(|_| FlowAssembler::new(params.clone()))
         .collect();
@@ -389,7 +455,7 @@ fn into_section_allocations_do_not_grow_with_flows() {
         acc.push(p);
     }
     let mut asm = FlowAssembler::new(params);
-    let flows = acc.finish();
+    let flows: Vec<_> = acc.flush().collect();
     for f in &flows {
         asm.consume(f);
     }

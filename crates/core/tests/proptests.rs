@@ -186,7 +186,7 @@ proptest! {
         for p in &trace {
             acc.push(p);
         }
-        let flows = acc.finish();
+        let flows: Vec<_> = acc.flush().collect();
         let build = || {
             let mut asms: Vec<FlowAssembler> =
                 (0..shards).map(|_| FlowAssembler::new(params.clone())).collect();

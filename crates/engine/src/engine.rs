@@ -180,7 +180,9 @@ impl ShardWorker {
         let t0 = self.obs.encode_ns.is_enabled().then(Instant::now);
         let peak_active = self.acc.peak_active_flows() as u64;
         let evicted = self.acc.evicted_flows();
-        for flow in self.acc.finish() {
+        // Each still-open flow goes from its slot straight into the
+        // assembler: the flows are never collected beside the table.
+        for flow in self.acc.flush() {
             self.asm.consume(&flow);
         }
         let section = self.asm.into_section();

@@ -24,7 +24,7 @@ fn main() {
     for p in &trace {
         acc.push(p);
     }
-    let finished = acc.finish();
+    let finished: Vec<_> = acc.flush().collect();
     let mut store = TemplateStore::new(Params::paper());
     let short: Vec<_> = finished.iter().filter(|f| f.is_short(50)).collect();
     let mut vector = Vec::new();

@@ -158,8 +158,8 @@ impl fmt::Debug for FlowKey {
 /// keys that collide in a table it does not know the seeds of.
 ///
 /// The seed changes between tables and between runs, so a table's
-/// iteration order must never reach output: flow tables keep a
-/// first-seen log and walk that instead.
+/// iteration order must never reach output: a flow table keeps its
+/// flows on a first-seen list and walks that instead.
 #[derive(Clone)]
 pub struct FlowHash {
     seeds: [u64; 2],

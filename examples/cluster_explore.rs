@@ -25,7 +25,7 @@ fn main() {
     for p in &trace {
         acc.push(p);
     }
-    let flows = acc.finish();
+    let flows: Vec<_> = acc.flush().collect();
     println!(
         "{} flows accumulated from {} packets",
         flows.len(),
