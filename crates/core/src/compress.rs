@@ -2,7 +2,7 @@
 
 use crate::accumulate::{FinishedFlow, FlowAccumulator};
 use crate::cluster::TemplateStore;
-use crate::container::{put_encoded_long_template, ShardSection};
+use crate::container::{put_encoded_long_template, ArchiveLayout, ShardSection};
 use crate::datasets::{CompressedTrace, DatasetSizes, FlowRecord, LongTemplate};
 use crate::decode::{copy_long_template, ByteCursor};
 use crate::telemetry::FlowTelemetry;
@@ -330,17 +330,32 @@ impl FlowAssembler {
 }
 
 /// Folds encoded per-shard sections into the final v2 archive bytes and
-/// report — the container-v2 counterpart of [`assemble_shards`]. The
-/// O(trace) payloads were already encoded shard-side
-/// ([`FlowAssembler::into_section`]); what remains serial here is the
-/// template-store merge, the global address dedupe, and the section
-/// index — O(shards + clusters + addresses).
+/// report — the container-v2 counterpart of [`assemble_shards`]:
+/// [`assemble_layout`], written into one buffer allocated at the
+/// archive's length.
 pub fn assemble_sections(
     params: &Params,
     sections: Vec<ShardSection>,
     tsh_bytes: u64,
     header_bytes: u64,
 ) -> (Vec<u8>, CompressionReport) {
+    let (layout, report) = assemble_layout(params, sections, tsh_bytes, header_bytes);
+    (layout.into_bytes(), report)
+}
+
+/// Lays encoded per-shard sections out as a v2 archive, ready for
+/// [`ArchiveLayout::write_to`], beside the run's report. The O(trace)
+/// payloads were already encoded shard-side
+/// ([`FlowAssembler::into_section`]) and are moved, not copied; what
+/// remains serial here is the template-store merge, the global address
+/// dedupe, the section index and the trailing blocks — O(shards +
+/// clusters + addresses + flows' metadata).
+pub fn assemble_layout(
+    params: &Params,
+    sections: Vec<ShardSection>,
+    tsh_bytes: u64,
+    header_bytes: u64,
+) -> (ArchiveLayout, CompressionReport) {
     let mut packets = 0u64;
     let mut short_flows = 0u64;
     let mut long_flows = 0u64;
@@ -349,7 +364,8 @@ pub fn assemble_sections(
         short_flows += s.short_flows;
         long_flows += s.long_flows;
     }
-    let (bytes, sizes, stats) = crate::container::write_sections(params, sections);
+    let (layout, stats) = crate::container::layout_sections(params, sections);
+    let sizes = layout.sizes();
     let report = CompressionReport {
         packets,
         flows: short_flows + long_flows,
@@ -372,7 +388,7 @@ pub fn assemble_sections(
             sizes.total() as f64 / header_bytes as f64
         },
     };
-    (bytes, report)
+    (layout, report)
 }
 
 /// Folds one or more [`FlowAssembler`]s into the final archive and

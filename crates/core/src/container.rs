@@ -72,9 +72,10 @@ pub use crate::decode::{ArchiveFlow, Records};
 use crate::decode::{ByteCursor, SectionEntry};
 use crate::decompress::DEFAULT_SEED;
 use crate::meta::{ArchiveMeta, SectionMeta};
-use crate::telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
+use crate::telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry, TelemetrySummary};
 use crate::Params;
 use std::collections::HashMap;
+use std::io::{self, Write};
 use std::net::Ipv4Addr;
 
 /// Container v2 magic: "FZC2".
@@ -277,22 +278,23 @@ pub(crate) struct SectionMergeStats {
     pub addresses: u64,
 }
 
-/// Serializes per-shard sections into a v2 archive, returning the bytes,
-/// the per-dataset footprint (index bytes count as `header`), and the
+/// Lays per-shard sections out as a v2 archive, returning the layout
+/// (its [`ArchiveLayout::sizes`] count index bytes as `header`) and the
 /// post-merge clustering stats. This is the engine's entire serial
 /// serialization tail: merge the near-constant template stores and
 /// address lists, then hand the small global datasets, the index and the
 /// payloads the shards already encoded to [`write_v2`] — O(shards +
-/// clusters + addresses), not O(trace).
+/// clusters + addresses), not O(trace). The payloads are moved, never
+/// copied, until [`ArchiveLayout::write_to`] writes them out.
 ///
 /// # Panics
 ///
 /// Panics if shard stores were built with different parameters (the same
 /// contract as [`TemplateStore::merge`]).
-pub(crate) fn write_sections(
+pub(crate) fn layout_sections(
     params: &Params,
     sections: Vec<ShardSection>,
-) -> (Vec<u8>, DatasetSizes, SectionMergeStats) {
+) -> (ArchiveLayout, SectionMergeStats) {
     let mut merged = TemplateStore::new(params.clone());
     let mut addresses: Vec<Ipv4Addr> = Vec::new();
     let mut addr_index: HashMap<Ipv4Addr, u32> = HashMap::new();
@@ -342,19 +344,32 @@ pub(crate) fn write_sections(
                 .map(|flows| SectionTelemetry { flows })
                 .collect(),
         });
-    let (out, sizes) = write_v2(
+    let mut layout = write_v2(
         merged.templates().iter().map(|t| t.vector.as_slice()),
         &addresses,
         layouts,
         Some(&meta),
         telemetry.as_ref(),
     );
+    // Summarized here, so the rows are gone before the payloads stream.
+    layout.telemetry = telemetry.as_ref().map(ArchiveTelemetry::summary);
     let stats = SectionMergeStats {
         clusters: merged.len() as u64,
         matched_flows: merged.matched_count(),
         addresses: addresses.len() as u64,
     };
-    (out, sizes, stats)
+    (layout, stats)
+}
+
+/// [`layout_sections`] written into one buffer, with its sizes.
+#[cfg(test)]
+pub(crate) fn write_sections(
+    params: &Params,
+    sections: Vec<ShardSection>,
+) -> (Vec<u8>, DatasetSizes, SectionMergeStats) {
+    let (layout, stats) = layout_sections(params, sections);
+    let sizes = layout.sizes();
+    (layout.into_bytes(), sizes, stats)
 }
 
 /// One section as [`write_v2`] lays it out: its encoded payload and
@@ -372,21 +387,92 @@ struct SectionLayout {
     addr_remap: Vec<u32>,
 }
 
-/// Writes the v2 layout — preamble, global short-template and address
+/// A v2 archive laid out but not yet written: the encoded head
+/// (preamble, global datasets, section index), the section payloads as
+/// the shards encoded them, the encoded `FZM1` and `FZT1` blocks, and
+/// their footprint, which sums to the archive's exact length.
+/// [`ArchiveLayout::write_to`] streams the parts into any writer, so no
+/// buffer the size of the archive is ever built beside the payloads;
+/// [`ArchiveLayout::into_bytes`] writes one for callers that want the
+/// archive in memory.
+#[derive(Debug)]
+pub struct ArchiveLayout {
+    head: Vec<u8>,
+    payloads: Vec<Vec<u8>>,
+    meta_block: Vec<u8>,
+    telemetry_block: Vec<u8>,
+    /// The `FZT1` rows summarized, when the archive carries the block
+    /// and its writer kept the summary.
+    telemetry: Option<TelemetrySummary>,
+    sizes: DatasetSizes,
+}
+
+impl ArchiveLayout {
+    /// The per-dataset footprint (index bytes count as `header`); its
+    /// total is the archive's length.
+    pub fn sizes(&self) -> DatasetSizes {
+        self.sizes
+    }
+
+    /// The `FZT1` block's rows summarized, when the archive carries one
+    /// (a layout of engine sections; `None` from
+    /// [`CompressedTrace`]'s writers).
+    pub fn telemetry(&self) -> Option<TelemetrySummary> {
+        self.telemetry
+    }
+
+    /// Writes the archive into `out`: the head, each section payload
+    /// (freed once it is written), then the trailing blocks. Returns the
+    /// per-dataset footprint, which sums to the bytes written.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns; what was written before it is a
+    /// truncated archive, which the caller must not publish.
+    pub fn write_to(self, out: &mut impl Write) -> io::Result<DatasetSizes> {
+        let ArchiveLayout {
+            head,
+            payloads,
+            meta_block,
+            telemetry_block,
+            sizes,
+            ..
+        } = self;
+        out.write_all(&head)?;
+        for payload in payloads {
+            out.write_all(&payload)?;
+        }
+        out.write_all(&meta_block)?;
+        out.write_all(&telemetry_block)?;
+        Ok(sizes)
+    }
+
+    /// The archive in one buffer, allocated once at its final length.
+    pub fn into_bytes(self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.sizes.total() as usize);
+        self.write_to(&mut out).expect("a Vec takes every write");
+        debug_assert_eq!(out.capacity(), out.len());
+        out
+    }
+}
+
+/// Lays out the v2 format — preamble, global short-template and address
 /// datasets, section index, the payloads concatenated, then the optional
-/// `FZM1` and `FZT1` blocks — and its per-dataset footprint (index bytes
-/// count as `header`). The one writer of `FZC2`: [`write_sections`] and
-/// [`CompressedTrace::encode_v2`] both lay archives out through it.
+/// `FZM1` and `FZT1` blocks — with its per-dataset footprint (index
+/// bytes count as `header`). The one writer of `FZC2`:
+/// [`layout_sections`] and [`CompressedTrace::encode_v2`] both lay
+/// archives out through it.
 ///
-/// Every part but the payloads is encoded first, so the output is
-/// allocated once, at its final length.
+/// Every part but the payloads is encoded here; the payloads are moved
+/// in as they are, so the layout's exact length is known before its
+/// first byte is written.
 fn write_v2<'t>(
     short_templates: impl ExactSizeIterator<Item = &'t [u16]>,
     addresses: &[Ipv4Addr],
     sections: Vec<SectionLayout>,
     meta: Option<&ArchiveMeta>,
     telemetry: Option<&ArchiveTelemetry>,
-) -> (Vec<u8>, DatasetSizes) {
+) -> ArchiveLayout {
     let mut head = Vec::new();
     head.extend_from_slice(&MAGIC_V2);
     head.push(VERSION_V2);
@@ -427,30 +513,29 @@ fn write_v2<'t>(
         telemetry.encode(&mut telemetry_block);
     }
 
-    let payload_bytes: usize = sections.iter().map(|s| s.payload.len()).sum();
-    let mut out =
-        Vec::with_capacity(head.len() + payload_bytes + meta_block.len() + telemetry_block.len());
-    out.extend_from_slice(&head);
-    let mut long_template_bytes = 0u64;
-    for section in sections {
-        out.extend_from_slice(&section.payload);
-        long_template_bytes += section.long_template_bytes;
-    }
-    out.extend_from_slice(&meta_block);
-    out.extend_from_slice(&telemetry_block);
-
+    let payload_bytes: u64 = sections.iter().map(|s| s.payload.len() as u64).sum();
+    let long_template_bytes: u64 = sections.iter().map(|s| s.long_template_bytes).sum();
     let sizes = DatasetSizes {
         header: preamble + index_bytes,
         short_templates: short_bytes,
         long_templates: long_template_bytes,
         addresses: addr_bytes,
-        time_seq: payload_bytes as u64 - long_template_bytes,
+        time_seq: payload_bytes - long_template_bytes,
         metadata: meta_block.len() as u64,
         telemetry: telemetry_block.len() as u64,
     };
-    debug_assert_eq!(sizes.total(), out.len() as u64);
-    debug_assert_eq!(out.capacity(), out.len());
-    (out, sizes)
+    debug_assert_eq!(
+        sizes.header + sizes.short_templates + sizes.addresses,
+        head.len() as u64
+    );
+    ArchiveLayout {
+        head,
+        payloads: sections.into_iter().map(|s| s.payload).collect(),
+        meta_block,
+        telemetry_block,
+        telemetry: None,
+        sizes,
+    }
 }
 
 /// An archive (v1 or v2) parsed once, with its payloads still encoded.
@@ -656,13 +741,15 @@ impl CompressedTrace {
             short_remap: identity(self.short_templates.len()),
             addr_remap: identity(self.addresses.len()),
         };
-        write_v2(
+        let layout = write_v2(
             self.short_templates.iter().map(Vec::as_slice),
             &self.addresses,
             vec![section],
             meta.as_ref(),
             telemetry.as_ref(),
-        )
+        );
+        let sizes = layout.sizes();
+        (layout.into_bytes(), sizes)
     }
 }
 
@@ -1390,7 +1477,7 @@ mod tests {
             .collect();
         let addresses = [Ipv4Addr::new(10, 0, 0, 1)];
         let templates = templates.iter().map(Vec::as_slice);
-        write_v2(templates, &addresses, layouts, None, None).0
+        write_v2(templates, &addresses, layouts, None, None).into_bytes()
     }
 
     #[test]

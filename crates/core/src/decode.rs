@@ -411,6 +411,9 @@ impl ArchiveReader<'_> {
         let reader: &'r ArchiveReader<'r> = self;
         let mut sections = Vec::new();
         let (mut flows, mut packets) = (0u64, 0u64);
+        // Whether a kept section expands to other than the packets its
+        // `FZM1` row declares; reported once every other check passed.
+        let mut miscounted = false;
         for (i, entry) in reader.entries.iter().enumerate() {
             if !keep(i) {
                 continue;
@@ -420,9 +423,12 @@ impl ArchiveReader<'_> {
             // delta-coding state it is read in.
             let mut start = None;
             let mut matched = filter.is_some().then(Vec::new);
+            // Every record's packets, matched or not.
+            let mut section_packets = 0u64;
             for n in 0..entry.flow_count {
                 let before = (section.cur.clone(), section.last_ts, n);
                 let flow = section.decode(reader)?;
+                section_packets = section_packets.saturating_add(flow.packets);
                 let hit = filter.as_mut().is_none_or(|f| f(&flow.record));
                 if let Some(bits) = &mut matched {
                     if n % 64 == 0 {
@@ -442,12 +448,17 @@ impl ArchiveReader<'_> {
             if section.cur.remaining() != 0 {
                 return Err(CodecError::Truncated);
             }
+            let declared = reader.meta.as_ref().and_then(|m| m.sections.get(i));
+            miscounted |= declared.is_some_and(|m| m.packets != section_packets);
             // The merge decodes from the first match to the last.
             if let Some(start) = start {
                 (section.cur, section.last_ts, section.decoded) = start;
             }
             section.matched = matched;
             sections.push(section);
+        }
+        if miscounted {
+            return Err(CodecError::Metadata("packet count mismatch"));
         }
         let mut heads = BinaryHeap::with_capacity(sections.len());
         for (k, section) in sections.iter_mut().enumerate() {

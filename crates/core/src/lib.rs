@@ -65,17 +65,19 @@ pub use accumulate::{FinishedFlow, FlowAccumulator};
 pub use characterize::{l1_distance, Dependence, FlagClass, FlagClassifier, Weights};
 pub use cluster::{MatchOutcome, Template, TemplateStore};
 pub use compress::{
-    assemble_sections, assemble_shards, CompressionReport, Compressor, FlowAssembler,
+    assemble_layout, assemble_sections, assemble_shards, CompressionReport, Compressor,
+    FlowAssembler,
 };
 pub use container::{
-    read_v2, v2_metadata, ArchiveFlow, ArchiveFormat, ArchiveReader, Records, ShardSection,
+    read_v2, v2_metadata, ArchiveFlow, ArchiveFormat, ArchiveLayout, ArchiveReader, Records,
+    ShardSection,
 };
 pub use datasets::{CompressedTrace, DatasetSizes, FlowRecord};
 pub use decompress::{DecompressParams, Decompressor, PacketStream, DEFAULT_SEED};
 pub use meta::{ArchiveMeta, SectionMeta};
 pub use query::{query_bytes, select_reader, FlowQuery, QueryOutcome, QuerySelection, QueryStats};
 pub use synth::{synthesize, SynthConfig, SynthGenerator};
-pub use telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry};
+pub use telemetry::{ArchiveTelemetry, FlowTelemetry, SectionTelemetry, TelemetrySummary};
 
 /// All knobs of the compression pipeline, with the paper's values as
 /// [`Params::paper`] (also the `Default`).

@@ -111,6 +111,71 @@ impl ArchiveTelemetry {
             }
         }
     }
+
+    /// Folds the rows into the headline aggregate: what `info` and
+    /// `query` print, and what a compress run reports for the block it
+    /// wrote. The rows may come from an archive this program did not
+    /// write, so the totals saturate instead of overflowing.
+    pub fn summary(&self) -> TelemetrySummary {
+        let mut s = TelemetrySummary {
+            flows: self.flow_count(),
+            rtt_flows: 0,
+            rtt_samples: 0,
+            mean_rtt_us: 0,
+            p95_rtt_us: 0,
+            retrans_fast: 0,
+            retrans_timeout: 0,
+        };
+        let mut rtts: Vec<u64> = Vec::new();
+        for f in self.sections.iter().flat_map(|sec| &sec.flows) {
+            s.rtt_samples = s.rtt_samples.saturating_add(f.rtt_samples);
+            s.retrans_fast = s.retrans_fast.saturating_add(f.retrans_fast);
+            s.retrans_timeout = s.retrans_timeout.saturating_add(f.retrans_timeout);
+            if f.rtt_samples > 0 {
+                rtts.push(f.rtt_us);
+            }
+        }
+        if !rtts.is_empty() {
+            rtts.sort_unstable();
+            s.rtt_flows = rtts.len() as u64;
+            // A mean of `u64`s is a `u64`; only the sum needs the width.
+            let sum: u128 = rtts.iter().map(|&r| u128::from(r)).sum();
+            s.mean_rtt_us = (sum / u128::from(s.rtt_flows)) as u64;
+            // Nearest-rank p95: the smallest value ≥ 95% of the sample.
+            s.p95_rtt_us = rtts[(rtts.len() * 95).div_ceil(100).max(1) - 1];
+        }
+        s
+    }
+}
+
+/// Aggregate view of the rev 2.2 `FZT1` per-flow telemetry rows — the
+/// RTT and retransmission headline figures `info` and `query` print
+/// without handing the caller every row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TelemetrySummary {
+    /// Telemetry rows (one per stored flow).
+    pub flows: u64,
+    /// Flows that produced at least one RTT sample.
+    pub rtt_flows: u64,
+    /// RTT samples across all flows (handshake + ack-clock).
+    pub rtt_samples: u64,
+    /// Mean of the per-flow smoothed RTT estimates, microseconds
+    /// (over [`TelemetrySummary::rtt_flows`]; 0 when no flow sampled).
+    pub mean_rtt_us: u64,
+    /// 95th percentile of the per-flow RTT estimates, microseconds.
+    pub p95_rtt_us: u64,
+    /// Retransmissions detected via triple duplicate ACKs.
+    pub retrans_fast: u64,
+    /// Retransmissions attributed to timeout (no dup-ACK evidence).
+    pub retrans_timeout: u64,
+}
+
+impl TelemetrySummary {
+    /// Fast + timeout retransmissions combined (saturating, like the
+    /// totals).
+    pub fn retransmissions(&self) -> u64 {
+        self.retrans_fast.saturating_add(self.retrans_timeout)
+    }
 }
 
 #[cfg(test)]
@@ -139,6 +204,30 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn summary_of_rows_past_u64_totals_saturates() {
+        // Rows a crafted archive can carry: two RTTs of 2^63 µs, and
+        // counters whose totals pass `u64::MAX`.
+        let row = FlowTelemetry {
+            rtt_us: 1 << 63,
+            rtt_samples: u64::MAX,
+            retrans_fast: u64::MAX,
+            retrans_timeout: 1,
+            ..FlowTelemetry::default()
+        };
+        let t = ArchiveTelemetry {
+            sections: vec![SectionTelemetry {
+                flows: vec![row, row],
+            }],
+        };
+        let s = t.summary();
+        assert_eq!((s.flows, s.rtt_flows), (2, 2));
+        assert_eq!((s.mean_rtt_us, s.p95_rtt_us), (1 << 63, 1 << 63));
+        assert_eq!((s.rtt_samples, s.retrans_fast), (u64::MAX, u64::MAX));
+        assert_eq!(s.retrans_timeout, 2);
+        assert_eq!(s.retransmissions(), u64::MAX);
     }
 
     #[test]

@@ -18,20 +18,22 @@
 //! all: the shard runs inline. Workers finalize flows online (FIN/RST,
 //! idle eviction, end of input), cluster them immediately, and at end of
 //! input encode their own container-v2 section on their own thread; the
-//! serial tail ([`assemble_sections`]) only folds the per-shard stores
+//! serial tail ([`assemble_layout`]) only folds the per-shard stores
 //! with [`TemplateStore::merge`](flowzip_core::TemplateStore::merge),
-//! dedupes addresses and writes the section index.
+//! dedupes addresses and lays out the section index, and the archive
+//! then streams into the caller's writer section by section.
 
 use crate::builder::{CancelFlag, EngineBuilder, EngineConfig};
 use crate::obs::{shard_obs, ShardObs};
 use crate::report::EngineReport;
 use flowzip_core::{
-    assemble_sections, CompressionReport, FlowAccumulator, FlowAssembler, FlowTelemetry, Params,
+    assemble_layout, CompressionReport, FlowAccumulator, FlowAssembler, FlowTelemetry, Params,
     ShardSection,
 };
 use flowzip_obs::Gauge;
 use flowzip_trace::prelude::*;
 use flowzip_trace::TraceError;
+use std::io::{self, Write};
 use std::panic::resume_unwind;
 use std::sync::mpsc;
 use std::time::Instant;
@@ -309,12 +311,13 @@ impl StreamingEngine {
     }
 
     /// Compresses a fallible packet stream straight to serialized
-    /// container-v2 archive bytes — the general entry point that
-    /// [`TshReader`](flowzip_trace::TshReader) and
-    /// [`PcapReader`](flowzip_trace::PcapReader) plug into directly.
-    /// Every shard encodes its own archive section on its own thread, so
-    /// the serial tail collapses to index assembly — O(shards), not
-    /// O(trace). Decode the bytes with
+    /// container-v2 archive bytes: [`StreamingEngine::drain`], then
+    /// [`StreamingEngine::write`] into one buffer allocated at the
+    /// archive's exact length. [`TshReader`](flowzip_trace::TshReader)
+    /// and [`PcapReader`](flowzip_trace::PcapReader) plug in directly.
+    /// The archive is held in memory beside nothing else of the run;
+    /// to put it in a file, stream it with the two steps instead, which
+    /// never hold it at all. Decode the bytes with
     /// [`CompressedTrace::from_bytes`](flowzip_core::CompressedTrace::from_bytes)
     /// for the in-memory archive.
     ///
@@ -334,34 +337,94 @@ impl StreamingEngine {
     where
         I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
     {
+        let drained = self.drain(input)?;
+        Ok(self
+            .write_with(drained, Vec::with_capacity)
+            .expect("a Vec takes every write"))
+    }
+
+    /// The first step of a run: reads `input` to its end through the
+    /// shards, each of which encodes its own archive section on its own
+    /// thread. Nothing is laid out or written yet, so a caller can open
+    /// its output only once the input has been read without error.
+    ///
+    /// # Errors
+    ///
+    /// The first reader error aborts the run and is returned; packets
+    /// already routed are discarded with the worker state.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises panics from worker threads (a bug in the pipeline, never
+    /// an input condition).
+    pub fn drain<I>(&self, input: I) -> Result<Drained, TraceError>
+    where
+        I: IntoIterator<Item = Result<PacketRecord, TraceError>>,
+    {
         let started = Instant::now();
         let outputs = self.run_pipeline(input)?;
-        let elapsed = started.elapsed().as_secs_f64();
+        let elapsed_secs = started.elapsed().as_secs_f64();
         let agg = ShardAggregates::fold(&outputs);
-        let sections: Vec<ShardSection> = outputs.into_iter().map(|o| o.section).collect();
+        Ok(Drained {
+            sections: outputs.into_iter().map(|o| o.section).collect(),
+            agg,
+            elapsed_secs,
+        })
+    }
+
+    /// The second step: lays the drained sections out as one archive
+    /// and streams it into `out` — the head, then each section payload
+    /// as its shard encoded it, then the trailing blocks — so no copy of
+    /// the archive is built beside the sections. Buffering, flushing and
+    /// committing `out` are the caller's.
+    ///
+    /// # Errors
+    ///
+    /// The first error `out` returns. The bytes already written are then
+    /// a truncated archive that the caller must not publish.
+    pub fn write(&self, drained: Drained, out: &mut impl Write) -> io::Result<EngineReport> {
+        self.write_with(drained, |_| out).map(|(_, report)| report)
+    }
+
+    /// [`StreamingEngine::write`] into the writer `open` makes once the
+    /// archive's exact length is known.
+    fn write_with<W: Write>(
+        &self,
+        drained: Drained,
+        open: impl FnOnce(usize) -> W,
+    ) -> io::Result<(W, EngineReport)> {
+        let Drained {
+            sections,
+            agg,
+            elapsed_secs,
+        } = drained;
         let n_sections = sections.len();
 
         // The entire serial serialization tail: template-store merge +
-        // address dedupe + index + payload concat.
+        // address dedupe + index + the write itself.
         let track = self.config.profiler.track("container");
         let span = track.span("serialize");
         let ser = Instant::now();
-        let (bytes, mut report) = assemble_sections(
+        let (layout, mut report) = assemble_layout(
             &self.config.params,
             sections,
             agg.tsh_bytes,
             agg.header_bytes,
         );
+        let telemetry = layout.telemetry();
+        let mut out = open(layout.sizes().total() as usize);
+        let sizes = layout.write_to(&mut out)?;
         drop(span);
         let serialize_secs = ser.elapsed().as_secs_f64();
         report.peak_active_flows = agg.peak_active;
 
-        let mut engine_report = self.engine_report(&agg, elapsed, report);
+        let mut engine_report = self.engine_report(&agg, elapsed_secs, report);
         engine_report.serialize_secs = serialize_secs;
         engine_report.sections = n_sections;
-        engine_report.archive_bytes = bytes.len() as u64;
+        engine_report.archive_bytes = sizes.total();
+        engine_report.telemetry = telemetry;
         self.record_serialize(serialize_secs, n_sections as u64);
-        Ok((bytes, engine_report))
+        Ok((out, engine_report))
     }
 
     /// Mirrors the serial-tail figures into the metrics registry.
@@ -446,7 +509,8 @@ impl StreamingEngine {
 
     /// Builds the aggregate [`EngineReport`] from folded shard counters.
     /// Serialization fields (`serialize_secs`, `sections`,
-    /// `archive_bytes`) start zeroed; the caller fills them in.
+    /// `archive_bytes`, `telemetry`) start zeroed; the caller fills them
+    /// in.
     fn engine_report(
         &self,
         agg: &ShardAggregates,
@@ -475,12 +539,32 @@ impl StreamingEngine {
             },
             sections: 0,
             archive_bytes: 0,
+            telemetry: None,
             report,
         }
     }
 }
 
+/// A run read to its end ([`StreamingEngine::drain`]): every shard's
+/// encoded section and the folded shard counters, waiting for
+/// [`StreamingEngine::write`].
+#[derive(Debug)]
+pub struct Drained {
+    sections: Vec<ShardSection>,
+    agg: ShardAggregates,
+    /// Wall-clock seconds from the first packet to the last section.
+    elapsed_secs: f64,
+}
+
+impl Drained {
+    /// Packets the run consumed.
+    pub fn packets(&self) -> u64 {
+        self.agg.packets
+    }
+}
+
 /// Throughput/memory counters folded over per-shard outputs.
+#[derive(Debug)]
 struct ShardAggregates {
     packets: u64,
     peak_active: u64,

@@ -41,12 +41,14 @@
 //!
 //! # Example
 //!
-//! The entry point is [`StreamingEngine::compress_stream_to_bytes`]: any
-//! fallible packet iterator in, serialized container-v2 archive and
-//! report out. Applications normally sit one level up, on
+//! A run is two steps: [`StreamingEngine::drain`] reads any fallible
+//! packet iterator to its end, and [`StreamingEngine::write`] streams
+//! the container-v2 archive into any writer and returns the report.
+//! [`StreamingEngine::compress_stream_to_bytes`] does both into one
+//! buffer. Applications normally sit one level up, on
 //! `flowzip-pipeline`'s `Pipeline::compress()` session API, which opens
-//! the input, runs this engine and charges the source's read-wait to the
-//! report.
+//! the input, runs this engine into its sink and charges the source's
+//! read-wait to the report.
 //!
 //! ```
 //! use flowzip_core::CompressedTrace;
@@ -72,7 +74,7 @@ mod obs;
 pub mod report;
 
 pub use builder::{CancelFlag, ConfigError, EngineBuilder, EngineConfig};
-pub use engine::StreamingEngine;
+pub use engine::{Drained, StreamingEngine};
 pub use report::EngineReport;
 
 // Re-exported so engine embedders can enable observability without a

@@ -47,8 +47,9 @@ pub(crate) struct ShardObs {
 
 /// Registers (or re-resolves — registration is idempotent) every
 /// engine instrument for a `shards`-wide run, one handle bundle per
-/// shard. (The container-tail instruments are resolved separately in
-/// `outputs_to_bytes` — serialization happens after the shards joined.)
+/// shard. (The container-tail instruments are resolved separately, by
+/// `StreamingEngine::write` — the archive is laid out and written after
+/// the shards joined.)
 pub(crate) fn shard_obs(metrics: &Metrics, profiler: &Profiler, shards: usize) -> Vec<ShardObs> {
     let packets = metrics.counter(names::ENGINE_PACKETS);
     let batches = metrics.counter(names::ENGINE_BATCHES);

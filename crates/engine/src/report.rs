@@ -1,7 +1,7 @@
 //! Aggregate engine report: the batch-compatible [`CompressionReport`]
 //! plus the throughput and memory figures only a streaming run can know.
 
-use flowzip_core::CompressionReport;
+use flowzip_core::{CompressionReport, TelemetrySummary};
 use std::fmt;
 
 /// What a streaming run did: the §3/§5 compression report, aggregated
@@ -22,8 +22,9 @@ pub struct EngineReport {
     /// Flows force-closed by idle-timeout eviction.
     pub evicted_flows: u64,
     /// Wall-clock seconds of the *serial* tail: store merge + index
-    /// assembly + payload concatenation (per-shard payload encoding
-    /// happens on the worker threads and overlaps compute).
+    /// assembly + writing the archive into the caller's writer
+    /// (per-shard payload encoding happens on the worker threads and
+    /// overlaps compute).
     pub serialize_secs: f64,
     /// The busiest single shard thread's measured accumulate+encode
     /// seconds — a *directly measured* stage timing. Zero when metrics
@@ -39,6 +40,8 @@ pub struct EngineReport {
     pub sections: usize,
     /// Serialized archive size in bytes.
     pub archive_bytes: u64,
+    /// The `FZT1` block's rows summarized, when the run wrote one.
+    pub telemetry: Option<TelemetrySummary>,
 }
 
 impl EngineReport {
@@ -114,6 +117,7 @@ mod tests {
             unattributed_secs: 0.0,
             sections: 0,
             archive_bytes: 0,
+            telemetry: None,
         };
         let s = r.to_string();
         assert!(s.contains("4 shards, 0.50s"));

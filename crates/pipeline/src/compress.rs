@@ -8,8 +8,8 @@ use crate::sink::Sink;
 use crate::stats::LiveStats;
 use crate::Pipeline;
 use flowzip_core::Params;
-use flowzip_engine::{EngineBuilder, StreamingEngine};
-use flowzip_io::{glob, FileSource, InputSource};
+use flowzip_engine::{Drained, EngineBuilder, StreamingEngine};
+use flowzip_io::{glob, FileSource, InputSource, IoStats};
 use flowzip_obs::{Metrics, Profiler, SnapshotFormat, StatsSink};
 use flowzip_trace::Duration;
 use std::sync::atomic::AtomicBool;
@@ -160,9 +160,10 @@ impl<'a> CompressBuilder<'a> {
         self
     }
 
-    /// Runs the session: resolve the input, stream it through the
-    /// engine into a container-v2 archive, deliver it to the sink, and
-    /// report.
+    /// Runs the session: resolve the input and drain it through the
+    /// engine, then open the sink, stream the container-v2 archive into
+    /// it section by section, commit it, and report. An input error
+    /// leaves the sink unopened: a file sink creates nothing.
     ///
     /// # Errors
     ///
@@ -212,68 +213,65 @@ impl<'a> CompressBuilder<'a> {
         }
 
         let (engine, sampler) = stats.start(engine)?;
+        let output = sink.path();
 
         let context = format!("compress {}", inputs_desc.join(" "));
-        let (bytes, mut report) = run_engine(&engine, kind, &context)?;
+        let (drained, stats) = drain(&engine, kind, &context)?;
+        // The input was read without error: only now is the sink opened,
+        // and the archive streams into it section by section.
+        let mut w = sink.open()?;
+        let engine_report = engine
+            .write(drained, &mut w)
+            .map_err(|e| PipelineError::write(w.context(), e))?;
+        let output_bytes = engine_report.archive_bytes;
+        let mut report = Report::from_engine(engine_report, stats.as_ref());
+        let bytes = w.finish()?;
         // The sampler lives exactly as long as the run: dropping it (here,
-        // or on the error return above) emits the final snapshot and joins.
+        // or on an error return above) emits the final snapshot and joins.
         drop(sampler);
         let metrics = &engine.config().metrics;
         if metrics.is_enabled() {
             report.metrics = Some(metrics.snapshot());
         }
         report.inputs = inputs_desc;
-        report.output = sink.path();
-        report.output_bytes = bytes.len() as u64;
-        let bytes = sink.deliver(bytes)?;
+        report.output = output;
+        report.output_bytes = output_bytes;
         Ok(RunResult { report, bytes })
     }
 }
 
 /// Wires the input into `engine` as a packet stream (with its
-/// [`IoStats`](flowzip_io::IoStats) handle when it has one) and
-/// compresses it to archive bytes.
-fn run_engine(
+/// [`IoStats`] handle when it has one) and reads it to its end.
+fn drain(
     engine: &StreamingEngine,
     kind: InputKind<'_>,
     context: &str,
-) -> Result<(Vec<u8>, Report), PipelineError> {
+) -> Result<(Drained, Option<IoStats>), PipelineError> {
     let metrics = &engine.config().metrics;
     let read_err = |e| PipelineError::read(context.to_string(), e);
-    let (bytes, engine_report, stats) = match kind {
+    Ok(match kind {
         InputKind::Files(paths) => {
             let source = FileSource::open_set(&paths).map_err(read_err)?;
             let stats = source.stats();
             // Teed before the read starts, so live snapshots see reader
             // bytes/wait while the run is in flight.
             stats.attach_metrics(metrics);
-            let (b, er) = engine
-                .compress_stream_to_bytes(source.into_packets())
-                .map_err(read_err)?;
-            (b, er, Some(stats))
+            let drained = engine.drain(source.into_packets()).map_err(read_err)?;
+            (drained, Some(stats))
         }
         InputKind::Trace(trace) => {
-            let (b, er) = engine
-                .compress_stream_to_bytes(trace.iter().cloned().map(Ok))
+            let drained = engine
+                .drain(trace.iter().cloned().map(Ok))
                 .map_err(read_err)?;
-            (b, er, None)
+            (drained, None)
         }
-        InputKind::Packets(packets) => {
-            let (b, er) = engine
-                .compress_stream_to_bytes(packets.map(Ok))
-                .map_err(read_err)?;
-            (b, er, None)
-        }
+        InputKind::Packets(packets) => (engine.drain(packets.map(Ok)).map_err(read_err)?, None),
         InputKind::Stream { stats, packets, .. } => {
             stats.attach_metrics(metrics);
-            let (b, er) = engine.compress_stream_to_bytes(packets).map_err(read_err)?;
-            (b, er, Some(stats))
+            (engine.drain(packets).map_err(read_err)?, Some(stats))
         }
         InputKind::Patterns(_) | InputKind::Bytes(_) => {
             unreachable!("patterns expanded and bytes rejected in run()")
         }
-    };
-    let report = Report::from_engine(engine_report, &bytes, stats.as_ref())
-        .map_err(|e| PipelineError::decode(context.to_string(), e))?;
-    Ok((bytes, report))
+    })
 }

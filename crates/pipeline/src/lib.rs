@@ -73,8 +73,8 @@
 //! A compress session fills it once, in [`Report::from_engine`], from
 //! the engine's [`EngineReport`](flowzip_engine::EngineReport) (which
 //! carries the §3/§5
-//! [`CompressionReport`](flowzip_core::CompressionReport)), the archive
-//! bytes the engine wrote (the `FZT1` telemetry summary) and the input's
+//! [`CompressionReport`](flowzip_core::CompressionReport) and the
+//! summary of the `FZT1` block it wrote) and the input's
 //! [`IoStats`](flowzip_io::IoStats) read-wait/compute split; `flowzip
 //! serve` builds each window's report the same way.
 

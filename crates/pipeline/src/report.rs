@@ -13,6 +13,7 @@
 //! same schema.
 
 use flowzip_core::datasets::CodecError;
+pub use flowzip_core::TelemetrySummary;
 use flowzip_core::{
     ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressionReport, DatasetSizes, Records,
 };
@@ -79,65 +80,6 @@ pub struct ArchiveSummary {
     pub telemetry: Option<TelemetrySummary>,
 }
 
-/// Aggregate view of the rev 2.2 `FZT1` per-flow telemetry rows — the
-/// RTT and retransmission headline figures `info` and `query` print
-/// without handing the caller every row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TelemetrySummary {
-    /// Telemetry rows (one per stored flow).
-    pub flows: u64,
-    /// Flows that produced at least one RTT sample.
-    pub rtt_flows: u64,
-    /// RTT samples across all flows (handshake + ack-clock).
-    pub rtt_samples: u64,
-    /// Mean of the per-flow smoothed RTT estimates, microseconds
-    /// (over [`TelemetrySummary::rtt_flows`]; 0 when no flow sampled).
-    pub mean_rtt_us: u64,
-    /// 95th percentile of the per-flow RTT estimates, microseconds.
-    pub p95_rtt_us: u64,
-    /// Retransmissions detected via triple duplicate ACKs.
-    pub retrans_fast: u64,
-    /// Retransmissions attributed to timeout (no dup-ACK evidence).
-    pub retrans_timeout: u64,
-}
-
-impl TelemetrySummary {
-    /// Folds decoded `FZT1` rows into the headline aggregate.
-    pub(crate) fn from_telemetry(t: &ArchiveTelemetry) -> TelemetrySummary {
-        let mut s = TelemetrySummary {
-            flows: t.flow_count(),
-            rtt_flows: 0,
-            rtt_samples: 0,
-            mean_rtt_us: 0,
-            p95_rtt_us: 0,
-            retrans_fast: 0,
-            retrans_timeout: 0,
-        };
-        let mut rtts: Vec<u64> = Vec::new();
-        for f in t.sections.iter().flat_map(|sec| &sec.flows) {
-            s.rtt_samples += f.rtt_samples;
-            s.retrans_fast += f.retrans_fast;
-            s.retrans_timeout += f.retrans_timeout;
-            if f.rtt_samples > 0 {
-                rtts.push(f.rtt_us);
-            }
-        }
-        if !rtts.is_empty() {
-            rtts.sort_unstable();
-            s.rtt_flows = rtts.len() as u64;
-            s.mean_rtt_us = rtts.iter().sum::<u64>() / s.rtt_flows;
-            // Nearest-rank p95: the smallest value ≥ 95% of the sample.
-            s.p95_rtt_us = rtts[(rtts.len() * 95).div_ceil(100).max(1) - 1];
-        }
-        s
-    }
-
-    /// Fast + timeout retransmissions combined.
-    pub fn retransmissions(&self) -> u64 {
-        self.retrans_fast + self.retrans_timeout
-    }
-}
-
 impl ArchiveSummary {
     /// Summarizes an opened archive of `file_bytes` bytes (v1 or v2)
     /// whose every section `records` walked: the header facts, and the
@@ -168,7 +110,7 @@ impl ArchiveSummary {
             addresses,
             sizes: None,
             has_metadata: reader.metadata().is_some(),
-            telemetry: reader.telemetry().map(TelemetrySummary::from_telemetry),
+            telemetry: reader.telemetry().map(ArchiveTelemetry::summary),
         }
     }
 }
@@ -313,32 +255,16 @@ impl Report {
         report
     }
 
-    /// Folds an [`EngineReport`] and the `archive` bytes that run wrote
-    /// into the unified [`Report`], charging the drained source's
-    /// [`IoStats`] (when the input had one) to the read-wait/compute
-    /// split — the same [`Timing`] clamp decompress sessions use, so the
-    /// report pipelines cannot drift. When the archive carries an `FZT1`
-    /// block, its rows are summarized through the same reader `info`
-    /// uses. This is how compress sessions summarize their run, and how
-    /// embedders that drive the engine directly (e.g. `flowzip serve`'s
-    /// per-window reports) produce the same stable schema.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when the telemetry block of `archive` does not
-    /// parse.
-    pub fn from_engine(
-        er: EngineReport,
-        archive: &[u8],
-        stats: Option<&IoStats>,
-    ) -> Result<Report, CodecError> {
-        let telemetry = if er.report.sizes.telemetry > 0 {
-            ArchiveReader::open(archive)?
-                .telemetry()
-                .map(TelemetrySummary::from_telemetry)
-        } else {
-            None
-        };
+    /// Folds an [`EngineReport`] into the unified [`Report`], charging
+    /// the drained source's [`IoStats`] (when the input had one) to the
+    /// read-wait/compute split — the same [`Timing`] clamp decompress
+    /// sessions use, so the report pipelines cannot drift. When the run
+    /// wrote an `FZT1` block, the engine report carries its rows'
+    /// summary, folded as the block was encoded. This is how compress
+    /// sessions summarize their run, and how embedders that drive the
+    /// engine directly (e.g. `flowzip serve`'s per-window reports)
+    /// produce the same stable schema.
+    pub fn from_engine(er: EngineReport, stats: Option<&IoStats>) -> Report {
         let mut report = Report::new(Mode::Compress);
         report.packets = er.report.packets;
         report.flows = er.report.flows;
@@ -355,7 +281,7 @@ impl Report {
             addresses: er.report.addresses,
             sizes: Some(er.report.sizes),
             has_metadata: true,
-            telemetry,
+            telemetry: er.telemetry,
         });
         // Raw-iterator runs carry no stats handle: nothing was read.
         let read_wait = stats.map_or(0.0, IoStats::read_wait_secs);
@@ -375,7 +301,7 @@ impl Report {
         }
         report.timing = Some(timing);
         report.compression = Some(er.report);
-        Ok(report)
+        report
     }
 
     /// Open-flow high-water mark, when the run tracked one.

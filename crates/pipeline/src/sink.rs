@@ -1,10 +1,13 @@
 //! [`Sink`] — where a session's serialized output goes.
 //!
 //! Every sink is written as a **stream**: a session opens it once,
-//! pushes bytes through a fixed 64 KiB buffer, and
-//! commits at the end. A compress session pushes its finished archive in
-//! one write; decompress and query sessions push one capture record per
-//! synthesized packet, so their memory does not grow with the output.
+//! pushes bytes through a fixed 64 KiB buffer, and commits at the end.
+//! A compress session opens it only after its input was read, then
+//! streams the archive in: the head, each section payload as its shard
+//! encoded it, the trailing blocks — the archive is never held whole.
+//! Decompress and query sessions push one capture record per
+//! synthesized packet. Either way memory does not grow with a second
+//! copy of the output.
 
 use crate::error::PipelineError;
 use flowzip_trace::reader::CaptureFormat;
@@ -81,7 +84,7 @@ impl<'a> Sink<'a> {
     /// [`SinkWriter::finish`], so `path` either holds the old content or
     /// the complete new output — never a truncation — and a stream that
     /// is dropped unfinished removes its scratch file.
-    fn open(self) -> Result<SinkWriter<'a>, PipelineError> {
+    pub(crate) fn open(self) -> Result<SinkWriter<'a>, PipelineError> {
         Ok(match self.kind {
             SinkKind::File(path) => {
                 let part = PartFile::create(&path)
@@ -93,19 +96,6 @@ impl<'a> Sink<'a> {
                 SinkWriter::Writer(BufWriter::with_capacity(SINK_BUFFER_BYTES, w))
             }
         })
-    }
-
-    /// Delivers `bytes` to the sink. Returns the buffer back for
-    /// [`SinkKind::Bytes`], `None` otherwise.
-    pub(crate) fn deliver(self, bytes: Vec<u8>) -> Result<Option<Vec<u8>>, PipelineError> {
-        if let SinkKind::Bytes = self.kind {
-            return Ok(Some(bytes));
-        }
-        let mut w = self.open()?;
-        if let Err(e) = w.write_all(&bytes) {
-            return Err(PipelineError::write(w.context(), e));
-        }
-        w.finish()
     }
 
     /// Drains `packets` into the sink as a `format` capture, one record
@@ -162,7 +152,7 @@ impl fmt::Debug for Sink<'_> {
 }
 
 /// An opened [`Sink`].
-enum SinkWriter<'a> {
+pub(crate) enum SinkWriter<'a> {
     File(BufWriter<PartFile>),
     Bytes(Vec<u8>),
     Writer(BufWriter<Box<dyn Write + 'a>>),
@@ -170,7 +160,7 @@ enum SinkWriter<'a> {
 
 impl SinkWriter<'_> {
     /// Where the bytes are going, for error messages.
-    fn context(&self) -> String {
+    pub(crate) fn context(&self) -> String {
         match self {
             SinkWriter::File(w) => format!("write {}", w.get_ref().written_path().display()),
             SinkWriter::Bytes(_) | SinkWriter::Writer(_) => "write sink".to_string(),
@@ -178,8 +168,9 @@ impl SinkWriter<'_> {
     }
 
     /// Flushes and commits: a file is renamed into place, an in-memory
-    /// buffer handed back.
-    fn finish(mut self) -> Result<Option<Vec<u8>>, PipelineError> {
+    /// buffer handed back. The rename runs only after every buffered
+    /// byte reached the file.
+    pub(crate) fn finish(mut self) -> Result<Option<Vec<u8>>, PipelineError> {
         if let Err(e) = self.flush() {
             return Err(PipelineError::write(self.context(), e));
         }
@@ -477,6 +468,18 @@ mod tests {
         let err = Sink::writer(FailAfter(2))
             .deliver_packets(CaptureFormat::Pcap, packets(10_000))
             .unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+
+        // A compress session streams its archive the same way: past the
+        // buffered head, the first section payload (the archive is
+        // ≈ 130 KB) fails.
+        let trace = flowzip_traffic::P2pTrafficGenerator::new(Default::default(), 3).generate();
+        let err = crate::Pipeline::compress()
+            .input(crate::Input::trace(&trace))
+            .sink(Sink::writer(FailAfter(1)))
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, PipelineError::Write { .. }), "{err}");
         assert!(err.to_string().contains("disk full"), "{err}");
     }
 

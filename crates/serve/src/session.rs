@@ -28,7 +28,6 @@ use flowzip_engine::StreamingEngine;
 use flowzip_obs::{names, Counter, Gauge, Sampler};
 use flowzip_pipeline::{PartFile, Report};
 use flowzip_trace::{PacketRecord, TraceError};
-use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -352,31 +351,45 @@ impl Driver {
                 &age_gauge,
                 &queue_gauge,
             );
-            let run = self.engine.compress_stream_to_bytes(&mut wsrc);
+            let run = self.engine.drain(&mut wsrc);
             let (reason, first_ts_us, last_ts_us) =
                 (wsrc.reason, wsrc.first_ts_us, wsrc.last_ts_us);
             // The WindowSource never yields Err, so the engine cannot
             // fail on input; treat any failure as fatal to the session.
-            let (bytes, er) =
+            let drained =
                 run.map_err(|e| ServeError::Config(format!("engine failed mid-window: {e}")))?;
             let done = matches!(
                 reason,
                 CloseReason::Eof | CloseReason::Signal | CloseReason::SourceError
             );
 
-            let packets = er.report.packets;
+            let packets = drained.packets();
             compressed += packets;
             let index = windows.len() as u64;
-            let (archive, report) = if packets > 0 {
+            let (archive, er) = if packets > 0 {
+                // Streamed into `.part` scratch, then renamed, so a reader
+                // (or `flowzip query`) pointed at the rotation directory
+                // never observes a truncated archive.
                 let path = self.out_dir.join(archive_name(opened_unix_ms, index));
-                write_archive(&path, &bytes)?;
-                let report = Report::from_engine(er, &bytes, None).map_err(|e| {
-                    ServeError::Config(format!("window archive does not parse: {e}"))
+                let mut part = PartFile::create(&path)
+                    .map_err(|e| ServeError::io(format!("create {}", path.display()), e))?;
+                let er = self.engine.write(drained, &mut part).map_err(|e| {
+                    ServeError::io(format!("write {}", part.written_path().display()), e)
                 })?;
-                (Some(path), Some(report))
+                part.commit()
+                    .map_err(|e| ServeError::io(format!("rename into {}", path.display()), e))?;
+                (Some(path), er)
             } else {
-                (None, None)
+                // Nothing to store; the summary still counts the bytes
+                // the empty archive would take.
+                let er = self
+                    .engine
+                    .write(drained, &mut std::io::sink())
+                    .expect("io::sink takes every write");
+                (None, er)
             };
+            let bytes = er.archive_bytes;
+            let report = archive.is_some().then(|| Report::from_engine(er, None));
 
             // Record every stored window, and every *elapsed* empty one
             // (a time rotation that saw nothing) — but not the empty
@@ -389,7 +402,7 @@ impl Driver {
                     reason,
                     packets,
                     flows: report.as_ref().map_or(0, |r| r.flows),
-                    bytes: bytes.len() as u64,
+                    bytes,
                     dropped_packets: dropped_now - dropped_before,
                     opened_unix_ms,
                     closed_unix_ms: unix_ms(),
@@ -435,18 +448,6 @@ impl Driver {
             elapsed_secs: started.elapsed().as_secs_f64(),
         })
     }
-}
-
-/// Writes archive bytes atomically through [`PartFile`]: `.part` scratch
-/// first, then rename, so a reader (or `flowzip query`) pointed at the
-/// rotation directory never observes a truncated archive.
-fn write_archive(path: &std::path::Path, bytes: &[u8]) -> Result<(), ServeError> {
-    let mut part = PartFile::create(path)
-        .map_err(|e| ServeError::io(format!("create {}", path.display()), e))?;
-    part.write_all(bytes)
-        .map_err(|e| ServeError::io(format!("write {}", part.written_path().display()), e))?;
-    part.commit()
-        .map_err(|e| ServeError::io(format!("rename into {}", path.display()), e))
 }
 
 pub(crate) fn unix_ms() -> u64 {

@@ -1913,3 +1913,119 @@ fn compress_of_a_piped_input_matches_the_file() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A written v2.1 archive whose `FZM1` block declares one packet more or
+/// less than its records expand to — the varint changed in place, at
+/// the same length — is a metadata error on every reading command.
+#[test]
+fn a_miscounted_metadata_block_is_an_error() {
+    let dir = tmpdir("miscounted");
+    let tsh = generate_into(&dir, "a.tsh");
+    let fzc = dir.join("a.fzc");
+    let run = bin().arg("compress").arg(&tsh).arg("-o").arg(&fzc).output();
+    assert!(run.unwrap().status.success());
+    let mut bytes = std::fs::read(&fzc).unwrap();
+    let reader = flowzip::core::ArchiveReader::open(&bytes).unwrap();
+    let sizes = reader.records(|_| true).unwrap().sizes();
+    assert!(sizes.metadata > 0 && sizes.telemetry == 0, "{sizes:?}");
+    // `FZM1`, then the varints version, seed and section count, then the
+    // section's first and last flow start: the next varint is `packets`.
+    let mut at = bytes.len() - sizes.metadata as usize;
+    assert_eq!(&bytes[at..at + 4], b"FZM1");
+    at += 4;
+    for _ in 0..5 {
+        while bytes[at] & 0x80 != 0 {
+            at += 1;
+        }
+        at += 1;
+    }
+    // Its low bit: the value moves by one and keeps its length.
+    bytes[at] ^= 1;
+    let bad = dir.join("miscounted.fzc");
+    std::fs::write(&bad, &bytes).unwrap();
+    let out = dir.join("out.tsh");
+    let (archive, o) = (bad.as_os_str(), out.as_os_str());
+    for args in [
+        vec!["info".as_ref(), archive],
+        vec!["decompress".as_ref(), archive, "-o".as_ref(), o],
+        vec!["query".as_ref(), archive],
+        vec!["query".as_ref(), archive, "-o".as_ref(), o],
+    ] {
+        assert_clean_failure(&args, &out, "packet count mismatch");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs a `compress` that must fail: exit 1 with `needle`, and neither
+/// `out` nor `out.part` left — then again over an existing `out`, whose
+/// bytes must stay as they were.
+fn assert_compress_fails_cleanly(args: &[&std::ffi::OsStr], out: &std::path::Path, needle: &str) {
+    assert_clean_failure(args, out, needle);
+    if !out.parent().is_some_and(std::path::Path::exists) {
+        return;
+    }
+    std::fs::write(out, b"the previous archive").unwrap();
+    let run = bin().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert_eq!(std::fs::read(out).unwrap(), b"the previous archive");
+    let part = Sink::partial_path(out);
+    assert!(!part.exists(), "{args:?} left {}", part.display());
+}
+
+/// A compress that fails — a capture cut mid-record, alone or as one
+/// file of a glob, or an output directory that does not exist — exits 1
+/// with the reader's or the writer's error and publishes nothing.
+#[test]
+fn a_failed_compress_leaves_no_output_and_no_part_file() {
+    use flowzip::prelude::*;
+    use flowzip::trace::pcap;
+
+    let dir = tmpdir("compress-fails");
+    let out = dir.join("out.fzc");
+    let o = out.as_os_str();
+
+    // A TSH capture cut mid-record.
+    let tsh = generate_into(&dir, "a.tsh");
+    let mut bytes = std::fs::read(&tsh).unwrap();
+    bytes.truncate(bytes.len() / 44 / 2 * 44 + 20);
+    let cut = dir.join("cut.tsh");
+    std::fs::write(&cut, &bytes).unwrap();
+    let args = ["compress".as_ref(), cut.as_os_str(), "-o".as_ref(), o];
+    assert_compress_fails_cleanly(&args, &out, "truncated");
+
+    // Eight pcap files through one glob, the sixth cut mid-record.
+    let trace = WebTrafficGenerator::new(
+        WebTrafficConfig {
+            flows: 200,
+            duration_secs: 20.0,
+            ..WebTrafficConfig::default()
+        },
+        17,
+    )
+    .generate();
+    let packets = trace.packets();
+    let per_file = packets.len().div_ceil(8);
+    for (i, chunk) in packets.chunks(per_file).enumerate() {
+        let mut bytes = pcap::to_bytes(&Trace::from_packets(chunk.to_vec()));
+        if i == 5 {
+            bytes.truncate(bytes.len() - 7);
+        }
+        std::fs::write(dir.join(format!("part-{i:02}.pcap")), bytes).unwrap();
+    }
+    let glob = dir.join("part-*.pcap");
+    let args = ["compress".as_ref(), glob.as_os_str(), "-o".as_ref(), o];
+    assert_compress_fails_cleanly(&args, &out, "truncated");
+
+    // An output directory that does not exist.
+    let missing = dir.join("no-such-dir").join("out.fzc");
+    let args = [
+        "compress".as_ref(),
+        tsh.as_os_str(),
+        "-o".as_ref(),
+        missing.as_os_str(),
+    ];
+    assert_compress_fails_cleanly(&args, &missing, "create");
+    std::fs::remove_dir_all(&dir).ok();
+}
