@@ -66,7 +66,7 @@ pub fn analyze_archive(data: &[u8]) -> Result<ArchivePasses, CodecError> {
     let mut packets = 0u64;
 
     let telemetry = reader.telemetry();
-    for flow in reader.records(|_| true)? {
+    for flow in reader.records()? {
         let r = flow.record;
         let n = flow.packets;
         packets += n;
@@ -137,7 +137,7 @@ mod tests {
         let reader = ArchiveReader::open(&bytes).unwrap();
         assert_eq!(
             passes.complexity,
-            TraceComplexity::from_records(reader.records(|_| true).unwrap())
+            TraceComplexity::from_records(reader.records().unwrap())
         );
         let sizes: Vec<u64> = ct.time_seq.iter().map(|r| ct.flow_len(r)).collect();
         let starts: Vec<u64> = ct.time_seq.iter().map(|r| r.first_ts.as_micros()).collect();

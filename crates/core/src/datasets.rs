@@ -25,6 +25,10 @@ pub const MAGIC: [u8; 4] = *b"FZC1";
 pub(crate) const VERSION: u8 = 1;
 /// RTT quantization shift (128 µs units).
 pub(crate) const RTT_SHIFT: u32 = 7;
+/// Most entries a wire short template may hold: §3's `short_max`. With
+/// each long template named by exactly one record, no archive the reader
+/// accepts expands past 12.5 packets per byte (`docs/FORMAT.md`).
+pub const SHORT_TEMPLATE_MAX: usize = 50;
 
 /// One long flow stored verbatim: `(M, inter-packet gap)` per packet.
 ///
@@ -188,6 +192,10 @@ pub enum CodecError {
     Metadata(&'static str),
     /// The v2.2 trailing telemetry block is structurally invalid.
     Telemetry(&'static str),
+    /// A template breaks a rule that bounds how many packets an archive
+    /// expands to: a short template past [`SHORT_TEMPLATE_MAX`] entries,
+    /// or a long template named by other than exactly one record.
+    Expansion(&'static str),
 }
 
 impl fmt::Display for CodecError {
@@ -204,6 +212,7 @@ impl fmt::Display for CodecError {
             }
             CodecError::Metadata(why) => write!(f, "bad section metadata block: {why}"),
             CodecError::Telemetry(why) => write!(f, "bad telemetry block: {why}"),
+            CodecError::Expansion(why) => write!(f, "unbounded expansion: {why}"),
         }
     }
 }
@@ -478,13 +487,50 @@ mod tests {
         bytes
     }
 
+    #[test]
+    fn expansion_is_bounded_by_the_wire_rules() {
+        // One short flow whose template holds `n` entries.
+        let short = |n: usize| CompressedTrace {
+            short_templates: vec![vec![16; n]],
+            long_templates: vec![],
+            time_seq: vec![sample().time_seq[2]],
+            ..sample()
+        };
+        let ok = short(SHORT_TEMPLATE_MAX);
+        let long = short(SHORT_TEMPLATE_MAX + 1);
+        let too_long = Err(CodecError::Expansion(
+            "short template of more than 50 packets",
+        ));
+        // A second long record naming the one long template.
+        let mut twice = sample();
+        twice.time_seq[2] = FlowRecord {
+            is_long: true,
+            ..twice.time_seq[1]
+        };
+        let named_twice = Err(CodecError::Expansion(
+            "long template named by more than one record",
+        ));
+        for (ct, want) in [
+            (&ok, Ok(ok.clone())),
+            (&long, too_long),
+            (&twice, named_twice),
+        ] {
+            assert_eq!(CompressedTrace::from_bytes(&ct.to_bytes()), want);
+            assert_eq!(CompressedTrace::from_bytes(&ct.to_bytes_v2()), want);
+        }
+    }
+
     const WIDE_U16: u64 = u16::MAX as u64 + 2; // `as u16` aliases it to 1
     const WIDE_U32: u64 = u32::MAX as u64 + 1; // `as u32` aliases it to 0
 
     #[test]
     fn wide_template_entries_rejected_not_aliased() {
-        assert!(CompressedTrace::from_bytes(&crafted_v1(1, 1, 0, 0)).is_ok());
         assert!(CompressedTrace::from_bytes(&crafted_v1(1, 1, 1, 0)).is_ok());
+        // A short record leaves the long template unnamed.
+        assert_eq!(
+            CompressedTrace::from_bytes(&crafted_v1(1, 1, 0, 0)),
+            Err(CodecError::Expansion("long template named by no record"))
+        );
         for bytes in [crafted_v1(WIDE_U16, 1, 0, 0), crafted_v1(1, WIDE_U16, 0, 0)] {
             assert_eq!(
                 CompressedTrace::from_bytes(&bytes),

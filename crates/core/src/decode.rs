@@ -19,7 +19,8 @@
 
 use crate::container::{varint_len, ArchiveFormat, ArchiveReader, MAGIC_V2, VERSION_V2};
 use crate::datasets::{
-    CodecError, DatasetSizes, FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, VERSION,
+    CodecError, DatasetSizes, FlowRecord, LongTemplate, MAGIC, RTT_SHIFT, SHORT_TEMPLATE_MAX,
+    VERSION,
 };
 use crate::decompress::Template;
 use crate::meta::{ArchiveMeta, FlowKeyBloom, SectionMeta, META_MAGIC, META_VERSION};
@@ -220,6 +221,11 @@ impl<'a> ArchiveReader<'a> {
         let mut short_templates = Vec::with_capacity(short_capacity);
         for _ in 0..n_short {
             let (n, capacity) = cur.count(1)?;
+            if n > SHORT_TEMPLATE_MAX {
+                return Err(CodecError::Expansion(
+                    "short template of more than 50 packets",
+                ));
+            }
             let mut v = Vec::with_capacity(capacity);
             for _ in 0..n {
                 v.push(cur.varint_u16("template entry")?);
@@ -364,31 +370,31 @@ impl<'a> ArchiveReader<'a> {
 }
 
 impl ArchiveReader<'_> {
-    /// The flows of the sections `keep` accepts (by index), in capture
-    /// order: one cursor per kept section, merged stably by
-    /// `(first_ts, section index)`.
+    /// Every flow of the archive, in capture order: one cursor per
+    /// section, merged stably by `(first_ts, section index)`.
     ///
-    /// One validating walk over the kept sections' long templates and
+    /// One validating walk over the sections' long templates and
     /// time-seq runs first. It checks every entry, index, timestamp
-    /// delta and the bytes after the last record, so every
-    /// [`CodecError`] surfaces here, before the first flow, with the
-    /// variant and message a full decode reports. The walk also counts
-    /// the flows and their packets ([`Records::flows`],
-    /// [`Records::packets`]). Records are then decoded again, one at a
-    /// time, as the merge reaches them.
+    /// delta and the bytes after the last record, and that each long
+    /// template is named by exactly one record, so every [`CodecError`]
+    /// surfaces here, before the first flow, with the variant and
+    /// message a full decode reports. The walk also counts the flows and
+    /// their packets ([`Records::flows`], [`Records::packets`]). Records
+    /// are then decoded again, one at a time, as the merge reaches them.
     ///
     /// # Errors
     ///
-    /// [`CodecError`] for a malformed kept section.
-    pub fn records(&self, keep: impl FnMut(usize) -> bool) -> Result<Records<'_>, CodecError> {
-        self.walk(keep, None)
+    /// [`CodecError`] for a malformed section.
+    pub fn records(&self) -> Result<Records<'_>, CodecError> {
+        self.walk(|_| true, None)
     }
 
-    /// [`ArchiveReader::records`], keeping only the flows `filter`
-    /// accepts: the walk counts those alone and notes each record's
-    /// verdict in a bit, which the merge reads instead of running
-    /// `filter` again, and the merge decodes each section only from its
-    /// first match to its last. The query planner's path.
+    /// [`ArchiveReader::records`] over the sections `keep` accepts (by
+    /// index), keeping only the flows `filter` accepts: the walk counts
+    /// those alone and notes each record's verdict in a bit, which the
+    /// merge reads instead of running `filter` again, and the merge
+    /// decodes each section only from its first match to its last. The
+    /// query planner's path.
     ///
     /// # Errors
     ///
@@ -425,10 +431,29 @@ impl ArchiveReader<'_> {
             let mut matched = filter.is_some().then(Vec::new);
             // Every record's packets, matched or not.
             let mut section_packets = 0u64;
+            // One bit per long template: named by a record yet. `open`
+            // walked `long_count` templates, so the bytes hold that many.
+            let mut named = vec![0u64; entry.long_count.div_ceil(64)];
+            let mut named_count = 0usize;
             for n in 0..entry.flow_count {
                 let before = (section.cur.clone(), section.last_ts, n);
                 let flow = section.decode(reader)?;
                 section_packets = section_packets.saturating_add(flow.packets);
+                if flow.record.is_long {
+                    // `decode` range-checked the index against the section.
+                    let local = flow.record.template_idx.saturating_sub(entry.long_base) as usize;
+                    let fresh = named.get_mut(local / 64).is_some_and(|word| {
+                        let fresh = *word & record_bit(local) == 0;
+                        *word |= record_bit(local);
+                        fresh
+                    });
+                    if !fresh {
+                        return Err(CodecError::Expansion(
+                            "long template named by more than one record",
+                        ));
+                    }
+                    named_count = named_count.saturating_add(1);
+                }
                 let hit = filter.as_mut().is_none_or(|f| f(&flow.record));
                 if let Some(bits) = &mut matched {
                     if n % 64 == 0 {
@@ -447,6 +472,9 @@ impl ArchiveReader<'_> {
             }
             if section.cur.remaining() != 0 {
                 return Err(CodecError::Truncated);
+            }
+            if named_count != entry.long_count {
+                return Err(CodecError::Expansion("long template named by no record"));
             }
             let declared = reader.meta.as_ref().and_then(|m| m.sections.get(i));
             miscounted |= declared.is_some_and(|m| m.packets != section_packets);
@@ -764,7 +792,8 @@ impl<'r> KeptSection<'r> {
     }
 }
 
-/// Record `n`'s bit in its word of a section's filter verdicts.
+/// Bit `n`'s place in its word of a one-bit-per-item vector: a
+/// section's filter verdicts, or its long templates named so far.
 // `n % 64` is below 64, so the cast keeps every bit.
 #[allow(clippy::cast_possible_truncation)]
 fn record_bit(n: usize) -> u64 {

@@ -47,7 +47,8 @@ use flowzip_trace::{FiveTuple, Timestamp, Trace};
 use std::net::Ipv4Addr;
 
 /// What to look for: a conversation, a time window, or both. An empty
-/// query matches everything (a full decompression with statistics).
+/// query matches everything: it is a full decompression with statistics,
+/// and [`select_reader`] walks it unfiltered.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowQuery {
     /// Match flows whose synthesized five-tuple is the same
@@ -209,12 +210,18 @@ pub fn select_reader<'r>(
         })
         .collect();
     stats.sections_scanned = keep.iter().filter(|&&k| k).count() as u64;
-    // Survivors keep their relative order, so the stable merge of the
-    // subset is a subsequence of the full merge — order preserved.
-    let records = reader.records_matching(
-        |i| keep[i],
-        |r| query.matches(dp.seed, reader.addresses(), r),
-    )?;
+    // An empty query prunes nothing and matches every flow: the
+    // unfiltered walk, with no verdict bits. Otherwise survivors keep
+    // their relative order, so the stable merge of the subset is a
+    // subsequence of the full merge — order preserved.
+    let records = if *query == FlowQuery::default() {
+        reader.records()?
+    } else {
+        reader.records_matching(
+            |i| keep[i],
+            |r| query.matches(dp.seed, reader.addresses(), r),
+        )?
+    };
     stats.flows_matched = records.flows();
     stats.packets = records.packets();
     Ok(QuerySelection { records, stats })
@@ -436,7 +443,10 @@ mod tests {
         // Each section alone yields its own records, in order, each once.
         let mut records = 0;
         for (i, meta) in meta.sections.iter().enumerate() {
-            let flows: Vec<_> = reader.records(|k| k == i).unwrap().collect();
+            let flows: Vec<_> = reader
+                .records_matching(|k| k == i, |_| true)
+                .unwrap()
+                .collect();
             assert_eq!(meta.flows, flows.len() as u64);
             for (index, flow) in flows.iter().enumerate() {
                 assert_eq!((flow.section, flow.index), (i, index));
@@ -447,7 +457,7 @@ mod tests {
         }
         assert_eq!(records, full.time_seq.len());
         // All sections at once: the merge is the full time-seq dataset.
-        let merged = reader.records(|_| true).unwrap();
+        let merged = reader.records().unwrap();
         assert_eq!(merged.flows(), full.time_seq.len() as u64);
         assert_eq!(merged.packets(), full.packet_count());
         let merged: Vec<FlowRecord> = merged.map(|f| f.record).collect();

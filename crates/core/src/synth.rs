@@ -157,6 +157,10 @@ impl SynthGenerator {
             });
         }
 
+        // Long templates are sampled with replacement. The wire rule that
+        // names each long template once (`docs/FORMAT.md`) bounds what an
+        // archive expands to; this model is never written, and its flow
+        // count is `config.flows`, so `validate` does not ask it.
         let synthetic_archive = CompressedTrace {
             short_templates: archive.short_templates.clone(),
             long_templates: archive.long_templates.clone(),

@@ -419,7 +419,7 @@ fn decode_heap(bytes: &[u8]) -> (usize, usize, HeapUse) {
     let ((packets, peak_open), used) = measure(|| {
         let reader = ArchiveReader::open(bytes).expect("a valid archive");
         let d = Decompressor::default();
-        let mut stream = d.packets(reader.records(|_| true).expect("valid records"));
+        let mut stream = d.packets(reader.records().expect("valid records"));
         let packets = stream.by_ref().count();
         (packets, stream.peak_open())
     });
@@ -492,7 +492,7 @@ fn info_fold_heap_high_water_per_flow() {
     let (bytes, flows) = web_archive(2);
     let ((counted, score), used) = measure(|| {
         let reader = ArchiveReader::open(&bytes).expect("a valid archive");
-        let records = reader.records(|_| true).expect("valid records");
+        let records = reader.records().expect("valid records");
         let counted = records.flows();
         (counted, TraceComplexity::from_records(records).score)
     });

@@ -22,7 +22,7 @@ fn open(bytes: &[u8]) -> ArchiveReader<'_> {
 fn streamed_tsh(bytes: &[u8]) -> Vec<u8> {
     let mut w = CaptureWriter::new(Vec::new(), CaptureFormat::Tsh).unwrap();
     let d = Decompressor::default();
-    for p in d.packets(open(bytes).records(|_| true).unwrap()) {
+    for p in d.packets(open(bytes).records().unwrap()) {
         w.write_packet(&p).unwrap();
     }
     w.into_inner()
@@ -63,7 +63,7 @@ fn assert_merge_is_oracle(bytes: &[u8]) -> Result<(), TestCaseError> {
     let d = Decompressor::default();
     let oracle = d.decompress(&ct);
     let reader = open(bytes);
-    let mut stream = d.packets(reader.records(|_| true).unwrap());
+    let mut stream = d.packets(reader.records().unwrap());
     prop_assert_eq!(stream.size_hint(), (oracle.len(), Some(oracle.len())));
     let merged: Vec<PacketRecord> = stream.by_ref().collect();
     prop_assert_eq!(&merged[..], oracle.packets());
@@ -90,20 +90,27 @@ fn put_varint(mut v: u64, out: &mut Vec<u8>) {
 
 /// `ct` laid out as a plain v2 archive of `k` sections, written from the
 /// format description alone: record `i` goes to section `i % k`, and
-/// every section carries all of `ct`'s long templates and identity
-/// remaps onto its short templates and addresses. Returns the bytes and
-/// the archive a reader must parse them to: the long templates once per
-/// section, each record's long index moved to its section's copy, RTTs
-/// quantized, and the records stable-sorted by `first_ts` over the
-/// sections' concatenation — v1's order for the same shards.
+/// each section carries the long templates its records name, in record
+/// order, and identity remaps onto `ct`'s short templates and addresses.
+/// Returns the bytes and the archive a reader must parse them to: the
+/// long templates in section order, each long record's index moved to
+/// its template's place there, RTTs quantized, and the records
+/// stable-sorted by `first_ts` over the sections' concatenation — v1's
+/// order for the same shards. `ct` names each long template once.
 fn sectioned_v2(ct: &CompressedTrace, k: usize) -> (Vec<u8>, CompressedTrace) {
-    let n_long = ct.long_templates.len();
     let mut index = Vec::new();
     let mut payloads = Vec::new();
     let mut concat = Vec::new();
+    let mut long_templates = Vec::new();
     for s in 0..k {
+        let records: Vec<&FlowRecord> = ct.time_seq.iter().skip(s).step_by(k).collect();
+        let longs: Vec<&LongTemplate> = records
+            .iter()
+            .filter(|r| r.is_long)
+            .map(|r| &ct.long_templates[r.template_idx as usize])
+            .collect();
         let mut payload = Vec::new();
-        for t in &ct.long_templates {
+        for t in &longs {
             put_varint(t.len() as u64, &mut payload);
             for (m, gap) in t.entries() {
                 put_varint(u64::from(m), &mut payload);
@@ -111,12 +118,15 @@ fn sectioned_v2(ct: &CompressedTrace, k: usize) -> (Vec<u8>, CompressedTrace) {
             }
         }
         let mut last_ts = 0;
-        let mut flows = 0;
-        for r in ct.time_seq.iter().skip(s).step_by(k) {
-            put_varint(
-                u64::from(r.template_idx) << 1 | u64::from(r.is_long),
-                &mut payload,
-            );
+        let mut local_long = 0;
+        for r in &records {
+            let local = if r.is_long {
+                local_long += 1;
+                local_long - 1
+            } else {
+                r.template_idx
+            };
+            put_varint(u64::from(local) << 1 | u64::from(r.is_long), &mut payload);
             put_varint(u64::from(r.addr_idx), &mut payload);
             put_varint(r.first_ts.as_micros() - last_ts, &mut payload);
             last_ts = r.first_ts.as_micros();
@@ -125,13 +135,16 @@ fn sectioned_v2(ct: &CompressedTrace, k: usize) -> (Vec<u8>, CompressedTrace) {
                 put_varint(rtt, &mut payload);
             }
             concat.push(FlowRecord {
-                template_idx: r.template_idx + if r.is_long { (s * n_long) as u32 } else { 0 },
+                template_idx: if r.is_long {
+                    (long_templates.len() as u32) + local
+                } else {
+                    local
+                },
                 rtt: Duration::from_micros(rtt << 7),
-                ..*r
+                ..**r
             });
-            flows += 1;
         }
-        for v in [payload.len(), flows, n_long] {
+        for v in [payload.len(), records.len(), longs.len()] {
             put_varint(v as u64, &mut index);
         }
         for n in [ct.short_templates.len(), ct.addresses.len()] {
@@ -141,9 +154,15 @@ fn sectioned_v2(ct: &CompressedTrace, k: usize) -> (Vec<u8>, CompressedTrace) {
             }
         }
         payloads.extend(payload);
+        long_templates.extend(longs.into_iter().cloned());
     }
     let mut bytes = b"FZC2\x02".to_vec();
-    for n in [ct.short_templates.len(), k * n_long, ct.addresses.len(), k] {
+    for n in [
+        ct.short_templates.len(),
+        long_templates.len(),
+        ct.addresses.len(),
+        k,
+    ] {
         put_varint(n as u64, &mut bytes);
     }
     for t in &ct.short_templates {
@@ -159,7 +178,7 @@ fn sectioned_v2(ct: &CompressedTrace, k: usize) -> (Vec<u8>, CompressedTrace) {
     concat.sort_by_key(|r| r.first_ts);
     let parsed = CompressedTrace {
         short_templates: ct.short_templates.clone(),
-        long_templates: (0..k).flat_map(|_| ct.long_templates.clone()).collect(),
+        long_templates,
         addresses: ct.addresses.clone(),
         time_seq: concat,
     };
@@ -209,7 +228,8 @@ fn p2p_archive(flows: usize, seed: u64) -> CompressedTrace {
 /// Hand-built archives that force every kind of tie: few distinct start
 /// times (flows sharing a `first_ts`), zero gaps inside long flows, zero
 /// RTT (→ `default_rtt`), empty templates, and `M` values no weight
-/// vector produces.
+/// vector produces. Each long record names its own template, as the
+/// wire format requires.
 fn arb_tied_archive() -> impl Strategy<Value = CompressedTrace> {
     let m = prop_oneof![0u16..87, Just(999u16), Just(u16::MAX)];
     let short = prop::collection::vec(m.clone(), 0..9);
@@ -219,39 +239,37 @@ fn arb_tied_archive() -> impl Strategy<Value = CompressedTrace> {
         any::<bool>(),
         any::<u32>(),
         prop_oneof![Just(0u64), 128u64..2_000],
+        long,
     );
     (
         prop::collection::vec(short, 1..5),
-        prop::collection::vec(long, 1..4),
         prop::collection::vec(record, 1..25),
     )
-        .prop_map(|(short_templates, long, records)| {
-            let long_templates: Vec<LongTemplate> = long
+        .prop_map(|(short_templates, mut records)| {
+            records.sort_by_key(|r| r.0);
+            let mut long_templates = Vec::new();
+            let time_seq: Vec<FlowRecord> = records
                 .into_iter()
-                .map(|entries| {
-                    LongTemplate::from_entries(
-                        entries
-                            .into_iter()
-                            .map(|(m, gap)| (m, Duration::from_micros(gap))),
-                    )
+                .map(|(start, is_long, pick, rtt, entries)| {
+                    let template_idx = if is_long {
+                        long_templates.push(LongTemplate::from_entries(
+                            entries
+                                .into_iter()
+                                .map(|(m, gap)| (m, Duration::from_micros(gap))),
+                        ));
+                        long_templates.len() as u32 - 1
+                    } else {
+                        pick % short_templates.len() as u32
+                    };
+                    FlowRecord {
+                        first_ts: Timestamp::from_micros(start * 300),
+                        is_long,
+                        template_idx,
+                        addr_idx: pick % 2,
+                        rtt: Duration::from_micros(if is_long { 0 } else { rtt }),
+                    }
                 })
                 .collect();
-            let mut time_seq: Vec<FlowRecord> = records
-                .into_iter()
-                .map(|(start, is_long, pick, rtt)| FlowRecord {
-                    first_ts: Timestamp::from_micros(start * 300),
-                    is_long,
-                    template_idx: pick
-                        % if is_long {
-                            long_templates.len()
-                        } else {
-                            short_templates.len()
-                        } as u32,
-                    addr_idx: pick % 2,
-                    rtt: Duration::from_micros(if is_long { 0 } else { rtt }),
-                })
-                .collect();
-            time_seq.sort_by_key(|r| r.first_ts);
             let ct = CompressedTrace {
                 short_templates,
                 long_templates,
@@ -318,14 +336,14 @@ fn four_carriers_keep_four_cursors_open() {
     let d = Decompressor::default();
     let bytes = ct.to_bytes_v2();
     let reader = open(&bytes);
-    let mut stream = d.packets(reader.records(|_| true).unwrap());
+    let mut stream = d.packets(reader.records().unwrap());
     assert_eq!(stream.by_ref().count(), 2_000);
     assert_eq!(stream.peak_open(), 4);
     // All carriers in one section, two per section, or one per section.
     for k in [1, 2, 4] {
         let (bytes, _) = sectioned_v2(&ct, k);
         let reader = open(&bytes);
-        let mut stream = d.packets(reader.records(|_| true).unwrap());
+        let mut stream = d.packets(reader.records().unwrap());
         assert_eq!(stream.by_ref().count(), 2_000);
         assert_eq!(stream.peak_open(), 4);
     }
@@ -336,17 +354,15 @@ fn four_carriers_keep_four_cursors_open() {
 fn sequential_flows_never_share_the_heap() {
     // Each flow ends before the next begins: one cursor at a time, and
     // the last record is still unopened while the first is draining.
-    let mut ct = carriers(1, 20, 10);
-    ct.time_seq = (0..50)
-        .map(|i| FlowRecord {
-            first_ts: Timestamp::from_micros(i * 1_000),
-            ..ct.time_seq[0]
-        })
-        .collect();
+    // Fifty carriers of at most 19 × 59 µs each, 2 ms apart.
+    let mut ct = carriers(50, 20, 10);
+    for (i, r) in ct.time_seq.iter_mut().enumerate() {
+        r.first_ts = Timestamp::from_micros(i as u64 * 2_000);
+    }
     let d = Decompressor::default();
     let bytes = ct.to_bytes_v2();
     let reader = open(&bytes);
-    let mut stream = d.packets(reader.records(|_| true).unwrap());
+    let mut stream = d.packets(reader.records().unwrap());
     stream.next().unwrap();
     assert_eq!(stream.records_opened(), 1);
     assert_eq!(stream.by_ref().count(), 50 * 20 - 1);
@@ -368,14 +384,14 @@ fn a_crafted_gap_saturates_the_clock_instead_of_wrapping() {
     let bytes = ct.to_bytes_v2();
     let d = Decompressor::default();
     let times: Vec<u64> = d
-        .packets(open(&bytes).records(|_| true).unwrap())
+        .packets(open(&bytes).records().unwrap())
         .map(|p| p.timestamp().as_micros())
         .collect();
     assert_eq!(times, [10_000_000, u64::MAX, u64::MAX]);
     let ct = CompressedTrace::from_bytes(&bytes).unwrap();
     assert_eq!(
         d.decompress(&ct).packets(),
-        &d.packets(open(&bytes).records(|_| true).unwrap())
+        &d.packets(open(&bytes).records().unwrap())
             .collect::<Vec<_>>()[..]
     );
 }
@@ -399,7 +415,7 @@ fn a_timestamp_past_the_capture_format_is_an_error_not_a_panic() {
     };
     let bytes = ct.to_bytes_v2();
     let first = Decompressor::default()
-        .packets(open(&bytes).records(|_| true).unwrap())
+        .packets(open(&bytes).records().unwrap())
         .next()
         .unwrap();
     for format in [CaptureFormat::Tsh, CaptureFormat::Pcap] {
@@ -426,6 +442,6 @@ fn degenerate_weights_decode_every_m_as_unknown_instead_of_dividing_by_zero() {
     let bytes = ct.to_bytes_v2();
     let d = Decompressor::new(params);
     let reader = open(&bytes);
-    let records = reader.records(|_| true).unwrap();
+    let records = reader.records().unwrap();
     assert_eq!(d.packets(records).count() as u64, ct.packet_count());
 }

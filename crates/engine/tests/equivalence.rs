@@ -163,7 +163,7 @@ fn assert_v2_packet_identical(
     // The streaming merge — what sessions actually write — is the
     // expand-then-sort oracle packet for packet on engine archives too.
     let reader = ArchiveReader::open(&v2_bytes).unwrap();
-    let merged: Vec<PacketRecord> = dec.packets(reader.records(|_| true).unwrap()).collect();
+    let merged: Vec<PacketRecord> = dec.packets(reader.records().unwrap()).collect();
     prop_assert_eq!(&merged[..], restored.packets());
     Ok(())
 }

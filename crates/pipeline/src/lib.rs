@@ -38,7 +38,8 @@
 //! assert!(report.compression.as_ref().unwrap().ratio_vs_tsh < 0.10);
 //! let archive_bytes = result.into_bytes().unwrap();
 //!
-//! // Decompress is the symmetric session: archive in, trace out.
+//! // Decompress is the query session matching every flow: archive in,
+//! // the whole trace out.
 //! let restored = Pipeline::decompress()
 //!     .input(Input::bytes(archive_bytes))
 //!     .sink(Sink::bytes())
@@ -46,6 +47,16 @@
 //!     .unwrap();
 //! assert_eq!(restored.report.packets as usize, trace.len());
 //! ```
+//!
+//! # Decompress and query: one read session
+//!
+//! [`Pipeline::query`] and [`Pipeline::decompress`] return the same
+//! [`QueryBuilder`]: archive in, matching packets out. Decompression is
+//! the query that matches every flow, with a sink required and its
+//! report labelled `decompress`; the core planner
+//! ([`select_reader`](flowzip_core::select_reader)) then walks the
+//! archive unfiltered. Both reports carry the planner's counters, and the
+//! per-dataset byte footprint whenever the walk covered every section.
 //!
 //! # Shards and engine tuning
 //!
@@ -69,7 +80,8 @@
 //!
 //! Every session returns one [`Report`] behind one stable
 //! [`Report::to_json`] schema — the same schema `flowzip compress
-//! --json`, `flowzip decompress --json` and `flowzip info --json` print.
+//! --json`, `flowzip decompress --json`, `flowzip query --json` and
+//! `flowzip info --json` print.
 //! A compress session fills it once, in [`Report::from_engine`], from
 //! the engine's [`EngineReport`](flowzip_engine::EngineReport) (which
 //! carries the §3/§5
@@ -79,7 +91,6 @@
 //! serve` builds each window's report the same way.
 
 pub mod compress;
-pub mod decompress;
 pub mod error;
 pub mod input;
 pub mod query;
@@ -88,7 +99,6 @@ pub mod sink;
 pub mod stats;
 
 pub use compress::{CompressBuilder, RunResult};
-pub use decompress::DecompressBuilder;
 pub use error::PipelineError;
 pub use flowzip_engine::CancelFlag;
 pub use query::QueryBuilder;
@@ -101,7 +111,8 @@ pub use report::{ArchiveSummary, EngineSummary, Report, TelemetrySummary, Timing
 pub use sink::{PartFile, Sink};
 pub use stats::LiveStats;
 
-/// The session entry point: [`Pipeline::compress`] and
-/// [`Pipeline::decompress`] start a builder each.
+/// The session entry point: [`Pipeline::compress`] starts the write
+/// session; [`Pipeline::query`] and [`Pipeline::decompress`] start the
+/// one archive-read session.
 #[derive(Debug, Clone, Copy)]
 pub struct Pipeline;

@@ -1,6 +1,8 @@
-//! [`Pipeline::query`]: archive in, *matching* packets out — the
-//! session wrapper around the core query planner
-//! ([`flowzip_core::query_bytes`]), with flow-spec parsing, optional
+//! The one archive-read session: [`Pipeline::query`] (archive in,
+//! *matching* packets out) and [`Pipeline::decompress`], the same session
+//! set to match every flow, with a sink required and its report labelled
+//! `decompress`. It wraps the core query planner
+//! ([`flowzip_core::select_reader`]) with flow-spec parsing, optional
 //! trace output, planner metrics and the unified [`Report`].
 
 use crate::compress::RunResult;
@@ -40,9 +42,13 @@ pub(crate) fn parse_flow_spec(spec: &str) -> Result<FiveTuple, String> {
     Ok(FiveTuple::tcp(src_ip, src_port, dst_ip, dst_port))
 }
 
-/// Builder for one query session. Construct with [`Pipeline::query`].
+/// Builder for one archive-read session. Construct with
+/// [`Pipeline::query`] or [`Pipeline::decompress`].
 #[derive(Debug)]
 pub struct QueryBuilder<'a> {
+    /// `Query`, or `Decompress`: the report's label, the error-context
+    /// prefix, and whether a sink is required.
+    mode: Mode,
     input: Option<Input<'a>>,
     sink: Option<Sink<'a>>,
     query: FlowQuery,
@@ -57,7 +63,24 @@ impl Pipeline {
     /// trace [`Sink`] for the matching packets, then
     /// [`run()`](QueryBuilder::run).
     pub fn query<'a>() -> QueryBuilder<'a> {
+        QueryBuilder::new(Mode::Query)
+    }
+
+    /// Starts a decompression session: one archive [`Input`]
+    /// ([`Input::file`] or [`Input::bytes`]), one trace [`Sink`], then
+    /// [`run()`](QueryBuilder::run). It is the query session with an
+    /// empty [`FlowQuery`] (every flow matches, and the reader's walk
+    /// runs unfiltered), a sink required and the report labelled
+    /// `decompress`.
+    pub fn decompress<'a>() -> QueryBuilder<'a> {
+        QueryBuilder::new(Mode::Decompress)
+    }
+}
+
+impl<'a> QueryBuilder<'a> {
+    fn new(mode: Mode) -> QueryBuilder<'a> {
         QueryBuilder {
+            mode,
             input: None,
             sink: None,
             query: FlowQuery::default(),
@@ -66,17 +89,15 @@ impl Pipeline {
             metrics: None,
         }
     }
-}
 
-impl<'a> QueryBuilder<'a> {
     /// The archive input (required): a `.fzc` file or in-memory bytes.
     pub fn input(mut self, input: Input<'a>) -> Self {
         self.input = Some(input);
         self
     }
 
-    /// Where to write the matching packets (optional — without a sink
-    /// the session only reports).
+    /// Where to write the matching packets (required for a
+    /// decompression; without one a query only reports).
     pub fn sink(mut self, sink: Sink<'a>) -> Self {
         self.sink = Some(sink);
         self
@@ -116,8 +137,8 @@ impl<'a> QueryBuilder<'a> {
         self
     }
 
-    /// RNG seed for synthesized addresses and ports (must match the
-    /// decompression seed the flow tuples came from).
+    /// RNG seed for synthesized addresses and ports (a query must match
+    /// the decompression seed the flow tuples came from).
     pub fn seed(mut self, seed: u64) -> Self {
         self.params.seed = seed;
         self
@@ -143,18 +164,28 @@ impl<'a> QueryBuilder<'a> {
     }
 
     /// Runs the session: read the archive, prune sections against the
-    /// v2.1 metadata, decode + filter the survivors, and report pruning
-    /// effectiveness. With a sink the matching flows are synthesized and
-    /// merged straight into it, record by record; without one the packet
-    /// count comes from the template lengths and nothing is synthesized.
+    /// v2.1 metadata, walk the survivors (every [`CodecError`] surfaces
+    /// before the first packet) and report pruning effectiveness. With a
+    /// sink the matching flows are synthesized and merged straight into
+    /// it, record by record ([`Decompressor::packets`]); without one the
+    /// packet count comes from the template lengths and nothing is
+    /// synthesized. Memory is the archive bytes, the reader's resident
+    /// datasets, ≈ 8 B per long template, the flows open at once and the
+    /// sink's buffer, whatever the packet count; the report's
+    /// `peak_open_flows` is the open flows' high-water mark, and it
+    /// carries `dataset_bytes` whenever the walk covered every section.
+    ///
+    /// [`CodecError`]: flowzip_core::datasets::CodecError
     ///
     /// # Errors
     ///
-    /// [`PipelineError::Config`] for inputs that are not archive-shaped;
+    /// [`PipelineError::Config`] for inputs that are not archive-shaped,
+    /// and for a decompression without a sink;
     /// [`PipelineError::Read`] / [`PipelineError::Decode`] for unreadable
     /// or invalid archives; [`PipelineError::Write`] for sink failures.
     pub fn run(self) -> Result<RunResult, PipelineError> {
         let QueryBuilder {
+            mode,
             input,
             sink,
             query,
@@ -162,14 +193,22 @@ impl<'a> QueryBuilder<'a> {
             output_format,
             metrics,
         } = self;
+        let label = mode.as_str();
         let input = input.ok_or_else(|| {
-            PipelineError::config("query session has no input — call .input(Input::…)")
+            PipelineError::config(format!(
+                "{label} session has no input — call .input(Input::…)"
+            ))
         })?;
+        if mode == Mode::Decompress && sink.is_none() {
+            return Err(PipelineError::config(
+                "decompress session has no sink — call .sink(Sink::…)",
+            ));
+        }
         let started = Instant::now();
         let inputs_desc = input.describe();
-        let context = format!("query {}", inputs_desc.join(" "));
+        let context = format!("{label} {}", inputs_desc.join(" "));
 
-        let bytes = input.kind.into_archive("query", &context)?;
+        let bytes = input.kind.into_archive(label, &context)?;
         let read_wait = started.elapsed().as_secs_f64();
 
         // One parse serves the archive facts and the selection: the
@@ -177,9 +216,13 @@ impl<'a> QueryBuilder<'a> {
         // away exactly the work pruning saved.
         let decode_err = |e| PipelineError::decode(context.clone(), e);
         let reader = ArchiveReader::open(&bytes).map_err(decode_err)?;
-        let summary = ArchiveSummary::from_reader(&reader, bytes.len());
         let selection = select_reader(&reader, &query, &params).map_err(decode_err)?;
         let stats = selection.stats;
+        let mut summary = ArchiveSummary::from_reader(&reader, bytes.len());
+        // Only a walk over every section found every dataset boundary.
+        if stats.sections_scanned == stats.sections_total {
+            summary.sizes = Some(selection.records.sizes());
+        }
 
         if let Some(m) = &metrics {
             m.counter(names::QUERY_SECTIONS_TOTAL)
@@ -195,7 +238,7 @@ impl<'a> QueryBuilder<'a> {
             m.counter(names::QUERY_PACKETS).add(stats.packets);
         }
 
-        let mut report = Report::new(Mode::Query);
+        let mut report = Report::new(mode);
         report.inputs = inputs_desc;
         report.output = sink.as_ref().and_then(Sink::path);
         report.packets = stats.packets;
@@ -203,14 +246,15 @@ impl<'a> QueryBuilder<'a> {
         report.archive = Some(summary);
         report.query = Some(stats);
 
-        // With a sink, the matching flows merge straight into it; without
-        // one the template lengths already gave the packet count and
-        // nothing is synthesized.
+        // §4: with a sink, the matching flows merge by timestamp straight
+        // into its buffer; without one the template lengths already gave
+        // the packet count and nothing is synthesized.
         let mut buffer = None;
         if let Some(sink) = sink {
             let decompressor = Decompressor::new(params);
             let mut packets = decompressor.packets(selection.records);
             let delivered = sink.deliver_packets(output_format, &mut packets)?;
+            debug_assert_eq!(delivered.packets, stats.packets);
             report.peak_open_flows = packets.peak_open() as u64;
             report.output_bytes = delivered.bytes_written;
             buffer = delivered.buffer;
@@ -264,8 +308,7 @@ mod tests {
     #[test]
     fn query_session_prunes_and_reports() {
         let bytes = sectioned_archive(300, 9);
-        let full =
-            Decompressor::new(DecompressParams::default()).decompress(&read_v2(&bytes).unwrap());
+        let full = Decompressor::default().decompress(&read_v2(&bytes).unwrap());
         let target = full.packets()[0].tuple();
         let expected: Vec<_> = full
             .packets()
@@ -308,6 +351,43 @@ mod tests {
         assert!(json.contains("\"sections_scanned\""), "{json}");
         assert!(json.contains("\"has_metadata\": true"), "{json}");
         assert!(flowzip_obs::json::is_valid_json(&json));
+    }
+
+    #[test]
+    fn decompress_is_the_unfiltered_query_with_a_sink() {
+        let bytes = sectioned_archive(150, 6);
+        let run = |session: QueryBuilder<'static>| {
+            session
+                .input(Input::bytes(bytes.clone()))
+                .sink(Sink::bytes())
+                .run()
+                .unwrap()
+        };
+        let decompressed = run(Pipeline::decompress());
+        let queried = run(Pipeline::query());
+        let (d, q) = (decompressed.report.clone(), queried.report.clone());
+        assert_eq!(d.mode, Mode::Decompress);
+        assert_eq!(q.mode, Mode::Query);
+        // One walk fills both reports the same way, down to the dataset
+        // footprint a walk over every section measures.
+        assert_eq!((d.packets, d.flows), (q.packets, q.flows));
+        assert_eq!((d.archive.clone(), d.query), (q.archive.clone(), q.query));
+        assert_eq!(d.peak_open_flows, q.peak_open_flows);
+        let sizes = d.archive.as_ref().and_then(|a| a.sizes).expect("sizes");
+        assert_eq!(sizes.total(), bytes.len() as u64);
+        assert_eq!(d.query.unwrap().flows_matched, d.query.unwrap().flows_total);
+        assert!(d.to_json().contains("\"mode\": \"decompress\""));
+        assert_eq!(decompressed.into_bytes(), queried.into_bytes());
+
+        // Only the decompression label requires a sink.
+        let err = Pipeline::decompress()
+            .input(Input::bytes(bytes))
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, PipelineError::Config(m) if m.contains("decompress session has no sink")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! `flowzip decompress --json` and `flowzip info --json` all speak the
 //! same schema.
 
-use flowzip_core::datasets::CodecError;
 pub use flowzip_core::TelemetrySummary;
 use flowzip_core::{
     ArchiveFormat, ArchiveReader, ArchiveTelemetry, CompressionReport, DatasetSizes, Records,
@@ -32,7 +31,8 @@ pub use flowzip_obs::json::json_escape;
 pub(crate) enum Mode {
     /// Packets in, archive out.
     Compress,
-    /// Archive in, synthesized trace out.
+    /// Archive in, synthesized trace out: the query that matches every
+    /// flow, with a sink.
     Decompress,
     /// Archive metadata only (`flowzip info`).
     Info,
@@ -68,9 +68,9 @@ pub struct ArchiveSummary {
     pub long_templates: u64,
     /// Unique destination addresses.
     pub addresses: u64,
-    /// Byte footprint per §3 dataset, when the run measured it
-    /// (inspection, decompress and compress runs do; query runs read
-    /// the header alone).
+    /// Byte footprint per §3 dataset, when the run measured it:
+    /// inspection and compress runs do, and so does a decompress or
+    /// query run whose walk covered every section.
     pub sizes: Option<DatasetSizes>,
     /// Whether the archive carries the rev 2.1 per-section metadata
     /// block (always `false` for v1).
@@ -192,7 +192,7 @@ pub struct Report {
     pub engine: Option<EngineSummary>,
     /// Archive container facts (every mode that touched an archive).
     pub archive: Option<ArchiveSummary>,
-    /// Query-planner effectiveness counters (query runs only).
+    /// Query-planner effectiveness counters (query and decompress runs).
     pub query: Option<flowzip_core::QueryStats>,
     /// Most flows the §4 merge held open at once (decompress runs, and
     /// query runs with a sink) — the decompress twin of
@@ -229,20 +229,6 @@ impl Report {
             output_bytes: 0,
             metrics: None,
         }
-    }
-
-    /// An `info`-mode report for serialized archive bytes — what
-    /// `flowzip info` prints. The reader's validating walk counts the
-    /// flows and packets; no record is merged.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] when the bytes are not a valid archive.
-    pub fn inspect(bytes: &[u8]) -> Result<Report, CodecError> {
-        let reader = ArchiveReader::open(bytes)?;
-        let records = reader.records(|_| true)?;
-        let summary = ArchiveSummary::inspect(&reader, &records, bytes.len());
-        Ok(Report::from_archive(&records, summary))
     }
 
     /// An `info`-mode report for an archive whose records `records`

@@ -375,7 +375,7 @@ mod tests {
             .0
             .to_bytes_v2();
         let archive = ArchiveReader::open(&bytes).unwrap();
-        let flows = archive.records(|_| true).unwrap().flows();
+        let flows = archive.records().unwrap().flows();
         let total = trace.len() as u64;
         let decompressor = Decompressor::default();
 
@@ -394,7 +394,7 @@ mod tests {
         .deliver_packets(
             CaptureFormat::Tsh,
             decompressor
-                .packets(archive.records(|_| true).unwrap())
+                .packets(archive.records().unwrap())
                 .inspect(|_| pulled.set(pulled.get() + 1)),
         )
         .unwrap();
@@ -411,7 +411,7 @@ mod tests {
         // merge had not yet opened most of the archive's records.
         let first = pulled_at_first_write.get().unwrap();
         assert!(first <= SINK_BUFFER_BYTES / 44 + 1, "{first}");
-        let mut replay = decompressor.packets(archive.records(|_| true).unwrap());
+        let mut replay = decompressor.packets(archive.records().unwrap());
         assert_eq!(replay.by_ref().take(first).count(), first);
         assert!(
             (replay.records_opened() as u64) < flows / 2,

@@ -674,7 +674,7 @@ fn info(opts: &Opts) -> Result<(), Failure> {
     // complexity line folds the record merge, one record at a time.
     let parse_err = |e: flowzip::core::datasets::CodecError| format!("parse {input}: {e}");
     let reader = ArchiveReader::open(&bytes).map_err(parse_err)?;
-    let records = reader.records(|_| true).map_err(parse_err)?;
+    let records = reader.records().map_err(parse_err)?;
     let summary = ArchiveSummary::inspect(&reader, &records, bytes.len());
     let mut report = Report::from_archive(&records, summary);
     report.inputs = vec![input.to_string()];
@@ -743,27 +743,10 @@ fn info(opts: &Opts) -> Result<(), Failure> {
 fn decompress(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let out = opts.out()?;
-    let json = opts.get_bool("json");
-    let out_format = match opts.get("out-format") {
-        None | Some("tsh") => CaptureFormat::Tsh,
-        Some("pcap") => CaptureFormat::Pcap,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --out-format `{other}` (want tsh or pcap)"
-            )))
-        }
-    };
-    // Nothing to finalize mid-decode: an interrupt just removes the
-    // half-written `.part` scratch and exits.
-    signal::install_oneshot();
-    let _guard = signal::guard_partial(&Sink::partial_path(&out));
+    let _guard = guard_output(Some(&out));
+    let session = read_session(Pipeline::decompress(), opts, Path::new(input))?;
     let to_stderr = is_own_stdout(&out);
-    let result = Pipeline::decompress()
-        .input(Input::file(input))
-        .sink(Sink::file(&out))
-        .seed(opts.get_u64("seed", 0x5EED)?)
-        .output_format(out_format)
-        .run()?;
+    let result = session.sink(Sink::file(&out)).run()?;
     let report = &result.report;
     let notice = format!(
         "wrote {}: {} packets ({} bytes), peak {} open flows",
@@ -772,7 +755,7 @@ fn decompress(opts: &Opts) -> Result<(), Failure> {
         report.output_bytes,
         report.peak_open_flows
     );
-    if json {
+    if opts.get_bool("json") {
         report_line(to_stderr, format_args!("{}", report.to_json()));
         log::info(&notice);
     } else {
@@ -785,23 +768,11 @@ fn query(opts: &Opts) -> Result<(), Failure> {
     let input = opts.input()?;
     let json = opts.get_bool("json");
     let out = opts.get("out").map(PathBuf::from);
-    let out_format = match opts.get("out-format") {
-        None | Some("tsh") => CaptureFormat::Tsh,
-        Some("pcap") => CaptureFormat::Pcap,
-        Some(other) => {
-            return Err(usage(format!(
-                "unknown --out-format `{other}` (want tsh or pcap)"
-            )))
-        }
-    };
-    signal::install_oneshot();
-    let _guard = out
-        .as_ref()
-        .and_then(|o| signal::guard_partial(&Sink::partial_path(o)));
+    let _guard = guard_output(out.as_deref());
     if Path::new(input).is_dir() {
-        return query_rotation_dir(opts, input, json, out.as_deref(), out_format);
+        return query_rotation_dir(opts, input, json, out.as_deref());
     }
-    let mut session = query_session(opts, Path::new(input), out_format)?;
+    let mut session = read_session(Pipeline::query(), opts, Path::new(input))?;
     if let Some(path) = &out {
         session = session.sink(Sink::file(path));
     }
@@ -832,18 +803,39 @@ fn query(opts: &Opts) -> Result<(), Failure> {
     Ok(())
 }
 
-/// A query session over the archive at `path`, with `--seed`, `--flow`,
-/// `--from` and `--to` applied — one archive's share of `query`, whether
-/// it names a file or a rotation directory.
-fn query_session<'a>(
+/// `--out-format`: the capture format `decompress` and `query -o` write.
+fn out_format(opts: &Opts) -> Result<CaptureFormat, Failure> {
+    match opts.get("out-format") {
+        None | Some("tsh") => Ok(CaptureFormat::Tsh),
+        Some("pcap") => Ok(CaptureFormat::Pcap),
+        Some(other) => Err(usage(format!(
+            "unknown --out-format `{other}` (want tsh or pcap)"
+        ))),
+    }
+}
+
+/// Nothing to finalize mid-read: an interrupt removes `out`'s
+/// half-written `.part` scratch and exits.
+fn guard_output(out: Option<&Path>) -> Option<signal::PartialGuard> {
+    signal::install_oneshot();
+    out.and_then(|o| signal::guard_partial(&Sink::partial_path(o)))
+}
+
+/// `session` — [`Pipeline::decompress`] or [`Pipeline::query`] — over the
+/// archive at `path`, with `--seed`, `--out-format` and any `--flow`,
+/// `--from` and `--to` applied: one archive's share of `decompress` or
+/// `query`, whether `query` names a file or a rotation directory.
+/// `decompress` takes none of the three filters, so it matches every
+/// flow.
+fn read_session<'a>(
+    session: QueryBuilder<'a>,
     opts: &Opts,
     path: &Path,
-    out_format: CaptureFormat,
 ) -> Result<QueryBuilder<'a>, Failure> {
-    let mut session = Pipeline::query()
+    let mut session = session
         .input(Input::file(path))
         .seed(opts.get_u64("seed", 0x5EED)?)
-        .output_format(out_format);
+        .output_format(out_format(opts)?);
     if let Some(spec) = opts.get("flow") {
         session = session.flow_spec(spec)?;
     }
@@ -866,9 +858,8 @@ fn query_rotation_dir(
     dir: &str,
     json: bool,
     out: Option<&Path>,
-    out_format: CaptureFormat,
 ) -> Result<(), Failure> {
-    if out.is_some() && out_format == CaptureFormat::Pcap {
+    if out.is_some() && out_format(opts)? == CaptureFormat::Pcap {
         return Err(usage(
             "rotation-directory -o concatenation is TSH-only (pcap puts a header per file)",
         ));
@@ -889,7 +880,7 @@ fn query_rotation_dir(
     for e in &entries {
         let Some(name) = &e.archive else { continue };
         let path = Path::new(dir).join(name);
-        let mut session = query_session(opts, &path, out_format)?;
+        let mut session = read_session(Pipeline::query(), opts, &path)?;
         if let Some(part) = &mut part {
             session = session.sink(Sink::writer(part));
         }

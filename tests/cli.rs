@@ -577,6 +577,140 @@ fn json_output_modes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A `--json` report's top-level keys and values in print order; a
+/// nested object's keys come as `outer.inner`.
+fn json_pairs(text: &str) -> Vec<(String, String)> {
+    let mut pairs = Vec::new();
+    let mut outer: Option<&str> = None;
+    for line in text.lines() {
+        if line.trim() == "}" || line.trim() == "}," {
+            outer = None;
+            continue;
+        }
+        let Some((key, value)) = line.trim().split_once("\": ") else {
+            continue;
+        };
+        let key = key.trim_start_matches('"');
+        let value = value.trim_end_matches(',');
+        if value == "{" {
+            outer = Some(key);
+        } else {
+            let key = outer.map_or(key.to_string(), |o| format!("{o}.{key}"));
+            pairs.push((key, value.to_string()));
+        }
+    }
+    pairs
+}
+
+/// `decompress --json` and `query --json` (unfiltered, and filtered by
+/// time and by flow) still print every key they printed when each had its
+/// own session, in the same order, with the same value wherever it is
+/// deterministic (`*` marks a wall-clock one). Keys may be added, never
+/// dropped or changed.
+#[test]
+fn read_reports_keep_every_json_key() {
+    let dir = tmpdir("json-keys");
+    for args in [
+        &[
+            "generate", "--flows", "80", "--secs", "10", "--seed", "21", "-o", "web.tsh",
+        ][..],
+        &["compress", "web.tsh", "--threads", "2", "-o", "web.fzc"],
+    ] {
+        let out = bin().current_dir(&dir).args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+    }
+    let archive = "format=\"v2\" sections=2 has_metadata=true file_bytes=2205 \
+        archive_bytes=2205 short_templates=25 long_templates=2 addresses=41";
+    let timing = "elapsed_secs=* read_wait_secs=* compute_secs=* serialize_secs=0.000000 \
+        packets_per_sec=* mb_per_sec=*";
+    let planner = |scanned: u32, matched: u32| {
+        let skipped = 2 - scanned;
+        format!(
+            "sections_total=2 sections_scanned={scanned} sections_skipped={skipped} \
+             sections_skipped_time=0 sections_skipped_bloom={skipped} flows_total=80 \
+             flows_matched={matched}"
+        )
+    };
+    let head = |mode: &str, output: &str, packets: u32, flows: u32| {
+        let output = if output.is_empty() {
+            String::new()
+        } else {
+            format!("output=\"{output}\"")
+        };
+        format!("mode=\"{mode}\" inputs=[\"web.fzc\"] {output} packets={packets} flows={flows}")
+    };
+    let flow = "130.88.52.199:80->169.48.129.76:32375";
+    let cases = [
+        (
+            vec!["decompress", "web.fzc", "-o", "r.tsh"],
+            format!(
+                "{} {archive} peak_open_flows=9 {timing} output_bytes=61380 \
+                 dataset_bytes.header=105 dataset_bytes.short_templates=601 \
+                 dataset_bytes.long_templates=640 dataset_bytes.addresses=164 \
+                 dataset_bytes.time_seq=552 dataset_bytes.metadata=143 \
+                 dataset_bytes.telemetry=0",
+                head("decompress", "r.tsh", 1395, 80)
+            ),
+        ),
+        (
+            vec!["query", "web.fzc"],
+            format!(
+                "{} {archive} {} peak_open_flows=0 {timing} output_bytes=0",
+                head("query", "", 1395, 80),
+                planner(2, 80)
+            ),
+        ),
+        (
+            vec!["query", "web.fzc", "-o", "q.tsh"],
+            format!(
+                "{} {archive} {} peak_open_flows=9 {timing} output_bytes=61380",
+                head("query", "q.tsh", 1395, 80),
+                planner(2, 80)
+            ),
+        ),
+        (
+            vec![
+                "query", "web.fzc", "--from", "2", "--to", "4", "-o", "qf.tsh",
+            ],
+            format!(
+                "{} {archive} {} peak_open_flows=6 {timing} output_bytes=9768",
+                head("query", "qf.tsh", 222, 18),
+                planner(2, 18)
+            ),
+        ),
+        (
+            vec!["query", "web.fzc", "--flow", flow, "-o", "qflow.tsh"],
+            format!(
+                "{} {archive} {} peak_open_flows=1 {timing} output_bytes=704",
+                head("query", "qflow.tsh", 16, 1),
+                planner(1, 1)
+            ),
+        ),
+    ];
+    for (args, pinned) in cases {
+        let out = bin()
+            .current_dir(&dir)
+            .args(&args)
+            .arg("--json")
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{args:?}: {text}");
+        let printed = json_pairs(&text);
+        let mut rest = printed.iter();
+        for pin in pinned.split_whitespace() {
+            let (key, want) = pin.split_once('=').unwrap();
+            let (_, value) = rest
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("{args:?} dropped or moved `{key}`: {text}"));
+            if want != "*" {
+                assert_eq!(value, want, "{args:?} `{key}`: {text}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--idle-timeout 0` means "no eviction": the archive is byte-identical
 /// to a run without the flag, where a real timeout does evict.
 #[test]
@@ -1199,6 +1333,118 @@ fn crafted_long_v2(long: &[u8], records: &[u8]) -> Vec<u8> {
     b.extend_from_slice(long);
     b.extend_from_slice(records);
     b
+}
+
+/// ROADMAP item 27's crafted archives, written from `docs/FORMAT.md`
+/// alone: 1 000 records, 100 µs apart, all naming one template — a long
+/// one of 10 000 entries (`expand_long_*`) or a short one of 10 000 sizes
+/// (`expand_short_*`) — as v1 and as a plain-v2 twin. Each describes
+/// 10 000 000 packets, 440 MB of TSH, in at most 23 016 B. Checked in
+/// under `tests/fixtures/`; re-bless with `FLOWZIP_BLESS=1 cargo test
+/// --test cli`.
+fn unbounded_archives() -> [(&'static str, Vec<u8>); 4] {
+    let mut long = Vec::new();
+    varint(10_000, &mut long);
+    for i in 0..10_000 {
+        long.extend([16 * (i % 3) as u8, 100]); // M, gap µs
+    }
+    let mut short = Vec::new();
+    varint(10_000, &mut short);
+    short.extend((0..10_000).map(|i| 16 * (i % 3) as u8));
+    // Key, address, Δts µs, and a short record's RTT (× 128 µs).
+    let records = |key: u8| -> Vec<u8> {
+        let record: &[u8] = if key == 1 {
+            &[1, 0, 100]
+        } else {
+            &[0, 0, 100, 1]
+        };
+        record.repeat(1_000)
+    };
+    let address = [10, 0, 0, 1];
+    let v1 = |counts: [u64; 4], body: &[&[u8]]| {
+        let mut b = b"FZC1\x01".to_vec();
+        for n in counts {
+            varint(n, &mut b);
+        }
+        b.extend(body.concat());
+        b
+    };
+    // One section: its index entry (payload length, flows, long
+    // templates, identity remaps), then the payload.
+    let v2 = |counts: [u64; 4], short: &[u8], payload: &[u8]| {
+        let mut b = b"FZC2\x02".to_vec();
+        for n in counts {
+            varint(n, &mut b);
+        }
+        b.extend_from_slice(short);
+        b.extend_from_slice(&address);
+        let shorts = counts[0];
+        for v in [payload.len() as u64, 1_000, counts[1], shorts] {
+            varint(v, &mut b);
+        }
+        b.extend((0..shorts).map(|i| i as u8));
+        b.extend([1, 0]);
+        b.extend_from_slice(payload);
+        b
+    };
+    [
+        (
+            "expand_long_v1.fzc",
+            v1([0, 1, 1, 1_000], &[&long, &address, &records(1)]),
+        ),
+        (
+            "expand_long_v2.fzc",
+            v2([0, 1, 1, 1], &[], &[long.clone(), records(1)].concat()),
+        ),
+        (
+            "expand_short_v1.fzc",
+            v1([1, 0, 1, 1_000], &[&short, &address, &records(0)]),
+        ),
+        ("expand_short_v2.fzc", v2([1, 0, 1, 1], &short, &records(0))),
+    ]
+}
+
+/// The two rules that bound expansion (each long template named by
+/// exactly one record; a short template of at most 50 entries) make
+/// item 27's crafted archives an up-front error on every read command:
+/// exit 1, the named rule on stderr, nothing on stdout and no output or
+/// `.part` file.
+#[test]
+fn unbounded_expansion_archives_are_errors() {
+    let dir = tmpdir("expand");
+    let out = dir.join("out.tsh");
+    for (name, bytes) in unbounded_archives() {
+        let path = fixture(name);
+        if std::env::var_os("FLOWZIP_BLESS").is_some() {
+            std::fs::write(&path, &bytes).unwrap();
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "tests/fixtures/{name} is stale — see unbounded_archives()"
+        );
+        let needle = if name.contains("long") {
+            "unbounded expansion: long template named by more than one record"
+        } else {
+            "unbounded expansion: short template of more than 50 packets"
+        };
+        let archive = path.as_os_str();
+        let o = out.as_os_str();
+        for args in [
+            vec!["info".as_ref(), archive],
+            vec!["info".as_ref(), archive, "--json".as_ref()],
+            vec!["decompress".as_ref(), archive, "-o".as_ref(), o],
+            vec!["query".as_ref(), archive],
+            vec!["query".as_ref(), archive, "-o".as_ref(), o],
+        ] {
+            assert_clean_failure(&args, &out, needle);
+            assert!(
+                bin().args(&args).output().unwrap().stdout.is_empty(),
+                "{args:?} printed output"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Long templates are parse-checked entry by entry before any output:
@@ -1926,7 +2172,7 @@ fn a_miscounted_metadata_block_is_an_error() {
     assert!(run.unwrap().status.success());
     let mut bytes = std::fs::read(&fzc).unwrap();
     let reader = flowzip::core::ArchiveReader::open(&bytes).unwrap();
-    let sizes = reader.records(|_| true).unwrap().sizes();
+    let sizes = reader.records().unwrap().sizes();
     assert!(sizes.metadata > 0 && sizes.telemetry == 0, "{sizes:?}");
     // `FZM1`, then the varints version, seed and section count, then the
     // section's first and last flow start: the next varint is `packets`.
